@@ -232,6 +232,9 @@ def tail_diagnostic(
 
     fair = build_fair_share_table(problem, t)
     x = fair.column_totals[j]
+    if x == 0:
+        raise ValueError(f"category {cat!r} has a fair column total of 0 at period {t}; "
+                         "the tail bounds need a positive total")
     cumulative = problem.cumulative_vacancies(t)
     m = len(problem.departments)
 

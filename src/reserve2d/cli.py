@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .analysis import summarize_biases, violation_stats
+from .analysis import ViolationStats, summarize_biases, violation_stats
 from .core import (
     BiasTable,
     FairShareTable,
@@ -50,7 +50,7 @@ from .fileio import (
 from .rng import ALGORITHM, SplitStream
 from .rounding import controlled_round
 from .solutions import RosterLengthError, SolutionConfig, run_solution
-from .roster import draw_roster
+from .roster import build_scheme_table, draw_roster
 
 __all__ = ["main"]
 
@@ -63,6 +63,18 @@ _TOTAL = "total"
 
 class UsageError(Exception):
     """A flag combination the command cannot work with (exit code 4)."""
+
+
+class FlagError(Exception):
+    """A flag value the inputs rule out (exit code 2, like any malformed flag)."""
+
+
+def _check_height(scheme, height: Optional[int]) -> None:
+    if height is not None:
+        try:
+            build_scheme_table(scheme, height)
+        except ValueError as err:
+            raise FlagError(f"--height {height}: {err}") from None
 
 
 def _seed_type(text: str) -> int:
@@ -122,12 +134,14 @@ def _bias_dict(bias: BiasTable) -> dict:
     }
 
 
-def _violation_fields(violations, max_possible: int) -> dict:
-    magnitudes = [v.magnitude for v in violations]
+def _violation_fields(stats: ViolationStats) -> dict:
+    def exact(value):
+        return None if value is None else rational(value)
+
     return {
-        "count": len(violations),
-        "max_possible": max_possible,
-        "percentage": rational(Fraction(100 * len(violations), max_possible)),
+        "count": stats.count,
+        "max_possible": stats.max_possible,
+        "percentage": rational(stats.percentage),
         "cells": [
             {
                 "department": v.department,
@@ -135,14 +149,12 @@ def _violation_fields(violations, max_possible: int) -> dict:
                 "reserved": v.reserved,
                 "fair": rational(v.fair),
             }
-            for v in violations
+            for v in stats.violations
         ],
-        "magnitudes": [rational(mag) for mag in magnitudes],
-        "average_magnitude": rational(sum(magnitudes) / len(magnitudes))
-        if magnitudes
-        else None,
-        "min_magnitude": rational(min(magnitudes)) if magnitudes else None,
-        "max_magnitude": rational(max(magnitudes)) if magnitudes else None,
+        "magnitudes": [rational(mag) for mag in stats.magnitudes],
+        "average_magnitude": exact(stats.average_magnitude),
+        "min_magnitude": exact(stats.min_magnitude),
+        "max_magnitude": exact(stats.max_magnitude),
     }
 
 
@@ -226,9 +238,9 @@ def _cmd_round(args) -> int:
     fair = build_fair_share_table(problem, args.period)
     rounded = controlled_round(fair, SplitStream(args.seed))
     bias = bias_of(rounded, fair)
-    dept = within_department_quota(rounded, fair)
-    univ = within_university_quota(rounded, fair)
     m, n = len(fair.departments), len(fair.categories)
+    dept = ViolationStats("department", args.period, tuple(within_department_quota(rounded, fair)), m * n)
+    univ = ViolationStats("university", args.period, tuple(within_university_quota(rounded, fair)), n)
     if args.format == "json":
         report = {
             "command": "round",
@@ -238,8 +250,8 @@ def _cmd_round(args) -> int:
             "reservation": _reservation_dict(rounded),
             "bias": _bias_dict(bias),
             "violations": {
-                "department": _violation_fields(dept, m * n),
-                "university": _violation_fields(univ, n),
+                "department": _violation_fields(dept),
+                "university": _violation_fields(univ),
             },
         }
         _emit(_json_text(report), args.output)
@@ -254,6 +266,7 @@ def _cmd_round(args) -> int:
 
 def _cmd_roster(args) -> int:
     scheme = parse_scheme_file(args.scheme)
+    _check_height(scheme, args.height)
     roster = draw_roster(
         scheme,
         args.length,
@@ -284,6 +297,7 @@ def _solution_config(args, problem: ReservationProblem) -> tuple[SolutionConfig,
     if args.solution == "proposed":
         if args.seed is None:
             raise UsageError("the proposed solution requires --seed")
+        _check_height(problem.scheme, args.height)
         return SolutionConfig("proposed", height=args.height), args.seed
     if args.roster is None:
         raise UsageError(f"the {args.solution} solution requires --roster")
@@ -316,26 +330,16 @@ def _cmd_run(args) -> int:
                 "reservation": _reservation_dict(reserved),
                 "bias": _bias_dict(bias),
                 "violations": {
-                    "department": _violation_fields(
-                        dept_stats.violations, dept_stats.max_possible
-                    ),
-                    "university": _violation_fields(
-                        univ_stats.violations, univ_stats.max_possible
-                    ),
+                    "department": _violation_fields(dept_stats),
+                    "university": _violation_fields(univ_stats),
                 },
             }
         )
         csv_rows.extend(_table_rows(t, fair, reserved, bias))
         for stats in (dept_stats, univ_stats):
-            csv_rows.append(
-                [t, "violations", stats.scope, "count", stats.count]
-            )
-            csv_rows.append(
-                [t, "violations", stats.scope, "max_possible", stats.max_possible]
-            )
-            csv_rows.append(
-                [t, "violations", stats.scope, "percentage", float(stats.percentage)]
-            )
+            for key, value in (("count", stats.count), ("max_possible", stats.max_possible),
+                               ("percentage", float(stats.percentage))):
+                csv_rows.append([t, "violations", stats.scope, key, value])
     if args.format == "json":
         report = {
             "command": "run",
@@ -386,6 +390,7 @@ def _biases_by_period(trace: SolutionTrace) -> dict[tuple[int, str], list[Fracti
 
 def _cmd_compare(args) -> int:
     scheme = parse_scheme_file(args.scheme)
+    _check_height(scheme, args.height)
     if args.synthesize:
         if args.problem is not None:
             raise UsageError("--synthesize replaces the problem file; drop the positional argument")
@@ -554,7 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
+    except (ParseError, FlagError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except PeriodRangeError as err:

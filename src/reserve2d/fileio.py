@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
+from itertools import count, islice
 from typing import Optional, Sequence, Union
 
 from .core import ReservationProblem, ReservationScheme, Roster
@@ -104,13 +105,15 @@ def parse_problem_file(path: str, scheme: ReservationScheme) -> ReservationProbl
         max_period = max(max_period, period)
     if max_period == 0:
         raise ParseError(path, rows[-1][0] if rows else 1, "no vacancy rows found")
-    periods_present = {p for _, p in cells}
-    missing = set(range(1, max_period + 1)) - periods_present
-    if missing:
+    present = {p for _, p in cells}
+    if len(present) != max_period:  # by count: max_period may be huge
+        missing = list(islice((t for t in count(1) if t not in present), 5))
+        more = max_period - len(present) - len(missing)
         raise ParseError(
             path,
             rows[-1][0],
-            f"periods must be contiguous 1..{max_period}; missing {sorted(missing)}",
+            f"periods must be contiguous 1..{max_period}; missing {missing}"
+            + (f" and {more} more" if more else ""),
         )
     vacancies = tuple(
         tuple(cells.get((d, t), 0) for d in departments)

@@ -55,12 +55,25 @@ class SplitStream:
         return _mix64((self.key + self._n * _GAMMA) & _MASK64)
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), exactly (rejection sampling)."""
+        """Uniform integer in [0, n), exactly (rejection sampling).
+
+        A bound up to 2**64 reads one u64 per attempt; a wider one reads
+        ceil(log2(n) / 64) of them, most significant first.
+        """
         if n <= 0:
             raise ValueError(f"randrange bound must be positive, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        if n <= 1 << 64:
+            limit = (1 << 64) - ((1 << 64) % n)
+            while True:
+                u = self.next_u64()
+                if u < limit:
+                    return u % n
+        words = -(-(n - 1).bit_length() // 64)
+        limit = (1 << 64 * words) - (1 << 64 * words) % n
         while True:
-            u = self.next_u64()
+            u = 0
+            for _ in range(words):
+                u = u << 64 | self.next_u64()
             if u < limit:
                 return u % n
 

@@ -18,14 +18,9 @@ the scheme table:
 
 Column j's flow enters at its deepest prefix vertex carrying k*a_j, peels
 off one cell's worth (a_j) at each depth, and every row forwards exactly 1
-to the sink.  All flows start inside width-<=1 bounds; repeatedly picking a
-cycle of fractional edges and pushing it to a bound — direction randomized
-so the expected flow is unchanged — terminates in an integral flow, i.e. a
-block.  Each step removes at least one fractional edge, the choice
-probabilities make the current network the exact mixture of the two
-branches, and the two candidate cycle adjustments are the headrooms d+
-(raising the cycle's forward edges) and d− (lowering them); the raising
-branch is chosen with probability d−/(d−+d+).
+to the sink.  The dependent-rounding walk of :mod:`reserve2d._walk` turns
+these flows into an integral flow, i.e. a block, keeping every edge's
+expectation.
 
 Rosters longer than one block either concatenate independent block draws
 (the default) or tile a single draw (``repeat-block``).
@@ -33,12 +28,13 @@ Rosters longer than one block either concatenate independent block draws
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
+from ._walk import Graph, Push, Walk, check_step, observed, scaled
 from .core import ReservationScheme, Roster
 
 __all__ = [
@@ -178,32 +174,17 @@ def _edge_skeleton(height: int, n: int) -> tuple[tuple[Vertex, Vertex], ...]:
 
 
 @lru_cache(maxsize=64)
-def _incidence(height: int, n: int) -> tuple[dict, dict]:
-    """Per-vertex incident edges as (edge_index, direction) sorted by index.
-
-    Direction +1 means the edge leaves the vertex, -1 that it enters it.
-    Also returns the map from cell->row edge index to its (row, column).
-    """
-    skeleton = _edge_skeleton(height, n)
-    inc: dict[Vertex, list[tuple[int, int]]] = {}
-    cell_edges: dict[int, tuple[int, int]] = {}
-    for idx, (tail, head) in enumerate(skeleton):
-        inc.setdefault(tail, []).append((idx, +1))
-        inc.setdefault(head, []).append((idx, -1))
-        if tail[0] == "cell":
-            cell_edges[idx] = (tail[1], tail[2])
-    for edges in inc.values():
-        edges.sort()
-    return inc, cell_edges
+def _graph(height: int, n: int) -> Graph:
+    """The network as an integer graph, vertices numbered in canonical order."""
+    order = _vertex_orders(height, n)
+    return Graph(len(order), [(order[t], order[h]) for t, h in _edge_skeleton(height, n)])
 
 
 def _initial_flow(table: SchemeTable, tail: Vertex, head: Vertex) -> Fraction:
     alphas = table.scheme.fractions
-    if tail == source_vertex():
-        return table.height * alphas[head[2]]
-    if tail[0] == "prefix" and head[0] == "prefix":
+    if head[0] == "prefix":  # the first l cells of column j carry l*a_j
         return head[1] * alphas[head[2]]
-    if tail[0] == "prefix" and head[0] == "cell":
+    if head[0] == "cell":
         return alphas[head[2]]
     if tail[0] == "cell":
         return alphas[tail[2]]
@@ -260,116 +241,31 @@ def build_flow_network(table: SchemeTable) -> FlowNetwork:
     return FlowNetwork(table, tuple(edges))
 
 
-# --- cycle search and decomposition -------------------------------------
-#
-# The internal routines below work on scaled integer flows: with S the lcm
-# of the fraction denominators, every edge flow is a multiple of 1/S
-# throughout the decomposition, so flows are stored as flow*S and an edge is
-# fractional exactly when its scaled flow is not a multiple of S.
+def _walk(network: FlowNetwork) -> Walk:
+    graph = _graph(network.table.height, network.table.scheme.size)
+    return Walk(graph, *scaled(e.flow for e in network.edges))
 
 
-def _scaled(network: FlowNetwork) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    scale = lcm(*(f.denominator for f in network.table.scheme.fractions))
-    flows = tuple(int(e.flow * scale) for e in network.edges)
-    bounds = tuple((e.lower * scale, e.upper * scale) for e in network.edges)
-    return scale, flows, bounds
-
-
-def _find_cycle_scaled(
-    height: int, n: int, scale: int, flows: Sequence[int]
-) -> Optional[tuple[tuple[int, int], ...]]:
-    """Deterministic cycle of fractional edges as ((edge, direction), ...).
-
-    Walks from the smallest vertex touching a fractional edge, always taking
-    the smallest-indexed eligible fractional edge other than the one used to
-    enter the current vertex, closing at the first revisited vertex and
-    discarding the walk prefix before it.  Conservation guarantees every
-    vertex incident to a fractional edge has at least two, so the walk never
-    stalls.  The cycle is normalized to start at its smallest edge index,
-    traversed forward.
-    """
-    incidence, _ = _incidence(height, n)
-    order = _vertex_orders(height, n)
-    skeleton = _edge_skeleton(height, n)
-
-    start = None
-    for v in sorted(incidence, key=order.__getitem__):
-        if any(flows[e] % scale for e, _ in incidence[v]):
-            start = v
-            break
-    if start is None:
-        return None
-
-    path_vertices = [start]
-    seen = {start: 0}
-    path_edges: list[tuple[int, int]] = []
-    entered_by = None
-    while True:
-        v = path_vertices[-1]
-        step = next(
-            (e, d)
-            for e, d in incidence[v]
-            if flows[e] % scale and e != entered_by
-        )
-        e, d = step
-        tail, head = skeleton[e]
-        w = head if d == +1 else tail
-        path_edges.append((e, d))
-        if w in seen:
-            cut = seen[w]
-            cycle = path_edges[cut:]
-            break
-        seen[w] = len(path_vertices)
-        path_vertices.append(w)
-        entered_by = e
-
-    # Normalize: smallest edge first, traversed forward.
-    smallest = min(range(len(cycle)), key=lambda s: cycle[s][0])
-    if cycle[smallest][1] == -1:
-        cycle = [(e, -d) for e, d in reversed(cycle)]
-        smallest = min(range(len(cycle)), key=lambda s: cycle[s][0])
-    return tuple(cycle[smallest:] + cycle[:smallest])
-
-
-def _branch_data(
-    scale: int,
-    flows: Sequence[int],
-    bounds: Sequence[tuple[int, int]],
-    cycle: Sequence[tuple[int, int]],
-) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """Scaled headrooms (d+, d-) and both branch flow vectors for a cycle."""
-    d_plus = d_minus = None
-    for e, d in cycle:
-        lo, up = bounds[e]
-        room_up, room_down = up - flows[e], flows[e] - lo
-        up_room = room_up if d == +1 else room_down
-        down_room = room_down if d == +1 else room_up
-        d_plus = up_room if d_plus is None else min(d_plus, up_room)
-        d_minus = down_room if d_minus is None else min(d_minus, down_room)
-    if not d_plus or not d_minus:
-        raise RuntimeError(
-            "internal error: degenerate cycle (an edge has no headroom); "
-            "cycles must consist of fractional edges"
-        )
-    plus = list(flows)
-    minus = list(flows)
-    for e, d in cycle:
-        plus[e] += d * d_plus
-        minus[e] -= d * d_minus
-    return d_plus, d_minus, tuple(plus), tuple(minus)
+def _network_at(network: FlowNetwork, scale: int, flows) -> FlowNetwork:
+    """``network`` with its edges carrying the scaled ``flows``."""
+    return FlowNetwork(
+        network.table,
+        tuple(
+            FlowEdge(e.tail, e.head, Fraction(f, scale), e.lower, e.upper)
+            for e, f in zip(network.edges, flows)
+        ),
+    )
 
 
 def find_flow_cycle(network: FlowNetwork) -> Optional[tuple[tuple[int, int], ...]]:
-    """Deterministic cycle of fractional edges, or None if already integral."""
-    scale, flows, _ = _scaled(network)
-    return _find_cycle_scaled(network.table.height, network.table.scheme.size, scale, flows)
+    """Deterministic cycle of fractional edges, or None if already integral.
 
-
-def _with_flows(network: FlowNetwork, scale: int, flows: Sequence[int]) -> FlowNetwork:
-    edges = tuple(
-        replace(e, flow=Fraction(f, scale)) for e, f in zip(network.edges, flows)
-    )
-    return FlowNetwork(network.table, edges)
+    The cycle is a tuple of (edge index, direction) pairs chosen by the
+    walk's cycle rule (see :mod:`reserve2d._walk`): it starts at its
+    smallest edge index, traversed forward.
+    """
+    cycle = _walk(network).cycle()
+    return None if cycle is None else tuple(cycle)
 
 
 def _coerce_cycle(
@@ -428,24 +324,21 @@ class FlowStep:
     branch: str
     result: FlowNetwork
 
+    BRANCHES = ("raise-forward", "raise-backward")
+
     def __post_init__(self):
-        if self.d_plus <= 0 or self.d_minus <= 0:
-            raise ValueError("both adjustments must be positive")
-        if self.probability != self.d_minus / (self.d_minus + self.d_plus):
-            raise ValueError("branch probability must equal d-/(d- + d+)")
-        if self.branch not in ("raise-forward", "raise-backward"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        expected = self.raise_forward if self.branch == "raise-forward" else self.raise_backward
-        if self.result is not expected:
-            raise ValueError("result must be the branch named by 'branch'")
-        beta = self.probability
-        for e, fwd, bwd in zip(
-            self.network.edges, self.raise_forward.edges, self.raise_backward.edges
-        ):
-            if beta * fwd.flow + (1 - beta) * bwd.flow != e.flow:
-                raise ValueError(
-                    f"branches do not mix back to the network at {e.tail}->{e.head}"
-                )
+        edges = zip(self.network.edges, self.raise_forward.edges, self.raise_backward.edges)
+        check_step(self, self.raise_forward, self.raise_backward, (
+            ((e.tail, e.head), e.flow, fwd.flow, bwd.flow) for e, fwd, bwd in edges
+        ))
+
+
+def _observe(network: FlowNetwork, walk: Walk, push: Push, on_step) -> FlowNetwork:
+    """Show ``on_step`` the step from ``network``; returns the step's result."""
+    step = observed(FlowStep, network, tuple(push.cycle),
+                    lambda flows: _network_at(network, walk.scale, flows), walk, push)
+    on_step(step)
+    return step.result
 
 
 def decompose_flow_once(
@@ -462,34 +355,13 @@ def decompose_flow_once(
     ``cycle`` overrides the deterministic cycle choice (as (edge, direction)
     pairs or a closed vertex path); ``on_step`` observes the realized step.
     """
-    scale, flows, bounds = _scaled(network)
-    if cycle is None:
-        cycle = _find_cycle_scaled(
-            network.table.height, network.table.scheme.size, scale, flows
-        )
-        if cycle is None:
-            raise ValueError("network is already integral; nothing to decompose")
-    else:
-        cycle = _coerce_cycle(network, cycle)
-    dp, dm, plus, minus = _branch_data(scale, flows, bounds, cycle)
-    probability = Fraction(dm, dm + dp)
-    forward = _with_flows(network, scale, plus)
-    backward = _with_flows(network, scale, minus)
-    take_forward = rng.bernoulli(probability)
-    step = FlowStep(
-        network=network,
-        cycle=cycle,
-        d_plus=Fraction(dp, scale),
-        d_minus=Fraction(dm, scale),
-        probability=probability,
-        raise_forward=forward,
-        raise_backward=backward,
-        branch="raise-forward" if take_forward else "raise-backward",
-        result=forward if take_forward else backward,
-    )
-    if on_step is not None:
-        on_step(step)
-    return step.result
+    walk = _walk(network)
+    push = walk.step(rng, None if cycle is None else _coerce_cycle(network, cycle))
+    if push is None:
+        raise ValueError("network is already integral; nothing to decompose")
+    if on_step is None:
+        return _network_at(network, walk.scale, walk.flows)
+    return _observe(network, walk, push, on_step)
 
 
 @dataclass(frozen=True)
@@ -543,60 +415,59 @@ class IntegralBlock:
 
 
 class _BlockSampler:
-    """Memoized decomposition walk for one scheme table.
+    """Block draws for one scheme table, memoized as a tree of decisions.
 
-    States are scaled flow vectors; each visited state caches the branch
-    probability and both successor states, so repeated draws replay dict
-    lookups and consume exactly the Bernoulli sequence the uncached
-    decomposition would.
+    An inner node is a list [numerator, denominator, forward child,
+    backward child] holding a step's reduced branch probability; a leaf is
+    the drawn block.  A draw descends the tree consuming exactly the draws
+    the walk would (randrange(den) < num is SplitStream.bernoulli).  Only when it reaches a missing child does it rebuild
+    the walk state, by replaying the choices made so far, and walk on,
+    adding nodes while the tree holds fewer than ``_NODE_CAP``.
     """
 
-    _CACHE_CAP = 1 << 17
+    _NODE_CAP = 1 << 17
 
     def __init__(self, table: SchemeTable):
-        network = build_flow_network(table)
         self.table = table
-        self.scale, self.start, self.bounds = _scaled(network)
-        self.steps: dict = {}
-        self.blocks: dict = {}
+        self.network = build_flow_network(table)
+        self.start = _walk(self.network)
+        # Cell edges, in edge order, run over the cells row by row.
+        self.cells = [e for e, edge in enumerate(self.network.edges) if edge.tail[0] == "cell"]
+        self.root: list = [None]  # the tree hangs from slot 0
+        self.nodes = 0
 
-    def _expand(self, state: tuple[int, ...]):
-        if all(f % self.scale == 0 for f in state):
-            grid = [[0] * self.table.scheme.size for _ in range(self.table.height)]
-            _, cell_edges = _incidence(self.table.height, self.table.scheme.size)
-            for e, (i, j) in cell_edges.items():
-                grid[i][j] = state[e] // self.scale
-            block = IntegralBlock(
-                self.table.scheme, self.table.height, tuple(tuple(r) for r in grid)
-            )
-            self.blocks[state] = block
+    def _attach(self, holder: Optional[list], slot: int, node) -> Optional[list]:
+        """Hang ``node`` in ``holder[slot]``; None once the tree is full."""
+        if holder is None or self.nodes >= self._NODE_CAP:
             return None
-        cycle = _find_cycle_scaled(
-            self.table.height, self.table.scheme.size, self.scale, state
-        )
-        dp, dm, plus, minus = _branch_data(self.scale, state, self.bounds, cycle)
-        # The branch probability dm/(dm+dp) is stored in lowest terms so the
-        # direct randrange below consumes exactly the draws that
-        # SplitStream.bernoulli would.
-        beta = Fraction(dm, dm + dp)
-        step = (beta.numerator, beta.denominator, plus, minus)
-        if len(self.steps) < self._CACHE_CAP:
-            self.steps[state] = step
-        return step
+        holder[slot] = node
+        self.nodes += 1
+        return node
 
-    def draw(self, rng) -> IntegralBlock:
-        state = self.start
-        while True:
-            block = self.blocks.get(state)
-            if block is not None:
-                return block
-            step = self.steps.get(state)
-            if step is None:
-                step = self._expand(state)
-                if step is None:
-                    return self.blocks[state]
-            num, den, plus, minus = step
-            state = plus if rng.randrange(den) < num else minus
+    def draw(self, rng, on_step: Optional[Callable[[FlowStep], None]] = None) -> IntegralBlock:
+        """One block; an observed draw walks afresh and records nothing."""
+        holder, slot, takes = None if on_step else self.root, 0, []
+        while holder is not None and type(holder[slot]) is list:
+            node = holder[slot]
+            takes.append(rng.randrange(node[1]) < node[0])
+            holder, slot = node, 2 if takes[-1] else 3
+        if holder is not None and holder[slot] is not None:
+            return holder[slot]
+        walk = Walk(self.start.graph, self.start.scale, self.start.flows)
+        for take in takes:
+            walk.step(None, take=take)
+        network = self.network  # observed draws start at the root
+        while (push := walk.step(rng)) is not None:
+            if on_step is not None:
+                network = _observe(network, walk, push, on_step)
+            probability = push.probability
+            node = [probability.numerator, probability.denominator, None, None]
+            holder, slot = self._attach(holder, slot, node), 2 if push.take else 3
+        cells, n = [walk.flows[e] // walk.scale for e in self.cells], self.table.scheme.size
+        rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
+        block = IntegralBlock(self.table.scheme, self.table.height, rows)
+        self._attach(holder, slot, block)
+        return block
 
 
 _SAMPLERS: dict[tuple[ReservationScheme, int], _BlockSampler] = {}
@@ -618,13 +489,7 @@ def draw_block(
     on_step: Optional[Callable[[FlowStep], None]] = None,
 ) -> IntegralBlock:
     """Draw one integral block; every cell's expectation is its fraction."""
-    table = build_scheme_table(scheme, height)
-    if on_step is None:
-        return _sampler(scheme, table.height).draw(rng)
-    network = build_flow_network(table)
-    while not network.is_integral:
-        network = decompose_flow_once(network, rng, on_step=on_step)
-    return IntegralBlock.from_network(network)
+    return _sampler(scheme, build_scheme_table(scheme, height).height).draw(rng, on_step)
 
 
 def _draw_positions(
@@ -634,26 +499,22 @@ def _draw_positions(
     extension_policy: str,
     height: Optional[int],
 ) -> tuple[tuple[str, ...], int]:
-    table = build_scheme_table(scheme, height)
-    k = table.height
+    k = build_scheme_table(scheme, height).height
     if length < 0:
         raise ValueError(f"roster length must be nonnegative, got {length}")
-    blocks_needed = -(-length // k)
-    sampler = _sampler(scheme, k)
-    if extension_policy == "repeat-block":
-        block = sampler.draw(rng).positions if blocks_needed else ()
-        positions = (block * blocks_needed)[:length]
-    elif extension_policy == "independent-blocks":
-        drawn: list[str] = []
-        for _ in range(blocks_needed):
-            drawn.extend(sampler.draw(rng).positions)
-        positions = tuple(drawn[:length])
-    else:
+    if extension_policy not in ("independent-blocks", "repeat-block"):
         raise ValueError(
             f"unknown extension policy {extension_policy!r}; expected "
             "'independent-blocks' or 'repeat-block'"
         )
-    return positions, k
+    blocks_needed = -(-length // k)
+    sampler = _sampler(scheme, k)
+    if extension_policy == "repeat-block":
+        return (sampler.draw(rng).positions * blocks_needed)[:length] if length else (), k
+    drawn: list[str] = []
+    for _ in range(blocks_needed):
+        drawn.extend(sampler.draw(rng).positions)
+    return tuple(drawn[:length]), k
 
 
 def draw_roster(

@@ -2,30 +2,23 @@
 
 A fair share table has integer row totals but generally fractional entries
 and column totals.  Appending one synthetic row with entries
-``(1 - frac(column_sum)) mod 1`` makes every column total integral while
-keeping every row total integral, so in the extended table each row and
-column either contains no fractional cell or at least two.  That guarantees
-a cycle of fractional cells along which entries can be alternately raised
-and lowered without touching any line total.
-
-Each rounding step picks such a cycle, labels its cells odd/even along the
-cycle, and moves all odd cells up and even cells down by the largest step
-d+ that keeps every cell within floor/ceil of itself — or odd cells down
-and even cells up by the analogous d−.  Choosing the first branch with
-probability d−/(d− + d+) makes the pre-step table the exact mixture of the
-two outcomes, so every entry's expectation is preserved while at least one
-cell becomes integral.  After at most as many steps as there were
-fractional cells the table is integral; dropping the synthetic row leaves a
-reservation table that meets both the per-department and the
-university-level quotas by construction.
+``(1 - frac(column_sum)) mod 1`` makes every column total integral too, and
+the extended table is then rounded by the dependent-rounding walk of
+:mod:`reserve2d._walk` on the graph with one edge per cell, from the cell's
+column to its row.  Every entry ends at floor or ceil of its fair share
+with its fair share as expectation, every line total is kept, and dropping
+the synthetic row leaves a reservation table that meets both the
+per-department and the university-level quotas by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Optional
 
+from ._walk import Graph, Push, Walk, check_step, observed, scaled
 from .core import FairShareTable, ReservationTable
 
 __all__ = [
@@ -126,52 +119,31 @@ class FractionCycle:
         return self.cells[1::2]
 
 
+def _walk(table: ExtendedTable) -> Walk:
+    """The walk over ``table``: edge i*n + j runs from column j to row i."""
+    graph = _graph(len(table.entries), len(table.entries[0]))
+    return Walk(graph, *scaled(v for row in table.entries for v in row))
+
+
+@lru_cache(maxsize=64)
+def _graph(rows: int, n: int) -> Graph:
+    return Graph(n + rows, [(j, n + i) for i in range(rows) for j in range(n)])
+
+
+def _cells(cycle, n: int) -> FractionCycle:
+    return FractionCycle(tuple(divmod(e, n) for e, _ in cycle))
+
+
 def find_fraction_cycle(table: ExtendedTable) -> Optional[FractionCycle]:
     """Deterministic cycle of fractional cells, or None if none remain.
 
-    The walk starts at the row-major-smallest fractional cell and alternates
-    row and column moves, always to the smallest fractional cell on the
-    current line other than the cell it arrived by; it closes at the first
-    line revisited and discards the prefix walked before that line.  Because
-    every line's total is integral, any line holding one fractional cell
-    holds two, so the walk cannot stall.  The cycle is normalized to start
-    at its row-major-smallest cell, moving along that cell's row first.
+    This is the walk's cycle rule (see :mod:`reserve2d._walk`) with cells as
+    row-major column-to-row edges: it starts at the row-major-smallest
+    fractional cell, alternates column and row moves, and is normalized to
+    start at its row-major-smallest cell, moving along that cell's row first.
     """
-    fractions = table.fraction_cells()
-    if not fractions:
-        return None
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for cell in fractions:
-        by_row.setdefault(cell[0], []).append(cell)
-        by_col.setdefault(cell[1], []).append(cell)
-
-    start = fractions[0]
-    # Line nodes: ("r", index) or ("c", index).  The first move runs along
-    # the starting cell's row, so the walk begins at its column node.
-    node = ("c", start[1])
-    seen = {node: 0}
-    nodes = [node]
-    edges: list[tuple[int, int]] = []
-    arrived_by: Optional[tuple[int, int]] = None
-    while True:
-        kind, index = nodes[-1]
-        line = by_row[index] if kind == "r" else by_col[index]
-        cell = next(c for c in line if c != arrived_by)
-        nxt = ("c", cell[1]) if kind == "r" else ("r", cell[0])
-        edges.append(cell)
-        if nxt in seen:
-            cycle = edges[seen[nxt]:]
-            break
-        seen[nxt] = len(nodes)
-        nodes.append(nxt)
-        arrived_by = cell
-
-    anchor = min(range(len(cycle)), key=lambda s: cycle[s])
-    cycle = cycle[anchor:] + cycle[:anchor]
-    if cycle[0][0] != cycle[1][0]:  # first step must run along the anchor's row
-        cycle = [cycle[0]] + cycle[:0:-1]
-    return FractionCycle(tuple(cycle))
+    cycle = _walk(table).cycle()
+    return None if cycle is None else _cells(cycle, len(table.entries[0]))
 
 
 @dataclass(frozen=True)
@@ -192,33 +164,32 @@ class DecompositionStep:
     branch: str
     result: ExtendedTable
 
+    BRANCHES = ("raise-odd", "raise-even")
+
     def __post_init__(self):
-        if self.d_plus <= 0 or self.d_minus <= 0:
-            raise ValueError("both adjustments must be positive")
-        if self.probability != self.d_minus / (self.d_minus + self.d_plus):
-            raise ValueError("branch probability must equal d-/(d- + d+)")
-        if self.branch not in ("raise-odd", "raise-even"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        expected = self.raise_odd if self.branch == "raise-odd" else self.raise_even
-        if self.result is not expected:
-            raise ValueError("result must be the branch named by 'branch'")
-        beta = self.probability
-        for v_row, odd_row, even_row in zip(
-            self.table.entries, self.raise_odd.entries, self.raise_even.entries
-        ):
-            for v, o, e in zip(v_row, odd_row, even_row):
-                if beta * o + (1 - beta) * e != v:
-                    raise ValueError("branches do not mix back to the source table")
+        rows = zip(self.table.entries, self.raise_odd.entries, self.raise_even.entries)
+        check_step(self, self.raise_odd, self.raise_even, (
+            ((i, j), v, o, e) for i, row in enumerate(rows) for j, (v, o, e) in enumerate(zip(*row))
+        ))
 
 
-def _shifted(table: ExtendedTable, cycle: FractionCycle, delta: Fraction) -> ExtendedTable:
-    """Odd cells moved by +delta, even cells by -delta."""
-    grid = [list(row) for row in table.entries]
-    for i, j in cycle.odd_cells:
-        grid[i][j] += delta
-    for i, j in cycle.even_cells:
-        grid[i][j] -= delta
-    return ExtendedTable(table.source, tuple(tuple(row) for row in grid))
+def _table_at(source: FairShareTable, n: int, scale: int, flows) -> ExtendedTable:
+    return ExtendedTable(
+        source,
+        tuple(
+            tuple(Fraction(f, scale) for f in flows[i:i + n])
+            for i in range(0, len(flows), n)
+        ),
+    )
+
+
+def _observe(table: ExtendedTable, walk: Walk, push: Push, on_step) -> ExtendedTable:
+    """Show ``on_step`` the step from ``table``; returns the step's result."""
+    n = len(table.entries[0])
+    step = observed(DecompositionStep, table, _cells(push.cycle, n),
+                    lambda flows: _table_at(table.source, n, walk.scale, flows), walk, push)
+    on_step(step)
+    return step.result
 
 
 def decompose_once(
@@ -234,40 +205,22 @@ def decompose_once(
     outside floor/ceil of its current (hence original) value, and leaves
     every line total unchanged; the expectation of the result is the input.
     """
-    if cycle is None:
-        cycle = find_fraction_cycle(table)
-        if cycle is None:
-            raise ValueError("table is already integral; nothing to decompose")
-    d_plus = d_minus = None
-    for s, (i, j) in enumerate(cycle.cells):
-        v = table.entries[i][j]
-        if v.denominator == 1:
-            raise RuntimeError(
-                f"internal error: degenerate cycle (cell ({i}, {j}) is integral)"
-            )
-        room_up = (v.numerator // v.denominator + 1) - v
-        room_down = v - v.numerator // v.denominator
-        up, down = (room_up, room_down) if s % 2 == 0 else (room_down, room_up)
-        d_plus = up if d_plus is None else min(d_plus, up)
-        d_minus = down if d_minus is None else min(d_minus, down)
-    probability = Fraction(d_minus, d_minus + d_plus)
-    raise_odd = _shifted(table, cycle, d_plus)
-    raise_even = _shifted(table, cycle, -d_minus)
-    take_odd = rng.bernoulli(probability)
-    step = DecompositionStep(
-        table=table,
-        cycle=cycle,
-        d_plus=d_plus,
-        d_minus=d_minus,
-        probability=probability,
-        raise_odd=raise_odd,
-        raise_even=raise_even,
-        branch="raise-odd" if take_odd else "raise-even",
-        result=raise_odd if take_odd else raise_even,
-    )
-    if on_step is not None:
-        on_step(step)
-    return step.result
+    walk = _walk(table)
+    n = len(table.entries[0])
+    edges = None
+    if cycle is not None:
+        for i, j in cycle.cells:
+            if table.entries[i][j].denominator == 1:
+                raise RuntimeError(
+                    f"internal error: degenerate cycle (cell ({i}, {j}) is integral)"
+                )
+        edges = [(i * n + j, 1 - 2 * (s % 2)) for s, (i, j) in enumerate(cycle.cells)]
+    push = walk.step(rng, edges)
+    if push is None:
+        raise ValueError("table is already integral; nothing to decompose")
+    if on_step is None:
+        return _table_at(table.source, n, walk.scale, walk.flows)
+    return _observe(table, walk, push, on_step)
 
 
 def controlled_round(
@@ -284,21 +237,13 @@ def controlled_round(
     the fair share itself.
     """
     table = extend_table(fair)
-    budget = len(table.fraction_cells())
-    for _ in range(budget):
-        cycle = find_fraction_cycle(table)
-        if cycle is None:
-            break
-        before = len(table.fraction_cells())
-        table = decompose_once(table, cycle, rng, on_step=on_step)
-        if len(table.fraction_cells()) >= before:
-            raise RuntimeError(
-                "internal error: rounding step failed to reduce fractional cells"
-            )
-    if not table.is_integral:
-        raise RuntimeError("internal error: rounding did not terminate in budget")
-    return ReservationTable.from_entries(
-        fair.departments,
-        fair.categories,
-        tuple(tuple(int(v) for v in row) for row in table.entries[:-1]),
+    walk = _walk(table)
+    while (push := walk.step(rng)) is not None:
+        if on_step is not None:
+            table = _observe(table, walk, push, on_step)
+    n = len(fair.categories)
+    rows = (
+        tuple(f // walk.scale for f in walk.flows[i:i + n])
+        for i in range(0, len(walk.flows) - n, n)  # the synthetic row is dropped
     )
+    return ReservationTable.from_entries(fair.departments, fair.categories, rows)

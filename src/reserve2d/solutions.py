@@ -86,6 +86,22 @@ def _trace(
     return SolutionTrace(problem, label, tuple(periods), seed)
 
 
+def _consume_own(problem: ReservationProblem, rosters: Sequence[Roster]) -> list:
+    """Cumulative counts per period when department i reads ``rosters[i]``
+    from its start, one period's new vacancies at a time."""
+    cats = problem.scheme.categories
+    counts = [[0] * len(cats) for _ in rosters]
+    cumulative, previous = [], [0] * len(rosters)
+    for t in range(1, problem.periods + 1):
+        current = problem.cumulative_vacancies(t)
+        for i, roster in enumerate(rosters):
+            for j, c in enumerate(_segment_counts(roster, previous[i], current[i], cats)):
+                counts[i][j] += c
+        previous = current
+        cumulative.append([row[:] for row in counts])
+    return cumulative
+
+
 def run_government(
     problem: ReservationProblem,
     roster: Roster,
@@ -130,20 +146,7 @@ def run_court(problem: ReservationProblem, roster: Roster) -> SolutionTrace:
     _check_roster(problem, roster)
     final = problem.cumulative_vacancies(problem.periods)
     _require_length(roster, max(final), "court run")
-    cats = problem.scheme.categories
-    m = len(problem.departments)
-    counts = [[0] * len(cats) for _ in range(m)]
-    cumulative = []
-    previous = [0] * m
-    for t in range(1, problem.periods + 1):
-        current = problem.cumulative_vacancies(t)
-        for i in range(m):
-            seg = _segment_counts(roster, previous[i], current[i], cats)
-            for j, c in enumerate(seg):
-                counts[i][j] += c
-        previous = list(current)
-        cumulative.append([row[:] for row in counts])
-    return _trace(problem, "court", cumulative)
+    return _trace(problem, "court", _consume_own(problem, [roster] * len(final)))
 
 
 def run_proposed(
@@ -157,26 +160,12 @@ def run_proposed(
     and every table entry is an unbiased draw around its fair share.
     """
     master = SplitStream(seed)
-    scheme = problem.scheme
     final = problem.cumulative_vacancies(problem.periods)
     rosters = [
-        draw_roster(scheme, final[i], master.child(i), height=height)
-        for i in range(len(problem.departments))
+        draw_roster(problem.scheme, q, master.child(i), height=height)
+        for i, q in enumerate(final)
     ]
-    cats = scheme.categories
-    m = len(problem.departments)
-    counts = [[0] * len(cats) for _ in range(m)]
-    cumulative = []
-    previous = [0] * m
-    for t in range(1, problem.periods + 1):
-        current = problem.cumulative_vacancies(t)
-        for i in range(m):
-            seg = _segment_counts(rosters[i], previous[i], current[i], cats)
-            for j, c in enumerate(seg):
-                counts[i][j] += c
-        previous = list(current)
-        cumulative.append([row[:] for row in counts])
-    return _trace(problem, "proposed", cumulative, seed)
+    return _trace(problem, "proposed", _consume_own(problem, rosters), seed)
 
 
 @dataclass(frozen=True)
@@ -271,37 +260,20 @@ def estimate_expected_table(
     deterministic = config.kind in ("government", "court") and config.roster is not None
     runs = 1 if deterministic else replications
 
-    sums = [[0] * n for _ in range(m)]
-    sq = [[0] * n for _ in range(m)]
-    col_sums = [0] * n
-    col_sq = [0] * n
+    # Row m accumulates the column totals.
+    sums = [[0] * n for _ in range(m + 1)]
+    squares = [[0] * n for _ in range(m + 1)]
     for r in range(runs):
-        trace = run_solution(problem, config, master.child(r).key)
-        reserved = trace.reservation(t)
-        for i in range(m):
-            for j in range(n):
-                z = reserved.entries[i][j]
+        reserved = run_solution(problem, config, master.child(r).key).reservation(t)
+        for i, row in enumerate((*reserved.entries, reserved.column_totals)):
+            for j, z in enumerate(row):
                 sums[i][j] += z
-                sq[i][j] += z * z
-        for j in range(n):
-            z = reserved.column_totals[j]
-            col_sums[j] += z
-            col_sq[j] += z * z
-
-    means, ses = [], []
-    for i in range(m):
-        row_m, row_s = [], []
-        for j in range(n):
-            mean, se = _mean_se(sums[i][j], sq[i][j], runs)
-            row_m.append(mean)
-            row_s.append(se)
-        means.append(tuple(row_m))
-        ses.append(tuple(row_s))
-    col_means, col_ses = [], []
-    for j in range(n):
-        mean, se = _mean_se(col_sums[j], col_sq[j], runs)
-        col_means.append(mean)
-        col_ses.append(se)
+                squares[i][j] += z * z
+    stats = [
+        [_mean_se(total, sq, runs) for total, sq in zip(*rows)] for rows in zip(sums, squares)
+    ]
+    means = tuple(tuple(mean for mean, _ in row) for row in stats)
+    ses = tuple(tuple(se for _, se in row) for row in stats)
     return EstimatedTable(
         departments=problem.departments,
         categories=problem.scheme.categories,
@@ -309,8 +281,8 @@ def estimate_expected_table(
         kind=config.kind,
         replications=runs,
         seed=seed,
-        mean_entries=tuple(means),
-        se_entries=tuple(ses),
-        mean_column_totals=tuple(col_means),
-        se_column_totals=tuple(col_ses),
+        mean_entries=means[:m],
+        se_entries=ses[:m],
+        mean_column_totals=means[m],
+        se_column_totals=ses[m],
     )

@@ -1,5 +1,7 @@
 """Shared fixtures: small schemes and problems used across the suite."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,22 @@ class ForcedRng:
 
     def bernoulli(self, p) -> bool:
         return self.outcomes.pop(0)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def mod3_roster(length: int) -> Roster:

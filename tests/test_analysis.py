@@ -193,6 +193,14 @@ def test_tail_diagnostic_validation(four_dept_problem):
         tail_diagnostic(four_dept_problem, "c1", 9, 10, (1,), seed=0)
 
 
+def test_tail_diagnostic_rejects_a_zero_fair_total(third_scheme):
+    """No department hires at period 1, so the bounds would divide by 0."""
+    problem = ReservationProblem(("d1", "d2"), third_scheme, ((0, 0), (1, 2)))
+    with pytest.raises(ValueError, match=r"'c1'.*period 1"):
+        tail_diagnostic(problem, "c1", 1, 10, (1,), seed=0)
+    assert tail_diagnostic(problem, "c1", 2, 10, (1,), seed=0).fair_total == 1
+
+
 # ---------------------------------------------------------------- adversary
 
 

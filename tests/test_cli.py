@@ -17,6 +17,8 @@ import pytest
 from reserve2d.cli import main
 from reserve2d.fileio import parse_roster_file
 
+from conftest import time_limit
+
 GOVERNMENT_TABLES = (
     ((0, 2), (1, 0), (0, 2), (1, 0)),
     ((0, 4), (2, 0), (0, 4), (2, 0)),
@@ -97,6 +99,48 @@ def test_parse_error_reports_file_and_line(capsys, files, tmp_path):
     assert out == ""
     assert err.startswith("error:")
     assert f"{bad}:2:" in err and "integer" in err
+
+
+def test_huge_period_gap_exits_two(capsys, files, tmp_path):
+    bad = tmp_path / "gap.csv"
+    bad.write_text("department,period,vacancies\nd1,1,2\nd2,1000000000000,1\n")
+    with time_limit(5):
+        code, out, err = run_cli(
+            capsys, "round", str(bad), "--scheme", files["scheme"], "-t", "1", "--seed", "1",
+        )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "contiguous" in err
+
+
+def _assert_one_line_error(code, out, err, needle):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --height") and needle in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_roster_bad_height_exits_two(capsys, files):
+    code, out, err = run_cli(
+        capsys, "roster", files["scheme"], "--length", "5", "--seed", "1", "--height", "4",
+    )
+    _assert_one_line_error(code, out, err, "smallest valid height is 3")
+
+
+def test_run_proposed_bad_height_exits_two(capsys, files):
+    code, out, err = run_cli(
+        capsys, "run", files["problem"], "--scheme", files["scheme"],
+        "--solution", "proposed", "--seed", "1", "--height", "5",
+    )
+    _assert_one_line_error(code, out, err, "smallest valid height is 3")
+
+
+def test_compare_bad_height_exits_two(capsys, files):
+    code, out, err = run_cli(
+        capsys, "compare", files["problem"], "--scheme", files["scheme"],
+        "--replications", "2", "--seed", "1", "--height", "1",
+    )
+    _assert_one_line_error(code, out, err, "at least 2")
 
 
 def test_out_of_range_period_exits_three(capsys, files):

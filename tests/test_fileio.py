@@ -15,6 +15,8 @@ from reserve2d.fileio import (
     roster_lines,
 )
 
+from conftest import time_limit
+
 F = Fraction
 
 
@@ -103,6 +105,16 @@ def test_parse_problem_requires_contiguous_periods(tmp_path, third_scheme):
     )
     with pytest.raises(ParseError, match="contiguous"):
         parse_problem_file(path, third_scheme)
+
+
+def test_huge_period_gap_fails_fast(tmp_path, third_scheme):
+    """The gap check counts periods instead of enumerating 1..10**12."""
+    path = _write(
+        tmp_path, "p.csv", "department,period,vacancies\nd1,1,2\nd2,1000000000000,1\n"
+    )
+    with time_limit(5):
+        with pytest.raises(ParseError, match=r"missing \[2, 3, 4, 5, 6\] and 999999999993 more"):
+            parse_problem_file(path, third_scheme)
 
 
 def test_parse_problem_rejects_duplicates_and_negatives(tmp_path, third_scheme):

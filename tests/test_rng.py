@@ -6,6 +6,8 @@ import pytest
 
 from reserve2d import ALGORITHM, SplitStream
 
+from conftest import time_limit
+
 
 def test_same_seed_same_sequence():
     a = SplitStream(12345)
@@ -111,3 +113,26 @@ def test_bernoulli_equals_randrange_on_same_stream():
 
 def test_algorithm_label():
     assert ALGORITHM == "splitmix64-tree/v1"
+
+
+def test_randrange_draws_for_64_bit_bounds_are_pinned():
+    """Bounds up to 2**64 read one u64 per attempt, as they always have."""
+    s = SplitStream(7)
+    assert [s.randrange(10) for _ in range(3)] == [7, 4, 6]
+    t = SplitStream(7)
+    assert [t.randrange(2**64) for _ in range(3)] == [
+        7191089600892374487, 309689372594955804, 16616101746815609346,
+    ]
+    assert s._n == t._n == 3
+
+
+def test_randrange_beyond_64_bits_terminates_and_covers():
+    with time_limit(10):
+        s = SplitStream(1)
+        values = [s.randrange(2**65) for _ in range(200)]
+        t = SplitStream(2)
+        thirds = {t.randrange(3 * 2**64) >> 64 for _ in range(200)}
+    assert all(0 <= v < 2**65 for v in values)
+    assert any(v >= 2**64 for v in values)
+    assert s._n >= 2 * len(values)  # two words per attempt
+    assert thirds == {0, 1, 2}

@@ -18,6 +18,7 @@ from reserve2d import (
     find_flow_cycle,
     minimal_height,
 )
+from reserve2d import roster
 from reserve2d.roster import (
     cell_vertex,
     prefix_vertex,
@@ -269,6 +270,31 @@ def test_cached_draw_matches_stepwise_draw(third_scheme, quarters_scheme):
             slow = draw_block(scheme, None, slow_rng, on_step=lambda s: None)
             assert fast == slow, (scheme.categories, seed)
             assert fast_rng.next_u64() == slow_rng.next_u64(), "draw counts differ"
+
+
+def test_sampler_tree_past_its_node_cap_draws_like_an_uncapped_one(
+    monkeypatch, quarters_scheme
+):
+    """Once the decision tree is full, draws walk on without recording and
+    still return the same blocks for the same draws."""
+    table = build_scheme_table(quarters_scheme, 8)
+    free, capped = roster._BlockSampler(table), roster._BlockSampler(table)
+    monkeypatch.setattr(capped, "_NODE_CAP", 40)
+    for seed in range(60):
+        a, b = SplitStream(seed), SplitStream(seed)
+        assert capped.draw(a) == free.draw(b), seed
+        assert a._n == b._n, seed
+    assert capped.nodes == 40 < free.nodes
+    # Inner nodes hold only a probability and two children; leaves are blocks.
+    pending = [free.root[0]]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, list):
+            num, den, forward, backward = node
+            assert 0 < num < den
+            pending += [child for child in (forward, backward) if child is not None]
+        else:
+            assert isinstance(node, IntegralBlock)
 
 
 def test_block_validation():

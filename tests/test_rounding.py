@@ -23,7 +23,7 @@ from reserve2d import (
     within_university_quota,
 )
 
-from conftest import ForcedRng
+from conftest import ForcedRng, time_limit
 
 F = Fraction
 
@@ -318,6 +318,18 @@ def test_rounding_always_meets_both_quotas(parts, qs, seed):
     problem = _random_problem(parts, qs)
     x = build_fair_share_table(problem, 1)
     z = controlled_round(x, SplitStream(seed))
+    assert z.row_totals == x.row_totals
+    assert within_department_quota(z, x) == []
+    assert within_university_quota(z, x) == []
+
+
+def test_rounding_with_denominators_beyond_64_bits():
+    """Branch probabilities with denominators near 2**70 need multi-word draws."""
+    big = 2**70
+    scheme = ReservationScheme(("c1", "c2"), (F(1, big + 1), F(big, big + 1)))
+    x = build_fair_share_table(ReservationProblem(("d1", "d2"), scheme, ((1, 2),)), 1)
+    with time_limit(10):
+        z = controlled_round(x, SplitStream(3))
     assert z.row_totals == x.row_totals
     assert within_department_quota(z, x) == []
     assert within_university_quota(z, x) == []
