@@ -24,7 +24,7 @@ is fractional exactly when its scaled flow is not a multiple of S.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 # A cycle lists (edge index, direction) pairs: +1 runs tail to head.
@@ -52,21 +52,17 @@ def scaled(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def moved(flows: Sequence[int], cycle: Cycle, amount: int) -> list[int]:
-    """A copy of ``flows`` with the cycle pushed by ``amount``."""
-    out = list(flows)
-    for e, d in cycle:
-        out[e] += d * amount
-    return out
-
-
 class Push(NamedTuple):
-    """One realized step; ``take`` is True when the forward edges rose."""
+    """One realized step; ``take`` is True when the forward edges rose.
+
+    ``num``/``den`` is d-/(d- + d+), the chance of rising, in lowest terms.
+    """
 
     cycle: Cycle
     d_plus: int
     d_minus: int
-    probability: Fraction
+    num: int
+    den: int
     take: bool
 
     @property
@@ -137,20 +133,21 @@ class Walk:
             flows[e] += d * amount
 
     def step(self, rng, cycle: Optional[Cycle] = None, take: Optional[bool] = None) -> Optional[Push]:
-        """Push ``cycle`` (default: the next one) on a drawn branch.
+        """Push ``cycle`` (default: the next one) on a drawn branch, or on
+        ``take`` if given; None, drawing nothing, once the flows are integral.
 
-        ``take`` replays a recorded branch instead of drawing.  Returns None,
-        drawing nothing, when the flows are already integral.
+        ``rng.randrange(den) < num`` draws what ``rng.bernoulli`` would.
         """
         if cycle is None:
             cycle = self.cycle()
             if cycle is None:
                 return None
         d_plus, d_minus = self.headroom(cycle)
-        probability = Fraction(d_minus, d_minus + d_plus)
+        g = gcd(d_plus, d_minus)
+        num, den = d_minus // g, (d_minus + d_plus) // g
         if take is None:
-            take = rng.bernoulli(probability)
-        push = Push(cycle, d_plus, d_minus, probability, take)
+            take = rng.randrange(den) < num
+        push = Push(cycle, d_plus, d_minus, num, den, take)
         self.push(cycle, push.amount)
         return push
 
@@ -161,14 +158,16 @@ def observed(record, pre, cycle, build, walk: Walk, push: Push):
     ``build`` turns scaled flows into a state like ``pre``; both branches
     are built, so this is for observers only.
     """
-    raised, lowered = (
-        build(moved(walk.flows, push.cycle, d - push.amount))
-        for d in (push.d_plus, -push.d_minus)
-    )
+    def branch(d: int):
+        other = Walk(walk.graph, walk.scale, walk.flows)
+        other.push(push.cycle, d - push.amount)
+        return build(other.flows)
+
+    raised, lowered = branch(push.d_plus), branch(-push.d_minus)
     scale = walk.scale
     return record(
         pre, cycle, Fraction(push.d_plus, scale), Fraction(push.d_minus, scale),
-        push.probability, raised, lowered, record.BRANCHES[not push.take],
+        Fraction(push.num, push.den), raised, lowered, record.BRANCHES[not push.take],
         raised if push.take else lowered,
     )
 

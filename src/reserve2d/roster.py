@@ -420,7 +420,7 @@ class _BlockSampler:
     An inner node is a list [numerator, denominator, forward child,
     backward child] holding a step's reduced branch probability; a leaf is
     the drawn block.  A draw descends the tree consuming exactly the draws
-    the walk would (randrange(den) < num is SplitStream.bernoulli).  Only when it reaches a missing child does it rebuild
+    the walk would.  Only when it reaches a missing child does it rebuild
     the walk state, by replaying the choices made so far, and walk on,
     adding nodes while the tree holds fewer than ``_NODE_CAP``.
     """
@@ -446,7 +446,7 @@ class _BlockSampler:
 
     def draw(self, rng, on_step: Optional[Callable[[FlowStep], None]] = None) -> IntegralBlock:
         """One block; an observed draw walks afresh and records nothing."""
-        holder, slot, takes = None if on_step else self.root, 0, []
+        holder, slot, takes = None if on_step is not None else self.root, 0, []
         while holder is not None and type(holder[slot]) is list:
             node = holder[slot]
             takes.append(rng.randrange(node[1]) < node[0])
@@ -460,8 +460,7 @@ class _BlockSampler:
         while (push := walk.step(rng)) is not None:
             if on_step is not None:
                 network = _observe(network, walk, push, on_step)
-            probability = push.probability
-            node = [probability.numerator, probability.denominator, None, None]
+            node = [push.num, push.den, None, None]
             holder, slot = self._attach(holder, slot, node), 2 if push.take else 3
         cells, n = [walk.flows[e] // walk.scale for e in self.cells], self.table.scheme.size
         rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))

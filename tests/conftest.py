@@ -10,7 +10,7 @@ from reserve2d import ReservationProblem, ReservationScheme, Roster
 
 
 class ForcedRng:
-    """Stand-in RNG whose Bernoulli draws follow a fixed script.
+    """Stand-in RNG whose branch draws follow a fixed script.
 
     Used to steer a decomposition step onto a chosen branch so both
     branches of a step can be inspected exactly.
@@ -21,6 +21,11 @@ class ForcedRng:
 
     def bernoulli(self, p) -> bool:
         return self.outcomes.pop(0)
+
+    def randrange(self, n: int) -> int:
+        """The walks draw ``randrange(den) < num`` with 0 < num < den, so
+        0 scripts the raising branch and n - 1 the lowering one."""
+        return 0 if self.outcomes.pop(0) else n - 1
 
 
 @contextmanager
