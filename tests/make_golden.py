@@ -50,6 +50,16 @@ CASES = {
                           "--solution", "proposed", "--seed", "99"],
     "compare-third.json": ["compare", "problem_third.csv", "--scheme", "scheme_third.csv",
                            "--replications", "5", "--seed", "9", "--format", "json"],
+    "compare-five-roster.csv": ["compare", "problem_five.csv", "--scheme", "scheme_five.csv",
+                                "--roster", "roster_five.csv", "--cycle-roster",
+                                "--replications", "3", "--seed", "21", "--format", "csv"],
+    "compare-quarters-synthesized.json": ["compare", "--synthesize", "--scheme",
+                                          "scheme_quarters.csv", "--height", "8",
+                                          "--order", "alpha", "--periods", "4",
+                                          "--departments-range", "10", "12",
+                                          "--vacancies-range", "0", "5",
+                                          "--replications", "6", "--seed", "17",
+                                          "--format", "json"],
 }
 
 
