@@ -18,10 +18,13 @@ Tools for judging how a solution's reservation tables track fair shares:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, sqrt
-from typing import Callable, Optional, Sequence, Union
+from itertools import accumulate
+from math import exp, lcm, sqrt
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
     FairShareTable,
@@ -30,13 +33,13 @@ from .core import (
     ReservationTable,
     SolutionTrace,
     QuotaViolation,
-    bias_of,
+    _as_fraction,
     build_fair_share_table,
     within_department_quota,
     within_university_quota,
 )
 from .rng import ALGORITHM, SplitStream
-from .roster import _draw_positions
+from .roster import _draw_positions, minimal_height
 
 __all__ = [
     "ViolationStats",
@@ -111,14 +114,6 @@ def violation_stats(
     return ViolationStats(scope, t, tuple(violations), max_possible)
 
 
-def _median(sorted_values: Sequence[Fraction]) -> Fraction:
-    k = len(sorted_values)
-    mid = k // 2
-    if k % 2:
-        return sorted_values[mid]
-    return Fraction(sorted_values[mid - 1] + sorted_values[mid], 2)
-
-
 @dataclass(frozen=True)
 class BiasSummary:
     """Exact five-number summary (Tukey hinges) of one period's biases."""
@@ -135,28 +130,73 @@ class BiasSummary:
     upper_adjacent: Fraction
 
 
-def summarize_biases(values: Sequence[Fraction], period: int, scope: str) -> BiasSummary:
-    """Five-number summary with Tukey hinges and 1.5*IQR adjacent values."""
-    if not values:
+def _lattice_summary(counts: Counter, scale: int, period: int, scope: str) -> BiasSummary:
+    """Exact Tukey summary of a sample holding ``counts[k]`` copies of k/scale.
+
+    Cost follows the number of distinct keys, not the sample size.  Hinges
+    are kept doubled and fences quadrupled, so all steps are integer
+    arithmetic until the summary divides by ``scale``.
+    """
+    if not counts:
         raise ValueError("cannot summarize an empty bias sample")
-    data = sorted(Fraction(v) for v in values)
-    k = len(data)
+    keys = sorted(counts)
+    cumulative = list(accumulate(counts[key] for key in keys))
+    k = cumulative[-1]
+
+    def twice_median(start: int, size: int) -> int:
+        lo, hi = start + (size - 1) // 2, start + size // 2
+        return keys[bisect_right(cumulative, lo)] + keys[bisect_right(cumulative, hi)]
+
     half = (k + 1) // 2
-    q1, q3 = _median(data[:half]), _median(data[-half:])
-    iqr = q3 - q1
-    lo_fence, hi_fence = q1 - Fraction(3, 2) * iqr, q3 + Fraction(3, 2) * iqr
+    q1, q3 = twice_median(0, half), twice_median(k - half, half)
+    lo_fence, hi_fence = 2 * q1 - 3 * (q3 - q1), 2 * q3 + 3 * (q3 - q1)
     return BiasSummary(
         period=period,
         scope=scope,
         count=k,
-        minimum=data[0],
-        q1=q1,
-        median=_median(data),
-        q3=q3,
-        maximum=data[-1],
-        lower_adjacent=min(v for v in data if v >= lo_fence),
-        upper_adjacent=max(v for v in data if v <= hi_fence),
+        minimum=Fraction(keys[0], scale),
+        q1=Fraction(q1, 2 * scale),
+        median=Fraction(twice_median(0, k), 2 * scale),
+        q3=Fraction(q3, 2 * scale),
+        maximum=Fraction(keys[-1], scale),
+        lower_adjacent=Fraction(keys[bisect_left(keys, -(-lo_fence // 4))], scale),
+        upper_adjacent=Fraction(keys[bisect_right(keys, hi_fence // 4) - 1], scale),
     )
+
+
+def summarize_biases(values: Sequence[Fraction], period: int, scope: str) -> BiasSummary:
+    """Five-number summary with Tukey hinges and 1.5*IQR adjacent values.
+
+    Raises TypeError for floats: their binary expansion is not the bias.
+    """
+    data = [_as_fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in data))
+    counts = Counter(v.numerator * (scale // v.denominator) for v in data)
+    return _lattice_summary(counts, scale, period, scope)
+
+
+def _lattice_counts(scheme: ReservationScheme, traces: Iterable[SolutionTrace]) -> tuple:
+    """L and the counts of L*bias per (period, scope) over ``traces``.
+
+    L is the lcm of the scheme denominators, so L*bias = z*L - (a_j*L)*Q is an
+    integer.  Counters merge by addition; their size follows the spread of
+    the biases, not the number of traces.
+    """
+    scale = minimal_height(scheme)
+    scaled = [a.numerator * (scale // a.denominator) for a in scheme.fractions]
+    counts: dict[tuple[int, str], Counter] = {}
+    for trace in traces:
+        for t, (_, reserved) in enumerate(trace.periods, start=1):
+            counts.setdefault((t, "department"), Counter()).update(
+                z * scale - a * q
+                for row, q in zip(reserved.entries, reserved.row_totals)
+                for z, a in zip(row, scaled)
+            )
+            q = reserved.grand_total
+            counts.setdefault((t, "university"), Counter()).update(
+                z * scale - a * q for z, a in zip(reserved.column_totals, scaled)
+            )
+    return scale, counts
 
 
 def bias_trace(trace: SolutionTrace) -> tuple[BiasSummary, ...]:
@@ -165,13 +205,8 @@ def bias_trace(trace: SolutionTrace) -> tuple[BiasSummary, ...]:
     Department-scope samples are the m*n internal bias entries; university
     scope the n column-total biases.
     """
-    out = []
-    for t, (fair, reserved) in enumerate(trace.periods, start=1):
-        bias = bias_of(reserved, fair)
-        internal = [v for row in bias.internal for v in row]
-        out.append(summarize_biases(internal, t, "department"))
-        out.append(summarize_biases(list(bias.column_total_biases), t, "university"))
-    return tuple(out)
+    scale, counts = _lattice_counts(trace.problem.scheme, [trace])
+    return tuple(_lattice_summary(counts[key], scale, *key) for key in sorted(counts))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import __version__
-from .analysis import ViolationStats, summarize_biases, violation_stats
+from .analysis import BiasSummary, ViolationStats, _lattice_counts, _lattice_summary, violation_stats
 from .core import (
     BiasTable,
     FairShareTable,
@@ -33,7 +33,6 @@ from .core import (
     ReservationProblem,
     ReservationTable,
     Roster,
-    SolutionTrace,
     bias_of,
     build_fair_share_table,
     within_department_quota,
@@ -49,7 +48,7 @@ from .fileio import (
 )
 from .rng import ALGORITHM, SplitStream
 from .rounding import controlled_round
-from .solutions import RosterLengthError, SolutionConfig, run_solution
+from .solutions import RosterLengthError, SolutionConfig, _replicate, run_solution
 from .roster import build_scheme_table, draw_roster
 
 __all__ = ["main"]
@@ -59,6 +58,8 @@ __all__ = ["main"]
 _SUB_PROPOSED, _SUB_GOVERNMENT, _SUB_COURT, _SUB_SYNTHESIZE = 0, 1, 2, 3
 
 _TOTAL = "total"
+# Summary statistics in report order: the BiasSummary fields after period, scope, count.
+_STATISTICS = tuple(f.name for f in fields(BiasSummary))[3:]
 
 
 class UsageError(Exception):
@@ -377,17 +378,6 @@ def _synthesize_problem(args, scheme) -> ReservationProblem:
     return ReservationProblem(departments, scheme, vacancies)
 
 
-def _biases_by_period(trace: SolutionTrace) -> dict[tuple[int, str], list[Fraction]]:
-    out: dict[tuple[int, str], list[Fraction]] = {}
-    for t, (fair, reserved) in enumerate(trace.periods, start=1):
-        bias = bias_of(reserved, fair)
-        out.setdefault((t, "department"), []).extend(
-            v for row in bias.internal for v in row
-        )
-        out.setdefault((t, "university"), []).extend(bias.column_total_biases)
-    return out
-
-
 def _cmd_compare(args) -> int:
     scheme = parse_scheme_file(args.scheme)
     _check_height(scheme, args.height)
@@ -403,13 +393,12 @@ def _cmd_compare(args) -> int:
     roster = None
     if args.roster is not None:
         roster = parse_roster_file(args.roster, scheme.categories)
-        needed = sum(map(sum, problem.vacancies))
         if args.cycle_roster:
-            roster = _cycled_roster(roster, needed)
+            roster = _cycled_roster(roster, sum(map(sum, problem.vacancies)))
     order = _order_of(problem, args.order)
 
     master = SplitStream(args.seed)
-    samples: dict[tuple[str, int, str], list[Fraction]] = {}
+    series = []
     for kind, sub in (
         ("proposed", _SUB_PROPOSED),
         ("government", _SUB_GOVERNMENT),
@@ -421,29 +410,10 @@ def _cmd_compare(args) -> int:
             order=order if kind == "government" else None,
             height=args.height,
         )
-        deterministic = kind != "proposed" and roster is not None
-        runs = 1 if deterministic else args.replications
-        stream = master.child(sub)
-        for r in range(runs):
-            trace = run_solution(problem, config, stream.child(r).key)
-            for (t, scope), values in _biases_by_period(trace).items():
-                samples.setdefault((kind, t, scope), []).extend(values)
-
-    statistics = (
-        "minimum",
-        "q1",
-        "median",
-        "q3",
-        "maximum",
-        "lower_adjacent",
-        "upper_adjacent",
-    )
-    series = []
-    for (kind, t, scope), values in sorted(
-        samples.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-    ):
-        summary = summarize_biases(values, t, scope)
-        series.append((kind, summary))
+        traces = _replicate(problem, config, args.replications, master.child(sub))
+        scale, counts = _lattice_counts(scheme, traces)
+        series.extend((kind, _lattice_summary(counts[key], scale, *key)) for key in counts)
+    series.sort(key=lambda item: (item[0], item[1].period, item[1].scope))
 
     if args.format == "json":
         report = {
@@ -463,7 +433,7 @@ def _cmd_compare(args) -> int:
                     "period": s.period,
                     "scope": s.scope,
                     "count": s.count,
-                    **{stat: rational(getattr(s, stat)) for stat in statistics},
+                    **{stat: rational(getattr(s, stat)) for stat in _STATISTICS},
                 }
                 for kind, s in series
             ],
@@ -472,7 +442,7 @@ def _cmd_compare(args) -> int:
     else:
         rows = []
         for kind, s in series:
-            for stat in statistics:
+            for stat in _STATISTICS:
                 rows.append([kind, s.period, s.scope, stat, float(getattr(s, stat))])
         _emit(
             _csv_text(["solution", "period", "scope", "statistic", "value"], rows),

@@ -176,6 +176,24 @@ def _check_grid(entries, m, n, what):
             raise ValueError(f"{what}: expected {n} columns, got {len(row)}")
 
 
+def _check_margins(table) -> None:
+    """Row sums, column sums and the grand total of a labelled table."""
+    for i, dept in enumerate(table.departments):
+        if sum(table.entries[i]) != table.row_totals[i]:
+            raise ValueError(
+                f"row {dept!r} sums to {sum(table.entries[i])}, "
+                f"stored total is {table.row_totals[i]}"
+            )
+    for j, cat in enumerate(table.categories):
+        col = sum(row[j] for row in table.entries)
+        if col != table.column_totals[j]:
+            raise ValueError(
+                f"column {cat!r} sums to {col}, stored total is {table.column_totals[j]}"
+            )
+    if sum(table.row_totals) != table.grand_total:
+        raise ValueError("row totals do not sum to the grand total")
+
+
 @dataclass(frozen=True)
 class FairShareTable:
     """Exact fair shares x_ij = a_j * Q_i^t with validated margins."""
@@ -190,21 +208,7 @@ class FairShareTable:
     def __post_init__(self):
         m, n = len(self.departments), len(self.categories)
         _check_grid(self.entries, m, n, "fair share table")
-        for i in range(m):
-            if sum(self.entries[i]) != self.row_totals[i]:
-                raise ValueError(
-                    f"row {self.departments[i]!r} sums to {sum(self.entries[i])}, "
-                    f"stored total is {self.row_totals[i]}"
-                )
-        for j in range(n):
-            col = sum(self.entries[i][j] for i in range(m))
-            if col != self.column_totals[j]:
-                raise ValueError(
-                    f"column {self.categories[j]!r} sums to {col}, "
-                    f"stored total is {self.column_totals[j]}"
-                )
-        if sum(self.row_totals) != self.grand_total:
-            raise ValueError("row totals do not sum to the grand total")
+        _check_margins(self)
         if sum(self.column_totals) != self.grand_total:
             raise ValueError("column totals do not sum to the grand total")
 
@@ -229,21 +233,7 @@ class ReservationTable:
                     raise ValueError(
                         f"reservation entries must be nonnegative integers, got {z!r}"
                     )
-        for i in range(m):
-            if sum(self.entries[i]) != self.row_totals[i]:
-                raise ValueError(
-                    f"row {self.departments[i]!r} sums to {sum(self.entries[i])}, "
-                    f"stored total is {self.row_totals[i]}"
-                )
-        for j in range(n):
-            col = sum(self.entries[i][j] for i in range(m))
-            if col != self.column_totals[j]:
-                raise ValueError(
-                    f"column {self.categories[j]!r} sums to {col}, "
-                    f"stored total is {self.column_totals[j]}"
-                )
-        if sum(self.row_totals) != self.grand_total:
-            raise ValueError("row totals do not sum to the grand total")
+        _check_margins(self)
 
     @classmethod
     def from_entries(
@@ -253,15 +243,12 @@ class ReservationTable:
         entries: Sequence[Sequence[int]],
     ) -> "ReservationTable":
         entries = tuple(tuple(row) for row in entries)
-        m = len(entries)
         return cls(
             departments=tuple(departments),
             categories=tuple(categories),
             entries=entries,
             row_totals=tuple(sum(row) for row in entries),
-            column_totals=tuple(
-                sum(entries[i][j] for i in range(m)) for j in range(len(categories))
-            ),
+            column_totals=tuple(sum(row[j] for row in entries) for j in range(len(categories))),
             grand_total=sum(sum(row) for row in entries),
         )
 
@@ -456,7 +443,7 @@ class SolutionTrace:
             )
         for t, (fair, reserved) in enumerate(self.periods, start=1):
             expected = build_fair_share_table(self.problem, t)
-            if fair != expected:
+            if fair is not expected and fair != expected:
                 raise ValueError(f"period {t}: fair share table mismatch")
             _check_alignment(reserved, fair)
             if reserved.row_totals != fair.row_totals:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     ReservationProblem,
@@ -214,6 +214,19 @@ def run_solution(
     return run_court(problem, roster)
 
 
+def _replicate(
+    problem: ReservationProblem, config: SolutionConfig, replications: int, stream: SplitStream
+) -> Iterator[SolutionTrace]:
+    """Traces of ``replications`` runs of ``config``, run r seeded by ``stream.child(r)``.
+
+    A government or court run with a fixed roster is deterministic, so it
+    runs once.
+    """
+    deterministic = config.kind != "proposed" and config.roster is not None
+    for r in range(1 if deterministic else replications):
+        yield run_solution(problem, config, stream.child(r).key)
+
+
 @dataclass(frozen=True)
 class EstimatedTable:
     """Monte-Carlo means and standard errors of a reservation table."""
@@ -255,16 +268,11 @@ def estimate_expected_table(
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     m, n = len(problem.departments), len(problem.scheme.categories)
-    master = SplitStream(seed)
-
-    deterministic = config.kind in ("government", "court") and config.roster is not None
-    runs = 1 if deterministic else replications
-
     # Row m accumulates the column totals.
     sums = [[0] * n for _ in range(m + 1)]
     squares = [[0] * n for _ in range(m + 1)]
-    for r in range(runs):
-        reserved = run_solution(problem, config, master.child(r).key).reservation(t)
+    for runs, trace in enumerate(_replicate(problem, config, replications, SplitStream(seed)), 1):
+        reserved = trace.reservation(t)
         for i, row in enumerate((*reserved.entries, reserved.column_totals)):
             for j, z in enumerate(row):
                 sums[i][j] += z

@@ -1,11 +1,14 @@
 """Tests for violation statistics, bias summaries, tail diagnostics, and the
 adversarial vacancy sequence."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, exp
+from math import comb, exp, lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reserve2d import (
     PeriodRangeError,
@@ -24,7 +27,7 @@ from reserve2d import (
     violation_stats,
     within_university_quota,
 )
-from reserve2d.analysis import summarize_biases
+from reserve2d.analysis import _lattice_counts, _lattice_summary, summarize_biases
 
 from conftest import mod3_roster
 
@@ -91,6 +94,87 @@ def test_five_number_summary_flags_outliers():
 def test_summary_rejects_empty_sample():
     with pytest.raises(ValueError):
         summarize_biases([], period=1, scope="department")
+
+
+def test_summary_rejects_floats():
+    with pytest.raises(TypeError, match="floats"):
+        summarize_biases([0.1, 0.2], period=1, scope="department")
+
+
+def _oracle_summary(values):
+    """Sorted-Fraction Tukey summary: the reference the lattice summary must match."""
+
+    def median(sorted_values):
+        k = len(sorted_values)
+        mid = k // 2
+        if k % 2:
+            return sorted_values[mid]
+        return Fraction(sorted_values[mid - 1] + sorted_values[mid], 2)
+
+    data = sorted(Fraction(v) for v in values)
+    k = len(data)
+    half = (k + 1) // 2
+    q1, q3 = median(data[:half]), median(data[-half:])
+    iqr = q3 - q1
+    lo_fence, hi_fence = q1 - F(3, 2) * iqr, q3 + F(3, 2) * iqr
+    return (
+        k, data[0], q1, median(data), q3, data[-1],
+        min(v for v in data if v >= lo_fence), max(v for v in data if v <= hi_fence),
+    )
+
+
+def _fields(s):
+    return (s.count, s.minimum, s.q1, s.median, s.q3, s.maximum,
+            s.lower_adjacent, s.upper_adjacent)
+
+
+# Lattice points with mixed denominators (the lcm reaches 600), plus draws
+# from a five-value pool so that ties are common.
+_values = st.builds(F, st.integers(-400, 400), st.sampled_from((1, 2, 3, 4, 8, 40, 200)))
+_samples = st.lists(_values, min_size=1, max_size=40) | st.lists(
+    st.sampled_from((F(-3, 2), F(-1, 3), F(0), F(1, 4), F(7))), min_size=1, max_size=40
+)
+
+
+@given(_samples)
+@example([F(5, 3)])
+@example([F(-2, 5)] * 6)
+@example([F(-2, 5)] * 7)
+@example([F(1), F(2)])
+@example([F(-5, 2), F(-3, 2), F(-1, 4), F(9, 4), F(8)])  # 8 lies just above the 63/8 fence
+@example([F(-8), F(-3), F(0), F(0), F(3)])  # -8 lies just below the -15/2 fence
+def test_lattice_summary_matches_the_sorted_fraction_oracle(values):
+    assert _fields(summarize_biases(values, 1, "department")) == _oracle_summary(values)
+
+
+@given(_samples, _samples)
+def test_merged_lattice_counts_summarize_the_concatenated_sample(a, b):
+    scale = lcm(*(v.denominator for v in a + b))
+
+    def counts(values):
+        return Counter(v.numerator * (scale // v.denominator) for v in values)
+
+    merged = _lattice_summary(counts(a) + counts(b), scale, 2, "university")
+    assert merged == summarize_biases(a + b, 2, "university")
+    assert _fields(merged) == _oracle_summary(a + b)
+
+
+def test_lattice_counts_are_the_scaled_bias_tables(four_dept_problem):
+    traces = [run_government(four_dept_problem, mod3_roster(18))]
+    traces += [run_proposed(four_dept_problem, seed) for seed in range(5)]
+    scale, counts = _lattice_counts(four_dept_problem.scheme, traces)
+    assert scale == 3
+    expected = {}
+    for trace in traces:
+        for t, (fair, reserved) in enumerate(trace.periods, start=1):
+            bias = bias_of(reserved, fair)
+            expected.setdefault((t, "department"), Counter()).update(
+                3 * v for row in bias.internal for v in row
+            )
+            expected.setdefault((t, "university"), Counter()).update(
+                3 * v for v in bias.column_total_biases
+            )
+    assert counts == expected
 
 
 def test_bias_trace_of_the_pooled_baseline_grows_linearly(four_dept_problem):

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from reserve2d import cli
 from reserve2d.cli import main
 from reserve2d.fileio import parse_roster_file
 
@@ -430,6 +431,34 @@ def test_compare_csv_shape_and_known_biases(capsys, files):
     for t in (1, 2, 3):
         assert table[("proposed", t, "department", "minimum")] > -1.0
         assert table[("proposed", t, "department", "maximum")] < 1.0
+
+
+def test_compare_counters_do_not_grow_with_replications(capsys, files, monkeypatch):
+    """Proposed biases lie in (-1, 1), so on the 1/3 scheme (L = 3) each
+    department-scope counter holds at most 2L - 1 = 5 keys, however many
+    replications it counts."""
+    seen = []
+    lattice_counts = cli._lattice_counts
+
+    def spy(scheme, traces):
+        labels = []
+        scale, counts = lattice_counts(scheme, (labels.append(tr.label) or tr for tr in traces))
+        seen.append((labels, scale, counts))
+        return scale, counts
+
+    monkeypatch.setattr(cli, "_lattice_counts", spy)
+    code, _, err = run_cli(
+        capsys, "compare", files["problem"], "--scheme", files["scheme"],
+        "--replications", "50", "--seed", "3",
+    )
+    assert (code, err) == (0, "")
+    labels, scale, counts = seen[0]
+    assert (labels, scale) == (["proposed"] * 50, 3)
+    department = [c for (t, scope), c in counts.items() if scope == "department"]
+    assert len(department) == 3
+    for counter in department:
+        assert sum(counter.values()) == 50 * 4 * 2
+        assert len(counter) <= 2 * scale - 1
 
 
 def test_compare_synthesize_json_smoke(capsys, files):

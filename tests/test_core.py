@@ -1,5 +1,6 @@
 """Tests for the problem model, fair shares, quotas, and bias tables."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,25 @@ def test_trace_validates_row_totals(four_dept_problem):
         SolutionTrace(
             four_dept_problem, "manual", _trace_periods(four_dept_problem, bad_totals)
         )
+
+
+def test_trace_checks_fair_tables_that_are_not_the_cached_ones(four_dept_problem):
+    tables = [
+        _table(four_dept_problem, ((0, 2), (0, 1), (0, 2), (1, 0))),
+        _table(four_dept_problem, ((1, 3), (0, 2), (1, 3), (2, 0))),
+    ]
+    problem = ReservationProblem(
+        four_dept_problem.departments, four_dept_problem.scheme, ((2, 1, 2, 1),) * 2
+    )
+    cached = _trace_periods(problem, tables)
+    copies = tuple((dataclasses.replace(fair), reserved) for fair, reserved in cached)
+    assert copies[0][0] is not cached[0][0]
+    assert SolutionTrace(problem, "manual", copies).fair(2) == cached[1][0]
+
+    other = ReservationProblem(problem.departments, problem.scheme, ((2, 1, 2, 1), (1, 2, 2, 1)))
+    swapped = ((cached[0][0], tables[0]), (build_fair_share_table(other, 2), tables[1]))
+    with pytest.raises(ValueError, match="period 2: fair share table mismatch"):
+        SolutionTrace(problem, "manual", swapped)
 
 
 def test_trace_requires_monotone_reservations(four_dept_problem):
