@@ -178,9 +178,9 @@ def summarize_biases(values: Sequence[Fraction], period: int, scope: str) -> Bia
 def _lattice_counts(scheme: ReservationScheme, traces: Iterable[SolutionTrace]) -> tuple:
     """L and the counts of L*bias per (period, scope) over ``traces``.
 
-    L is the lcm of the scheme denominators, so L*bias = z*L - (a_j*L)*Q is an
-    integer.  Counters merge by addition; their size follows the spread of
-    the biases, not the number of traces.
+    L is the lcm of the scheme denominators and a trace's reserved row totals
+    are its fair ones, so L*bias = z*L - (a_j*L)*Q is an integer.  Counters
+    merge by addition; their size follows the spread of the biases.
     """
     scale = minimal_height(scheme)
     scaled = [a.numerator * (scale // a.denominator) for a in scheme.fractions]
