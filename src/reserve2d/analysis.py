@@ -39,7 +39,8 @@ from .core import (
     within_university_quota,
 )
 from .rng import ALGORITHM, SplitStream
-from .roster import _draw_positions, minimal_height
+from .roster import minimal_height
+from .solutions import _lottery
 
 __all__ = [
     "ViolationStats",
@@ -101,17 +102,18 @@ def violation_stats(
     if t is None:
         t = trace.problem.periods
     trace.problem.check_period(t)
-    fair, reserved = trace.periods[t - 1]
+    return _violations(*trace.periods[t - 1], scope, t)
+
+
+def _violations(
+    fair: FairShareTable, reserved: ReservationTable, scope: str, t: int
+) -> ViolationStats:
     m, n = len(fair.departments), len(fair.categories)
     if scope == "department":
-        violations = within_department_quota(reserved, fair)
-        max_possible = m * n
-    elif scope == "university":
-        violations = within_university_quota(reserved, fair)
-        max_possible = n
-    else:
-        raise ValueError(f"unknown scope {scope!r}; expected 'department' or 'university'")
-    return ViolationStats(scope, t, tuple(violations), max_possible)
+        return ViolationStats(scope, t, tuple(within_department_quota(reserved, fair)), m * n)
+    if scope == "university":
+        return ViolationStats(scope, t, tuple(within_university_quota(reserved, fair)), n)
+    raise ValueError(f"unknown scope {scope!r}; expected 'department' or 'university'")
 
 
 @dataclass(frozen=True)
@@ -248,8 +250,8 @@ def tail_diagnostic(
 ) -> TailDiagnostic:
     """Estimate both tails of a column-total deviation under the lottery.
 
-    Replication r replays exactly the draws ``run_proposed`` would make with
-    seed child(r): department i's roster comes from stream child(r).child(i).
+    Replication r draws the lottery of ``run_proposed`` with seed child(r),
+    cut to the positions read through period ``t`` (rosters are prefix-stable).
     The deviation is the category's reserved column total at period ``t``
     minus its fair share x; bounds are exp(-b^2/(3x)) and exp(-b^2/(2x)).
     """
@@ -271,33 +273,21 @@ def tail_diagnostic(
         raise ValueError(f"category {cat!r} has a fair column total of 0 at period {t}; "
                          "the tail bounds need a positive total")
     cumulative = problem.cumulative_vacancies(t)
-    m = len(problem.departments)
-
     master = SplitStream(seed)
     deviations = []
     for r in range(replications):
-        rep = master.child(r)
-        total = 0
-        for i in range(m):
-            if cumulative[i] == 0:
-                continue
-            positions, _ = _draw_positions(
-                problem.scheme, cumulative[i], rep.child(i), "independent-blocks", height
-            )
-            total += positions.count(cat)
-        deviations.append(total - x)
-
-    n_reps = len(deviations)
+        own = _lottery(problem.scheme, cumulative, master.child(r), height)
+        deviations.append(sum(p.count(cat) for p in own) - x)
     upper = tuple(
-        Fraction(sum(1 for d in deviations if d >= b), n_reps) for b in grid
+        Fraction(sum(1 for d in deviations if d >= b), replications) for b in grid
     )
     lower = tuple(
-        Fraction(sum(1 for d in deviations if d <= -b), n_reps) for b in grid
+        Fraction(sum(1 for d in deviations if d <= -b), replications) for b in grid
     )
     upper_bound = tuple(exp(-float(b * b / (3 * x))) for b in grid)
     lower_bound = tuple(exp(-float(b * b / (2 * x))) for b in grid)
     smallest = min(upper_bound[-1], lower_bound[-1])
-    adequate = sqrt(smallest / n_reps) < smallest / 4
+    adequate = sqrt(smallest / replications) < smallest / 4
     return TailDiagnostic(
         category=cat,
         period=t,
@@ -307,7 +297,7 @@ def tail_diagnostic(
         lower_frequency=lower,
         upper_bound=upper_bound,
         lower_bound=lower_bound,
-        replications=n_reps,
+        replications=replications,
         seed=seed,
         generator=ALGORITHM,
         adequate_resolution=adequate,

@@ -22,10 +22,10 @@ import itertools
 import json
 import sys
 from dataclasses import fields
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import __version__
-from .analysis import BiasSummary, ViolationStats, _lattice_counts, _lattice_summary, violation_stats
+from .analysis import BiasSummary, ViolationStats, _lattice_counts, _lattice_summary, _violations
 from .core import (
     BiasTable,
     FairShareTable,
@@ -35,8 +35,6 @@ from .core import (
     Roster,
     bias_of,
     build_fair_share_table,
-    within_department_quota,
-    within_university_quota,
 )
 from .fileio import (
     ParseError,
@@ -48,7 +46,7 @@ from .fileio import (
 )
 from .rng import ALGORITHM, SplitStream
 from .rounding import controlled_round
-from .solutions import RosterLengthError, SolutionConfig, _replicate, run_solution
+from .solutions import RosterLengthError, SolutionConfig, _positions_needed, _replicate, run_solution
 from .roster import build_scheme_table, draw_roster
 
 __all__ = ["main"]
@@ -71,11 +69,12 @@ class FlagError(Exception):
 
 
 def _check_height(scheme, height: Optional[int]) -> None:
-    if height is not None:
-        try:
-            build_scheme_table(scheme, height)
-        except ValueError as err:
-            raise FlagError(f"--height {height}: {err}") from None
+    """Reject an explicit ``--height``, or the scheme's own (lcm) height, that
+    no roster lottery can use."""
+    try:
+        build_scheme_table(scheme, height)
+    except ValueError as err:
+        raise FlagError(err if height is None else f"--height {height}: {err}") from None
 
 
 def _seed_type(text: str) -> int:
@@ -105,25 +104,14 @@ def _metadata(seed: Optional[int]) -> dict:
     return meta
 
 
-def _fair_dict(fair: FairShareTable) -> dict:
+def _table_dict(table: Union[FairShareTable, ReservationTable]) -> dict:
     return {
-        "departments": list(fair.departments),
-        "categories": list(fair.categories),
-        "entries": [[rational(v) for v in row] for row in fair.entries],
-        "row_totals": list(fair.row_totals),
-        "column_totals": [rational(v) for v in fair.column_totals],
-        "grand_total": fair.grand_total,
-    }
-
-
-def _reservation_dict(res: ReservationTable) -> dict:
-    return {
-        "departments": list(res.departments),
-        "categories": list(res.categories),
-        "entries": [list(row) for row in res.entries],
-        "row_totals": list(res.row_totals),
-        "column_totals": list(res.column_totals),
-        "grand_total": res.grand_total,
+        "departments": list(table.departments),
+        "categories": list(table.categories),
+        "entries": [[rational(v) for v in row] for row in table.entries],
+        "row_totals": list(table.row_totals),
+        "column_totals": [rational(v) for v in table.column_totals],
+        "grand_total": table.grand_total,
     }
 
 
@@ -156,6 +144,20 @@ def _violation_fields(stats: ViolationStats) -> dict:
         "average_magnitude": exact(stats.average_magnitude),
         "min_magnitude": exact(stats.min_magnitude),
         "max_magnitude": exact(stats.max_magnitude),
+    }
+
+
+def _period_dict(t: int, fair: FairShareTable, reserved: ReservationTable) -> dict:
+    """One period's tables, biases and quota violations, as reported by round and run."""
+    return {
+        "period": t,
+        "fair_share": _table_dict(fair),
+        "reservation": _table_dict(reserved),
+        "bias": _bias_dict(bias_of(reserved, fair)),
+        "violations": {
+            scope: _violation_fields(_violations(fair, reserved, scope, t))
+            for scope in ("department", "university")
+        },
     }
 
 
@@ -195,9 +197,12 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as err:
+        raise FlagError(f"cannot write {output}: {err.strerror or err}") from None
 
 
 def _json_text(report: dict) -> str:
@@ -238,26 +243,15 @@ def _cmd_round(args) -> int:
     problem = _load_problem(args)
     fair = build_fair_share_table(problem, args.period)
     rounded = controlled_round(fair, SplitStream(args.seed))
-    bias = bias_of(rounded, fair)
-    m, n = len(fair.departments), len(fair.categories)
-    dept = ViolationStats("department", args.period, tuple(within_department_quota(rounded, fair)), m * n)
-    univ = ViolationStats("university", args.period, tuple(within_university_quota(rounded, fair)), n)
     if args.format == "json":
         report = {
             "command": "round",
             "metadata": _metadata(args.seed),
-            "period": args.period,
-            "fair_share": _fair_dict(fair),
-            "reservation": _reservation_dict(rounded),
-            "bias": _bias_dict(bias),
-            "violations": {
-                "department": _violation_fields(dept),
-                "university": _violation_fields(univ),
-            },
+            **_period_dict(args.period, fair, rounded),
         }
         _emit(_json_text(report), args.output)
     else:
-        rows = _table_rows(args.period, fair, rounded, bias)
+        rows = _table_rows(args.period, fair, rounded, bias_of(rounded, fair))
         _emit(_csv_text(["period", "table", "department", "category", "value"], rows), args.output)
     return 0
 
@@ -303,13 +297,8 @@ def _solution_config(args, problem: ReservationProblem) -> tuple[SolutionConfig,
     if args.roster is None:
         raise UsageError(f"the {args.solution} solution requires --roster")
     roster = parse_roster_file(args.roster, problem.scheme.categories)
-    needed = (
-        sum(map(sum, problem.vacancies))
-        if args.solution == "government"
-        else max(problem.cumulative_vacancies(problem.periods))
-    )
     if args.cycle_roster:
-        roster = _cycled_roster(roster, needed)
+        roster = _cycled_roster(roster, _positions_needed(problem, args.solution))
     return SolutionConfig(args.solution, roster=roster, order=order), args.seed
 
 
@@ -317,40 +306,24 @@ def _cmd_run(args) -> int:
     problem = _load_problem(args)
     config, seed = _solution_config(args, problem)
     trace = run_solution(problem, config, seed)
-    periods = []
-    csv_rows = []
-    for t in range(1, problem.periods + 1):
-        fair, reserved = trace.periods[t - 1]
-        bias = bias_of(reserved, fair)
-        dept_stats = violation_stats(trace, "department", t)
-        univ_stats = violation_stats(trace, "university", t)
-        periods.append(
-            {
-                "period": t,
-                "fair_share": _fair_dict(fair),
-                "reservation": _reservation_dict(reserved),
-                "bias": _bias_dict(bias),
-                "violations": {
-                    "department": _violation_fields(dept_stats),
-                    "university": _violation_fields(univ_stats),
-                },
-            }
-        )
-        csv_rows.extend(_table_rows(t, fair, reserved, bias))
-        for stats in (dept_stats, univ_stats):
-            for key, value in (("count", stats.count), ("max_possible", stats.max_possible),
-                               ("percentage", float(stats.percentage))):
-                csv_rows.append([t, "violations", stats.scope, key, value])
     if args.format == "json":
         report = {
             "command": "run",
             "metadata": _metadata(seed),
             "solution": args.solution,
             "order": list(_order_of(problem, args.order)),
-            "periods": periods,
+            "periods": [_period_dict(t, *tables) for t, tables in enumerate(trace.periods, 1)],
         }
         _emit(_json_text(report), args.output)
     else:
+        csv_rows = []
+        for t, (fair, reserved) in enumerate(trace.periods, 1):
+            csv_rows.extend(_table_rows(t, fair, reserved, bias_of(reserved, fair)))
+            for scope in ("department", "university"):
+                stats = _violations(fair, reserved, scope, t)
+                for key, value in (("count", stats.count), ("max_possible", stats.max_possible),
+                                   ("percentage", float(stats.percentage))):
+                    csv_rows.append([t, "violations", scope, key, value])
         _emit(
             _csv_text(["period", "table", "department", "category", "value"], csv_rows),
             args.output,
@@ -394,7 +367,7 @@ def _cmd_compare(args) -> int:
     if args.roster is not None:
         roster = parse_roster_file(args.roster, scheme.categories)
         if args.cycle_roster:
-            roster = _cycled_roster(roster, sum(map(sum, problem.vacancies)))
+            roster = _cycled_roster(roster, _positions_needed(problem, "government"))
     order = _order_of(problem, args.order)
 
     master = SplitStream(args.seed)

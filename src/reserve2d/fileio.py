@@ -52,8 +52,8 @@ def _read_rows(path: str, expected_header: Sequence[str]) -> list[tuple[int, lis
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as err:
-        raise ParseError(path, 0, f"cannot read file: {err.strerror or err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(path, 0, f"cannot read file: {getattr(err, 'strerror', None) or err}") from err
     stripped = [
         (lineno, [field.strip() for field in row])
         for lineno, row in enumerate(rows, start=1)
@@ -159,7 +159,7 @@ def parse_scheme_file(path: str) -> ReservationScheme:
     try:
         return ReservationScheme(categories, fractions)
     except ValueError as err:
-        raise ParseError(path, rows[-1][0], str(err)) from err
+        raise ParseError(path, rows[-1][0] if rows else 1, str(err)) from err
 
 
 def parse_roster_file(

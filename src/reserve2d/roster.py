@@ -88,6 +88,12 @@ def minimal_height(scheme: ReservationScheme) -> int:
     return lcm(*(f.denominator for f in scheme.fractions))
 
 
+# Most cells (height x categories) a scheme table may have.  The flow network
+# and the sampler grow with the cell count; the limit allows height 10,000 on
+# a five-category scheme.
+_CELL_LIMIT = 50_000
+
+
 @dataclass(frozen=True)
 class SchemeTable:
     """Height-k table repeating the scheme fractions in every row."""
@@ -105,6 +111,11 @@ class SchemeTable:
                     f"non-integral total {self.height * f}; the smallest valid "
                     f"height is {minimal_height(self.scheme)} (any multiple of it works)"
                 )
+        if self.height * self.scheme.size > _CELL_LIMIT:
+            raise ValueError(
+                f"a scheme table of height {self.height} over {self.scheme.size} categories "
+                f"has more than {_CELL_LIMIT:,} cells"
+            )
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -24,13 +24,14 @@ from typing import Iterator, Optional, Sequence
 
 from .core import (
     ReservationProblem,
+    ReservationScheme,
     ReservationTable,
     Roster,
     SolutionTrace,
     build_fair_share_table,
 )
 from .rng import SplitStream
-from .roster import draw_roster
+from .roster import _draw_positions, draw_roster
 
 __all__ = [
     "RosterLengthError",
@@ -47,27 +48,24 @@ class RosterLengthError(ValueError):
     """The supplied roster is shorter than the positions the run consumes."""
 
 
-def _check_roster(problem: ReservationProblem, roster: Roster) -> None:
+def _positions_needed(problem: ReservationProblem, kind: str) -> int:
+    """Roster positions a government or court run reads."""
+    if kind == "government":
+        return sum(map(sum, problem.vacancies))
+    return max(problem.cumulative_vacancies(problem.periods))
+
+
+def _check_roster(problem: ReservationProblem, roster: Roster, kind: str) -> None:
     if set(roster.categories) != set(problem.scheme.categories):
         raise ValueError(
             "roster categories do not match the scheme: "
             f"{sorted(roster.categories)} vs {sorted(problem.scheme.categories)}"
         )
-
-
-def _require_length(roster: Roster, needed: int, label: str) -> None:
+    needed = _positions_needed(problem, kind)
     if len(roster) < needed:
         raise RosterLengthError(
-            f"{label} needs {needed} roster positions, roster has {len(roster)}"
+            f"{kind} run needs {needed} roster positions, roster has {len(roster)}"
         )
-
-
-def _segment_counts(
-    roster: Roster, start: int, stop: int, categories: Sequence[str]
-) -> list[int]:
-    """Category counts over 1-based roster positions start+1 .. stop."""
-    seg = roster.assignment[start:stop]
-    return [seg.count(c) for c in categories]
 
 
 def _trace(
@@ -86,20 +84,31 @@ def _trace(
     return SolutionTrace(problem, label, tuple(periods), seed)
 
 
-def _consume_own(problem: ReservationProblem, rosters: Sequence[Roster]) -> list:
-    """Cumulative counts per period when department i reads ``rosters[i]``
-    from its start, one period's new vacancies at a time."""
+def _consume(problem: ReservationProblem, own: Sequence[Sequence[str]]) -> list:
+    """Cumulative counts per period when department i reads ``own[i]``, a
+    sequence of categories, from its start, one period's new vacancies at a time."""
     cats = problem.scheme.categories
-    counts = [[0] * len(cats) for _ in rosters]
-    cumulative, previous = [], [0] * len(rosters)
+    counts = [[0] * len(cats) for _ in own]
+    cumulative, previous = [], [0] * len(own)
     for t in range(1, problem.periods + 1):
         current = problem.cumulative_vacancies(t)
-        for i, roster in enumerate(rosters):
-            for j, c in enumerate(_segment_counts(roster, previous[i], current[i], cats)):
-                counts[i][j] += c
+        for row, seq, start, stop in zip(counts, own, previous, current):
+            segment = seq[start:stop]
+            for j, c in enumerate(cats):
+                row[j] += segment.count(c)
         previous = current
         cumulative.append([row[:] for row in counts])
     return cumulative
+
+
+def _lottery(
+    scheme: ReservationScheme, lengths: Sequence[int], stream: SplitStream, height: Optional[int]
+) -> list[tuple[str, ...]]:
+    """Department i's ``lengths[i]`` positions, independent blocks drawn from ``stream.child(i)``."""
+    return [
+        _draw_positions(scheme, q, stream.child(i), "independent-blocks", height)[0]
+        for i, q in enumerate(lengths)
+    ]
 
 
 def run_government(
@@ -114,7 +123,7 @@ def run_government(
     roster index continues across periods.  Raises
     :class:`RosterLengthError` if the roster runs out.
     """
-    _check_roster(problem, roster)
+    _check_roster(problem, roster, "government")
     if order is None:
         order = problem.departments
     else:
@@ -123,30 +132,23 @@ def run_government(
             raise ValueError(
                 f"order must be a permutation of the departments, got {order}"
             )
-    _require_length(roster, sum(map(sum, problem.vacancies)), "government run")
-    cats = problem.scheme.categories
-    m = len(problem.departments)
-    counts = [[0] * len(cats) for _ in range(m)]
-    cumulative = []
+    # Deal the pooled roster into each department's own sequence, period by period.
+    index = {d: i for i, d in enumerate(problem.departments)}
+    own: list[list[str]] = [[] for _ in index]
     position = 0
-    for t in range(1, problem.periods + 1):
+    for row in problem.vacancies:
         for dept in order:
-            i = problem.departments.index(dept)
-            q = problem.vacancies[t - 1][i]
-            seg = _segment_counts(roster, position, position + q, cats)
+            q = row[index[dept]]
+            own[index[dept]].extend(roster.assignment[position:position + q])
             position += q
-            for j, c in enumerate(seg):
-                counts[i][j] += c
-        cumulative.append([row[:] for row in counts])
-    return _trace(problem, "government", cumulative)
+    return _trace(problem, "government", _consume(problem, own))
 
 
 def run_court(problem: ReservationProblem, roster: Roster) -> SolutionTrace:
     """Per-department solution: every department reads its own copy of ``roster``."""
-    _check_roster(problem, roster)
-    final = problem.cumulative_vacancies(problem.periods)
-    _require_length(roster, max(final), "court run")
-    return _trace(problem, "court", _consume_own(problem, [roster] * len(final)))
+    _check_roster(problem, roster, "court")
+    own = [roster.assignment] * len(problem.departments)
+    return _trace(problem, "court", _consume(problem, own))
 
 
 def run_proposed(
@@ -159,13 +161,9 @@ def run_proposed(
     department therefore satisfies its own quota in every period surely,
     and every table entry is an unbiased draw around its fair share.
     """
-    master = SplitStream(seed)
     final = problem.cumulative_vacancies(problem.periods)
-    rosters = [
-        draw_roster(problem.scheme, q, master.child(i), height=height)
-        for i, q in enumerate(final)
-    ]
-    return _trace(problem, "proposed", _consume_own(problem, rosters), seed)
+    own = _lottery(problem.scheme, final, SplitStream(seed), height)
+    return _trace(problem, "proposed", _consume(problem, own), seed)
 
 
 @dataclass(frozen=True)
@@ -205,9 +203,13 @@ def run_solution(
             raise ValueError(
                 f"the {config.kind} solution needs a roster or a seed to draw one"
             )
-        total = sum(map(sum, problem.vacancies))
+        # Independent-block rosters are prefix-stable, so drawing only the
+        # positions the run reads leaves the trace unchanged.
         roster = draw_roster(
-            problem.scheme, total, SplitStream(seed), height=config.height
+            problem.scheme,
+            _positions_needed(problem, config.kind),
+            SplitStream(seed),
+            height=config.height,
         )
     if config.kind == "government":
         return run_government(problem, roster, config.order)

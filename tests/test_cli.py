@@ -114,10 +114,10 @@ def test_huge_period_gap_exits_two(capsys, files, tmp_path):
     assert err.startswith("error:") and "contiguous" in err
 
 
-def _assert_one_line_error(code, out, err, needle):
+def _assert_one_line_error(code, out, err, needle, start="error: --height"):
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --height") and needle in err
+    assert err.startswith(start) and needle in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -142,6 +142,44 @@ def test_compare_bad_height_exits_two(capsys, files):
         "--replications", "2", "--seed", "1", "--height", "1",
     )
     _assert_one_line_error(code, out, err, "at least 2")
+
+
+@pytest.fixture(scope="module")
+def wide_scheme(tmp_path_factory):
+    """A scheme whose block height, 999983, is past the scheme-table limit."""
+    path = tmp_path_factory.mktemp("wide") / "scheme.csv"
+    path.write_text("category,numerator,denominator\nc1,1,999983\nc2,999982,999983\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["roster", "{scheme}", "--length", "5", "--seed", "1"],
+    ["run", "{problem}", "--scheme", "{scheme}", "--solution", "proposed", "--seed", "1"],
+    ["compare", "{problem}", "--scheme", "{scheme}", "--replications", "2", "--seed", "1"],
+])
+def test_scheme_height_past_the_limit_exits_two(capsys, files, wide_scheme, command):
+    argv = [a.format(scheme=wide_scheme, problem=files["problem"]) for a in command]
+    with time_limit(5):
+        code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_error(code, out, err, "more than 50,000 cells", start="error: ")
+
+
+def test_explicit_height_past_the_limit_exits_two(capsys, files):
+    with time_limit(5):
+        code, out, err = run_cli(
+            capsys, "roster", files["scheme"], "--length", "5", "--seed", "1",
+            "--height", "3000000",
+        )
+    _assert_one_line_error(code, out, err, "more than 50,000 cells")
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_output_exits_two(capsys, files, tmp_path, target):
+    code, out, err = run_cli(
+        capsys, "round", files["problem"], "--scheme", files["scheme"],
+        "-t", "1", "--seed", "1", "-o", str(tmp_path / target),
+    )
+    _assert_one_line_error(code, out, err, str(tmp_path), start="error: cannot write ")
 
 
 def test_out_of_range_period_exits_three(capsys, files):

@@ -86,6 +86,19 @@ def test_missing_file_is_a_parse_error(tmp_path):
 # ---------------------------------------------------------------- problems
 
 
+def test_undecodable_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"category,numerator,denominator\nc\xe9,1,3\nc2,2,3\n")
+    with pytest.raises(ParseError, match="cannot read file: 'utf-8' codec"):
+        parse_scheme_file(str(path))
+
+
+def test_header_only_scheme_is_a_parse_error(tmp_path):
+    path = _write(tmp_path, "s.csv", "category,numerator,denominator\n")
+    with pytest.raises(ParseError, match="need at least 2 categories"):
+        parse_scheme_file(path)
+
+
 def test_parse_problem_keeps_file_order_and_fills_gaps(tmp_path, third_scheme):
     path = _write(
         tmp_path,

@@ -27,7 +27,7 @@ from reserve2d.roster import (
     source_vertex,
 )
 
-from conftest import ForcedRng
+from conftest import ForcedRng, time_limit
 
 F = Fraction
 
@@ -62,6 +62,23 @@ def test_scheme_table_rejects_bad_height(third_scheme):
     )
     with pytest.raises(ValueError, match="200"):
         build_scheme_table(scheme, 100)
+
+
+def test_scheme_table_rejects_more_than_the_cell_limit(third_scheme):
+    """Tables past 50,000 cells fail fast instead of allocating a network."""
+    five = ReservationScheme(
+        ("s", "t", "o", "e", "g"),
+        (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200)),
+    )
+    assert build_scheme_table(five, 10_000).height == 10_000
+    wide = ReservationScheme(("c1", "c2"), (F(1, 999983), F(999982, 999983)))
+    with time_limit(5):
+        with pytest.raises(ValueError, match="more than 50,000 cells"):
+            build_scheme_table(five, 10_200)
+        with pytest.raises(ValueError, match="height 3000000 over 2 categories"):
+            build_scheme_table(third_scheme, 3_000_000)
+        with pytest.raises(ValueError, match="height 999983"):
+            draw_roster(wide, 5, SplitStream(1))
 
 
 def test_scheme_table_shape(third_scheme):

@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reserve2d import (
     ReservationProblem,
+    ReservationScheme,
+    Roster,
     RosterLengthError,
     SolutionConfig,
     SplitStream,
@@ -18,6 +22,7 @@ from reserve2d import (
     within_department_quota,
     within_university_quota,
 )
+from reserve2d.roster import draw_roster
 
 from conftest import mod3_roster
 
@@ -228,3 +233,61 @@ def test_estimate_validates_input(four_dept_problem):
         estimate_expected_table(
             four_dept_problem, 1, SolutionConfig("proposed"), 0, seed=1
         )
+
+
+def _pooled_government(problem, roster, order):
+    """Reference pooled loop: each period, departments in ``order`` take
+    consecutive positions of the one roster, and the position carries over."""
+    cats = problem.scheme.categories
+    counts = [[0] * len(cats) for _ in problem.departments]
+    tables, position = [], 0
+    for row in problem.vacancies:
+        for dept in order:
+            i = problem.departments.index(dept)
+            segment = roster.assignment[position:position + row[i]]
+            position += row[i]
+            for j, c in enumerate(cats):
+                counts[i][j] += segment.count(c)
+        tables.append(tuple(tuple(r) for r in counts))
+    return tables
+
+
+_SCHEMES = (
+    ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3))),
+    ReservationScheme(("c1", "c2", "c3"), (F(1, 4), F(1, 4), F(1, 2))),
+)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_government_matches_the_pooled_loop(data):
+    """The dealt-then-consumed government run equals the pooled loop on random
+    problems, zero-vacancy periods included, and random pooling orders."""
+    scheme = data.draw(st.sampled_from(_SCHEMES))
+    m = data.draw(st.integers(2, 5))
+    departments = tuple(f"d{i}" for i in range(m))
+    vacancies = data.draw(st.lists(
+        st.one_of(st.just([0] * m), st.lists(st.integers(0, 4), min_size=m, max_size=m)),
+        min_size=1, max_size=4,
+    ))
+    problem = ReservationProblem(departments, scheme, vacancies)
+    total = sum(map(sum, problem.vacancies))
+    length = total + data.draw(st.integers(0, 3))
+    assignment = data.draw(st.lists(st.sampled_from(scheme.categories),
+                                    min_size=length, max_size=length))
+    roster = Roster(categories=scheme.categories, assignment=tuple(assignment))
+    order = tuple(data.draw(st.permutations(departments)))
+    trace = run_government(problem, roster, order)
+    expected = _pooled_government(problem, roster, order)
+    assert [trace.reservation(t).entries for t in range(1, problem.periods + 1)] == expected
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_court_draws_only_the_positions_it_reads(quarters_scheme, seed):
+    """A court run that draws its roster reads the same positions as one run
+    on the total-vacancies roster the same seed draws."""
+    problem = ReservationProblem(("d1", "d2", "d3"), quarters_scheme, ((3, 1, 5), (2, 6, 0)))
+    total = sum(map(sum, problem.vacancies))
+    roster = draw_roster(quarters_scheme, total, SplitStream(seed))
+    drawn = run_solution(problem, SolutionConfig("court"), seed)
+    assert drawn.periods == run_court(problem, roster).periods
