@@ -19,6 +19,13 @@ two branches.  Each step makes an edge integral and integral edges are
 never touched again, so the walk takes at most one step per fractional
 edge.  Flows are integers scaled by their common denominator S, so an edge
 is fractional exactly when its scaled flow is not a multiple of S.
+
+A search resumes the last one.  Edges only turn integral, so a vertex's
+choice changes only when its chosen edge does, and a push touches only its
+cycle: a search keeps the last path up to the last cycle's first edge that
+turned integral and walks on from there (afresh once the smallest fractional
+edge is gone, or after a push of a cycle it did not return).  Each vertex
+keeps a forward-only pointer to its first fractional incidence entry.
 """
 
 from __future__ import annotations
@@ -74,60 +81,76 @@ class Push(NamedTuple):
 class Walk:
     """Mutable scaled flows on a graph, rounded one cycle push at a time."""
 
-    __slots__ = ("graph", "scale", "flows", "_first")
+    __slots__ = ("graph", "scale", "flows", "_first", "_next", "_path", "_seen", "_start", "_cycle")
 
     def __init__(self, graph: Graph, scale: int, flows: Sequence[int]):
         self.graph = graph
         self.scale = scale
         self.flows = list(flows)
         self._first = 0  # no edge below this one is fractional
+        self._next = [0] * len(graph.incidence)  # likewise in each vertex's incidence
+        # The last search: its path of incidence entries, vertex -> index leaving it, cycle start, cycle.
+        self._path, self._seen, self._start, self._cycle = [], {}, 0, None
 
     def cycle(self) -> Optional[Cycle]:
         """The next cycle of fractional edges, or None once all are integral."""
-        flows, scale = self.flows, self.scale
-        e, end = self._first, len(flows)
-        while e < end and not flows[e] % scale:
-            e += 1
-        self._first = e
-        if e == end:
-            return None
-        incidence = self.graph.incidence
-        vertex, arrived = self.graph.tails[e], -1
-        seen = {vertex: 0}
-        path = []
-        while True:
-            for edge, direction, other in incidence[vertex]:
-                if edge != arrived and flows[edge] % scale:
-                    break
+        flows, scale, path, seen = self.flows, self.scale, self._path, self._seen
+        k, n = self._start, len(path)
+        while k < n and flows[path[k][0]] % scale:
+            k += 1
+        if k == 0 or k < n:  # else the last cycle is still fractional
+            if k:  # resume where the last cycle first lost an edge
+                arrived, _, vertex = path[k - 1]
+                for entry in path[k:-1]:
+                    del seen[entry[2]]
             else:
-                raise RuntimeError(f"internal error: the walk stalled at vertex {vertex}")
-            path.append((edge, direction))
-            if other in seen:
-                break
-            seen[other] = len(path)
-            vertex, arrived = other, edge
-        cycle = path[seen[other]:]
-        low = min(range(len(cycle)), key=lambda s: cycle[s][0])
-        if cycle[low][1] < 0:
-            cycle = [(edge, -direction) for edge, direction in reversed(cycle)]
-            low = len(cycle) - 1 - low
-        return cycle[low:] + cycle[:low]
+                end = len(flows)
+                self._first = e = next((e for e in range(self._first, end) if flows[e] % scale), end)
+                if e == end:
+                    return None
+                vertex, arrived = self.graph.tails[e], -1
+                self._seen = seen = {vertex: 0}
+            del path[k:]
+            incidence, first = self.graph.incidence, self._next
+            while True:
+                edges, i = incidence[vertex], first[vertex]
+                try:
+                    while not flows[edges[i][0]] % scale:
+                        i += 1
+                    first[vertex] = i
+                    if edges[i][0] == arrived:
+                        i += 1
+                        while not flows[edges[i][0]] % scale:
+                            i += 1
+                except IndexError:
+                    raise RuntimeError(f"internal error: the walk stalled at vertex {vertex}") from None
+                entry = edges[i]
+                path.append(entry)
+                k += 1
+                arrived, _, vertex = entry
+                if vertex in seen:
+                    break
+                seen[vertex] = k
+            self._start = seen[vertex]
+        found = path[self._start:]
+        low = found.index(min(found))  # edges are distinct, so the smallest edge
+        if found[low][1] > 0:
+            cycle = [(e, d) for e, d, _ in found[low:] + found[:low]]
+        else:
+            cycle = [(e, -d) for e, d, _ in found[low::-1] + found[:low:-1]]
+        self._cycle = cycle
+        return cycle
 
     def headroom(self, cycle: Cycle) -> tuple[int, int]:
         """Scaled (d+, d-) of a cycle of fractional edges."""
         flows, scale = self.flows, self.scale
-        d_plus = d_minus = scale
-        for e, d in cycle:
-            below = flows[e] % scale
-            up, down = (scale - below, below) if d > 0 else (below, scale - below)
-            if up < d_plus:
-                d_plus = up
-            if down < d_minus:
-                d_minus = down
-        return d_plus, d_minus
+        back = [d * flows[e] % scale for e, d in cycle]  # room against each direction
+        return scale - max(back), min(back)
 
     def push(self, cycle: Cycle, amount: int) -> None:
         """Move forward edges by ``amount`` and backward edges by -``amount``."""
+        if cycle is not self._cycle:  # the next search starts afresh
+            self._path, self._start = [], 0
         flows = self.flows
         for e, d in cycle:
             flows[e] += d * amount

@@ -81,10 +81,15 @@ def _parse_int(path: str, line: int, text: str, what: str, minimum: int) -> int:
     return value
 
 
+# Most vacancies one department may have over all periods: the proposed
+# solution draws that many roster positions for it.
+_VACANCY_LIMIT = 100_000
+
+
 def parse_problem_file(path: str, scheme: ReservationScheme) -> ReservationProblem:
     """Read a vacancies CSV into a problem over the given scheme."""
     rows = _read_rows(path, ("department", "period", "vacancies"))
-    departments: list[str] = []
+    totals: dict[str, int] = {}  # each department's vacancies so far, in file order
     cells: dict[tuple[str, int], int] = {}
     max_period = 0
     for lineno, row in rows:
@@ -95,13 +100,14 @@ def parse_problem_file(path: str, scheme: ReservationScheme) -> ReservationProbl
             raise ParseError(path, lineno, "department identifier is empty")
         period = _parse_int(path, lineno, period_text, "period", 1)
         vacancies = _parse_int(path, lineno, vac_text, "vacancies", 0)
-        if dept not in departments:
-            departments.append(dept)
         if (dept, period) in cells:
             raise ParseError(
                 path, lineno, f"duplicate row for department {dept!r}, period {period}"
             )
         cells[(dept, period)] = vacancies
+        totals[dept] = totals.get(dept, 0) + vacancies
+        if totals[dept] > _VACANCY_LIMIT:
+            raise ParseError(path, lineno, f"department {dept!r} has over {_VACANCY_LIMIT:,} vacancies")
         max_period = max(max_period, period)
     if max_period == 0:
         raise ParseError(path, rows[-1][0] if rows else 1, "no vacancy rows found")
@@ -116,17 +122,29 @@ def parse_problem_file(path: str, scheme: ReservationScheme) -> ReservationProbl
             + (f" and {more} more" if more else ""),
         )
     vacancies = tuple(
-        tuple(cells.get((d, t), 0) for d in departments)
+        tuple(cells.get((d, t), 0) for d in totals)
         for t in range(1, max_period + 1)
     )
     try:
-        return ReservationProblem(departments, scheme, vacancies)
+        return ReservationProblem(tuple(totals), scheme, vacancies)
     except ValueError as err:
         raise ParseError(path, rows[-1][0], str(err)) from err
 
 
+# Most digits, and largest exponent size, of a literal parse_rational reads:
+# it builds the exact value, so '1e-99999999' would build 10**99999999.
+_DIGIT_LIMIT = 100
+
+
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from a 'p/q' string or a decimal literal as printed."""
+    """Exact rational from a 'p/q' string or a decimal literal as printed.
+
+    A literal over 100 digits or with an exponent over 100 in size raises
+    ValueError.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    if sum(map(str.isdecimal, mantissa)) > _DIGIT_LIMIT or abs(int(exponent or 0)) > _DIGIT_LIMIT:
+        raise ValueError(f"more than {_DIGIT_LIMIT} digits or an exponent over {_DIGIT_LIMIT} in size")
     return Fraction(text)
 
 
@@ -150,10 +168,8 @@ def parse_scheme_file(path: str) -> ReservationScheme:
         else:
             try:
                 fraction = parse_rational(num_text)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(
-                    path, lineno, f"cannot parse fraction {num_text!r}"
-                ) from None
+            except (ValueError, ZeroDivisionError) as err:
+                raise ParseError(path, lineno, f"cannot parse fraction {num_text!r}: {err}") from None
         categories.append(cat)
         fractions.append(fraction)
     try:

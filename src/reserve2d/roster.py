@@ -392,18 +392,18 @@ class IntegralBlock:
         if len(self.entries) != self.height:
             raise ValueError(f"expected {self.height} rows, got {len(self.entries)}")
         counts = [0] * n
+        shares = [(f.numerator, f.denominator) for f in self.scheme.fractions]
         for depth, row in enumerate(self.entries, start=1):
             if len(row) != n or any(v not in (0, 1) for v in row):
                 raise ValueError(f"row {depth} is not a 0/1 row of width {n}")
             if sum(row) != 1:
                 raise ValueError(f"row {depth} must contain exactly one 1")
-            for j, v in enumerate(row):
+            for j, (v, (num, den)) in enumerate(zip(row, shares)):
                 counts[j] += v
-                target = depth * self.scheme.fractions[j]
-                if not target - 1 < counts[j] < target + 1:
+                if abs(counts[j] * den - depth * num) >= den:  # |count - depth*a_j| >= 1
                     raise ValueError(
                         f"column {self.scheme.categories[j]!r} has {counts[j]} of the "
-                        f"first {depth} positions; fair share is {target}"
+                        f"first {depth} positions; fair share is {depth * self.scheme.fractions[j]}"
                     )
 
     @cached_property

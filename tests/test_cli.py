@@ -114,6 +114,25 @@ def test_huge_period_gap_exits_two(capsys, files, tmp_path):
     assert err.startswith("error:") and "contiguous" in err
 
 
+def test_oversized_decimal_in_scheme_exits_two(capsys, files, tmp_path):
+    bad = tmp_path / "scheme.csv"
+    bad.write_text("category,numerator,denominator\nc1,1e-99999999,\nc2,1,\n")
+    with time_limit(5):
+        code, out, err = run_cli(capsys, "roster", str(bad), "--length", "5", "--seed", "1")
+    _assert_one_line_error(code, out, err, "exponent over 100", start=f"error: {bad}:2:")
+
+
+@pytest.mark.parametrize("flags", [["--solution", "proposed", "--seed", "1"],
+                                   ["--solution", "court", "--cycle-roster", "--roster", "{roster}"]])
+def test_vacancies_past_the_limit_exit_two(capsys, files, tmp_path, flags):
+    bad = tmp_path / "problem.csv"
+    bad.write_text("department,period,vacancies\nd1,1,1000000000\nd2,1,1\n")
+    argv = [a.format(roster=files["roster3"]) for a in flags]
+    with time_limit(5):
+        code, out, err = run_cli(capsys, "run", str(bad), "--scheme", files["scheme"], *argv)
+    _assert_one_line_error(code, out, err, "over 100,000 vacancies", start=f"error: {bad}:2:")
+
+
 def _assert_one_line_error(code, out, err, needle, start="error: --height"):
     assert code == 2
     assert out == ""

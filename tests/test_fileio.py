@@ -72,6 +72,24 @@ def test_parse_scheme_errors_carry_path_and_line(tmp_path):
         parse_scheme_file(bad_sum)
 
 
+@pytest.mark.parametrize("text", ["1e-99999999", "1E+99999999", "0.1e1_000", "0." + "1" * 101])
+def test_parse_scheme_rejects_oversized_decimals_fast(tmp_path, text):
+    """A decimal's exact value is built, so its digits and exponent are capped."""
+    path = _write(tmp_path, "s.csv", f"category,numerator,denominator\nc1,{text},\nc2,1/2,\n")
+    with time_limit(5):
+        with pytest.raises(ParseError, match="exponent over 100") as err:
+            parse_scheme_file(path)
+    assert err.value.line == 2
+
+
+def test_parse_rational_reads_decimals_up_to_the_limit():
+    assert parse_rational("1e-100") == F(1, 10**100)
+    assert parse_rational("2.5E+1_0") == 25 * 10**9
+    assert parse_rational("0." + "3" * 99) == F(int("3" * 99), 10**99)
+    with pytest.raises(ValueError, match="more than 100 digits"):
+        parse_rational("1e101")
+
+
 def test_parse_scheme_rejects_wrong_header(tmp_path):
     path = _write(tmp_path, "s.csv", "name,share\nc1,0.5\n")
     with pytest.raises(ParseError, match="header"):
@@ -128,6 +146,19 @@ def test_huge_period_gap_fails_fast(tmp_path, third_scheme):
     with time_limit(5):
         with pytest.raises(ParseError, match=r"missing \[2, 3, 4, 5, 6\] and 999999999993 more"):
             parse_problem_file(path, third_scheme)
+
+
+def test_parse_problem_caps_each_departments_vacancies(tmp_path, third_scheme):
+    """Cumulative vacancies over 100,000 would make a roster that long."""
+    path = _write(
+        tmp_path, "p.csv",
+        "department,period,vacancies\nd1,1,60000\nd2,1,1000\nd1,2,40000\nd1,3,1\nd2,2,1\nd2,3,1\n",
+    )
+    with pytest.raises(ParseError, match="'d1' has over 100,000 vacancies") as err:
+        parse_problem_file(path, third_scheme)
+    assert err.value.line == 5
+    at_limit = _write(tmp_path, "q.csv", "department,period,vacancies\nd1,1,60000\nd2,1,1\nd1,2,40000\n")
+    assert parse_problem_file(at_limit, third_scheme).cumulative_vacancies(2) == (100000, 1)
 
 
 def test_parse_problem_rejects_duplicates_and_negatives(tmp_path, third_scheme):
