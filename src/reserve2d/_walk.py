@@ -175,8 +175,9 @@ class Walk:
         return push
 
 
-def observed(record, pre, cycle, build, walk: Walk, push: Push):
-    """The step ``push`` that took ``pre`` to ``walk`` as a ``record``.
+def observed(record, pre, cycle, build, walk: Walk, push: Push, on_step):
+    """Show ``on_step`` the step ``push`` that took ``pre`` to ``walk`` as a
+    ``record``; returns the step's result.
 
     ``build`` turns scaled flows into a state like ``pre``; both branches
     are built, so this is for observers only.
@@ -188,11 +189,13 @@ def observed(record, pre, cycle, build, walk: Walk, push: Push):
 
     raised, lowered = branch(push.d_plus), branch(-push.d_minus)
     scale = walk.scale
-    return record(
+    step = record(
         pre, cycle, Fraction(push.d_plus, scale), Fraction(push.d_minus, scale),
         Fraction(push.num, push.den), raised, lowered, record.BRANCHES[not push.take],
         raised if push.take else lowered,
     )
+    on_step(step)
+    return step.result
 
 
 def check_step(step, raised, lowered, values) -> None:

@@ -274,15 +274,17 @@ def tail_diagnostic(
                          "the tail bounds need a positive total")
     cumulative = problem.cumulative_vacancies(t)
     master = SplitStream(seed)
-    deviations = []
-    for r in range(replications):
-        own = _lottery(problem.scheme, cumulative, master.child(r), height)
-        deviations.append(sum(p.count(cat) for p in own) - x)
+    totals = Counter(
+        sum(p.count(cat) for p in _lottery(problem.scheme, cumulative, master.child(r), height))
+        for r in range(replications)
+    )
     upper = tuple(
-        Fraction(sum(1 for d in deviations if d >= b), replications) for b in grid
+        Fraction(sum(c for total, c in totals.items() if total - x >= b), replications)
+        for b in grid
     )
     lower = tuple(
-        Fraction(sum(1 for d in deviations if d <= -b), replications) for b in grid
+        Fraction(sum(c for total, c in totals.items() if total - x <= -b), replications)
+        for b in grid
     )
     upper_bound = tuple(exp(-float(b * b / (3 * x))) for b in grid)
     lower_bound = tuple(exp(-float(b * b / (2 * x))) for b in grid)

@@ -259,7 +259,13 @@ def _cmd_round(args) -> int:
 # --- roster ---------------------------------------------------------------
 
 
+# Most positions ``roster --length`` may ask for; the roster is held in memory.
+_LENGTH_LIMIT = 1_000_000
+
+
 def _cmd_roster(args) -> int:
+    if args.length > _LENGTH_LIMIT:
+        raise FlagError(f"--length {args.length}: a roster may have at most {_LENGTH_LIMIT:,} positions")
     scheme = parse_scheme_file(args.scheme)
     _check_height(scheme, args.height)
     roster = draw_roster(

@@ -22,6 +22,11 @@ to the sink.  The dependent-rounding walk of :mod:`reserve2d._walk` turns
 these flows into an integral flow, i.e. a block, keeping every edge's
 expectation.
 
+The sampler numbers the vertices arithmetically and builds the edges and
+their flows, scaled to integers, directly.  Tuple vertices and ``Fraction``
+flows exist only at the API edge: :class:`FlowNetwork`, the functions that
+take one, and the steps an observer is shown.
+
 Rosters longer than one block either concatenate independent block draws
 (the default) or tile a single draw (``repeat-block``).
 """
@@ -30,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
-from ._walk import Graph, Push, Walk, check_step, observed, scaled
+from ._walk import Graph, Walk, check_step, observed, scaled
 from .core import ReservationScheme, Roster
 
 __all__ = [
@@ -147,59 +152,32 @@ class FlowEdge:
     upper: int
 
 
-@lru_cache(maxsize=64)
-def _vertex_orders(height: int, n: int) -> dict:
-    """Canonical vertex enumeration used for deterministic tie-breaking."""
-    seq: list[Vertex] = [source_vertex()]
-    for j in range(n):
-        for depth in range(height, 1, -1):
-            seq.append(prefix_vertex(depth, j))
-    for i in range(height):
-        for j in range(n):
-            seq.append(cell_vertex(i, j))
-    for i in range(height):
-        seq.append(row_vertex(i))
-    seq.append(sink_vertex())
-    return {v: pos for pos, v in enumerate(seq)}
+def _scheme_network(table: SchemeTable) -> tuple[int, list[tuple[int, int]], int, list[int]]:
+    """Vertex count, edges, scale L and initial flows times L of ``table``'s network.
 
-
-@lru_cache(maxsize=64)
-def _edge_skeleton(height: int, n: int) -> tuple[tuple[Vertex, Vertex], ...]:
-    """Edge list for a height x n network, sorted by vertex order."""
-    order = _vertex_orders(height, n)
-    pairs: list[tuple[Vertex, Vertex]] = []
-    for j in range(n):
-        pairs.append((source_vertex(), prefix_vertex(height, j)))
-        for depth in range(height, 2, -1):
-            pairs.append((prefix_vertex(depth, j), prefix_vertex(depth - 1, j)))
-        for depth in range(height, 1, -1):
-            pairs.append((prefix_vertex(depth, j), cell_vertex(depth - 1, j)))
-        pairs.append((prefix_vertex(2, j), cell_vertex(0, j)))
-    for i in range(height):
-        for j in range(n):
-            pairs.append((cell_vertex(i, j), row_vertex(i)))
-    for i in range(height):
-        pairs.append((row_vertex(i), sink_vertex()))
-    pairs.sort(key=lambda e: (order[e[0]], order[e[1]]))
-    return tuple(pairs)
-
-
-@lru_cache(maxsize=64)
-def _graph(height: int, n: int) -> Graph:
-    """The network as an integer graph, vertices numbered in canonical order."""
-    order = _vertex_orders(height, n)
-    return Graph(len(order), [(order[t], order[h]) for t, h in _edge_skeleton(height, n)])
-
-
-def _initial_flow(table: SchemeTable, tail: Vertex, head: Vertex) -> Fraction:
-    alphas = table.scheme.fractions
-    if head[0] == "prefix":  # the first l cells of column j carry l*a_j
-        return head[1] * alphas[head[2]]
-    if head[0] == "cell":
-        return alphas[head[2]]
-    if tail[0] == "cell":
-        return alphas[tail[2]]
-    return Fraction(1)  # row -> sink
+    Vertices are numbered source 0, prefix (j, depth) for each column j with
+    depth falling from k to 2, cell (i, j) row-major, row i, sink, and the
+    edges are listed by (tail, head) number.  That order fixes the walk's
+    cycle rule, hence every draw.  L is the lcm of the scheme denominators.
+    """
+    k, n = table.height, table.scheme.size
+    scale = minimal_height(table.scheme)
+    shares = [int(scale * a) for a in table.scheme.fractions]
+    cell = 1 + n * (k - 1)
+    row = cell + k * n
+    edges = [(0, 1 + j * (k - 1)) for j in range(n)]
+    flows = [k * s for s in shares]  # the first l cells of column j carry l*a_j
+    for j, s in enumerate(shares):
+        for depth in range(k, 1, -1):
+            prefix = 1 + j * (k - 1) + k - depth
+            inner = prefix + 1 if depth > 2 else cell + j  # the next prefix, or cell (0, j)
+            edges += [(prefix, inner), (prefix, cell + (depth - 1) * n + j)]
+            flows += [(depth - 1) * s, s]
+    edges += [(cell + c, row + c // n) for c in range(k * n)]
+    flows += shares * k
+    edges += [(row + i, row + k) for i in range(k)]
+    flows += [scale] * k
+    return row + k + 1, edges, scale, flows
 
 
 @dataclass(frozen=True)
@@ -243,18 +221,24 @@ class FlowNetwork:
 
 def build_flow_network(table: SchemeTable) -> FlowNetwork:
     """Flow network of ``table`` with every edge at its constraint's sum."""
-    edges = []
-    for tail, head in _edge_skeleton(table.height, table.scheme.size):
-        flow = _initial_flow(table, tail, head)
-        lower = flow.numerator // flow.denominator
-        upper = lower if flow.denominator == 1 else lower + 1
-        edges.append(FlowEdge(tail, head, flow, lower, upper))
-    return FlowNetwork(table, tuple(edges))
+    k, n = table.height, table.scheme.size
+    names = [  # the tuple of each vertex number
+        source_vertex(),
+        *(prefix_vertex(depth, j) for j in range(n) for depth in range(k, 1, -1)),
+        *(cell_vertex(i, j) for i in range(k) for j in range(n)),
+        *(row_vertex(i) for i in range(k)),
+        sink_vertex(),
+    ]
+    _, edges, scale, flows = _scheme_network(table)
+    return FlowNetwork(table, tuple(
+        FlowEdge(names[tail], names[head], Fraction(f, scale), f // scale, -(-f // scale))
+        for (tail, head), f in zip(edges, flows)
+    ))
 
 
 def _walk(network: FlowNetwork) -> Walk:
-    graph = _graph(network.table.height, network.table.scheme.size)
-    return Walk(graph, *scaled(e.flow for e in network.edges))
+    vertices, edges, _, _ = _scheme_network(network.table)
+    return Walk(Graph(vertices, edges), *scaled(e.flow for e in network.edges))
 
 
 def _network_at(network: FlowNetwork, scale: int, flows) -> FlowNetwork:
@@ -283,10 +267,10 @@ def _coerce_cycle(
     network: FlowNetwork, cycle: Sequence
 ) -> tuple[tuple[int, int], ...]:
     """Validate a caller-supplied cycle; accept vertex paths or (edge, dir) pairs."""
-    skeleton = _edge_skeleton(network.table.height, network.table.scheme.size)
+    edges = network.edges
     if cycle and isinstance(cycle[0], tuple) and isinstance(cycle[0][0], str):
         # A closed vertex path; translate consecutive vertex pairs to edges.
-        index = {(t, h): i for i, (t, h) in enumerate(skeleton)}
+        index = {(e.tail, e.head): i for i, e in enumerate(edges)}
         vertices = list(cycle)
         out = []
         for a, b in zip(vertices, vertices[1:] + vertices[:1]):
@@ -303,16 +287,14 @@ def _coerce_cycle(
     for (e, d), (e2, d2) in zip(cycle, cycle[1:] + cycle[:1]):
         if d not in (+1, -1):
             raise ValueError(f"direction must be +1 or -1, got {d}")
-        tail, head = skeleton[e]
-        reached = head if d == +1 else tail
-        t2, h2 = skeleton[e2]
-        departed = t2 if d2 == +1 else h2
-        if reached != departed:
+        this, following = edges[e], edges[e2]
+        if (this.head if d == +1 else this.tail) != (following.tail if d2 == +1 else following.head):
             raise ValueError(
-                f"cycle breaks between edges {skeleton[e]} and {skeleton[e2]}"
+                f"cycle breaks between edges {(this.tail, this.head)} and "
+                f"{(following.tail, following.head)}"
             )
-        if network.edges[e].flow.denominator == 1:
-            raise ValueError(f"edge {tail}->{head} is integral; cycles must be fractional")
+        if this.flow.denominator == 1:
+            raise ValueError(f"edge {this.tail}->{this.head} is integral; cycles must be fractional")
     return cycle
 
 
@@ -344,14 +326,6 @@ class FlowStep:
         ))
 
 
-def _observe(network: FlowNetwork, walk: Walk, push: Push, on_step) -> FlowNetwork:
-    """Show ``on_step`` the step from ``network``; returns the step's result."""
-    step = observed(FlowStep, network, tuple(push.cycle),
-                    lambda flows: _network_at(network, walk.scale, flows), walk, push)
-    on_step(step)
-    return step.result
-
-
 def decompose_flow_once(
     network: FlowNetwork,
     rng,
@@ -370,9 +344,10 @@ def decompose_flow_once(
     push = walk.step(rng, None if cycle is None else _coerce_cycle(network, cycle))
     if push is None:
         raise ValueError("network is already integral; nothing to decompose")
+    build = partial(_network_at, network, walk.scale)
     if on_step is None:
-        return _network_at(network, walk.scale, walk.flows)
-    return _observe(network, walk, push, on_step)
+        return build(walk.flows)
+    return observed(FlowStep, network, tuple(push.cycle), build, walk, push, on_step)
 
 
 @dataclass(frozen=True)
@@ -440,10 +415,11 @@ class _BlockSampler:
 
     def __init__(self, table: SchemeTable):
         self.table = table
-        self.network = build_flow_network(table)
-        self.start = _walk(self.network)
-        # Cell edges, in edge order, run over the cells row by row.
-        self.cells = [e for e, edge in enumerate(self.network.edges) if edge.tail[0] == "cell"]
+        vertices, edges, scale, flows = _scheme_network(table)
+        self.start = Walk(Graph(vertices, edges), scale, flows)
+        # The cell edges run over the cells row by row, just before the row edges.
+        k = table.height
+        self.cells = slice(len(edges) - k - k * table.scheme.size, len(edges) - k)
         self.root: list = [None]  # the tree hangs from slot 0
         self.nodes = 0
 
@@ -455,40 +431,31 @@ class _BlockSampler:
         self.nodes += 1
         return node
 
-    def draw(self, rng, on_step: Optional[Callable[[FlowStep], None]] = None) -> IntegralBlock:
-        """One block; an observed draw walks afresh and records nothing."""
-        holder, slot, takes = None if on_step is not None else self.root, 0, []
-        while holder is not None and type(holder[slot]) is list:
+    def draw(self, rng) -> IntegralBlock:
+        holder, slot, takes = self.root, 0, []
+        while type(holder[slot]) is list:
             node = holder[slot]
             takes.append(rng.randrange(node[1]) < node[0])
             holder, slot = node, 2 if takes[-1] else 3
-        if holder is not None and holder[slot] is not None:
+        if holder[slot] is not None:
             return holder[slot]
         walk = Walk(self.start.graph, self.start.scale, self.start.flows)
         for take in takes:
             walk.step(None, take=take)
-        network = self.network  # observed draws start at the root
         while (push := walk.step(rng)) is not None:
-            if on_step is not None:
-                network = _observe(network, walk, push, on_step)
             node = [push.num, push.den, None, None]
             holder, slot = self._attach(holder, slot, node), 2 if push.take else 3
-        cells, n = [walk.flows[e] // walk.scale for e in self.cells], self.table.scheme.size
+        cells, n = [f // walk.scale for f in walk.flows[self.cells]], self.table.scheme.size
         rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
         block = IntegralBlock(self.table.scheme, self.table.height, rows)
         self._attach(holder, slot, block)
         return block
 
 
-_SAMPLERS: dict[tuple[ReservationScheme, int], _BlockSampler] = {}
-
-
+@lru_cache(maxsize=4)
 def _sampler(scheme: ReservationScheme, height: int) -> _BlockSampler:
-    key = (scheme, height)
-    sampler = _SAMPLERS.get(key)
-    if sampler is None:
-        sampler = _SAMPLERS[key] = _BlockSampler(build_scheme_table(scheme, height))
-    return sampler
+    """The block sampler of a scheme table; a few are kept, so memory stays bounded."""
+    return _BlockSampler(build_scheme_table(scheme, height))
 
 
 def draw_block(
@@ -498,8 +465,18 @@ def draw_block(
     *,
     on_step: Optional[Callable[[FlowStep], None]] = None,
 ) -> IntegralBlock:
-    """Draw one integral block; every cell's expectation is its fraction."""
-    return _sampler(scheme, build_scheme_table(scheme, height).height).draw(rng, on_step)
+    """Draw one integral block; every cell's expectation is its fraction.
+
+    An observed draw steps the table's :class:`FlowNetwork` with
+    :func:`decompose_flow_once`, which draws what the sampler would.
+    """
+    table = build_scheme_table(scheme, height)
+    if on_step is None:
+        return _sampler(scheme, table.height).draw(rng)
+    network = build_flow_network(table)
+    while not network.is_integral:
+        network = decompose_flow_once(network, rng, on_step=on_step)
+    return IntegralBlock.from_network(network)
 
 
 def _draw_positions(

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
-from ._walk import Graph, Push, Walk, check_step, observed, scaled
+from ._walk import Graph, Walk, check_step, observed, scaled
 from .core import FairShareTable, ReservationTable
 
 __all__ = [
@@ -183,15 +183,6 @@ def _table_at(source: FairShareTable, n: int, scale: int, flows) -> ExtendedTabl
     )
 
 
-def _observe(table: ExtendedTable, walk: Walk, push: Push, on_step) -> ExtendedTable:
-    """Show ``on_step`` the step from ``table``; returns the step's result."""
-    n = len(table.entries[0])
-    step = observed(DecompositionStep, table, _cells(push.cycle, n),
-                    lambda flows: _table_at(table.source, n, walk.scale, flows), walk, push)
-    on_step(step)
-    return step.result
-
-
 def decompose_once(
     table: ExtendedTable,
     cycle: Optional[FractionCycle],
@@ -218,9 +209,10 @@ def decompose_once(
     push = walk.step(rng, edges)
     if push is None:
         raise ValueError("table is already integral; nothing to decompose")
+    build = partial(_table_at, table.source, n, walk.scale)
     if on_step is None:
-        return _table_at(table.source, n, walk.scale, walk.flows)
-    return _observe(table, walk, push, on_step)
+        return build(walk.flows)
+    return observed(DecompositionStep, table, _cells(push.cycle, n), build, walk, push, on_step)
 
 
 def controlled_round(
@@ -238,10 +230,11 @@ def controlled_round(
     """
     table = extend_table(fair)
     walk = _walk(table)
+    n = len(fair.categories)
+    build = partial(_table_at, fair, n, walk.scale)
     while (push := walk.step(rng)) is not None:
         if on_step is not None:
-            table = _observe(table, walk, push, on_step)
-    n = len(fair.categories)
+            table = observed(DecompositionStep, table, _cells(push.cycle, n), build, walk, push, on_step)
     rows = (
         tuple(f // walk.scale for f in walk.flows[i:i + n])
         for i in range(0, len(walk.flows) - n, n)  # the synthetic row is dropped

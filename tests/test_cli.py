@@ -147,6 +147,16 @@ def test_roster_bad_height_exits_two(capsys, files):
     _assert_one_line_error(code, out, err, "smallest valid height is 3")
 
 
+def test_roster_length_past_the_limit_exits_two(capsys, files):
+    with time_limit(5):
+        code, out, err = run_cli(
+            capsys, "roster", files["scheme"], "--length", "1000000000000", "--seed", "1",
+        )
+    _assert_one_line_error(code, out, err, "at most 1,000,000 positions", start="error: --length")
+    code, out, _ = run_cli(capsys, "roster", files["scheme"], "--length", "1000000", "--seed", "1")
+    assert code == 0 and out.count("\n") == 1_000_001
+
+
 def test_run_proposed_bad_height_exits_two(capsys, files):
     code, out, err = run_cli(
         capsys, "run", files["problem"], "--scheme", files["scheme"],

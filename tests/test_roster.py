@@ -19,6 +19,7 @@ from reserve2d import (
     minimal_height,
 )
 from reserve2d import roster
+from reserve2d._walk import scaled
 from reserve2d.roster import (
     cell_vertex,
     prefix_vertex,
@@ -30,6 +31,11 @@ from reserve2d.roster import (
 from conftest import ForcedRng, time_limit
 
 F = Fraction
+
+FIVE = ReservationScheme(
+    ("s", "t", "o", "e", "g"),
+    (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200)),
+)
 
 
 def _flow(network, tail, head):
@@ -126,6 +132,70 @@ def test_network_validates_bounds(third_scheme):
     edges[0] = replace(edges[0], upper=edges[0].lower + 2)
     with pytest.raises(ValueError, match="width"):
         FlowNetwork(net.table, tuple(edges))
+
+
+def _tuple_sorted_network(table):
+    """The reference construction: tuple vertices in canonical order, edges
+    sorted by that order, and ``Fraction`` flows at each constraint's sum.
+    Returns the vertex count, the numbered edges, the scaled flows, the
+    tuple edges and the ``Fraction`` flows."""
+    k, alphas = table.height, table.scheme.fractions
+    n = len(alphas)
+    seq = [source_vertex()]
+    for j in range(n):
+        for depth in range(k, 1, -1):
+            seq.append(prefix_vertex(depth, j))
+    for i in range(k):
+        for j in range(n):
+            seq.append(cell_vertex(i, j))
+    for i in range(k):
+        seq.append(row_vertex(i))
+    seq.append(sink_vertex())
+    order = {v: pos for pos, v in enumerate(seq)}
+    pairs = []
+    for j in range(n):
+        pairs.append((source_vertex(), prefix_vertex(k, j)))
+        for depth in range(k, 2, -1):
+            pairs.append((prefix_vertex(depth, j), prefix_vertex(depth - 1, j)))
+        for depth in range(k, 1, -1):
+            pairs.append((prefix_vertex(depth, j), cell_vertex(depth - 1, j)))
+        pairs.append((prefix_vertex(2, j), cell_vertex(0, j)))
+    for i in range(k):
+        for j in range(n):
+            pairs.append((cell_vertex(i, j), row_vertex(i)))
+    for i in range(k):
+        pairs.append((row_vertex(i), sink_vertex()))
+    pairs.sort(key=lambda e: (order[e[0]], order[e[1]]))
+
+    def initial(tail, head):
+        if head[0] == "prefix":  # the first l cells of column j carry l*a_j
+            return head[1] * alphas[head[2]]
+        if head[0] == "cell":
+            return alphas[head[2]]
+        if tail[0] == "cell":
+            return alphas[tail[2]]
+        return F(1)  # row -> sink
+
+    fractions = [initial(t, h) for t, h in pairs]
+    scale, flows = scaled(fractions)
+    numbered = [(order[t], order[h]) for t, h in pairs]
+    return len(seq), numbered, scale, flows, pairs, fractions
+
+
+def test_numbered_network_equals_the_tuple_sorted_one(third_scheme, quarters_scheme):
+    """The integer edges and scaled flows equal the tuple-sorted network's
+    index for index: the edge order fixes the cycle rule, hence every draw."""
+    for scheme, heights in (
+        (third_scheme, (3, 6, 30, 99)), (quarters_scheme, (4, 8, 40)), (FIVE, (200, 400))
+    ):
+        for k in heights:
+            table = build_scheme_table(scheme, k)
+            vertices, edges, scale, flows, pairs, fractions = _tuple_sorted_network(table)
+            assert roster._scheme_network(table) == (vertices, edges, scale, flows), k
+            network = build_flow_network(table)
+            assert [(e.tail, e.head, e.flow) for e in network.edges] == [
+                (t, h, f) for (t, h), f in zip(pairs, fractions)
+            ], k
 
 
 # ---------------------------------------------------------------- cycles
@@ -312,6 +382,29 @@ def test_sampler_tree_past_its_node_cap_draws_like_an_uncapped_one(
             pending += [child for child in (forward, backward) if child is not None]
         else:
             assert isinstance(node, IntegralBlock)
+
+
+def test_sampler_cache_stays_bounded_and_evicted_samplers_draw_alike():
+    """Drawing from more schemes than the sampler cache holds never grows it
+    past its size, and a scheme drawn again after eviction gives the same
+    blocks for the same draws."""
+
+    def draws(scheme):
+        out = []
+        for seed in range(8):
+            rng = SplitStream(seed)
+            out.append((draw_block(scheme, None, rng), rng._n))
+        return out
+
+    size = roster._sampler.cache_info().maxsize
+    schemes = [ReservationScheme(("c1", "c2"), (F(1, d), F(d - 1, d))) for d in range(2, 2 * size + 4)]
+    before = draws(schemes[0])
+    for scheme in schemes[1:]:
+        draws(scheme)
+        assert roster._sampler.cache_info().currsize <= size
+    misses = roster._sampler.cache_info().misses
+    assert draws(schemes[0]) == before
+    assert roster._sampler.cache_info().misses == misses + 1, "the first sampler was not evicted"
 
 
 def test_block_validation():
