@@ -34,6 +34,7 @@ from .core import (
     SolutionTrace,
     QuotaViolation,
     _as_fraction,
+    _grid,
     build_fair_share_table,
     within_department_quota,
     within_university_quota,
@@ -189,15 +190,12 @@ def _lattice_counts(scheme: ReservationScheme, traces: Iterable[SolutionTrace]) 
     counts: dict[tuple[int, str], Counter] = {}
     for trace in traces:
         for t, (_, reserved) in enumerate(trace.periods, start=1):
-            counts.setdefault((t, "department"), Counter()).update(
-                z * scale - a * q
-                for row, q in zip(reserved.entries, reserved.row_totals)
-                for z, a in zip(row, scaled)
-            )
-            q = reserved.grand_total
-            counts.setdefault((t, "university"), Counter()).update(
-                z * scale - a * q for z, a in zip(reserved.column_totals, scaled)
-            )
+            lines = _grid(reserved)
+            for scope, part in (("department", lines[:-1]), ("university", lines[-1:])):
+                # Each line ends in its total, which the zip with ``scaled`` leaves out.
+                counts.setdefault((t, scope), Counter()).update(
+                    z * scale - a * line[-1] for line in part for z, a in zip(line, scaled)
+                )
     return scale, counts
 
 

@@ -18,10 +18,10 @@ roster).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import cycle, islice
 from typing import Optional, Sequence, Union
 
 from . import __version__
@@ -33,6 +33,7 @@ from .core import (
     ReservationProblem,
     ReservationTable,
     Roster,
+    _grid,
     bias_of,
     build_fair_share_table,
 )
@@ -162,24 +163,14 @@ def _period_dict(t: int, fair: FairShareTable, reserved: ReservationTable) -> di
 
 
 def _table_rows(period, fair, res, bias) -> list[list]:
-    """Long-format CSV rows for one period's tables."""
+    """Long-format CSV rows for one period's tables, margins included."""
     rows = []
-    depts, cats = fair.departments, fair.categories
-    for i, d in enumerate(depts):
-        for j, c in enumerate(cats):
-            rows.append([period, "fair", d, c, float(fair.entries[i][j])])
-            rows.append([period, "reservation", d, c, res.entries[i][j]])
-            rows.append([period, "bias", d, c, float(bias.entries[i][j])])
-        rows.append([period, "fair", d, _TOTAL, float(fair.row_totals[i])])
-        rows.append([period, "reservation", d, _TOTAL, res.row_totals[i]])
-        rows.append([period, "bias", d, _TOTAL, float(bias.entries[i][-1])])
-    for j, c in enumerate(cats):
-        rows.append([period, "fair", _TOTAL, c, float(fair.column_totals[j])])
-        rows.append([period, "reservation", _TOTAL, c, res.column_totals[j]])
-        rows.append([period, "bias", _TOTAL, c, float(bias.entries[-1][j])])
-    rows.append([period, "fair", _TOTAL, _TOTAL, float(fair.grand_total)])
-    rows.append([period, "reservation", _TOTAL, _TOTAL, res.grand_total])
-    rows.append([period, "bias", _TOTAL, _TOTAL, float(bias.entries[-1][-1])])
+    depts, cats = (*fair.departments, _TOTAL), (*fair.categories, _TOTAL)
+    for d, fair_row, res_row, bias_row in zip(depts, _grid(fair), _grid(res), bias.entries):
+        for c, x, z, b in zip(cats, fair_row, res_row, bias_row):
+            rows.append([period, "fair", d, c, float(x)])
+            rows.append([period, "reservation", d, c, z])
+            rows.append([period, "bias", d, c, float(b)])
     return rows
 
 
@@ -217,15 +208,7 @@ def _load_problem(args) -> ReservationProblem:
 def _cycled_roster(roster: Roster, needed: int) -> Roster:
     if len(roster) >= needed:
         return roster
-    assignment = tuple(
-        itertools.islice(itertools.cycle(roster.assignment), needed)
-    )
-    return Roster(
-        categories=roster.categories,
-        assignment=assignment,
-        block_length=roster.block_length,
-        extension_policy=roster.extension_policy,
-    )
+    return replace(roster, assignment=tuple(islice(cycle(roster.assignment), needed)))
 
 
 def _order_of(problem: ReservationProblem, name: str) -> tuple[str, ...]:

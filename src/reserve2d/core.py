@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -133,6 +132,7 @@ class ReservationProblem:
         rows = tuple(tuple(q) for q in vacancies)
         if not rows:
             raise ValueError("need at least one period of vacancies")
+        cumulative = [(0,) * len(departments)]  # Q^0, then Q^t after each period t
         for t, row in enumerate(rows, start=1):
             if len(row) != len(departments):
                 raise ValueError(
@@ -145,9 +145,13 @@ class ReservationProblem:
                         f"period {t}, department {dept!r}: vacancies must be "
                         f"nonnegative integers, got {q!r}"
                     )
+            cumulative.append(tuple(s + q for s, q in zip(cumulative[-1], row)))
         object.__setattr__(self, "departments", departments)
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "vacancies", rows)
+        # Derived once; not fields, so equality, hashing and repr ignore them.
+        object.__setattr__(self, "_cumulative", tuple(cumulative[1:]))
+        object.__setattr__(self, "_fair", {})  # period -> its FairShareTable
 
     @property
     def periods(self) -> int:
@@ -162,10 +166,13 @@ class ReservationProblem:
     def cumulative_vacancies(self, t: int) -> tuple[int, ...]:
         """Q_i^t for every department, through period ``t``."""
         self.check_period(t)
-        return tuple(
-            sum(self.vacancies[s][i] for s in range(t))
-            for i in range(len(self.departments))
-        )
+        return self._cumulative[t - 1]
+
+
+def _grid(table) -> tuple[tuple, ...]:
+    """Entry rows with their totals, then column totals and grand total: BiasTable's layout."""
+    rows = tuple((*row, q) for row, q in zip(table.entries, table.row_totals))
+    return rows + ((*table.column_totals, table.grand_total),)
 
 
 def _check_grid(entries, m, n, what):
@@ -340,25 +347,20 @@ class QuotaViolation:
 
 
 def build_fair_share_table(problem: ReservationProblem, t: int) -> FairShareTable:
-    """Fair share table of ``problem`` at period ``t`` (1-based)."""
-    problem.check_period(t)
-    return _build_fair_share_cached(problem, t)
-
-
-@lru_cache(maxsize=512)
-def _build_fair_share_cached(problem: ReservationProblem, t: int) -> FairShareTable:
-    q = problem.cumulative_vacancies(t)
-    alphas = problem.scheme.fractions
-    entries = tuple(tuple(a * qi for a in alphas) for qi in q)
-    total = sum(q)
-    return FairShareTable(
-        departments=problem.departments,
-        categories=problem.scheme.categories,
-        entries=entries,
-        row_totals=q,
-        column_totals=tuple(a * total for a in alphas),
-        grand_total=total,
-    )
+    """Fair share table of ``problem`` at period ``t`` (1-based), built once per problem."""
+    if t not in problem._fair:
+        q = problem.cumulative_vacancies(t)
+        alphas = problem.scheme.fractions
+        total = sum(q)
+        problem._fair[t] = FairShareTable(
+            departments=problem.departments,
+            categories=problem.scheme.categories,
+            entries=tuple(tuple(a * qi for a in alphas) for qi in q),
+            row_totals=q,
+            column_totals=tuple(a * total for a in alphas),
+            grand_total=total,
+        )
+    return problem._fair[t]
 
 
 def _admissible(reserved: int, fair: Fraction) -> bool:
@@ -402,23 +404,11 @@ def within_university_quota(
 def bias_of(reserved: ReservationTable, fair: FairShareTable) -> BiasTable:
     """Reservation minus fair share, entrywise with margins."""
     _check_alignment(reserved, fair)
-    m, n = len(fair.departments), len(fair.categories)
-    rows = []
-    for i in range(m):
-        rows.append(
-            tuple(
-                Fraction(reserved.entries[i][j]) - fair.entries[i][j] for j in range(n)
-            )
-            + (Fraction(reserved.row_totals[i] - fair.row_totals[i]),)
-        )
-    rows.append(
-        tuple(
-            Fraction(reserved.column_totals[j]) - fair.column_totals[j]
-            for j in range(n)
-        )
-        + (Fraction(reserved.grand_total - fair.grand_total),)
+    rows = tuple(
+        tuple(Fraction(z) - x for z, x in zip(z_row, x_row))
+        for z_row, x_row in zip(_grid(reserved), _grid(fair))
     )
-    return BiasTable(fair.departments, fair.categories, tuple(rows))
+    return BiasTable(fair.departments, fair.categories, rows)
 
 
 @dataclass(frozen=True)

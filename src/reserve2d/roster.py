@@ -452,9 +452,9 @@ class _BlockSampler:
         return block
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _sampler(scheme: ReservationScheme, height: int) -> _BlockSampler:
-    """The block sampler of a scheme table; a few are kept, so memory stays bounded."""
+    """The block sampler of a scheme table; only the last is kept (one can hold 50 MB)."""
     return _BlockSampler(build_scheme_table(scheme, height))
 
 
@@ -468,7 +468,9 @@ def draw_block(
     """Draw one integral block; every cell's expectation is its fraction.
 
     An observed draw steps the table's :class:`FlowNetwork` with
-    :func:`decompose_flow_once`, which draws what the sampler would.
+    :func:`decompose_flow_once`, which draws what the sampler would.  Every
+    step shows both branches as validated ``Fraction`` networks, so observe
+    small tables: a five-category height-200 draw takes over a minute.
     """
     table = build_scheme_table(scheme, height)
     if on_step is None:

@@ -50,9 +50,8 @@ class RosterLengthError(ValueError):
 
 def _positions_needed(problem: ReservationProblem, kind: str) -> int:
     """Roster positions a government or court run reads."""
-    if kind == "government":
-        return sum(map(sum, problem.vacancies))
-    return max(problem.cumulative_vacancies(problem.periods))
+    final = problem.cumulative_vacancies(problem.periods)
+    return sum(final) if kind == "government" else max(final)
 
 
 def _check_roster(problem: ReservationProblem, roster: Roster, kind: str) -> None:

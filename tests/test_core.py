@@ -134,7 +134,8 @@ fractions_strategy = st.integers(2, 5).flatmap(
 )
 @settings(max_examples=60, deadline=None)
 def test_fair_share_additivity_property(weights, vacancies):
-    """Margins are exact identities for arbitrary rational schemes."""
+    """Margins are exact identities for arbitrary rational schemes; the
+    cumulative rows are the vacancy prefix sums and each table is built once."""
     _, parts = weights
     total = sum(parts)
     scheme = ReservationScheme(
@@ -149,9 +150,11 @@ def test_fair_share_additivity_property(weights, vacancies):
     )
     for t in range(1, problem.periods + 1):
         x = build_fair_share_table(problem, t)
+        assert build_fair_share_table(problem, t) is x
         assert all(sum(row) == q for row, q in zip(x.entries, x.row_totals))
         assert sum(x.column_totals) == x.grand_total
         q = problem.cumulative_vacancies(t)
+        assert q == tuple(map(sum, zip(*problem.vacancies[:t])))
         for i, row in enumerate(x.entries):
             for j, a in enumerate(scheme.fractions):
                 assert row[j] == a * q[i]
