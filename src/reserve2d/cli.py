@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
+from functools import lru_cache
 from itertools import cycle, islice
 from typing import Optional, Sequence, Union
 
@@ -416,6 +417,7 @@ def _cmd_compare(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)  # parsing leaves the parser as it was, and its prog is fixed
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reserve2d",

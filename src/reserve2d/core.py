@@ -185,6 +185,11 @@ def _check_grid(entries, m, n, what):
 
 def _check_margins(table) -> None:
     """Row sums, column sums and the grand total of a labelled table."""
+    for totals, labels, what in (
+        (table.row_totals, table.departments, "row"), (table.column_totals, table.categories, "column")
+    ):
+        if len(totals) != len(labels):
+            raise ValueError(f"expected {len(labels)} {what} totals, got {len(totals)}")
     for i, dept in enumerate(table.departments):
         if sum(table.entries[i]) != table.row_totals[i]:
             raise ValueError(

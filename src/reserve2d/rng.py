@@ -24,12 +24,15 @@ ALGORITHM = "splitmix64-tree/v1"
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 sequence increment
+# The multipliers of splitmix64's output function (Stafford variant 13).
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
-    # splitmix64 output function (Stafford variant 13).
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    # splitmix64 output function; the u64 with index n is _mix64(key + n * _GAMMA).
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
 
 

@@ -41,6 +41,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from ._walk import Graph, Walk, check_step, observed, scaled
 from .core import ReservationScheme, Roster
+from .rng import _GAMMA, _MASK64, _MIX1, _MIX2, SplitStream
 
 __all__ = [
     "SchemeTable",
@@ -409,6 +410,7 @@ class _BlockSampler:
     the walk would.  Only when it reaches a missing child does it rebuild
     the walk state, by replaying the choices made so far, and walk on,
     adding nodes while the tree holds fewer than ``_NODE_CAP``.
+    :meth:`positions` draws many blocks in one fused descent.
     """
 
     _NODE_CAP = 1 << 17
@@ -450,6 +452,42 @@ class _BlockSampler:
         block = IntegralBlock(self.table.scheme, self.table.height, rows)
         self._attach(holder, slot, block)
         return block
+
+    def positions(self, rng, count: int) -> list[str]:
+        """The positions of ``count`` blocks, drawing exactly what ``count``
+        calls of :meth:`draw` would.
+
+        The descent computes each u64 in place from the stream's key and
+        draw index (splitmix64 is counter-based) and stores the index once.
+        A u64 that ``randrange`` might reject is drawn again by ``randrange``
+        itself, and a block that reaches a missing child is handed, from its
+        first draw, to :meth:`draw`.  Any other ``rng`` than a
+        :class:`SplitStream` is read one :meth:`draw` at a time.
+        """
+        if not isinstance(rng, SplitStream):
+            return [p for _ in range(count) for p in self.draw(rng).positions]
+        key, n, top = rng.key, rng._n, 1 << 64
+        drawn: list[str] = []
+        for _ in range(count):
+            start, node = n, self.root[0]
+            while type(node) is list:
+                n += 1
+                z = (key + n * _GAMMA) & _MASK64
+                z = (z ^ (z >> 30)) * _MIX1 & _MASK64
+                z = (z ^ (z >> 27)) * _MIX2 & _MASK64
+                u, den = z ^ (z >> 31), node[1]
+                if u + den > top:  # randrange could reject u
+                    rng._n = n - 1
+                    u = rng.randrange(den)
+                    n = rng._n
+                node = node[2] if u % den < node[0] else node[3]
+            if node is None:
+                rng._n = start
+                node = self.draw(rng)
+                n = rng._n
+            drawn += node.positions
+        rng._n = n
+        return drawn
 
 
 @lru_cache(maxsize=1)
@@ -500,10 +538,7 @@ def _draw_positions(
     sampler = _sampler(scheme, k)
     if extension_policy == "repeat-block":
         return (sampler.draw(rng).positions * blocks_needed)[:length] if length else (), k
-    drawn: list[str] = []
-    for _ in range(blocks_needed):
-        drawn.extend(sampler.draw(rng).positions)
-    return tuple(drawn[:length]), k
+    return tuple(sampler.positions(rng, blocks_needed)[:length]), k
 
 
 def draw_roster(

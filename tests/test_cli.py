@@ -82,6 +82,25 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("reserve2d ")
 
 
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys, files):
+    """The one parser per process prints the same help and usage error on
+    every call, and one call's options do not carry into the next."""
+    outputs = []
+    for _ in range(2):
+        for argv in (["--help"], ["roster", files["scheme"], "--length", "0", "--seed", "1"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            outputs.append(capsys.readouterr())
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0].out.startswith("usage: reserve2d ")
+    assert outputs[1].err.startswith("usage: reserve2d roster ") and "--length" in outputs[1].err
+    assert cli._build_parser() is cli._build_parser()
+    parse = cli._build_parser().parse_args
+    first = parse(["roster", files["scheme"], "--length", "3", "--seed", "1", "--height", "6"])
+    again = parse(["roster", files["scheme"], "--length", "3", "--seed", "1"])
+    assert first.height == 6 and again.height is None
+
+
 def test_unknown_choice_exits_two(files):
     with pytest.raises(SystemExit) as exc:
         main(["run", files["problem"], "--scheme", files["scheme"],

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reserve2d import (
+    FairShareTable,
     PeriodRangeError,
     ReservationProblem,
     ReservationScheme,
@@ -207,6 +208,22 @@ def test_quota_rejects_mismatched_grid(two_dept_problem, four_dept_problem):
     other = _table(four_dept_problem, ((0, 2), (0, 1), (0, 2), (0, 1)))
     with pytest.raises(ValueError):
         within_department_quota(other, x1)
+
+
+@pytest.mark.parametrize("rows, columns", [((2, 2, 5), (2, 2)), ((2,), (2, 2)), ((2, 2), (2, 2, 0)), ((2, 2), (4,))])
+def test_tables_reject_margins_of_the_wrong_length(rows, columns):
+    """A margin with more or fewer totals than labels raises ValueError."""
+    labels = dict(departments=("a", "b"), categories=("x", "y"))
+    with pytest.raises(ValueError, match="totals, got"):
+        ReservationTable(
+            **labels, entries=((1, 1), (1, 1)), row_totals=rows, column_totals=columns,
+            grand_total=sum(rows),
+        )
+    with pytest.raises(ValueError, match="totals, got"):
+        FairShareTable(
+            **labels, entries=((F(1, 2), F(3, 2)), (F(3, 2), F(1, 2))), row_totals=rows,
+            column_totals=tuple(map(F, columns)), grand_total=sum(rows),
+        )
 
 
 # ---------------------------------------------------------------- bias tables

@@ -1,5 +1,6 @@
 """Tests for scheme tables, the constraint network, and roster lotteries."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from reserve2d import (
 )
 from reserve2d import roster
 from reserve2d._walk import scaled
+from reserve2d.rng import _GAMMA, _MASK64, _MIX1, _MIX2, _mix64
 from reserve2d.roster import (
     cell_vertex,
     prefix_vertex,
@@ -382,6 +384,103 @@ def test_sampler_tree_past_its_node_cap_draws_like_an_uncapped_one(
             pending += [child for child in (forward, backward) if child is not None]
         else:
             assert isinstance(node, IntegralBlock)
+
+
+def _block_loop(sampler, rng, count):
+    """The positions of ``count`` blocks drawn one at a time."""
+    drawn = []
+    for _ in range(count):
+        drawn += sampler.draw(rng).positions
+    return drawn
+
+
+def test_fused_positions_draw_what_the_block_loop_draws(monkeypatch, third_scheme, quarters_scheme):
+    """The fused descent returns the positions of the per-block loop and
+    leaves the stream at the same draw index: on warm trees, on the
+    five-category scheme, on fresh samplers, and on samplers whose tree is
+    capped at 40 nodes or holds none at all (so every block misses).  Any
+    other source of randrange is read one block at a time."""
+    cases = [(third_scheme, 3, range(200)), (quarters_scheme, 4, range(200)), (FIVE, 200, range(2))]
+    for scheme, height, seeds in cases:
+        table = build_scheme_table(scheme, height)
+        fused, looped = roster._BlockSampler(table), roster._BlockSampler(table)
+        for seed in seeds:
+            count = seed % 7 if height < 200 else 2
+            a, b = SplitStream(seed), SplitStream(seed)
+            assert fused.positions(a, count) == _block_loop(looped, b, count), (height, seed)
+            assert a._n == b._n, (height, seed)
+    for scheme, height, cap in ((third_scheme, 6, None), (quarters_scheme, 8, 40), (quarters_scheme, 8, 0)):
+        table = build_scheme_table(scheme, height)
+        looped = roster._BlockSampler(table)
+        fused = roster._BlockSampler(table)
+        for seed in range(60):
+            if cap is None:
+                fused = roster._BlockSampler(table)  # fresh: its first block misses
+            else:
+                monkeypatch.setattr(fused, "_NODE_CAP", cap)
+            a, b = SplitStream(seed), SplitStream(seed)
+            assert fused.positions(a, 4) == _block_loop(looped, b, 4), (height, cap, seed)
+            assert a._n == b._n, (height, cap, seed)
+        if cap is not None:
+            assert fused.nodes == cap
+    looped = roster._BlockSampler(build_scheme_table(quarters_scheme))
+    for seed in range(20):
+        fused = roster._BlockSampler(build_scheme_table(quarters_scheme))
+        a, b = random.Random(seed), random.Random(seed)
+        assert fused.positions(a, 3) == _block_loop(looped, b, 3), seed
+        assert a.random() == b.random(), seed
+
+
+def _unmix64(u):
+    """The inverse of splitmix64's output function ``rng._mix64``."""
+    def unshift(z, shift):  # solves x ^ (x >> shift) == z for x
+        x = z
+        for _ in range(3):
+            x = z ^ (x >> shift)
+        return x
+
+    u = unshift(u, 31) * pow(_MIX2, -1, 1 << 64) & _MASK64
+    u = unshift(u, 27) * pow(_MIX1, -1, 1 << 64) & _MASK64
+    return unshift(u, 30)
+
+
+class _CountingStream(SplitStream):
+    """A stream that records the bound of every ``randrange`` call."""
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bounds = []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return super().randrange(n)
+
+
+def test_fused_positions_redraw_a_rejected_u64_like_randrange(third_scheme):
+    """Streams whose u64 number j is 2**64 - 1, which ``randrange(3)``
+    rejects: the fused descent hands such a u64 to ``randrange`` and draws
+    the blocks and the draw count of the per-block loop."""
+    assert _mix64(_unmix64(_MASK64)) == _MASK64
+
+    def stream(j, kind=SplitStream):  # u64 number j (from 1) is 2**64 - 1
+        return kind((_unmix64(_MASK64) - j * _GAMMA) & _MASK64)
+
+    rejecting = stream(1)
+    assert rejecting.randrange(3) < 3 and rejecting._n == 2
+    sampler = roster._BlockSampler(build_scheme_table(third_scheme))
+    for seed in range(200):  # grow the whole tree, so no block misses
+        sampler.draw(SplitStream(seed))
+    root = sampler.root[0]
+    assert root[1] == 2 and root[2][1] == root[3][1] == 3  # a block reads two u64s
+    for j in range(1, 7):
+        a, b = stream(j, _CountingStream), stream(j)
+        assert sampler.positions(a, 3) == _block_loop(sampler, b, 3), j
+        # u64 number j falls on a root (den 2, odd j) or on a depth-2 node
+        # (den 3, even j), where it is rejected and costs one more u64.
+        assert a.bounds == [3 - j % 2], j
+        assert a._n == b._n == 7 - j % 2, j
 
 
 def test_sampler_cache_stays_bounded_and_evicted_samplers_draw_alike():
