@@ -39,6 +39,7 @@ from .core import (
     build_fair_share_table,
 )
 from .fileio import (
+    _VACANCY_LIMIT,
     ParseError,
     parse_problem_file,
     parse_roster_file,
@@ -332,6 +333,11 @@ def _synthesize_problem(args, scheme) -> ReservationProblem:
         raise UsageError("--departments-range needs 2 <= LO <= HI")
     if lo_q < 0 or hi_q < lo_q:
         raise UsageError("--vacancies-range needs 0 <= LO <= HI")
+    if args.periods * hi_q > _VACANCY_LIMIT:  # the limit a problem file is held to
+        raise FlagError(
+            f"--periods {args.periods} x --vacancies-range HI {hi_q}: "
+            f"a department may have at most {_VACANCY_LIMIT:,} vacancies"
+        )
     m = lo_m + stream.randrange(hi_m - lo_m + 1)
     departments = tuple(f"d{i}" for i in range(1, m + 1))
     vacancies = tuple(

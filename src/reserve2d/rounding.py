@@ -49,28 +49,30 @@ class ExtendedTable:
             raise ValueError(
                 f"extended table must be {m + 1} x {n} (source rows plus one synthetic row)"
             )
-        for r, row in enumerate(self.entries):
-            if any(v < 0 for v in row):
+        # The walk's row-major scaled flows, derived once and checked in
+        # integers; not a field, so equality, hashing and repr ignore it.
+        scale, flows = scaled(v for row in self.entries for v in row)
+        object.__setattr__(self, "_scaled", (scale, flows))
+        for r in range(m + 1):
+            row = flows[r * n:(r + 1) * n]
+            if min(row, default=0) < 0:
                 raise ValueError(f"row {r} has a negative entry")
-            if sum(row).denominator != 1:
+            if sum(row) % scale:
                 raise ValueError(f"row {r} does not sum to an integer")
         for j in range(n):
-            col = sum(row[j] for row in self.entries)
-            if col.denominator != 1:
+            if sum(flows[j::n]) % scale:
                 raise ValueError(f"column {j} does not sum to an integer")
 
     @property
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for row in self.entries for v in row)
+        scale, flows = self._scaled
+        return not any(f % scale for f in flows)
 
     def fraction_cells(self) -> tuple[tuple[int, int], ...]:
         """Row-major coordinates of the fractional entries."""
-        return tuple(
-            (i, j)
-            for i, row in enumerate(self.entries)
-            for j, v in enumerate(row)
-            if v.denominator != 1
-        )
+        scale, flows = self._scaled
+        n = len(self.source.categories)
+        return tuple(divmod(e, n) for e, f in enumerate(flows) if f % scale)
 
 
 def extend_table(fair: FairShareTable) -> ExtendedTable:
@@ -122,7 +124,7 @@ class FractionCycle:
 def _walk(table: ExtendedTable) -> Walk:
     """The walk over ``table``: edge i*n + j runs from column j to row i."""
     graph = _graph(len(table.entries), len(table.entries[0]))
-    return Walk(graph, *scaled(v for row in table.entries for v in row))
+    return Walk(graph, *table._scaled)
 
 
 @lru_cache(maxsize=64)

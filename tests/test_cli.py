@@ -573,6 +573,31 @@ def test_compare_synthesize_json_smoke(capsys, files):
                               "upper_adjacent"}
 
 
+def _synthesize(capsys, files, periods, hi):
+    return run_cli(
+        capsys, "compare", "--scheme", files["scheme"], "--synthesize",
+        "--periods", str(periods), "--departments-range", "2", "2",
+        "--vacancies-range", str(hi), str(hi), "--replications", "1", "--seed", "1",
+        "--format", "json",
+    )
+
+
+def test_synthesized_vacancies_at_the_limit_run(capsys, files):
+    code, out, _ = _synthesize(capsys, files, 2, 50_000)
+    assert code == 0
+    vacancies = json.loads(out)["problem"]["vacancies"]
+    assert [sum(col) for col in zip(*vacancies)] == [100_000, 100_000]
+
+
+@pytest.mark.parametrize("periods, hi", [(2, 50_001), (10**12, 1), (1, 10**18)])
+def test_synthesized_vacancies_past_the_limit_exit_two(capsys, files, periods, hi):
+    with time_limit(5):  # refused before anything is drawn
+        code, out, err = _synthesize(capsys, files, periods, hi)
+    _assert_one_line_error(
+        code, out, err, "at most 100,000 vacancies", start=f"error: --periods {periods} x"
+    )
+
+
 def test_compare_flag_dependencies(capsys, files):
     code, _, err = run_cli(capsys, "compare", "--scheme", files["scheme"],
                            "--seed", "1")

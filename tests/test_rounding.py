@@ -1,5 +1,7 @@
 """Tests for table extension, cycle finding, and controlled rounding."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,9 +21,11 @@ from reserve2d import (
     decompose_once,
     extend_table,
     find_fraction_cycle,
+    rounding,
     within_department_quota,
     within_university_quota,
 )
+from reserve2d._walk import scaled
 
 from conftest import ForcedRng, time_limit
 
@@ -81,6 +85,96 @@ def test_extended_table_shape_is_validated(two_dept_problem):
         ExtendedTable(x1, x1.entries)  # synthetic row missing
     with pytest.raises(ValueError):
         ExtendedTable(x1, x1.entries + ((F(1, 10), F(1, 10)),))  # columns not integral
+
+
+_H = F(1, 2)
+_SHAPE = "extended table must be 3 x 2 (source rows plus one synthetic row)"
+
+
+@pytest.mark.parametrize("n, rows, message", [
+    # one rule broken
+    (2, ((1, 1), (1, 1)), _SHAPE),
+    (2, ((1, 1), (1, 1), (0,)), _SHAPE),
+    (2, ((1, 1), (-1, 2), (0, 0)), "row 1 has a negative entry"),
+    (2, ((1, 1), (_H, 1), (_H, 0)), "row 1 does not sum to an integer"),
+    (3, ((1, 0, 0), (0, _H, _H), (0, 0, 1)), "column 1 does not sum to an integer"),
+    # two rules broken: the first check in order wins
+    (2, ((1, 1, 0), (_H, 0, 0), (0, 0, 0)), _SHAPE),  # row 1 sums to 1/2 too
+    (2, ((1, 1), (-_H, 1), (_H, 0)), "row 1 has a negative entry"),  # and sums to 1/2
+    (2, ((_H, 1), (-1, 2), (_H, 0)), "row 0 does not sum to an integer"),  # row 1 negative
+    (2, ((_H, _H), (_H, 1), (0, 0)), "row 1 does not sum to an integer"),  # column 1 sums to 3/2
+])
+def test_extended_table_checks_in_order(n, rows, message):
+    categories = tuple(f"c{j}" for j in range(n))
+    fair = FairShareTable(("d1", "d2"), categories, ((0,) * n,) * 2, (0, 0), (0,) * n, 0)
+    with pytest.raises(ValueError) as err:
+        ExtendedTable(fair, tuple(tuple(F(v) for v in row) for row in rows))
+    assert str(err.value) == message
+
+
+def test_extended_table_of_width_zero():
+    """A table with no categories extends, has no fractional cell and no cycle."""
+    fair = FairShareTable(("d1", "d2"), (), ((), ()), (0, 0), (), 0)
+    ext = extend_table(fair)
+    assert ext.entries == ((), (), ())
+    assert ext.is_integral and ext.fraction_cells() == ()
+    assert find_fraction_cycle(ext) is None
+    with pytest.raises(ValueError, match="already integral"):
+        decompose_once(ext, None, SplitStream(1))
+    with pytest.raises(ValueError) as err:
+        ExtendedTable(fair, ((), ()))
+    assert str(err.value) == "extended table must be 3 x 0 (source rows plus one synthetic row)"
+
+
+def _fair_tables(scheme, seeds):
+    for seed in seeds:
+        rng = random.Random(seed)
+        m = rng.randint(2, 12)
+        periods = rng.randint(1, 3)
+        vacancies = [[rng.randint(0, 30) for _ in range(m)] for _ in range(periods)]
+        problem = ReservationProblem([f"d{i}" for i in range(m)], scheme, vacancies)
+        yield build_fair_share_table(problem, rng.randint(1, periods))
+
+
+QUARTERS = ReservationScheme(("c1", "c2", "c3"), (F(1, 4), F(1, 4), F(1, 2)))
+FIVE = ReservationScheme(
+    ("sc", "st", "obc", "ews", "open"), (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200))
+)
+
+
+@pytest.mark.parametrize("scheme", [QUARTERS, FIVE], ids=["quarters", "five"])
+def test_walk_starts_from_the_tables_scaled_entries(scheme):
+    """The walk starts from scaled(entries); the integral cells agree with
+    the entries' denominators; equal tables stay equal, hash alike and
+    print alike, and replace() checks the new entries."""
+    for fair in _fair_tables(scheme, range(12)):
+        ext = extend_table(fair)
+        states = [ext]
+        rng = SplitStream(len(fair.departments))
+        while not states[-1].is_integral and len(states) < 4:
+            states.append(decompose_once(states[-1], None, rng))
+        for table in states:
+            walk = rounding._walk(table)
+            scale, flows = scaled(v for row in table.entries for v in row)
+            assert (walk.scale, walk.flows) == (scale, flows)
+            cells = tuple(
+                (i, j) for i, row in enumerate(table.entries)
+                for j, v in enumerate(row) if v.denominator != 1
+            )
+            assert table.fraction_cells() == cells
+            assert table.is_integral == (cells == ())
+        twin = extend_table(build_fair_share_table(
+            ReservationProblem(fair.departments, scheme, (fair.row_totals,)), 1
+        ))
+        assert twin is not ext and twin.source is not ext.source
+        assert twin == ext and hash(twin) == hash(ext) and repr(twin) == repr(ext)
+        rounded = replace(ext, entries=states[-1].entries)
+        assert rounded == states[-1]
+        assert rounding._walk(rounded).flows == rounding._walk(states[-1]).flows
+        broken = [list(row) for row in ext.entries]
+        broken[0][0] += F(1, 7)
+        with pytest.raises(ValueError, match="row 0 does not sum to an integer"):
+            replace(ext, entries=tuple(map(tuple, broken)))
 
 
 # ---------------------------------------------------------------- cycles
