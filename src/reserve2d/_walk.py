@@ -155,9 +155,9 @@ class Walk:
         for e, d in cycle:
             flows[e] += d * amount
 
-    def step(self, rng, cycle: Optional[Cycle] = None, take: Optional[bool] = None) -> Optional[Push]:
-        """Push ``cycle`` (default: the next one) on a drawn branch, or on
-        ``take`` if given; None, drawing nothing, once the flows are integral.
+    def step(self, rng, cycle: Optional[Cycle] = None) -> Optional[Push]:
+        """Push ``cycle`` (default: the next one) on a drawn branch; None,
+        drawing nothing, once the flows are integral.
 
         ``rng.randrange(den) < num`` draws what ``rng.bernoulli`` would.
         """
@@ -168,9 +168,7 @@ class Walk:
         d_plus, d_minus = self.headroom(cycle)
         g = gcd(d_plus, d_minus)
         num, den = d_minus // g, (d_minus + d_plus) // g
-        if take is None:
-            take = rng.randrange(den) < num
-        push = Push(cycle, d_plus, d_minus, num, den, take)
+        push = Push(cycle, d_plus, d_minus, num, den, rng.randrange(den) < num)
         self.push(cycle, push.amount)
         return push
 

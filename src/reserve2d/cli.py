@@ -59,6 +59,8 @@ __all__ = ["main"]
 _SUB_PROPOSED, _SUB_GOVERNMENT, _SUB_COURT, _SUB_SYNTHESIZE = 0, 1, 2, 3
 
 _TOTAL = "total"
+# The CSV header of the round and run reports.
+_TABLE_HEADER = ("period", "table", "department", "category", "value")
 # Summary statistics in report order: the BiasSummary fields after period, scope, count.
 _STATISTICS = tuple(f.name for f in fields(BiasSummary))[3:]
 
@@ -100,11 +102,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _metadata(seed: Optional[int]) -> dict:
+def _json_report(command: str, seed: Optional[int], **body) -> str:
+    """A JSON report: the command, its metadata, then ``body``."""
     meta = {"package": f"reserve2d {__version__}", "generator": ALGORITHM}
     if seed is not None:
         meta["seed"] = seed
-    return meta
+    report = {"command": command, "metadata": meta, **body}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _table_dict(table: Union[FairShareTable, ReservationTable]) -> dict:
@@ -198,10 +202,6 @@ def _emit(text: str, output: Optional[str]) -> None:
         raise FlagError(f"cannot write {output}: {err.strerror or err}") from None
 
 
-def _json_text(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 def _load_problem(args) -> ReservationProblem:
     scheme = parse_scheme_file(args.scheme)
     return parse_problem_file(args.problem, scheme)
@@ -214,31 +214,19 @@ def _cycled_roster(roster: Roster, needed: int) -> Roster:
 
 
 def _order_of(problem: ReservationProblem, name: str) -> tuple[str, ...]:
-    if name == "input":
-        return problem.departments
-    if name == "alpha":
-        return tuple(sorted(problem.departments))
-    raise UsageError(f"unknown --order {name!r}; expected 'input' or 'alpha'")
+    return tuple(sorted(problem.departments)) if name == "alpha" else problem.departments
 
 
 # --- round ----------------------------------------------------------------
 
 
-def _cmd_round(args) -> int:
+def _cmd_round(args) -> str:
     problem = _load_problem(args)
     fair = build_fair_share_table(problem, args.period)
     rounded = controlled_round(fair, SplitStream(args.seed))
     if args.format == "json":
-        report = {
-            "command": "round",
-            "metadata": _metadata(args.seed),
-            **_period_dict(args.period, fair, rounded),
-        }
-        _emit(_json_text(report), args.output)
-    else:
-        rows = _table_rows(args.period, fair, rounded, bias_of(rounded, fair))
-        _emit(_csv_text(["period", "table", "department", "category", "value"], rows), args.output)
-    return 0
+        return _json_report("round", args.seed, **_period_dict(args.period, fair, rounded))
+    return _csv_text(_TABLE_HEADER, _table_rows(args.period, fair, rounded, bias_of(rounded, fair)))
 
 
 # --- roster ---------------------------------------------------------------
@@ -246,9 +234,11 @@ def _cmd_round(args) -> int:
 
 # Most positions ``roster --length`` may ask for; the roster is held in memory.
 _LENGTH_LIMIT = 1_000_000
+# Most cells (periods x departments) ``compare --synthesize`` may build.
+_CELL_LIMIT = 100_000
 
 
-def _cmd_roster(args) -> int:
+def _cmd_roster(args) -> str:
     if args.length > _LENGTH_LIMIT:
         raise FlagError(f"--length {args.length}: a roster may have at most {_LENGTH_LIMIT:,} positions")
     scheme = parse_scheme_file(args.scheme)
@@ -261,18 +251,15 @@ def _cmd_roster(args) -> int:
         height=args.height,
     )
     if args.format == "json":
-        report = {
-            "command": "roster",
-            "metadata": _metadata(args.seed),
-            "block_length": roster.block_length,
-            "extension_policy": roster.extension_policy,
-            "categories": list(roster.categories),
-            "assignment": list(roster.assignment),
-        }
-        _emit(_json_text(report), args.output)
-    else:
-        _emit(roster_lines(roster), args.output)
-    return 0
+        return _json_report(
+            "roster",
+            args.seed,
+            block_length=roster.block_length,
+            extension_policy=roster.extension_policy,
+            categories=list(roster.categories),
+            assignment=list(roster.assignment),
+        )
+    return roster_lines(roster)
 
 
 # --- run ------------------------------------------------------------------
@@ -293,33 +280,27 @@ def _solution_config(args, problem: ReservationProblem) -> tuple[SolutionConfig,
     return SolutionConfig(args.solution, roster=roster, order=order), args.seed
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> str:
     problem = _load_problem(args)
     config, seed = _solution_config(args, problem)
     trace = run_solution(problem, config, seed)
     if args.format == "json":
-        report = {
-            "command": "run",
-            "metadata": _metadata(seed),
-            "solution": args.solution,
-            "order": list(_order_of(problem, args.order)),
-            "periods": [_period_dict(t, *tables) for t, tables in enumerate(trace.periods, 1)],
-        }
-        _emit(_json_text(report), args.output)
-    else:
-        csv_rows = []
-        for t, (fair, reserved) in enumerate(trace.periods, 1):
-            csv_rows.extend(_table_rows(t, fair, reserved, bias_of(reserved, fair)))
-            for scope in ("department", "university"):
-                stats = _violations(fair, reserved, scope, t)
-                for key, value in (("count", stats.count), ("max_possible", stats.max_possible),
-                                   ("percentage", float(stats.percentage))):
-                    csv_rows.append([t, "violations", scope, key, value])
-        _emit(
-            _csv_text(["period", "table", "department", "category", "value"], csv_rows),
-            args.output,
+        return _json_report(
+            "run",
+            seed,
+            solution=args.solution,
+            order=list(_order_of(problem, args.order)),
+            periods=[_period_dict(t, *tables) for t, tables in enumerate(trace.periods, 1)],
         )
-    return 0
+    csv_rows = []
+    for t, (fair, reserved) in enumerate(trace.periods, 1):
+        csv_rows.extend(_table_rows(t, fair, reserved, bias_of(reserved, fair)))
+        for scope in ("department", "university"):
+            stats = _violations(fair, reserved, scope, t)
+            for key, value in (("count", stats.count), ("max_possible", stats.max_possible),
+                               ("percentage", float(stats.percentage))):
+                csv_rows.append([t, "violations", scope, key, value])
+    return _csv_text(_TABLE_HEADER, csv_rows)
 
 
 # --- compare ----------------------------------------------------------------
@@ -338,6 +319,11 @@ def _synthesize_problem(args, scheme) -> ReservationProblem:
             f"--periods {args.periods} x --vacancies-range HI {hi_q}: "
             f"a department may have at most {_VACANCY_LIMIT:,} vacancies"
         )
+    if args.periods * hi_m > _CELL_LIMIT:
+        raise FlagError(
+            f"--periods {args.periods} x --departments-range HI {hi_m}: "
+            f"a synthesized problem may have at most {_CELL_LIMIT:,} cells"
+        )
     m = lo_m + stream.randrange(hi_m - lo_m + 1)
     departments = tuple(f"d{i}" for i in range(1, m + 1))
     vacancies = tuple(
@@ -347,7 +333,7 @@ def _synthesize_problem(args, scheme) -> ReservationProblem:
     return ReservationProblem(departments, scheme, vacancies)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     scheme = parse_scheme_file(args.scheme)
     _check_height(scheme, args.height)
     if args.synthesize:
@@ -385,18 +371,18 @@ def _cmd_compare(args) -> int:
     series.sort(key=lambda item: (item[0], item[1].period, item[1].scope))
 
     if args.format == "json":
-        report = {
-            "command": "compare",
-            "metadata": _metadata(args.seed),
-            "replications": args.replications,
-            "synthesized": bool(args.synthesize),
-            "problem": {
+        return _json_report(
+            "compare",
+            args.seed,
+            replications=args.replications,
+            synthesized=bool(args.synthesize),
+            problem={
                 "departments": list(problem.departments),
                 "categories": list(scheme.categories),
                 "periods": problem.periods,
                 "vacancies": [list(row) for row in problem.vacancies],
             },
-            "series": [
+            series=[
                 {
                     "solution": kind,
                     "period": s.period,
@@ -406,18 +392,13 @@ def _cmd_compare(args) -> int:
                 }
                 for kind, s in series
             ],
-        }
-        _emit(_json_text(report), args.output)
-    else:
-        rows = []
-        for kind, s in series:
-            for stat in _STATISTICS:
-                rows.append([kind, s.period, s.scope, stat, float(getattr(s, stat))])
-        _emit(
-            _csv_text(["solution", "period", "scope", "statistic", "value"], rows),
-            args.output,
         )
-    return 0
+    rows = [
+        [kind, s.period, s.scope, stat, float(getattr(s, stat))]
+        for kind, s in series
+        for stat in _STATISTICS
+    ]
+    return _csv_text(("solution", "period", "scope", "statistic", "value"), rows)
 
 
 # --- parser -----------------------------------------------------------------
@@ -498,7 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.output)
+        return 0
     except (ParseError, FlagError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -406,11 +406,10 @@ class _BlockSampler:
 
     An inner node is a list [numerator, denominator, forward child,
     backward child] holding a step's reduced branch probability; a leaf is
-    the drawn block.  A draw descends the tree consuming exactly the draws
-    the walk would.  Only when it reaches a missing child does it rebuild
-    the walk state, by replaying the choices made so far, and walk on,
-    adding nodes while the tree holds fewer than ``_NODE_CAP``.
-    :meth:`positions` draws many blocks in one fused descent.
+    the drawn block.  :meth:`blocks` descends the tree consuming exactly the
+    draws the walk would, and hands a block that reaches a missing child to
+    :meth:`walk`, which walks it from the start and hangs the steps the tree
+    lacks while it holds fewer than ``_NODE_CAP`` nodes.
     """
 
     _NODE_CAP = 1 << 17
@@ -425,49 +424,41 @@ class _BlockSampler:
         self.root: list = [None]  # the tree hangs from slot 0
         self.nodes = 0
 
-    def _attach(self, holder: Optional[list], slot: int, node) -> Optional[list]:
-        """Hang ``node`` in ``holder[slot]``; None once the tree is full."""
-        if holder is None or self.nodes >= self._NODE_CAP:
-            return None
-        holder[slot] = node
-        self.nodes += 1
-        return node
+    def _child(self, holder: Optional[list], slot: int, node):
+        """``holder[slot]``, set to ``node`` if empty while the tree has room."""
+        if holder is not None and holder[slot] is None and self.nodes < self._NODE_CAP:
+            holder[slot] = node
+            self.nodes += 1
+        return holder and holder[slot]
 
-    def draw(self, rng) -> IntegralBlock:
-        holder, slot, takes = self.root, 0, []
-        while type(holder[slot]) is list:
-            node = holder[slot]
-            takes.append(rng.randrange(node[1]) < node[0])
-            holder, slot = node, 2 if takes[-1] else 3
-        if holder[slot] is not None:
-            return holder[slot]
+    def walk(self, rng) -> IntegralBlock:
+        """One block walked from the start with ``rng``'s draws."""
         walk = Walk(self.start.graph, self.start.scale, self.start.flows)
-        for take in takes:
-            walk.step(None, take=take)
+        holder, slot = self.root, 0
         while (push := walk.step(rng)) is not None:
             node = [push.num, push.den, None, None]
-            holder, slot = self._attach(holder, slot, node), 2 if push.take else 3
+            holder, slot = self._child(holder, slot, node), 2 if push.take else 3
         cells, n = [f // walk.scale for f in walk.flows[self.cells]], self.table.scheme.size
         rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
         block = IntegralBlock(self.table.scheme, self.table.height, rows)
-        self._attach(holder, slot, block)
+        self._child(holder, slot, block)
         return block
 
-    def positions(self, rng, count: int) -> list[str]:
-        """The positions of ``count`` blocks, drawing exactly what ``count``
-        calls of :meth:`draw` would.
+    def blocks(self, rng, count: int) -> list[IntegralBlock]:
+        """``count`` blocks, drawing exactly what ``count`` calls of
+        :meth:`walk` would.
 
         The descent computes each u64 in place from the stream's key and
         draw index (splitmix64 is counter-based) and stores the index once.
         A u64 that ``randrange`` might reject is drawn again by ``randrange``
         itself, and a block that reaches a missing child is handed, from its
-        first draw, to :meth:`draw`.  Any other ``rng`` than a
-        :class:`SplitStream` is read one :meth:`draw` at a time.
+        first draw, to :meth:`walk`.  Any other ``rng`` than a
+        :class:`SplitStream` is walked one block at a time.
         """
         if not isinstance(rng, SplitStream):
-            return [p for _ in range(count) for p in self.draw(rng).positions]
+            return [self.walk(rng) for _ in range(count)]
         key, n, top = rng.key, rng._n, 1 << 64
-        drawn: list[str] = []
+        drawn: list[IntegralBlock] = []
         for _ in range(count):
             start, node = n, self.root[0]
             while type(node) is list:
@@ -483,9 +474,9 @@ class _BlockSampler:
                 node = node[2] if u % den < node[0] else node[3]
             if node is None:
                 rng._n = start
-                node = self.draw(rng)
+                node = self.walk(rng)
                 n = rng._n
-            drawn += node.positions
+            drawn.append(node)
         rng._n = n
         return drawn
 
@@ -512,7 +503,7 @@ def draw_block(
     """
     table = build_scheme_table(scheme, height)
     if on_step is None:
-        return _sampler(scheme, table.height).draw(rng)
+        return _sampler(scheme, table.height).blocks(rng, 1)[0]
     network = build_flow_network(table)
     while not network.is_integral:
         network = decompose_flow_once(network, rng, on_step=on_step)
@@ -537,8 +528,11 @@ def _draw_positions(
     blocks_needed = -(-length // k)
     sampler = _sampler(scheme, k)
     if extension_policy == "repeat-block":
-        return (sampler.draw(rng).positions * blocks_needed)[:length] if length else (), k
-    return tuple(sampler.positions(rng, blocks_needed)[:length]), k
+        return (sampler.blocks(rng, 1)[0].positions * blocks_needed)[:length] if length else (), k
+    drawn: list[str] = []
+    for block in sampler.blocks(rng, blocks_needed):
+        drawn += block.positions
+    return tuple(drawn[:length]), k
 
 
 def draw_roster(

@@ -237,8 +237,8 @@ def controlled_round(
     while (push := walk.step(rng)) is not None:
         if on_step is not None:
             table = observed(DecompositionStep, table, _cells(push.cycle, n), build, walk, push, on_step)
-    rows = (
-        tuple(f // walk.scale for f in walk.flows[i:i + n])
-        for i in range(0, len(walk.flows) - n, n)  # the synthetic row is dropped
+    rows = (  # the synthetic row is dropped
+        tuple(f // walk.scale for f in walk.flows[i * n:(i + 1) * n])
+        for i in range(len(fair.departments))
     )
     return ReservationTable.from_entries(fair.departments, fair.categories, rows)

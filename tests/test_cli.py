@@ -1,19 +1,22 @@
 """End-to-end tests of the command-line interface.
 
 Most tests call ``main(argv)`` in-process and inspect stdout/stderr via
-capsys; one test exercises the installed ``reserve2d`` console script in a
-subprocess to make sure the entry point itself works.
+capsys; two tests run the CLI in a subprocess, through ``python -m
+reserve2d`` and through the installed ``reserve2d`` console script, to make
+sure the entry points themselves work.
 """
 
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import reserve2d
 from reserve2d import cli
 from reserve2d.cli import main
 from reserve2d.fileio import parse_roster_file
@@ -573,10 +576,10 @@ def test_compare_synthesize_json_smoke(capsys, files):
                               "upper_adjacent"}
 
 
-def _synthesize(capsys, files, periods, hi):
+def _synthesize(capsys, files, periods, hi, departments=2):
     return run_cli(
         capsys, "compare", "--scheme", files["scheme"], "--synthesize",
-        "--periods", str(periods), "--departments-range", "2", "2",
+        "--periods", str(periods), "--departments-range", str(departments), str(departments),
         "--vacancies-range", str(hi), str(hi), "--replications", "1", "--seed", "1",
         "--format", "json",
     )
@@ -598,6 +601,24 @@ def test_synthesized_vacancies_past_the_limit_exit_two(capsys, files, periods, h
     )
 
 
+def test_synthesized_cells_at_the_limit_run(capsys, files):
+    code, out, _ = _synthesize(capsys, files, 2, 0, departments=50_000)
+    assert code == 0
+    problem = json.loads(out)["problem"]
+    assert len(problem["departments"]) == 50_000
+    assert problem["vacancies"] == [[0] * 50_000] * 2
+
+
+@pytest.mark.parametrize("periods, departments", [(2, 50_001), (10**12, 2), (1, 10**9)])
+def test_synthesized_cells_past_the_limit_exit_two(capsys, files, periods, departments):
+    with time_limit(5):  # refused before anything is drawn, even with no vacancies
+        code, out, err = _synthesize(capsys, files, periods, 0, departments)
+    _assert_one_line_error(
+        code, out, err, "at most 100,000 cells",
+        start=f"error: --periods {periods} x --departments-range HI {departments}:",
+    )
+
+
 def test_compare_flag_dependencies(capsys, files):
     code, _, err = run_cli(capsys, "compare", "--scheme", files["scheme"],
                            "--seed", "1")
@@ -611,6 +632,26 @@ def test_compare_flag_dependencies(capsys, files):
 
 
 # ---------------------------------------------------------- console script
+
+
+def test_module_entry_point_matches_in_process(capsys, files):
+    """``python -m reserve2d`` writes the in-process report bytes and maps an
+    out-of-range period to exit 3 with one error line."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(reserve2d.__file__))}
+
+    def module_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "reserve2d", *argv], capture_output=True, env=env)
+
+    argv = ["run", files["problem"], "--scheme", files["scheme"],
+            "--solution", "court", "--roster", files["roster18"]]
+    proc = module_cli(*argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
+
+    proc = module_cli("round", files["problem"], "--scheme", files["scheme"], "-t", "4", "--seed", "1")
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
 def test_console_script_matches_in_process(capsys, files):

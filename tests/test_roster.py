@@ -365,13 +365,14 @@ def test_sampler_tree_past_its_node_cap_draws_like_an_uncapped_one(
     monkeypatch, quarters_scheme
 ):
     """Once the decision tree is full, draws walk on without recording and
-    still return the same blocks for the same draws."""
+    still return the blocks a walk on an uncapped tree returns for the same
+    draws."""
     table = build_scheme_table(quarters_scheme, 8)
     free, capped = roster._BlockSampler(table), roster._BlockSampler(table)
     monkeypatch.setattr(capped, "_NODE_CAP", 40)
     for seed in range(60):
         a, b = SplitStream(seed), SplitStream(seed)
-        assert capped.draw(a) == free.draw(b), seed
+        assert capped.blocks(a, 1) == [free.walk(b)], seed
         assert a._n == b._n, seed
     assert capped.nodes == 40 < free.nodes
     # Inner nodes hold only a probability and two children; leaves are blocks.
@@ -387,19 +388,17 @@ def test_sampler_tree_past_its_node_cap_draws_like_an_uncapped_one(
 
 
 def _block_loop(sampler, rng, count):
-    """The positions of ``count`` blocks drawn one at a time."""
-    drawn = []
-    for _ in range(count):
-        drawn += sampler.draw(rng).positions
-    return drawn
+    """``count`` blocks walked one at a time."""
+    return [sampler.walk(rng) for _ in range(count)]
 
 
 def test_fused_positions_draw_what_the_block_loop_draws(monkeypatch, third_scheme, quarters_scheme):
-    """The fused descent returns the positions of the per-block loop and
-    leaves the stream at the same draw index: on warm trees, on the
-    five-category scheme, on fresh samplers, and on samplers whose tree is
-    capped at 40 nodes or holds none at all (so every block misses).  Any
-    other source of randrange is read one block at a time."""
+    """The fused descent returns the blocks that per-block walks on a
+    sampler of its own return, and leaves the stream at the same draw
+    index: on warm trees, on the five-category scheme, on fresh samplers,
+    and on samplers whose tree is capped at 40 nodes or holds none at all
+    (so every block misses).  Any other source of randrange is walked one
+    block at a time."""
     cases = [(third_scheme, 3, range(200)), (quarters_scheme, 4, range(200)), (FIVE, 200, range(2))]
     for scheme, height, seeds in cases:
         table = build_scheme_table(scheme, height)
@@ -407,7 +406,7 @@ def test_fused_positions_draw_what_the_block_loop_draws(monkeypatch, third_schem
         for seed in seeds:
             count = seed % 7 if height < 200 else 2
             a, b = SplitStream(seed), SplitStream(seed)
-            assert fused.positions(a, count) == _block_loop(looped, b, count), (height, seed)
+            assert fused.blocks(a, count) == _block_loop(looped, b, count), (height, seed)
             assert a._n == b._n, (height, seed)
     for scheme, height, cap in ((third_scheme, 6, None), (quarters_scheme, 8, 40), (quarters_scheme, 8, 0)):
         table = build_scheme_table(scheme, height)
@@ -419,7 +418,7 @@ def test_fused_positions_draw_what_the_block_loop_draws(monkeypatch, third_schem
             else:
                 monkeypatch.setattr(fused, "_NODE_CAP", cap)
             a, b = SplitStream(seed), SplitStream(seed)
-            assert fused.positions(a, 4) == _block_loop(looped, b, 4), (height, cap, seed)
+            assert fused.blocks(a, 4) == _block_loop(looped, b, 4), (height, cap, seed)
             assert a._n == b._n, (height, cap, seed)
         if cap is not None:
             assert fused.nodes == cap
@@ -427,7 +426,7 @@ def test_fused_positions_draw_what_the_block_loop_draws(monkeypatch, third_schem
     for seed in range(20):
         fused = roster._BlockSampler(build_scheme_table(quarters_scheme))
         a, b = random.Random(seed), random.Random(seed)
-        assert fused.positions(a, 3) == _block_loop(looped, b, 3), seed
+        assert fused.blocks(a, 3) == _block_loop(looped, b, 3), seed
         assert a.random() == b.random(), seed
 
 
@@ -461,7 +460,7 @@ class _CountingStream(SplitStream):
 def test_fused_positions_redraw_a_rejected_u64_like_randrange(third_scheme):
     """Streams whose u64 number j is 2**64 - 1, which ``randrange(3)``
     rejects: the fused descent hands such a u64 to ``randrange`` and draws
-    the blocks and the draw count of the per-block loop."""
+    the blocks and the draw count of per-block walks on another sampler."""
     assert _mix64(_unmix64(_MASK64)) == _MASK64
 
     def stream(j, kind=SplitStream):  # u64 number j (from 1) is 2**64 - 1
@@ -469,18 +468,40 @@ def test_fused_positions_redraw_a_rejected_u64_like_randrange(third_scheme):
 
     rejecting = stream(1)
     assert rejecting.randrange(3) < 3 and rejecting._n == 2
-    sampler = roster._BlockSampler(build_scheme_table(third_scheme))
+    table = build_scheme_table(third_scheme)
+    sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
     for seed in range(200):  # grow the whole tree, so no block misses
-        sampler.draw(SplitStream(seed))
+        sampler.walk(SplitStream(seed))
     root = sampler.root[0]
     assert root[1] == 2 and root[2][1] == root[3][1] == 3  # a block reads two u64s
     for j in range(1, 7):
         a, b = stream(j, _CountingStream), stream(j)
-        assert sampler.positions(a, 3) == _block_loop(sampler, b, 3), j
+        assert sampler.blocks(a, 3) == _block_loop(plain, b, 3), j
         # u64 number j falls on a root (den 2, odd j) or on a depth-2 node
         # (den 3, even j), where it is rejected and costs one more u64.
         assert a.bounds == [3 - j % 2], j
         assert a._n == b._n == 7 - j % 2, j
+
+
+def test_walk_on_a_grown_tree_adds_nothing_and_draws_what_the_descent_draws(third_scheme):
+    """Once every branch of the 1/3 tree hangs, a walk follows existing
+    children only: it adds no node and returns the block, and leaves the
+    stream at the draw index, that the fused descent gives."""
+    sampler = roster._BlockSampler(build_scheme_table(third_scheme))
+    for seed in range(200):
+        sampler.walk(SplitStream(seed))
+    pending = [sampler.root[0]]
+    while pending:  # the tree is whole: no inner node misses a child
+        node = pending.pop()
+        if isinstance(node, list):
+            assert None not in node[2:]
+            pending += node[2:]
+    grown = sampler.nodes
+    for seed in range(50):
+        a, b = SplitStream(seed), SplitStream(seed)
+        assert [sampler.walk(a)] == sampler.blocks(b, 1), seed
+        assert a._n == b._n, seed
+        assert sampler.nodes == grown, seed
 
 
 def test_sampler_cache_stays_bounded_and_evicted_samplers_draw_alike():

@@ -15,6 +15,7 @@ from reserve2d import (
     FractionCycle,
     ReservationProblem,
     ReservationScheme,
+    ReservationTable,
     SplitStream,
     build_fair_share_table,
     controlled_round,
@@ -113,8 +114,12 @@ def test_extended_table_checks_in_order(n, rows, message):
 
 
 def test_extended_table_of_width_zero():
-    """A table with no categories extends, has no fractional cell and no cycle."""
+    """A table with no categories extends, has no fractional cell and no
+    cycle, and rounds to the reservation table with no categories."""
     fair = FairShareTable(("d1", "d2"), (), ((), ()), (0, 0), (), 0)
+    assert controlled_round(fair, SplitStream(1)) == ReservationTable(
+        ("d1", "d2"), (), ((), ()), (0, 0), (), 0
+    )
     ext = extend_table(fair)
     assert ext.entries == ((), (), ())
     assert ext.is_integral and ext.fraction_cells() == ()
