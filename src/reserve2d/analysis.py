@@ -79,9 +79,7 @@ class ViolationStats:
 
     @property
     def average_magnitude(self) -> Optional[Fraction]:
-        if not self.violations:
-            return None
-        return sum(self.magnitudes) / self.count
+        return sum(self.magnitudes) / self.count if self.violations else None
 
     @property
     def min_magnitude(self) -> Optional[Fraction]:
@@ -257,9 +255,9 @@ def tail_diagnostic(
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     cats = problem.scheme.categories
-    j = cats.index(category) if isinstance(category, str) else category
-    if not 0 <= j < len(cats):
-        raise ValueError(f"category index {j} out of range")
+    j = cats.index(category) if category in cats else category
+    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < len(cats):
+        raise ValueError(f"unknown category {category!r}; the scheme has {', '.join(map(repr, cats))}")
     cat = cats[j]
     grid = tuple(sorted(Fraction(b) for b in b_grid))
     if not grid or grid[0] <= 0:

@@ -203,8 +203,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _load_problem(args) -> ReservationProblem:
-    scheme = parse_scheme_file(args.scheme)
-    return parse_problem_file(args.problem, scheme)
+    return parse_problem_file(args.problem, parse_scheme_file(args.scheme))
 
 
 def _cycled_roster(roster: Roster, needed: int) -> Roster:
@@ -311,9 +310,9 @@ def _synthesize_problem(args, scheme) -> ReservationProblem:
     lo_m, hi_m = args.departments_range
     lo_q, hi_q = args.vacancies_range
     if lo_m < 2 or hi_m < lo_m:
-        raise UsageError("--departments-range needs 2 <= LO <= HI")
+        raise FlagError("--departments-range needs 2 <= LO <= HI")
     if lo_q < 0 or hi_q < lo_q:
-        raise UsageError("--vacancies-range needs 0 <= LO <= HI")
+        raise FlagError("--vacancies-range needs 0 <= LO <= HI")
     if args.periods * hi_q > _VACANCY_LIMIT:  # the limit a problem file is held to
         raise FlagError(
             f"--periods {args.periods} x --vacancies-range HI {hi_q}: "

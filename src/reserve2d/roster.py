@@ -33,6 +33,7 @@ Rosters longer than one block either concatenate independent block draws
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -189,9 +190,7 @@ class FlowNetwork:
     edges: tuple[FlowEdge, ...]
 
     def __post_init__(self):
-        balance: dict[Vertex, Fraction] = {}
-        indeg: dict[Vertex, int] = {}
-        outdeg: dict[Vertex, int] = {}
+        balance, indeg, outdeg = Counter(), Counter(), Counter()
         for e in self.edges:
             if not e.lower <= e.flow <= e.upper:
                 raise ValueError(
@@ -201,10 +200,10 @@ class FlowNetwork:
                 raise ValueError(
                     f"edge {e.tail}->{e.head}: bound width {e.upper - e.lower} exceeds 1"
                 )
-            balance[e.tail] = balance.get(e.tail, Fraction(0)) - e.flow
-            balance[e.head] = balance.get(e.head, Fraction(0)) + e.flow
-            outdeg[e.tail] = outdeg.get(e.tail, 0) + 1
-            indeg[e.head] = indeg.get(e.head, 0) + 1
+            balance[e.tail] -= e.flow
+            balance[e.head] += e.flow
+            outdeg[e.tail] += 1
+            indeg[e.head] += 1
         for v, b in balance.items():
             if v[0] in ("source", "sink"):
                 continue
@@ -283,6 +282,8 @@ def _coerce_cycle(
                 raise ValueError(f"no edge joins {a} and {b}")
         cycle = out
     cycle = tuple((int(e), int(d)) for e, d in cycle)
+    if not all(0 <= e < len(edges) for e, _ in cycle):
+        raise ValueError(f"cycle {cycle} leaves the network's edges 0..{len(edges) - 1}")
     if len(cycle) < 2 or len(set(e for e, _ in cycle)) != len(cycle):
         raise ValueError("a cycle must list at least two distinct edges")
     for (e, d), (e2, d2) in zip(cycle, cycle[1:] + cycle[:1]):
@@ -431,11 +432,16 @@ class _BlockSampler:
             self.nodes += 1
         return holder and holder[slot]
 
-    def walk(self, rng) -> IntegralBlock:
-        """One block walked from the start with ``rng``'s draws."""
+    def walk(self, rng, on_step: Optional[Callable[[FlowStep], None]] = None) -> IntegralBlock:
+        """One block walked from the start with ``rng``'s draws, each step shown to ``on_step``."""
         walk = Walk(self.start.graph, self.start.scale, self.start.flows)
+        if on_step is not None:
+            network = build_flow_network(self.table)
+            build = partial(_network_at, network, walk.scale)
         holder, slot = self.root, 0
         while (push := walk.step(rng)) is not None:
+            if on_step is not None:
+                network = observed(FlowStep, network, tuple(push.cycle), build, walk, push, on_step)
             node = [push.num, push.den, None, None]
             holder, slot = self._child(holder, slot, node), 2 if push.take else 3
         cells, n = [f // walk.scale for f in walk.flows[self.cells]], self.table.scheme.size
@@ -482,9 +488,9 @@ class _BlockSampler:
 
 
 @lru_cache(maxsize=1)
-def _sampler(scheme: ReservationScheme, height: int) -> _BlockSampler:
+def _sampler(table: SchemeTable) -> _BlockSampler:
     """The block sampler of a scheme table; only the last is kept (one can hold 50 MB)."""
-    return _BlockSampler(build_scheme_table(scheme, height))
+    return _BlockSampler(table)
 
 
 def draw_block(
@@ -496,18 +502,12 @@ def draw_block(
 ) -> IntegralBlock:
     """Draw one integral block; every cell's expectation is its fraction.
 
-    An observed draw steps the table's :class:`FlowNetwork` with
-    :func:`decompose_flow_once`, which draws what the sampler would.  Every
-    step shows both branches as validated ``Fraction`` networks, so observe
-    small tables: a five-category height-200 draw takes over a minute.
+    An observed draw walks the cached sampler, so it draws what an unobserved
+    one does; nearly all its cost is the validated ``Fraction`` networks of
+    both branches of every step, so observe small tables.
     """
-    table = build_scheme_table(scheme, height)
-    if on_step is None:
-        return _sampler(scheme, table.height).blocks(rng, 1)[0]
-    network = build_flow_network(table)
-    while not network.is_integral:
-        network = decompose_flow_once(network, rng, on_step=on_step)
-    return IntegralBlock.from_network(network)
+    sampler = _sampler(build_scheme_table(scheme, height))
+    return sampler.blocks(rng, 1)[0] if on_step is None else sampler.walk(rng, on_step)
 
 
 def _draw_positions(
@@ -517,7 +517,7 @@ def _draw_positions(
     extension_policy: str,
     height: Optional[int],
 ) -> tuple[tuple[str, ...], int]:
-    k = build_scheme_table(scheme, height).height
+    table = build_scheme_table(scheme, height)
     if length < 0:
         raise ValueError(f"roster length must be nonnegative, got {length}")
     if extension_policy not in ("independent-blocks", "repeat-block"):
@@ -525,8 +525,8 @@ def _draw_positions(
             f"unknown extension policy {extension_policy!r}; expected "
             "'independent-blocks' or 'repeat-block'"
         )
+    k, sampler = table.height, _sampler(table)
     blocks_needed = -(-length // k)
-    sampler = _sampler(scheme, k)
     if extension_policy == "repeat-block":
         return (sampler.blocks(rng, 1)[0].positions * blocks_needed)[:length] if length else (), k
     drawn: list[str] = []

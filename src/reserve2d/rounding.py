@@ -202,6 +202,8 @@ def decompose_once(
     n = len(table.entries[0])
     edges = None
     if cycle is not None:
+        if not all(0 <= i < len(table.entries) and 0 <= j < n for i, j in cycle.cells):
+            raise ValueError(f"cycle {cycle.cells} leaves the {len(table.entries)} x {n} extended table")
         for i, j in cycle.cells:
             if table.entries[i][j].denominator == 1:
                 raise RuntimeError(

@@ -277,6 +277,15 @@ def test_tail_diagnostic_validation(four_dept_problem):
         tail_diagnostic(four_dept_problem, "c1", 9, 10, (1,), seed=0)
 
 
+@pytest.mark.parametrize("category", ["c9", "C1", "", True, False])
+def test_tail_diagnostic_rejects_unknown_categories(four_dept_problem, category):
+    """A name the scheme lacks, or a bool (not an index, though ``True == 1``),
+    is refused with a message naming it and the scheme's categories."""
+    with pytest.raises(ValueError) as exc:
+        tail_diagnostic(four_dept_problem, category, 1, 10, (1,), seed=0)
+    assert str(exc.value) == f"unknown category {category!r}; the scheme has 'c1', 'c2'"
+
+
 def test_tail_diagnostic_rejects_a_zero_fair_total(third_scheme):
     """No department hires at period 1, so the bounds would divide by 0."""
     problem = ReservationProblem(("d1", "d2"), third_scheme, ((0, 0), (1, 2)))

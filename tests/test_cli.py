@@ -619,6 +619,22 @@ def test_synthesized_cells_past_the_limit_exit_two(capsys, files, periods, depar
     )
 
 
+@pytest.mark.parametrize("flag, lo, hi", [
+    ("--departments-range", 5, 2),
+    ("--departments-range", 1, 3),
+    ("--vacancies-range", -1, 3),
+    ("--vacancies-range", 4, 3),
+])
+def test_synthesize_malformed_range_exits_two(capsys, files, flag, lo, hi):
+    """A malformed range is a bad flag value (exit 2), like ``--periods 0``."""
+    code, out, err = run_cli(
+        capsys, "compare", "--scheme", files["scheme"], "--synthesize",
+        "--replications", "1", "--seed", "1", flag, str(lo), str(hi),
+    )
+    least = 2 if flag == "--departments-range" else 0
+    _assert_one_line_error(code, out, err, f"{flag} needs {least} <= LO <= HI", start="error: ")
+
+
 def test_compare_flag_dependencies(capsys, files):
     code, _, err = run_cli(capsys, "compare", "--scheme", files["scheme"],
                            "--seed", "1")

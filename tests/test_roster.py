@@ -281,6 +281,21 @@ def test_supplied_cycle_is_validated(third_scheme):
         )
 
 
+@pytest.mark.parametrize("cycle", [
+    [(3, 1), (14, 1), (-5, -1), (-16, -1)],  # -5 and -16 alias edges 14 and 3
+    [(999, 1), (3, 1)],
+    [(3, 1), (19, 1)],  # the network has 19 edges
+])
+def test_supplied_cycle_must_stay_in_the_network(third_scheme, cycle):
+    net = build_flow_network(build_scheme_table(third_scheme))
+    assert len(net.edges) == 19
+    rng = SplitStream(1)
+    with pytest.raises(ValueError) as exc:
+        decompose_flow_once(net, rng, cycle=cycle)
+    assert str(exc.value) == f"cycle {tuple(cycle)} leaves the network's edges 0..18"
+    assert rng._n == 0
+
+
 def test_decomposition_strictly_reduces_fractional_edges(third_scheme):
     net = build_flow_network(build_scheme_table(third_scheme, 6))
     rng = SplitStream(21)
@@ -348,17 +363,35 @@ def test_taller_table_marginals_stay_exact(third_scheme):
         assert marginal == F(1, 3), pos
 
 
+def _stepwise_draw(table, rng):
+    """A block and its observed steps from :func:`decompose_flow_once`, which
+    searches every cycle afresh on a network of its own."""
+    network, steps = build_flow_network(table), []
+    while not network.is_integral:
+        network = decompose_flow_once(network, rng, on_step=steps.append)
+    return IntegralBlock.from_network(network), steps
+
+
 def test_cached_draw_matches_stepwise_draw(third_scheme, quarters_scheme):
-    """The memoized sampler must consume the same randomness and return the
-    same block as the uncached stepwise decomposition."""
-    for scheme in (third_scheme, quarters_scheme):
+    """Observed and unobserved draws walk the cached sampler, and both give
+    the block and the draw count of stepping the network one
+    :func:`decompose_flow_once` at a time; the observed draw shows that
+    loop's steps record for record (cycle, d+, d-, probability, branch, and
+    the pre-step, branch and result flows).  On 1/4, 1/3, 5/12 at height 12
+    the live walk resumes its cycle search where the loop starts afresh."""
+    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
+    for scheme, height in ((third_scheme, None), (quarters_scheme, None), (mixed, 12)):
+        table = build_scheme_table(scheme, height)
         for seed in range(40):
-            fast_rng = SplitStream(seed)
-            slow_rng = SplitStream(seed)
-            fast = draw_block(scheme, None, fast_rng)
-            slow = draw_block(scheme, None, slow_rng, on_step=lambda s: None)
-            assert fast == slow, (scheme.categories, seed)
-            assert fast_rng.next_u64() == slow_rng.next_u64(), "draw counts differ"
+            fast, watched, slow = SplitStream(seed), SplitStream(seed), SplitStream(seed)
+            block, oracle = _stepwise_draw(table, slow)
+            steps = []
+            assert draw_block(scheme, height, fast) == block, (height, seed)
+            assert draw_block(scheme, height, watched, on_step=steps.append) == block, (height, seed)
+            assert fast._n == watched._n == slow._n, (height, seed)
+            assert len(steps) == len(oracle), (height, seed)
+            for number, (got, want) in enumerate(zip(steps, oracle)):
+                assert got == want, (height, seed, number)
 
 
 def test_sampler_tree_past_its_node_cap_draws_like_an_uncapped_one(

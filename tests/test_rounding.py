@@ -313,6 +313,22 @@ def test_degenerate_cycle_is_an_internal_error(three_dept_problem):
         decompose_once(ext, through_integral, ForcedRng(True))
 
 
+@pytest.mark.parametrize("cells", [
+    ((0, 0), (0, 5), (1, 5), (1, 0)),  # column 5 would be edge 5, cell (1, 2)
+    ((0, 0), (0, -2), (1, -2), (1, 0)),  # column -2 would alias column 1
+    ((0, 0), (0, 1), (4, 1), (4, 0)),  # row 4 is past the synthetic row
+    ((-1, 0), (-1, 1), (0, 1), (0, 0)),
+    ((0, 2), (0, 3), (1, 3), (1, 2)),  # (0, 2) is integral, but (0, 3) is outside
+])
+def test_cycle_outside_the_table_is_refused_before_any_draw(three_dept_problem, cells):
+    ext = extend_table(build_fair_share_table(three_dept_problem, 1))
+    rng = SplitStream(1)
+    with pytest.raises(ValueError) as exc:
+        decompose_once(ext, FractionCycle(cells), rng)
+    assert str(exc.value) == f"cycle {cells} leaves the 4 x 3 extended table"
+    assert rng._n == 0
+
+
 # ---------------------------------------------------------------- full rounding
 
 
