@@ -20,19 +20,21 @@ never touched again, so the walk takes at most one step per fractional
 edge.  Flows are integers scaled by their common denominator S, so an edge
 is fractional exactly when its scaled flow is not a multiple of S.
 
-A search resumes the last one.  Edges only turn integral, so a vertex's
-choice changes only when its chosen edge does, and a push touches only its
-cycle: a search keeps the last path up to the last cycle's first edge that
-turned integral and walks on from there (afresh once the smallest fractional
-edge is gone, or after a push of a cycle it did not return).  Each vertex
-keeps a forward-only pointer to its first fractional incidence entry.
+:meth:`Walk.run` is the loop of every rounding and block draw.  Its searches
+resume: edges only turn integral, so a vertex's choice changes only when its
+chosen edge does, and a push touches only its cycle, so a search keeps the
+last path up to the first edge the push made integral and walks on (afresh
+once the smallest fractional edge is gone).  A step reads d+ and d- off the
+path found; ``hook(num, den, take)`` sees each draw before the push.  Each
+vertex keeps a forward-only pointer to its first fractional incidence entry.
+:meth:`Walk.cycle` searches afresh and :meth:`Walk.step` pushes a given cycle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 # A cycle lists (edge index, direction) pairs: +1 runs tail to head.
 Cycle = Sequence[tuple[int, int]]
@@ -72,16 +74,11 @@ class Push(NamedTuple):
     den: int
     take: bool
 
-    @property
-    def amount(self) -> int:
-        """How far the forward edges moved."""
-        return self.d_plus if self.take else -self.d_minus
-
 
 class Walk:
     """Mutable scaled flows on a graph, rounded one cycle push at a time."""
 
-    __slots__ = ("graph", "scale", "flows", "_first", "_next", "_path", "_seen", "_start", "_cycle")
+    __slots__ = ("graph", "scale", "flows", "_first", "_next", "_path", "_seen", "_start")
 
     def __init__(self, graph: Graph, scale: int, flows: Sequence[int]):
         self.graph = graph
@@ -89,57 +86,59 @@ class Walk:
         self.flows = list(flows)
         self._first = 0  # no edge below this one is fractional
         self._next = [0] * len(graph.incidence)  # likewise in each vertex's incidence
-        # The last search: its path of incidence entries, vertex -> index leaving it, cycle start, cycle.
-        self._path, self._seen, self._start, self._cycle = [], {}, 0, None
+        # The last search: its path of incidence entries, vertex -> index leaving it, cycle start.
+        self._path, self._seen, self._start = [], {}, 0
+
+    def _search(self, k: int) -> bool:
+        """Make ``_path[_start:]`` the next cycle, walking on from path entry
+        ``k`` (0: afresh); False once all flows are integral."""
+        flows, scale, path, seen = self.flows, self.scale, self._path, self._seen
+        if k:  # resume where the last cycle first lost an edge
+            arrived, _, vertex = path[k - 1]
+            for entry in path[k:-1]:
+                del seen[entry[2]]
+        else:
+            end = len(flows)
+            self._first = e = next((e for e in range(self._first, end) if flows[e] % scale), end)
+            if e == end:
+                return False
+            vertex, arrived = self.graph.tails[e], -1
+            self._seen = seen = {vertex: 0}
+        del path[k:]
+        incidence, first = self.graph.incidence, self._next
+        while True:
+            edges, i = incidence[vertex], first[vertex]
+            try:
+                while not flows[edges[i][0]] % scale:
+                    i += 1
+                first[vertex] = i
+                if edges[i][0] == arrived:
+                    i += 1
+                    while not flows[edges[i][0]] % scale:
+                        i += 1
+            except IndexError:
+                raise RuntimeError(f"internal error: the walk stalled at vertex {vertex}") from None
+            entry = edges[i]
+            path.append(entry)
+            k += 1
+            arrived, _, vertex = entry
+            if vertex in seen:
+                break
+            seen[vertex] = k
+        self._start = seen[vertex]
+        return True
 
     def cycle(self) -> Optional[Cycle]:
         """The next cycle of fractional edges, or None once all are integral."""
-        flows, scale, path, seen = self.flows, self.scale, self._path, self._seen
-        k, n = self._start, len(path)
-        while k < n and flows[path[k][0]] % scale:
-            k += 1
-        if k == 0 or k < n:  # else the last cycle is still fractional
-            if k:  # resume where the last cycle first lost an edge
-                arrived, _, vertex = path[k - 1]
-                for entry in path[k:-1]:
-                    del seen[entry[2]]
-            else:
-                end = len(flows)
-                self._first = e = next((e for e in range(self._first, end) if flows[e] % scale), end)
-                if e == end:
-                    return None
-                vertex, arrived = self.graph.tails[e], -1
-                self._seen = seen = {vertex: 0}
-            del path[k:]
-            incidence, first = self.graph.incidence, self._next
-            while True:
-                edges, i = incidence[vertex], first[vertex]
-                try:
-                    while not flows[edges[i][0]] % scale:
-                        i += 1
-                    first[vertex] = i
-                    if edges[i][0] == arrived:
-                        i += 1
-                        while not flows[edges[i][0]] % scale:
-                            i += 1
-                except IndexError:
-                    raise RuntimeError(f"internal error: the walk stalled at vertex {vertex}") from None
-                entry = edges[i]
-                path.append(entry)
-                k += 1
-                arrived, _, vertex = entry
-                if vertex in seen:
-                    break
-                seen[vertex] = k
-            self._start = seen[vertex]
-        found = path[self._start:]
+        return self._found() if self._search(0) else None
+
+    def _found(self) -> Cycle:
+        """The cycle the last search found, in the cycle rule's rotation."""
+        found = self._path[self._start:]
         low = found.index(min(found))  # edges are distinct, so the smallest edge
         if found[low][1] > 0:
-            cycle = [(e, d) for e, d, _ in found[low:] + found[:low]]
-        else:
-            cycle = [(e, -d) for e, d, _ in found[low::-1] + found[:low:-1]]
-        self._cycle = cycle
-        return cycle
+            return [(e, d) for e, d, _ in found[low:] + found[:low]]
+        return [(e, -d) for e, d, _ in found[low::-1] + found[:low:-1]]
 
     def headroom(self, cycle: Cycle) -> tuple[int, int]:
         """Scaled (d+, d-) of a cycle of fractional edges."""
@@ -147,53 +146,64 @@ class Walk:
         back = [d * flows[e] % scale for e, d in cycle]  # room against each direction
         return scale - max(back), min(back)
 
-    def push(self, cycle: Cycle, amount: int) -> None:
-        """Move forward edges by ``amount`` and backward edges by -``amount``."""
-        if cycle is not self._cycle:  # the next search starts afresh
-            self._path, self._start = [], 0
-        flows = self.flows
-        for e, d in cycle:
-            flows[e] += d * amount
+    def run(self, rng, hook: Optional[Callable[[int, int, bool], None]] = None) -> None:
+        """Step until every flow is integral, drawing what :meth:`step` on
+        each :meth:`cycle` would; ``hook(num, den, take)`` sees each draw
+        before its push, while the flows are the pre-step ones."""
+        flows, scale, k = self.flows, self.scale, 0
+        while self._search(k):
+            found = self._path[self._start:]
+            back = [d * flows[e] % scale for e, d, _ in found]  # room against the path
+            top, low = max(back), min(back)
+            forward = min(found)[1] > 0  # the cycle runs its smallest edge forward
+            d_plus, d_minus = (scale - top, low) if forward else (low, scale - top)
+            g = gcd(d_plus, d_minus)
+            num, den = d_minus // g, (d_minus + d_plus) // g
+            take = rng.randrange(den) < num
+            if hook is not None:
+                hook(num, den, take)
+            rise = take == forward  # the path's edges rise
+            amount = scale - top if rise else -low
+            for e, d, _ in found:
+                flows[e] += d * amount
+            k = self._start + back.index(top if rise else low)  # the first edge made integral
 
-    def step(self, rng, cycle: Optional[Cycle] = None) -> Optional[Push]:
-        """Push ``cycle`` (default: the next one) on a drawn branch; None,
-        drawing nothing, once the flows are integral.
+    def step(self, rng, cycle: Cycle) -> Push:
+        """Push ``cycle``, a cycle of fractional edges, on a drawn branch.
 
         ``rng.randrange(den) < num`` draws what ``rng.bernoulli`` would.
         """
-        if cycle is None:
-            cycle = self.cycle()
-            if cycle is None:
-                return None
         d_plus, d_minus = self.headroom(cycle)
         g = gcd(d_plus, d_minus)
         num, den = d_minus // g, (d_minus + d_plus) // g
-        push = Push(cycle, d_plus, d_minus, num, den, rng.randrange(den) < num)
-        self.push(cycle, push.amount)
-        return push
+        take = rng.randrange(den) < num
+        amount = d_plus if take else -d_minus
+        for e, d in cycle:
+            self.flows[e] += d * amount
+        return Push(cycle, d_plus, d_minus, num, den, take)
 
 
-def observed(record, pre, cycle, build, walk: Walk, push: Push, on_step):
-    """Show ``on_step`` the step ``push`` that took ``pre`` to ``walk`` as a
-    ``record``; returns the step's result.
+def observer(record, pre, view, build, walk: Walk, on_step):
+    """A :meth:`Walk.run` hook that shows ``on_step`` each step from ``pre`` on as a
+    ``record`` and returns its result (a step on a caller's cycle passes the cycle);
+    ``view`` gives the record's cycle and ``build`` both branches from scaled flows."""
+    def hook(num: int, den: int, take: bool, cycle: Optional[Cycle] = None):
+        nonlocal pre
+        cycle = cycle or walk._found()
+        d_plus, d_minus = walk.headroom(cycle)
+        sign = dict(cycle)  # edge -> direction
+        raised, lowered = (
+            build([f + sign.get(e, 0) * d for e, f in enumerate(walk.flows)]) for d in (d_plus, -d_minus)
+        )
+        step = record(
+            pre, view(cycle), Fraction(d_plus, walk.scale), Fraction(d_minus, walk.scale),
+            Fraction(num, den), raised, lowered, record.BRANCHES[not take], raised if take else lowered,
+        )
+        on_step(step)
+        pre = step.result
+        return pre
 
-    ``build`` turns scaled flows into a state like ``pre``; both branches
-    are built, so this is for observers only.
-    """
-    def branch(d: int):
-        other = Walk(walk.graph, walk.scale, walk.flows)
-        other.push(push.cycle, d - push.amount)
-        return build(other.flows)
-
-    raised, lowered = branch(push.d_plus), branch(-push.d_minus)
-    scale = walk.scale
-    step = record(
-        pre, cycle, Fraction(push.d_plus, scale), Fraction(push.d_minus, scale),
-        Fraction(push.num, push.den), raised, lowered, record.BRANCHES[not push.take],
-        raised if push.take else lowered,
-    )
-    on_step(step)
-    return step.result
+    return hook
 
 
 def check_step(step, raised, lowered, values) -> None:

@@ -235,6 +235,8 @@ def _cmd_round(args) -> str:
 _LENGTH_LIMIT = 1_000_000
 # Most cells (periods x departments) ``compare --synthesize`` may build.
 _CELL_LIMIT = 100_000
+# Most replications ``compare`` may run; each costs milliseconds to seconds.
+_REPLICATION_LIMIT = 1_000_000
 
 
 def _cmd_roster(args) -> str:
@@ -333,6 +335,8 @@ def _synthesize_problem(args, scheme) -> ReservationProblem:
 
 
 def _cmd_compare(args) -> str:
+    if args.replications > _REPLICATION_LIMIT:
+        raise FlagError(f"--replications {args.replications}: at most {_REPLICATION_LIMIT:,} allowed")
     scheme = parse_scheme_file(args.scheme)
     _check_height(scheme, args.height)
     if args.synthesize:

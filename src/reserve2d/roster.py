@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache, partial
 from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
-from ._walk import Graph, Walk, check_step, observed, scaled
+from ._walk import Graph, Walk, check_step, observer, scaled
 from .core import ReservationScheme, Roster
 from .rng import _GAMMA, _MASK64, _MIX1, _MIX2, SplitStream
 
@@ -343,13 +343,14 @@ def decompose_flow_once(
     pairs or a closed vertex path); ``on_step`` observes the realized step.
     """
     walk = _walk(network)
-    push = walk.step(rng, None if cycle is None else _coerce_cycle(network, cycle))
-    if push is None:
+    edges = walk.cycle() if cycle is None else _coerce_cycle(network, cycle)
+    if edges is None:
         raise ValueError("network is already integral; nothing to decompose")
+    push = walk.step(rng, edges)
     build = partial(_network_at, network, walk.scale)
     if on_step is None:
         return build(walk.flows)
-    return observed(FlowStep, network, tuple(push.cycle), build, walk, push, on_step)
+    return observer(FlowStep, network, tuple, build, _walk(network), on_step)(*push[3:], push.cycle)
 
 
 @dataclass(frozen=True)
@@ -435,19 +436,22 @@ class _BlockSampler:
     def walk(self, rng, on_step: Optional[Callable[[FlowStep], None]] = None) -> IntegralBlock:
         """One block walked from the start with ``rng``'s draws, each step shown to ``on_step``."""
         walk = Walk(self.start.graph, self.start.scale, self.start.flows)
+        at, show = [self.root, 0], None  # the slot the next step's node hangs in
         if on_step is not None:
             network = build_flow_network(self.table)
             build = partial(_network_at, network, walk.scale)
-        holder, slot = self.root, 0
-        while (push := walk.step(rng)) is not None:
-            if on_step is not None:
-                network = observed(FlowStep, network, tuple(push.cycle), build, walk, push, on_step)
-            node = [push.num, push.den, None, None]
-            holder, slot = self._child(holder, slot, node), 2 if push.take else 3
+            show = observer(FlowStep, network, tuple, build, walk, on_step)
+
+        def grow(num: int, den: int, take: bool) -> None:
+            if show is not None:
+                show(num, den, take)
+            at[:] = self._child(*at, [num, den, None, None]), 2 if take else 3
+
+        walk.run(rng, grow)
         cells, n = [f // walk.scale for f in walk.flows[self.cells]], self.table.scheme.size
         rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
         block = IntegralBlock(self.table.scheme, self.table.height, rows)
-        self._child(holder, slot, block)
+        self._child(*at, block)
         return block
 
     def blocks(self, rng, count: int) -> list[IntegralBlock]:

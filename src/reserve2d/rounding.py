@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
-from ._walk import Graph, Walk, check_step, observed, scaled
+from ._walk import Graph, Walk, check_step, observer, scaled
 from .core import FairShareTable, ReservationTable
 
 __all__ = [
@@ -200,7 +200,7 @@ def decompose_once(
     """
     walk = _walk(table)
     n = len(table.entries[0])
-    edges = None
+    edges = walk.cycle() if cycle is None else None
     if cycle is not None:
         if not all(0 <= i < len(table.entries) and 0 <= j < n for i, j in cycle.cells):
             raise ValueError(f"cycle {cycle.cells} leaves the {len(table.entries)} x {n} extended table")
@@ -210,13 +210,14 @@ def decompose_once(
                     f"internal error: degenerate cycle (cell ({i}, {j}) is integral)"
                 )
         edges = [(i * n + j, 1 - 2 * (s % 2)) for s, (i, j) in enumerate(cycle.cells)]
-    push = walk.step(rng, edges)
-    if push is None:
+    if edges is None:
         raise ValueError("table is already integral; nothing to decompose")
+    push = walk.step(rng, edges)
     build = partial(_table_at, table.source, n, walk.scale)
     if on_step is None:
         return build(walk.flows)
-    return observed(DecompositionStep, table, _cells(push.cycle, n), build, walk, push, on_step)
+    show = observer(DecompositionStep, table, partial(_cells, n=n), build, _walk(table), on_step)
+    return show(*push[3:], push.cycle)
 
 
 def controlled_round(
@@ -236,9 +237,8 @@ def controlled_round(
     walk = _walk(table)
     n = len(fair.categories)
     build = partial(_table_at, fair, n, walk.scale)
-    while (push := walk.step(rng)) is not None:
-        if on_step is not None:
-            table = observed(DecompositionStep, table, _cells(push.cycle, n), build, walk, push, on_step)
+    show = on_step and observer(DecompositionStep, table, partial(_cells, n=n), build, walk, on_step)
+    walk.run(rng, show)
     rows = (  # the synthetic row is dropped
         tuple(f // walk.scale for f in walk.flows[i * n:(i + 1) * n])
         for i in range(len(fair.departments))

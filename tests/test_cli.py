@@ -179,6 +179,31 @@ def test_roster_length_past_the_limit_exits_two(capsys, files):
     assert code == 0 and out.count("\n") == 1_000_001
 
 
+class Drawing(Exception):
+    """Raised where ``compare`` would start drawing replications."""
+
+
+def test_compare_replications_past_the_limit_exit_two(capsys, files, monkeypatch):
+    counts = []
+
+    def replicate(problem, config, count, stream):
+        counts.append(count)
+        raise Drawing
+
+    monkeypatch.setattr(cli, "_replicate", replicate)
+    with time_limit(5):
+        code, out, err = run_cli(
+            capsys, "compare", files["problem"], "--scheme", files["scheme"],
+            "--replications", "1000001", "--seed", "1",
+        )
+    _assert_one_line_error(code, out, err, "at most 1,000,000 allowed", start="error: --replications")
+    assert counts == []
+    with pytest.raises(Drawing):
+        main(["compare", files["problem"], "--scheme", files["scheme"],
+              "--replications", "1000000", "--seed", "1"])
+    assert counts == [1_000_000]
+
+
 def test_run_proposed_bad_height_exits_two(capsys, files):
     code, out, err = run_cli(
         capsys, "run", files["problem"], "--scheme", files["scheme"],

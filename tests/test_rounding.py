@@ -448,3 +448,25 @@ def test_rounding_with_denominators_beyond_64_bits():
     assert z.row_totals == x.row_totals
     assert within_department_quota(z, x) == []
     assert within_university_quota(z, x) == []
+
+
+def test_observed_and_unobserved_rounding_agree_on_five_category_tables():
+    """Both paths run one loop and split only at its hook: on seeded
+    five-category tables of 5 to 40 departments they return equal tables and
+    leave the stream at the same draw, and the observed steps chain from the
+    extended table to the result."""
+    five = ReservationScheme(
+        ("sc", "st", "obc", "ews", "open"), (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200))
+    )
+    vacancies = random.Random(12)
+    for m in (5, 12, 40):
+        row = [vacancies.randint(1, 30) for _ in range(m)]
+        fair = build_fair_share_table(ReservationProblem([f"d{i}" for i in range(m)], five, [row]), 1)
+        for seed in range(2):
+            plain, watched, steps = SplitStream(seed), SplitStream(seed), []
+            rounded = controlled_round(fair, plain)
+            assert controlled_round(fair, watched, on_step=steps.append) == rounded, (m, seed)
+            assert plain._n == watched._n >= len(steps) > 0, (m, seed)
+            assert steps[0].table == extend_table(fair)
+            assert all(step.table is before.result for before, step in zip(steps, steps[1:]))
+            assert steps[-1].result.entries[:-1] == rounded.entries

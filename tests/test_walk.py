@@ -1,14 +1,17 @@
-"""The resumed cycle search of the dependent-rounding walk.
+"""The cycle search of the dependent-rounding walk, against an oracle.
 
-``Walk.cycle`` picks up its last search where the last push broke it.  The
-oracle here is the from-scratch search it replaced: start at the tail of
-the smallest fractional edge, leave each vertex by its smallest fractional
-edge other than the arrival edge, close at the first revisited vertex.
-Every step of a seeded walk must choose the oracle's cycle and consume the
-same draws, on both graphs and across pushes of caller-supplied cycles
-(what ``decompose_once`` and ``decompose_flow_once`` do with ``cycle=``).
+``Walk.run``, the loop that rounding and block draws run, resumes each
+search where the last push broke it; ``Walk.cycle`` searches afresh with
+per-vertex pointers past integral incidence entries.  The oracle here is
+the from-scratch search both replaced: start at the tail of the smallest
+fractional edge, leave each vertex by its smallest fractional edge other
+than the arrival edge, close at the first revisited vertex.  Every step of
+a seeded walk must choose the oracle's cycle and consume the same draws, on
+both graphs and across pushes of caller-supplied cycles (what
+``decompose_once`` and ``decompose_flow_once`` do with ``cycle=``).
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 from reserve2d import ReservationProblem, ReservationScheme, build_fair_share_table, roster, rounding
 from reserve2d._walk import Graph, Walk
 from reserve2d.rng import SplitStream
+
+from conftest import time_limit
 
 
 def oracle_cycle(walk: Walk, start: int = 0):
@@ -57,28 +62,56 @@ class OracleWalk(Walk):
         return oracle_cycle(self)
 
 
-def assert_walks_agree(start: Walk, seed: int, foreign=()) -> None:
-    """Walk ``start`` to integral flows resumed and from scratch, in lockstep.
+class CountingRandom(random.Random):
+    """A stdlib generator that counts its draws: an rng other than a SplitStream."""
 
-    At each step listed in ``foreign`` both walks first push the same
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self._n = 0
+
+    def randrange(self, n: int) -> int:
+        self._n += 1
+        return super().randrange(n)
+
+
+def assert_walks_agree(start: Walk, seed: int, foreign=(), stream=SplitStream) -> None:
+    """Step ``start`` to integral flows with ``Walk.cycle`` and with the
+    oracle's search in lockstep, and walk it once more through ``Walk.run``.
+
+    At each step listed in ``foreign`` the walks first push the same
     caller-supplied cycle, found by searching from a later fractional edge.
+    The run copy makes the same steps up to the last foreign push and then
+    runs; its draws, flows and ``rng._n`` must be the oracle's.
     """
-    walk = Walk(start.graph, start.scale, start.flows)
-    oracle = OracleWalk(start.graph, start.scale, start.flows)
-    rng, oracle_rng = SplitStream(seed), SplitStream(seed)
+    walk, oracle, runner = (kind(start.graph, start.scale, start.flows) for kind in (Walk, OracleWalk, Walk))
+    rng, oracle_rng, runner_rng = stream(seed), stream(seed), stream(seed)
+    draws, ran = [], []  # (num, den, take) of every oracle and every run-copy step
     steps = 0
     while True:
         if steps in foreign:
             fractional = [e for e, f in enumerate(walk.flows) if f % walk.scale]
             if fractional:
                 cycle = oracle_cycle(walk, fractional[len(fractional) // 2])
-                assert walk.step(rng, list(cycle)) == oracle.step(oracle_rng, list(cycle))
-        push = walk.step(rng)
-        assert push == oracle.step(oracle_rng), f"step {steps}"
+                push = oracle.step(oracle_rng, list(cycle))
+                assert walk.step(rng, list(cycle)) == push == runner.step(runner_rng, list(cycle))
+                draws.append(push[3:])
+                ran.append(push[3:])
+        cycle = oracle.cycle()
+        assert walk.cycle() == cycle, f"step {steps}"
+        if cycle is None:
+            break
+        push = oracle.step(oracle_rng, cycle)
+        assert walk.step(rng, cycle) == push
         assert rng._n == oracle_rng._n and walk.flows == oracle.flows
-        if push is None:
-            return
+        draws.append(push[3:])
+        if steps < max(foreign, default=0):  # the run copy steps up to the last foreign push
+            assert runner.step(runner_rng, cycle) == push
+            ran.append(push[3:])
         steps += 1
+    with time_limit(5):  # a push that moves nothing would loop for ever
+        runner.run(runner_rng, lambda *draw: ran.append(draw))
+    assert ran == draws
+    assert runner.flows == oracle.flows and runner_rng._n == oracle_rng._n
 
 
 @st.composite
@@ -112,6 +145,32 @@ def test_resumed_walk_matches_the_oracle_on_extended_fair_tables(scheme, seed, v
     assert_walks_agree(rounding._walk(table), seed, foreign)
 
 
+@settings(max_examples=15, deadline=None)
+@given(scheme=schemes(max_height=30), seed=st.integers(0, 2**64 - 1),
+       foreign=st.sets(st.integers(0, 30), max_size=2))
+def test_run_matches_the_oracle_with_another_rng(scheme, seed, foreign):
+    scheme, height = scheme
+    network = roster.build_flow_network(roster.build_scheme_table(scheme, height))
+    assert_walks_agree(roster._walk(network), seed, foreign, CountingRandom)
+    problem = ReservationProblem([f"d{i}" for i in range(3)], scheme, [[height, 1, height // 2 + 1]])
+    table = rounding.extend_table(build_fair_share_table(problem, 1))
+    assert_walks_agree(rounding._walk(table), seed, foreign, CountingRandom)
+
+
+def test_run_draws_denominators_beyond_64_bits_as_the_oracle():
+    """Branch denominators near 2**70 make ``randrange`` read several words."""
+    big = 2**70
+    scheme = ReservationScheme(("c1", "c2"), (Fraction(1, big + 1), Fraction(big, big + 1)))
+    table = rounding.extend_table(build_fair_share_table(ReservationProblem(("d1", "d2"), scheme, ((1, 2),)), 1))
+    start, dens = rounding._walk(table), []
+    rounding._walk(table).run(SplitStream(0), lambda num, den, take: dens.append(den))
+    assert max(dens) > 2**64
+    for seed in range(20):
+        for foreign in ((), (0,), (1,)):
+            assert_walks_agree(start, seed, foreign)
+            assert_walks_agree(start, seed, foreign, CountingRandom)
+
+
 FIVE = ReservationScheme(
     ("sc", "st", "obc", "ews", "open"),
     (Fraction(3, 20), Fraction(3, 40), Fraction(27, 100), Fraction(1, 10), Fraction(81, 200)),
@@ -138,12 +197,10 @@ def test_resumed_walk_reads_under_half_the_incidence_of_the_oracle():
     counting = Graph(0, [])
     counting.tails = start.graph.tails
     counting.incidence = tuple(map(CountingIncidence, start.graph.incidence))
-    reads = {}
-    for kind in (Walk, OracleWalk):
-        walk = kind(counting, start.scale, start.flows)
-        CountingIncidence.reads = 0
-        rng = SplitStream(7)
-        while walk.step(rng) is not None:
-            pass
-        reads[kind] = CountingIncidence.reads
-    assert reads[Walk] <= reads[OracleWalk] / 2, reads
+    CountingIncidence.reads = 0
+    Walk(counting, start.scale, start.flows).run(SplitStream(7))
+    resumed, CountingIncidence.reads = CountingIncidence.reads, 0
+    oracle, rng = OracleWalk(counting, start.scale, start.flows), SplitStream(7)
+    while (cycle := oracle.cycle()) is not None:
+        oracle.step(rng, cycle)
+    assert resumed <= CountingIncidence.reads / 2, (resumed, CountingIncidence.reads)
