@@ -190,18 +190,13 @@ def _check_margins(table) -> None:
     ):
         if len(totals) != len(labels):
             raise ValueError(f"expected {len(labels)} {what} totals, got {len(totals)}")
-    for i, dept in enumerate(table.departments):
-        if sum(table.entries[i]) != table.row_totals[i]:
-            raise ValueError(
-                f"row {dept!r} sums to {sum(table.entries[i])}, "
-                f"stored total is {table.row_totals[i]}"
-            )
-    for j, cat in enumerate(table.categories):
-        col = sum(row[j] for row in table.entries)
-        if col != table.column_totals[j]:
-            raise ValueError(
-                f"column {cat!r} sums to {col}, stored total is {table.column_totals[j]}"
-            )
+    for dept, row, total in zip(table.departments, table.entries, table.row_totals):
+        if sum(row) != total:
+            raise ValueError(f"row {dept!r} sums to {sum(row)}, stored total is {total}")
+    columns = tuple(map(sum, zip(*table.entries))) or (0,) * len(table.categories)
+    for cat, col, total in zip(table.categories, columns, table.column_totals):
+        if col != total:
+            raise ValueError(f"column {cat!r} sums to {col}, stored total is {total}")
     if sum(table.row_totals) != table.grand_total:
         raise ValueError("row totals do not sum to the grand total")
 
@@ -260,7 +255,7 @@ class ReservationTable:
             categories=tuple(categories),
             entries=entries,
             row_totals=tuple(sum(row) for row in entries),
-            column_totals=tuple(sum(row[j] for row in entries) for j in range(len(categories))),
+            column_totals=tuple(map(sum, zip(*entries))) or (0,) * len(categories),
             grand_total=sum(sum(row) for row in entries),
         )
 
@@ -317,9 +312,9 @@ class Roster:
                 "'independent-blocks' or 'repeat-block'"
             )
         known = set(self.categories)
-        for p, c in enumerate(self.assignment, start=1):
-            if c not in known:
-                raise ValueError(f"position {p}: unknown category {c!r}")
+        if not known.issuperset(self.assignment):
+            p, c = next((p, c) for p, c in enumerate(self.assignment, start=1) if c not in known)
+            raise ValueError(f"position {p}: unknown category {c!r}")
 
     def __len__(self) -> int:
         return len(self.assignment)

@@ -12,13 +12,19 @@ the child's index.  This gives
 * exact rational Bernoulli draws via rejection sampling, so lottery
   probabilities like 7/24 are honoured exactly rather than through floats.
 
+A stream's u64 number n depends only on its key and n, so :func:`_u64s`
+mixes up to 64 consecutive ones at once, as the lanes of one integer.
+
 The algorithm identifier below is recorded in report metadata so that
 archived outputs name the generator that produced them.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from functools import lru_cache
+from sys import byteorder
 
 ALGORITHM = "splitmix64-tree/v1"
 
@@ -34,6 +40,29 @@ def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=64)
+def _lanes(count: int) -> tuple[int, int, int]:
+    """A 1 in each of ``count`` 128-bit lanes, lane i's i * _GAMMA, and every low word."""
+    ones = sum(1 << 128 * i for i in range(count))
+    return ones, sum((i * _GAMMA & _MASK64) << 128 * i for i in range(count)), ones * _MASK64
+
+
+def _u64s(key: int, n: int, count: int):
+    """u64s n+1 .. n+count (count <= 64) of stream ``key``, mixed side by side in the
+    128-bit lanes of one int; each lane is cut to its low word before every multiply."""
+    base = (key + (n + 1) * _GAMMA) & _MASK64
+    if count == 1:
+        return (_mix64(base),)
+    ones, steps, low = _lanes(count)
+    z = (base * ones + steps) & low
+    z = ((z ^ z >> 30) & low) * _MIX1 & low
+    z = ((z ^ z >> 27) & low) * _MIX2 & low
+    words = array("Q", (z ^ z >> 31).to_bytes(16 * count, "little"))
+    if byteorder == "big":
+        words.byteswap()
+    return words[::2]
 
 
 class SplitStream:

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from ._walk import Graph, Walk, check_step, observer, scaled
 from .core import ReservationScheme, Roster
-from .rng import _GAMMA, _MASK64, _MIX1, _MIX2, SplitStream
+from .rng import SplitStream, _u64s
 
 __all__ = [
     "SchemeTable",
@@ -426,12 +426,14 @@ class _BlockSampler:
         self.root: list = [None]  # the tree hangs from slot 0
         self.nodes = 0
 
-    def _child(self, holder: Optional[list], slot: int, node):
-        """``holder[slot]``, set to ``node`` if empty while the tree has room."""
-        if holder is not None and holder[slot] is None and self.nodes < self._NODE_CAP:
-            holder[slot] = node
-            self.nodes += 1
-        return holder and holder[slot]
+    def _room(self, holder: Optional[list], slot: int) -> bool:
+        """Whether ``holder[slot]`` is on the tree, empty, and the tree has room."""
+        return holder is not None and holder[slot] is None and self.nodes < self._NODE_CAP
+
+    def _child(self, holder: list, slot: int, node) -> None:
+        """Hang ``node`` in the empty ``holder[slot]``."""
+        holder[slot] = node
+        self.nodes += 1
 
     def walk(self, rng, on_step: Optional[Callable[[FlowStep], None]] = None) -> IntegralBlock:
         """One block walked from the start with ``rng``'s draws, each step shown to ``on_step``."""
@@ -445,47 +447,52 @@ class _BlockSampler:
         def grow(num: int, den: int, take: bool) -> None:
             if show is not None:
                 show(num, den, take)
-            at[:] = self._child(*at, [num, den, None, None]), 2 if take else 3
+            holder, slot = at
+            if self._room(holder, slot):
+                self._child(holder, slot, [num, den, None, None])
+            at[:] = holder and holder[slot], 2 if take else 3
 
         walk.run(rng, grow)
         cells, n = [f // walk.scale for f in walk.flows[self.cells]], self.table.scheme.size
         rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
         block = IntegralBlock(self.table.scheme, self.table.height, rows)
-        self._child(*at, block)
+        if self._room(*at):
+            self._child(*at, block)
         return block
 
     def blocks(self, rng, count: int) -> list[IntegralBlock]:
         """``count`` blocks, drawing exactly what ``count`` calls of
         :meth:`walk` would.
 
-        The descent computes each u64 in place from the stream's key and
-        draw index (splitmix64 is counter-based) and stores the index once.
+        The descent reads its u64s from batches of ``rng._u64s``, one lane
+        per block still to draw (at most 64), and stores the draw index once.
         A u64 that ``randrange`` might reject is drawn again by ``randrange``
         itself, and a block that reaches a missing child is handed, from its
-        first draw, to :meth:`walk`.  Any other ``rng`` than a
-        :class:`SplitStream` is walked one block at a time.
+        first draw, to :meth:`walk`; either drops the batch.  Any other
+        ``rng`` than a :class:`SplitStream` is walked one block at a time.
         """
         if not isinstance(rng, SplitStream):
             return [self.walk(rng) for _ in range(count)]
         key, n, top = rng.key, rng._n, 1 << 64
+        batch, first, end = (), n, n  # the batch holds u64s first+1 .. end
         drawn: list[IntegralBlock] = []
-        for _ in range(count):
+        for left in range(count, 0, -1):
             start, node = n, self.root[0]
             while type(node) is list:
+                if n == end:
+                    batch, first = _u64s(key, n, min(left, 64)), n
+                    end = n + len(batch)
+                u, den = batch[n - first], node[1]
                 n += 1
-                z = (key + n * _GAMMA) & _MASK64
-                z = (z ^ (z >> 30)) * _MIX1 & _MASK64
-                z = (z ^ (z >> 27)) * _MIX2 & _MASK64
-                u, den = z ^ (z >> 31), node[1]
                 if u + den > top:  # randrange could reject u
                     rng._n = n - 1
                     u = rng.randrange(den)
-                    n = rng._n
+                    n = end = rng._n
                 node = node[2] if u % den < node[0] else node[3]
             if node is None:
                 rng._n = start
                 node = self.walk(rng)
-                n = rng._n
+                n = end = rng._n
             drawn.append(node)
         rng._n = n
         return drawn
@@ -514,29 +521,12 @@ def draw_block(
     return sampler.blocks(rng, 1)[0] if on_step is None else sampler.walk(rng, on_step)
 
 
-def _draw_positions(
-    scheme: ReservationScheme,
-    length: int,
-    rng,
-    extension_policy: str,
-    height: Optional[int],
-) -> tuple[tuple[str, ...], int]:
-    table = build_scheme_table(scheme, height)
-    if length < 0:
-        raise ValueError(f"roster length must be nonnegative, got {length}")
-    if extension_policy not in ("independent-blocks", "repeat-block"):
-        raise ValueError(
-            f"unknown extension policy {extension_policy!r}; expected "
-            "'independent-blocks' or 'repeat-block'"
-        )
-    k, sampler = table.height, _sampler(table)
-    blocks_needed = -(-length // k)
-    if extension_policy == "repeat-block":
-        return (sampler.blocks(rng, 1)[0].positions * blocks_needed)[:length] if length else (), k
+def _positions(sampler: _BlockSampler, length: int, rng) -> tuple[str, ...]:
+    """The first ``length`` positions of independent blocks drawn from ``sampler``."""
     drawn: list[str] = []
-    for block in sampler.blocks(rng, blocks_needed):
+    for block in sampler.blocks(rng, -(-length // sampler.table.height)):
         drawn += block.positions
-    return tuple(drawn[:length]), k
+    return tuple(drawn[:length])
 
 
 def draw_roster(
@@ -554,10 +544,17 @@ def draw_roster(
     holds within one of q*a_j positions of each category, exactly at block
     boundaries, and position marginals equal the scheme fractions.
     """
-    positions, k = _draw_positions(scheme, length, rng, extension_policy, height)
-    return Roster(
-        categories=scheme.categories,
-        assignment=positions,
-        block_length=k,
-        extension_policy=extension_policy,
-    )
+    table = build_scheme_table(scheme, height)
+    if length < 0:
+        raise ValueError(f"roster length must be nonnegative, got {length}")
+    if extension_policy not in ("independent-blocks", "repeat-block"):
+        raise ValueError(
+            f"unknown extension policy {extension_policy!r}; expected "
+            "'independent-blocks' or 'repeat-block'"
+        )
+    k, sampler = table.height, _sampler(table)
+    if extension_policy == "repeat-block":
+        positions = (_positions(sampler, min(length, k), rng) * -(-length // k))[:length]
+    else:
+        positions = _positions(sampler, length, rng)
+    return Roster(scheme.categories, positions, block_length=k, extension_policy=extension_policy)

@@ -31,7 +31,7 @@ from .core import (
     build_fair_share_table,
 )
 from .rng import SplitStream
-from .roster import _draw_positions, draw_roster
+from .roster import _positions, _sampler, build_scheme_table, draw_roster
 
 __all__ = [
     "RosterLengthError",
@@ -104,10 +104,8 @@ def _lottery(
     scheme: ReservationScheme, lengths: Sequence[int], stream: SplitStream, height: Optional[int]
 ) -> list[tuple[str, ...]]:
     """Department i's ``lengths[i]`` positions, independent blocks drawn from ``stream.child(i)``."""
-    return [
-        _draw_positions(scheme, q, stream.child(i), "independent-blocks", height)[0]
-        for i, q in enumerate(lengths)
-    ]
+    sampler = _sampler(build_scheme_table(scheme, height))
+    return [_positions(sampler, q, stream.child(i)) for i, q in enumerate(lengths)]
 
 
 def run_government(

@@ -226,6 +226,16 @@ def test_tables_reject_margins_of_the_wrong_length(rows, columns):
         )
 
 
+def test_from_entries_rejects_a_ragged_row_with_the_grid_message():
+    """A short or long row is refused by the grid check, before any margin
+    is compared (column sums used to index past the short row)."""
+    for entries in (((1, 2), (3,)), ((1,), (2, 3)), ((1, 2, 3), (4, 5))):
+        with pytest.raises(ValueError, match="^reservation table: expected 2 columns, got [13]$"):
+            ReservationTable.from_entries(("a", "b"), ("x", "y"), entries)
+    empty = ReservationTable.from_entries((), ("x", "y"), ())
+    assert empty.column_totals == (0, 0) and empty.grand_total == 0
+
+
 # ---------------------------------------------------------------- bias tables
 
 
@@ -354,3 +364,5 @@ def test_roster_category_lookup():
 def test_roster_rejects_unknown_category():
     with pytest.raises(ValueError):
         Roster(categories=("c1",), assignment=("c1", "zz"))
+    with pytest.raises(ValueError, match="^position 3: unknown category 'zz'$"):
+        Roster(categories=("c1", "c2"), assignment=("c2", "c1", "zz", "c1", "yy"))

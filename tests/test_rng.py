@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reserve2d import ALGORITHM, SplitStream
+from reserve2d.rng import _MASK64, _u64s
 
 from conftest import time_limit
 
@@ -136,3 +139,20 @@ def test_randrange_beyond_64_bits_terminates_and_covers():
     assert any(v >= 2**64 for v in values)
     assert s._n >= 2 * len(values)  # two words per attempt
     assert thirds == {0, 1, 2}
+
+
+@given(
+    key=st.integers(0, _MASK64),
+    n=st.integers(0, 1 << 66) | st.integers((1 << 64) - 70, (1 << 64) + 70),
+    count=st.integers(1, 64),
+)
+@example(key=0, n=0, count=64)
+@example(key=_MASK64, n=0, count=64)
+@example(key=_MASK64, n=(1 << 64) - 1, count=2)
+@example(key=0, n=(1 << 64) - 32, count=64)
+def test_batched_u64s_equal_successive_draws(key, n, count):
+    """``_u64s(key, n, count)`` mixes u64s n+1 .. n+count side by side in
+    one integer; it returns what ``count`` calls of ``next_u64`` return."""
+    stream = SplitStream(key)
+    stream._n = n
+    assert list(_u64s(key, n, count)) == [stream.next_u64() for _ in range(count)]

@@ -516,6 +516,88 @@ def test_fused_positions_redraw_a_rejected_u64_like_randrange(third_scheme):
         assert a._n == b._n == 7 - j % 2, j
 
 
+def _recorded_batches(monkeypatch):
+    """The (draw index, lane count) of every batch the descent mixes from now on."""
+    calls, mix = [], roster._u64s
+
+    def recording(key, n, count):
+        calls.append((n, count))
+        return mix(key, n, count)
+
+    monkeypatch.setattr(roster, "_u64s", recording)
+    return calls
+
+
+def _grown(table, walks=200):
+    sampler = roster._BlockSampler(table)
+    for seed in range(walks):
+        sampler.walk(SplitStream(seed))
+    return sampler
+
+
+def test_fused_descent_draws_the_block_loop_across_batch_boundaries(
+    monkeypatch, third_scheme, quarters_scheme
+):
+    """Rosters of 100 and 150 blocks read batches of up to 64 u64s, and on
+    1/3 and on quarters some batch begins inside a block; from an odd draw
+    index the descent still returns the blocks, and leaves the stream at the
+    draw index, of per-block walks."""
+    for scheme in (third_scheme, quarters_scheme):
+        table = build_scheme_table(scheme)
+        fused, looped = _grown(table), roster._BlockSampler(table)
+        for seed, count in ((0, 100), (1, 150), (2, 67)):
+            a, b = SplitStream(seed), SplitStream(seed)
+            a.next_u64(), b.next_u64()
+            starts, want = [], []
+            for _ in range(count):
+                starts.append(b._n)
+                want.append(looped.walk(b))
+            batches = _recorded_batches(monkeypatch)
+            assert fused.blocks(a, count) == want, (scheme, seed)
+            assert a._n == b._n, (scheme, seed)
+            assert max(lanes for _, lanes in batches) == 64, (scheme, seed)
+            assert any(n not in starts for n, _ in batches), (scheme, seed)
+            monkeypatch.undo()
+
+
+def test_fused_descent_redraws_a_rejected_u64_in_the_first_or_last_lane(
+    monkeypatch, third_scheme
+):
+    """On a grown 1/3 tree a block reads two u64s, so 100 blocks read
+    batches of 64, 64, 36, 18, 9 and 5 lanes, the last from u64 192 on.
+    A u64 2**64 - 1 at a depth-2 node (den 3) is rejected: as the last lane
+    of the first batch (u64 64) and as the first lane of the sixth (u64 192)
+    it is handed to ``randrange``, and the descent draws the blocks and the
+    draw count of per-block walks."""
+    table = build_scheme_table(third_scheme)
+    sampler, plain = _grown(table), roster._BlockSampler(table)
+    for j, batch in ((64, (0, 64)), (192, (191, 5))):
+        key = (_unmix64(_MASK64) - j * _GAMMA) & _MASK64  # u64 number j is 2**64 - 1
+        a, b = _CountingStream(key), SplitStream(key)
+        batches = _recorded_batches(monkeypatch)
+        assert sampler.blocks(a, 100) == _block_loop(plain, b, 100), j
+        assert a.bounds == [3] and a._n == b._n == 201, j
+        assert batch in batches, (j, batches)
+        monkeypatch.undo()
+
+
+def test_walks_allocate_no_node_once_the_tree_is_full(monkeypatch, quarters_scheme):
+    """A node list is made only for a slot the tree will hang it in: with
+    the cap at 0 no walk step or block makes one, and with the cap at 40
+    exactly 40 are made.  The draws match a sampler of its own either way."""
+    table = build_scheme_table(quarters_scheme, 8)
+    sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
+    made, hang = [], sampler._child
+    monkeypatch.setattr(sampler, "_child", lambda *args: made.append(args[2]) or hang(*args))
+    for cap in (0, 40):
+        monkeypatch.setattr(sampler, "_NODE_CAP", cap)
+        for seed in range(30):
+            a, b = SplitStream(seed), SplitStream(seed)
+            assert sampler.blocks(a, 2) + [sampler.walk(a)] == _block_loop(plain, b, 3), (cap, seed)
+            assert a._n == b._n, (cap, seed)
+        assert len(made) == sampler.nodes == cap
+
+
 def test_walk_on_a_grown_tree_adds_nothing_and_draws_what_the_descent_draws(third_scheme):
     """Once every branch of the 1/3 tree hangs, a walk follows existing
     children only: it adds no node and returns the block, and leaves the
