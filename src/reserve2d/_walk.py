@@ -27,6 +27,9 @@ last path up to the first edge the push made integral and walks on (afresh
 once the smallest fractional edge is gone).  A step reads d+ and d- off the
 path found; ``hook(num, den, take)`` sees each draw before the push.  Each
 vertex keeps a forward-only pointer to its first fractional incidence entry.
+A step tests ``u % den < num`` on the u64 ``randrange(den)`` would read,
+from ``rng._u64s`` batches of at most 64 lanes and the edges not known
+integral; ``randrange`` draws a u64 it might reject, and any other rng.
 :meth:`Walk.cycle` searches afresh and :meth:`Walk.step` pushes a given cycle.
 """
 
@@ -35,6 +38,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+
+from .rng import SplitStream, _u64s
+
+# Batches stand in for this u64 draw only while a stream's class keeps it.
+_NEXT_U64 = SplitStream.next_u64
 
 # A cycle lists (edge index, direction) pairs: +1 runs tail to head.
 Cycle = Sequence[tuple[int, int]]
@@ -149,8 +157,12 @@ class Walk:
     def run(self, rng, hook: Optional[Callable[[int, int, bool], None]] = None) -> None:
         """Step until every flow is integral, drawing what :meth:`step` on
         each :meth:`cycle` would; ``hook(num, den, take)`` sees each draw
-        before its push, while the flows are the pre-step ones."""
+        before its push, while the flows are the pre-step ones.  A stream whose
+        class keeps ``SplitStream.next_u64`` is read from ``_u64s`` batches."""
         flows, scale, k = self.flows, self.scale, 0
+        batched = getattr(type(rng), "next_u64", None) is _NEXT_U64
+        first = end = 0  # the batch holds u64s first+1 .. end
+        left = len(flows) - self._first  # edges not known integral: a step makes at least one so
         while self._search(k):
             found = self._path[self._start:]
             back = [d * flows[e] % scale for e, d, _ in found]  # room against the path
@@ -159,7 +171,17 @@ class Walk:
             d_plus, d_minus = (scale - top, low) if forward else (low, scale - top)
             g = gcd(d_plus, d_minus)
             num, den = d_minus // g, (d_minus + d_plus) // g
-            take = rng.randrange(den) < num
+            u = 1 << 64  # past every u64: randrange draws, as for a u64 it might reject
+            if batched:
+                n = rng._n  # u64 n+1 depends only on the key and n
+                if not first <= n < end:
+                    first, end = n, n + min(left, 64)
+                    batch = _u64s(rng.key, n, end - n)
+                u, left = batch[n - first], left - 1
+            if u + den > 1 << 64:
+                take = rng.randrange(den) < num
+            else:
+                rng._n, take = n + 1, u % den < num
             if hook is not None:
                 hook(num, den, take)
             rise = take == forward  # the path's edges rise

@@ -39,6 +39,7 @@ from .core import (
     build_fair_share_table,
 )
 from .fileio import (
+    _POSITION_LIMIT,
     _VACANCY_LIMIT,
     ParseError,
     parse_problem_file,
@@ -231,8 +232,6 @@ def _cmd_round(args) -> str:
 # --- roster ---------------------------------------------------------------
 
 
-# Most positions ``roster --length`` may ask for; the roster is held in memory.
-_LENGTH_LIMIT = 1_000_000
 # Most cells (periods x departments) ``compare --synthesize`` may build.
 _CELL_LIMIT = 100_000
 # Most replications ``compare`` may run; each costs milliseconds to seconds.
@@ -240,8 +239,8 @@ _REPLICATION_LIMIT = 1_000_000
 
 
 def _cmd_roster(args) -> str:
-    if args.length > _LENGTH_LIMIT:
-        raise FlagError(f"--length {args.length}: a roster may have at most {_LENGTH_LIMIT:,} positions")
+    if args.length > _POSITION_LIMIT:
+        raise FlagError(f"--length {args.length}: a roster may have at most {_POSITION_LIMIT:,} positions")
     scheme = parse_scheme_file(args.scheme)
     _check_height(scheme, args.height)
     roster = draw_roster(
@@ -324,6 +323,11 @@ def _synthesize_problem(args, scheme) -> ReservationProblem:
         raise FlagError(
             f"--periods {args.periods} x --departments-range HI {hi_m}: "
             f"a synthesized problem may have at most {_CELL_LIMIT:,} cells"
+        )
+    if args.periods * hi_m * hi_q > _POSITION_LIMIT:
+        raise FlagError(
+            f"--periods {args.periods} x --departments-range HI {hi_m} x --vacancies-range HI {hi_q}: "
+            f"a problem may have at most {_POSITION_LIMIT:,} vacancies"
         )
     m = lo_m + stream.randrange(hi_m - lo_m + 1)
     departments = tuple(f"d{i}" for i in range(1, m + 1))

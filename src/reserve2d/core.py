@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+from ._walk import scaled
+
 __all__ = [
     "PeriodRangeError",
     "ReservationScheme",
@@ -81,9 +83,7 @@ class ReservationScheme:
         if len(set(categories)) != len(categories):
             raise ValueError("category identifiers must be distinct")
         if len(fracs) != len(categories):
-            raise ValueError(
-                f"{len(categories)} categories but {len(fracs)} fractions"
-            )
+            raise ValueError(f"{len(categories)} categories but {len(fracs)} fractions")
         for name, f in zip(categories, fracs):
             if not 0 < f < 1:
                 raise ValueError(f"fraction for {name!r} must lie in (0,1), got {f}")
@@ -159,9 +159,7 @@ class ReservationProblem:
 
     def check_period(self, t: int) -> None:
         if not 1 <= t <= self.periods:
-            raise PeriodRangeError(
-                f"period {t} out of range: problem has periods 1..{self.periods}"
-            )
+            raise PeriodRangeError(f"period {t} out of range: problem has periods 1..{self.periods}")
 
     def cumulative_vacancies(self, t: int) -> tuple[int, ...]:
         """Q_i^t for every department, through period ``t``."""
@@ -183,22 +181,25 @@ def _check_grid(entries, m, n, what):
             raise ValueError(f"{what}: expected {n} columns, got {len(row)}")
 
 
-def _check_margins(table) -> None:
-    """Row sums, column sums and the grand total of a labelled table."""
+def _check_margins(table, scale: int, rows) -> None:
+    """Row sums, column sums and the grand total of a labelled table whose entries
+    are the integer ``rows`` over ``scale``; a message builds its ``Fraction``."""
     for totals, labels, what in (
         (table.row_totals, table.departments, "row"), (table.column_totals, table.categories, "column")
     ):
         if len(totals) != len(labels):
             raise ValueError(f"expected {len(labels)} {what} totals, got {len(totals)}")
-    for dept, row, total in zip(table.departments, table.entries, table.row_totals):
-        if sum(row) != total:
-            raise ValueError(f"row {dept!r} sums to {sum(row)}, stored total is {total}")
-    columns = tuple(map(sum, zip(*table.entries))) or (0,) * len(table.categories)
+    for dept, row, total in zip(table.departments, rows, table.row_totals):
+        if sum(row) != total * scale:
+            raise ValueError(f"row {dept!r} sums to {Fraction(sum(row), scale)}, stored total is {total}")
+    columns = tuple(map(sum, zip(*rows))) or (0,) * len(table.categories)
     for cat, col, total in zip(table.categories, columns, table.column_totals):
-        if col != total:
-            raise ValueError(f"column {cat!r} sums to {col}, stored total is {total}")
+        if col * total.denominator != total.numerator * scale:
+            raise ValueError(f"column {cat!r} sums to {Fraction(col, scale)}, stored total is {total}")
     if sum(table.row_totals) != table.grand_total:
         raise ValueError("row totals do not sum to the grand total")
+    if sum(columns) != table.grand_total * scale:  # implied by the three checks above
+        raise ValueError("column totals do not sum to the grand total")
 
 
 @dataclass(frozen=True)
@@ -215,9 +216,10 @@ class FairShareTable:
     def __post_init__(self):
         m, n = len(self.departments), len(self.categories)
         _check_grid(self.entries, m, n, "fair share table")
-        _check_margins(self)
-        if sum(self.column_totals) != self.grand_total:
-            raise ValueError("column totals do not sum to the grand total")
+        # Row-major entries times their lcm S, derived once; not a field, so ==, hash and repr ignore it.
+        scale, flows = scaled(v for row in self.entries for v in row)
+        object.__setattr__(self, "_scaled", (scale, tuple(flows)))
+        _check_margins(self, scale, [flows[i * n:(i + 1) * n] for i in range(m)])
 
 
 @dataclass(frozen=True)
@@ -237,10 +239,8 @@ class ReservationTable:
         for row in self.entries:
             for z in row:
                 if not isinstance(z, int) or z < 0:
-                    raise ValueError(
-                        f"reservation entries must be nonnegative integers, got {z!r}"
-                    )
-        _check_margins(self)
+                    raise ValueError(f"reservation entries must be nonnegative integers, got {z!r}")
+        _check_margins(self, 1, self.entries)  # its own scaled form
 
     @classmethod
     def from_entries(
@@ -324,9 +324,7 @@ class Roster:
         if position < 1:
             raise ValueError(f"roster positions are 1-based, got {position}")
         if position > len(self.assignment):
-            raise IndexError(
-                f"roster has {len(self.assignment)} positions, asked for {position}"
-            )
+            raise IndexError(f"roster has {len(self.assignment)} positions, asked for {position}")
         return self.assignment[position - 1]
 
 

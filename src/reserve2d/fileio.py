@@ -84,6 +84,8 @@ def _parse_int(path: str, line: int, text: str, what: str, minimum: int) -> int:
 # Most vacancies one department may have over all periods: the proposed
 # solution draws that many roster positions for it.
 _VACANCY_LIMIT = 100_000
+# Most positions a roster may need: a problem's total vacancies (government), ``roster --length``.
+_POSITION_LIMIT = 1_000_000
 
 
 def parse_problem_file(path: str, scheme: ReservationScheme) -> ReservationProblem:
@@ -91,7 +93,7 @@ def parse_problem_file(path: str, scheme: ReservationScheme) -> ReservationProbl
     rows = _read_rows(path, ("department", "period", "vacancies"))
     totals: dict[str, int] = {}  # each department's vacancies so far, in file order
     cells: dict[tuple[str, int], int] = {}
-    max_period = 0
+    max_period = total = 0
     for lineno, row in rows:
         if len(row) != 3:
             raise ParseError(path, lineno, f"expected 3 fields, got {len(row)}")
@@ -101,13 +103,14 @@ def parse_problem_file(path: str, scheme: ReservationScheme) -> ReservationProbl
         period = _parse_int(path, lineno, period_text, "period", 1)
         vacancies = _parse_int(path, lineno, vac_text, "vacancies", 0)
         if (dept, period) in cells:
-            raise ParseError(
-                path, lineno, f"duplicate row for department {dept!r}, period {period}"
-            )
+            raise ParseError(path, lineno, f"duplicate row for department {dept!r}, period {period}")
         cells[(dept, period)] = vacancies
         totals[dept] = totals.get(dept, 0) + vacancies
         if totals[dept] > _VACANCY_LIMIT:
             raise ParseError(path, lineno, f"department {dept!r} has over {_VACANCY_LIMIT:,} vacancies")
+        total += vacancies
+        if total > _POSITION_LIMIT:
+            raise ParseError(path, lineno, f"the problem has over {_POSITION_LIMIT:,} vacancies")
         max_period = max(max_period, period)
     if max_period == 0:
         raise ParseError(path, rows[-1][0] if rows else 1, "no vacancy rows found")
@@ -195,9 +198,7 @@ def parse_roster_file(
             raise ParseError(path, lineno, f"expected 2 fields, got {len(row)}")
         index = _parse_int(path, lineno, row[0], "index", 1)
         if index != len(assignment) + 1:
-            raise ParseError(
-                path, lineno, f"expected index {len(assignment) + 1}, got {index}"
-            )
+            raise ParseError(path, lineno, f"expected index {len(assignment) + 1}, got {index}")
         if not row[1]:
             raise ParseError(path, lineno, "category identifier is empty")
         if known is not None and row[1] not in known:

@@ -13,7 +13,8 @@ the child's index.  This gives
   probabilities like 7/24 are honoured exactly rather than through floats.
 
 A stream's u64 number n depends only on its key and n, so :func:`_u64s`
-mixes up to 64 consecutive ones at once, as the lanes of one integer.
+mixes up to 64 consecutive ones at once, as the lanes of one integer; the
+roster descent and every rounding walk read their u64s from such batches.
 
 The algorithm identifier below is recorded in report metadata so that
 archived outputs name the generator that produced them.

@@ -197,9 +197,7 @@ class FlowNetwork:
                     f"edge {e.tail}->{e.head}: flow {e.flow} outside [{e.lower}, {e.upper}]"
                 )
             if e.upper - e.lower > 1:
-                raise ValueError(
-                    f"edge {e.tail}->{e.head}: bound width {e.upper - e.lower} exceeds 1"
-                )
+                raise ValueError(f"edge {e.tail}->{e.head}: bound width {e.upper - e.lower} exceeds 1")
             balance[e.tail] -= e.flow
             balance[e.head] += e.flow
             outdeg[e.tail] += 1
@@ -464,8 +462,9 @@ class _BlockSampler:
         """``count`` blocks, drawing exactly what ``count`` calls of
         :meth:`walk` would.
 
-        The descent reads its u64s from batches of ``rng._u64s``, one lane
-        per block still to draw (at most 64), and stores the draw index once.
+        The descent reads its u64s from batches of ``rng._u64s``, as many as
+        the blocks left read at the call's u64s per block so far (one each
+        before a block ends; at most 64), and stores the draw index once.
         A u64 that ``randrange`` might reject is drawn again by ``randrange``
         itself, and a block that reaches a missing child is handed, from its
         first draw, to :meth:`walk`; either drops the batch.  Any other
@@ -474,13 +473,14 @@ class _BlockSampler:
         if not isinstance(rng, SplitStream):
             return [self.walk(rng) for _ in range(count)]
         key, n, top = rng.key, rng._n, 1 << 64
-        batch, first, end = (), n, n  # the batch holds u64s first+1 .. end
+        batch, first, end, origin = (), n, n, n  # the batch holds u64s first+1 .. end
         drawn: list[IntegralBlock] = []
         for left in range(count, 0, -1):
             start, node = n, self.root[0]
             while type(node) is list:
                 if n == end:
-                    batch, first = _u64s(key, n, min(left, 64)), n
+                    lanes = -((origin - n) * left // len(drawn)) if drawn else left
+                    batch, first = _u64s(key, n, min(lanes, 64)), n
                     end = n + len(batch)
                 u, den = batch[n - first], node[1]
                 n += 1

@@ -5,10 +5,11 @@ and column totals.  Appending one synthetic row with entries
 ``(1 - frac(column_sum)) mod 1`` makes every column total integral too, and
 the extended table is then rounded by the dependent-rounding walk of
 :mod:`reserve2d._walk` on the graph with one edge per cell, from the cell's
-column to its row.  Every entry ends at floor or ceil of its fair share
-with its fair share as expectation, every line total is kept, and dropping
-the synthetic row leaves a reservation table that meets both the
-per-department and the university-level quotas by construction.
+column to its row, starting from the fair table's scaled integers.  Every
+entry ends at floor or ceil of its fair share with its fair share as
+expectation, every line total is kept, and dropping the synthetic row
+leaves a reservation table that meets both the per-department and the
+university-level quotas by construction.
 """
 
 from __future__ import annotations
@@ -53,15 +54,7 @@ class ExtendedTable:
         # integers; not a field, so equality, hashing and repr ignore it.
         scale, flows = scaled(v for row in self.entries for v in row)
         object.__setattr__(self, "_scaled", (scale, flows))
-        for r in range(m + 1):
-            row = flows[r * n:(r + 1) * n]
-            if min(row, default=0) < 0:
-                raise ValueError(f"row {r} has a negative entry")
-            if sum(row) % scale:
-                raise ValueError(f"row {r} does not sum to an integer")
-        for j in range(n):
-            if sum(flows[j::n]) % scale:
-                raise ValueError(f"column {j} does not sum to an integer")
+        _check_extended(scale, flows, m + 1, n)
 
     @property
     def is_integral(self) -> bool:
@@ -75,10 +68,32 @@ class ExtendedTable:
         return tuple(divmod(e, n) for e, f in enumerate(flows) if f % scale)
 
 
+def _check_extended(scale: int, flows: list[int], rows: int, n: int) -> None:
+    """The checks of an extended table, on its row-major entries times ``scale``."""
+    for r in range(rows):
+        row = flows[r * n:(r + 1) * n]
+        if min(row, default=0) < 0:
+            raise ValueError(f"row {r} has a negative entry")
+        if sum(row) % scale:
+            raise ValueError(f"row {r} does not sum to an integer")
+    for j in range(n):
+        if sum(flows[j::n]) % scale:
+            raise ValueError(f"column {j} does not sum to an integer")
+
+
 def extend_table(fair: FairShareTable) -> ExtendedTable:
     """Append the synthetic row that makes every column total integral."""
     synthetic = tuple((1 - (total % 1)) % 1 for total in fair.column_totals)
     return ExtendedTable(fair, fair.entries + (synthetic,))
+
+
+def _extension(fair: FairShareTable) -> tuple[int, list[int]]:
+    """``extend_table(fair)._scaled`` from ``fair._scaled``: a synthetic entry is (-column sum) mod S."""
+    scale, flows = fair._scaled
+    n = len(fair.categories)
+    flows = [*flows, *(-sum(flows[j::n]) % scale for j in range(n))]
+    _check_extended(scale, flows, len(fair.departments) + 1, n)
+    return scale, flows
 
 
 @dataclass(frozen=True)
@@ -95,22 +110,13 @@ class FractionCycle:
     def __post_init__(self):
         cells = self.cells
         if len(cells) < 4 or len(cells) % 2:
-            raise ValueError(
-                f"a cycle needs an even number (>= 4) of cells, got {len(cells)}"
-            )
+            raise ValueError(f"a cycle needs an even number (>= 4) of cells, got {len(cells)}")
         if len(set(cells)) != len(cells):
             raise ValueError("cycle cells must be distinct")
         for s in range(len(cells)):
-            a, b = cells[s], cells[(s + 1) % len(cells)]
-            if s % 2 == 0:
-                if a[0] != b[0]:
-                    raise ValueError(
-                        f"cells {a} and {b} must share a row (step {s} is a row step)"
-                    )
-            elif a[1] != b[1]:
-                raise ValueError(
-                    f"cells {a} and {b} must share a column (step {s} is a column step)"
-                )
+            a, b, line = cells[s], cells[(s + 1) % len(cells)], ("row", "column")[s % 2]
+            if a[s % 2] != b[s % 2]:
+                raise ValueError(f"cells {a} and {b} must share a {line} (step {s} is a {line} step)")
 
     @property
     def odd_cells(self) -> tuple[tuple[int, int], ...]:
@@ -176,13 +182,8 @@ class DecompositionStep:
 
 
 def _table_at(source: FairShareTable, n: int, scale: int, flows) -> ExtendedTable:
-    return ExtendedTable(
-        source,
-        tuple(
-            tuple(Fraction(f, scale) for f in flows[i:i + n])
-            for i in range(0, len(flows), n)
-        ),
-    )
+    rows = (flows[i:i + n] for i in range(0, len(flows), n))
+    return ExtendedTable(source, tuple(tuple(Fraction(f, scale) for f in row) for row in rows))
 
 
 def decompose_once(
@@ -206,9 +207,7 @@ def decompose_once(
             raise ValueError(f"cycle {cycle.cells} leaves the {len(table.entries)} x {n} extended table")
         for i, j in cycle.cells:
             if table.entries[i][j].denominator == 1:
-                raise RuntimeError(
-                    f"internal error: degenerate cycle (cell ({i}, {j}) is integral)"
-                )
+                raise RuntimeError(f"internal error: degenerate cycle (cell ({i}, {j}) is integral)")
         edges = [(i * n + j, 1 - 2 * (s % 2)) for s, (i, j) in enumerate(cycle.cells)]
     if edges is None:
         raise ValueError("table is already integral; nothing to decompose")
@@ -233,14 +232,14 @@ def controlled_round(
     column totals, and the expectation of every entry (margins included) is
     the fair share itself.
     """
-    table = extend_table(fair)
-    walk = _walk(table)
-    n = len(fair.categories)
-    build = partial(_table_at, fair, n, walk.scale)
-    show = on_step and observer(DecompositionStep, table, partial(_cells, n=n), build, walk, on_step)
+    m, n = len(fair.departments), len(fair.categories)
+    walk = Walk(_graph(m + 1, n), *_extension(fair))
+    show = on_step and observer(
+        DecompositionStep, extend_table(fair), partial(_cells, n=n),
+        partial(_table_at, fair, n, walk.scale), walk, on_step,
+    )
     walk.run(rng, show)
     rows = (  # the synthetic row is dropped
-        tuple(f // walk.scale for f in walk.flows[i * n:(i + 1) * n])
-        for i in range(len(fair.departments))
+        tuple(f // walk.scale for f in walk.flows[i * n:(i + 1) * n]) for i in range(m)
     )
     return ReservationTable.from_entries(fair.departments, fair.categories, rows)

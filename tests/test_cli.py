@@ -644,6 +644,40 @@ def test_synthesized_cells_past_the_limit_exit_two(capsys, files, periods, depar
     )
 
 
+def test_synthesized_total_past_the_limit_exits_two(capsys, files, monkeypatch):
+    """Periods x departments HI x vacancies HI over 1,000,000 is refused before
+    anything is drawn; 1 x 100 x 10,000 reaches the replications."""
+    problems = []
+
+    def replicate(problem, config, count, stream):
+        problems.append(problem)
+        raise Drawing
+
+    monkeypatch.setattr(cli, "_replicate", replicate)
+    with time_limit(5):
+        code, out, err = _synthesize(capsys, files, 1, 9901, departments=101)
+    _assert_one_line_error(
+        code, out, err, "at most 1,000,000 vacancies",
+        start="error: --periods 1 x --departments-range HI 101 x --vacancies-range HI 9901:",
+    )
+    assert problems == []
+    with pytest.raises(Drawing):
+        _synthesize(capsys, files, 1, 10_000, departments=100)
+    assert sum(problems[0].vacancies[0]) == 1_000_000
+
+
+@pytest.mark.parametrize("command", [["round", "-t", "1"], ["run", "--solution", "proposed"]])
+def test_problem_total_past_the_limit_exits_two(capsys, files, tmp_path, command):
+    """Ten departments of 100,000 vacancies parse; an eleventh is refused at its row."""
+    rows = "".join(f"d{i},1,100000\n" for i in range(1, 12))
+    bad = tmp_path / "problem.csv"
+    bad.write_text("department,period,vacancies\n" + rows)
+    with time_limit(5):
+        code, out, err = run_cli(capsys, command[0], str(bad), "--scheme", files["scheme"],
+                                 *command[1:], "--seed", "1")
+    _assert_one_line_error(code, out, err, "has over 1,000,000 vacancies", start=f"error: {bad}:12:")
+
+
 @pytest.mark.parametrize("flag, lo, hi", [
     ("--departments-range", 5, 2),
     ("--departments-range", 1, 3),

@@ -5,9 +5,10 @@ scheme, problem and roster file contents, must end with exit code 0, 2, 3
 or 4 within a time bound and without a traceback.  Flag values stay small
 (at most 50), the structured file rows use small numbers, and ``compare``
 always gets small replication, period and range flags (its defaults make a
-run of about half a minute), so a run that succeeds stays cheap; its one
-large value, a replication count just past the limit, must exit 2 at once.
-Other huge lengths, periods and department ranges are out of scope.
+run of about half a minute), so a run that succeeds stays cheap; its large
+values, a replication count and a synthesized problem's total vacancies
+just past their limits, must exit 2 at once.  Other huge lengths, periods
+and department ranges are out of scope.
 """
 
 import contextlib
@@ -88,6 +89,15 @@ def _switch(flag: str) -> st.SearchStrategy:
     return st.sampled_from([[], [flag]])
 
 
+# Small ranges for ``compare --synthesize``, or 1 x 101 x 9,901: one vacancy past the total cap.
+_synthesized = st.tuples(
+    _always("--periods", _numbers(1, 4)),
+    _always("--departments-range", st.lists(_numbers(0, 8), min_size=2, max_size=2)),
+    _always("--vacancies-range", st.lists(_numbers(0, 12), min_size=2, max_size=2)),
+).map(lambda parts: [a for p in parts for a in p])
+_PAST_THE_TOTAL = ["--periods", "1", "--departments-range", "101", "101", "--vacancies-range", "9901", "9901"]
+
+
 def _argv(d: str) -> st.SearchStrategy:
     scheme, problem, roster = (os.path.join(d, name) for name in ("s.csv", "p.csv", "r.csv"))
     output = _flag("-o", st.sampled_from([os.path.join(d, "out"),
@@ -112,9 +122,7 @@ def _argv(d: str) -> st.SearchStrategy:
                     _flag("--roster", st.just(roster)), _switch("--cycle-roster"),
                     _always("--replications", _rarely(_numbers(1, 8), st.just("1000001"), 20)),
                     seed, order, height,
-                    _switch("--synthesize"), _always("--periods", _numbers(1, 4)),
-                    _always("--departments-range", st.lists(_numbers(0, 8), min_size=2, max_size=2)),
-                    _always("--vacancies-range", st.lists(_numbers(0, 12), min_size=2, max_size=2)),
+                    _switch("--synthesize"), _rarely(_synthesized, st.just(_PAST_THE_TOTAL), 20),
                     fmt, output],
     }
     command = st.sampled_from(sorted(parts))

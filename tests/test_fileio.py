@@ -161,6 +161,17 @@ def test_parse_problem_caps_each_departments_vacancies(tmp_path, third_scheme):
     assert parse_problem_file(at_limit, third_scheme).cumulative_vacancies(2) == (100000, 1)
 
 
+def test_parse_problem_caps_the_problems_vacancies(tmp_path, third_scheme):
+    """Total vacancies over 1,000,000 would make the government roster that long."""
+    rows = "".join(f"d{i},{t},50000\n" for t in (1, 2) for i in range(1, 11))
+    at_limit = _write(tmp_path, "q.csv", "department,period,vacancies\n" + rows)
+    assert sum(parse_problem_file(at_limit, third_scheme).cumulative_vacancies(2)) == 1_000_000
+    path = _write(tmp_path, "p.csv", "department,period,vacancies\n" + rows + "d11,1,1\nd11,2,1\n")
+    with pytest.raises(ParseError, match="the problem has over 1,000,000 vacancies") as err:
+        parse_problem_file(path, third_scheme)
+    assert err.value.line == 22
+
+
 def test_parse_problem_rejects_duplicates_and_negatives(tmp_path, third_scheme):
     dup = _write(
         tmp_path, "dup.csv", "department,period,vacancies\nd1,1,2\nd1,1,3\nd2,1,0\n"

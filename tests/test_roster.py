@@ -538,14 +538,17 @@ def _grown(table, walks=200):
 def test_fused_descent_draws_the_block_loop_across_batch_boundaries(
     monkeypatch, third_scheme, quarters_scheme
 ):
-    """Rosters of 100 and 150 blocks read batches of up to 64 u64s, and on
-    1/3 and on quarters some batch begins inside a block; from an odd draw
-    index the descent still returns the blocks, and leaves the stream at the
-    draw index, of per-block walks."""
+    """Rosters of 100, 150, 67 and 33 blocks read batches of up to 64 u64s,
+    and on 1/3 and on quarters some batch begins inside a block (on 1/3, where
+    every block reads two u64s, the 33 lanes of the 33-block roster's first
+    batch end inside its 17th block); from an odd draw index the descent
+    still returns the blocks, and leaves the stream at the draw index, of
+    per-block walks."""
     for scheme in (third_scheme, quarters_scheme):
         table = build_scheme_table(scheme)
         fused, looped = _grown(table), roster._BlockSampler(table)
-        for seed, count in ((0, 100), (1, 150), (2, 67)):
+        widest, inside = 0, False
+        for seed, count in ((0, 100), (1, 150), (2, 67), (3, 33)):
             a, b = SplitStream(seed), SplitStream(seed)
             a.next_u64(), b.next_u64()
             starts, want = [], []
@@ -555,28 +558,30 @@ def test_fused_descent_draws_the_block_loop_across_batch_boundaries(
             batches = _recorded_batches(monkeypatch)
             assert fused.blocks(a, count) == want, (scheme, seed)
             assert a._n == b._n, (scheme, seed)
-            assert max(lanes for _, lanes in batches) == 64, (scheme, seed)
-            assert any(n not in starts for n, _ in batches), (scheme, seed)
+            widest = max(widest, *(lanes for _, lanes in batches))
+            inside = inside or any(n not in starts for n, _ in batches)
             monkeypatch.undo()
+        assert widest == 64 and inside, scheme
 
 
 def test_fused_descent_redraws_a_rejected_u64_in_the_first_or_last_lane(
     monkeypatch, third_scheme
 ):
-    """On a grown 1/3 tree a block reads two u64s, so 100 blocks read
-    batches of 64, 64, 36, 18, 9 and 5 lanes, the last from u64 192 on.
-    A u64 2**64 - 1 at a depth-2 node (den 3) is rejected: as the last lane
-    of the first batch (u64 64) and as the first lane of the sixth (u64 192)
-    it is handed to ``randrange``, and the descent draws the blocks and the
-    draw count of per-block walks."""
+    """On a grown 1/3 tree a block reads two u64s.  100 blocks read a first
+    batch of 64 lanes; 5 blocks read 5 lanes, then, two blocks and five u64s
+    in, ceil(5 * 3 / 2) = 8 lanes from u64 6 on.  A u64 2**64 - 1 at a
+    depth-2 node (den 3) is rejected: as the last lane of the first batch
+    (u64 64 of 100 blocks) and as the first lane of the second (u64 6 of 5
+    blocks) it is handed to ``randrange``, and the descent draws the blocks
+    and the draw count of per-block walks."""
     table = build_scheme_table(third_scheme)
     sampler, plain = _grown(table), roster._BlockSampler(table)
-    for j, batch in ((64, (0, 64)), (192, (191, 5))):
+    for count, j, batch in ((100, 64, (0, 64)), (5, 6, (5, 8))):
         key = (_unmix64(_MASK64) - j * _GAMMA) & _MASK64  # u64 number j is 2**64 - 1
         a, b = _CountingStream(key), SplitStream(key)
         batches = _recorded_batches(monkeypatch)
-        assert sampler.blocks(a, 100) == _block_loop(plain, b, 100), j
-        assert a.bounds == [3] and a._n == b._n == 201, j
+        assert sampler.blocks(a, count) == _block_loop(plain, b, count), j
+        assert a.bounds == [3] and a._n == b._n == 2 * count + 1, j
         assert batch in batches, (j, batches)
         monkeypatch.undo()
 

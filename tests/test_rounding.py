@@ -182,6 +182,65 @@ def test_walk_starts_from_the_tables_scaled_entries(scheme):
             replace(ext, entries=tuple(map(tuple, broken)))
 
 
+def test_integer_extension_is_the_extended_tables_scaled_entries():
+    """``controlled_round`` extends in integers from the fair table's own
+    scaled entries; that equals scaling ``extend_table``'s ``Fraction`` entries,
+    also for tables with no categories and for all-integral tables."""
+    third = ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3)))
+    fairs = [*_fair_tables(QUARTERS, range(10)), *_fair_tables(FIVE, range(10)),
+             FairShareTable(("d1", "d2"), (), ((), ()), (0, 0), (), 0),
+             build_fair_share_table(ReservationProblem(("d1", "d2"), third, ((3, 6),)), 1)]
+    for fair in fairs:
+        scale, flows = scaled(v for row in fair.entries for v in row)
+        assert fair._scaled == (scale, tuple(flows))
+        assert rounding._extension(fair) == extend_table(fair)._scaled
+    assert rounding._extension(fairs[-1]) == (1, [1, 2, 2, 4, 0, 0])
+
+
+@pytest.mark.parametrize("n, rows, totals, message", [
+    (2, ((1, 1), (-1, 2)), (2, 1), "row 1 has a negative entry"),
+    (2, ((1, 1), (_H, 1)), (2, F(3, 2)), "row 1 does not sum to an integer"),
+])
+def test_integer_extension_runs_the_extended_tables_checks(n, rows, totals, message):
+    """A fair table the margin checks accept but the extension refuses is
+    refused by ``controlled_round`` with ``ExtendedTable``'s message, before
+    any draw."""
+    rows = tuple(tuple(F(v) for v in row) for row in rows)
+    columns = tuple(map(sum, zip(*rows)))
+    fair = FairShareTable(("d1", "d2"), ("c0", "c1")[:n], rows, totals, columns, sum(totals))
+    for extend in (extend_table, rounding._extension, lambda fair: controlled_round(fair, ForcedRng())):
+        with pytest.raises(ValueError) as err:
+            extend(fair)
+        assert str(err.value) == message
+
+
+_GOOD = dict(departments=("a", "b"), categories=("x", "y"),
+             entries=((_H, F(3, 2)), (F(3, 2), _H)), row_totals=(2, 2), column_totals=(2, 2), grand_total=4)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(entries=((_H, _H), (F(3, 2), _H))), "row 'a' sums to 1, stored total is 2"),
+    (dict(entries=((_H, F(3, 2)), (F(3, 2), F(1, 3)))), "row 'b' sums to 11/6, stored total is 2"),
+    (dict(row_totals=(2, 3), grand_total=5), "row 'b' sums to 2, stored total is 3"),
+    (dict(column_totals=(F(5, 2), F(3, 2))), "column 'x' sums to 2, stored total is 5/2"),
+    (dict(column_totals=(F(7, 3), F(5, 3))), "column 'x' sums to 2, stored total is 7/3"),
+    (dict(grand_total=5), "row totals do not sum to the grand total"),
+    (dict(categories=(), entries=((), ()), row_totals=(0, 1), column_totals=(), grand_total=1),
+     "row 'b' sums to 0, stored total is 1"),
+    (dict(departments=(), entries=(), row_totals=(), column_totals=(_H, _H), grand_total=0),
+     "column 'x' sums to 0, stored total is 1/2"),
+    (dict(departments=(), entries=(), row_totals=(), column_totals=(0, 0), grand_total=1),
+     "row totals do not sum to the grand total"),
+])
+def test_malformed_fair_tables_keep_their_messages(changes, message):
+    """The margins are checked on the scaled integers; each message, its sum
+    printed as a ``Fraction``, is the one the ``Fraction`` sums gave."""
+    with pytest.raises(ValueError) as err:
+        FairShareTable(**{**_GOOD, **changes})
+    assert str(err.value) == message
+    assert FairShareTable(**_GOOD)._scaled == (2, (1, 3, 3, 1))
+
+
 # ---------------------------------------------------------------- cycles
 
 
@@ -459,10 +518,10 @@ def test_observed_and_unobserved_rounding_agree_on_five_category_tables():
         ("sc", "st", "obc", "ews", "open"), (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200))
     )
     vacancies = random.Random(12)
-    for m in (5, 12, 40):
+    for m in (5, 7, 12, 20, 40):
         row = [vacancies.randint(1, 30) for _ in range(m)]
         fair = build_fair_share_table(ReservationProblem([f"d{i}" for i in range(m)], five, [row]), 1)
-        for seed in range(2):
+        for seed in range(3):
             plain, watched, steps = SplitStream(seed), SplitStream(seed), []
             rounded = controlled_round(fair, plain)
             assert controlled_round(fair, watched, on_step=steps.append) == rounded, (m, seed)

@@ -9,6 +9,9 @@ than the arrival edge, close at the first revisited vertex.  Every step of
 a seeded walk must choose the oracle's cycle and consume the same draws, on
 both graphs and across pushes of caller-supplied cycles (what
 ``decompose_once`` and ``decompose_flow_once`` do with ``cycle=``).
+
+``Walk.run`` reads a ``SplitStream``'s u64s from ``_u64s`` batches; the
+last tests check that against a ``randrange`` call at every step.
 """
 
 import random
@@ -18,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reserve2d import ReservationProblem, ReservationScheme, build_fair_share_table, roster, rounding
+from reserve2d import _walk
 from reserve2d._walk import Graph, Walk
-from reserve2d.rng import SplitStream
+from reserve2d.rng import _GAMMA, _MASK64, SplitStream
 
 from conftest import time_limit
+from test_roster import _CountingStream, _unmix64
 
 
 def oracle_cycle(walk: Walk, start: int = 0):
@@ -204,3 +209,124 @@ def test_resumed_walk_reads_under_half_the_incidence_of_the_oracle():
     while (cycle := oracle.cycle()) is not None:
         oracle.step(rng, cycle)
     assert resumed <= CountingIncidence.reads / 2, (resumed, CountingIncidence.reads)
+
+
+class PerStep:
+    """A stream behind an object that is no ``SplitStream``, so ``Walk.run``
+    calls its ``randrange`` at every step."""
+
+    def __init__(self, stream: SplitStream):
+        self.stream = stream
+
+    def randrange(self, n: int) -> int:
+        return self.stream.randrange(n)
+
+
+def assert_batched_run_draws_per_step(start: Walk, stream: SplitStream) -> list:
+    """Run ``start`` on ``stream`` and on a copy of it read one ``randrange``
+    per step: the same (num, den, take) of every step, flows and ``_n``."""
+    plain = SplitStream(stream.key)
+    plain._n = stream._n
+    batched, stepped = (Walk(start.graph, start.scale, start.flows) for _ in range(2))
+    draws, per_step = [], []
+    batched.run(stream, lambda *draw: draws.append(draw))
+    stepped.run(PerStep(plain), lambda *draw: per_step.append(draw))
+    assert draws == per_step and batched.flows == stepped.flows and stream._n == plain._n
+    return draws
+
+
+def _recorded_batches(monkeypatch) -> list:
+    """The (draw index, lane count) of every batch a walk mixes from now on."""
+    calls, mix = [], _walk._u64s
+    monkeypatch.setattr(_walk, "_u64s", lambda key, n, count: calls.append((n, count)) or mix(key, n, count))
+    return calls
+
+
+def _block_start(height: int = 200) -> Walk:
+    return roster._BlockSampler(roster.build_scheme_table(FIVE, height)).start
+
+
+def _round_starts(sizes=(5, 7, 10, 14, 20, 28, 40)):
+    """The start of rounding five-category tables of ``sizes`` departments."""
+    vacancies = random.Random(14)
+    for m in sizes:
+        row = [vacancies.randint(1, 30) for _ in range(m)]
+        fair = build_fair_share_table(ReservationProblem([f"d{i}" for i in range(m)], FIVE, [row]), 1)
+        yield Walk(rounding._graph(m + 1, 5), *rounding._extension(fair))
+
+
+def test_batched_run_draws_what_per_step_randrange_draws(monkeypatch):
+    """Five-category height-200 blocks and 5- to 40-department rounding
+    tables, from even and odd draw indices, read their u64s in batches of at
+    most 64 lanes and draw what a ``randrange`` at every step draws."""
+    batches = _recorded_batches(monkeypatch)
+    for seed in range(3):
+        stream = SplitStream(seed)
+        for _ in range(seed):
+            stream.next_u64()
+        assert len(assert_batched_run_draws_per_step(_block_start(), stream)) > 64 * 10
+        for start in _round_starts():
+            assert assert_batched_run_draws_per_step(start, SplitStream(seed + 10))
+    assert max(count for _, count in batches) == 64 and min(count for _, count in batches) < 64
+
+
+def test_batched_run_hands_a_rejected_u64_to_randrange_in_the_first_or_last_lane(monkeypatch):
+    """Streams whose u64 number j is 2**64 - 1: ``randrange`` rejects it for
+    any den that is no power of two.  On a height-200 block it falls in the
+    first lane (j = 1) and the last lane (j = 64) of the first 64-lane batch,
+    and in the first lane of the second (j = 65); the batched walk hands it
+    to ``randrange`` and draws what per-step draws do, one u64 more."""
+    for j, batch in ((1, (0, 64)), (64, (0, 64)), (65, (64, 64))):
+        key = (_unmix64(_MASK64) - j * _GAMMA) & _MASK64
+        stream = _CountingStream(key)
+        batches = _recorded_batches(monkeypatch)
+        draws = assert_batched_run_draws_per_step(_block_start(), stream)
+        assert batches[0] == (0, 64) and batch in batches, (j, batches)
+        den = draws[j - 1][1]
+        assert stream.bounds == [den] and den & (den - 1), j  # den is no power of two
+        assert stream._n == len(draws) + 1, j
+        monkeypatch.undo()
+
+
+def test_batched_run_draws_denominators_beyond_64_bits_per_step():
+    """A den over 2**64 is always handed to ``randrange``, which reads
+    several words."""
+    big = 2**70
+    scheme = ReservationScheme(("c1", "c2"), (Fraction(1, big + 1), Fraction(big, big + 1)))
+    problem = ReservationProblem(("d1", "d2", "d3"), scheme, ((1, 2, 2),))
+    start = rounding._walk(rounding.extend_table(build_fair_share_table(problem, 1)))
+    widest = 0
+    for seed in range(20):
+        stream = _CountingStream(seed)
+        wide = [den for _, den, _ in assert_batched_run_draws_per_step(start, stream) if den > 2**64]
+        assert [b for b in stream.bounds if b > 2**64] == wide, seed
+        widest = max(widest, *wide, 0)
+    assert widest > 2**64
+
+
+def test_run_calls_any_other_rng_once_per_step(monkeypatch):
+    """A ``random.Random`` is read by one ``randrange`` per step and never
+    through a batch."""
+    batches = _recorded_batches(monkeypatch)
+    for start in (_block_start(), *_round_starts((5, 14))):
+        rng, steps = CountingRandom(3), []
+        Walk(start.graph, start.scale, start.flows).run(rng, lambda *draw: steps.append(draw))
+        assert rng._n == len(steps) > 0
+    assert batches == []
+
+
+def test_run_honours_an_overridden_next_u64():
+    """A stream class that overrides ``next_u64`` (a counter, say, or a
+    wrapper bound on ``SplitStream`` itself) sees every u64 the walk draws."""
+    class Counted(SplitStream):
+        __slots__ = ("calls",)
+
+        def next_u64(self):
+            self.calls += 1
+            return super().next_u64()
+
+    for start in _round_starts((5, 14)):
+        stream = Counted(9)
+        stream.calls = 0
+        assert assert_batched_run_draws_per_step(start, stream)
+        assert stream.calls == stream._n > 0
