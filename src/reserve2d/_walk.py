@@ -30,14 +30,17 @@ vertex keeps a forward-only pointer to its first fractional incidence entry.
 A step tests ``u % den < num`` on the u64 ``randrange(den)`` would read,
 from ``rng._u64s`` batches of at most 64 lanes and the edges not known
 integral; ``randrange`` draws a u64 it might reject, and any other rng.
-:meth:`Walk.cycle` searches afresh and :meth:`Walk.step` pushes a given cycle.
+:meth:`Walk.cycle` searches afresh; :meth:`Walk.step` pushes a given cycle and
+returns the ``(num, den, take)`` a hook sees.  An :func:`observer`'s branches
+replace only the cycle's entries of the pre-step object; :func:`check_step`
+checks the mixture identity on every entry in scaled integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .rng import SplitStream, _u64s
 
@@ -69,18 +72,10 @@ def scaled(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-class Push(NamedTuple):
-    """One realized step; ``take`` is True when the forward edges rose.
-
-    ``num``/``den`` is d-/(d- + d+), the chance of rising, in lowest terms.
-    """
-
-    cycle: Cycle
-    d_plus: int
-    d_minus: int
-    num: int
-    den: int
-    take: bool
+def headroom(scale: int, flows: Sequence[int], cycle: Cycle) -> tuple[int, int]:
+    """Scaled (d+, d-) of a cycle of fractional edges."""
+    back = [d * flows[e] % scale for e, d in cycle]  # room against each direction
+    return scale - max(back), min(back)
 
 
 class Walk:
@@ -148,12 +143,6 @@ class Walk:
             return [(e, d) for e, d, _ in found[low:] + found[:low]]
         return [(e, -d) for e, d, _ in found[low::-1] + found[:low:-1]]
 
-    def headroom(self, cycle: Cycle) -> tuple[int, int]:
-        """Scaled (d+, d-) of a cycle of fractional edges."""
-        flows, scale = self.flows, self.scale
-        back = [d * flows[e] % scale for e, d in cycle]  # room against each direction
-        return scale - max(back), min(back)
-
     def run(self, rng, hook: Optional[Callable[[int, int, bool], None]] = None) -> None:
         """Step until every flow is integral, drawing what :meth:`step` on
         each :meth:`cycle` would; ``hook(num, den, take)`` sees each draw
@@ -190,35 +179,38 @@ class Walk:
                 flows[e] += d * amount
             k = self._start + back.index(top if rise else low)  # the first edge made integral
 
-    def step(self, rng, cycle: Cycle) -> Push:
-        """Push ``cycle``, a cycle of fractional edges, on a drawn branch.
+    def step(self, rng, cycle: Cycle) -> tuple[int, int, bool]:
+        """Push ``cycle``, a cycle of fractional edges, on a drawn branch and
+        return the ``(num, den, take)`` a :meth:`run` hook would see.
 
         ``rng.randrange(den) < num`` draws what ``rng.bernoulli`` would.
         """
-        d_plus, d_minus = self.headroom(cycle)
+        d_plus, d_minus = headroom(self.scale, self.flows, cycle)
         g = gcd(d_plus, d_minus)
         num, den = d_minus // g, (d_minus + d_plus) // g
         take = rng.randrange(den) < num
         amount = d_plus if take else -d_minus
         for e, d in cycle:
             self.flows[e] += d * amount
-        return Push(cycle, d_plus, d_minus, num, den, take)
+        return num, den, take
 
 
-def observer(record, pre, view, build, walk: Walk, on_step):
+def observer(record, pre, view, build, found: Callable[[], Cycle], on_step):
     """A :meth:`Walk.run` hook that shows ``on_step`` each step from ``pre`` on as a
-    ``record`` and returns its result (a step on a caller's cycle passes the cycle);
-    ``view`` gives the record's cycle and ``build`` both branches from scaled flows."""
+    ``record`` and returns its result.  The step's cycle is ``found()``, or the one
+    passed to the hook; ``view`` gives the record's form of it, and
+    ``build(pre, scale, changes)`` is ``pre`` with the entries ``changes`` names
+    (edge -> value times ``scale``) replaced and every other entry object shared."""
     def hook(num: int, den: int, take: bool, cycle: Optional[Cycle] = None):
         nonlocal pre
-        cycle = cycle or walk._found()
-        d_plus, d_minus = walk.headroom(cycle)
-        sign = dict(cycle)  # edge -> direction
+        cycle = cycle or found()
+        scale, flows = pre._scaled
+        d_plus, d_minus = headroom(scale, flows, cycle)
         raised, lowered = (
-            build([f + sign.get(e, 0) * d for e, f in enumerate(walk.flows)]) for d in (d_plus, -d_minus)
+            build(pre, scale, {e: flows[e] + d * amount for e, d in cycle}) for amount in (d_plus, -d_minus)
         )
         step = record(
-            pre, view(cycle), Fraction(d_plus, walk.scale), Fraction(d_minus, walk.scale),
+            pre, view(cycle), Fraction(d_plus, scale), Fraction(d_minus, scale),
             Fraction(num, den), raised, lowered, record.BRANCHES[not take], raised if take else lowered,
         )
         on_step(step)
@@ -228,22 +220,27 @@ def observer(record, pre, view, build, walk: Walk, on_step):
     return hook
 
 
-def check_step(step, raised, lowered, values) -> None:
-    """Checks shared by the observed steps of both walks.
+def check_step(step, pre, raised, lowered, where: Callable[[int], tuple]) -> None:
+    """Checks shared by the observed steps of both walks, in integers.
 
-    ``step.BRANCHES`` names the raising and the lowering branch, and
-    ``values`` yields (where, pre-step, raised, lowered) for every edge.
+    ``step.BRANCHES`` names the raising and the lowering branch.  With probability
+    num/den and scaled forms (s, x), (s+, u), (s-, d) of ``pre``, ``raised`` and
+    ``lowered``, every entry must keep den*s+*s-*x == num*s*s-*u + (den - num)*s*s+*d:
+    the mixture identity times den*s*s+*s-.  ``where(e)`` names entry e.
     """
     names = step.BRANCHES
     if step.d_plus <= 0 or step.d_minus <= 0:
         raise ValueError("both adjustments must be positive")
-    if step.probability != step.d_minus / (step.d_minus + step.d_plus):
+    ratios = (v.as_integer_ratio() for v in (step.d_minus, step.d_plus, step.probability))
+    (mn, md), (pn, pd), (num, den) = ratios
+    if num * (mn * pd + pn * md) != den * mn * pd:  # probability == d-/(d- + d+)
         raise ValueError("branch probability must equal d-/(d- + d+)")
     if step.branch not in names:
         raise ValueError(f"unknown branch {step.branch!r}")
     if step.result is not (raised if step.branch == names[0] else lowered):
         raise ValueError("result must be the branch named by 'branch'")
-    beta = step.probability
-    for where, value, up, down in values:
-        if beta * up + (1 - beta) * down != value:
-            raise ValueError(f"branches do not mix back to the pre-step value at {where}")
+    (s, xs), (s_up, ups), (s_down, downs) = pre._scaled, raised._scaled, lowered._scaled
+    x_by, u_by, d_by = den * s_up * s_down, num * s * s_down, (den - num) * s * s_up
+    for e, (x, u, d) in enumerate(zip(xs, ups, downs)):
+        if x_by * x != u_by * u + d_by * d:
+            raise ValueError(f"branches do not mix back to the pre-step value at {where(e)}")

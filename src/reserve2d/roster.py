@@ -33,10 +33,10 @@ Rosters longer than one block either concatenate independent block draws
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -190,23 +190,26 @@ class FlowNetwork:
     edges: tuple[FlowEdge, ...]
 
     def __post_init__(self):
-        balance, indeg, outdeg = Counter(), Counter(), Counter()
-        for e in self.edges:
-            if not e.lower <= e.flow <= e.upper:
+        # Scaled flows, derived once and checked in integers; not a field, so ==, hash and repr ignore it.
+        scale, flows = scaled(e.flow for e in self.edges)
+        object.__setattr__(self, "_scaled", (scale, tuple(flows)))
+        balance, indeg, outdeg = defaultdict(int), defaultdict(int), defaultdict(int)
+        for e, f in zip(self.edges, flows):
+            if not e.lower * scale <= f <= e.upper * scale:
                 raise ValueError(
                     f"edge {e.tail}->{e.head}: flow {e.flow} outside [{e.lower}, {e.upper}]"
                 )
             if e.upper - e.lower > 1:
                 raise ValueError(f"edge {e.tail}->{e.head}: bound width {e.upper - e.lower} exceeds 1")
-            balance[e.tail] -= e.flow
-            balance[e.head] += e.flow
+            balance[e.tail] -= f
+            balance[e.head] += f
             outdeg[e.tail] += 1
             indeg[e.head] += 1
         for v, b in balance.items():
             if v[0] in ("source", "sink"):
                 continue
-            if b != 0:
-                raise ValueError(f"flow is not conserved at {v}: imbalance {b}")
+            if b:
+                raise ValueError(f"flow is not conserved at {v}: imbalance {Fraction(b, scale)}")
             if v[0] in ("prefix", "cell") and indeg.get(v, 0) != 1:
                 raise ValueError(f"{v} must have exactly one incoming edge")
             if v[0] in ("cell", "row") and outdeg.get(v, 0) != 1:
@@ -214,7 +217,7 @@ class FlowNetwork:
 
     @property
     def is_integral(self) -> bool:
-        return all(e.flow.denominator == 1 for e in self.edges)
+        return self._scaled[0] == 1
 
 
 def build_flow_network(table: SchemeTable) -> FlowNetwork:
@@ -236,18 +239,16 @@ def build_flow_network(table: SchemeTable) -> FlowNetwork:
 
 def _walk(network: FlowNetwork) -> Walk:
     vertices, edges, _, _ = _scheme_network(network.table)
-    return Walk(Graph(vertices, edges), *scaled(e.flow for e in network.edges))
+    return Walk(Graph(vertices, edges), *network._scaled)
 
 
-def _network_at(network: FlowNetwork, scale: int, flows) -> FlowNetwork:
-    """``network`` with its edges carrying the scaled ``flows``."""
-    return FlowNetwork(
-        network.table,
-        tuple(
-            FlowEdge(e.tail, e.head, Fraction(f, scale), e.lower, e.upper)
-            for e, f in zip(network.edges, flows)
-        ),
-    )
+def _network_at(network: FlowNetwork, scale: int, changes: dict[int, int]) -> FlowNetwork:
+    """``network`` with edge e carrying ``changes[e] / scale``, sharing every other edge."""
+    edges = list(network.edges)
+    for e, f in changes.items():
+        edge = edges[e]
+        edges[e] = FlowEdge(edge.tail, edge.head, Fraction(f, scale), edge.lower, edge.upper)
+    return FlowNetwork(network.table, tuple(edges))
 
 
 def find_flow_cycle(network: FlowNetwork) -> Optional[tuple[tuple[int, int], ...]]:
@@ -320,10 +321,11 @@ class FlowStep:
     BRANCHES = ("raise-forward", "raise-backward")
 
     def __post_init__(self):
-        edges = zip(self.network.edges, self.raise_forward.edges, self.raise_backward.edges)
-        check_step(self, self.raise_forward, self.raise_backward, (
-            ((e.tail, e.head), e.flow, fwd.flow, bwd.flow) for e, fwd, bwd in edges
-        ))
+        if not self.network.table == self.raise_forward.table == self.raise_backward.table:
+            raise ValueError("branches must share the scheme table of the pre-step network")
+        edges = self.network.edges
+        check_step(self, self.network, self.raise_forward, self.raise_backward,
+                   lambda e: (edges[e].tail, edges[e].head))
 
 
 def decompose_flow_once(
@@ -344,11 +346,10 @@ def decompose_flow_once(
     edges = walk.cycle() if cycle is None else _coerce_cycle(network, cycle)
     if edges is None:
         raise ValueError("network is already integral; nothing to decompose")
-    push = walk.step(rng, edges)
-    build = partial(_network_at, network, walk.scale)
+    draw = walk.step(rng, edges)
     if on_step is None:
-        return build(walk.flows)
-    return observer(FlowStep, network, tuple, build, _walk(network), on_step)(*push[3:], push.cycle)
+        return _network_at(network, walk.scale, {e: walk.flows[e] for e, _ in edges})
+    return observer(FlowStep, network, tuple, _network_at, None, on_step)(*draw, edges)
 
 
 @dataclass(frozen=True)
@@ -439,8 +440,7 @@ class _BlockSampler:
         at, show = [self.root, 0], None  # the slot the next step's node hangs in
         if on_step is not None:
             network = build_flow_network(self.table)
-            build = partial(_network_at, network, walk.scale)
-            show = observer(FlowStep, network, tuple, build, walk, on_step)
+            show = observer(FlowStep, network, tuple, _network_at, walk._found, on_step)
 
         def grow(num: int, den: int, take: bool) -> None:
             if show is not None:
@@ -514,8 +514,8 @@ def draw_block(
     """Draw one integral block; every cell's expectation is its fraction.
 
     An observed draw walks the cached sampler, so it draws what an unobserved
-    one does; nearly all its cost is the validated ``Fraction`` networks of
-    both branches of every step, so observe small tables.
+    one does; both branches of every step validate all their edges, so
+    observe small tables.
     """
     sampler = _sampler(build_scheme_table(scheme, height))
     return sampler.blocks(rng, 1)[0] if on_step is None else sampler.walk(rng, on_step)

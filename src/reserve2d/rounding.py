@@ -58,8 +58,7 @@ class ExtendedTable:
 
     @property
     def is_integral(self) -> bool:
-        scale, flows = self._scaled
-        return not any(f % scale for f in flows)
+        return self._scaled[0] == 1
 
     def fraction_cells(self) -> tuple[tuple[int, int], ...]:
         """Row-major coordinates of the fractional entries."""
@@ -175,15 +174,20 @@ class DecompositionStep:
     BRANCHES = ("raise-odd", "raise-even")
 
     def __post_init__(self):
-        rows = zip(self.table.entries, self.raise_odd.entries, self.raise_even.entries)
-        check_step(self, self.raise_odd, self.raise_even, (
-            ((i, j), v, o, e) for i, row in enumerate(rows) for j, (v, o, e) in enumerate(zip(*row))
-        ))
+        tables = (self.table, self.raise_odd, self.raise_even)
+        if len({(t.source.departments, t.source.categories) for t in tables}) > 1:
+            raise ValueError("branches must extend the departments and categories of the pre-step table")
+        n = len(self.table.source.categories)
+        check_step(self, self.table, self.raise_odd, self.raise_even, lambda e: divmod(e, n))
 
 
-def _table_at(source: FairShareTable, n: int, scale: int, flows) -> ExtendedTable:
-    rows = (flows[i:i + n] for i in range(0, len(flows), n))
-    return ExtendedTable(source, tuple(tuple(Fraction(f, scale) for f in row) for row in rows))
+def _table_at(table: ExtendedTable, scale: int, changes: dict[int, int]) -> ExtendedTable:
+    """``table`` with row-major entry e at ``changes[e] / scale``, sharing every other entry."""
+    entries = [v for row in table.entries for v in row]
+    for e, f in changes.items():
+        entries[e] = Fraction(f, scale)
+    n = len(table.entries[0])
+    return ExtendedTable(table.source, tuple(tuple(entries[i:i + n]) for i in range(0, len(entries), n)))
 
 
 def decompose_once(
@@ -211,12 +215,10 @@ def decompose_once(
         edges = [(i * n + j, 1 - 2 * (s % 2)) for s, (i, j) in enumerate(cycle.cells)]
     if edges is None:
         raise ValueError("table is already integral; nothing to decompose")
-    push = walk.step(rng, edges)
-    build = partial(_table_at, table.source, n, walk.scale)
+    draw = walk.step(rng, edges)
     if on_step is None:
-        return build(walk.flows)
-    show = observer(DecompositionStep, table, partial(_cells, n=n), build, _walk(table), on_step)
-    return show(*push[3:], push.cycle)
+        return _table_at(table, walk.scale, {e: walk.flows[e] for e, _ in edges})
+    return observer(DecompositionStep, table, partial(_cells, n=n), _table_at, None, on_step)(*draw, edges)
 
 
 def controlled_round(
@@ -235,8 +237,7 @@ def controlled_round(
     m, n = len(fair.departments), len(fair.categories)
     walk = Walk(_graph(m + 1, n), *_extension(fair))
     show = on_step and observer(
-        DecompositionStep, extend_table(fair), partial(_cells, n=n),
-        partial(_table_at, fair, n, walk.scale), walk, on_step,
+        DecompositionStep, extend_table(fair), partial(_cells, n=n), _table_at, walk._found, on_step
     )
     walk.run(rng, show)
     rows = (  # the synthetic row is dropped

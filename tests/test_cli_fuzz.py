@@ -5,10 +5,13 @@ scheme, problem and roster file contents, must end with exit code 0, 2, 3
 or 4 within a time bound and without a traceback.  Flag values stay small
 (at most 50), the structured file rows use small numbers, and ``compare``
 always gets small replication, period and range flags (its defaults make a
-run of about half a minute), so a run that succeeds stays cheap; its large
-values, a replication count and a synthesized problem's total vacancies
-just past their limits, must exit 2 at once.  Other huge lengths, periods
-and department ranges are out of scope.
+run of about half a minute), so a run that succeeds stays cheap.  One time
+in twenty a flag takes a value just past its limit instead, and must exit at
+once: a replication count, a synthesized problem's total vacancies, a roster
+``--length`` and a ``--height`` (50,004 cells on the 1/3 scheme) exit 2, a
+``round`` period far past the horizon exits 3, and a seed of 2**64 is
+refused by argparse (exit 2).  Huge periods and department ranges of
+``compare --synthesize`` below the total cap are out of scope.
 """
 
 import contextlib
@@ -74,6 +77,16 @@ def _numbers(lo: int, hi: int) -> st.SearchStrategy:
     return _mostly([str(v) for v in range(lo, hi + 1)], ["-1", "0", "x", "1.5"])
 
 
+# Values just past a limit: the roster length cap, 50,004 cells on the 1/3
+# scheme, a period far past any horizon, and 2**64.
+_PAST_LENGTH, _PAST_HEIGHT, _PAST_PERIOD, _PAST_SEED = "1000001", "25002", "1000000000000", str(2**64)
+
+
+def _past(common: st.SearchStrategy, limit) -> st.SearchStrategy:
+    """``common``, or one time in twenty the value ``limit``."""
+    return _rarely(common, st.just(limit), 20)
+
+
 def _always(flag: str, value: st.SearchStrategy) -> st.SearchStrategy:
     """``[flag, value...]``: the flag is always given."""
     return value.map(lambda v: [flag, *v] if isinstance(v, list) else [flag, v])
@@ -103,14 +116,14 @@ def _argv(d: str) -> st.SearchStrategy:
     output = _flag("-o", st.sampled_from([os.path.join(d, "out"),
                                           os.path.join(d, "missing", "out"), d]))
     fmt = _flag("--format", _mostly(["json", "csv"], ["xml"]))
-    seed = _flag("--seed", _numbers(0, 50), optional=False)
-    height = _flag("--height", _numbers(1, 50))
+    seed = _flag("--seed", _past(_numbers(0, 50), _PAST_SEED), optional=False)
+    height = _flag("--height", _past(_numbers(1, 50), _PAST_HEIGHT))
     order = _flag("--order", _mostly(["input", "alpha"], ["zeta"]))
     parts = {
         "round": [st.just([problem, "--scheme", scheme]),
-                  _flag("-t", _numbers(1, 3), optional=False), seed, fmt, output],
-        "roster": [st.just([scheme]), _flag("--length", _numbers(1, 50), optional=False), seed,
-                   _flag("--policy", _mostly(["independent-blocks", "repeat-block"], ["x"])),
+                  _flag("-t", _past(_numbers(1, 3), _PAST_PERIOD), optional=False), seed, fmt, output],
+        "roster": [st.just([scheme]), _flag("--length", _past(_numbers(1, 50), _PAST_LENGTH), optional=False),
+                   seed, _flag("--policy", _mostly(["independent-blocks", "repeat-block"], ["x"])),
                    height, fmt, output],
         "run": [st.just([problem, "--scheme", scheme]),
                 _flag("--solution", _mostly(["government", "court", "proposed"], ["x"]),
@@ -120,9 +133,9 @@ def _argv(d: str) -> st.SearchStrategy:
         # compare's defaults (1,000 replications on up to 50 departments) are slow.
         "compare": [st.sampled_from([[problem], []]), st.just(["--scheme", scheme]),
                     _flag("--roster", st.just(roster)), _switch("--cycle-roster"),
-                    _always("--replications", _rarely(_numbers(1, 8), st.just("1000001"), 20)),
+                    _always("--replications", _past(_numbers(1, 8), "1000001")),
                     seed, order, height,
-                    _switch("--synthesize"), _rarely(_synthesized, st.just(_PAST_THE_TOTAL), 20),
+                    _switch("--synthesize"), _past(_synthesized, _PAST_THE_TOTAL),
                     fmt, output],
     }
     command = st.sampled_from(sorted(parts))
@@ -140,6 +153,7 @@ def test_any_input_exits_with_a_documented_code(data, scheme, problem, roster):
             with open(os.path.join(d, name), "wb") as fh:
                 fh.write(text.encode() if isinstance(text, str) else text)
         argv = data.draw(_argv(d), label="argv")
+        pairs = [argv[i:i + 2] for i in range(len(argv) - 1)]
         out, err = io.StringIO(), io.StringIO()
         with time_limit(5), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -149,6 +163,9 @@ def test_any_input_exits_with_a_documented_code(data, scheme, problem, roster):
                 assert code == 2, err.getvalue()
                 return
     assert code in (0, 2, 3, 4), err.getvalue()
+    assert _PAST_SEED not in argv, "argparse refuses a seed of 2**64"
+    if ["--length", _PAST_LENGTH] in pairs or ["-t", _PAST_PERIOD] in pairs:
+        assert code, argv  # no run of these succeeds
     if code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert out.getvalue() == ""

@@ -23,6 +23,8 @@ from reserve2d import roster
 from reserve2d._walk import scaled
 from reserve2d.rng import _GAMMA, _MASK64, _MIX1, _MIX2, _mix64
 from reserve2d.roster import (
+    FlowEdge,
+    FlowStep,
     cell_vertex,
     prefix_vertex,
     row_vertex,
@@ -124,16 +126,47 @@ def test_network_validates_conservation(third_scheme):
         i for i, e in enumerate(edges) if e.tail == cell_vertex(0, 0)
     )
     edges[target] = replace(edges[target], flow=F(2, 3), upper=1)
-    with pytest.raises(ValueError, match="not conserved"):
+    with pytest.raises(ValueError) as exc:
         FlowNetwork(net.table, tuple(edges))
+    assert str(exc.value) == "flow is not conserved at ('cell', 0, 0): imbalance -1/3"
 
 
 def test_network_validates_bounds(third_scheme):
     net = build_flow_network(build_scheme_table(third_scheme))
     edges = list(net.edges)
     edges[0] = replace(edges[0], upper=edges[0].lower + 2)
-    with pytest.raises(ValueError, match="width"):
+    with pytest.raises(ValueError) as exc:
         FlowNetwork(net.table, tuple(edges))
+    assert str(exc.value) == "edge ('source',)->('prefix', 3, 0): bound width 2 exceeds 1"
+
+
+def _refusal(table, edges) -> str:
+    with pytest.raises(ValueError) as exc:
+        FlowNetwork(table, tuple(edges))
+    return str(exc.value)
+
+
+def test_network_messages_print_the_flows_as_fractions(third_scheme):
+    """The constructor checks scaled integers; its messages show ``Fraction``s
+    (an imbalance of a whole unit prints as 1) and name the vertex or edge."""
+    net = build_flow_network(build_scheme_table(third_scheme))
+    edges = list(net.edges)
+    cell = next(i for i, e in enumerate(edges) if e.tail == cell_vertex(0, 0))
+    below = edges[:cell] + [replace(edges[cell], flow=F(-1, 3))] + edges[cell + 1:]
+    assert _refusal(net.table, below) == "edge ('cell', 0, 0)->('row', 0): flow -1/3 outside [0, 1]"
+    above = [replace(edges[0], flow=F(3, 2), upper=2)] + edges[1:]
+    assert _refusal(net.table, above) == "flow is not conserved at ('prefix', 3, 0): imbalance 1/2"
+    whole = [replace(edges[0], flow=F(2), upper=2)] + edges[1:]
+    assert _refusal(net.table, whole) == "flow is not conserved at ('prefix', 3, 0): imbalance 1"
+
+
+def test_network_validates_degrees(third_scheme):
+    net = build_flow_network(build_scheme_table(third_scheme))
+    extra_in = FlowEdge(prefix_vertex(2, 0), cell_vertex(0, 0), F(0), 0, 0)
+    extra_out = FlowEdge(row_vertex(0), sink_vertex(), F(0), 0, 0)
+    refused_in, refused_out = (_refusal(net.table, net.edges + (extra,)) for extra in (extra_in, extra_out))
+    assert refused_in == "('cell', 0, 0) must have exactly one incoming edge"
+    assert refused_out == "('row', 0) must have exactly one outgoing edge"
 
 
 def _tuple_sorted_network(table):
@@ -260,6 +293,77 @@ def test_named_cycle_step_is_an_even_split(third_scheme):
     # exact mixture identity
     for e, f, b in zip(net.edges, fwd.edges, bwd.edges):
         assert F(1, 2) * f.flow + F(1, 2) * b.flow == e.flow
+
+
+def _named_step(third_scheme) -> FlowStep:
+    net = build_flow_network(build_scheme_table(third_scheme))
+    captured = []
+    decompose_flow_once(net, ForcedRng(True), cycle=PAPER_STYLE_CYCLE, on_step=captured.append)
+    return captured[0]
+
+
+def test_flow_step_refuses_branches_on_another_scheme_table(third_scheme):
+    """Branches with the same edges and flows but another scheme table are
+    refused before the mixture check."""
+    step = _named_step(third_scheme)
+    renamed = build_scheme_table(ReservationScheme(("x", "y"), third_scheme.fractions))
+    forward = FlowNetwork(renamed, step.raise_forward.edges)
+    backward = FlowNetwork(renamed, step.raise_backward.edges)
+    with pytest.raises(ValueError) as exc:
+        replace(step, raise_forward=forward, raise_backward=backward, result=forward)
+    assert str(exc.value) == "branches must share the scheme table of the pre-step network"
+    with pytest.raises(ValueError) as exc:
+        replace(step, raise_backward=backward)
+    assert str(exc.value) == "branches must share the scheme table of the pre-step network"
+
+
+def test_flow_step_names_the_edge_that_does_not_mix_back(third_scheme):
+    """Pushing the forward branch one scaled unit (1/3) around one of its own
+    cycles keeps it a valid network, but the step no longer mixes back; the
+    message names the cycle's smallest edge."""
+    step = _named_step(third_scheme)
+    forward = step.raise_forward
+    cycle = find_flow_cycle(forward)
+    assert cycle[0] == (2, 1)
+    edges = list(forward.edges)
+    for e, d in cycle:
+        edges[e] = replace(edges[e], flow=edges[e].flow + d * F(1, 3))
+    moved = FlowNetwork(forward.table, tuple(edges))
+    with pytest.raises(ValueError) as exc:
+        replace(step, raise_forward=moved, result=moved)
+    assert str(exc.value) == (
+        "branches do not mix back to the pre-step value at (('prefix', 3, 0), ('prefix', 2, 0))"
+    )
+
+
+def _assert_branches_share_off_the_cycle(step: FlowStep) -> None:
+    """Edges off the cycle are the pre-step ``FlowEdge`` objects; an edge on it
+    moves by d+ one way and d- the other, as a ``Fraction``."""
+    sign = dict(step.cycle)
+    for e, (pre, fwd, bwd) in enumerate(
+        zip(step.network.edges, step.raise_forward.edges, step.raise_backward.edges)
+    ):
+        if e in sign:
+            assert (fwd.tail, fwd.head, fwd.lower, fwd.upper) == (pre.tail, pre.head, pre.lower, pre.upper)
+            assert fwd.flow == pre.flow + sign[e] * step.d_plus, e
+            assert bwd.flow == pre.flow - sign[e] * step.d_minus, e
+            assert type(fwd.flow) is type(bwd.flow) is F
+        else:
+            assert fwd is pre and bwd is pre, e
+
+
+def test_observed_flow_branches_share_every_edge_off_the_cycle(third_scheme):
+    """In observed draws and single steps alike, both branches replace only
+    the cycle's edges of the pre-step network."""
+    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
+    for scheme, height in ((third_scheme, 30), (mixed, 12)):
+        for seed in range(3):
+            steps = []
+            draw_block(scheme, height, SplitStream(seed), on_step=steps.append)
+            _, single = _stepwise_draw(build_scheme_table(scheme, height), SplitStream(seed))
+            assert steps and len(single) == len(steps)
+            for step in steps + single:
+                _assert_branches_share_off_the_cycle(step)
 
 
 def test_supplied_cycle_is_validated(third_scheme):

@@ -358,6 +358,66 @@ def test_step_rejects_inconsistent_probability(three_dept_problem):
         )
 
 
+def test_step_refuses_branches_that_extend_another_table(third_scheme):
+    """Branches that extend departments ('a', 'b', 'c') where the pre-step
+    table extends ('a', 'b') are refused before the mixture check, though
+    their first three rows mix back to the pre-step rows."""
+    ext = extend_table(build_fair_share_table(ReservationProblem(("a", "b"), third_scheme, ((1, 2),)), 1))
+    captured = []
+    decompose_once(ext, None, ForcedRng(True), on_step=captured.append)
+    (step,) = captured
+    wider = build_fair_share_table(ReservationProblem(("a", "b", "c"), third_scheme, ((1, 2, 3),)), 1)
+    odd, even = (ExtendedTable(wider, t.entries + ((F(0), F(0)),)) for t in (step.raise_odd, step.raise_even))
+    with pytest.raises(ValueError) as exc:
+        replace(step, raise_odd=odd, raise_even=even, result=odd)
+    assert str(exc.value) == "branches must extend the departments and categories of the pre-step table"
+
+
+def test_step_names_the_cell_that_does_not_mix_back(three_dept_problem):
+    """Moving a quarter (one scaled unit) around a rectangle of the raise-odd
+    table keeps it a valid extended table, but the step no longer mixes back;
+    the message names the rectangle's first cell."""
+    ext = extend_table(build_fair_share_table(three_dept_problem, 1))
+    captured = []
+    decompose_once(ext, APPENDIX_CYCLE, ForcedRng(True), on_step=captured.append)
+    (step,) = captured
+    rows = [list(row) for row in step.raise_odd.entries]
+    for (i, j), d in (((1, 0), 1), ((1, 1), -1), ((2, 0), -1), ((2, 1), 1)):
+        rows[i][j] += d * F(1, 4)
+    moved = ExtendedTable(ext.source, tuple(map(tuple, rows)))
+    with pytest.raises(ValueError) as exc:
+        replace(step, raise_odd=moved, result=moved)
+    assert str(exc.value) == "branches do not mix back to the pre-step value at (1, 0)"
+
+
+def test_observed_branches_share_every_entry_off_the_cycle(three_dept_problem):
+    """In observed roundings and single steps alike, both branches replace
+    only the cycle's cells of the pre-step table: every other entry is the
+    pre-step ``Fraction`` itself, and a cycle cell moves by d+ one way and
+    d- the other."""
+    five = ReservationScheme(
+        ("sc", "st", "obc", "ews", "open"), (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200))
+    )
+    problem = ReservationProblem([f"d{i}" for i in range(7)], five, [[3, 9, 14, 1, 22, 5, 8]])
+    steps = []
+    controlled_round(build_fair_share_table(problem, 1), SplitStream(4), on_step=steps.append)
+    decompose_once(extend_table(build_fair_share_table(three_dept_problem, 1)), APPENDIX_CYCLE,
+                   ForcedRng(False), on_step=steps.append)
+    assert len(steps) > 10
+    for step in steps:
+        odd, even = set(step.cycle.odd_cells), set(step.cycle.even_cells)
+        for i, row in enumerate(step.table.entries):
+            for j, v in enumerate(row):
+                up, down = step.raise_odd.entries[i][j], step.raise_even.entries[i][j]
+                if (i, j) in odd:
+                    assert (up, down) == (v + step.d_plus, v - step.d_minus), (i, j)
+                elif (i, j) in even:
+                    assert (up, down) == (v - step.d_plus, v + step.d_minus), (i, j)
+                else:
+                    assert up is v and down is v, (i, j)
+                assert type(up) is type(down) is F
+
+
 def test_decompose_rejects_integral_table(third_scheme):
     problem = ReservationProblem(("d1", "d2"), third_scheme, ((3, 6),))
     ext = extend_table(build_fair_share_table(problem, 1))

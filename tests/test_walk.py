@@ -99,8 +99,8 @@ def assert_walks_agree(start: Walk, seed: int, foreign=(), stream=SplitStream) -
                 cycle = oracle_cycle(walk, fractional[len(fractional) // 2])
                 push = oracle.step(oracle_rng, list(cycle))
                 assert walk.step(rng, list(cycle)) == push == runner.step(runner_rng, list(cycle))
-                draws.append(push[3:])
-                ran.append(push[3:])
+                draws.append(push)
+                ran.append(push)
         cycle = oracle.cycle()
         assert walk.cycle() == cycle, f"step {steps}"
         if cycle is None:
@@ -108,10 +108,10 @@ def assert_walks_agree(start: Walk, seed: int, foreign=(), stream=SplitStream) -
         push = oracle.step(oracle_rng, cycle)
         assert walk.step(rng, cycle) == push
         assert rng._n == oracle_rng._n and walk.flows == oracle.flows
-        draws.append(push[3:])
+        draws.append(push)
         if steps < max(foreign, default=0):  # the run copy steps up to the last foreign push
             assert runner.step(runner_rng, cycle) == push
-            ran.append(push[3:])
+            ran.append(push)
         steps += 1
     with time_limit(5):  # a push that moves nothing would loop for ever
         runner.run(runner_rng, lambda *draw: ran.append(draw))
