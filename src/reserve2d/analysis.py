@@ -22,8 +22,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import exp, lcm, sqrt
+from operator import sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -34,14 +35,13 @@ from .core import (
     SolutionTrace,
     QuotaViolation,
     _as_fraction,
-    _grid,
     build_fair_share_table,
     within_department_quota,
     within_university_quota,
 )
 from .rng import ALGORITHM, SplitStream
 from .roster import minimal_height
-from .solutions import _lottery
+from .solutions import SolutionConfig, _replicate
 
 __all__ = [
     "ViolationStats",
@@ -176,24 +176,29 @@ def summarize_biases(values: Sequence[Fraction], period: int, scope: str) -> Bia
     return _lattice_summary(counts, scale, period, scope)
 
 
-def _lattice_counts(scheme: ReservationScheme, traces: Iterable[SolutionTrace]) -> tuple:
-    """L and the counts of L*bias per (period, scope) over ``traces``.
+def _lattice_counts(problem: ReservationProblem, grids: Iterable[Sequence]) -> tuple:
+    """L and the counts of L*bias per (period, scope) over count ``grids``.
 
-    L is the lcm of the scheme denominators and a trace's reserved row totals
-    are its fair ones, so L*bias = z*L - (a_j*L)*Q is an integer.  Counters
-    merge by addition; their size follows the spread of the biases.
+    ``grid[t-1][i][j]`` is department i's count of category j through period
+    t, and each row sums to Q_i^t.  L is the lcm of the scheme denominators,
+    so L*bias = z*L - (a_j*L)*Q is an integer.  Counters merge by addition;
+    their size follows the spread of the biases.
     """
-    scale = minimal_height(scheme)
-    scaled = [a.numerator * (scale // a.denominator) for a in scheme.fractions]
+    scale = minimal_height(problem.scheme)
+    scaled = [a.numerator * (scale // a.denominator) for a in problem.scheme.fractions]
+    offsets = [  # (a_j*L)*Q per department entry, row-major, then per column total
+        ([a * q for q in cumulative for a in scaled], [a * sum(cumulative) for a in scaled])
+        for cumulative in problem._cumulative
+    ]
     counts: dict[tuple[int, str], Counter] = {}
-    for trace in traces:
-        for t, (_, reserved) in enumerate(trace.periods, start=1):
-            lines = _grid(reserved)
-            for scope, part in (("department", lines[:-1]), ("university", lines[-1:])):
-                # Each line ends in its total, which the zip with ``scaled`` leaves out.
-                counts.setdefault((t, scope), Counter()).update(
-                    z * scale - a * line[-1] for line in part for z, a in zip(line, scaled)
-                )
+    for grid in grids:
+        for t, (rows, (cells, columns)) in enumerate(zip(grid, offsets), start=1):
+            counts.setdefault((t, "department"), Counter()).update(
+                map(sub, map(scale.__mul__, chain.from_iterable(rows)), cells)
+            )
+            counts.setdefault((t, "university"), Counter()).update(
+                map(sub, map(scale.__mul__, map(sum, zip(*rows))), columns)
+            )
     return scale, counts
 
 
@@ -203,7 +208,8 @@ def bias_trace(trace: SolutionTrace) -> tuple[BiasSummary, ...]:
     Department-scope samples are the m*n internal bias entries; university
     scope the n column-total biases.
     """
-    scale, counts = _lattice_counts(trace.problem.scheme, [trace])
+    grid = [reserved.entries for _, reserved in trace.periods]
+    scale, counts = _lattice_counts(trace.problem, [grid])
     return tuple(_lattice_summary(counts[key], scale, *key) for key in sorted(counts))
 
 
@@ -268,12 +274,9 @@ def tail_diagnostic(
     if x == 0:
         raise ValueError(f"category {cat!r} has a fair column total of 0 at period {t}; "
                          "the tail bounds need a positive total")
-    cumulative = problem.cumulative_vacancies(t)
-    master = SplitStream(seed)
-    totals = Counter(
-        sum(p.count(cat) for p in _lottery(problem.scheme, cumulative, master.child(r), height))
-        for r in range(replications)
-    )
+    cut = ReservationProblem(problem.departments, problem.scheme, problem.vacancies[:t])
+    grids = _replicate(cut, SolutionConfig("proposed", height=height), replications, SplitStream(seed))
+    totals = Counter(sum(row[j] for row in run[-1]) for run in grids)
     upper = tuple(
         Fraction(sum(c for total, c in totals.items() if total - x >= b), replications)
         for b in grid

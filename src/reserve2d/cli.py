@@ -372,8 +372,8 @@ def _cmd_compare(args) -> str:
             order=order if kind == "government" else None,
             height=args.height,
         )
-        traces = _replicate(problem, config, args.replications, master.child(sub))
-        scale, counts = _lattice_counts(scheme, traces)
+        grids = _replicate(problem, config, args.replications, master.child(sub))
+        scale, counts = _lattice_counts(problem, grids)
         series.extend((kind, _lattice_summary(counts[key], scale, *key)) for key in counts)
     series.sort(key=lambda item: (item[0], item[1].period, item[1].scope))
 

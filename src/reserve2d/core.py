@@ -27,8 +27,10 @@ when every bias entry has magnitude strictly below one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
+from operator import gt
 from typing import Iterable, Optional, Sequence, Union
 
 from ._walk import scaled
@@ -234,13 +236,15 @@ class ReservationTable:
     grand_total: int
 
     def __post_init__(self):
-        m, n = len(self.departments), len(self.categories)
-        _check_grid(self.entries, m, n, "reservation table")
+        self._check_entries()
+        _check_margins(self, 1, self.entries)  # its own scaled form
+
+    def _check_entries(self) -> None:
+        _check_grid(self.entries, len(self.departments), len(self.categories), "reservation table")
         for row in self.entries:
             for z in row:
                 if not isinstance(z, int) or z < 0:
                     raise ValueError(f"reservation entries must be nonnegative integers, got {z!r}")
-        _check_margins(self, 1, self.entries)  # its own scaled form
 
     @classmethod
     def from_entries(
@@ -249,15 +253,17 @@ class ReservationTable:
         categories: Sequence[str],
         entries: Sequence[Sequence[int]],
     ) -> "ReservationTable":
+        """The table of ``entries`` and their sums, each line summed once; the
+        margins hold by construction, so only the entries are checked."""
         entries = tuple(tuple(row) for row in entries)
-        return cls(
-            departments=tuple(departments),
-            categories=tuple(categories),
-            entries=entries,
-            row_totals=tuple(sum(row) for row in entries),
-            column_totals=tuple(map(sum, zip(*entries))) or (0,) * len(categories),
-            grand_total=sum(sum(row) for row in entries),
-        )
+        rows = tuple(map(sum, entries))
+        columns = tuple(map(sum, zip(*entries))) or (0,) * len(categories)
+        table = object.__new__(cls)
+        values = (tuple(departments), tuple(categories), entries, rows, columns, sum(rows))
+        for field, value in zip(fields(cls), values):
+            object.__setattr__(table, field.name, value)
+        table._check_entries()
+        return table
 
 
 @dataclass(frozen=True)
@@ -409,6 +415,23 @@ def bias_of(reserved: ReservationTable, fair: FairShareTable) -> BiasTable:
     return BiasTable(fair.departments, fair.categories, rows)
 
 
+def _check_counts(problem: ReservationProblem, grid: Sequence) -> None:
+    """What a trace guarantees of its counts ``grid[t-1][i][j]``, checked in
+    integers: no negative entry, row totals equal to the cumulative
+    vacancies, and no entry that shrinks from one period to the next."""
+    for t, (rows, q) in enumerate(zip(grid, problem._cumulative), start=1):
+        if min(chain.from_iterable(rows)) < 0:
+            z = next(z for z in chain.from_iterable(rows) if z < 0)
+            raise ValueError(f"reservation entries must be nonnegative integers, got {z!r}")
+        if tuple(map(sum, rows)) != q:
+            raise ValueError(
+                f"period {t}: reservation row totals {tuple(map(sum, rows))} differ from cumulative vacancies {q}"
+            )
+    for before, after in zip(grid, grid[1:]):
+        if any(map(gt, chain.from_iterable(before), chain.from_iterable(after))):
+            raise ValueError("reservation tables must be entrywise nondecreasing")
+
+
 @dataclass(frozen=True)
 class SolutionTrace:
     """Per-period (fair share, reservation) pairs produced by one solution run.
@@ -434,13 +457,7 @@ class SolutionTrace:
             if fair is not expected and fair != expected:
                 raise ValueError(f"period {t}: fair share table mismatch")
             _check_alignment(reserved, fair)
-            if reserved.row_totals != fair.row_totals:
-                raise ValueError(
-                    f"period {t}: reservation row totals {reserved.row_totals} "
-                    f"differ from cumulative vacancies {fair.row_totals}"
-                )
-        if not is_monotone(self):
-            raise ValueError("reservation tables must be entrywise nondecreasing")
+        _check_counts(self.problem, [reserved.entries for _, reserved in self.periods])
 
     def reservation(self, t: int) -> ReservationTable:
         self.problem.check_period(t)
@@ -462,8 +479,6 @@ def is_monotone(
     for prev, cur in zip(tables, tables[1:]):
         if prev.departments != cur.departments or prev.categories != cur.categories:
             raise ValueError("tables in a trace must label the same grid")
-        for row_p, row_c in zip(prev.entries, cur.entries):
-            for a, b in zip(row_p, row_c):
-                if a > b:
-                    return False
+        if any(map(gt, chain.from_iterable(prev.entries), chain.from_iterable(cur.entries))):
+            return False
     return True

@@ -37,7 +37,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import lcm
+from operator import add
 from typing import Callable, Optional, Sequence, Union
 
 from ._walk import Graph, Walk, check_step, observer, scaled
@@ -305,7 +307,9 @@ class FlowStep:
 
     The pre-step network is the exact mixture of the branches:
     probability * raise_forward + (1 - probability) * raise_backward equals
-    ``network`` edge by edge, which is validated on construction.
+    ``network`` edge by edge, which is validated on construction.  Both
+    branches must list ``network``'s edges in its order, differing only in
+    flow.
     """
 
     network: FlowNetwork
@@ -324,6 +328,12 @@ class FlowStep:
         if not self.network.table == self.raise_forward.table == self.raise_backward.table:
             raise ValueError("branches must share the scheme table of the pre-step network")
         edges = self.network.edges
+        for branch in (self.raise_forward, self.raise_backward):  # the mixture pairs edges by index
+            if len(branch.edges) != len(edges) or any(
+                b is not a and (b.tail, b.head, b.lower, b.upper) != (a.tail, a.head, a.lower, a.upper)
+                for a, b in zip(edges, branch.edges)
+            ):
+                raise ValueError("branches must list the pre-step network's edges in order, differing only in flow")
         check_step(self, self.network, self.raise_forward, self.raise_backward,
                    lambda e: (edges[e].tail, edges[e].head))
 
@@ -389,6 +399,12 @@ class IntegralBlock:
         return tuple(
             self.scheme.categories[row.index(1)] for row in self.entries
         )
+
+    @cached_property
+    def _prefix(self) -> tuple[tuple[int, ...], ...]:
+        """Each category's count in the first l positions, for l = 0 .. height."""
+        start = (0,) * self.scheme.size
+        return tuple(accumulate(self.entries, lambda c, row: tuple(map(add, c, row)), initial=start))
 
     @classmethod
     def from_network(cls, network: FlowNetwork) -> "IntegralBlock":
@@ -521,14 +537,6 @@ def draw_block(
     return sampler.blocks(rng, 1)[0] if on_step is None else sampler.walk(rng, on_step)
 
 
-def _positions(sampler: _BlockSampler, length: int, rng) -> tuple[str, ...]:
-    """The first ``length`` positions of independent blocks drawn from ``sampler``."""
-    drawn: list[str] = []
-    for block in sampler.blocks(rng, -(-length // sampler.table.height)):
-        drawn += block.positions
-    return tuple(drawn[:length])
-
-
 def draw_roster(
     scheme: ReservationScheme,
     length: int,
@@ -552,9 +560,8 @@ def draw_roster(
             f"unknown extension policy {extension_policy!r}; expected "
             "'independent-blocks' or 'repeat-block'"
         )
-    k, sampler = table.height, _sampler(table)
-    if extension_policy == "repeat-block":
-        positions = (_positions(sampler, min(length, k), rng) * -(-length // k))[:length]
-    else:
-        positions = _positions(sampler, length, rng)
+    k, repeat = table.height, extension_policy == "repeat-block"
+    blocks = _sampler(table).blocks(rng, min(length, 1) if repeat else -(-length // k))
+    positions = tuple(p for block in blocks for p in block.positions)
+    positions = (positions * -(-length // k) if repeat else positions)[:length]
     return Roster(scheme.categories, positions, block_length=k, extension_policy=extension_policy)

@@ -11,6 +11,14 @@ Three ways of turning a roster into reservation tables:
   random roster drawn from the scheme, so every department's reservations
   stay within its own quota surely while every entry remains unbiased.
 
+All three count through one kernel, :func:`_tally`, at the positions they
+read: proposed and court at every Q_i^t, government at its running pooled
+positions, taking differences.  A whole block of height k holds exactly
+k*a_j of category j, so the count at q is (q // k)*k*a_j plus a prefix count
+of block q // k; no position is materialized.  A run is an integer count
+grid, ``grid[t-1][i][j]``.  The ``run_*`` functions return it as a validated
+:class:`SolutionTrace`; the replication loop behind ``compare`` checks it
+in integers for what a trace guarantees and builds no tables.
 ``estimate_expected_table`` replicates a solution and reports per-entry
 means with standard errors.
 """
@@ -19,19 +27,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import sqrt
 from typing import Iterator, Optional, Sequence
 
 from .core import (
     ReservationProblem,
-    ReservationScheme,
     ReservationTable,
     Roster,
     SolutionTrace,
+    _check_counts,
     build_fair_share_table,
 )
 from .rng import SplitStream
-from .roster import _positions, _sampler, build_scheme_table, draw_roster
+from .roster import IntegralBlock, _sampler, build_scheme_table
 
 __all__ = [
     "RosterLengthError",
@@ -67,45 +76,71 @@ def _check_roster(problem: ReservationProblem, roster: Roster, kind: str) -> Non
         )
 
 
-def _trace(
-    problem: ReservationProblem,
-    label: str,
-    cumulative: Sequence[Sequence[Sequence[int]]],
-    seed: Optional[int] = None,
-) -> SolutionTrace:
-    periods = []
-    for t in range(1, problem.periods + 1):
-        fair = build_fair_share_table(problem, t)
-        reserved = ReservationTable.from_entries(
-            problem.departments, problem.scheme.categories, cumulative[t - 1]
-        )
-        periods.append((fair, reserved))
-    return SolutionTrace(problem, label, tuple(periods), seed)
+def _tally(source: Sequence, ends: Sequence[int], categories: Sequence[str]) -> list[Sequence[int]]:
+    """Each category's count in the first q positions of ``source``, for each q
+    in ``ends``.  ``source`` is a list of independent blocks of one height, as
+    ``_BlockSampler.blocks`` draws them, or a fixed roster's assignment."""
+    if source and isinstance(source[0], IntegralBlock):
+        k, prefix = source[0].height, source[0]._prefix
+        empty, whole = prefix[0], prefix[-1]  # a whole block holds k*a_j of category j
+        out = []
+        for q in ends:
+            b, r = divmod(q, k)
+            part = source[b]._prefix[r] if r else empty
+            out.append([b * w + p for w, p in zip(whole, part)] if b else part)
+        return out
+    counts, at, out = [0] * len(categories), 0, [None] * len(ends)
+    for e in sorted(range(len(ends)), key=ends.__getitem__):  # one pass in position order
+        segment, at = source[at:ends[e]], ends[e]
+        out[e] = counts = [c + segment.count(cat) for c, cat in zip(counts, categories)]
+    return out
 
 
-def _consume(problem: ReservationProblem, own: Sequence[Sequence[str]]) -> list:
-    """Cumulative counts per period when department i reads ``own[i]``, a
-    sequence of categories, from its start, one period's new vacancies at a time."""
-    cats = problem.scheme.categories
-    counts = [[0] * len(cats) for _ in own]
-    cumulative, previous = [], [0] * len(own)
-    for t in range(1, problem.periods + 1):
-        current = problem.cumulative_vacancies(t)
-        for row, seq, start, stop in zip(counts, own, previous, current):
-            segment = seq[start:stop]
-            for j, c in enumerate(cats):
-                row[j] += segment.count(c)
-        previous = current
-        cumulative.append([row[:] for row in counts])
-    return cumulative
+def _court(problem: ReservationProblem, source: Sequence) -> list:
+    """Count grid when every department reads its own copy of ``source``."""
+    m = len(problem.departments)
+    counts = _tally(source, list(chain.from_iterable(problem._cumulative)), problem.scheme.categories)
+    return [counts[t:t + m] for t in range(0, len(counts), m)]
 
 
-def _lottery(
-    scheme: ReservationScheme, lengths: Sequence[int], stream: SplitStream, height: Optional[int]
-) -> list[tuple[str, ...]]:
-    """Department i's ``lengths[i]`` positions, independent blocks drawn from ``stream.child(i)``."""
-    sampler = _sampler(build_scheme_table(scheme, height))
-    return [_positions(sampler, q, stream.child(i)) for i, q in enumerate(lengths)]
+def _government(problem: ReservationProblem, source: Sequence, order: Optional[Sequence[str]]) -> list:
+    """Count grid when, period after period, departments take consecutive
+    positions of ``source`` in ``order`` (default: the problem's order)."""
+    order = problem.departments if order is None else tuple(order)
+    if sorted(order) != sorted(problem.departments):
+        raise ValueError(f"order must be a permutation of the departments, got {order}")
+    index = {dept: i for i, dept in enumerate(problem.departments)}
+    seats = [index[dept] for dept in order]
+    ends = accumulate((row[i] for row in problem.vacancies for i in seats), initial=0)
+    counts = _tally(source, list(ends), problem.scheme.categories)
+    segments = zip(counts, counts[1:])  # each seat's counts before and after it, in dealing order
+    totals, grid = [[0] * len(counts[0]) for _ in seats], []
+    for _ in problem.vacancies:
+        for i, (start, end) in zip(seats, segments):
+            totals[i] = [z + b - a for z, a, b in zip(totals[i], start, end)]
+        grid.append(totals[:])
+    return grid
+
+
+def _lottery_counts(problem: ReservationProblem, stream: SplitStream, height: Optional[int]) -> list:
+    """Count grid when department i reads as many independent blocks, drawn
+    from ``stream.child(i)``, as its positions need."""
+    sampler = _sampler(build_scheme_table(problem.scheme, height))
+    k, categories = sampler.table.height, problem.scheme.categories
+    columns = [
+        _tally(sampler.blocks(stream.child(i), -(-ends[-1] // k)), ends, categories)
+        for i, ends in enumerate(zip(*problem._cumulative))
+    ]
+    return list(zip(*columns))
+
+
+def _trace(problem: ReservationProblem, label: str, grid: Sequence, seed: Optional[int] = None) -> SolutionTrace:
+    categories = problem.scheme.categories
+    periods = tuple(
+        (build_fair_share_table(problem, t), ReservationTable.from_entries(problem.departments, categories, rows))
+        for t, rows in enumerate(grid, start=1)
+    )
+    return SolutionTrace(problem, label, periods, seed)
 
 
 def run_government(
@@ -120,32 +155,12 @@ def run_government(
     roster index continues across periods.  Raises
     :class:`RosterLengthError` if the roster runs out.
     """
-    _check_roster(problem, roster, "government")
-    if order is None:
-        order = problem.departments
-    else:
-        order = tuple(order)
-        if sorted(order) != sorted(problem.departments):
-            raise ValueError(
-                f"order must be a permutation of the departments, got {order}"
-            )
-    # Deal the pooled roster into each department's own sequence, period by period.
-    index = {d: i for i, d in enumerate(problem.departments)}
-    own: list[list[str]] = [[] for _ in index]
-    position = 0
-    for row in problem.vacancies:
-        for dept in order:
-            q = row[index[dept]]
-            own[index[dept]].extend(roster.assignment[position:position + q])
-            position += q
-    return _trace(problem, "government", _consume(problem, own))
+    return run_solution(problem, SolutionConfig("government", roster=roster, order=order))
 
 
 def run_court(problem: ReservationProblem, roster: Roster) -> SolutionTrace:
     """Per-department solution: every department reads its own copy of ``roster``."""
-    _check_roster(problem, roster, "court")
-    own = [roster.assignment] * len(problem.departments)
-    return _trace(problem, "court", _consume(problem, own))
+    return run_solution(problem, SolutionConfig("court", roster=roster))
 
 
 def run_proposed(
@@ -158,9 +173,7 @@ def run_proposed(
     department therefore satisfies its own quota in every period surely,
     and every table entry is an unbiased draw around its fair share.
     """
-    final = problem.cumulative_vacancies(problem.periods)
-    own = _lottery(problem.scheme, final, SplitStream(seed), height)
-    return _trace(problem, "proposed", _consume(problem, own), seed)
+    return run_solution(problem, SolutionConfig("proposed", height=height), seed)
 
 
 @dataclass(frozen=True)
@@ -186,44 +199,52 @@ class SolutionConfig:
             )
 
 
+def _run(problem: ReservationProblem, config: SolutionConfig, seed: Optional[int]) -> list:
+    """Count grid of one run of ``config`` (seed used where random)."""
+    if config.kind == "proposed":
+        if seed is None:
+            raise ValueError("the proposed solution needs a seed")
+        return _lottery_counts(problem, SplitStream(seed), config.height)
+    if config.roster is not None:
+        _check_roster(problem, config.roster, config.kind)
+        source = config.roster.assignment
+    elif seed is None:
+        raise ValueError(
+            f"the {config.kind} solution needs a roster or a seed to draw one"
+        )
+    else:
+        # Independent-block rosters are prefix-stable, so drawing only the
+        # blocks that hold the positions the run reads leaves its counts unchanged.
+        sampler = _sampler(build_scheme_table(problem.scheme, config.height))
+        needed = _positions_needed(problem, config.kind)
+        source = sampler.blocks(SplitStream(seed), -(-needed // sampler.table.height))
+    if config.kind == "government":
+        return _government(problem, source, config.order)
+    return _court(problem, source)
+
+
 def run_solution(
     problem: ReservationProblem, config: SolutionConfig, seed: Optional[int] = None
 ) -> SolutionTrace:
     """Run one solution described by ``config`` (seed used where random)."""
-    if config.kind == "proposed":
-        if seed is None:
-            raise ValueError("the proposed solution needs a seed")
-        return run_proposed(problem, seed, height=config.height)
-    roster = config.roster
-    if roster is None:
-        if seed is None:
-            raise ValueError(
-                f"the {config.kind} solution needs a roster or a seed to draw one"
-            )
-        # Independent-block rosters are prefix-stable, so drawing only the
-        # positions the run reads leaves the trace unchanged.
-        roster = draw_roster(
-            problem.scheme,
-            _positions_needed(problem, config.kind),
-            SplitStream(seed),
-            height=config.height,
-        )
-    if config.kind == "government":
-        return run_government(problem, roster, config.order)
-    return run_court(problem, roster)
+    grid = _run(problem, config, seed)
+    return _trace(problem, config.kind, grid, seed if config.kind == "proposed" else None)
 
 
 def _replicate(
     problem: ReservationProblem, config: SolutionConfig, replications: int, stream: SplitStream
-) -> Iterator[SolutionTrace]:
-    """Traces of ``replications`` runs of ``config``, run r seeded by ``stream.child(r)``.
+) -> Iterator[list]:
+    """Count grids of ``replications`` runs of ``config``, run r seeded by
+    ``stream.child(r)``, each checked as a trace of it would be.
 
     A government or court run with a fixed roster is deterministic, so it
     runs once.
     """
     deterministic = config.kind != "proposed" and config.roster is not None
     for r in range(1 if deterministic else replications):
-        yield run_solution(problem, config, stream.child(r).key)
+        grid = _run(problem, config, stream.child(r).key)
+        _check_counts(problem, grid)
+        yield grid
 
 
 @dataclass(frozen=True)
@@ -270,9 +291,9 @@ def estimate_expected_table(
     # Row m accumulates the column totals.
     sums = [[0] * n for _ in range(m + 1)]
     squares = [[0] * n for _ in range(m + 1)]
-    for runs, trace in enumerate(_replicate(problem, config, replications, SplitStream(seed)), 1):
-        reserved = trace.reservation(t)
-        for i, row in enumerate((*reserved.entries, reserved.column_totals)):
+    for runs, grid in enumerate(_replicate(problem, config, replications, SplitStream(seed)), 1):
+        rows = grid[t - 1]
+        for i, row in enumerate((*rows, map(sum, zip(*rows)))):
             for j, z in enumerate(row):
                 sums[i][j] += z
                 squares[i][j] += z * z

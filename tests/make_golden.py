@@ -53,6 +53,8 @@ CASES = {
     "compare-five-roster.csv": ["compare", "problem_five.csv", "--scheme", "scheme_five.csv",
                                 "--roster", "roster_five.csv", "--cycle-roster",
                                 "--replications", "3", "--seed", "21", "--format", "csv"],
+    "compare-five-drawn.csv": ["compare", "problem_five.csv", "--scheme", "scheme_five.csv",
+                               "--replications", "2", "--seed", "23", "--format", "csv"],
     "compare-quarters-synthesized.json": ["compare", "--synthesize", "--scheme",
                                           "scheme_quarters.csv", "--height", "8",
                                           "--order", "alpha", "--periods", "4",

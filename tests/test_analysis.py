@@ -14,6 +14,7 @@ from reserve2d import (
     PeriodRangeError,
     ReservationProblem,
     ReservationTable,
+    SolutionConfig,
     SplitStream,
     adversarial_sequence,
     bias_of,
@@ -28,6 +29,8 @@ from reserve2d import (
     within_university_quota,
 )
 from reserve2d.analysis import _lattice_counts, _lattice_summary, summarize_biases
+from reserve2d.roster import _sampler, build_scheme_table
+from reserve2d.solutions import _replicate
 
 from conftest import mod3_roster
 
@@ -160,9 +163,14 @@ def test_merged_lattice_counts_summarize_the_concatenated_sample(a, b):
 
 
 def test_lattice_counts_are_the_scaled_bias_tables(four_dept_problem):
+    """The counts of compare's grids are 3 times the biases of the tables of
+    the same runs."""
+    government = SolutionConfig("government", roster=mod3_roster(18))
+    grids = [*_replicate(four_dept_problem, government, 1, SplitStream(0))]
+    grids += _replicate(four_dept_problem, SolutionConfig("proposed"), 5, SplitStream(8))
     traces = [run_government(four_dept_problem, mod3_roster(18))]
-    traces += [run_proposed(four_dept_problem, seed) for seed in range(5)]
-    scale, counts = _lattice_counts(four_dept_problem.scheme, traces)
+    traces += [run_proposed(four_dept_problem, SplitStream(8).child(r).key) for r in range(5)]
+    scale, counts = _lattice_counts(four_dept_problem, grids)
     assert scale == 3
     expected = {}
     for trace in traces:
@@ -222,6 +230,31 @@ def test_tail_diagnostic_replays_the_lottery_exactly(four_dept_problem):
     assert diag.category == "c1"
     assert diag.fair_total == x
     assert diag.replications == reps
+
+
+@pytest.mark.parametrize("seed", [3, 77, 2024])
+def test_tail_diagnostic_counts_what_the_sliced_lottery_holds(quarters_scheme, seed):
+    """At quarters height 8, with a department and a period without
+    vacancies and boundaries at multiples of 8, the frequencies equal those
+    of the materialized department rosters cut to Q_i^t."""
+    problem = ReservationProblem(("d1", "d2", "d3"), quarters_scheme, ((3, 0, 8), (5, 0, 1), (0, 0, 0)))
+    reps, grid = 30, (F(1, 2), F(1), F(2))
+    diag = tail_diagnostic(problem, "c1", 3, reps, grid, seed, height=8)
+    sampler = _sampler(build_scheme_table(quarters_scheme, 8))
+    master, x = SplitStream(seed), diag.fair_total
+
+    def positions(q, stream):
+        return sum((block.positions for block in sampler.blocks(stream, -(-q // 8))), ())[:q]
+
+    deviations = [
+        sum(positions(q, master.child(r).child(i)).count("c1")
+            for i, q in enumerate(problem.cumulative_vacancies(3))) - x
+        for r in range(reps)
+    ]
+    assert len(set(deviations)) > 1
+    for b, up, lo in zip(grid, diag.upper_frequency, diag.lower_frequency):
+        assert up == F(sum(1 for d in deviations if d >= b), reps)
+        assert lo == F(sum(1 for d in deviations if d <= -b), reps)
 
 
 def test_tail_diagnostic_bounds_formula(four_dept_problem):

@@ -551,23 +551,28 @@ def test_compare_counters_do_not_grow_with_replications(capsys, files, monkeypat
     """Proposed biases lie in (-1, 1), so on the 1/3 scheme (L = 3) each
     department-scope counter holds at most 2L - 1 = 5 keys, however many
     replications it counts."""
-    seen = []
-    lattice_counts = cli._lattice_counts
+    seen, kinds = [], []
+    lattice_counts, replicate = cli._lattice_counts, cli._replicate
 
-    def spy(scheme, traces):
-        labels = []
-        scale, counts = lattice_counts(scheme, (labels.append(tr.label) or tr for tr in traces))
-        seen.append((labels, scale, counts))
+    def spy(problem, grids):
+        counted = []
+        scale, counts = lattice_counts(problem, (counted.append(grid) or grid for grid in grids))
+        seen.append((kinds.pop(0), len(counted), scale, counts))
         return scale, counts
 
+    def replicate_spy(problem, config, replications, stream):
+        kinds.append(config.kind)
+        return replicate(problem, config, replications, stream)
+
     monkeypatch.setattr(cli, "_lattice_counts", spy)
+    monkeypatch.setattr(cli, "_replicate", replicate_spy)
     code, _, err = run_cli(
         capsys, "compare", files["problem"], "--scheme", files["scheme"],
         "--replications", "50", "--seed", "3",
     )
     assert (code, err) == (0, "")
-    labels, scale, counts = seen[0]
-    assert (labels, scale) == (["proposed"] * 50, 3)
+    kind, grids, scale, counts = seen[0]
+    assert (kind, grids, scale) == ("proposed", 50, 3)
     department = [c for (t, scope), c in counts.items() if scope == "department"]
     assert len(department) == 3
     for counter in department:

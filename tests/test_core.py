@@ -236,6 +236,18 @@ def test_from_entries_rejects_a_ragged_row_with_the_grid_message():
     assert empty.column_totals == (0, 0) and empty.grand_total == 0
 
 
+def test_from_entries_sums_the_margins_and_checks_every_entry():
+    """The margins are the entries' sums, as a direct construction with them
+    would take; a negative or non-integer entry is refused with its message."""
+    entries = ((1, 0, 2), (3, 4, 0))
+    table = ReservationTable.from_entries(["a", "b"], ["x", "y", "z"], [list(row) for row in entries])
+    assert table == ReservationTable(("a", "b"), ("x", "y", "z"), entries, (3, 7), (4, 4, 2), 10)
+    for bad in (-1, 1.0, F(1)):
+        with pytest.raises(ValueError) as exc:
+            ReservationTable.from_entries(("a", "b"), ("x", "y"), ((1, bad), (0, 2)))
+        assert str(exc.value) == f"reservation entries must be nonnegative integers, got {bad!r}"
+
+
 # ---------------------------------------------------------------- bias tables
 
 

@@ -336,6 +336,42 @@ def test_flow_step_names_the_edge_that_does_not_mix_back(third_scheme):
     )
 
 
+_FOREIGN_EDGES = "branches must list the pre-step network's edges in order, differing only in flow"
+
+
+def test_flow_step_refuses_branches_with_an_edge_the_network_lacks(third_scheme):
+    """An edge appended to both branches is valid in each network but is not
+    one of the pre-step network's, so the step is refused."""
+    step = _named_step(third_scheme)
+    extra = FlowEdge(source_vertex(), sink_vertex(), F(5), 5, 5)
+    forward, backward = (
+        FlowNetwork(branch.table, branch.edges + (extra,))
+        for branch in (step.raise_forward, step.raise_backward)
+    )
+    assert len(forward.edges) == len(step.network.edges) + 1 == 20
+    with pytest.raises(ValueError) as exc:
+        replace(step, raise_forward=forward, raise_backward=backward, result=forward)
+    assert str(exc.value) == _FOREIGN_EDGES
+
+
+def test_flow_step_refuses_branches_that_list_the_edges_in_another_order(third_scheme):
+    """Swapping two row -> sink edges, each carrying 1, in both branches keeps
+    every index's flows mixing back, but the branches no longer list the
+    pre-step network's edges in its order."""
+    step = _named_step(third_scheme)
+
+    def swapped(network):
+        edges = list(network.edges)
+        edges[-1], edges[-2] = edges[-2], edges[-1]
+        assert edges[-1].flow == edges[-2].flow == 1
+        return FlowNetwork(network.table, tuple(edges))
+
+    forward, backward = swapped(step.raise_forward), swapped(step.raise_backward)
+    with pytest.raises(ValueError) as exc:
+        replace(step, raise_forward=forward, raise_backward=backward, result=forward)
+    assert str(exc.value) == _FOREIGN_EDGES
+
+
 def _assert_branches_share_off_the_cycle(step: FlowStep) -> None:
     """Edges off the cycle are the pre-step ``FlowEdge`` objects; an edge on it
     moves by d+ one way and d- the other, as a ``Fraction``."""

@@ -1,5 +1,6 @@
 """Tests for the government, court, and per-department lottery solutions."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,10 @@ from reserve2d import (
     within_department_quota,
     within_university_quota,
 )
-from reserve2d.roster import draw_roster
+from reserve2d.cli import _cycled_roster
+from reserve2d.core import _check_counts
+from reserve2d.roster import _sampler, build_scheme_table, draw_roster
+from reserve2d.solutions import _replicate, _trace
 
 from conftest import mod3_roster
 
@@ -252,6 +256,154 @@ def _pooled_government(problem, roster, order):
     return tables
 
 
+def _sliced(problem, own):
+    """Reference counting: department i reads ``own[i]``, a materialized
+    sequence of categories, and each period slices its new positions off it."""
+    cats = problem.scheme.categories
+    counts = [[0] * len(cats) for _ in own]
+    tables, previous = [], [0] * len(own)
+    for t in range(1, problem.periods + 1):
+        current = problem.cumulative_vacancies(t)
+        for row, seq, start, stop in zip(counts, own, previous, current):
+            segment = seq[start:stop]
+            for j, c in enumerate(cats):
+                row[j] += segment.count(c)
+        previous = current
+        tables.append(tuple(tuple(r) for r in counts))
+    return tables
+
+
+def _oracle(problem, config, seed):
+    """Count tables of one run of ``config`` from materialized rosters: every
+    position drawn, dealt and sliced."""
+    final = problem.cumulative_vacancies(problem.periods)
+    if config.kind == "proposed":
+        sampler = _sampler(build_scheme_table(problem.scheme, config.height))
+        stream, k = SplitStream(seed), sampler.table.height
+        own = [
+            sum((block.positions for block in sampler.blocks(stream.child(i), -(-q // k))), ())
+            for i, q in enumerate(final)
+        ]
+        return _sliced(problem, own)
+    roster = config.roster
+    if roster is None:
+        length = sum(final) if config.kind == "government" else max(final)
+        roster = draw_roster(problem.scheme, length, SplitStream(seed), height=config.height)
+    if config.kind == "court":
+        return _sliced(problem, [roster.assignment] * len(problem.departments))
+    return _pooled_government(problem, roster, config.order or problem.departments)
+
+
+def _tables(counts):
+    """Per-period entries of a trace or of a count grid, as tuples."""
+    if hasattr(counts, "periods"):
+        return [reserved.entries for _, reserved in counts.periods]
+    return [tuple(map(tuple, rows)) for rows in counts]
+
+
+_FIVE = ReservationScheme(
+    ("sc", "st", "obc", "ews", "open"),
+    (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200)),
+)
+_QUARTERS = ReservationScheme(("c1", "c2", "c3"), (F(1, 4), F(1, 4), F(1, 2)))
+_THIRD = ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3)))
+
+# Problems and block heights for the kernel's oracle tests.  Each has a
+# department or a period without vacancies, and reads boundaries at exact
+# multiples of the block height and at the last position drawn.
+_KERNEL_CASES = {
+    # k = 3: final counts (3, 0, 6, 6), government's 15 positions are 5 whole
+    # blocks and court's 6 are 2.
+    "third": (ReservationProblem(("d1", "d2", "d3", "d4"), _THIRD, ((2, 0, 3, 0), (0, 0, 0, 0), (1, 0, 3, 6))), None),
+    # k = 8: a first period without vacancies, final counts (8, 16, 5).
+    "quarters-8": (ReservationProblem(("a", "b", "c"), _QUARTERS, ((0, 0, 0), (3, 9, 5), (5, 7, 0))), 8),
+    # k = 200, walked blocks: departments end at 200, 200 and 201.
+    "five": (ReservationProblem(("p", "q", "r"), _FIVE, ((150, 0, 37), (50, 200, 163), (0, 0, 1))), None),
+}
+
+
+def _orders(problem):
+    departments = problem.departments
+    return (None, departments[::-1], departments[1:] + departments[:1])
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_counts_what_the_sliced_rosters_hold(case):
+    """Drawn rosters: the replication loop's grids and the public traces
+    equal the materialize-and-slice counts, run by run, for all three
+    solutions and several pooling orders."""
+    problem, height = _KERNEL_CASES[case]
+    configs = [SolutionConfig("proposed", height=height), SolutionConfig("court", height=height)]
+    configs += [SolutionConfig("government", order=o, height=height) for o in _orders(problem)]
+    for config in configs:
+        for r, grid in enumerate(_replicate(problem, config, 3, SplitStream(41))):
+            seed = SplitStream(41).child(r).key
+            expected = _oracle(problem, config, seed)
+            assert _tables(grid) == expected, (config, r)
+            assert _tables(run_solution(problem, config, seed)) == expected, (config, r)
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_counts_fixed_rosters_like_the_sliced_ones(case):
+    """Fixed rosters, one of them tiled the way ``--cycle-roster`` tiles a
+    short roster file: the grid of the one deterministic run and the public
+    traces equal the sliced counts."""
+    problem, height = _KERNEL_CASES[case]
+    needed = sum(problem.cumulative_vacancies(problem.periods))
+    drawn = draw_roster(problem.scheme, needed + 2, SplitStream(5), height=height)
+    tiled = _cycled_roster(draw_roster(problem.scheme, 7, SplitStream(6), height=height), needed)
+    assert len(tiled) == needed
+    for roster in (drawn, tiled, replace(drawn, assignment=drawn.assignment[::-1])):
+        court = SolutionConfig("court", roster=roster)
+        configs = [court] + [SolutionConfig("government", roster=roster, order=o) for o in _orders(problem)]
+        for config in configs:
+            expected = _oracle(problem, config, None)
+            (grid,) = _replicate(problem, config, 4, SplitStream(1))
+            assert _tables(grid) == expected, config
+            assert _tables(run_solution(problem, config)) == expected, config
+        assert _tables(run_court(problem, roster)) == _oracle(problem, court, None)
+        order = _orders(problem)[1]
+        assert _tables(run_government(problem, roster, order)) == _pooled_government(problem, roster, order)
+
+
+def _refusals(problem, grid):
+    """The messages with which the grid check and a trace of ``grid`` refuse it."""
+    with pytest.raises(ValueError) as checked:
+        _check_counts(problem, grid)
+    with pytest.raises(ValueError) as traced:
+        _trace(problem, "court", grid)
+    return str(checked.value), str(traced.value)
+
+
+def _court_grid(changes):
+    """The court grid of the running example with ``changes[(t, i)]`` as row i of period t."""
+    grid = [[list(row) for row in table] for table in COURT_TABLES]
+    for (t, i), row in changes.items():
+        grid[t - 1][i] = list(row)
+    return grid
+
+
+def test_grid_check_accepts_what_a_trace_accepts(four_dept_problem):
+    grid = _court_grid({})
+    _check_counts(four_dept_problem, grid)
+    assert _tables(_trace(four_dept_problem, "court", grid)) == list(COURT_TABLES)
+
+
+def test_grid_check_refuses_a_row_total_off_the_cumulative_vacancies(four_dept_problem):
+    message = "period 2: reservation row totals (4, 2, 5, 2) differ from cumulative vacancies (4, 2, 4, 2)"
+    assert _refusals(four_dept_problem, _court_grid({(2, 2): (2, 3)})) == (message, message)
+
+
+def test_grid_check_refuses_a_negative_entry(four_dept_problem):
+    message = "reservation entries must be nonnegative integers, got -1"
+    assert _refusals(four_dept_problem, _court_grid({(1, 0): (-1, 3)})) == (message, message)
+
+
+def test_grid_check_refuses_a_period_that_shrinks(four_dept_problem):
+    message = "reservation tables must be entrywise nondecreasing"
+    assert _refusals(four_dept_problem, _court_grid({(3, 0): (0, 6)})) == (message, message)
+
+
 _SCHEMES = (
     ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3))),
     ReservationScheme(("c1", "c2", "c3"), (F(1, 4), F(1, 4), F(1, 2))),
@@ -261,8 +413,9 @@ _SCHEMES = (
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_government_matches_the_pooled_loop(data):
-    """The dealt-then-consumed government run equals the pooled loop on random
-    problems, zero-vacancy periods included, and random pooling orders."""
+    """The government run equals the pooled loop, and the court run the sliced
+    copies, on random fixed rosters and problems, zero-vacancy periods
+    included, and random pooling orders."""
     scheme = data.draw(st.sampled_from(_SCHEMES))
     m = data.draw(st.integers(2, 5))
     departments = tuple(f"d{i}" for i in range(m))
@@ -280,6 +433,8 @@ def test_government_matches_the_pooled_loop(data):
     trace = run_government(problem, roster, order)
     expected = _pooled_government(problem, roster, order)
     assert [trace.reservation(t).entries for t in range(1, problem.periods + 1)] == expected
+    court = _sliced(problem, [roster.assignment] * m)
+    assert _tables(run_court(problem, roster)) == court
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2024])
