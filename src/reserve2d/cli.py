@@ -34,6 +34,7 @@ from .core import (
     ReservationProblem,
     ReservationTable,
     Roster,
+    _POLICIES,
     _grid,
     bias_of,
     build_fair_share_table,
@@ -435,11 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roster.add_argument("scheme", help="scheme CSV (category,numerator,denominator)")
     p_roster.add_argument("--length", type=_positive_int, required=True)
     p_roster.add_argument("--seed", type=_seed_type, required=True)
-    p_roster.add_argument(
-        "--policy",
-        choices=("independent-blocks", "repeat-block"),
-        default="independent-blocks",
-    )
+    p_roster.add_argument("--policy", choices=_POLICIES, default=_POLICIES[0])
     p_roster.add_argument("--height", type=_positive_int, default=None)
     p_roster.add_argument("--format", choices=("csv", "json"), default="csv")
     p_roster.add_argument("-o", "--output")

@@ -296,6 +296,15 @@ class BiasTable:
         return max(abs(v) for row in self.entries for v in row)
 
 
+# How a roster goes on past its drawn positions; the first is the default.
+_POLICIES = ("independent-blocks", "repeat-block")
+
+
+def _check_policy(policy: str) -> None:
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown extension policy {policy!r}; expected {' or '.join(map(repr, _POLICIES))}")
+
+
 @dataclass(frozen=True)
 class Roster:
     """A category assignment for roster positions 1, 2, 3, ...
@@ -309,14 +318,10 @@ class Roster:
     categories: tuple[str, ...]
     assignment: tuple[str, ...]
     block_length: int = 0
-    extension_policy: str = "independent-blocks"
+    extension_policy: str = _POLICIES[0]
 
     def __post_init__(self):
-        if self.extension_policy not in ("independent-blocks", "repeat-block"):
-            raise ValueError(
-                f"unknown extension policy {self.extension_policy!r}; expected "
-                "'independent-blocks' or 'repeat-block'"
-            )
+        _check_policy(self.extension_policy)
         known = set(self.categories)
         if not known.issuperset(self.assignment):
             p, c = next((p, c) for p, c in enumerate(self.assignment, start=1) if c not in known)

@@ -43,7 +43,7 @@ from operator import add
 from typing import Callable, Optional, Sequence, Union
 
 from ._walk import Graph, Walk, check_step, observer, scaled
-from .core import ReservationScheme, Roster
+from .core import ReservationScheme, Roster, _check_policy
 from .rng import SplitStream, _u64s
 
 __all__ = [
@@ -240,8 +240,10 @@ def build_flow_network(table: SchemeTable) -> FlowNetwork:
 
 
 def _walk(network: FlowNetwork) -> Walk:
-    vertices, edges, _, _ = _scheme_network(network.table)
-    return Walk(Graph(vertices, edges), *network._scaled)
+    """A walk over ``network``'s own edges; vertices are numbered as they first appear."""
+    number: dict[Vertex, int] = {}
+    edges = [(number.setdefault(e.tail, len(number)), number.setdefault(e.head, len(number))) for e in network.edges]
+    return Walk(Graph(len(number), edges), *network._scaled)
 
 
 def _network_at(network: FlowNetwork, scale: int, changes: dict[int, int]) -> FlowNetwork:
@@ -555,11 +557,7 @@ def draw_roster(
     table = build_scheme_table(scheme, height)
     if length < 0:
         raise ValueError(f"roster length must be nonnegative, got {length}")
-    if extension_policy not in ("independent-blocks", "repeat-block"):
-        raise ValueError(
-            f"unknown extension policy {extension_policy!r}; expected "
-            "'independent-blocks' or 'repeat-block'"
-        )
+    _check_policy(extension_policy)
     k, repeat = table.height, extension_policy == "repeat-block"
     blocks = _sampler(table).blocks(rng, min(length, 1) if repeat else -(-length // k))
     positions = tuple(p for block in blocks for p in block.positions)

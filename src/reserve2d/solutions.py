@@ -49,6 +49,7 @@ __all__ = [
     "run_government",
     "run_court",
     "run_proposed",
+    "run_solution",
     "estimate_expected_table",
 ]
 

@@ -10,6 +10,7 @@ from reserve2d import (
     FlowNetwork,
     IntegralBlock,
     ReservationScheme,
+    Roster,
     SplitStream,
     build_flow_network,
     build_scheme_table,
@@ -258,6 +259,25 @@ def test_integral_network_has_no_cycle(third_scheme):
     while not net.is_integral:
         net = decompose_flow_once(net, SplitStream(11))
     assert find_flow_cycle(net) is None
+
+
+def test_a_network_with_its_edges_in_another_order_is_walked_on_its_own_edges(third_scheme):
+    """The walk joins the edges of the network it is given, not the canonical
+    network's edges at the same indices."""
+    table = build_scheme_table(third_scheme)
+    rev = FlowNetwork(table, tuple(reversed(build_flow_network(table).edges)))
+    for seed in range(5):
+        net, rng = rev, SplitStream(seed)
+        while not net.is_integral:
+            cycle = find_flow_cycle(net)
+            for (e, d), (e2, d2) in zip(cycle, cycle[1:] + cycle[:1]):
+                this, following = net.edges[e], net.edges[e2]
+                assert (this.head if d > 0 else this.tail) == (following.tail if d2 > 0 else following.head)
+            net = decompose_flow_once(net, rng, cycle=cycle)
+        positions = IntegralBlock.from_network(net).positions
+        for depth in range(1, len(positions) + 1):
+            for cat, f in zip(third_scheme.categories, third_scheme.fractions):
+                assert abs(positions[:depth].count(cat) - depth * f) < 1
 
 
 PAPER_STYLE_CYCLE = [
@@ -831,8 +851,15 @@ def test_empty_and_invalid_rosters(third_scheme):
     assert len(draw_roster(third_scheme, 0, SplitStream(0))) == 0
     with pytest.raises(ValueError):
         draw_roster(third_scheme, -1, SplitStream(0))
-    with pytest.raises(ValueError, match="extension policy"):
-        draw_roster(third_scheme, 3, SplitStream(0), "tile")
+    rng = SplitStream(0)
+    message = "unknown extension policy 'tile'; expected 'independent-blocks' or 'repeat-block'"
+    with pytest.raises(ValueError) as refused:
+        draw_roster(third_scheme, 3, rng, "tile")
+    assert str(refused.value) == message
+    assert rng._n == 0  # refused before any draw
+    with pytest.raises(ValueError) as refused:
+        Roster(third_scheme.categories, (), extension_policy="tile")
+    assert str(refused.value) == message
 
 
 def test_roster_prefix_counts_never_drift_a_full_seat(third_scheme, quarters_scheme):
