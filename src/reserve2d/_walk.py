@@ -42,10 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rng import SplitStream, _u64s
-
-# Batches stand in for this u64 draw only while a stream's class keeps it.
-_NEXT_U64 = SplitStream.next_u64
+from .rng import _batched, _u64s
 
 # A cycle lists (edge index, direction) pairs: +1 runs tail to head.
 Cycle = Sequence[tuple[int, int]]
@@ -146,10 +143,10 @@ class Walk:
     def run(self, rng, hook: Optional[Callable[[int, int, bool], None]] = None) -> None:
         """Step until every flow is integral, drawing what :meth:`step` on
         each :meth:`cycle` would; ``hook(num, den, take)`` sees each draw
-        before its push, while the flows are the pre-step ones.  A stream whose
-        class keeps ``SplitStream.next_u64`` is read from ``_u64s`` batches."""
+        before its push, while the flows are the pre-step ones.  A ``_batched``
+        stream is read from ``_u64s`` batches."""
         flows, scale, k = self.flows, self.scale, 0
-        batched = getattr(type(rng), "next_u64", None) is _NEXT_U64
+        batched = _batched(rng)
         first = end = 0  # the batch holds u64s first+1 .. end
         left = len(flows) - self._first  # edges not known integral: a step makes at least one so
         while self._search(k):

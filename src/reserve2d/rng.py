@@ -15,6 +15,8 @@ the child's index.  This gives
 A stream's u64 number n depends only on its key and n, so :func:`_u64s`
 mixes up to 64 consecutive ones at once, as the lanes of one integer; the
 roster descent and every rounding walk read their u64s from such batches.
+The output function is a bijection: :func:`_unmix64` inverts it, and
+:func:`_index_of` finds the n at which a stream outputs a given u64.
 
 The algorithm identifier below is recorded in report metadata so that
 archived outputs name the generator that produced them.
@@ -34,6 +36,7 @@ _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 sequence increment
 # The multipliers of splitmix64's output function (Stafford variant 13).
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_GAMMA_INV, _MIX1_INV, _MIX2_INV = (pow(m, -1, 1 << 64) for m in (_GAMMA, _MIX1, _MIX2))
 
 
 def _mix64(z: int) -> int:
@@ -41,6 +44,18 @@ def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
+
+
+def _unmix64(u: int) -> int:
+    """The inverse of :func:`_mix64`; for 3s >= 64, z = x ^ x >> s gives x = z ^ z >> s ^ z >> 2s."""
+    u = (u ^ u >> 31 ^ u >> 62) * _MIX2_INV & _MASK64
+    u = (u ^ u >> 27 ^ u >> 54) * _MIX1_INV & _MASK64
+    return u ^ u >> 30 ^ u >> 60
+
+
+def _index_of(key: int, u: int) -> int:
+    """The n (mod 2**64) at which stream ``key``'s u64 number n is ``u``."""
+    return (_unmix64(u) - key) * _GAMMA_INV & _MASK64
 
 
 @lru_cache(maxsize=64)
@@ -117,3 +132,8 @@ class SplitStream:
         if p.denominator == 1:
             return p.numerator == 1
         return self.randrange(p.denominator) < p.numerator
+
+
+def _batched(rng, _next_u64=SplitStream.next_u64) -> bool:
+    """Whether ``rng``'s class keeps ``SplitStream.next_u64`` as imported, so batches may stand in for it."""
+    return getattr(type(rng), "next_u64", None) is _next_u64

@@ -40,11 +40,11 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import add
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from ._walk import Graph, Walk, check_step, observer, scaled
 from .core import ReservationScheme, Roster, _check_policy
-from .rng import SplitStream, _u64s
+from .rng import _GAMMA, _GAMMA_INV, _MASK64, _batched, _index_of, _mix64, _u64s
 
 __all__ = [
     "SchemeTable",
@@ -428,7 +428,8 @@ class _BlockSampler:
     the drawn block.  :meth:`blocks` descends the tree consuming exactly the
     draws the walk would, and hands a block that reaches a missing child to
     :meth:`walk`, which walks it from the start and hangs the steps the tree
-    lacks while it holds fewer than ``_NODE_CAP`` nodes.
+    lacks while it holds fewer than ``_NODE_CAP`` nodes.  :meth:`read` draws
+    only the blocks asked for once every block reads the same u64s.
     """
 
     _NODE_CAP = 1 << 17
@@ -441,58 +442,67 @@ class _BlockSampler:
         k = table.height
         self.cells = slice(len(edges) - k - k * table.scheme.size, len(edges) - k)
         self.root: list = [None]  # the tree hangs from slot 0
-        self.nodes = 0
+        self.nodes, self.empty, self.depths, self.fixed = 0, 1, set(), None  # empty slots, leaf depths; see read
 
     def _room(self, holder: Optional[list], slot: int) -> bool:
         """Whether ``holder[slot]`` is on the tree, empty, and the tree has room."""
         return holder is not None and holder[slot] is None and self.nodes < self._NODE_CAP
 
-    def _child(self, holder: list, slot: int, node) -> None:
-        """Hang ``node`` in the empty ``holder[slot]``."""
+    def _child(self, holder: list, slot: int, node, depth: int = 0) -> None:
+        """Hang ``node`` in the empty ``holder[slot]``, a leaf at ``depth``."""
         holder[slot] = node
         self.nodes += 1
+        self.empty += 1 if type(node) is list else -1
+        if type(node) is not list:
+            self.depths.add(depth)
+            if not self.empty and len(self.depths) == 1:  # see read; no denominator exceeds the scale L
+                self.fixed = depth, [_index_of(0, u) for u in range((1 << 64) - self.start.scale + 1, 1 << 64)]
 
     def walk(self, rng, on_step: Optional[Callable[[FlowStep], None]] = None) -> IntegralBlock:
         """One block walked from the start with ``rng``'s draws, each step shown to ``on_step``."""
         walk = Walk(self.start.graph, self.start.scale, self.start.flows)
-        at, show = [self.root, 0], None  # the slot the next step's node hangs in
+        holder, slot, depth, show = self.root, 0, 0, None  # the slot the next step's node hangs in
         if on_step is not None:
             network = build_flow_network(self.table)
             show = observer(FlowStep, network, tuple, _network_at, walk._found, on_step)
 
         def grow(num: int, den: int, take: bool) -> None:
+            nonlocal holder, slot, depth
             if show is not None:
                 show(num, den, take)
-            holder, slot = at
             if self._room(holder, slot):
                 self._child(holder, slot, [num, den, None, None])
-            at[:] = holder and holder[slot], 2 if take else 3
+            holder, slot, depth = holder and holder[slot], 2 if take else 3, depth + 1
 
         walk.run(rng, grow)
         cells, n = [f // walk.scale for f in walk.flows[self.cells]], self.table.scheme.size
         rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
         block = IntegralBlock(self.table.scheme, self.table.height, rows)
-        if self._room(*at):
-            self._child(*at, block)
+        if self._room(holder, slot):
+            self._child(holder, slot, block, depth)
         return block
 
     def blocks(self, rng, count: int) -> list[IntegralBlock]:
-        """``count`` blocks, drawing exactly what ``count`` calls of
-        :meth:`walk` would.
+        """``count`` blocks, drawing exactly what ``count`` calls of :meth:`walk` would.
 
         The descent reads its u64s from batches of ``rng._u64s``, as many as
         the blocks left read at the call's u64s per block so far (one each
         before a block ends; at most 64), and stores the draw index once.
         A u64 that ``randrange`` might reject is drawn again by ``randrange``
         itself, and a block that reaches a missing child is handed, from its
-        first draw, to :meth:`walk`; either drops the batch.  Any other
-        ``rng`` than a :class:`SplitStream` is walked one block at a time.
-        """
-        if not isinstance(rng, SplitStream):
-            return [self.walk(rng) for _ in range(count)]
+        first draw, to :meth:`walk`; either drops the batch.  Streams that
+        are not ``_batched`` walk until the tree is complete, then descend by
+        ``randrange``."""
+        drawn: list[IntegralBlock] = []
+        if not _batched(rng):
+            for _ in range(count):
+                node = self.walk(rng) if self.empty else self.root[0]
+                while type(node) is list:
+                    node = node[2] if rng.randrange(node[1]) < node[0] else node[3]
+                drawn.append(node)
+            return drawn
         key, n, top = rng.key, rng._n, 1 << 64
         batch, first, end, origin = (), n, n, n  # the batch holds u64s first+1 .. end
-        drawn: list[IntegralBlock] = []
         for left in range(count, 0, -1):
             start, node = n, self.root[0]
             while type(node) is list:
@@ -514,6 +524,30 @@ class _BlockSampler:
             drawn.append(node)
         rng._n = n
         return drawn
+
+    def read(self, rng, count: int, wanted: Sequence[int]) -> list[IntegralBlock]:
+        """Blocks number ``wanted`` (from 0) of the ``count`` :meth:`blocks` would draw,
+        leaving ``rng`` where it would.  On a complete tree with every leaf at depth d,
+        ``fixed`` holds d and the index at which stream 0 outputs each u64 above 2**64 - L,
+        the only ones ``randrange`` might reject (stream ``key`` outputs it key/gamma
+        earlier); if none is in n+1 .. n+d*count, block b is u64s n+d*b+1 .. n+d*b+d."""
+        d, rejects = self.fixed or (0, ())
+        if d and len(rejects) <= d * count and _batched(rng):
+            key, n, span = rng.key, rng._n, d * count
+            shift = key * _GAMMA_INV + n + 1
+            for i in rejects:
+                if (i - shift) & _MASK64 < span:  # u64 n+1+(i-shift) may be rejected
+                    break
+            else:
+                rng._n, drawn = n + span, []
+                for b in wanted:
+                    node, z = self.root[0], key + (n + d * b + 1) * _GAMMA  # u64 n+d*b+1 is _mix64(z)
+                    while type(node) is list:
+                        node, z = node[2] if _mix64(z & _MASK64) % node[1] < node[0] else node[3], z + _GAMMA
+                    drawn.append(node)
+                return drawn
+        drawn = self.blocks(rng, count)
+        return [drawn[b] for b in wanted]
 
 
 @lru_cache(maxsize=1)

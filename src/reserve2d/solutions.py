@@ -11,14 +11,14 @@ Three ways of turning a roster into reservation tables:
   random roster drawn from the scheme, so every department's reservations
   stay within its own quota surely while every entry remains unbiased.
 
-All three count through one kernel, :func:`_tally`, at the positions they
-read: proposed and court at every Q_i^t, government at its running pooled
-positions, taking differences.  A whole block of height k holds exactly
-k*a_j of category j, so the count at q is (q // k)*k*a_j plus a prefix count
-of block q // k; no position is materialized.  A run is an integer count
-grid, ``grid[t-1][i][j]``.  The ``run_*`` functions return it as a validated
-:class:`SolutionTrace`; the replication loop behind ``compare`` checks it
-in integers for what a trace guarantees and builds no tables.
+All three count categories at the positions they read: proposed and court
+at every Q_i^t, government at its running pooled positions, taking
+differences.  A whole block of height k holds exactly k*a_j of category j,
+so the count at q is (q // k)*k*a_j plus a prefix count of block q // k, and
+a drawn roster decodes only the blocks that hold such a q inside them
+(:func:`_reader`).  A run is an integer count grid, ``grid[t-1][i][j]``.  The
+``run_*`` functions return it as a validated :class:`SolutionTrace`; the
+replication loop behind ``compare`` checks it in integers and builds no tables.
 ``estimate_expected_table`` replicates a solution and reports per-entry
 means with standard errors.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import sqrt
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     ReservationProblem,
@@ -40,7 +40,7 @@ from .core import (
     build_fair_share_table,
 )
 from .rng import SplitStream
-from .roster import IntegralBlock, _sampler, build_scheme_table
+from .roster import _BlockSampler, _sampler, build_scheme_table
 
 __all__ = [
     "RosterLengthError",
@@ -77,19 +77,9 @@ def _check_roster(problem: ReservationProblem, roster: Roster, kind: str) -> Non
         )
 
 
-def _tally(source: Sequence, ends: Sequence[int], categories: Sequence[str]) -> list[Sequence[int]]:
-    """Each category's count in the first q positions of ``source``, for each q
-    in ``ends``.  ``source`` is a list of independent blocks of one height, as
-    ``_BlockSampler.blocks`` draws them, or a fixed roster's assignment."""
-    if source and isinstance(source[0], IntegralBlock):
-        k, prefix = source[0].height, source[0]._prefix
-        empty, whole = prefix[0], prefix[-1]  # a whole block holds k*a_j of category j
-        out = []
-        for q in ends:
-            b, r = divmod(q, k)
-            part = source[b]._prefix[r] if r else empty
-            out.append([b * w + p for w, p in zip(whole, part)] if b else part)
-        return out
+def _tally(source: Sequence[str], ends: Sequence[int], categories: Sequence[str]) -> list[list[int]]:
+    """Each category's count in the first q positions of the fixed roster
+    assignment ``source``, for each q in ``ends``."""
     counts, at, out = [0] * len(categories), 0, [None] * len(ends)
     for e in sorted(range(len(ends)), key=ends.__getitem__):  # one pass in position order
         segment, at = source[at:ends[e]], ends[e]
@@ -97,42 +87,45 @@ def _tally(source: Sequence, ends: Sequence[int], categories: Sequence[str]) -> 
     return out
 
 
-def _court(problem: ReservationProblem, source: Sequence) -> list:
-    """Count grid when every department reads its own copy of ``source``."""
-    m = len(problem.departments)
-    counts = _tally(source, list(chain.from_iterable(problem._cumulative)), problem.scheme.categories)
-    return [counts[t:t + m] for t in range(0, len(counts), m)]
+def _reader(sampler: _BlockSampler, ends: Sequence[int]) -> Callable[[SplitStream], list]:
+    """What :func:`_tally` counts in the independent blocks ``sampler`` draws from a stream, as a
+    function of the stream; it draws no block past the last end and reads only those an end falls in."""
+    k, whole = sampler.table.height, sampler.table.column_totals
+    count = -(-max(ends) // k)
+    wanted = sorted({q // k for q in ends if q % k})
+    place = {b: i for i, b in enumerate(wanted)}
+    # End q = b*k + r: the counts of b whole blocks (None if b == 0 < r), r, and block b's place in wanted.
+    spots = [(tuple(b * w for w in whole) if b or not r else None, r, place.get(b))
+             for b, r in (divmod(q, k) for q in ends)]
+
+    def read(rng: SplitStream) -> list:
+        blocks = sampler.read(rng, count, wanted)
+        return [
+            base if not r else blocks[i]._prefix[r] if base is None
+            else [z + p for z, p in zip(base, blocks[i]._prefix[r])] for base, r, i in spots
+        ]
+
+    return read
 
 
-def _government(problem: ReservationProblem, source: Sequence, order: Optional[Sequence[str]]) -> list:
-    """Count grid when, period after period, departments take consecutive
-    positions of ``source`` in ``order`` (default: the problem's order)."""
+def _government(problem: ReservationProblem, order: Optional[Sequence[str]]) -> tuple[list[int], Callable]:
+    """The positions read when, period after period, departments take consecutive
+    positions in ``order`` (default: the problem's), and the grid from their counts."""
     order = problem.departments if order is None else tuple(order)
     if sorted(order) != sorted(problem.departments):
         raise ValueError(f"order must be a permutation of the departments, got {order}")
-    index = {dept: i for i, dept in enumerate(problem.departments)}
-    seats = [index[dept] for dept in order]
-    ends = accumulate((row[i] for row in problem.vacancies for i in seats), initial=0)
-    counts = _tally(source, list(ends), problem.scheme.categories)
-    segments = zip(counts, counts[1:])  # each seat's counts before and after it, in dealing order
-    totals, grid = [[0] * len(counts[0]) for _ in seats], []
-    for _ in problem.vacancies:
-        for i, (start, end) in zip(seats, segments):
-            totals[i] = [z + b - a for z, a, b in zip(totals[i], start, end)]
-        grid.append(totals[:])
-    return grid
+    seats = list(map({dept: i for i, dept in enumerate(problem.departments)}.__getitem__, order))
 
+    def grid(counts: list) -> list:
+        segments = zip(counts, counts[1:])  # each seat's counts before and after it, in dealing order
+        totals, out = [[0] * len(counts[0]) for _ in seats], []
+        for _ in problem.vacancies:
+            for i, (start, end) in zip(seats, segments):
+                totals[i] = [z + b - a for z, a, b in zip(totals[i], start, end)]
+            out.append(totals[:])
+        return out
 
-def _lottery_counts(problem: ReservationProblem, stream: SplitStream, height: Optional[int]) -> list:
-    """Count grid when department i reads as many independent blocks, drawn
-    from ``stream.child(i)``, as its positions need."""
-    sampler = _sampler(build_scheme_table(problem.scheme, height))
-    k, categories = sampler.table.height, problem.scheme.categories
-    columns = [
-        _tally(sampler.blocks(stream.child(i), -(-ends[-1] // k)), ends, categories)
-        for i, ends in enumerate(zip(*problem._cumulative))
-    ]
-    return list(zip(*columns))
+    return list(accumulate((row[i] for row in problem.vacancies for i in seats), initial=0)), grid
 
 
 def _trace(problem: ReservationProblem, label: str, grid: Sequence, seed: Optional[int] = None) -> SolutionTrace:
@@ -200,35 +193,41 @@ class SolutionConfig:
             )
 
 
-def _run(problem: ReservationProblem, config: SolutionConfig, seed: Optional[int]) -> list:
-    """Count grid of one run of ``config`` (seed used where random)."""
+def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable:
+    """The count grid of one run of ``config`` as a function of its seed, with what
+    no seed changes worked out once."""
     if config.kind == "proposed":
-        if seed is None:
-            raise ValueError("the proposed solution needs a seed")
-        return _lottery_counts(problem, SplitStream(seed), config.height)
+        sampler = _sampler(build_scheme_table(problem.scheme, config.height))
+        readers = [_reader(sampler, ends) for ends in zip(*problem._cumulative)]
+
+        def lottery(seed: int) -> list:  # department i reads blocks drawn from child stream i
+            child = SplitStream(seed).child
+            return list(zip(*[read(child(i)) for i, read in enumerate(readers)]))
+
+        return lottery
     if config.roster is not None:
         _check_roster(problem, config.roster, config.kind)
-        source = config.roster.assignment
-    elif seed is None:
-        raise ValueError(
-            f"the {config.kind} solution needs a roster or a seed to draw one"
-        )
-    else:
-        # Independent-block rosters are prefix-stable, so drawing only the
-        # blocks that hold the positions the run reads leaves its counts unchanged.
-        sampler = _sampler(build_scheme_table(problem.scheme, config.height))
-        needed = _positions_needed(problem, config.kind)
-        source = sampler.blocks(SplitStream(seed), -(-needed // sampler.table.height))
     if config.kind == "government":
-        return _government(problem, source, config.order)
-    return _court(problem, source)
+        ends, grid = _government(problem, config.order)
+    else:  # every department reads its own copy of the roster
+        m, ends = len(problem.departments), list(chain.from_iterable(problem._cumulative))
+        grid = lambda counts: [counts[t:t + m] for t in range(0, len(counts), m)]
+    if config.roster is not None:
+        fixed = grid(_tally(config.roster.assignment, ends, problem.scheme.categories))
+        return lambda seed: fixed
+    read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), ends)
+    return lambda seed: grid(read(SplitStream(seed)))
 
 
 def run_solution(
     problem: ReservationProblem, config: SolutionConfig, seed: Optional[int] = None
 ) -> SolutionTrace:
     """Run one solution described by ``config`` (seed used where random)."""
-    grid = _run(problem, config, seed)
+    if seed is None and config.kind == "proposed":
+        raise ValueError("the proposed solution needs a seed")
+    if seed is None and config.roster is None:
+        raise ValueError(f"the {config.kind} solution needs a roster or a seed to draw one")
+    grid = _runner(problem, config)(seed)
     return _trace(problem, config.kind, grid, seed if config.kind == "proposed" else None)
 
 
@@ -241,9 +240,9 @@ def _replicate(
     A government or court run with a fixed roster is deterministic, so it
     runs once.
     """
-    deterministic = config.kind != "proposed" and config.roster is not None
-    for r in range(1 if deterministic else replications):
-        grid = _run(problem, config, stream.child(r).key)
+    run = _runner(problem, config)
+    for r in range(1 if config.kind != "proposed" and config.roster is not None else replications):
+        grid = run(stream.child(r).key)
         _check_counts(problem, grid)
         yield grid
 

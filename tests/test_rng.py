@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reserve2d import ALGORITHM, SplitStream
-from reserve2d.rng import _MASK64, _u64s
+from reserve2d.rng import _MASK64, _batched, _index_of, _mix64, _u64s, _unmix64
 
 from conftest import time_limit
 
@@ -156,3 +156,43 @@ def test_batched_u64s_equal_successive_draws(key, n, count):
     stream = SplitStream(key)
     stream._n = n
     assert list(_u64s(key, n, count)) == [stream.next_u64() for _ in range(count)]
+
+
+@given(x=st.integers(0, _MASK64))
+@example(x=0)
+@example(x=_MASK64)
+@example(x=1 << 63)
+def test_unmix64_inverts_the_output_function(x):
+    """``_unmix64`` undoes splitmix64's output function, both ways round."""
+    assert _unmix64(_mix64(x)) == x
+    assert _mix64(_unmix64(x)) == x
+
+
+@given(key=st.integers(0, _MASK64), u=st.integers(0, _MASK64))
+@example(key=0, u=_MASK64)
+@example(key=_MASK64, u=_MASK64 - 1)
+@example(key=12345, u=0)
+def test_index_of_finds_the_draw_that_outputs_a_value(key, u):
+    """Stream ``key``'s u64 number ``_index_of(key, u)`` is ``u``."""
+    i = _index_of(key, u)
+    assert 0 <= i <= _MASK64
+    assert _u64s(key, i - 1, 1)[0] == u
+    stream = SplitStream(key)
+    stream._n = i - 1
+    assert stream.next_u64() == u
+
+
+def test_only_streams_that_keep_next_u64_are_batched():
+    """Batches stand in for ``next_u64`` only where the class keeps it: not
+    for a subclass that overrides it, nor for a source without one."""
+
+    class Counting(SplitStream):
+        def next_u64(self):
+            return super().next_u64()
+
+    class Renamed(SplitStream):
+        pass
+
+    assert _batched(SplitStream(1)) and _batched(Renamed(1))
+    assert not _batched(Counting(1))
+    assert not _batched(object())

@@ -22,7 +22,7 @@ from reserve2d import (
 )
 from reserve2d import roster
 from reserve2d._walk import scaled
-from reserve2d.rng import _GAMMA, _MASK64, _MIX1, _MIX2, _mix64
+from reserve2d.rng import _GAMMA, _MASK64, _mix64, _unmix64
 from reserve2d.roster import (
     FlowEdge,
     FlowStep,
@@ -623,19 +623,6 @@ def test_fused_positions_draw_what_the_block_loop_draws(monkeypatch, third_schem
         assert a.random() == b.random(), seed
 
 
-def _unmix64(u):
-    """The inverse of splitmix64's output function ``rng._mix64``."""
-    def unshift(z, shift):  # solves x ^ (x >> shift) == z for x
-        x = z
-        for _ in range(3):
-            x = z ^ (x >> shift)
-        return x
-
-    u = unshift(u, 31) * pow(_MIX2, -1, 1 << 64) & _MASK64
-    u = unshift(u, 27) * pow(_MIX1, -1, 1 << 64) & _MASK64
-    return unshift(u, 30)
-
-
 class _CountingStream(SplitStream):
     """A stream that records the bound of every ``randrange`` call."""
 
@@ -782,6 +769,111 @@ def test_walk_on_a_grown_tree_adds_nothing_and_draws_what_the_descent_draws(thir
         assert [sampler.walk(a)] == sampler.blocks(b, 1), seed
         assert a._n == b._n, seed
         assert sampler.nodes == grown, seed
+
+
+def _spied(monkeypatch, sampler):
+    """The counts of ``sampler.blocks`` calls from now on."""
+    calls, draw = [], sampler.blocks
+    monkeypatch.setattr(sampler, "blocks", lambda rng, count: calls.append(count) or draw(rng, count))
+    return calls
+
+
+def test_read_returns_the_wanted_blocks_of_blocks(monkeypatch, third_scheme, half_scheme, quarters_scheme):
+    """``read(rng, count, wanted)`` returns blocks ``wanted`` of what
+    ``blocks(rng, count)`` draws and leaves the stream at the same draw
+    index, over seeds, counts 1-300 and random wanted sets.  Complete trees
+    whose leaves share one depth (1/3 at heights 3 and 6, half/half) decode
+    only the wanted blocks; quarters, whose leaves sit at depths 3 and 4, and
+    the five-category scheme, whose tree never completes, draw through
+    ``blocks``."""
+    pick = random.Random(7)
+    cases = [
+        (third_scheme, 3, 2, 300), (third_scheme, 6, 4, 300), (half_scheme, 2, 1, 300),
+        (quarters_scheme, 4, None, 300), (FIVE, 200, None, 2),
+    ]
+    for scheme, height, depth, seeds in cases:
+        table = build_scheme_table(scheme, height)
+        sampler, plain = _grown(table, 0 if height == 200 else 400), roster._BlockSampler(table)
+        assert (sampler.fixed and sampler.fixed[0]) == depth, (height, sampler.fixed)
+        calls = _spied(monkeypatch, sampler)
+        for seed in range(seeds):
+            count = 1 + seed if height < 200 else 2
+            wanted = sorted(pick.sample(range(count), pick.randint(0, min(count, 12))))
+            a, b = SplitStream(seed), SplitStream(seed)
+            a.next_u64(), b.next_u64()  # start off the stream's first draw
+            drawn = plain.blocks(b, count)
+            assert sampler.read(a, count, wanted) == [drawn[w] for w in wanted], (height, seed)
+            assert a._n == b._n, (height, seed)
+        assert calls == ([] if depth else [1 + seed if height < 200 else 2 for seed in range(seeds)]), height
+        monkeypatch.undo()
+
+
+def test_read_falls_back_where_randrange_might_reject(monkeypatch, third_scheme, half_scheme):
+    """A u64 above 2**64 - L, where L (3 on 1/3, 2 on half/half) bounds every
+    denominator of the tree, may be rejected.  Streams built with the inverse of the
+    output function put such a u64 at draw n+1, in the middle, or last
+    among the d*count a read spans: the read then draws through ``blocks``.
+    Just before or just after that span it decodes only the wanted blocks.
+    Either way it returns what ``blocks`` draws."""
+    for scheme, scale, count, wanted in ((third_scheme, 3, 5, [0, 3, 4]), (half_scheme, 2, 7, [2, 6])):
+        table = build_scheme_table(scheme)
+        sampler, plain = _grown(table), roster._BlockSampler(table)
+        d = sampler.fixed[0]
+        assert len(sampler.fixed[1]) == scale - 1, scheme
+        n, span = 3, d * count
+        for u in range((1 << 64) - scale + 1, 1 << 64):
+            for j, falls_back in ((n, False), (n + 1, True), (n + span // 2, True), (n + span, True), (n + span + 1, False)):
+                key = (_unmix64(u) - j * _GAMMA) & _MASK64  # u64 number j is u
+                a, b = SplitStream(key), SplitStream(key)
+                a._n = b._n = n
+                calls = _spied(monkeypatch, sampler)
+                drawn = plain.blocks(b, count)
+                assert sampler.read(a, count, wanted) == [drawn[w] for w in wanted], (u, j)
+                assert a._n == b._n, (u, j)
+                assert calls == ([count] if falls_back else []), (scheme, u, j)
+                monkeypatch.undo()
+
+
+class _CountedU64s(SplitStream):
+    """A stream that counts its ``next_u64`` calls."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def next_u64(self):
+        self.calls += 1
+        return super().next_u64()
+
+
+class _ZeroU64s(SplitStream):
+    """A stream whose every u64 is 0."""
+
+    def next_u64(self):
+        self._n += 1
+        return 0
+
+
+def test_streams_that_override_next_u64_see_every_draw(third_scheme):
+    """A subclass that overrides ``next_u64`` is not read from batches: on a
+    fresh and on a complete tree, through ``blocks``, ``read`` and
+    ``draw_roster``, a counting stream sees every u64 and draws what a plain
+    stream draws, and a stream of zeros draws one block every time."""
+    table = build_scheme_table(third_scheme)
+    for sampler in (roster._BlockSampler(table), _grown(table)):
+        for seed in range(5):
+            a, b = _CountedU64s(seed), SplitStream(seed)
+            assert sampler.blocks(a, 40) == sampler.blocks(b, 40), seed
+            assert sampler.read(a, 40, [3, 39]) == sampler.read(b, 40, [3, 39]), seed
+            assert a.calls == a._n == b._n, seed
+            zeros = _ZeroU64s(seed)
+            assert len(set(sampler.blocks(zeros, 30) + sampler.read(zeros, 9, [0, 8]))) == 1, seed
+            assert zeros._n == 2 * 39, seed
+    a, b = _CountedU64s(11), SplitStream(11)
+    assert draw_roster(third_scheme, 3000, a) == draw_roster(third_scheme, 3000, b)
+    assert a.calls == a._n == b._n == 2000
 
 
 def test_sampler_cache_stays_bounded_and_evicted_samplers_draw_alike():

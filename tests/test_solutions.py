@@ -23,6 +23,7 @@ from reserve2d import (
     within_department_quota,
     within_university_quota,
 )
+from reserve2d import roster
 from reserve2d.cli import _cycled_roster
 from reserve2d.core import _check_counts
 from reserve2d.roster import _sampler, build_scheme_table, draw_roster
@@ -446,3 +447,25 @@ def test_court_draws_only_the_positions_it_reads(quarters_scheme, seed):
     roster = draw_roster(quarters_scheme, total, SplitStream(seed))
     drawn = run_solution(problem, SolutionConfig("court"), seed)
     assert drawn.periods == run_court(problem, roster).periods
+
+
+def test_runs_whose_ends_close_blocks_decode_no_block(monkeypatch, third_scheme):
+    """When every position a run reads closes a block of the 1/3 scheme
+    (height 3), the counts come from the scheme's whole-block counts alone:
+    on a complete tree every solution counts what the sliced rosters hold,
+    and no block is drawn or decoded."""
+    problem = ReservationProblem(("d1", "d2", "d3"), third_scheme, ((3, 6, 0), (0, 3, 9)))
+    sampler = _sampler(build_scheme_table(third_scheme))
+    for seed in range(200):  # complete the tree
+        sampler.walk(SplitStream(seed))
+    assert sampler.fixed is not None
+    configs = [SolutionConfig("proposed"), SolutionConfig("court")]
+    configs += [SolutionConfig("government", order=o) for o in _orders(problem)]
+    seeds = [SplitStream(6).child(r).key for r in range(4)]
+    expected = [[_oracle(problem, config, seed) for seed in seeds] for config in configs]
+    decoded = []
+    monkeypatch.setattr(roster, "_u64s", lambda *args: decoded.append(args))
+    monkeypatch.setattr(sampler, "blocks", lambda *args: decoded.append(args))
+    for config, want in zip(configs, expected):
+        assert [_tables(grid) for grid in _replicate(problem, config, 4, SplitStream(6))] == want, config
+    assert decoded == []
