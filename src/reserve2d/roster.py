@@ -23,9 +23,13 @@ these flows into an integral flow, i.e. a block, keeping every edge's
 expectation.
 
 The sampler numbers the vertices arithmetically and builds the edges and
-their flows, scaled to integers, directly.  Tuple vertices and ``Fraction``
-flows exist only at the API edge: :class:`FlowNetwork`, the functions that
-take one, and the steps an observer is shown.
+their flows, scaled to integers, directly, then folds every cell vertex
+away: a cell's one edge in and one edge out always carry the same flow, so
+the pair becomes one prefix -> row edge at the prefix -> cell edge's place.
+Every vertex keeps its edges' relative order, so the walk finds the same
+cycles (each cell pair as one edge) and the same draws.  Tuple vertices and
+``Fraction`` flows exist only at the API edge: :class:`FlowNetwork`, the
+functions that take one, and the steps an observer is shown.
 
 Rosters longer than one block either concatenate independent block draws
 (the default) or tile a single draw (``repeat-block``).
@@ -427,9 +431,10 @@ class _BlockSampler:
     backward child] holding a step's reduced branch probability; a leaf is
     the drawn block.  :meth:`blocks` descends the tree consuming exactly the
     draws the walk would, and hands a block that reaches a missing child to
-    :meth:`walk`, which walks it from the start and hangs the steps the tree
-    lacks while it holds fewer than ``_NODE_CAP`` nodes.  :meth:`read` draws
-    only the blocks asked for once every block reads the same u64s.
+    :meth:`walk`, which walks it on the folded network from ``start`` and
+    hangs the steps the tree lacks while it holds fewer than ``_NODE_CAP``
+    nodes.  :meth:`read` draws only the blocks asked for once every block
+    reads the same u64s.
     """
 
     _NODE_CAP = 1 << 17
@@ -437,10 +442,15 @@ class _BlockSampler:
     def __init__(self, table: SchemeTable):
         self.table = table
         vertices, edges, scale, flows = _scheme_network(table)
+        k, n = table.height, table.scheme.size
+        cell, row = 1 + n * (k - 1), vertices - k - 1  # the first cell and the first row vertex
+        del edges[-k - k * n:-k], flows[-k - k * n:-k]  # the cell -> row edges, row by row
+        self.cells = [0] * (k * n)  # the folded edge of each cell, row by row
+        for e, (tail, head) in enumerate(edges):
+            if cell <= head < row:  # prefix -> cell (i, j) becomes prefix -> row i
+                self.cells[head - cell] = e
+                edges[e] = tail, row + (head - cell) // n
         self.start = Walk(Graph(vertices, edges), scale, flows)
-        # The cell edges run over the cells row by row, just before the row edges.
-        k = table.height
-        self.cells = slice(len(edges) - k - k * table.scheme.size, len(edges) - k)
         self.root: list = [None]  # the tree hangs from slot 0
         self.nodes, self.empty, self.depths, self.fixed = 0, 1, set(), None  # empty slots, leaf depths; see read
 
@@ -463,8 +473,13 @@ class _BlockSampler:
         walk = Walk(self.start.graph, self.start.scale, self.start.flows)
         holder, slot, depth, show = self.root, 0, 0, None  # the slot the next step's node hangs in
         if on_step is not None:
-            network = build_flow_network(self.table)
-            show = observer(FlowStep, network, tuple, _network_at, walk._found, on_step)
+            network, split = build_flow_network(self.table), len(walk.flows) - self.table.height
+            # Each folded edge's network edges, forward ([::-1] runs them backward); cell -> row edges start at split.
+            parts = [(e,) if e < split else (e + len(self.cells),) for e in range(len(walk.flows))]
+            for c, e in enumerate(self.cells):
+                parts[e] = e, split + c
+            found = lambda: [(part, d) for e, d in walk._found() for part in parts[e][::d]]
+            show = observer(FlowStep, network, tuple, _network_at, found, on_step)
 
         def grow(num: int, den: int, take: bool) -> None:
             nonlocal holder, slot, depth
@@ -475,7 +490,7 @@ class _BlockSampler:
             holder, slot, depth = holder and holder[slot], 2 if take else 3, depth + 1
 
         walk.run(rng, grow)
-        cells, n = [f // walk.scale for f in walk.flows[self.cells]], self.table.scheme.size
+        cells, n = [walk.flows[e] // walk.scale for e in self.cells], self.table.scheme.size
         rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
         block = IntegralBlock(self.table.scheme, self.table.height, rows)
         if self._room(holder, slot):

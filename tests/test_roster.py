@@ -1,5 +1,6 @@
 """Tests for scheme tables, the constraint network, and roster lotteries."""
 
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -21,7 +22,8 @@ from reserve2d import (
     minimal_height,
 )
 from reserve2d import roster
-from reserve2d._walk import scaled
+from reserve2d._walk import Graph, Walk, scaled
+from reserve2d.fileio import parse_scheme_file
 from reserve2d.rng import _GAMMA, _MASK64, _mix64, _unmix64
 from reserve2d.roster import (
     FlowEdge,
@@ -552,6 +554,74 @@ def test_cached_draw_matches_stepwise_draw(third_scheme, quarters_scheme):
             assert len(steps) == len(oracle), (height, seed)
             for number, (got, want) in enumerate(zip(steps, oracle)):
                 assert got == want, (height, seed, number)
+
+
+def _network_start(table) -> Walk:
+    """The start of a block walked on the full network, cell vertices kept."""
+    vertices, edges, scale, flows = roster._scheme_network(table)
+    return Walk(Graph(vertices, edges), scale, flows)
+
+
+def _network_walk(table, rng):
+    """A block and its ``(num, den, take)`` draws walked on the full network."""
+    walk, draws = _network_start(table), []
+    walk.run(rng, lambda *draw: draws.append(draw))
+    k, n, end = table.height, table.scheme.size, len(walk.flows)
+    cells = [f // walk.scale for f in walk.flows[end - k - k * n:end - k]]  # row by row
+    return IntegralBlock(table.scheme, k, tuple(tuple(cells[i:i + n]) for i in range(0, k * n, n))), draws
+
+
+def _sampler_walk(table, rng):
+    """A fresh sampler's block and the draws its tree recorded while walking it."""
+    sampler = roster._BlockSampler(table)
+    block, node, draws = sampler.walk(rng), sampler.root[0], []
+    while type(node) is list:
+        take = node[2] is not None
+        draws.append((node[0], node[1], take))
+        node = node[2] if take else node[3]
+    assert node == block
+    return block, draws
+
+
+def test_folded_walk_draws_what_the_full_network_walk_draws():
+    """The sampler walks the network with each cell's two edges folded into
+    one; every draw, the block and the draw count equal those of walking the
+    full network: on every golden scheme, on 1/4, 1/3, 5/12 (three columns,
+    so a block read column by column would differ), on five categories at
+    heights 200 and 2,000, and on a stream whose first u64 ``randrange``
+    rejects."""
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
+    cases = [
+        (parse_scheme_file(os.path.join(golden, name)), None, range(5))
+        for name in sorted(os.listdir(golden)) if name.startswith("scheme_")
+    ]
+    cases += [(mixed, 12, range(5)), (mixed, 24, range(5)), (FIVE, 200, range(3)), (FIVE, 2000, [7])]
+    rejected = (_unmix64(_MASK64) - _GAMMA) & _MASK64  # the key of a stream whose first u64 is 2**64 - 1
+    assert SplitStream(rejected).next_u64() == _MASK64
+    cases += [(FIVE, 200, [rejected])]
+    for scheme, height, seeds in cases:
+        table = build_scheme_table(scheme, height)
+        for seed in seeds:
+            folded, full = _CountingStream(seed), _CountingStream(seed)
+            block, draws = _sampler_walk(table, folded)
+            assert (block, draws) == _network_walk(table, full), (scheme, height, seed)
+            assert folded._n == full._n and folded.bounds == full.bounds, (scheme, height, seed)
+    assert folded.bounds == [draws[0][1]] and folded._n == len(draws) + 1
+
+
+def test_sampler_graph_folds_every_cell_vertex_away():
+    """The sampler's graph drops one of each cell's two edges: k*n fewer
+    edges than the network; at five-category height 200, 2,195 edges of
+    which 1,957 start fractional."""
+    for scheme, height in ((FIVE, 200), (FIVE, 400), (ReservationScheme(("a", "b"), (F(1, 3), F(2, 3))), 6)):
+        table = build_scheme_table(scheme, height)
+        start = roster._BlockSampler(table).start
+        edges = len(build_flow_network(table).edges) - height * scheme.size
+        assert len(start.graph.tails) == len(start.flows) == edges, height
+    start = roster._BlockSampler(build_scheme_table(FIVE, 200)).start
+    assert len(start.flows) == 2195
+    assert sum(1 for f in start.flows if f % start.scale) == 1957
 
 
 def test_sampler_tree_past_its_node_cap_draws_like_an_uncapped_one(

@@ -26,7 +26,7 @@ from reserve2d._walk import Graph, Walk
 from reserve2d.rng import _GAMMA, _MASK64, SplitStream
 
 from conftest import time_limit
-from test_roster import _CountingStream, _unmix64
+from test_roster import _CountingStream, _network_start, _unmix64
 
 
 def oracle_cycle(walk: Walk, start: int = 0):
@@ -268,6 +268,20 @@ def test_batched_run_draws_what_per_step_randrange_draws(monkeypatch):
         for start in _round_starts():
             assert assert_batched_run_draws_per_step(start, SplitStream(seed + 10))
     assert max(count for _, count in batches) == 64 and min(count for _, count in batches) < 64
+
+
+def test_batched_run_draws_per_step_on_the_network_with_its_cells_kept(monkeypatch):
+    """The sampler walks the network with its cell vertices folded away; on
+    the full network, from even and odd draw indices, the batched walk still
+    draws what per-step ``randrange`` draws, and as the folded one does."""
+    batches = _recorded_batches(monkeypatch)
+    for seed in range(3):
+        full, folded = SplitStream(seed), SplitStream(seed)
+        for _ in range(seed):
+            full.next_u64(), folded.next_u64()
+        draws = assert_batched_run_draws_per_step(_network_start(roster.build_scheme_table(FIVE, 200)), full)
+        assert len(draws) > 64 * 10 and draws == assert_batched_run_draws_per_step(_block_start(), folded)
+    assert max(count for _, count in batches) == 64
 
 
 def test_batched_run_hands_a_rejected_u64_to_randrange_in_the_first_or_last_lane(monkeypatch):
