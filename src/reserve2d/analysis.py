@@ -22,9 +22,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import exp, lcm, sqrt
-from operator import sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -176,30 +175,31 @@ def summarize_biases(values: Sequence[Fraction], period: int, scope: str) -> Bia
     return _lattice_summary(counts, scale, period, scope)
 
 
-def _lattice_counts(problem: ReservationProblem, grids: Iterable[Sequence]) -> tuple:
-    """L and the counts of L*bias per (period, scope) over count ``grids``.
+def _lattice_counts(problem: ReservationProblem, runs: Iterable[Sequence[int]]) -> tuple:
+    """L and the counts of L*bias per (period, scope) over the count vectors ``runs``.
 
-    ``grid[t-1][i][j]`` is department i's count of category j through period
-    t, and each row sums to Q_i^t.  L is the lcm of the scheme denominators,
-    so L*bias = z*L - (a_j*L)*Q is an integer.  Counters merge by addition;
-    their size follows the spread of the biases.
+    ``run[(t-1)*m*n + i*n + j]`` is department i's count of category j through
+    period t.  L is the lcm of the scheme denominators, so L*bias = z*L - (a_j*L)*Q
+    is an integer.  A run updates one Counter per scope, keyed L*bias + (t-1)*B: B
+    exceeds 2*L*(total vacancies), so periods never share a key.  Counters merge by
+    addition; their size follows the spread of the biases.
     """
     scale = minimal_height(problem.scheme)
     scaled = [a.numerator * (scale // a.denominator) for a in problem.scheme.fractions]
-    offsets = [  # (a_j*L)*Q per department entry, row-major, then per column total
-        ([a * q for q in cumulative for a in scaled], [a * sum(cumulative) for a in scaled])
-        for cumulative in problem._cumulative
-    ]
-    counts: dict[tuple[int, str], Counter] = {}
-    for grid in grids:
-        for t, (rows, (cells, columns)) in enumerate(zip(grid, offsets), start=1):
-            counts.setdefault((t, "department"), Counter()).update(
-                map(sub, map(scale.__mul__, chain.from_iterable(rows)), cells)
-            )
-            counts.setdefault((t, "university"), Counter()).update(
-                map(sub, map(scale.__mul__, map(sum, zip(*rows))), columns)
-            )
-    return scale, counts
+    m, n, span = len(problem.departments), len(scaled), 2 * scale * sum(problem._cumulative[-1]) + 1
+    cells = [t * span - a * q for t, cumulative in enumerate(problem._cumulative) for q in cumulative for a in scaled]
+    columns = [t * span - a * sum(cumulative) for t, cumulative in enumerate(problem._cumulative) for a in scaled]
+    strides = [slice(a + j, a + m * n, n) for a in range(0, len(cells), m * n) for j in range(n)]
+    department, university = Counter(), Counter()
+    for counts in runs:
+        department.update([scale * z + key for z, key in zip(counts, cells)])
+        university.update([scale * sum(counts[s]) + key for s, key in zip(strides, columns)])
+    split: dict[tuple[int, str], Counter] = {}
+    for scope, counter in (("department", department), ("university", university)):
+        for key, count in counter.items():
+            t, bias = divmod(key + span // 2, span)
+            split.setdefault((t + 1, scope), Counter())[bias - span // 2] = count
+    return scale, split
 
 
 def bias_trace(trace: SolutionTrace) -> tuple[BiasSummary, ...]:
@@ -208,9 +208,9 @@ def bias_trace(trace: SolutionTrace) -> tuple[BiasSummary, ...]:
     Department-scope samples are the m*n internal bias entries; university
     scope the n column-total biases.
     """
-    grid = [reserved.entries for _, reserved in trace.periods]
-    scale, counts = _lattice_counts(trace.problem, [grid])
-    return tuple(_lattice_summary(counts[key], scale, *key) for key in sorted(counts))
+    counts = [z for _, reserved in trace.periods for row in reserved.entries for z in row]
+    scale, split = _lattice_counts(trace.problem, [counts])
+    return tuple(_lattice_summary(split[key], scale, *key) for key in sorted(split))
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,9 @@ def tail_diagnostic(
         raise ValueError(f"category {cat!r} has a fair column total of 0 at period {t}; "
                          "the tail bounds need a positive total")
     cut = ReservationProblem(problem.departments, problem.scheme, problem.vacancies[:t])
-    grids = _replicate(cut, SolutionConfig("proposed", height=height), replications, SplitStream(seed))
-    totals = Counter(sum(row[j] for row in run[-1]) for run in grids)
+    runs = _replicate(cut, SolutionConfig("proposed", height=height), replications, SplitStream(seed))
+    last = j - len(problem.departments) * len(cats)  # category j's entries of period t
+    totals = Counter(sum(counts[last::len(cats)]) for counts in runs)
     upper = tuple(
         Fraction(sum(c for total, c in totals.items() if total - x >= b), replications)
         for b in grid

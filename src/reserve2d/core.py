@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from operator import gt
 from typing import Iterable, Optional, Sequence, Union
 
@@ -153,6 +153,7 @@ class ReservationProblem:
         object.__setattr__(self, "vacancies", rows)
         # Derived once; not fields, so equality, hashing and repr ignore them.
         object.__setattr__(self, "_cumulative", tuple(cumulative[1:]))
+        object.__setattr__(self, "_row_totals", tuple(chain.from_iterable(cumulative[1:])))  # Q_i^t, period-major
         object.__setattr__(self, "_fair", {})  # period -> its FairShareTable
 
     @property
@@ -420,21 +421,22 @@ def bias_of(reserved: ReservationTable, fair: FairShareTable) -> BiasTable:
     return BiasTable(fair.departments, fair.categories, rows)
 
 
-def _check_counts(problem: ReservationProblem, grid: Sequence) -> None:
-    """What a trace guarantees of its counts ``grid[t-1][i][j]``, checked in
-    integers: no negative entry, row totals equal to the cumulative
-    vacancies, and no entry that shrinks from one period to the next."""
-    for t, (rows, q) in enumerate(zip(grid, problem._cumulative), start=1):
-        if min(chain.from_iterable(rows)) < 0:
-            z = next(z for z in chain.from_iterable(rows) if z < 0)
+def _check_counts(problem: ReservationProblem, counts: Sequence[int]) -> None:
+    """What a trace guarantees of its counts ``counts[(t-1)*m*n + i*n + j]``, checked in integers
+    over the whole vector: no negative entry, row totals equal to the cumulative vacancies, and
+    no entry that shrinks from one period to the next.  Only a failure is worded, period by period."""
+    n, width = problem.scheme.size, len(problem.departments) * problem.scheme.size
+    if (min(counts) >= 0 and tuple(map(sum, zip(*[iter(counts)] * n))) == problem._row_totals
+            and not any(map(gt, counts, islice(counts, width, None)))):
+        return
+    for t, q in enumerate(problem._cumulative, start=1):
+        period = counts[(t - 1) * width:t * width]
+        for z in filter((0).__gt__, period):  # the first negative entry
             raise ValueError(f"reservation entries must be nonnegative integers, got {z!r}")
-        if tuple(map(sum, rows)) != q:
-            raise ValueError(
-                f"period {t}: reservation row totals {tuple(map(sum, rows))} differ from cumulative vacancies {q}"
-            )
-    for before, after in zip(grid, grid[1:]):
-        if any(map(gt, chain.from_iterable(before), chain.from_iterable(after))):
-            raise ValueError("reservation tables must be entrywise nondecreasing")
+        totals = tuple(map(sum, zip(*[iter(period)] * n)))
+        if totals != q:
+            raise ValueError(f"period {t}: reservation row totals {totals} differ from cumulative vacancies {q}")
+    raise ValueError("reservation tables must be entrywise nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -462,7 +464,7 @@ class SolutionTrace:
             if fair is not expected and fair != expected:
                 raise ValueError(f"period {t}: fair share table mismatch")
             _check_alignment(reserved, fair)
-        _check_counts(self.problem, [reserved.entries for _, reserved in self.periods])
+        _check_counts(self.problem, [z for _, reserved in self.periods for row in reserved.entries for z in row])
 
     def reservation(self, t: int) -> ReservationTable:
         self.problem.check_period(t)

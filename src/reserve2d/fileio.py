@@ -225,7 +225,6 @@ def roster_lines(roster: Roster) -> str:
 
 def rational(value: Union[int, Fraction]) -> Union[int, str]:
     """JSON-friendly exact rendering: ints stay ints, else 'p/q'."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+    if value.denominator == 1:
+        return value.numerator
+    return f"{value.numerator}/{value.denominator}"

@@ -96,7 +96,9 @@ class SplitStream:
         """Derive the ``index``-th child stream without consuming draws."""
         if index < 0:
             raise ValueError(f"child index must be nonnegative, got {index}")
-        return SplitStream(_mix64(self.key ^ (_GAMMA * (2 * index + 1) & _MASK64)))
+        child = object.__new__(SplitStream)  # _mix64 keeps the key below 2**64
+        child.key, child._n = _mix64(self.key ^ (_GAMMA * (2 * index + 1) & _MASK64)), 0
+        return child
 
     def next_u64(self) -> int:
         self._n += 1

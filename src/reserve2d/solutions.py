@@ -16,8 +16,9 @@ at every Q_i^t, government at its running pooled positions, taking
 differences.  A whole block of height k holds exactly k*a_j of category j,
 so the count at q is (q // k)*k*a_j plus a prefix count of block q // k, and
 a drawn roster decodes only the blocks that hold such a q inside them
-(:func:`_reader`).  A run is an integer count grid, ``grid[t-1][i][j]``.  The
-``run_*`` functions return it as a validated :class:`SolutionTrace`; the
+(:func:`_reader`).  A run is one flat list of integer counts,
+``counts[(t-1)*m*n + i*n + j]``: period-major, then department, then category.
+The ``run_*`` functions return it as a validated :class:`SolutionTrace`; the
 replication loop behind ``compare`` checks it in integers and builds no tables.
 ``estimate_expected_table`` replicates a solution and reports per-entry
 means with standard errors.
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import sqrt
-from typing import Callable, Iterator, Optional, Sequence
+from operator import add, attrgetter, getitem, mul, sub
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ReservationProblem,
@@ -77,62 +79,68 @@ def _check_roster(problem: ReservationProblem, roster: Roster, kind: str) -> Non
         )
 
 
-def _tally(source: Sequence[str], ends: Sequence[int], categories: Sequence[str]) -> list[list[int]]:
+def _tally(source: Sequence[str], ends: Sequence[int], categories: Sequence[str]) -> list[int]:
     """Each category's count in the first q positions of the fixed roster
-    assignment ``source``, for each q in ``ends``."""
+    assignment ``source``, for each q in ``ends``, end after end."""
     counts, at, out = [0] * len(categories), 0, [None] * len(ends)
     for e in sorted(range(len(ends)), key=ends.__getitem__):  # one pass in position order
         segment, at = source[at:ends[e]], ends[e]
         out[e] = counts = [c + segment.count(cat) for c, cat in zip(counts, categories)]
-    return out
+    return list(chain.from_iterable(out))
 
 
-def _reader(sampler: _BlockSampler, ends: Sequence[int]) -> Callable[[SplitStream], list]:
-    """What :func:`_tally` counts in the independent blocks ``sampler`` draws from a stream, as a
-    function of the stream; it draws no block past the last end and reads only those an end falls in."""
+def _reader(sampler: _BlockSampler, ends: Sequence[Sequence[int]]) -> Callable[[Iterable[SplitStream]], list]:
+    """What :func:`_tally` counts in the independent blocks ``sampler`` draws from stream s at
+    each q in ``ends[s]``, as a function of the streams: every stream's first end, then every
+    stream's second, and so on; it draws no block past a stream's last end and reads only those
+    an end falls in."""
     k, whole = sampler.table.height, sampler.table.column_totals
-    count = -(-max(ends) // k)
-    wanted = sorted({q // k for q in ends if q % k})
-    place = {b: i for i, b in enumerate(wanted)}
-    # End q = b*k + r: the counts of b whole blocks (None if b == 0 < r), r, and block b's place in wanted.
-    spots = [(tuple(b * w for w in whole) if b or not r else None, r, place.get(b))
-             for b, r in (divmod(q, k) for q in ends)]
+    lengths = [-(-max(own) // k) for own in ends]  # blocks each stream draws
+    wanted = [sorted({q // k for q in own if q % k}) for own in ends]
+    place = {sb: i for i, sb in enumerate((s, b) for s, own in enumerate(wanted) for b in own)}
+    # End q = b*k + r of stream s: b whole blocks, then r positions of the idx-th block read (-1: ``none``, no block).
+    spots = [(s, *divmod(q, k)) for qs in zip(*ends) for s, q in enumerate(qs)]
+    base = [b * w for _, b, _ in spots for w in whole]
+    idx = [place[s, b] if r else -1 for s, b, r in spots]
+    rs = [r for _, _, r in spots]
+    none = ((0,) * len(whole),)
 
-    def read(rng: SplitStream) -> list:
-        blocks = sampler.read(rng, count, wanted)
-        return [
-            base if not r else blocks[i]._prefix[r] if base is None
-            else [z + p for z, p in zip(base, blocks[i]._prefix[r])] for base, r, i in spots
-        ]
+    def read(streams: Iterable[SplitStream]) -> list:
+        blocks = chain.from_iterable(map(sampler.read, streams, lengths, wanted))
+        prefixes = [*map(attrgetter("_prefix"), blocks), none]
+        return list(map(add, base, chain.from_iterable(map(getitem, map(prefixes.__getitem__, idx), rs))))
 
     return read
 
 
 def _government(problem: ReservationProblem, order: Optional[Sequence[str]]) -> tuple[list[int], Callable]:
     """The positions read when, period after period, departments take consecutive
-    positions in ``order`` (default: the problem's), and the grid from their counts."""
+    positions in ``order`` (default: the problem's), and the run's counts from the counts there."""
     order = problem.departments if order is None else tuple(order)
     if sorted(order) != sorted(problem.departments):
         raise ValueError(f"order must be a permutation of the departments, got {order}")
     seats = list(map({dept: i for i, dept in enumerate(problem.departments)}.__getitem__, order))
+    m, n, dealt = len(seats), problem.scheme.size, sorted(range(len(seats)), key=seats.__getitem__)
+    # Where department i's seat of period t sits in dealing order (dealt[i]), category by category.
+    gather = [(t * m + p) * n + j for t in range(problem.periods) for p in dealt for j in range(n)]
 
-    def grid(counts: list) -> list:
-        segments = zip(counts, counts[1:])  # each seat's counts before and after it, in dealing order
-        totals, out = [[0] * len(counts[0]) for _ in seats], []
-        for _ in problem.vacancies:
-            for i, (start, end) in zip(seats, segments):
-                totals[i] = [z + b - a for z, a, b in zip(totals[i], start, end)]
-            out.append(totals[:])
+    def arrange(counts: list) -> list:
+        taken = list(map(sub, counts[n:], counts))  # each seat's counts: after it minus before it
+        out = list(map(taken.__getitem__, gather))
+        for a in range(m * n, len(out), m * n):  # period t adds to period t-1
+            out[a:a + m * n] = map(add, out[a - m * n:a], out[a:a + m * n])
         return out
 
-    return list(accumulate((row[i] for row in problem.vacancies for i in seats), initial=0)), grid
+    return list(accumulate((row[i] for row in problem.vacancies for i in seats), initial=0)), arrange
 
 
-def _trace(problem: ReservationProblem, label: str, grid: Sequence, seed: Optional[int] = None) -> SolutionTrace:
-    categories = problem.scheme.categories
+def _trace(problem: ReservationProblem, label: str, counts: Sequence[int], seed: Optional[int] = None) -> SolutionTrace:
+    categories, m, n = problem.scheme.categories, len(problem.departments), problem.scheme.size
+    rows = [counts[a:a + n] for a in range(0, len(counts), n)]
     periods = tuple(
-        (build_fair_share_table(problem, t), ReservationTable.from_entries(problem.departments, categories, rows))
-        for t, rows in enumerate(grid, start=1)
+        (build_fair_share_table(problem, t),
+         ReservationTable.from_entries(problem.departments, categories, rows[(t - 1) * m:t * m]))
+        for t in range(1, problem.periods + 1)
     )
     return SolutionTrace(problem, label, periods, seed)
 
@@ -194,29 +202,23 @@ class SolutionConfig:
 
 
 def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable:
-    """The count grid of one run of ``config`` as a function of its seed, with what
+    """The counts of one run of ``config`` as a function of its seed, with what
     no seed changes worked out once."""
-    if config.kind == "proposed":
-        sampler = _sampler(build_scheme_table(problem.scheme, config.height))
-        readers = [_reader(sampler, ends) for ends in zip(*problem._cumulative)]
-
-        def lottery(seed: int) -> list:  # department i reads blocks drawn from child stream i
-            child = SplitStream(seed).child
-            return list(zip(*[read(child(i)) for i, read in enumerate(readers)]))
-
-        return lottery
+    if config.kind == "proposed":  # department i reads blocks drawn from child stream i
+        read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), list(zip(*problem._cumulative)))
+        departments = range(len(problem.departments))
+        return lambda seed: read(map(SplitStream(seed).child, departments))
     if config.roster is not None:
         _check_roster(problem, config.roster, config.kind)
     if config.kind == "government":
-        ends, grid = _government(problem, config.order)
-    else:  # every department reads its own copy of the roster
-        m, ends = len(problem.departments), list(chain.from_iterable(problem._cumulative))
-        grid = lambda counts: [counts[t:t + m] for t in range(0, len(counts), m)]
+        ends, arrange = _government(problem, config.order)
+    else:  # every department reads its own copy of the roster, and the ends come in order
+        ends, arrange = list(problem._row_totals), lambda counts: counts
     if config.roster is not None:
-        fixed = grid(_tally(config.roster.assignment, ends, problem.scheme.categories))
+        fixed = arrange(_tally(config.roster.assignment, ends, problem.scheme.categories))
         return lambda seed: fixed
-    read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), ends)
-    return lambda seed: grid(read(SplitStream(seed)))
+    read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), [ends])
+    return lambda seed: arrange(read([SplitStream(seed)]))
 
 
 def run_solution(
@@ -227,14 +229,14 @@ def run_solution(
         raise ValueError("the proposed solution needs a seed")
     if seed is None and config.roster is None:
         raise ValueError(f"the {config.kind} solution needs a roster or a seed to draw one")
-    grid = _runner(problem, config)(seed)
-    return _trace(problem, config.kind, grid, seed if config.kind == "proposed" else None)
+    counts = _runner(problem, config)(seed)
+    return _trace(problem, config.kind, counts, seed if config.kind == "proposed" else None)
 
 
 def _replicate(
     problem: ReservationProblem, config: SolutionConfig, replications: int, stream: SplitStream
 ) -> Iterator[list]:
-    """Count grids of ``replications`` runs of ``config``, run r seeded by
+    """The counts of ``replications`` runs of ``config``, run r seeded by
     ``stream.child(r)``, each checked as a trace of it would be.
 
     A government or court run with a fixed roster is deterministic, so it
@@ -242,9 +244,9 @@ def _replicate(
     """
     run = _runner(problem, config)
     for r in range(1 if config.kind != "proposed" and config.roster is not None else replications):
-        grid = run(stream.child(r).key)
-        _check_counts(problem, grid)
-        yield grid
+        counts = run(stream.child(r).key)
+        _check_counts(problem, counts)
+        yield counts
 
 
 @dataclass(frozen=True)
@@ -288,20 +290,14 @@ def estimate_expected_table(
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     m, n = len(problem.departments), len(problem.scheme.categories)
-    # Row m accumulates the column totals.
-    sums = [[0] * n for _ in range(m + 1)]
-    squares = [[0] * n for _ in range(m + 1)]
-    for runs, grid in enumerate(_replicate(problem, config, replications, SplitStream(seed)), 1):
-        rows = grid[t - 1]
-        for i, row in enumerate((*rows, map(sum, zip(*rows)))):
-            for j, z in enumerate(row):
-                sums[i][j] += z
-                squares[i][j] += z * z
-    stats = [
-        [_mean_se(total, sq, runs) for total, sq in zip(*rows)] for rows in zip(sums, squares)
-    ]
-    means = tuple(tuple(mean for mean, _ in row) for row in stats)
-    ses = tuple(tuple(se for _, se in row) for row in stats)
+    sums = squares = [0] * (m * n + n)  # over period t's entries, then over its column totals
+    for runs, counts in enumerate(_replicate(problem, config, replications, SplitStream(seed)), 1):
+        cells = counts[(t - 1) * m * n:t * m * n]
+        cells += [sum(cells[j::n]) for j in range(n)]
+        sums, squares = list(map(add, sums, cells)), list(map(add, squares, map(mul, cells, cells)))
+    stats = [_mean_se(total, sq, runs) for total, sq in zip(sums, squares)]
+    means = [tuple(mean for mean, _ in stats[a:a + n]) for a in range(0, len(stats), n)]
+    ses = [tuple(se for _, se in stats[a:a + n]) for a in range(0, len(stats), n)]
     return EstimatedTable(
         departments=problem.departments,
         categories=problem.scheme.categories,
@@ -309,8 +305,8 @@ def estimate_expected_table(
         kind=config.kind,
         replications=runs,
         seed=seed,
-        mean_entries=means[:m],
-        se_entries=ses[:m],
+        mean_entries=tuple(means[:m]),
+        se_entries=tuple(ses[:m]),
         mean_column_totals=means[m],
         se_column_totals=ses[m],
     )

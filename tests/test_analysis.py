@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from reserve2d import (
     PeriodRangeError,
     ReservationProblem,
+    ReservationScheme,
     ReservationTable,
+    Roster,
     SolutionConfig,
     SplitStream,
     adversarial_sequence,
@@ -29,7 +31,7 @@ from reserve2d import (
     within_university_quota,
 )
 from reserve2d.analysis import _lattice_counts, _lattice_summary, summarize_biases
-from reserve2d.roster import _sampler, build_scheme_table
+from reserve2d.roster import _sampler, build_scheme_table, minimal_height
 from reserve2d.solutions import _replicate
 
 from conftest import mod3_roster
@@ -162,6 +164,21 @@ def test_merged_lattice_counts_summarize_the_concatenated_sample(a, b):
     assert _fields(merged) == _oracle_summary(a + b)
 
 
+def _scaled_bias_counts(traces, scale):
+    """Counters of scale * bias per (period, scope) over the bias tables of ``traces``."""
+    expected = {}
+    for trace in traces:
+        for t, (fair, reserved) in enumerate(trace.periods, start=1):
+            bias = bias_of(reserved, fair)
+            expected.setdefault((t, "department"), Counter()).update(
+                scale * v for row in bias.internal for v in row
+            )
+            expected.setdefault((t, "university"), Counter()).update(
+                scale * v for v in bias.column_total_biases
+            )
+    return expected
+
+
 def test_lattice_counts_are_the_scaled_bias_tables(four_dept_problem):
     """The counts of compare's grids are 3 times the biases of the tables of
     the same runs."""
@@ -172,17 +189,38 @@ def test_lattice_counts_are_the_scaled_bias_tables(four_dept_problem):
     traces += [run_proposed(four_dept_problem, SplitStream(8).child(r).key) for r in range(5)]
     scale, counts = _lattice_counts(four_dept_problem, grids)
     assert scale == 3
-    expected = {}
-    for trace in traces:
-        for t, (fair, reserved) in enumerate(trace.periods, start=1):
-            bias = bias_of(reserved, fair)
-            expected.setdefault((t, "department"), Counter()).update(
-                3 * v for row in bias.internal for v in row
-            )
-            expected.setdefault((t, "university"), Counter()).update(
-                3 * v for v in bias.column_total_biases
-            )
-    assert counts == expected
+    assert counts == _scaled_bias_counts(traces, 3)
+
+
+_FIVE = ReservationScheme(
+    ("sc", "st", "obc", "ews", "open"), (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200))
+)
+
+
+@pytest.mark.parametrize("scheme, vacancies", [
+    (ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3))), ((0, 0, 0), (3, 9, 5), (0, 0, 0), (5, 7, 0))),
+    (ReservationScheme(("c1", "c2"), (F(1, 10), F(9, 10))), ((4, 0), (0, 0), (7, 0))),
+    (_FIVE, ((0, 0, 0), (150, 0, 37), (0, 0, 0), (50, 200, 163))),
+])
+def test_lattice_counts_keep_periods_apart_at_the_bound(scheme, vacancies):
+    """Rosters that put every seat in one category drive that category's
+    column-total bias to (1 - a_j) times the total vacancies, near the bound
+    the period keys are spaced by; with periods that open no vacancy and a
+    five-category scheme (L = 200), the counts of government and court runs
+    still equal the scaled bias tables period by period."""
+    problem = ReservationProblem([f"d{i}" for i in range(len(vacancies[0]))], scheme, vacancies)
+    total = sum(problem.cumulative_vacancies(problem.periods))
+    runs, traces = [], []
+    for category in scheme.categories:
+        roster = Roster(scheme.categories, (category,) * total)
+        for kind, run in (("government", run_government), ("court", run_court)):
+            runs += _replicate(problem, SolutionConfig(kind, roster=roster), 1, SplitStream(0))
+            traces.append(run(problem, roster))
+    scale, counts = _lattice_counts(problem, runs)
+    assert scale == minimal_height(scheme)
+    assert counts == _scaled_bias_counts(traces, scale)
+    final = counts[problem.periods, "university"]
+    assert max(final) == max(scale * (1 - a) * total for a in scheme.fractions)
 
 
 def test_bias_trace_of_the_pooled_baseline_grows_linearly(four_dept_problem):

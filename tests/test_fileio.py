@@ -235,3 +235,12 @@ def test_rational_rendering_round_trips():
     assert parse_rational("3/10") == F(3, 10)
     assert parse_rational("0.3") == F(3, 10)
     assert parse_rational(rational(F(-5, 3))) == F(-5, 3)
+
+
+@pytest.mark.parametrize("value, rendered", [
+    (0, 0), (7, 7), (-3, -3), (F(-5, 3), "-5/3"), (F(-1, 10**30), f"-1/{10**30}"),
+    (F(6, 3), 2), (F(-12, 4), -3), (F(0, 5), 0), (F(10**40, 10**20), 10**20),
+])
+def test_rational_renders_ints_negatives_and_reducible_fractions(value, rendered):
+    assert rational(value) == rendered
+    assert type(rational(value)) is type(rendered)

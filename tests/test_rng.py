@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reserve2d import ALGORITHM, SplitStream
-from reserve2d.rng import _MASK64, _batched, _index_of, _mix64, _u64s, _unmix64
+from reserve2d.rng import _GAMMA, _MASK64, _batched, _index_of, _mix64, _u64s, _unmix64
 
 from conftest import time_limit
 
@@ -57,6 +57,18 @@ def test_seed_validation():
 def test_child_index_validation():
     with pytest.raises(ValueError):
         SplitStream(0).child(-1)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2**32, 2**64])
+@pytest.mark.parametrize("key", [0, 99, _MASK64])
+def test_child_key_is_the_mixed_index(key, index):
+    """A child is the stream of _mix64(key ^ gamma*(2i+1)), fresh: it draws what
+    a stream seeded with that key draws."""
+    child = SplitStream(key).child(index)
+    assert child.key == _mix64(key ^ (_GAMMA * (2 * index + 1) & _MASK64))
+    assert type(child) is SplitStream and child._n == 0
+    fresh = SplitStream(child.key)
+    assert [child.next_u64() for _ in range(3)] == [fresh.next_u64() for _ in range(3)]
 
 
 def test_randrange_bounds_and_coverage():

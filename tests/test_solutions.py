@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reserve2d import (
@@ -27,7 +27,7 @@ from reserve2d import roster
 from reserve2d.cli import _cycled_roster
 from reserve2d.core import _check_counts
 from reserve2d.roster import _sampler, build_scheme_table, draw_roster
-from reserve2d.solutions import _replicate, _trace
+from reserve2d.solutions import _replicate, _runner, _trace
 
 from conftest import mod3_roster
 
@@ -295,11 +295,13 @@ def _oracle(problem, config, seed):
     return _pooled_government(problem, roster, config.order or problem.departments)
 
 
-def _tables(counts):
-    """Per-period entries of a trace or of a count grid, as tuples."""
+def _tables(counts, problem=None):
+    """Per-period entries of a trace, or of a run's count vector on ``problem``, as tuples."""
     if hasattr(counts, "periods"):
         return [reserved.entries for _, reserved in counts.periods]
-    return [tuple(map(tuple, rows)) for rows in counts]
+    m, n = len(problem.departments), problem.scheme.size
+    rows = [tuple(counts[a:a + n]) for a in range(0, len(counts), n)]
+    return [tuple(rows[a:a + m]) for a in range(0, len(rows), m)]
 
 
 _FIVE = ReservationScheme(
@@ -340,7 +342,7 @@ def test_kernel_counts_what_the_sliced_rosters_hold(case):
         for r, grid in enumerate(_replicate(problem, config, 3, SplitStream(41))):
             seed = SplitStream(41).child(r).key
             expected = _oracle(problem, config, seed)
-            assert _tables(grid) == expected, (config, r)
+            assert _tables(grid, problem) == expected, (config, r)
             assert _tables(run_solution(problem, config, seed)) == expected, (config, r)
 
 
@@ -360,7 +362,7 @@ def test_kernel_counts_fixed_rosters_like_the_sliced_ones(case):
         for config in configs:
             expected = _oracle(problem, config, None)
             (grid,) = _replicate(problem, config, 4, SplitStream(1))
-            assert _tables(grid) == expected, config
+            assert _tables(grid, problem) == expected, config
             assert _tables(run_solution(problem, config)) == expected, config
         assert _tables(run_court(problem, roster)) == _oracle(problem, court, None)
         order = _orders(problem)[1]
@@ -377,11 +379,11 @@ def _refusals(problem, grid):
 
 
 def _court_grid(changes):
-    """The court grid of the running example with ``changes[(t, i)]`` as row i of period t."""
+    """The court counts of the running example with ``changes[(t, i)]`` as row i of period t."""
     grid = [[list(row) for row in table] for table in COURT_TABLES]
     for (t, i), row in changes.items():
         grid[t - 1][i] = list(row)
-    return grid
+    return [z for table in grid for row in table for z in row]
 
 
 def test_grid_check_accepts_what_a_trace_accepts(four_dept_problem):
@@ -409,6 +411,58 @@ _SCHEMES = (
     ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3))),
     ReservationScheme(("c1", "c2", "c3"), (F(1, 4), F(1, 4), F(1, 2))),
 )
+
+
+def _nested_refusal(problem, counts):
+    """The message with which the period-by-period check of nested tables
+    refuses ``counts``, or None if it accepts them."""
+    m, n = len(problem.departments), problem.scheme.size
+    grid = [[counts[a:a + n] for a in range(t, t + m * n, n)] for t in range(0, len(counts), m * n)]
+    for t, (rows, q) in enumerate(zip(grid, problem._cumulative), start=1):
+        negative = [z for row in rows for z in row if z < 0]
+        if negative:
+            return f"reservation entries must be nonnegative integers, got {negative[0]!r}"
+        if tuple(map(sum, rows)) != q:
+            return f"period {t}: reservation row totals {tuple(map(sum, rows))} differ from cumulative vacancies {q}"
+    for before, after in zip(grid, grid[1:]):
+        if any(b > a for row_b, row_a in zip(before, after) for b, a in zip(row_b, row_a)):
+            return "reservation tables must be entrywise nondecreasing"
+    return None
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_flat_check_refuses_mutated_runs_as_a_trace_does(data):
+    """Drawn court, government and proposed runs pass the flat check and make
+    a trace of the same tables.  One entry moved by one, one entry made
+    negative, or a row that shrinks below its row of the period before is
+    refused by the check and by a trace with the same one-line message, the
+    one the period-by-period check of nested tables words."""
+    scheme = data.draw(st.sampled_from(_SCHEMES))
+    m, n = data.draw(st.integers(2, 4)), scheme.size
+    vacancies = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=m, max_size=m), min_size=1, max_size=4))
+    problem = ReservationProblem([f"d{i}" for i in range(m)], scheme, vacancies)
+    kind = data.draw(st.sampled_from(["court", "government", "proposed"]))
+    counts = _runner(problem, SolutionConfig(kind))(data.draw(st.integers(0, 2**64 - 1)))
+    _check_counts(problem, counts)
+    assert _tables(_trace(problem, kind, counts)) == _tables(counts, problem)
+    mutated, mutation = list(counts), data.draw(st.sampled_from(["step", "negative", "shrink"]))
+    if mutation == "shrink":  # row a's seats all go to category j + 1, emptying j, which its previous row held
+        width = m * n
+        rows = [a for a in range(width, len(counts), n) if sum(counts[a - width:a - width + n])]
+        assume(rows)
+        a = data.draw(st.sampled_from(rows))
+        j = next(j for j in range(n) if counts[a - width + j])
+        mutated[a:a + n] = [sum(counts[a:a + n]) if c == (j + 1) % n else 0 for c in range(n)]
+    elif mutation == "step":
+        mutated[data.draw(st.integers(0, len(counts) - 1))] += data.draw(st.sampled_from([-1, 1]))
+    else:
+        mutated[data.draw(st.integers(0, len(counts) - 1))] = -data.draw(st.integers(1, 5))
+    message = _nested_refusal(problem, mutated)
+    assert message is not None and "\n" not in message
+    if mutation == "shrink":
+        assert message == "reservation tables must be entrywise nondecreasing"
+    assert _refusals(problem, mutated) == (message, message)
 
 
 @given(st.data())
@@ -467,5 +521,5 @@ def test_runs_whose_ends_close_blocks_decode_no_block(monkeypatch, third_scheme)
     monkeypatch.setattr(roster, "_u64s", lambda *args: decoded.append(args))
     monkeypatch.setattr(sampler, "blocks", lambda *args: decoded.append(args))
     for config, want in zip(configs, expected):
-        assert [_tables(grid) for grid in _replicate(problem, config, 4, SplitStream(6))] == want, config
+        assert [_tables(grid, problem) for grid in _replicate(problem, config, 4, SplitStream(6))] == want, config
     assert decoded == []
