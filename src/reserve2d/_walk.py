@@ -31,7 +31,8 @@ A step tests ``u % den < num`` on the u64 ``randrange(den)`` would read,
 from ``rng._u64s`` batches of at most 64 lanes and the edges not known
 integral; ``randrange`` draws a u64 it might reject, and any other rng.
 :meth:`Walk.cycle` searches afresh; :meth:`Walk.step` pushes a given cycle and
-returns the ``(num, den, take)`` a hook sees.  An :func:`observer`'s branches
+returns the ``(num, den, take)`` a hook sees; :func:`tree` pushes every cycle
+both ways and lists a walk's runs up to a depth.  An :func:`observer`'s branches
 replace only the cycle's entries of the pre-step object; :func:`check_step`
 checks the mixture identity on every entry in scaled integers.
 """
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
 from .rng import _batched, _u64s
@@ -190,6 +192,27 @@ class Walk:
         for e, d in cycle:
             self.flows[e] += d * amount
         return num, den, take
+
+
+def tree(walk: Walk, depth: int, leaf: Callable[[Walk], object]):
+    """Every run of ``walk`` as nested ``[num, den, taken, not taken]`` nodes (``(num, den)`` as a
+    :meth:`Walk.run` hook sees it) over ``leaf`` of each integral walk, or None if a run takes more
+    than ``depth`` steps.  :meth:`Walk.step` pushes each cycle both ways; ``walk`` keeps only its flows."""
+    cycle = walk.cycle()
+    if cycle is None:
+        return leaf(walk)
+    if not depth:
+        return None
+    before, node = [walk.flows[e] for e, _ in cycle], []
+    for pick in (lambda den: 0, lambda den: den - 1):  # 0 < num < den: the step's branch, then the other
+        branch = Walk(walk.graph, walk.scale, walk.flows) if node else walk
+        num, den, _ = branch.step(SimpleNamespace(randrange=pick), cycle)
+        node.append(tree(branch, depth - 1, leaf))
+        for (e, _), f in zip(cycle, before):  # walk's pre-step flows (not its search), for the other branch
+            walk.flows[e] = f
+        if node[-1] is None:
+            return None
+    return [num, den, *node]
 
 
 def observer(record, pre, view, build, found: Callable[[], Cycle], on_step):

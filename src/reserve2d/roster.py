@@ -27,8 +27,9 @@ their flows, scaled to integers, directly, then folds every cell vertex
 away: a cell's one edge in and one edge out always carry the same flow, so
 the pair becomes one prefix -> row edge at the prefix -> cell edge's place.
 Every vertex keeps its edges' relative order, so the walk finds the same
-cycles (each cell pair as one edge) and the same draws.  Tuple vertices and
-``Fraction`` flows exist only at the API edge: :class:`FlowNetwork`, the
+cycles (each cell pair as one edge) and the same draws.  A sampler whose
+walks are all short lists them once as a tree and descends it.  Tuple vertices
+and ``Fraction`` flows exist only at the API edge: :class:`FlowNetwork`, the
 functions that take one, and the steps an observer is shown.
 
 Rosters longer than one block either concatenate independent block draws
@@ -46,7 +47,7 @@ from math import lcm
 from operator import add
 from typing import Callable, Optional, Sequence
 
-from ._walk import Graph, Walk, check_step, observer, scaled
+from ._walk import Graph, Walk, check_step, observer, scaled, tree
 from .core import ReservationScheme, Roster, _check_policy
 from .rng import _GAMMA, _GAMMA_INV, _MASK64, _batched, _index_of, _mix64, _u64s
 
@@ -424,20 +425,21 @@ class IntegralBlock:
         return cls(table.scheme, table.height, tuple(tuple(r) for r in grid))
 
 
+def _depths(node, depth: int = 0) -> set[int]:
+    """The depths of the leaves under ``node``, itself at ``depth``."""
+    return _depths(node[2], depth + 1) | _depths(node[3], depth + 1) if type(node) is list else {depth}
+
+
 class _BlockSampler:
-    """Block draws for one scheme table, memoized as a tree of decisions.
+    """Block draws for one scheme table; a sampler never changes once built.
 
-    An inner node is a list [numerator, denominator, forward child,
-    backward child] holding a step's reduced branch probability; a leaf is
-    the drawn block.  :meth:`blocks` descends the tree consuming exactly the
-    draws the walk would, and hands a block that reaches a missing child to
-    :meth:`walk`, which walks it on the folded network from ``start`` and
-    hangs the steps the tree lacks while it holds fewer than ``_NODE_CAP``
-    nodes.  :meth:`read` draws only the blocks asked for once every block
-    reads the same u64s.
-    """
+    ``root`` is every walk of the folded network as a :func:`reserve2d._walk.tree` over blocks, or
+    None if a walk takes more than ``_TREE_DEPTH`` steps.  :meth:`blocks` descends it (drawing what
+    :meth:`walk` would) or walks; :meth:`read` decodes only the blocks asked for if leaves share a depth."""
 
-    _NODE_CAP = 1 << 17
+    # Most steps of a walk a sampler lists as a tree: deeper trees barely pay for their descent
+    # or lose to walks, and a five-category block (about 740 steps) gives up in 13 nodes.
+    _TREE_DEPTH = 12
 
     def __init__(self, table: SchemeTable):
         self.table = table
@@ -451,27 +453,20 @@ class _BlockSampler:
                 self.cells[head - cell] = e
                 edges[e] = tail, row + (head - cell) // n
         self.start = Walk(Graph(vertices, edges), scale, flows)
-        self.root: list = [None]  # the tree hangs from slot 0
-        self.nodes, self.empty, self.depths, self.fixed = 0, 1, set(), None  # empty slots, leaf depths; see read
+        self.root = tree(Walk(self.start.graph, scale, flows), self._TREE_DEPTH, self._block)
+        depths, self.fixed = set() if self.root is None else _depths(self.root), None
+        if len(depths) == 1:  # see read; no denominator exceeds the scale L
+            self.fixed = depths.pop(), [_index_of(0, u) for u in range((1 << 64) - scale + 1, 1 << 64)]
 
-    def _room(self, holder: Optional[list], slot: int) -> bool:
-        """Whether ``holder[slot]`` is on the tree, empty, and the tree has room."""
-        return holder is not None and holder[slot] is None and self.nodes < self._NODE_CAP
-
-    def _child(self, holder: list, slot: int, node, depth: int = 0) -> None:
-        """Hang ``node`` in the empty ``holder[slot]``, a leaf at ``depth``."""
-        holder[slot] = node
-        self.nodes += 1
-        self.empty += 1 if type(node) is list else -1
-        if type(node) is not list:
-            self.depths.add(depth)
-            if not self.empty and len(self.depths) == 1:  # see read; no denominator exceeds the scale L
-                self.fixed = depth, [_index_of(0, u) for u in range((1 << 64) - self.start.scale + 1, 1 << 64)]
+    def _block(self, walk: Walk) -> IntegralBlock:
+        """The block of an integral walk of the folded network."""
+        cells, n = [walk.flows[e] // walk.scale for e in self.cells], self.table.scheme.size
+        rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
+        return IntegralBlock(self.table.scheme, self.table.height, rows)
 
     def walk(self, rng, on_step: Optional[Callable[[FlowStep], None]] = None) -> IntegralBlock:
         """One block walked from the start with ``rng``'s draws, each step shown to ``on_step``."""
-        walk = Walk(self.start.graph, self.start.scale, self.start.flows)
-        holder, slot, depth, show = self.root, 0, 0, None  # the slot the next step's node hangs in
+        walk, show = Walk(self.start.graph, self.start.scale, self.start.flows), None
         if on_step is not None:
             network, split = build_flow_network(self.table), len(walk.flows) - self.table.height
             # Each folded edge's network edges, forward ([::-1] runs them backward); cell -> row edges start at split.
@@ -480,38 +475,23 @@ class _BlockSampler:
                 parts[e] = e, split + c
             found = lambda: [(part, d) for e, d in walk._found() for part in parts[e][::d]]
             show = observer(FlowStep, network, tuple, _network_at, found, on_step)
-
-        def grow(num: int, den: int, take: bool) -> None:
-            nonlocal holder, slot, depth
-            if show is not None:
-                show(num, den, take)
-            if self._room(holder, slot):
-                self._child(holder, slot, [num, den, None, None])
-            holder, slot, depth = holder and holder[slot], 2 if take else 3, depth + 1
-
-        walk.run(rng, grow)
-        cells, n = [walk.flows[e] // walk.scale for e in self.cells], self.table.scheme.size
-        rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
-        block = IntegralBlock(self.table.scheme, self.table.height, rows)
-        if self._room(holder, slot):
-            self._child(holder, slot, block, depth)
-        return block
+        walk.run(rng, show)
+        return self._block(walk)
 
     def blocks(self, rng, count: int) -> list[IntegralBlock]:
         """``count`` blocks, drawing exactly what ``count`` calls of :meth:`walk` would.
 
-        The descent reads its u64s from batches of ``rng._u64s``, as many as
-        the blocks left read at the call's u64s per block so far (one each
-        before a block ends; at most 64), and stores the draw index once.
-        A u64 that ``randrange`` might reject is drawn again by ``randrange``
-        itself, and a block that reaches a missing child is handed, from its
-        first draw, to :meth:`walk`; either drops the batch.  Streams that
-        are not ``_batched`` walk until the tree is complete, then descend by
-        ``randrange``."""
+        Without a tree each block is walked; a stream that is not ``_batched`` descends
+        it by ``randrange``.  Otherwise the descent reads its u64s from batches of
+        ``rng._u64s``, as many as the blocks left read at the call's u64s per block so
+        far (one each before a block ends; at most 64), and stores the draw index once;
+        a u64 that ``randrange`` might reject is drawn by ``randrange``, dropping the batch."""
+        if self.root is None:
+            return [self.walk(rng) for _ in range(count)]
         drawn: list[IntegralBlock] = []
         if not _batched(rng):
             for _ in range(count):
-                node = self.walk(rng) if self.empty else self.root[0]
+                node = self.root
                 while type(node) is list:
                     node = node[2] if rng.randrange(node[1]) < node[0] else node[3]
                 drawn.append(node)
@@ -519,7 +499,7 @@ class _BlockSampler:
         key, n, top = rng.key, rng._n, 1 << 64
         batch, first, end, origin = (), n, n, n  # the batch holds u64s first+1 .. end
         for left in range(count, 0, -1):
-            start, node = n, self.root[0]
+            node = self.root
             while type(node) is list:
                 if n == end:
                     lanes = -((origin - n) * left // len(drawn)) if drawn else left
@@ -532,17 +512,13 @@ class _BlockSampler:
                     u = rng.randrange(den)
                     n = end = rng._n
                 node = node[2] if u % den < node[0] else node[3]
-            if node is None:
-                rng._n = start
-                node = self.walk(rng)
-                n = end = rng._n
             drawn.append(node)
         rng._n = n
         return drawn
 
     def read(self, rng, count: int, wanted: Sequence[int]) -> list[IntegralBlock]:
         """Blocks number ``wanted`` (from 0) of the ``count`` :meth:`blocks` would draw,
-        leaving ``rng`` where it would.  On a complete tree with every leaf at depth d,
+        leaving ``rng`` where it would.  On a tree with every leaf at depth d,
         ``fixed`` holds d and the index at which stream 0 outputs each u64 above 2**64 - L,
         the only ones ``randrange`` might reject (stream ``key`` outputs it key/gamma
         earlier); if none is in n+1 .. n+d*count, block b is u64s n+d*b+1 .. n+d*b+d."""
@@ -556,7 +532,7 @@ class _BlockSampler:
             else:
                 rng._n, drawn = n + span, []
                 for b in wanted:
-                    node, z = self.root[0], key + (n + d * b + 1) * _GAMMA  # u64 n+d*b+1 is _mix64(z)
+                    node, z = self.root, key + (n + d * b + 1) * _GAMMA  # u64 n+d*b+1 is _mix64(z)
                     while type(node) is list:
                         node, z = node[2] if _mix64(z & _MASK64) % node[1] < node[0] else node[3], z + _GAMMA
                     drawn.append(node)
@@ -567,7 +543,7 @@ class _BlockSampler:
 
 @lru_cache(maxsize=1)
 def _sampler(table: SchemeTable) -> _BlockSampler:
-    """The block sampler of a scheme table; only the last is kept (one can hold 50 MB)."""
+    """The block sampler of a scheme table; only the last is kept (one can hold 34 MB)."""
     return _BlockSampler(table)
 
 

@@ -28,6 +28,19 @@ class ForcedRng:
         return 0 if self.outcomes.pop(0) else n - 1
 
 
+def tree_law(root, key=lambda leaf: leaf) -> dict:
+    """The probability of each ``key(leaf)`` under a ``_walk.tree`` root, equal keys merged."""
+    law, pending = {}, [(root, Fraction(1))]
+    while pending:
+        node, mass = pending.pop()
+        if isinstance(node, list):
+            num, den, taken, not_taken = node
+            pending += [(taken, mass * Fraction(num, den)), (not_taken, mass * Fraction(den - num, den))]
+        else:
+            law[key(node)] = law.get(key(node), 0) + mass
+    return law
+
+
 @contextmanager
 def time_limit(seconds: int):
     """Fail with TimeoutError instead of hanging past ``seconds``."""

@@ -1,5 +1,6 @@
 """Tests for scheme tables, the constraint network, and roster lotteries."""
 
+import copy
 import os
 import random
 from dataclasses import replace
@@ -35,7 +36,7 @@ from reserve2d.roster import (
     source_vertex,
 )
 
-from conftest import ForcedRng, time_limit
+from conftest import ForcedRng, time_limit, tree_law
 
 F = Fraction
 
@@ -571,19 +572,16 @@ def _network_walk(table, rng):
     return IntegralBlock(table.scheme, k, tuple(tuple(cells[i:i + n]) for i in range(0, k * n, n))), draws
 
 
-def _sampler_walk(table, rng):
-    """A fresh sampler's block and the draws its tree recorded while walking it."""
-    sampler = roster._BlockSampler(table)
-    block, node, draws = sampler.walk(rng), sampler.root[0], []
-    while type(node) is list:
-        take = node[2] is not None
-        draws.append((node[0], node[1], take))
-        node = node[2] if take else node[3]
-    assert node == block
+def _sampler_walk(monkeypatch, table, rng):
+    """A fresh sampler's walked block and the ``(num, den, take)`` draws a ``Walk.run`` hook sees."""
+    sampler, draws, run = roster._BlockSampler(table), [], Walk.run
+    with monkeypatch.context() as patch:
+        patch.setattr(Walk, "run", lambda walk, rng, hook=None: run(walk, rng, lambda *draw: draws.append(draw)))
+        block = sampler.walk(rng)
     return block, draws
 
 
-def test_folded_walk_draws_what_the_full_network_walk_draws():
+def test_folded_walk_draws_what_the_full_network_walk_draws(monkeypatch):
     """The sampler walks the network with each cell's two edges folded into
     one; every draw, the block and the draw count equal those of walking the
     full network: on every golden scheme, on 1/4, 1/3, 5/12 (three columns,
@@ -604,7 +602,7 @@ def test_folded_walk_draws_what_the_full_network_walk_draws():
         table = build_scheme_table(scheme, height)
         for seed in seeds:
             folded, full = _CountingStream(seed), _CountingStream(seed)
-            block, draws = _sampler_walk(table, folded)
+            block, draws = _sampler_walk(monkeypatch, table, folded)
             assert (block, draws) == _network_walk(table, full), (scheme, height, seed)
             assert folded._n == full._n and folded.bounds == full.bounds, (scheme, height, seed)
     assert folded.bounds == [draws[0][1]] and folded._n == len(draws) + 1
@@ -624,30 +622,35 @@ def test_sampler_graph_folds_every_cell_vertex_away():
     assert sum(1 for f in start.flows if f % start.scale) == 1957
 
 
-def test_sampler_tree_past_its_node_cap_draws_like_an_uncapped_one(
-    monkeypatch, quarters_scheme
-):
-    """Once the decision tree is full, draws walk on without recording and
-    still return the blocks a walk on an uncapped tree returns for the same
-    draws."""
+def _leaf_depths(node, depth=0):
+    """(leaf, depth) of every leaf under ``node``; inner nodes must hold a probability and two children."""
+    if not isinstance(node, list):
+        return [(node, depth)]
+    num, den, taken, not_taken = node
+    assert 0 < num < den
+    return _leaf_depths(taken, depth + 1) + _leaf_depths(not_taken, depth + 1)
+
+
+def test_sampler_past_its_tree_depth_walks_what_the_tree_descent_draws(monkeypatch, quarters_scheme):
+    """A sampler whose walks take more steps than ``_TREE_DEPTH`` keeps no tree and
+    walks every block, drawing the blocks and the draw count of a sampler that
+    descends its tree.  The limit is inclusive: at the deepest leaf's depth the
+    tree is kept whole, one less drops it.  Inner nodes hold only a probability
+    and two children; leaves are blocks."""
     table = build_scheme_table(quarters_scheme, 8)
-    free, capped = roster._BlockSampler(table), roster._BlockSampler(table)
-    monkeypatch.setattr(capped, "_NODE_CAP", 40)
+    free = roster._BlockSampler(table)
+    leaves = _leaf_depths(free.root)
+    assert all(isinstance(leaf, IntegralBlock) for leaf, _ in leaves)
+    deepest = max(depth for _, depth in leaves)
+    monkeypatch.setattr(roster._BlockSampler, "_TREE_DEPTH", deepest)
+    assert roster._BlockSampler(table).root == free.root
+    monkeypatch.setattr(roster._BlockSampler, "_TREE_DEPTH", deepest - 1)
+    capped = roster._BlockSampler(table)
+    assert capped.root is None and capped.fixed is None
     for seed in range(60):
         a, b = SplitStream(seed), SplitStream(seed)
-        assert capped.blocks(a, 1) == [free.walk(b)], seed
+        assert capped.blocks(a, 2) == free.blocks(b, 2), seed
         assert a._n == b._n, seed
-    assert capped.nodes == 40 < free.nodes
-    # Inner nodes hold only a probability and two children; leaves are blocks.
-    pending = [free.root[0]]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, list):
-            num, den, forward, backward = node
-            assert 0 < num < den
-            pending += [child for child in (forward, backward) if child is not None]
-        else:
-            assert isinstance(node, IntegralBlock)
 
 
 def _block_loop(sampler, rng, count):
@@ -658,10 +661,10 @@ def _block_loop(sampler, rng, count):
 def test_fused_positions_draw_what_the_block_loop_draws(monkeypatch, third_scheme, quarters_scheme):
     """The fused descent returns the blocks that per-block walks on a
     sampler of its own return, and leaves the stream at the same draw
-    index: on warm trees, on the five-category scheme, on fresh samplers,
-    and on samplers whose tree is capped at 40 nodes or holds none at all
-    (so every block misses).  Any other source of randrange is walked one
-    block at a time."""
+    index: on samplers used before, on fresh samplers, and on samplers
+    without a tree, which walk every block (the five-category scheme, 1/4,
+    1/3, 5/12 at height 12, and quarters at height 8 with the depth limit
+    lowered).  Any other source of randrange descends by ``randrange``."""
     cases = [(third_scheme, 3, range(200)), (quarters_scheme, 4, range(200)), (FIVE, 200, range(2))]
     for scheme, height, seeds in cases:
         table = build_scheme_table(scheme, height)
@@ -671,20 +674,21 @@ def test_fused_positions_draw_what_the_block_loop_draws(monkeypatch, third_schem
             a, b = SplitStream(seed), SplitStream(seed)
             assert fused.blocks(a, count) == _block_loop(looped, b, count), (height, seed)
             assert a._n == b._n, (height, seed)
-    for scheme, height, cap in ((third_scheme, 6, None), (quarters_scheme, 8, 40), (quarters_scheme, 8, 0)):
+    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
+    for scheme, height, depth in ((third_scheme, 6, None), (quarters_scheme, 8, 4), (mixed, 12, None)):
         table = build_scheme_table(scheme, height)
         looped = roster._BlockSampler(table)
-        fused = roster._BlockSampler(table)
+        with monkeypatch.context() as patch:
+            if depth is not None:
+                patch.setattr(roster._BlockSampler, "_TREE_DEPTH", depth)
+            fused = roster._BlockSampler(table)
+        assert (fused.root is None) == (height > 6), height
         for seed in range(60):
-            if cap is None:
-                fused = roster._BlockSampler(table)  # fresh: its first block misses
-            else:
-                monkeypatch.setattr(fused, "_NODE_CAP", cap)
+            if height == 6:
+                fused = roster._BlockSampler(table)  # fresh
             a, b = SplitStream(seed), SplitStream(seed)
-            assert fused.blocks(a, 4) == _block_loop(looped, b, 4), (height, cap, seed)
-            assert a._n == b._n, (height, cap, seed)
-        if cap is not None:
-            assert fused.nodes == cap
+            assert fused.blocks(a, 4) == _block_loop(looped, b, 4), (height, seed)
+            assert a._n == b._n, (height, seed)
     looped = roster._BlockSampler(build_scheme_table(quarters_scheme))
     for seed in range(20):
         fused = roster._BlockSampler(build_scheme_table(quarters_scheme))
@@ -720,9 +724,7 @@ def test_fused_positions_redraw_a_rejected_u64_like_randrange(third_scheme):
     assert rejecting.randrange(3) < 3 and rejecting._n == 2
     table = build_scheme_table(third_scheme)
     sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
-    for seed in range(200):  # grow the whole tree, so no block misses
-        sampler.walk(SplitStream(seed))
-    root = sampler.root[0]
+    root = sampler.root
     assert root[1] == 2 and root[2][1] == root[3][1] == 3  # a block reads two u64s
     for j in range(1, 7):
         a, b = stream(j, _CountingStream), stream(j)
@@ -745,13 +747,6 @@ def _recorded_batches(monkeypatch):
     return calls
 
 
-def _grown(table, walks=200):
-    sampler = roster._BlockSampler(table)
-    for seed in range(walks):
-        sampler.walk(SplitStream(seed))
-    return sampler
-
-
 def test_fused_descent_draws_the_block_loop_across_batch_boundaries(
     monkeypatch, third_scheme, quarters_scheme
 ):
@@ -763,7 +758,7 @@ def test_fused_descent_draws_the_block_loop_across_batch_boundaries(
     per-block walks."""
     for scheme in (third_scheme, quarters_scheme):
         table = build_scheme_table(scheme)
-        fused, looped = _grown(table), roster._BlockSampler(table)
+        fused, looped = roster._BlockSampler(table), roster._BlockSampler(table)
         widest, inside = 0, False
         for seed, count in ((0, 100), (1, 150), (2, 67), (3, 33)):
             a, b = SplitStream(seed), SplitStream(seed)
@@ -792,7 +787,7 @@ def test_fused_descent_redraws_a_rejected_u64_in_the_first_or_last_lane(
     blocks) it is handed to ``randrange``, and the descent draws the blocks
     and the draw count of per-block walks."""
     table = build_scheme_table(third_scheme)
-    sampler, plain = _grown(table), roster._BlockSampler(table)
+    sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
     for count, j, batch in ((100, 64, (0, 64)), (5, 6, (5, 8))):
         key = (_unmix64(_MASK64) - j * _GAMMA) & _MASK64  # u64 number j is 2**64 - 1
         a, b = _CountingStream(key), SplitStream(key)
@@ -803,42 +798,94 @@ def test_fused_descent_redraws_a_rejected_u64_in_the_first_or_last_lane(
         monkeypatch.undo()
 
 
-def test_walks_allocate_no_node_once_the_tree_is_full(monkeypatch, quarters_scheme):
-    """A node list is made only for a slot the tree will hang it in: with
-    the cap at 0 no walk step or block makes one, and with the cap at 40
-    exactly 40 are made.  The draws match a sampler of its own either way."""
+def test_draws_change_no_node_of_the_tree(quarters_scheme):
+    """Blocks, walks and reads leave every node of the tree as it was built, and
+    draw what a sampler of its own draws one walk at a time."""
     table = build_scheme_table(quarters_scheme, 8)
     sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
-    made, hang = [], sampler._child
-    monkeypatch.setattr(sampler, "_child", lambda *args: made.append(args[2]) or hang(*args))
-    for cap in (0, 40):
-        monkeypatch.setattr(sampler, "_NODE_CAP", cap)
-        for seed in range(30):
-            a, b = SplitStream(seed), SplitStream(seed)
-            assert sampler.blocks(a, 2) + [sampler.walk(a)] == _block_loop(plain, b, 3), (cap, seed)
-            assert a._n == b._n, (cap, seed)
-        assert len(made) == sampler.nodes == cap
+    built = copy.deepcopy(sampler.root)
+    for seed in range(30):
+        a, b = SplitStream(seed), SplitStream(seed)
+        looped = _block_loop(plain, b, 6)
+        assert sampler.blocks(a, 2) + [sampler.walk(a)] + sampler.read(a, 3, [0, 2]) == looped[:4] + looped[5:], seed
+        assert a._n == b._n, seed
+        assert sampler.root == built, seed
+    assert len(_leaf_depths(sampler.root)) == 196
 
 
-def test_walk_on_a_grown_tree_adds_nothing_and_draws_what_the_descent_draws(third_scheme):
-    """Once every branch of the 1/3 tree hangs, a walk follows existing
-    children only: it adds no node and returns the block, and leaves the
-    stream at the draw index, that the fused descent gives."""
+def test_walk_on_a_built_tree_draws_what_the_descent_draws(third_scheme):
+    """The 1/3 tree is whole when the sampler is built (no inner node misses a
+    child), and a walk returns the block, and leaves the stream at the draw
+    index, that the fused descent gives."""
     sampler = roster._BlockSampler(build_scheme_table(third_scheme))
-    for seed in range(200):
-        sampler.walk(SplitStream(seed))
-    pending = [sampler.root[0]]
-    while pending:  # the tree is whole: no inner node misses a child
+    pending = [sampler.root]
+    while pending:
         node = pending.pop()
         if isinstance(node, list):
             assert None not in node[2:]
             pending += node[2:]
-    grown = sampler.nodes
     for seed in range(50):
         a, b = SplitStream(seed), SplitStream(seed)
         assert [sampler.walk(a)] == sampler.blocks(b, 1), seed
         assert a._n == b._n, seed
-        assert sampler.nodes == grown, seed
+
+
+def test_sampler_tree_is_the_enumerated_block_law(third_scheme, half_scheme, quarters_scheme, tenth_scheme):
+    """Where every walk takes at most ``_TREE_DEPTH`` steps, the law of the
+    sampler's tree is the law :func:`_enumerate_blocks` finds by expanding
+    observed steps, every position marginal is its fraction exactly, and
+    ``fixed`` is set exactly when every leaf sits at one depth.  Schemes whose
+    walks run deeper keep no tree."""
+    fifths = ReservationScheme(("a", "b", "c", "d"), (F(1, 5), F(1, 5), F(1, 5), F(2, 5)))
+    cases = [
+        (third_scheme, 3, True), (third_scheme, 6, True), (half_scheme, 2, True), (quarters_scheme, 4, False),
+        (quarters_scheme, 8, False), (tenth_scheme, 10, True), (fifths, 5, False),
+    ]
+    for scheme, height, single in cases:
+        sampler = roster._BlockSampler(build_scheme_table(scheme, height))
+        law = tree_law(sampler.root, lambda block: block.positions)
+        assert law == _enumerate_blocks(scheme, height), (scheme, height)
+        for pos in range(height):
+            for cat, frac in zip(scheme.categories, scheme.fractions):
+                assert sum(m for block, m in law.items() if block[pos] == cat) == frac, (height, pos, cat)
+        depths = {depth for _, depth in _leaf_depths(sampler.root)}
+        assert (len(depths) == 1) == single, (scheme, height, depths)
+        assert (sampler.fixed and sampler.fixed[0]) == (min(depths) if single else None), (scheme, height)
+    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
+    odd = ReservationScheme(("a", "b", "c"), (F(3, 20), F(1, 4), F(3, 5)))
+    for scheme, height in ((FIVE, 200), (mixed, 12), (odd, 20), (third_scheme, 30)):
+        sampler = roster._BlockSampler(build_scheme_table(scheme, height))
+        assert sampler.root is None and sampler.fixed is None, (scheme, height)
+
+
+def test_a_sampler_never_changes_once_built(third_scheme, quarters_scheme):
+    """``blocks``, ``read``, ``walk``, an observed ``walk`` and a stream that is
+    not read from batches leave a sampler's ``root`` and ``fixed`` the very
+    objects it was built with, with or without a tree.  On fresh samplers,
+    ``blocks``, ``read`` of every block and one ``walk`` per block return the
+    same blocks and leave the same draw index."""
+    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
+    for scheme, height in ((third_scheme, 3), (quarters_scheme, 8), (mixed, 12)):
+        table = build_scheme_table(scheme, height)
+        sampler = roster._BlockSampler(table)
+        root, fixed, rejects = sampler.root, sampler.fixed, sampler.fixed and list(sampler.fixed[1])
+        for seed in range(3):
+            sampler.blocks(SplitStream(seed), 5)
+            sampler.read(SplitStream(seed), 5, [1, 3])
+            sampler.walk(SplitStream(seed))
+            sampler.walk(SplitStream(seed), on_step=[].append)
+            sampler.blocks(_CountedU64s(seed), 3)
+            sampler.blocks(random.Random(seed), 3)
+            assert sampler.root is root and sampler.fixed is fixed, (height, seed)
+            assert (fixed and fixed[1]) == rejects, (height, seed)
+        for seed in range(10):
+            count = 1 + seed
+            a, b, c = (SplitStream(seed) for _ in range(3))
+            drawn = roster._BlockSampler(table).blocks(a, count)
+            assert roster._BlockSampler(table).read(b, count, range(count)) == drawn, (height, seed)
+            walker = roster._BlockSampler(table)
+            assert [walker.walk(c) for _ in range(count)] == drawn, (height, seed)
+            assert a._n == b._n == c._n, (height, seed)
 
 
 def _spied(monkeypatch, sampler):
@@ -851,11 +898,10 @@ def _spied(monkeypatch, sampler):
 def test_read_returns_the_wanted_blocks_of_blocks(monkeypatch, third_scheme, half_scheme, quarters_scheme):
     """``read(rng, count, wanted)`` returns blocks ``wanted`` of what
     ``blocks(rng, count)`` draws and leaves the stream at the same draw
-    index, over seeds, counts 1-300 and random wanted sets.  Complete trees
-    whose leaves share one depth (1/3 at heights 3 and 6, half/half) decode
-    only the wanted blocks; quarters, whose leaves sit at depths 3 and 4, and
-    the five-category scheme, whose tree never completes, draw through
-    ``blocks``."""
+    index, over seeds, counts 1-300 and random wanted sets.  Trees whose
+    leaves share one depth (1/3 at heights 3 and 6, half/half) decode only
+    the wanted blocks; quarters, whose leaves sit at depths 3 and 4, and the
+    five-category scheme, which has no tree, draw through ``blocks``."""
     pick = random.Random(7)
     cases = [
         (third_scheme, 3, 2, 300), (third_scheme, 6, 4, 300), (half_scheme, 2, 1, 300),
@@ -863,7 +909,7 @@ def test_read_returns_the_wanted_blocks_of_blocks(monkeypatch, third_scheme, hal
     ]
     for scheme, height, depth, seeds in cases:
         table = build_scheme_table(scheme, height)
-        sampler, plain = _grown(table, 0 if height == 200 else 400), roster._BlockSampler(table)
+        sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
         assert (sampler.fixed and sampler.fixed[0]) == depth, (height, sampler.fixed)
         calls = _spied(monkeypatch, sampler)
         for seed in range(seeds):
@@ -887,7 +933,7 @@ def test_read_falls_back_where_randrange_might_reject(monkeypatch, third_scheme,
     Either way it returns what ``blocks`` draws."""
     for scheme, scale, count, wanted in ((third_scheme, 3, 5, [0, 3, 4]), (half_scheme, 2, 7, [2, 6])):
         table = build_scheme_table(scheme)
-        sampler, plain = _grown(table), roster._BlockSampler(table)
+        sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
         d = sampler.fixed[0]
         assert len(sampler.fixed[1]) == scale - 1, scheme
         n, span = 3, d * count
@@ -928,19 +974,21 @@ class _ZeroU64s(SplitStream):
 
 def test_streams_that_override_next_u64_see_every_draw(third_scheme):
     """A subclass that overrides ``next_u64`` is not read from batches: on a
-    fresh and on a complete tree, through ``blocks``, ``read`` and
-    ``draw_roster``, a counting stream sees every u64 and draws what a plain
-    stream draws, and a stream of zeros draws one block every time."""
+    sampler with a tree and on one without (1/3 at height 24), through
+    ``blocks``, ``read`` and ``draw_roster``, a counting stream sees every u64
+    and draws what a plain stream draws, and a stream of zeros draws one block
+    every time."""
     table = build_scheme_table(third_scheme)
-    for sampler in (roster._BlockSampler(table), _grown(table)):
+    for sampler in (roster._BlockSampler(table), roster._BlockSampler(build_scheme_table(third_scheme, 24))):
         for seed in range(5):
             a, b = _CountedU64s(seed), SplitStream(seed)
             assert sampler.blocks(a, 40) == sampler.blocks(b, 40), seed
             assert sampler.read(a, 40, [3, 39]) == sampler.read(b, 40, [3, 39]), seed
             assert a.calls == a._n == b._n, seed
-            zeros = _ZeroU64s(seed)
+            zeros, one = _ZeroU64s(seed), _ZeroU64s(seed)
+            sampler.walk(one)
             assert len(set(sampler.blocks(zeros, 30) + sampler.read(zeros, 9, [0, 8]))) == 1, seed
-            assert zeros._n == 2 * 39, seed
+            assert zeros._n == 39 * one._n, seed
     a, b = _CountedU64s(11), SplitStream(11)
     assert draw_roster(third_scheme, 3000, a) == draw_roster(third_scheme, 3000, b)
     assert a.calls == a._n == b._n == 2000

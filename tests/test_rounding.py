@@ -26,9 +26,9 @@ from reserve2d import (
     within_department_quota,
     within_university_quota,
 )
-from reserve2d._walk import scaled
+from reserve2d._walk import Walk, scaled, tree
 
-from conftest import ForcedRng, time_limit
+from conftest import ForcedRng, time_limit, tree_law
 
 F = Fraction
 
@@ -510,6 +510,47 @@ def test_rounding_frequencies_match_exact_distribution(two_dept_problem):
     for key, p in by_internal.items():
         se = (float(p) * (1 - float(p)) / draws) ** 0.5
         assert abs(counts.get(key, 0) / draws - float(p)) < 4 * se + 1e-9, key
+
+
+def _rounding_law(fair):
+    """The start of the walk ``controlled_round`` runs on ``fair`` and the exact law of
+    its scaled-integer outcomes, equal ones merged, from :func:`_walk.tree`."""
+    m, n = len(fair.departments), len(fair.categories)
+    walk = Walk(rounding._graph(m + 1, n), *rounding._extension(fair))
+    # A walk takes at most one step per fractional edge, so this depth never gives up.
+    return walk, tree_law(tree(walk, len(walk.flows), lambda done: tuple(f // done.scale for f in done.flows)))
+
+
+def test_rounding_law_is_surely_unbiased(two_dept_problem):
+    """Every outcome of the rounding walk, enumerated exactly, keeps each
+    entry at floor or ceil of its start and every row total, and each
+    cell's expectation is its fair share exactly (the synthetic row's
+    included): on both periods of the two-department problem and on seeded
+    fair tables up to 5 x 4.  A seeded ``controlled_round`` draws an
+    outcome of the law."""
+    pick = random.Random(21)
+    fairs = [build_fair_share_table(two_dept_problem, t) for t in (1, 2)]
+    for _ in range(40):
+        m, n = pick.randint(2, 5), pick.randint(2, 4)
+        parts, qs = [pick.randint(1, 9) for _ in range(n)], [pick.randint(0, 30) for _ in range(m)]
+        fairs.append(build_fair_share_table(_random_problem(parts, qs), 1))
+    assert any(len(fair.departments) == 5 and len(fair.categories) == 4 for fair in fairs)
+    sizes = []
+    for number, fair in enumerate(fairs):
+        (walk, law), n = _rounding_law(fair), len(fair.categories)
+        sizes.append(len(law))
+        scale, start = walk.scale, walk.flows
+        synthetic = extend_table(fair).entries[-1]
+        assert sum(law.values()) == 1, number
+        for outcome in law:
+            assert all(f // scale <= x <= -(-f // scale) for x, f in zip(outcome, start)), number
+            for r in range(0, len(start), n):
+                assert sum(outcome[r:r + n]) * scale == sum(start[r:r + n]), (number, r // n)
+        for e, share in enumerate(v for row in fair.entries + (synthetic,) for v in row):
+            assert sum(mass * outcome[e] for outcome, mass in law.items()) == share, (number, e)
+        rounded = controlled_round(fair, SplitStream(number))
+        assert any(outcome[:-n] == sum(rounded.entries, ()) for outcome in law), number
+    assert max(sizes) > 300
 
 
 def test_rounding_is_deterministic_per_seed(two_dept_problem):

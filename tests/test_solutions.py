@@ -506,12 +506,10 @@ def test_court_draws_only_the_positions_it_reads(quarters_scheme, seed):
 def test_runs_whose_ends_close_blocks_decode_no_block(monkeypatch, third_scheme):
     """When every position a run reads closes a block of the 1/3 scheme
     (height 3), the counts come from the scheme's whole-block counts alone:
-    on a complete tree every solution counts what the sliced rosters hold,
-    and no block is drawn or decoded."""
+    every solution counts what the sliced rosters hold, and no block is
+    drawn or decoded."""
     problem = ReservationProblem(("d1", "d2", "d3"), third_scheme, ((3, 6, 0), (0, 3, 9)))
     sampler = _sampler(build_scheme_table(third_scheme))
-    for seed in range(200):  # complete the tree
-        sampler.walk(SplitStream(seed))
     assert sampler.fixed is not None
     configs = [SolutionConfig("proposed"), SolutionConfig("court")]
     configs += [SolutionConfig("government", order=o) for o in _orders(problem)]
