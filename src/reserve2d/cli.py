@@ -23,6 +23,7 @@ import sys
 from dataclasses import fields, replace
 from functools import lru_cache
 from itertools import cycle, islice
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 from . import __version__
@@ -110,7 +111,25 @@ def _json_report(command: str, seed: Optional[int], **body) -> str:
     if seed is not None:
         meta["seed"] = seed
     report = {"command": command, "metadata": meta, **body}
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return _json(report) + "\n"
+
+
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``pad``, built directly for
+    strings, ints and non-empty lists and str-keyed dicts (``indent`` would make ``json.dumps``
+    use its pure-Python encoder throughout); anything else goes to ``json.dumps``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is list and value:
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+    if kind is dict and value and all(type(k) is str for k in value):
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def _table_dict(table: Union[FairShareTable, ReservationTable]) -> dict:

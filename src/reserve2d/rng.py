@@ -12,9 +12,9 @@ the child's index.  This gives
 * exact rational Bernoulli draws via rejection sampling, so lottery
   probabilities like 7/24 are honoured exactly rather than through floats.
 
-A stream's u64 number n depends only on its key and n, so :func:`_u64s`
-mixes up to 64 consecutive ones at once, as the lanes of one integer; the
-roster descent and every rounding walk read their u64s from such batches.
+A stream's u64 number n depends only on its key and n, so :func:`_mix_lanes`
+mixes u64s of any streams side by side, as the lanes of one integer: the roster
+descents and every rounding walk read batches of them, and a run all at once.
 The output function is a bijection: :func:`_unmix64` inverts it, and
 :func:`_index_of` finds the n at which a stream outputs a given u64.
 
@@ -37,6 +37,7 @@ _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 sequence increment
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _GAMMA_INV, _MIX1_INV, _MIX2_INV = (pow(m, -1, 1 << 64) for m in (_GAMMA, _MIX1, _MIX2))
+_WORDS = 1 if byteorder == "little" else -1  # words[::_WORDS]: an array("Q") of an int's bytes, lowest first
 
 
 def _mix64(z: int) -> int:
@@ -58,27 +59,34 @@ def _index_of(key: int, u: int) -> int:
     return (_unmix64(u) - key) * _GAMMA_INV & _MASK64
 
 
-@lru_cache(maxsize=64)
+def _pack(values: list[int]) -> int:
+    """``values``, each below 2**64, as the low words of the 128-bit lanes of one int, the first lowest."""
+    words = array("Q", bytes(16 * len(values)))
+    words[::2] = array("Q", values)
+    return int.from_bytes(words[::_WORDS], byteorder)
+
+
+@lru_cache(maxsize=128)
 def _lanes(count: int) -> tuple[int, int, int]:
     """A 1 in each of ``count`` 128-bit lanes, lane i's i * _GAMMA, and every low word."""
-    ones = sum(1 << 128 * i for i in range(count))
-    return ones, sum((i * _GAMMA & _MASK64) << 128 * i for i in range(count)), ones * _MASK64
+    return (ones := _pack([1] * count)), _pack([i * _GAMMA & _MASK64 for i in range(count)]), ones * _MASK64
+
+
+def _mix_lanes(z: int, count: int):
+    """:func:`_mix64` of the low word of each of the ``count`` 128-bit lanes of ``z``, lowest first."""
+    if count == 1:
+        return (_mix64(z & _MASK64),)
+    low = _lanes(count)[2]
+    z &= low  # each lane is cut to its low word here and before every multiply
+    z = ((z ^ z >> 30) & low) * _MIX1 & low
+    z = ((z ^ z >> 27) & low) * _MIX2 & low
+    return array("Q", (z ^ z >> 31).to_bytes(16 * count, byteorder))[::2 * _WORDS]
 
 
 def _u64s(key: int, n: int, count: int):
-    """u64s n+1 .. n+count (count <= 64) of stream ``key``, mixed side by side in the
-    128-bit lanes of one int; each lane is cut to its low word before every multiply."""
-    base = (key + (n + 1) * _GAMMA) & _MASK64
-    if count == 1:
-        return (_mix64(base),)
-    ones, steps, low = _lanes(count)
-    z = (base * ones + steps) & low
-    z = ((z ^ z >> 30) & low) * _MIX1 & low
-    z = ((z ^ z >> 27) & low) * _MIX2 & low
-    words = array("Q", (z ^ z >> 31).to_bytes(16 * count, "little"))
-    if byteorder == "big":
-        words.byteswap()
-    return words[::2]
+    """u64s n+1 .. n+count of stream ``key``, mixed side by side in one :func:`_mix_lanes` pass."""
+    ones, steps, _ = _lanes(count)
+    return _mix_lanes((key + (n + 1) * _GAMMA & _MASK64) * ones + steps, count)
 
 
 class SplitStream:

@@ -41,15 +41,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, compress, repeat
 from math import lcm
-from operator import add
+from operator import add, and_, not_
 from typing import Callable, Optional, Sequence
 
 from ._walk import Graph, Walk, check_step, observer, scaled, tree
 from .core import ReservationScheme, Roster, _check_policy
-from .rng import _GAMMA, _GAMMA_INV, _MASK64, _batched, _index_of, _mix64, _u64s
+from .rng import _GAMMA, _GAMMA_INV, _batched, _index_of, _lanes, _mix_lanes, _pack, _u64s
 
 __all__ = [
     "SchemeTable",
@@ -516,29 +516,37 @@ class _BlockSampler:
         rng._n = n
         return drawn
 
-    def read(self, rng, count: int, wanted: Sequence[int]) -> list[IntegralBlock]:
-        """Blocks number ``wanted`` (from 0) of the ``count`` :meth:`blocks` would draw,
-        leaving ``rng`` where it would.  On a tree with every leaf at depth d,
-        ``fixed`` holds d and the index at which stream 0 outputs each u64 above 2**64 - L,
-        the only ones ``randrange`` might reject (stream ``key`` outputs it key/gamma
-        earlier); if none is in n+1 .. n+d*count, block b is u64s n+d*b+1 .. n+d*b+d."""
+    def read(self, counts: Sequence[int], wanted: Sequence[Sequence[int]]) -> Callable[[Sequence], list[IntegralBlock]]:
+        """Blocks ``wanted[s]`` (from 0) of the ``counts[s]`` :meth:`blocks` would draw from stream s, as a function
+        of a list of distinct streams, each left where :meth:`blocks` leaves it.  With all leaves at depth d, ``fixed``
+        holds d and where stream 0 outputs each u64 ``randrange`` might reject; if none is in n+1 .. n+d*count (then
+        byte s of ``ok`` is 1), block b is u64s n+d*b+1 .. n+d*b+d, mixed with all the others in one
+        :func:`_mix_lanes` pass and decoded a tree level at a time.  Other streams draw through :meth:`blocks`."""
         d, rejects = self.fixed or (0, ())
-        if d and len(rejects) <= d * count and _batched(rng):
-            key, n, span = rng.key, rng._n, d * count
-            shift = key * _GAMMA_INV + n + 1
-            for i in rejects:
-                if (i - shift) & _MASK64 < span:  # u64 n+1+(i-shift) may be rejected
-                    break
-            else:
-                rng._n, drawn = n + span, []
-                for b in wanted:
-                    node, z = self.root, key + (n + d * b + 1) * _GAMMA  # u64 n+d*b+1 is _mix64(z)
-                    while type(node) is list:
-                        node, z = node[2] if _mix64(z & _MASK64) % node[1] < node[0] else node[3], z + _GAMMA
-                    drawn.append(node)
-                return drawn
-        drawn = self.blocks(rng, count)
-        return [drawn[b] for b in wanted]
+        spans, (ones, _, low) = [d * c for c in counts], _lanes(len(counts))
+        high, room, size = ones << 64, (ones << 64) - _pack(spans), 16 * len(spans)  # lane s of room: 2**64 - span s
+        at, marks = [*accumulate(map(len, wanted), initial=0)], [i * ones for i in rejects]
+        owner = [s for s, own in enumerate(wanted) for _ in range(d * len(own))]  # each lane's stream
+        steps = _pack([d * b + l + 1 for own in wanted for b in own for l in range(d)])  # each lane's u64 past n
+
+        def read(streams: Sequence) -> list[IntegralBlock]:
+            keys, ns = ([*map(getattr, streams, repeat(name), repeat(0))] for name in ("key", "_n"))
+            back = high - ((_pack(keys) * _GAMMA_INV + (any(ns) and _pack(ns)) + ones) & low)  # 2**64 - n+1 in stream 0
+            ok = reduce(and_, [(m + back & low) + room for m in marks], d and high).to_bytes(size, "little")[8::16]
+            if not all(map(_batched, dict(zip(map(type, streams), streams)).values())):  # a class overrides next_u64
+                ok = bytes(map(and_, ok, map(_batched, streams)))
+            for rng, n in compress(zip(streams, map(add, ns, spans)), ok):
+                rng._n = n
+            ahead = (any(ns) and _pack([*map(ns.__getitem__, owner)])) + steps & _lanes(len(owner))[2]  # n+d*b+1+l
+            us = owner and _mix_lanes(_pack([*map(keys.__getitem__, owner)]) + ahead * _GAMMA, len(owner))
+            nodes = [self.root] * at[-1]
+            for l in range(d):  # level l of every block
+                nodes = [node[2] if u % node[1] < node[0] else node[3] for node, u in zip(nodes, us[l::d])]
+            for s in compress(range(len(ok)), map(not_, ok)):  # the streams that did not pass
+                nodes[at[s]:at[s + 1]] = map(self.blocks(streams[s], counts[s]).__getitem__, wanted[s])
+            return nodes
+
+        return read
 
 
 @lru_cache(maxsize=1)

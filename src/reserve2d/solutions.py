@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import sqrt
 from operator import add, attrgetter, getitem, mul, sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     ReservationProblem,
@@ -41,7 +41,7 @@ from .core import (
     _check_counts,
     build_fair_share_table,
 )
-from .rng import SplitStream
+from .rng import _GAMMA, _MASK64, SplitStream, _lanes, _mix_lanes, _pack
 from .roster import _BlockSampler, _sampler, build_scheme_table
 
 __all__ = [
@@ -89,13 +89,12 @@ def _tally(source: Sequence[str], ends: Sequence[int], categories: Sequence[str]
     return list(chain.from_iterable(out))
 
 
-def _reader(sampler: _BlockSampler, ends: Sequence[Sequence[int]]) -> Callable[[Iterable[SplitStream]], list]:
+def _reader(sampler: _BlockSampler, ends: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list]:
     """What :func:`_tally` counts in the independent blocks ``sampler`` draws from stream s at
-    each q in ``ends[s]``, as a function of the streams: every stream's first end, then every
-    stream's second, and so on; it draws no block past a stream's last end and reads only those
-    an end falls in."""
+    each q in ``ends[s]``, as a function of the streams' keys (each stream read from its first
+    draw): every stream's first end, then every stream's second, and so on; it draws no block
+    past a stream's last end and reads only those an end falls in, in one read of all streams."""
     k, whole = sampler.table.height, sampler.table.column_totals
-    lengths = [-(-max(own) // k) for own in ends]  # blocks each stream draws
     wanted = [sorted({q // k for q in own if q % k}) for own in ends]
     place = {sb: i for i, sb in enumerate((s, b) for s, own in enumerate(wanted) for b in own)}
     # End q = b*k + r of stream s: b whole blocks, then r positions of the idx-th block read (-1: ``none``, no block).
@@ -103,11 +102,13 @@ def _reader(sampler: _BlockSampler, ends: Sequence[Sequence[int]]) -> Callable[[
     base = [b * w for _, b, _ in spots for w in whole]
     idx = [place[s, b] if r else -1 for s, b, r in spots]
     rs = [r for _, _, r in spots]
-    none = ((0,) * len(whole),)
+    none, streams = ((0,) * len(whole),), [SplitStream(0) for _ in ends]  # rekeyed for every run
+    blocks = sampler.read([-(-max(own) // k) for own in ends], wanted)  # each stream draws its blocks to its last end
 
-    def read(streams: Iterable[SplitStream]) -> list:
-        blocks = chain.from_iterable(map(sampler.read, streams, lengths, wanted))
-        prefixes = [*map(attrgetter("_prefix"), blocks), none]
+    def read(keys: Sequence[int]) -> list:
+        for stream, key in zip(streams, keys):
+            stream.key, stream._n = key, 0
+        prefixes = [*map(attrgetter("_prefix"), blocks(streams)), none]
         return list(map(add, base, chain.from_iterable(map(getitem, map(prefixes.__getitem__, idx), rs))))
 
     return read
@@ -206,8 +207,9 @@ def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable:
     no seed changes worked out once."""
     if config.kind == "proposed":  # department i reads blocks drawn from child stream i
         read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), list(zip(*problem._cumulative)))
-        departments = range(len(problem.departments))
-        return lambda seed: read(map(SplitStream(seed).child, departments))
+        m = len(problem.departments)  # child i's key mixes seed ^ gamma*(2i+1), as SplitStream.child does
+        ones, odd = _lanes(m)[0], _pack([_GAMMA * (2 * i + 1) & _MASK64 for i in range(m)])
+        return lambda seed: read(_mix_lanes(SplitStream(seed).key * ones ^ odd, m))
     if config.roster is not None:
         _check_roster(problem, config.roster, config.kind)
     if config.kind == "government":
@@ -218,7 +220,7 @@ def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable:
         fixed = arrange(_tally(config.roster.assignment, ends, problem.scheme.categories))
         return lambda seed: fixed
     read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), [ends])
-    return lambda seed: arrange(read([SplitStream(seed)]))
+    return lambda seed: arrange(read([SplitStream(seed).key]))
 
 
 def run_solution(

@@ -15,6 +15,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import reserve2d
 from reserve2d import cli
@@ -265,6 +267,25 @@ def test_out_of_range_period_exits_three(capsys, files):
     )
     assert code == 3
     assert err.startswith("error:") and "period" in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner)
+        | st.dictionaries(st.integers(), inner)
+    ),
+    max_leaves=40,
+)
+
+
+@given(value=_JSON_VALUES)
+@example(value={"d\u00e9pt \u2603": ["1/3", 7, -0.5, float("nan"), True, None, [], {}], "a": {"\U0001f600": [[]]}})
+@example(value=[{"x": 1.0, "y": float("inf")}, ("t", 2), {3: "three", 1: "one"}])
+def test_json_writer_writes_what_the_indented_encoder_writes(value):
+    """``cli._json`` writes the bytes of ``json.dumps(value, indent=2, sort_keys=True)``: ``ensure_ascii``
+    escapes, floats, empty and nested containers, tuples and non-string keys included."""
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 # ------------------------------------------------------------------- round

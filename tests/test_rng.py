@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reserve2d import ALGORITHM, SplitStream
-from reserve2d.rng import _GAMMA, _MASK64, _batched, _index_of, _mix64, _u64s, _unmix64
+from reserve2d.rng import _GAMMA, _MASK64, _batched, _index_of, _mix64, _mix_lanes, _pack, _u64s, _unmix64
 
 from conftest import time_limit
 
@@ -168,6 +168,23 @@ def test_batched_u64s_equal_successive_draws(key, n, count):
     stream = SplitStream(key)
     stream._n = n
     assert list(_u64s(key, n, count)) == [stream.next_u64() for _ in range(count)]
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, _MASK64), st.integers(0, _MASK64)), min_size=1, max_size=300))
+@example(pairs=[(0, 0)])
+@example(pairs=[(_MASK64, 0)])
+@example(pairs=[(_MASK64, _MASK64)])
+@example(pairs=[(_MASK64 - i, i) for i in range(64)])
+@example(pairs=[(i * _GAMMA & _MASK64, _MASK64 * (i % 2)) for i in range(65)])
+@example(pairs=[((i + 1) * _GAMMA & _MASK64, i * 7) for i in range(300)])
+def test_lane_mixer_equals_mix64_lane_by_lane(pairs):
+    """``_mix_lanes`` mixes the 64-bit inputs packed in 128-bit lanes side by
+    side and returns ``_mix64`` of each, lane by lane, for one lane, 64 or
+    more.  A lane that holds a sum past 2**64 is mixed as its low word, and
+    its carry never reaches the next lane."""
+    values, extra = ([pair[i] for pair in pairs] for i in (0, 1))
+    assert list(_mix_lanes(_pack(values), len(values))) == [_mix64(v) for v in values]
+    assert list(_mix_lanes(_pack(values) + _pack(extra), len(pairs))) == [_mix64((v + e) & _MASK64) for v, e in pairs]
 
 
 @given(x=st.integers(0, _MASK64))

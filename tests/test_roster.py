@@ -25,7 +25,7 @@ from reserve2d import (
 from reserve2d import roster
 from reserve2d._walk import Graph, Walk, scaled
 from reserve2d.fileio import parse_scheme_file
-from reserve2d.rng import _GAMMA, _MASK64, _mix64, _unmix64
+from reserve2d.rng import _GAMMA, _MASK64, _index_of, _mix64, _unmix64
 from reserve2d.roster import (
     FlowEdge,
     FlowStep,
@@ -807,7 +807,7 @@ def test_draws_change_no_node_of_the_tree(quarters_scheme):
     for seed in range(30):
         a, b = SplitStream(seed), SplitStream(seed)
         looped = _block_loop(plain, b, 6)
-        assert sampler.blocks(a, 2) + [sampler.walk(a)] + sampler.read(a, 3, [0, 2]) == looped[:4] + looped[5:], seed
+        assert sampler.blocks(a, 2) + [sampler.walk(a)] + _read(sampler, a, 3, [0, 2]) == looped[:4] + looped[5:], seed
         assert a._n == b._n, seed
         assert sampler.root == built, seed
     assert len(_leaf_depths(sampler.root)) == 196
@@ -871,7 +871,7 @@ def test_a_sampler_never_changes_once_built(third_scheme, quarters_scheme):
         root, fixed, rejects = sampler.root, sampler.fixed, sampler.fixed and list(sampler.fixed[1])
         for seed in range(3):
             sampler.blocks(SplitStream(seed), 5)
-            sampler.read(SplitStream(seed), 5, [1, 3])
+            _read(sampler, SplitStream(seed), 5, [1, 3])
             sampler.walk(SplitStream(seed))
             sampler.walk(SplitStream(seed), on_step=[].append)
             sampler.blocks(_CountedU64s(seed), 3)
@@ -882,10 +882,15 @@ def test_a_sampler_never_changes_once_built(third_scheme, quarters_scheme):
             count = 1 + seed
             a, b, c = (SplitStream(seed) for _ in range(3))
             drawn = roster._BlockSampler(table).blocks(a, count)
-            assert roster._BlockSampler(table).read(b, count, range(count)) == drawn, (height, seed)
+            assert _read(roster._BlockSampler(table), b, count, range(count)) == drawn, (height, seed)
             walker = roster._BlockSampler(table)
             assert [walker.walk(c) for _ in range(count)] == drawn, (height, seed)
             assert a._n == b._n == c._n, (height, seed)
+
+
+def _read(sampler, rng, count, wanted):
+    """The one-stream case of ``sampler.read``: blocks ``wanted`` of the ``count`` drawn from ``rng``."""
+    return sampler.read([count], [wanted])([rng])
 
 
 def _spied(monkeypatch, sampler):
@@ -896,7 +901,7 @@ def _spied(monkeypatch, sampler):
 
 
 def test_read_returns_the_wanted_blocks_of_blocks(monkeypatch, third_scheme, half_scheme, quarters_scheme):
-    """``read(rng, count, wanted)`` returns blocks ``wanted`` of what
+    """The one-stream read returns blocks ``wanted`` of what
     ``blocks(rng, count)`` draws and leaves the stream at the same draw
     index, over seeds, counts 1-300 and random wanted sets.  Trees whose
     leaves share one depth (1/3 at heights 3 and 6, half/half) decode only
@@ -918,7 +923,7 @@ def test_read_returns_the_wanted_blocks_of_blocks(monkeypatch, third_scheme, hal
             a, b = SplitStream(seed), SplitStream(seed)
             a.next_u64(), b.next_u64()  # start off the stream's first draw
             drawn = plain.blocks(b, count)
-            assert sampler.read(a, count, wanted) == [drawn[w] for w in wanted], (height, seed)
+            assert _read(sampler, a, count, wanted) == [drawn[w] for w in wanted], (height, seed)
             assert a._n == b._n, (height, seed)
         assert calls == ([] if depth else [1 + seed if height < 200 else 2 for seed in range(seeds)]), height
         monkeypatch.undo()
@@ -944,10 +949,58 @@ def test_read_falls_back_where_randrange_might_reject(monkeypatch, third_scheme,
                 a._n = b._n = n
                 calls = _spied(monkeypatch, sampler)
                 drawn = plain.blocks(b, count)
-                assert sampler.read(a, count, wanted) == [drawn[w] for w in wanted], (u, j)
+                assert _read(sampler, a, count, wanted) == [drawn[w] for w in wanted], (u, j)
                 assert a._n == b._n, (u, j)
                 assert calls == ([count] if falls_back else []), (scheme, u, j)
                 monkeypatch.undo()
+
+
+def test_one_read_over_many_streams_draws_what_each_stream_draws(monkeypatch, third_scheme, half_scheme,
+                                                                  quarters_scheme):
+    """One read over many streams returns, stream after stream, the wanted blocks of what ``blocks`` draws from
+    each, and leaves every stream's draw index where ``blocks`` leaves it, over seeds, with counts of 0 and streams
+    that want no block.  The stream in the middle is keyed with ``_index_of`` so that a u64 ``randrange`` might
+    reject falls inside its span: it falls back to ``blocks`` while the others keep their draws, and so do the
+    first stream, which overrides ``next_u64`` and still sees every draw, and the last, a ``random.Random``.  On
+    quarters, whose leaves sit at two depths, every stream draws through ``blocks``."""
+    pick = random.Random(3)
+    cases = ((third_scheme, 3), (third_scheme, 6), (half_scheme, 2), (half_scheme, 8), (quarters_scheme, 4))
+    for scheme, height in cases:
+        table = build_scheme_table(scheme, height)
+        sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
+        for seed in range(40):
+            size = pick.randint(3, 12)
+            middle, last = size // 2, size - 1
+            counts = [pick.choice([0, 1, 2, pick.randint(1, 40)]) for _ in range(size)]
+            counts[middle] = max(counts[middle], 1)
+            wanted = [sorted(pick.sample(range(c), pick.randint(0, min(c, 6)))) for c in counts]
+            starts = [pick.choice([0, 0, 7]) for _ in range(size)]
+            keys = [SplitStream(seed).child(s).key for s in range(size)]
+            if sampler.fixed:
+                d, rejects = sampler.fixed
+                j = starts[middle] + 1 + pick.randrange(d * counts[middle])  # inside the middle stream's span
+                keys[middle] = (pick.choice(rejects) - j) * _GAMMA & _MASK64
+                assert j in {_index_of(keys[middle], u) for u in range((1 << 64) - len(rejects), 1 << 64)}
+            pairs = []
+            for s, (key, n) in enumerate(zip(keys, starts)):
+                kind = random.Random if s == last else _CountedU64s if s == 0 else SplitStream
+                pair = [kind(key), kind(key)]
+                if s != last:
+                    pair[0]._n = pair[1]._n = n
+                pairs.append(pair)
+            calls = _spied(monkeypatch, sampler)
+            streams = [a for a, _ in pairs]
+            expected = []
+            for (_, b), count, own in zip(pairs, counts, wanted):
+                drawn = plain.blocks(b, count)
+                expected += [drawn[w] for w in own]
+            assert sampler.read(counts, wanted)(streams) == expected, (height, seed)
+            assert [a._n for a, _ in pairs[:-1]] == [b._n for _, b in pairs[:-1]], (height, seed)
+            assert streams[0].calls == streams[0]._n - starts[0], (height, seed)
+            assert streams[last].getstate() == pairs[last][1].getstate(), (height, seed)
+            slow = [s for s in range(size) if not sampler.fixed or s in (0, middle, last)]
+            assert calls == [counts[s] for s in slow], (height, seed)
+            monkeypatch.undo()
 
 
 class _CountedU64s(SplitStream):
@@ -983,11 +1036,11 @@ def test_streams_that_override_next_u64_see_every_draw(third_scheme):
         for seed in range(5):
             a, b = _CountedU64s(seed), SplitStream(seed)
             assert sampler.blocks(a, 40) == sampler.blocks(b, 40), seed
-            assert sampler.read(a, 40, [3, 39]) == sampler.read(b, 40, [3, 39]), seed
+            assert _read(sampler, a, 40, [3, 39]) == _read(sampler, b, 40, [3, 39]), seed
             assert a.calls == a._n == b._n, seed
             zeros, one = _ZeroU64s(seed), _ZeroU64s(seed)
             sampler.walk(one)
-            assert len(set(sampler.blocks(zeros, 30) + sampler.read(zeros, 9, [0, 8]))) == 1, seed
+            assert len(set(sampler.blocks(zeros, 30) + _read(sampler, zeros, 9, [0, 8]))) == 1, seed
             assert zeros._n == 39 * one._n, seed
     a, b = _CountedU64s(11), SplitStream(11)
     assert draw_roster(third_scheme, 3000, a) == draw_roster(third_scheme, 3000, b)

@@ -196,6 +196,14 @@ def test_run_solution_requirements(four_dept_problem):
         SolutionConfig("lottery")
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+@pytest.mark.parametrize("kind", ["proposed", "court", "government"])
+def test_drawn_runs_refuse_seeds_outside_64_bits(four_dept_problem, kind, seed):
+    """A run that draws refuses a seed outside 0 .. 2**64 - 1, as ``SplitStream`` does."""
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        run_solution(four_dept_problem, SolutionConfig(kind), seed)
+
+
 def test_estimated_table_is_deterministic_for_fixed_roster(four_dept_problem):
     config = SolutionConfig("government", roster=mod3_roster(18))
     est = estimate_expected_table(four_dept_problem, 3, config, 500, seed=0)
@@ -310,6 +318,7 @@ _FIVE = ReservationScheme(
 )
 _QUARTERS = ReservationScheme(("c1", "c2", "c3"), (F(1, 4), F(1, 4), F(1, 2)))
 _THIRD = ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3)))
+_HALF = ReservationScheme(("c1", "c2"), (F(1, 2), F(1, 2)))
 
 # Problems and block heights for the kernel's oracle tests.  Each has a
 # department or a period without vacancies, and reads boundaries at exact
@@ -367,6 +376,21 @@ def test_kernel_counts_fixed_rosters_like_the_sliced_ones(case):
         assert _tables(run_court(problem, roster)) == _oracle(problem, court, None)
         order = _orders(problem)[1]
         assert _tables(run_government(problem, roster, order)) == _pooled_government(problem, roster, order)
+
+
+@pytest.mark.parametrize("scheme, height", [(_THIRD, None), (_THIRD, 6), (_HALF, 4)])
+def test_proposed_runs_read_what_each_department_stream_draws(scheme, height):
+    """A proposed run mixes its departments' child keys, then reads every department's blocks in one read over
+    all the child streams.  Over 200 seeds it counts what each child stream's own blocks hold, with departments
+    and periods without vacancies and ends on block boundaries."""
+    vacancies = ((3, 0, 2, 6, 1, 0), (0, 0, 4, 3, 2, 0), (3, 0, 0, 6, 1, 0), (0, 0, 0, 0, 0, 0))
+    problem = ReservationProblem(("d1", "d2", "d3", "d4", "d5", "d6"), scheme, vacancies)
+    config = SolutionConfig("proposed", height=height)
+    assert _sampler(build_scheme_table(scheme, height)).fixed is not None
+    run = _runner(problem, config)
+    for seed in range(200):
+        key = SplitStream(seed).child(1).key
+        assert _tables(run(key), problem) == _oracle(problem, config, key), seed
 
 
 def _refusals(problem, grid):
@@ -517,6 +541,7 @@ def test_runs_whose_ends_close_blocks_decode_no_block(monkeypatch, third_scheme)
     expected = [[_oracle(problem, config, seed) for seed in seeds] for config in configs]
     decoded = []
     monkeypatch.setattr(roster, "_u64s", lambda *args: decoded.append(args))
+    monkeypatch.setattr(roster, "_mix_lanes", lambda *args: decoded.append(args))
     monkeypatch.setattr(sampler, "blocks", lambda *args: decoded.append(args))
     for config, want in zip(configs, expected):
         assert [_tables(grid, problem) for grid in _replicate(problem, config, 4, SplitStream(6))] == want, config
