@@ -30,7 +30,7 @@ Every vertex keeps its edges' relative order, so the walk finds the same
 cycles (each cell pair as one edge) and the same draws.  A sampler whose
 walks are all short lists them once as a tree and descends it.  Tuple vertices
 and ``Fraction`` flows exist only at the API edge: :class:`FlowNetwork`, the
-functions that take one, and the steps an observer is shown.
+functions that take one, and observed draws, which walk a network, not a sampler.
 
 Rosters longer than one block either concatenate independent block draws
 (the default) or tile a single draw (``repeat-block``).
@@ -42,14 +42,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from math import lcm
 from operator import add, and_, not_
 from typing import Callable, Optional, Sequence
 
 from ._walk import Graph, Walk, check_step, observer, scaled, tree
 from .core import ReservationScheme, Roster, _check_policy
-from .rng import _GAMMA, _GAMMA_INV, _batched, _index_of, _lanes, _mix_lanes, _pack, _u64s
+from .rng import _GAMMA, _GAMMA_INV, SplitStream, _batched, _index_of, _lanes, _mix_lanes, _pack, _u64s
 
 __all__ = [
     "SchemeTable",
@@ -425,17 +425,24 @@ class IntegralBlock:
         return cls(table.scheme, table.height, tuple(tuple(r) for r in grid))
 
 
+def _block_of(table: SchemeTable, cells: Sequence[int]) -> IntegralBlock:
+    """The block of ``table`` whose cells, row by row, are ``cells``."""
+    n = table.scheme.size
+    return IntegralBlock(table.scheme, table.height, tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n)))
+
+
 def _depths(node, depth: int = 0) -> set[int]:
     """The depths of the leaves under ``node``, itself at ``depth``."""
     return _depths(node[2], depth + 1) | _depths(node[3], depth + 1) if type(node) is list else {depth}
 
 
 class _BlockSampler:
-    """Block draws for one scheme table; a sampler never changes once built.
+    """Unobserved block draws for one scheme table; a sampler never changes once built.
 
     ``root`` is every walk of the folded network as a :func:`reserve2d._walk.tree` over blocks, or
     None if a walk takes more than ``_TREE_DEPTH`` steps.  :meth:`blocks` descends it (drawing what
-    :meth:`walk` would) or walks; :meth:`read` decodes only the blocks asked for if leaves share a depth."""
+    :meth:`walk` would) or walks; :meth:`read` takes keys of fresh streams and decodes only the
+    blocks asked for if leaves share a depth."""
 
     # Most steps of a walk a sampler lists as a tree: deeper trees barely pay for their descent
     # or lose to walks, and a five-category block (about 740 steps) gives up in 13 nodes.
@@ -460,22 +467,12 @@ class _BlockSampler:
 
     def _block(self, walk: Walk) -> IntegralBlock:
         """The block of an integral walk of the folded network."""
-        cells, n = [walk.flows[e] // walk.scale for e in self.cells], self.table.scheme.size
-        rows = tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
-        return IntegralBlock(self.table.scheme, self.table.height, rows)
+        return _block_of(self.table, [walk.flows[e] // walk.scale for e in self.cells])
 
-    def walk(self, rng, on_step: Optional[Callable[[FlowStep], None]] = None) -> IntegralBlock:
-        """One block walked from the start with ``rng``'s draws, each step shown to ``on_step``."""
-        walk, show = Walk(self.start.graph, self.start.scale, self.start.flows), None
-        if on_step is not None:
-            network, split = build_flow_network(self.table), len(walk.flows) - self.table.height
-            # Each folded edge's network edges, forward ([::-1] runs them backward); cell -> row edges start at split.
-            parts = [(e,) if e < split else (e + len(self.cells),) for e in range(len(walk.flows))]
-            for c, e in enumerate(self.cells):
-                parts[e] = e, split + c
-            found = lambda: [(part, d) for e, d in walk._found() for part in parts[e][::d]]
-            show = observer(FlowStep, network, tuple, _network_at, found, on_step)
-        walk.run(rng, show)
+    def walk(self, rng) -> IntegralBlock:
+        """One block walked from the start with ``rng``'s draws."""
+        walk = Walk(self.start.graph, self.start.scale, self.start.flows)
+        walk.run(rng)
         return self._block(walk)
 
     def blocks(self, rng, count: int) -> list[IntegralBlock]:
@@ -516,34 +513,29 @@ class _BlockSampler:
         rng._n = n
         return drawn
 
-    def read(self, counts: Sequence[int], wanted: Sequence[Sequence[int]]) -> Callable[[Sequence], list[IntegralBlock]]:
-        """Blocks ``wanted[s]`` (from 0) of the ``counts[s]`` :meth:`blocks` would draw from stream s, as a function
-        of a list of distinct streams, each left where :meth:`blocks` leaves it.  With all leaves at depth d, ``fixed``
-        holds d and where stream 0 outputs each u64 ``randrange`` might reject; if none is in n+1 .. n+d*count (then
-        byte s of ``ok`` is 1), block b is u64s n+d*b+1 .. n+d*b+d, mixed with all the others in one
-        :func:`_mix_lanes` pass and decoded a tree level at a time.  Other streams draw through :meth:`blocks`."""
+    def read(self, counts: Sequence[int], wanted: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[IntegralBlock]]:
+        """Blocks ``wanted[s]`` (from 0) of the ``counts[s]`` :meth:`blocks` would draw from a fresh stream of key s, as a
+        function of a list of keys.  With all leaves at depth d, ``fixed`` holds d and where stream 0 outputs each u64
+        ``randrange`` might reject; if none is in 1 .. d*count (then byte s of ``ok`` is 1), block b is u64s d*b+1 ..
+        d*b+d, mixed with all the others in one :func:`_mix_lanes` pass and decoded a tree level at a time.  Other keys,
+        and every key while ``SplitStream.next_u64`` is rebound (a tracer), draw through :meth:`blocks`."""
         d, rejects = self.fixed or (0, ())
         spans, (ones, _, low) = [d * c for c in counts], _lanes(len(counts))
         high, room, size = ones << 64, (ones << 64) - _pack(spans), 16 * len(spans)  # lane s of room: 2**64 - span s
         at, marks = [*accumulate(map(len, wanted), initial=0)], [i * ones for i in rejects]
-        owner = [s for s, own in enumerate(wanted) for _ in range(d * len(own))]  # each lane's stream
-        steps = _pack([d * b + l + 1 for own in wanted for b in own for l in range(d)])  # each lane's u64 past n
+        owner = [s for s, own in enumerate(wanted) for _ in range(d * len(own))]  # each lane's key
+        steps = _pack([d * b + l + 1 for own in wanted for b in own for l in range(d)]) * _GAMMA  # each lane's u64
 
-        def read(streams: Sequence) -> list[IntegralBlock]:
-            keys, ns = ([*map(getattr, streams, repeat(name), repeat(0))] for name in ("key", "_n"))
-            back = high - ((_pack(keys) * _GAMMA_INV + (any(ns) and _pack(ns)) + ones) & low)  # 2**64 - n+1 in stream 0
-            ok = reduce(and_, [(m + back & low) + room for m in marks], d and high).to_bytes(size, "little")[8::16]
-            if not all(map(_batched, dict(zip(map(type, streams), streams)).values())):  # a class overrides next_u64
-                ok = bytes(map(and_, ok, map(_batched, streams)))
-            for rng, n in compress(zip(streams, map(add, ns, spans)), ok):
-                rng._n = n
-            ahead = (any(ns) and _pack([*map(ns.__getitem__, owner)])) + steps & _lanes(len(owner))[2]  # n+d*b+1+l
-            us = owner and _mix_lanes(_pack([*map(keys.__getitem__, owner)]) + ahead * _GAMMA, len(owner))
+        def read(keys: Sequence[int]) -> list[IntegralBlock]:
+            back = high - (_pack(keys) * _GAMMA_INV + ones & low)  # 2**64 - where stream 0 outputs u64 1 of key s
+            gate = high if d and _batched(SplitStream(0)) else 0
+            ok = reduce(and_, [(m + back & low) + room for m in marks], gate).to_bytes(size, "little")[8::16]
+            us = owner and _mix_lanes(_pack([*map(keys.__getitem__, owner)]) + steps, len(owner))
             nodes = [self.root] * at[-1]
             for l in range(d):  # level l of every block
                 nodes = [node[2] if u % node[1] < node[0] else node[3] for node, u in zip(nodes, us[l::d])]
-            for s in compress(range(len(ok)), map(not_, ok)):  # the streams that did not pass
-                nodes[at[s]:at[s + 1]] = map(self.blocks(streams[s], counts[s]).__getitem__, wanted[s])
+            for s in compress(range(len(ok)), map(not_, ok)):  # the keys that did not pass
+                nodes[at[s]:at[s + 1]] = map(self.blocks(SplitStream(keys[s]), counts[s]).__getitem__, wanted[s])
             return nodes
 
         return read
@@ -564,12 +556,18 @@ def draw_block(
 ) -> IntegralBlock:
     """Draw one integral block; every cell's expectation is its fraction.
 
-    An observed draw walks the cached sampler, so it draws what an unobserved
-    one does; both branches of every step validate all their edges, so
-    observe small tables.
+    An unobserved draw descends or walks the cached sampler.  An observed one
+    walks the table's own network, which draws what the sampler does, and
+    leaves the cached sampler alone; both branches of every step validate
+    all their edges, so observe small tables.
     """
-    sampler = _sampler(build_scheme_table(scheme, height))
-    return sampler.blocks(rng, 1)[0] if on_step is None else sampler.walk(rng, on_step)
+    table = build_scheme_table(scheme, height)
+    if on_step is None:
+        return _sampler(table).blocks(rng, 1)[0]
+    walk = _walk(network := build_flow_network(table))
+    walk.run(rng, observer(FlowStep, network, tuple, _network_at, walk._found, on_step))
+    k, n = table.height, table.scheme.size  # the cell -> row edges come last but for the row -> sink ones
+    return _block_of(table, [f // walk.scale for f in walk.flows[-k - k * n:-k]])
 
 
 def draw_roster(

@@ -90,10 +90,10 @@ def _tally(source: Sequence[str], ends: Sequence[int], categories: Sequence[str]
 
 
 def _reader(sampler: _BlockSampler, ends: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list]:
-    """What :func:`_tally` counts in the independent blocks ``sampler`` draws from stream s at
-    each q in ``ends[s]``, as a function of the streams' keys (each stream read from its first
-    draw): every stream's first end, then every stream's second, and so on; it draws no block
-    past a stream's last end and reads only those an end falls in, in one read of all streams."""
+    """What :func:`_tally` counts in the independent blocks ``sampler`` draws from a fresh stream
+    of key s at each q in ``ends[s]``, as a function of the keys: every stream's first end, then
+    every stream's second, and so on; it draws no block past a stream's last end and reads only
+    those an end falls in, in one ``sampler.read`` of all the keys as given."""
     k, whole = sampler.table.height, sampler.table.column_totals
     wanted = [sorted({q // k for q in own if q % k}) for own in ends]
     place = {sb: i for i, sb in enumerate((s, b) for s, own in enumerate(wanted) for b in own)}
@@ -102,13 +102,11 @@ def _reader(sampler: _BlockSampler, ends: Sequence[Sequence[int]]) -> Callable[[
     base = [b * w for _, b, _ in spots for w in whole]
     idx = [place[s, b] if r else -1 for s, b, r in spots]
     rs = [r for _, _, r in spots]
-    none, streams = ((0,) * len(whole),), [SplitStream(0) for _ in ends]  # rekeyed for every run
+    none = ((0,) * len(whole),)
     blocks = sampler.read([-(-max(own) // k) for own in ends], wanted)  # each stream draws its blocks to its last end
 
     def read(keys: Sequence[int]) -> list:
-        for stream, key in zip(streams, keys):
-            stream.key, stream._n = key, 0
-        prefixes = [*map(attrgetter("_prefix"), blocks(streams)), none]
+        prefixes = [*map(attrgetter("_prefix"), blocks(keys)), none]
         return list(map(add, base, chain.from_iterable(map(getitem, map(prefixes.__getitem__, idx), rs))))
 
     return read

@@ -806,9 +806,11 @@ def test_draws_change_no_node_of_the_tree(quarters_scheme):
     built = copy.deepcopy(sampler.root)
     for seed in range(30):
         a, b = SplitStream(seed), SplitStream(seed)
-        looped = _block_loop(plain, b, 6)
-        assert sampler.blocks(a, 2) + [sampler.walk(a)] + _read(sampler, a, 3, [0, 2]) == looped[:4] + looped[5:], seed
+        looped = _block_loop(plain, b, 3)
+        assert sampler.blocks(a, 2) + [sampler.walk(a)] == looped, seed
         assert a._n == b._n, seed
+        fresh = _block_loop(plain, SplitStream(seed + 100), 3)
+        assert _read(sampler, seed + 100, 3, [0, 2]) == [fresh[0], fresh[2]], seed
         assert sampler.root == built, seed
     assert len(_leaf_depths(sampler.root)) == 196
 
@@ -859,11 +861,11 @@ def test_sampler_tree_is_the_enumerated_block_law(third_scheme, half_scheme, qua
 
 
 def test_a_sampler_never_changes_once_built(third_scheme, quarters_scheme):
-    """``blocks``, ``read``, ``walk``, an observed ``walk`` and a stream that is
-    not read from batches leave a sampler's ``root`` and ``fixed`` the very
-    objects it was built with, with or without a tree.  On fresh samplers,
-    ``blocks``, ``read`` of every block and one ``walk`` per block return the
-    same blocks and leave the same draw index."""
+    """``blocks``, ``read``, ``walk`` and a stream that is not read from batches
+    leave a sampler's ``root`` and ``fixed`` the very objects it was built with,
+    with or without a tree.  On fresh samplers, ``blocks`` from a fresh stream,
+    ``read`` of every block of its key and one ``walk`` per block return the
+    same blocks, and the two streams stop at the same draw index."""
     mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
     for scheme, height in ((third_scheme, 3), (quarters_scheme, 8), (mixed, 12)):
         table = build_scheme_table(scheme, height)
@@ -871,26 +873,25 @@ def test_a_sampler_never_changes_once_built(third_scheme, quarters_scheme):
         root, fixed, rejects = sampler.root, sampler.fixed, sampler.fixed and list(sampler.fixed[1])
         for seed in range(3):
             sampler.blocks(SplitStream(seed), 5)
-            _read(sampler, SplitStream(seed), 5, [1, 3])
+            _read(sampler, seed, 5, [1, 3])
             sampler.walk(SplitStream(seed))
-            sampler.walk(SplitStream(seed), on_step=[].append)
             sampler.blocks(_CountedU64s(seed), 3)
             sampler.blocks(random.Random(seed), 3)
             assert sampler.root is root and sampler.fixed is fixed, (height, seed)
             assert (fixed and fixed[1]) == rejects, (height, seed)
         for seed in range(10):
             count = 1 + seed
-            a, b, c = (SplitStream(seed) for _ in range(3))
+            a, c = SplitStream(seed), SplitStream(seed)
             drawn = roster._BlockSampler(table).blocks(a, count)
-            assert _read(roster._BlockSampler(table), b, count, range(count)) == drawn, (height, seed)
+            assert _read(roster._BlockSampler(table), seed, count, range(count)) == drawn, (height, seed)
             walker = roster._BlockSampler(table)
             assert [walker.walk(c) for _ in range(count)] == drawn, (height, seed)
-            assert a._n == b._n == c._n, (height, seed)
+            assert a._n == c._n, (height, seed)
 
 
-def _read(sampler, rng, count, wanted):
-    """The one-stream case of ``sampler.read``: blocks ``wanted`` of the ``count`` drawn from ``rng``."""
-    return sampler.read([count], [wanted])([rng])
+def _read(sampler, key, count, wanted):
+    """The one-key case of ``sampler.read``: blocks ``wanted`` of the ``count`` drawn from a fresh stream of ``key``."""
+    return sampler.read([count], [wanted])([key])
 
 
 def _spied(monkeypatch, sampler):
@@ -901,12 +902,12 @@ def _spied(monkeypatch, sampler):
 
 
 def test_read_returns_the_wanted_blocks_of_blocks(monkeypatch, third_scheme, half_scheme, quarters_scheme):
-    """The one-stream read returns blocks ``wanted`` of what
-    ``blocks(rng, count)`` draws and leaves the stream at the same draw
-    index, over seeds, counts 1-300 and random wanted sets.  Trees whose
-    leaves share one depth (1/3 at heights 3 and 6, half/half) decode only
-    the wanted blocks; quarters, whose leaves sit at depths 3 and 4, and the
-    five-category scheme, which has no tree, draw through ``blocks``."""
+    """The one-key read returns blocks ``wanted`` of what ``blocks`` draws
+    from a fresh stream of that key, over seeds, counts 1-300 and random
+    wanted sets.  Trees whose leaves share one depth (1/3 at heights 3 and
+    6, half/half) decode only the wanted blocks; quarters, whose leaves sit
+    at depths 3 and 4, and the five-category scheme, which has no tree,
+    draw through ``blocks``."""
     pick = random.Random(7)
     cases = [
         (third_scheme, 3, 2, 300), (third_scheme, 6, 4, 300), (half_scheme, 2, 1, 300),
@@ -920,49 +921,42 @@ def test_read_returns_the_wanted_blocks_of_blocks(monkeypatch, third_scheme, hal
         for seed in range(seeds):
             count = 1 + seed if height < 200 else 2
             wanted = sorted(pick.sample(range(count), pick.randint(0, min(count, 12))))
-            a, b = SplitStream(seed), SplitStream(seed)
-            a.next_u64(), b.next_u64()  # start off the stream's first draw
-            drawn = plain.blocks(b, count)
-            assert _read(sampler, a, count, wanted) == [drawn[w] for w in wanted], (height, seed)
-            assert a._n == b._n, (height, seed)
+            key = SplitStream(seed).child(1).key
+            drawn = plain.blocks(SplitStream(key), count)
+            assert _read(sampler, key, count, wanted) == [drawn[w] for w in wanted], (height, seed)
         assert calls == ([] if depth else [1 + seed if height < 200 else 2 for seed in range(seeds)]), height
         monkeypatch.undo()
 
 
 def test_read_falls_back_where_randrange_might_reject(monkeypatch, third_scheme, half_scheme):
     """A u64 above 2**64 - L, where L (3 on 1/3, 2 on half/half) bounds every
-    denominator of the tree, may be rejected.  Streams built with the inverse of the
-    output function put such a u64 at draw n+1, in the middle, or last
+    denominator of the tree, may be rejected.  Keys built with the inverse of
+    the output function put such a u64 at number 1, in the middle, or last
     among the d*count a read spans: the read then draws through ``blocks``.
-    Just before or just after that span it decodes only the wanted blocks.
-    Either way it returns what ``blocks`` draws."""
+    At number 0, which no draw reads, or just past that span it decodes only
+    the wanted blocks.  Either way it returns what ``blocks`` draws."""
     for scheme, scale, count, wanted in ((third_scheme, 3, 5, [0, 3, 4]), (half_scheme, 2, 7, [2, 6])):
         table = build_scheme_table(scheme)
         sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
-        d = sampler.fixed[0]
+        span = sampler.fixed[0] * count
         assert len(sampler.fixed[1]) == scale - 1, scheme
-        n, span = 3, d * count
         for u in range((1 << 64) - scale + 1, 1 << 64):
-            for j, falls_back in ((n, False), (n + 1, True), (n + span // 2, True), (n + span, True), (n + span + 1, False)):
+            for j, falls_back in ((0, False), (1, True), (span // 2, True), (span, True), (span + 1, False)):
                 key = (_unmix64(u) - j * _GAMMA) & _MASK64  # u64 number j is u
-                a, b = SplitStream(key), SplitStream(key)
-                a._n = b._n = n
                 calls = _spied(monkeypatch, sampler)
-                drawn = plain.blocks(b, count)
-                assert _read(sampler, a, count, wanted) == [drawn[w] for w in wanted], (u, j)
-                assert a._n == b._n, (u, j)
+                drawn = plain.blocks(SplitStream(key), count)
+                assert _read(sampler, key, count, wanted) == [drawn[w] for w in wanted], (u, j)
                 assert calls == ([count] if falls_back else []), (scheme, u, j)
                 monkeypatch.undo()
 
 
 def test_one_read_over_many_streams_draws_what_each_stream_draws(monkeypatch, third_scheme, half_scheme,
                                                                   quarters_scheme):
-    """One read over many streams returns, stream after stream, the wanted blocks of what ``blocks`` draws from
-    each, and leaves every stream's draw index where ``blocks`` leaves it, over seeds, with counts of 0 and streams
-    that want no block.  The stream in the middle is keyed with ``_index_of`` so that a u64 ``randrange`` might
-    reject falls inside its span: it falls back to ``blocks`` while the others keep their draws, and so do the
-    first stream, which overrides ``next_u64`` and still sees every draw, and the last, a ``random.Random``.  On
-    quarters, whose leaves sit at two depths, every stream draws through ``blocks``."""
+    """One read over many keys returns, key after key, the wanted blocks of what ``blocks`` draws from a fresh
+    stream of each, over seeds, with counts of 0 and keys that want no block.  The key in the middle is made with
+    ``_index_of`` so that a u64 ``randrange`` might reject falls inside its span: it alone falls back to ``blocks``
+    while the others keep their draws.  On quarters, whose leaves sit at two depths, every key draws through
+    ``blocks``."""
     pick = random.Random(3)
     cases = ((third_scheme, 3), (third_scheme, 6), (half_scheme, 2), (half_scheme, 8), (quarters_scheme, 4))
     for scheme, height in cases:
@@ -970,36 +964,47 @@ def test_one_read_over_many_streams_draws_what_each_stream_draws(monkeypatch, th
         sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
         for seed in range(40):
             size = pick.randint(3, 12)
-            middle, last = size // 2, size - 1
+            middle = size // 2
             counts = [pick.choice([0, 1, 2, pick.randint(1, 40)]) for _ in range(size)]
             counts[middle] = max(counts[middle], 1)
             wanted = [sorted(pick.sample(range(c), pick.randint(0, min(c, 6)))) for c in counts]
-            starts = [pick.choice([0, 0, 7]) for _ in range(size)]
             keys = [SplitStream(seed).child(s).key for s in range(size)]
             if sampler.fixed:
                 d, rejects = sampler.fixed
-                j = starts[middle] + 1 + pick.randrange(d * counts[middle])  # inside the middle stream's span
+                j = 1 + pick.randrange(d * counts[middle])  # inside the middle key's span
                 keys[middle] = (pick.choice(rejects) - j) * _GAMMA & _MASK64
                 assert j in {_index_of(keys[middle], u) for u in range((1 << 64) - len(rejects), 1 << 64)}
-            pairs = []
-            for s, (key, n) in enumerate(zip(keys, starts)):
-                kind = random.Random if s == last else _CountedU64s if s == 0 else SplitStream
-                pair = [kind(key), kind(key)]
-                if s != last:
-                    pair[0]._n = pair[1]._n = n
-                pairs.append(pair)
-            calls = _spied(monkeypatch, sampler)
-            streams = [a for a, _ in pairs]
             expected = []
-            for (_, b), count, own in zip(pairs, counts, wanted):
-                drawn = plain.blocks(b, count)
+            for key, count, own in zip(keys, counts, wanted):
+                drawn = plain.blocks(SplitStream(key), count)
                 expected += [drawn[w] for w in own]
-            assert sampler.read(counts, wanted)(streams) == expected, (height, seed)
-            assert [a._n for a, _ in pairs[:-1]] == [b._n for _, b in pairs[:-1]], (height, seed)
-            assert streams[0].calls == streams[0]._n - starts[0], (height, seed)
-            assert streams[last].getstate() == pairs[last][1].getstate(), (height, seed)
-            slow = [s for s in range(size) if not sampler.fixed or s in (0, middle, last)]
-            assert calls == [counts[s] for s in slow], (height, seed)
+            calls = _spied(monkeypatch, sampler)
+            assert sampler.read(counts, wanted)(keys) == expected, (height, seed)
+            assert calls == ([counts[middle]] if sampler.fixed else counts), (height, seed)
+            monkeypatch.undo()
+
+
+def test_a_rebound_next_u64_sends_every_key_of_a_read_through_blocks(monkeypatch, third_scheme, half_scheme):
+    """A tracer rebinds ``SplitStream.next_u64`` on the class; every key of a read, even one that wants no block,
+    then draws through ``blocks``, the rebound method sees every u64 those draws read, and the blocks are those
+    of the read without it."""
+    for scheme, height in ((third_scheme, 3), (third_scheme, 6), (half_scheme, 2)):
+        sampler = roster._BlockSampler(build_scheme_table(scheme, height))
+        counts, wanted = [3, 0, 40, 1, 5], [[0, 2], [], [0, 17, 39], [], [4]]
+        for seed in range(5):
+            keys = [SplitStream(seed).child(s).key for s in range(len(counts))]
+            plain = sampler.read(counts, wanted)(keys)
+            draws = 0
+            for key, count in zip(keys, counts):
+                stream = SplitStream(key)
+                sampler.blocks(stream, count)
+                draws += stream._n
+            seen, next_u64 = [], SplitStream.next_u64
+            monkeypatch.setattr(SplitStream, "next_u64", lambda rng: seen.append(rng.key) or next_u64(rng))
+            calls = _spied(monkeypatch, sampler)
+            assert sampler.read(counts, wanted)(keys) == plain, (height, seed)
+            assert calls == counts, (height, seed)
+            assert len(seen) == draws and set(seen) == {k for k, c in zip(keys, counts) if c}, (height, seed)
             monkeypatch.undo()
 
 
@@ -1028,7 +1033,7 @@ class _ZeroU64s(SplitStream):
 def test_streams_that_override_next_u64_see_every_draw(third_scheme):
     """A subclass that overrides ``next_u64`` is not read from batches: on a
     sampler with a tree and on one without (1/3 at height 24), through
-    ``blocks``, ``read`` and ``draw_roster``, a counting stream sees every u64
+    ``blocks`` and ``draw_roster``, a counting stream sees every u64
     and draws what a plain stream draws, and a stream of zeros draws one block
     every time."""
     table = build_scheme_table(third_scheme)
@@ -1036,12 +1041,11 @@ def test_streams_that_override_next_u64_see_every_draw(third_scheme):
         for seed in range(5):
             a, b = _CountedU64s(seed), SplitStream(seed)
             assert sampler.blocks(a, 40) == sampler.blocks(b, 40), seed
-            assert _read(sampler, a, 40, [3, 39]) == _read(sampler, b, 40, [3, 39]), seed
             assert a.calls == a._n == b._n, seed
             zeros, one = _ZeroU64s(seed), _ZeroU64s(seed)
             sampler.walk(one)
-            assert len(set(sampler.blocks(zeros, 30) + _read(sampler, zeros, 9, [0, 8]))) == 1, seed
-            assert zeros._n == 39 * one._n, seed
+            assert len(set(sampler.blocks(zeros, 30))) == 1, seed
+            assert zeros._n == 30 * one._n, seed
     a, b = _CountedU64s(11), SplitStream(11)
     assert draw_roster(third_scheme, 3000, a) == draw_roster(third_scheme, 3000, b)
     assert a.calls == a._n == b._n == 2000
@@ -1068,6 +1072,22 @@ def test_sampler_cache_stays_bounded_and_evicted_samplers_draw_alike():
     misses = roster._sampler.cache_info().misses
     assert draws(schemes[0]) == before
     assert roster._sampler.cache_info().misses == misses + 1, "the first sampler was not evicted"
+
+
+def test_an_observed_draw_leaves_the_cached_sampler_alone(third_scheme, quarters_scheme):
+    """An observed draw walks the table's own network: on the cached sampler's
+    scheme and on others, it neither looks up, builds nor evicts a sampler,
+    and it returns the block an unobserved draw returns."""
+    table = build_scheme_table(third_scheme, 6)
+    cached = roster._sampler(table)
+    info = roster._sampler.cache_info()
+    for scheme, height in ((third_scheme, 6), (quarters_scheme, None), (third_scheme, None)):
+        for seed in range(3):
+            steps = []
+            block = draw_block(scheme, height, SplitStream(seed), on_step=steps.append)
+            assert steps and block == roster._BlockSampler(build_scheme_table(scheme, height)).walk(SplitStream(seed))
+    assert roster._sampler.cache_info() == info
+    assert roster._sampler(table) is cached
 
 
 def test_block_validation():
