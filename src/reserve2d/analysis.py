@@ -130,17 +130,17 @@ class BiasSummary:
     upper_adjacent: Fraction
 
 
-def _lattice_summary(counts: Counter, scale: int, period: int, scope: str) -> BiasSummary:
-    """Exact Tukey summary of a sample holding ``counts[k]`` copies of k/scale.
+def _lattice_stats(counts: Counter) -> tuple[int, ...]:
+    """The size of a sample holding ``counts[k]`` copies of k, then its minimum, Tukey
+    hinges and median, maximum and adjacent values, each doubled: all in integers.
 
-    Cost follows the number of distinct keys, not the sample size.  Hinges
-    are kept doubled and fences quadrupled, so all steps are integer
-    arithmetic until the summary divides by ``scale``.
+    Cost follows the number of distinct keys, not the sample size.  Hinges are
+    kept doubled and fences quadrupled.
     """
     if not counts:
         raise ValueError("cannot summarize an empty bias sample")
     keys = sorted(counts)
-    cumulative = list(accumulate(counts[key] for key in keys))
+    cumulative = list(accumulate(map(counts.__getitem__, keys)))
     k = cumulative[-1]
 
     def twice_median(start: int, size: int) -> int:
@@ -150,18 +150,14 @@ def _lattice_summary(counts: Counter, scale: int, period: int, scope: str) -> Bi
     half = (k + 1) // 2
     q1, q3 = twice_median(0, half), twice_median(k - half, half)
     lo_fence, hi_fence = 2 * q1 - 3 * (q3 - q1), 2 * q3 + 3 * (q3 - q1)
-    return BiasSummary(
-        period=period,
-        scope=scope,
-        count=k,
-        minimum=Fraction(keys[0], scale),
-        q1=Fraction(q1, 2 * scale),
-        median=Fraction(twice_median(0, k), 2 * scale),
-        q3=Fraction(q3, 2 * scale),
-        maximum=Fraction(keys[-1], scale),
-        lower_adjacent=Fraction(keys[bisect_left(keys, -(-lo_fence // 4))], scale),
-        upper_adjacent=Fraction(keys[bisect_right(keys, hi_fence // 4) - 1], scale),
-    )
+    lower, upper = keys[bisect_left(keys, -(-lo_fence // 4))], keys[bisect_right(keys, hi_fence // 4) - 1]
+    return k, 2 * keys[0], q1, twice_median(0, k), q3, 2 * keys[-1], 2 * lower, 2 * upper
+
+
+def _lattice_summary(counts: Counter, scale: int, period: int, scope: str) -> BiasSummary:
+    """Exact Tukey summary of a sample holding ``counts[k]`` copies of k/scale."""
+    count, *stats = _lattice_stats(counts)
+    return BiasSummary(period, scope, count, *(Fraction(s, 2 * scale) for s in stats))
 
 
 def summarize_biases(values: Sequence[Fraction], period: int, scope: str) -> BiasSummary:
@@ -181,8 +177,9 @@ def _lattice_counts(problem: ReservationProblem, runs: Iterable[Sequence[int]]) 
     ``run[(t-1)*m*n + i*n + j]`` is department i's count of category j through
     period t.  L is the lcm of the scheme denominators, so L*bias = z*L - (a_j*L)*Q
     is an integer.  A run updates one Counter per scope, keyed L*bias + (t-1)*B: B
-    exceeds 2*L*(total vacancies), so periods never share a key.  Counters merge by
-    addition; their size follows the spread of the biases.
+    exceeds 2*L*(total vacancies), so periods never share a key, and each is split
+    into one Counter per period at the end.  Counters merge by addition; their size
+    follows the spread of the biases.
     """
     scale = minimal_height(problem.scheme)
     scaled = [a.numerator * (scale // a.denominator) for a in problem.scheme.fractions]
@@ -196,9 +193,11 @@ def _lattice_counts(problem: ReservationProblem, runs: Iterable[Sequence[int]]) 
         university.update([scale * sum(counts[s]) + key for s, key in zip(strides, columns)])
     split: dict[tuple[int, str], Counter] = {}
     for scope, counter in (("department", department), ("university", university)):
+        periods, half = [Counter() for _ in problem._cumulative], span // 2
         for key, count in counter.items():
-            t, bias = divmod(key + span // 2, span)
-            split.setdefault((t + 1, scope), Counter())[bias - span // 2] = count
+            t, bias = divmod(key + half, span)
+            periods[t][bias - half] = count
+        split.update(((t, scope), c) for t, c in enumerate(periods, start=1) if c)
     return scale, split
 
 

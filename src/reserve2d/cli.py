@@ -24,10 +24,11 @@ from dataclasses import fields, replace
 from functools import lru_cache
 from itertools import cycle, islice
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from . import __version__
-from .analysis import BiasSummary, ViolationStats, _lattice_counts, _lattice_summary, _violations
+from .analysis import BiasSummary, ViolationStats, _lattice_counts, _lattice_stats, _violations
 from .core import (
     BiasTable,
     FairShareTable,
@@ -130,6 +131,12 @@ def _json(value, pad: str = "\n") -> str:
         items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _ratio(p: int, q: int) -> Union[int, str]:
+    """``rational(Fraction(p, q))`` for q > 0, built without the Fraction."""
+    g = gcd(p, q)
+    return p // g if g == q else f"{p // g}/{q // g}"
 
 
 def _table_dict(table: Union[FairShareTable, ReservationTable]) -> dict:
@@ -394,8 +401,9 @@ def _cmd_compare(args) -> str:
         )
         grids = _replicate(problem, config, args.replications, master.child(sub))
         scale, counts = _lattice_counts(problem, grids)
-        series.extend((kind, _lattice_summary(counts[key], scale, *key)) for key in counts)
-    series.sort(key=lambda item: (item[0], item[1].period, item[1].scope))
+        series.extend((kind, *key, _lattice_stats(counts[key])) for key in counts)
+    series.sort()  # by solution, period and scope, each triple once
+    den = 2 * scale  # the statistics' common denominator
 
     if args.format == "json":
         return _json_report(
@@ -412,18 +420,18 @@ def _cmd_compare(args) -> str:
             series=[
                 {
                     "solution": kind,
-                    "period": s.period,
-                    "scope": s.scope,
-                    "count": s.count,
-                    **{stat: rational(getattr(s, stat)) for stat in _STATISTICS},
+                    "period": t,
+                    "scope": scope,
+                    "count": count,
+                    **{stat: _ratio(v, den) for stat, v in zip(_STATISTICS, values)},
                 }
-                for kind, s in series
+                for kind, t, scope, (count, *values) in series
             ],
         )
     rows = [
-        [kind, s.period, s.scope, stat, float(getattr(s, stat))]
-        for kind, s in series
-        for stat in _STATISTICS
+        [kind, t, scope, stat, v / den]  # int true division rounds as float(Fraction(v, den)) does
+        for kind, t, scope, (_, *values) in series
+        for stat, v in zip(_STATISTICS, values)
     ]
     return _csv_text(("solution", "period", "scope", "statistic", "value"), rows)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from sys import byteorder
 
 ALGORITHM = "splitmix64-tree/v1"
@@ -66,17 +66,34 @@ def _pack(values: list[int]) -> int:
     return int.from_bytes(words[::_WORDS], byteorder)
 
 
-@lru_cache(maxsize=128)
-def _lanes(count: int) -> tuple[int, int, int]:
-    """A 1 in each of ``count`` 128-bit lanes, lane i's i * _GAMMA, and every low word."""
-    return (ones := _pack([1] * count)), _pack([i * _GAMMA & _MASK64 for i in range(count)]), ones * _MASK64
+# Lane constants up to this many lanes are cached, so each of the two caches holds at most
+# 128 * 128 KB = 16 MB; wider ones are built per call.  compare's runs mix a few hundred lanes.
+_CACHED_LANES = 4096
+
+
+def _lane_cache(build):
+    """``build(count)``, held in an LRU cache only while ``count`` is at most ``_CACHED_LANES``."""
+    cached = lru_cache(maxsize=128)(build)
+    return wraps(build)(lambda count: cached(count) if count <= _CACHED_LANES else build(count))
+
+
+@_lane_cache
+def _lanes(count: int) -> tuple[int, int]:
+    """A 1 in each of ``count`` 128-bit lanes, and every low word."""
+    return (ones := _pack([1] * count)), ones * _MASK64
+
+
+@_lane_cache
+def _steps(count: int) -> tuple[int, int]:
+    """A 1 in each of ``count`` 128-bit lanes, and lane i's i * _GAMMA."""
+    return _lanes(count)[0], _pack([i * _GAMMA & _MASK64 for i in range(count)])
 
 
 def _mix_lanes(z: int, count: int):
     """:func:`_mix64` of the low word of each of the ``count`` 128-bit lanes of ``z``, lowest first."""
     if count == 1:
         return (_mix64(z & _MASK64),)
-    low = _lanes(count)[2]
+    low = _lanes(count)[1]
     z &= low  # each lane is cut to its low word here and before every multiply
     z = ((z ^ z >> 30) & low) * _MIX1 & low
     z = ((z ^ z >> 27) & low) * _MIX2 & low
@@ -85,7 +102,7 @@ def _mix_lanes(z: int, count: int):
 
 def _u64s(key: int, n: int, count: int):
     """u64s n+1 .. n+count of stream ``key``, mixed side by side in one :func:`_mix_lanes` pass."""
-    ones, steps, _ = _lanes(count)
+    ones, steps = _steps(count)
     return _mix_lanes((key + (n + 1) * _GAMMA & _MASK64) * ones + steps, count)
 
 

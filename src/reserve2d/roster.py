@@ -520,7 +520,7 @@ class _BlockSampler:
         d*b+d, mixed with all the others in one :func:`_mix_lanes` pass and decoded a tree level at a time.  Other keys,
         and every key while ``SplitStream.next_u64`` is rebound (a tracer), draw through :meth:`blocks`."""
         d, rejects = self.fixed or (0, ())
-        spans, (ones, _, low) = [d * c for c in counts], _lanes(len(counts))
+        spans, (ones, low) = [d * c for c in counts], _lanes(len(counts))
         high, room, size = ones << 64, (ones << 64) - _pack(spans), 16 * len(spans)  # lane s of room: 2**64 - span s
         at, marks = [*accumulate(map(len, wanted), initial=0)], [i * ones for i in rejects]
         owner = [s for s, own in enumerate(wanted) for _ in range(d * len(own))]  # each lane's key

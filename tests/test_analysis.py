@@ -30,7 +30,9 @@ from reserve2d import (
     violation_stats,
     within_university_quota,
 )
-from reserve2d.analysis import _lattice_counts, _lattice_summary, summarize_biases
+from reserve2d import analysis, cli
+from reserve2d.analysis import _lattice_counts, _lattice_stats, _lattice_summary, summarize_biases
+from reserve2d.fileio import rational
 from reserve2d.roster import _sampler, build_scheme_table, minimal_height
 from reserve2d.solutions import _replicate
 
@@ -152,6 +154,29 @@ def test_lattice_summary_matches_the_sorted_fraction_oracle(values):
     assert _fields(summarize_biases(values, 1, "department")) == _oracle_summary(values)
 
 
+@given(_samples)
+@example([F(5, 3)])
+@example([F(-2, 5)] * 6)
+@example([F(-2, 5)] * 7)
+@example([F(1), F(2)])
+@example([F(-5, 2), F(-3, 2), F(-1, 4), F(9, 4), F(8)])
+@example([F(-8), F(-3), F(0), F(0), F(3)])
+@example([F(-2), F(-1)])  # negative hinges and a negative half-integral median
+@example([F(-1), F(0), F(1)])  # a zero median between half-integral hinges
+@example([F(0), F(0), F(1)])  # a zero lower hinge
+@example([F(-7), F(-5), F(-3), F(0), F(2), F(4), F(6)])  # negative and positive integral hinges
+def test_integer_statistics_render_as_the_summary_fractions(values):
+    """``compare`` renders the integer statistics over 2L as ``rational`` and
+    ``float`` render ``summarize_biases``'s fields."""
+    scale = lcm(*(v.denominator for v in values))
+    count, *stats = _lattice_stats(Counter(v.numerator * (scale // v.denominator) for v in values))
+    summary = summarize_biases(values, 1, "department")
+    fields = [getattr(summary, stat) for stat in cli._STATISTICS]
+    assert count == summary.count
+    assert [cli._ratio(v, 2 * scale) for v in stats] == [rational(f) for f in fields]
+    assert [v / (2 * scale) for v in stats] == [float(f) for f in fields]
+
+
 @given(_samples, _samples)
 def test_merged_lattice_counts_summarize_the_concatenated_sample(a, b):
     scale = lcm(*(v.denominator for v in a + b))
@@ -190,6 +215,24 @@ def test_lattice_counts_are_the_scaled_bias_tables(four_dept_problem):
     scale, counts = _lattice_counts(four_dept_problem, grids)
     assert scale == 3
     assert counts == _scaled_bias_counts(traces, 3)
+
+
+def test_lattice_counts_build_one_counter_per_period_and_scope(four_dept_problem, monkeypatch):
+    """The split builds no throwaway Counter per key: two accumulators, then
+    one Counter per (period, scope) that it returns."""
+    built = []
+
+    class Counting(Counter):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "Counter", Counting)
+    grids = _replicate(four_dept_problem, SolutionConfig("proposed"), 4, SplitStream(2))
+    _, counts = _lattice_counts(four_dept_problem, grids)
+    assert len(counts) == 2 * four_dept_problem.periods
+    assert len(built) == 2 + len(counts)
+    assert all(any(c is b for b in built) for c in counts.values())
 
 
 _FIVE = ReservationScheme(

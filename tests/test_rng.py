@@ -1,5 +1,6 @@
 """Tests for the splittable random stream."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,23 @@ def test_lane_mixer_equals_mix64_lane_by_lane(pairs):
     values, extra = ([pair[i] for pair in pairs] for i in (0, 1))
     assert list(_mix_lanes(_pack(values), len(values))) == [_mix64(v) for v in values]
     assert list(_mix_lanes(_pack(values) + _pack(extra), len(pairs))) == [_mix64((v + e) & _MASK64) for v, e in pairs]
+
+
+def test_wide_lane_mix_holds_no_lane_constants():
+    """Lane constants wider than the cache's limit are built per call: mixing
+    100,000 lanes still equals ``_mix64`` lane by lane, and once its result is
+    dropped it leaves less than 1 MB held (a cached constant of that width
+    holds 1.6 MB)."""
+    values = [_mix64(i) for i in range(100_000)]
+    packed, expected = _pack(values), [_mix64(v) for v in values]
+    tracemalloc.start()
+    try:
+        equal = _mix_lanes(packed, len(values)).tolist() == expected
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert equal
+    assert held < 1 << 20
 
 
 @given(x=st.integers(0, _MASK64))
