@@ -116,20 +116,22 @@ def _json_report(command: str, seed: Optional[int], **body) -> str:
 
 
 def _json(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``pad``, built directly for
-    strings, ints and non-empty lists and str-keyed dicts (``indent`` would make ``json.dumps``
-    use its pure-Python encoder throughout); anything else goes to ``json.dumps``."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``pad``, built directly for strings,
+    ints, bools, None, lists and str-keyed dicts (``indent`` would make ``json.dumps`` use its
+    pure-Python encoder throughout); anything else (floats, tuples) goes to ``json.dumps``."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is bool or value is None:
+        return "true" if value else "null" if value is None else "false"
     inner = pad + "  "
-    if kind is list and value:
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
-    if kind is dict and value and all(type(k) is str for k in value):
+    if kind is list:
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]" if value else "[]"
+    if kind is dict and all(type(k) is str for k in value):
         items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if value else "{}"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
@@ -270,13 +272,7 @@ def _cmd_roster(args) -> str:
         raise FlagError(f"--length {args.length}: a roster may have at most {_POSITION_LIMIT:,} positions")
     scheme = parse_scheme_file(args.scheme)
     _check_height(scheme, args.height)
-    roster = draw_roster(
-        scheme,
-        args.length,
-        SplitStream(args.seed),
-        args.policy,
-        height=args.height,
-    )
+    roster = draw_roster(scheme, args.length, SplitStream(args.seed), args.policy, height=args.height)
     if args.format == "json":
         return _json_report(
             "roster",
@@ -388,17 +384,9 @@ def _cmd_compare(args) -> str:
 
     master = SplitStream(args.seed)
     series = []
-    for kind, sub in (
-        ("proposed", _SUB_PROPOSED),
-        ("government", _SUB_GOVERNMENT),
-        ("court", _SUB_COURT),
-    ):
-        config = SolutionConfig(
-            kind,
-            roster=roster if kind != "proposed" else None,
-            order=order if kind == "government" else None,
-            height=args.height,
-        )
+    for kind, sub in (("proposed", _SUB_PROPOSED), ("government", _SUB_GOVERNMENT), ("court", _SUB_COURT)):
+        config = SolutionConfig(kind, roster=roster if kind != "proposed" else None,
+                                order=order if kind == "government" else None, height=args.height)
         grids = _replicate(problem, config, args.replications, master.child(sub))
         scale, counts = _lattice_counts(problem, grids)
         series.extend((kind, *key, _lattice_stats(counts[key])) for key in counts)

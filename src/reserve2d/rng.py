@@ -12,11 +12,14 @@ the child's index.  This gives
 * exact rational Bernoulli draws via rejection sampling, so lottery
   probabilities like 7/24 are honoured exactly rather than through floats.
 
-A stream's u64 number n depends only on its key and n, so :func:`_mix_lanes`
-mixes u64s of any streams side by side, as the lanes of one integer: the roster
-descents and every rounding walk read batches of them, and a run all at once.
-The output function is a bijection: :func:`_unmix64` inverts it, and
-:func:`_index_of` finds the n at which a stream outputs a given u64.
+This module alone knows the key and index layout (SplitMix; Steele, Lea and
+Flood 2014): u64 n of key k is mix(k + n*gamma), child i of k is keyed
+mix(k ^ gamma*(2i+1)).  :func:`_mix_lanes` mixes u64s of any streams as the
+lanes of one integer for :func:`_u64s` (consecutive u64s of a stream) and the
+two lane reads, built once and applied per run: :func:`_plan` (chosen u64s of
+fresh streams, screened where ``randrange`` might reject) and :func:`_children`
+(a key's child keys).  :func:`_unmix64` inverts the output function, and
+:func:`_index_of` finds where a stream outputs a u64.
 
 The algorithm identifier below is recorded in report metadata so that
 archived outputs name the generator that produced them.
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce
+from operator import and_
 from sys import byteorder
 
 ALGORITHM = "splitmix64-tree/v1"
@@ -66,34 +70,21 @@ def _pack(values: list[int]) -> int:
     return int.from_bytes(words[::_WORDS], byteorder)
 
 
-# Lane constants up to this many lanes are cached, so each of the two caches holds at most
-# 128 * 128 KB = 16 MB; wider ones are built per call.  compare's runs mix a few hundred lanes.
-_CACHED_LANES = 4096
-
-
-def _lane_cache(build):
-    """``build(count)``, held in an LRU cache only while ``count`` is at most ``_CACHED_LANES``."""
-    cached = lru_cache(maxsize=128)(build)
-    return wraps(build)(lambda count: cached(count) if count <= _CACHED_LANES else build(count))
-
-
-@_lane_cache
 def _lanes(count: int) -> tuple[int, int]:
     """A 1 in each of ``count`` 128-bit lanes, and every low word."""
     return (ones := _pack([1] * count)), ones * _MASK64
 
 
-@_lane_cache
-def _steps(count: int) -> tuple[int, int]:
-    """A 1 in each of ``count`` 128-bit lanes, and lane i's i * _GAMMA."""
-    return _lanes(count)[0], _pack([i * _GAMMA & _MASK64 for i in range(count)])
+@lru_cache(maxsize=64)  # _u64s's callers read at most 64 lanes, so each entry is at most 3 KB
+def _steps(count: int) -> tuple[int, int, int]:
+    """:func:`_lanes` of ``count``, and lane i's i * _GAMMA."""
+    return (*_lanes(count), _pack([i * _GAMMA & _MASK64 for i in range(count)]))
 
 
-def _mix_lanes(z: int, count: int):
-    """:func:`_mix64` of the low word of each of the ``count`` 128-bit lanes of ``z``, lowest first."""
+def _mix_lanes(z: int, count: int, low: int):
+    """:func:`_mix64` of the low word of each of the ``count`` 128-bit lanes of ``z``, lowest first; ``low`` masks them."""
     if count == 1:
         return (_mix64(z & _MASK64),)
-    low = _lanes(count)[1]
     z &= low  # each lane is cut to its low word here and before every multiply
     z = ((z ^ z >> 30) & low) * _MIX1 & low
     z = ((z ^ z >> 27) & low) * _MIX2 & low
@@ -102,8 +93,34 @@ def _mix_lanes(z: int, count: int):
 
 def _u64s(key: int, n: int, count: int):
     """u64s n+1 .. n+count of stream ``key``, mixed side by side in one :func:`_mix_lanes` pass."""
-    ones, steps = _steps(count)
-    return _mix_lanes((key + (n + 1) * _GAMMA & _MASK64) * ones + steps, count)
+    ones, low, steps = _steps(count)
+    return _mix_lanes((key + (n + 1) * _GAMMA & _MASK64) * ones + steps, count, low)
+
+
+def _children(count: int):
+    """The keys of children 0 .. ``count``-1 of a key, as a function of the key: one :func:`_mix_lanes` pass."""
+    (ones, low), odd = _lanes(count), _pack([_GAMMA * (2 * i + 1) & _MASK64 for i in range(count)])
+    return lambda key: _mix_lanes(key * ones ^ odd, count, low)
+
+
+def _plan(numbers: list[list[int]], spans: list[int], limit: int):
+    """Screen bytes, and u64s ``numbers[s]`` of the fresh stream of each ``keys[s]`` mixed in one :func:`_mix_lanes`
+    pass, as a function of ``keys``.  Byte s is 0 if u64s 1 .. ``spans[s]`` of stream s hold one above 2**64 - ``limit``
+    (``randrange`` might reject it for a bound up to ``limit``), or while ``SplitStream.next_u64`` is rebound.  Lane s
+    of one integer holds where stream s outputs each such u64, less 1, and keeps bit 64 if none is below the span."""
+    (ones, low), size = _lanes(len(spans)), 16 * len(spans)
+    high, marks = ones << 64, [_index_of(0, u) * ones for u in range((1 << 64) - limit + 1, 1 << 64)]
+    room = high - _pack(spans)  # lane s: 2**64 - span s
+    owner = [s for s, own in enumerate(numbers) for _ in own]  # each wanted u64's stream
+    steps, wide = _pack([n for own in numbers for n in own]) * _GAMMA, _lanes(len(owner))[1]
+
+    def plan(keys: list[int]):
+        back = high - (_pack(keys) * _GAMMA_INV + ones & low)  # key k's u64 n is stream 0's n + k * _GAMMA_INV
+        gate = high if _batched(SplitStream(0)) else 0
+        ok = reduce(and_, [(m + back & low) + room for m in marks], gate).to_bytes(size, "little")[8::16]
+        return ok, owner and _mix_lanes(_pack([*map(keys.__getitem__, owner)]) + steps, len(owner), wide)
+
+    return plan
 
 
 class SplitStream:

@@ -41,15 +41,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from math import lcm
-from operator import add, and_, not_
+from operator import add, not_
 from typing import Callable, Optional, Sequence
 
 from ._walk import Graph, Walk, check_step, observer, scaled, tree
 from .core import ReservationScheme, Roster, _check_policy
-from .rng import _GAMMA, _GAMMA_INV, SplitStream, _batched, _index_of, _lanes, _mix_lanes, _pack, _u64s
+from .rng import SplitStream, _batched, _plan, _u64s
 
 __all__ = [
     "SchemeTable",
@@ -461,9 +461,8 @@ class _BlockSampler:
                 edges[e] = tail, row + (head - cell) // n
         self.start = Walk(Graph(vertices, edges), scale, flows)
         self.root = tree(Walk(self.start.graph, scale, flows), self._TREE_DEPTH, self._block)
-        depths, self.fixed = set() if self.root is None else _depths(self.root), None
-        if len(depths) == 1:  # see read; no denominator exceeds the scale L
-            self.fixed = depths.pop(), [_index_of(0, u) for u in range((1 << 64) - scale + 1, 1 << 64)]
+        depths = set() if self.root is None else _depths(self.root)
+        self.fixed = depths.pop() if len(depths) == 1 else None  # see read
 
     def _block(self, walk: Walk) -> IntegralBlock:
         """The block of an integral walk of the folded network."""
@@ -515,22 +514,16 @@ class _BlockSampler:
 
     def read(self, counts: Sequence[int], wanted: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[IntegralBlock]]:
         """Blocks ``wanted[s]`` (from 0) of the ``counts[s]`` :meth:`blocks` would draw from a fresh stream of key s, as a
-        function of a list of keys.  With all leaves at depth d, ``fixed`` holds d and where stream 0 outputs each u64
-        ``randrange`` might reject; if none is in 1 .. d*count (then byte s of ``ok`` is 1), block b is u64s d*b+1 ..
-        d*b+d, mixed with all the others in one :func:`_mix_lanes` pass and decoded a tree level at a time.  Other keys,
-        and every key while ``SplitStream.next_u64`` is rebound (a tracer), draw through :meth:`blocks`."""
-        d, rejects = self.fixed or (0, ())
-        spans, (ones, low) = [d * c for c in counts], _lanes(len(counts))
-        high, room, size = ones << 64, (ones << 64) - _pack(spans), 16 * len(spans)  # lane s of room: 2**64 - span s
-        at, marks = [*accumulate(map(len, wanted), initial=0)], [i * ones for i in rejects]
-        owner = [s for s, own in enumerate(wanted) for _ in range(d * len(own))]  # each lane's key
-        steps = _pack([d * b + l + 1 for own in wanted for b in own for l in range(d)]) * _GAMMA  # each lane's u64
+        function of a list of keys.  With all leaves at depth d (``fixed``), block b is u64s d*b+1 .. d*b+d: an
+        :func:`rng._plan` (``rng`` alone knows the stream layout; no denominator exceeds the scale L) mixes them, decoded
+        a tree level at a time, and screens out keys whose d*count u64s hold one ``randrange`` might reject (all keys
+        while ``SplitStream.next_u64`` is rebound).  Those, and every key of other samplers, draw through :meth:`blocks`."""
+        d, at = self.fixed or 0, [*accumulate(map(len, wanted), initial=0)]
+        plan = _plan([[d * b + l + 1 for b in own for l in range(d)] for own in wanted], [d * c for c in counts],
+                     self.start.scale) if d else lambda keys: (bytes(len(keys)), ())
 
         def read(keys: Sequence[int]) -> list[IntegralBlock]:
-            back = high - (_pack(keys) * _GAMMA_INV + ones & low)  # 2**64 - where stream 0 outputs u64 1 of key s
-            gate = high if d and _batched(SplitStream(0)) else 0
-            ok = reduce(and_, [(m + back & low) + room for m in marks], gate).to_bytes(size, "little")[8::16]
-            us = owner and _mix_lanes(_pack([*map(keys.__getitem__, owner)]) + steps, len(owner))
+            ok, us = plan(keys)
             nodes = [self.root] * at[-1]
             for l in range(d):  # level l of every block
                 nodes = [node[2] if u % node[1] < node[0] else node[3] for node, u in zip(nodes, us[l::d])]

@@ -41,7 +41,7 @@ from .core import (
     _check_counts,
     build_fair_share_table,
 )
-from .rng import _GAMMA, _MASK64, SplitStream, _lanes, _mix_lanes, _pack
+from .rng import SplitStream, _children
 from .roster import _BlockSampler, _sampler, build_scheme_table
 
 __all__ = [
@@ -205,9 +205,8 @@ def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable:
     no seed changes worked out once."""
     if config.kind == "proposed":  # department i reads blocks drawn from child stream i
         read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), list(zip(*problem._cumulative)))
-        m = len(problem.departments)  # child i's key mixes seed ^ gamma*(2i+1), as SplitStream.child does
-        ones, odd = _lanes(m)[0], _pack([_GAMMA * (2 * i + 1) & _MASK64 for i in range(m)])
-        return lambda seed: read(_mix_lanes(SplitStream(seed).key * ones ^ odd, m))
+        children = _children(len(problem.departments))
+        return lambda seed: read(children(SplitStream(seed).key))
     if config.roster is not None:
         _check_roster(problem, config.roster, config.kind)
     if config.kind == "government":

@@ -288,6 +288,31 @@ def test_json_writer_writes_what_the_indented_encoder_writes(value):
     assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def test_json_reports_are_written_without_the_encoder(monkeypatch, capsys, files):
+    """The ``compare``, ``run`` and ``round`` JSON reports, with their ``true``, ``false``, ``null`` and
+    empty lists, are written without calling ``json.dumps``, which builds an encoder per call."""
+    argvs = (
+        ["compare", "--scheme", files["scheme"], "--synthesize", "--periods", "2", "--departments-range", "2", "3",
+         "--replications", "2", "--seed", "5", "--format", "json"],
+        ["compare", files["problem"], "--scheme", files["scheme"], "--replications", "2", "--seed", "1",
+         "--format", "json"],
+        ["run", files["problem"], "--scheme", files["scheme"], "--solution", "proposed", "--seed", "3"],
+        ["round", files["problem"], "--scheme", files["scheme"], "-t", "2", "--seed", "11"],
+    )
+    expected = [run_cli(capsys, *argv)[1] for argv in argvs]
+
+    def refuse(value, *args, **kwargs):
+        raise AssertionError(f"json.dumps({value!r})")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    outs = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.undo()
+    assert [(code, err) for code, _, err in outs] == [(0, "")] * len(argvs)
+    assert [out for _, out, _ in outs] == expected
+    written = "".join(expected)
+    assert all(literal in written for literal in (": true", ": false", ": null", ": []")), written
+
+
 # ------------------------------------------------------------------- round
 
 

@@ -1,14 +1,29 @@
 """Tests for the splittable random stream."""
 
+import ast
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reserve2d import ALGORITHM, SplitStream
-from reserve2d.rng import _GAMMA, _MASK64, _batched, _index_of, _mix64, _mix_lanes, _pack, _u64s, _unmix64
+from reserve2d.rng import (
+    _GAMMA,
+    _MASK64,
+    _batched,
+    _children,
+    _index_of,
+    _lanes,
+    _mix64,
+    _mix_lanes,
+    _pack,
+    _plan,
+    _u64s,
+    _unmix64,
+)
 
 from conftest import time_limit
 
@@ -184,25 +199,140 @@ def test_lane_mixer_equals_mix64_lane_by_lane(pairs):
     more.  A lane that holds a sum past 2**64 is mixed as its low word, and
     its carry never reaches the next lane."""
     values, extra = ([pair[i] for pair in pairs] for i in (0, 1))
-    assert list(_mix_lanes(_pack(values), len(values))) == [_mix64(v) for v in values]
-    assert list(_mix_lanes(_pack(values) + _pack(extra), len(pairs))) == [_mix64((v + e) & _MASK64) for v, e in pairs]
+    low = _lanes(len(pairs))[1]
+    assert list(_mix_lanes(_pack(values), len(values), low)) == [_mix64(v) for v in values]
+    assert list(_mix_lanes(_pack(values) + _pack(extra), len(pairs), low)) == [_mix64((v + e) & _MASK64) for v, e in pairs]
 
 
 def test_wide_lane_mix_holds_no_lane_constants():
-    """Lane constants wider than the cache's limit are built per call: mixing
-    100,000 lanes still equals ``_mix64`` lane by lane, and once its result is
-    dropped it leaves less than 1 MB held (a cached constant of that width
-    holds 1.6 MB)."""
-    values = [_mix64(i) for i in range(100_000)]
-    packed, expected = _pack(values), [_mix64(v) for v in values]
+    """The lane reads hold their own lane constants and ``_mix_lanes`` takes its mask from its
+    caller, so no module cache keeps a wide constant: building a child-key read of 100,000
+    lanes and a plan of 100,000 wanted u64s, reading them and dropping them leaves less than
+    1 MB held (one lane constant of that width holds 1.6 MB), and both equal ``_mix64`` lane
+    by lane."""
+    key, numbers = 12345, [list(range(1, 50_001)), list(range(7, 50_007))]
+    children = [_mix64(key ^ (_GAMMA * (2 * i + 1) & _MASK64)) for i in range(100_000)]
+    wanted = [_mix64(key + n * _GAMMA & _MASK64) for own in numbers for n in own]
     tracemalloc.start()
     try:
-        equal = _mix_lanes(packed, len(values)).tolist() == expected
+        equal = [_children(100_000)(key).tolist() == children, _plan(numbers, [0, 0], 3)([key, key])[1].tolist() == wanted]
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert equal
+    assert equal == [True, True]
     assert held < 1 << 20
+
+
+def _u64(key, n):
+    """U64 number ``n`` (from 1) of the stream of ``key``, drawn by ``next_u64``."""
+    stream = SplitStream(key)
+    stream._n = n - 1
+    return stream.next_u64()
+
+
+@given(
+    key=st.integers(0, _MASK64),
+    count=st.sampled_from([1, 2, 64, 65, 300]) | st.integers(1, 700),
+)
+@example(key=0, count=1)
+@example(key=_MASK64, count=1)
+@example(key=0, count=64)
+@example(key=_MASK64, count=65)
+@example(key=_MASK64, count=500)
+def test_child_key_read_equals_split_stream_children(key, count):
+    """``_children(count)`` returns, for a key, the keys of its children 0 .. count-1 that
+    ``SplitStream.child`` derives, for one lane, 64, 65 and several hundred."""
+    assert list(_children(count)(key)) == [SplitStream(key).child(i).key for i in range(count)]
+
+
+_streams = st.lists(
+    st.tuples(st.integers(0, _MASK64), st.lists(st.integers(1, _MASK64), max_size=70), st.integers(0, 120)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(streams=_streams, limit=st.integers(1, 64))
+@example(streams=[(0, [1], 1)], limit=3)
+@example(streams=[(_MASK64, [1], 1)], limit=3)
+@example(streams=[(0, list(range(1, 65)), 64)], limit=2)
+@example(streams=[(_MASK64, list(range(1, 33)), 40), (0, list(range(5, 38)), 0)], limit=3)
+@example(streams=[(i * 7 & _MASK64, list(range(1, 101)), 100) for i in range(3)] + [(_MASK64, [], 9)], limit=5)
+def test_plan_reads_the_wanted_u64s_and_screens_the_spans(streams, limit):
+    """A plan of each stream's wanted u64 numbers, span and bound ``limit`` returns, for the
+    keys, the u64s ``SplitStream`` draws at those numbers, stream after stream, for one lane,
+    64, 65 and several hundred; screen byte s is 1 exactly when none of u64s 1 .. span of
+    stream s lies above 2**64 - ``limit``, where ``randrange`` might reject it."""
+    keys, numbers, spans = (list(column) for column in zip(*streams))
+    ok, us = _plan(numbers, spans, limit)(keys)
+    assert list(us) == [_u64(key, n) for key, own in zip(keys, numbers) for n in own]
+    top = (1 << 64) - limit
+    assert list(ok) == [all(_u64(key, n) <= top for n in range(1, span + 1)) for key, span in zip(keys, spans)]
+
+
+@given(
+    limit=st.integers(2, 200),
+    below=st.integers(0, 199),
+    span=st.integers(2, 300),
+    others=st.lists(st.integers(0, _MASK64), max_size=6),
+    at=st.integers(0, 6),
+)
+@example(limit=2, below=1, span=2, others=[], at=0)
+@example(limit=3, below=0, span=300, others=[0, _MASK64], at=1)
+def test_plan_screens_a_key_built_to_output_a_rejectable_u64(limit, below, span, others, at):
+    """A key built with the inverse output function puts the u64 ``u`` at ``2**64 - limit``
+    or above at number j; ``_index_of`` finds it there.  At number 0, which no read draws, or
+    one past the span the stream passes the screen; at 1, in the middle and last in its span
+    it fails if u is above 2**64 - ``limit`` (a u64 ``randrange`` might reject) and passes at
+    2**64 - ``limit``.  Other keys in the same plan keep their bytes."""
+    u = (1 << 64) - limit + below % limit
+    for j, inside in ((0, False), (1, True), (span // 2, True), (span, True), (span + 1, False)):
+        built = (_unmix64(u) - j * _GAMMA) & _MASK64
+        assert _index_of(built, u) == j
+        keys = others[:at] + [built] + others[at:]
+        spans = [span if key == built else 10 for key in keys]
+        ok, _ = _plan([[]] * len(keys), spans, limit)(keys)
+        assert ok[min(at, len(others))] == (not inside or u == (1 << 64) - limit), (u, j)
+        assert list(ok) == [all(_u64(key, n) <= (1 << 64) - limit for n in range(1, sp + 1))
+                            for key, sp in zip(keys, spans)]
+
+
+def test_a_rebound_next_u64_fails_every_stream_of_a_plan(monkeypatch):
+    """While ``SplitStream.next_u64`` is rebound on the class (a tracer), a plan screens
+    every stream out, and its u64s are still those of the streams."""
+    keys, numbers = [0, 5, _MASK64], [[1, 2], [], [9]]
+    plan = _plan(numbers, [2, 0, 9], 3)
+    assert list(plan(keys)[0]) == [1, 1, 1]
+    next_u64 = SplitStream.next_u64
+    monkeypatch.setattr(SplitStream, "next_u64", lambda rng: next_u64(rng))
+    ok, us = plan(keys)
+    assert list(ok) == [0, 0, 0]
+    assert list(us) == [_u64(0, 1), _u64(0, 2), _u64(_MASK64, 9)]
+
+
+# The names of the splitmix64 key and index layout that only ``rng`` may know.
+_LAYOUT = {"_GAMMA", "_GAMMA_INV", "_MASK64", "_index_of", "_unmix64", "_pack", "_lanes", "_mix_lanes"}
+
+
+def test_only_rng_knows_the_stream_layout():
+    """No module of the library but ``rng.py`` defines, imports or reads a name of the
+    splitmix64 layout: the others read lanes through ``rng``'s lane reads."""
+    source = Path(__file__).resolve().parents[1] / "src" / "reserve2d"
+    for path in sorted(source.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+        if path.name == "rng.py":
+            assert _LAYOUT <= names
+        else:
+            assert not names & _LAYOUT, (path.name, sorted(names & _LAYOUT))
 
 
 @given(x=st.integers(0, _MASK64))

@@ -852,7 +852,7 @@ def test_sampler_tree_is_the_enumerated_block_law(third_scheme, half_scheme, qua
                 assert sum(m for block, m in law.items() if block[pos] == cat) == frac, (height, pos, cat)
         depths = {depth for _, depth in _leaf_depths(sampler.root)}
         assert (len(depths) == 1) == single, (scheme, height, depths)
-        assert (sampler.fixed and sampler.fixed[0]) == (min(depths) if single else None), (scheme, height)
+        assert sampler.fixed == (min(depths) if single else None), (scheme, height)
     mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
     odd = ReservationScheme(("a", "b", "c"), (F(3, 20), F(1, 4), F(3, 5)))
     for scheme, height in ((FIVE, 200), (mixed, 12), (odd, 20), (third_scheme, 30)):
@@ -870,7 +870,7 @@ def test_a_sampler_never_changes_once_built(third_scheme, quarters_scheme):
     for scheme, height in ((third_scheme, 3), (quarters_scheme, 8), (mixed, 12)):
         table = build_scheme_table(scheme, height)
         sampler = roster._BlockSampler(table)
-        root, fixed, rejects = sampler.root, sampler.fixed, sampler.fixed and list(sampler.fixed[1])
+        root, fixed = sampler.root, sampler.fixed
         for seed in range(3):
             sampler.blocks(SplitStream(seed), 5)
             _read(sampler, seed, 5, [1, 3])
@@ -878,7 +878,6 @@ def test_a_sampler_never_changes_once_built(third_scheme, quarters_scheme):
             sampler.blocks(_CountedU64s(seed), 3)
             sampler.blocks(random.Random(seed), 3)
             assert sampler.root is root and sampler.fixed is fixed, (height, seed)
-            assert (fixed and fixed[1]) == rejects, (height, seed)
         for seed in range(10):
             count = 1 + seed
             a, c = SplitStream(seed), SplitStream(seed)
@@ -916,7 +915,7 @@ def test_read_returns_the_wanted_blocks_of_blocks(monkeypatch, third_scheme, hal
     for scheme, height, depth, seeds in cases:
         table = build_scheme_table(scheme, height)
         sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
-        assert (sampler.fixed and sampler.fixed[0]) == depth, (height, sampler.fixed)
+        assert sampler.fixed == depth, (height, sampler.fixed)
         calls = _spied(monkeypatch, sampler)
         for seed in range(seeds):
             count = 1 + seed if height < 200 else 2
@@ -934,18 +933,22 @@ def test_read_falls_back_where_randrange_might_reject(monkeypatch, third_scheme,
     the output function put such a u64 at number 1, in the middle, or last
     among the d*count a read spans: the read then draws through ``blocks``.
     At number 0, which no draw reads, or just past that span it decodes only
-    the wanted blocks.  Either way it returns what ``blocks`` draws."""
+    the wanted blocks, and so it does wherever 2**64 - L itself falls: the
+    read screens exactly L - 1 values.  Either way it returns what ``blocks``
+    draws."""
     for scheme, scale, count, wanted in ((third_scheme, 3, 5, [0, 3, 4]), (half_scheme, 2, 7, [2, 6])):
         table = build_scheme_table(scheme)
         sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
-        span = sampler.fixed[0] * count
-        assert len(sampler.fixed[1]) == scale - 1, scheme
-        for u in range((1 << 64) - scale + 1, 1 << 64):
-            for j, falls_back in ((0, False), (1, True), (span // 2, True), (span, True), (span + 1, False)):
+        span = sampler.fixed * count
+        assert sampler.start.scale == scale, scheme
+        for u in range((1 << 64) - scale, 1 << 64):
+            for j, inside in ((0, False), (1, True), (span // 2, True), (span, True), (span + 1, False)):
                 key = (_unmix64(u) - j * _GAMMA) & _MASK64  # u64 number j is u
+                assert _index_of(key, u) == j
                 calls = _spied(monkeypatch, sampler)
                 drawn = plain.blocks(SplitStream(key), count)
                 assert _read(sampler, key, count, wanted) == [drawn[w] for w in wanted], (u, j)
+                falls_back = inside and u > (1 << 64) - scale
                 assert calls == ([count] if falls_back else []), (scheme, u, j)
                 monkeypatch.undo()
 
@@ -953,10 +956,10 @@ def test_read_falls_back_where_randrange_might_reject(monkeypatch, third_scheme,
 def test_one_read_over_many_streams_draws_what_each_stream_draws(monkeypatch, third_scheme, half_scheme,
                                                                   quarters_scheme):
     """One read over many keys returns, key after key, the wanted blocks of what ``blocks`` draws from a fresh
-    stream of each, over seeds, with counts of 0 and keys that want no block.  The key in the middle is made with
-    ``_index_of`` so that a u64 ``randrange`` might reject falls inside its span: it alone falls back to ``blocks``
-    while the others keep their draws.  On quarters, whose leaves sit at two depths, every key draws through
-    ``blocks``."""
+    stream of each, over seeds, with counts of 0 and keys that want no block.  The key in the middle is built
+    with the inverse of the output function so that a u64 ``randrange`` might reject (one above 2**64 - L)
+    falls inside its span, where ``_index_of`` finds it: it alone falls back to ``blocks`` while the others
+    keep their draws.  On quarters, whose leaves sit at two depths, every key draws through ``blocks``."""
     pick = random.Random(3)
     cases = ((third_scheme, 3), (third_scheme, 6), (half_scheme, 2), (half_scheme, 8), (quarters_scheme, 4))
     for scheme, height in cases:
@@ -970,10 +973,10 @@ def test_one_read_over_many_streams_draws_what_each_stream_draws(monkeypatch, th
             wanted = [sorted(pick.sample(range(c), pick.randint(0, min(c, 6)))) for c in counts]
             keys = [SplitStream(seed).child(s).key for s in range(size)]
             if sampler.fixed:
-                d, rejects = sampler.fixed
-                j = 1 + pick.randrange(d * counts[middle])  # inside the middle key's span
-                keys[middle] = (pick.choice(rejects) - j) * _GAMMA & _MASK64
-                assert j in {_index_of(keys[middle], u) for u in range((1 << 64) - len(rejects), 1 << 64)}
+                j = 1 + pick.randrange(sampler.fixed * counts[middle])  # inside the middle key's span
+                u = pick.randrange((1 << 64) - sampler.start.scale + 1, 1 << 64)
+                keys[middle] = (_unmix64(u) - j * _GAMMA) & _MASK64
+                assert _index_of(keys[middle], u) == j
             expected = []
             for key, count, own in zip(keys, counts, wanted):
                 drawn = plain.blocks(SplitStream(key), count)

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -539,9 +540,9 @@ def test_runs_whose_ends_close_blocks_decode_no_block(monkeypatch, third_scheme)
     configs += [SolutionConfig("government", order=o) for o in _orders(problem)]
     seeds = [SplitStream(6).child(r).key for r in range(4)]
     expected = [[_oracle(problem, config, seed) for seed in seeds] for config in configs]
-    decoded = []
+    decoded, plan = [], roster._plan
     monkeypatch.setattr(roster, "_u64s", lambda *args: decoded.append(args))
-    monkeypatch.setattr(roster, "_mix_lanes", lambda *args: decoded.append(args))
+    monkeypatch.setattr(roster, "_plan", lambda numbers, *args: decoded.extend(chain(*numbers)) or plan(numbers, *args))
     monkeypatch.setattr(sampler, "blocks", lambda *args: decoded.append(args))
     for config, want in zip(configs, expected):
         assert [_tables(grid, problem) for grid in _replicate(problem, config, 4, SplitStream(6))] == want, config
