@@ -264,7 +264,7 @@ def tail_diagnostic(
     if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < len(cats):
         raise ValueError(f"unknown category {category!r}; the scheme has {', '.join(map(repr, cats))}")
     cat = cats[j]
-    grid = tuple(sorted(Fraction(b) for b in b_grid))
+    grid = tuple(sorted(map(_as_fraction, b_grid)))
     if not grid or grid[0] <= 0:
         raise ValueError("the b grid must contain positive thresholds")
 

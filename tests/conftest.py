@@ -1,12 +1,27 @@
-"""Shared fixtures: small schemes and problems used across the suite."""
+"""Shared fixtures and helpers: small schemes and problems, scripted and
+counting streams, and the block walk of a scheme table's full network.
 
+Test modules import helpers from here, never from one another."""
+
+import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from reserve2d import ReservationProblem, ReservationScheme, Roster
+from reserve2d import IntegralBlock, ReservationProblem, ReservationScheme, Roster, SplitStream
+from reserve2d import roster
+from reserve2d._walk import Graph, Walk
+from reserve2d.rng import _GAMMA, _MASK64, _index_of, _unmix64
+
+
+# The realistic five-category scheme (15 / 7.5 / 27 / 10 / 40.5 %); its minimal block height is 200.
+FIVE = ReservationScheme(
+    ("sc", "st", "obc", "ews", "open"),
+    (Fraction(3, 20), Fraction(3, 40), Fraction(27, 100), Fraction(1, 10), Fraction(81, 200)),
+)
 
 
 class ForcedRng:
@@ -39,6 +54,91 @@ def tree_law(root, key=lambda leaf: leaf) -> dict:
         else:
             law[key(node)] = law.get(key(node), 0) + mass
     return law
+
+
+class CountingStream(SplitStream):
+    """A stream that records the bound of every ``randrange`` call."""
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bounds = []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return super().randrange(n)
+
+
+class CountedU64s(SplitStream):
+    """A stream that counts its ``next_u64`` calls: a subclass that overrides it."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def next_u64(self):
+        self.calls += 1
+        return super().next_u64()
+
+
+class ZeroU64s(SplitStream):
+    """A stream whose every u64 is 0."""
+
+    def next_u64(self):
+        self._n += 1
+        return 0
+
+
+class CountingRandom(random.Random):
+    """A stdlib generator keyed by its seed that counts its draws: an rng other than a SplitStream."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.key, self._n = seed, 0
+
+    def randrange(self, n: int) -> int:
+        self._n += 1
+        return super().randrange(n)
+
+
+def per_step(stream) -> SimpleNamespace:
+    """``stream`` seen through its ``randrange`` alone, so no walk or descent reads it in batches."""
+    return SimpleNamespace(key=stream.key, randrange=stream.randrange)
+
+
+def recorded_batches(monkeypatch, module) -> list:
+    """The (draw index, lane count) of every batch ``module`` mixes with ``_u64s`` from now on."""
+    calls, mix = [], module._u64s
+    monkeypatch.setattr(module, "_u64s", lambda key, n, count: calls.append((n, count)) or mix(key, n, count))
+    return calls
+
+
+def key_with_u64(u: int, j: int) -> int:
+    """The key of the stream whose u64 number ``j`` (from 1; 0 is read by no draw) is ``u``."""
+    key = (_unmix64(u) - j * _GAMMA) & _MASK64
+    assert _index_of(key, u) == j
+    return key
+
+
+def network_walk(table, rng) -> tuple:
+    """A block and its ``(num, den, take)`` draws walked on the full network, cell vertices kept."""
+    vertices, edges, scale, flows = roster._scheme_network(table)
+    walk, draws = Walk(Graph(vertices, edges), scale, flows), []
+    walk.run(rng, lambda *draw: draws.append(draw))
+    k, n = table.height, table.scheme.size  # the cell -> row edges come last but for the row -> sink ones
+    return roster._block_of(table, [f // walk.scale for f in walk.flows[-k - k * n:-k]]), draws
+
+
+def stepwise_draw(table, rng) -> tuple:
+    """A block and its observed steps from :func:`decompose_flow_once`, which
+    searches every cycle afresh on a network of its own."""
+    network, steps = roster.build_flow_network(table), []
+    while not network.is_integral:
+        network = roster.decompose_flow_once(network, rng, on_step=steps.append)
+    return IntegralBlock.from_network(network), steps
 
 
 @contextmanager

@@ -348,6 +348,13 @@ def test_tail_diagnostic_bounds_formula(four_dept_problem):
     assert diag.lower_bound == tuple(exp(-(b * b) / (2 * x)) for b in (1, 2))
 
 
+def test_tail_diagnostic_refuses_float_thresholds(four_dept_problem):
+    """Thresholds are exact, as scheme fractions are: a float is refused, a string is read exactly."""
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        tail_diagnostic(four_dept_problem, 1, 3, 10, (0.1, 1), seed=5)
+    assert tail_diagnostic(four_dept_problem, 1, 3, 10, ("0.1", 1), seed=5).b_grid == (F(1, 10), 1)
+
+
 def test_tail_frequencies_match_exact_binomial(half_scheme):
     """Three one-vacancy departments under a half/half scheme: the column
     count is Binomial(3, 1/2) exactly, so both tails have closed forms."""

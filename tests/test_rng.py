@@ -25,7 +25,7 @@ from reserve2d.rng import (
     _unmix64,
 )
 
-from conftest import time_limit
+from conftest import key_with_u64, time_limit
 
 
 def test_same_seed_same_sequence():
@@ -287,8 +287,7 @@ def test_plan_screens_a_key_built_to_output_a_rejectable_u64(limit, below, span,
     2**64 - ``limit``.  Other keys in the same plan keep their bytes."""
     u = (1 << 64) - limit + below % limit
     for j, inside in ((0, False), (1, True), (span // 2, True), (span, True), (span + 1, False)):
-        built = (_unmix64(u) - j * _GAMMA) & _MASK64
-        assert _index_of(built, u) == j
+        built = key_with_u64(u, j)
         keys = others[:at] + [built] + others[at:]
         spans = [span if key == built else 10 for key in keys]
         ok, _ = _plan([[]] * len(keys), spans, limit)(keys)

@@ -1,7 +1,6 @@
 """Tests for scheme tables, the constraint network, and roster lotteries."""
 
 import copy
-import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -23,9 +22,7 @@ from reserve2d import (
     minimal_height,
 )
 from reserve2d import roster
-from reserve2d._walk import Graph, Walk, scaled
-from reserve2d.fileio import parse_scheme_file
-from reserve2d.rng import _GAMMA, _MASK64, _index_of, _mix64, _unmix64
+from reserve2d._walk import scaled
 from reserve2d.roster import (
     FlowEdge,
     FlowStep,
@@ -36,14 +33,11 @@ from reserve2d.roster import (
     source_vertex,
 )
 
-from conftest import ForcedRng, time_limit, tree_law
+from conftest import FIVE, CountedU64s, CountingStream, ForcedRng, key_with_u64, recorded_batches, stepwise_draw
+from conftest import time_limit, tree_law
 
 F = Fraction
-
-FIVE = ReservationScheme(
-    ("s", "t", "o", "e", "g"),
-    (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200)),
-)
+MIXED = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))  # three columns, no tree at height 12
 
 
 def _flow(network, tail, head):
@@ -60,35 +54,23 @@ def test_minimal_height(third_scheme, half_scheme, quarters_scheme):
 
 
 def test_minimal_height_with_many_denominators():
-    scheme = ReservationScheme(
-        ("s", "t", "o", "e", "g"),
-        (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200)),
-    )
-    assert minimal_height(scheme) == 200
+    assert minimal_height(FIVE) == 200
 
 
 def test_scheme_table_rejects_bad_height(third_scheme):
     with pytest.raises(ValueError, match="3"):
         build_scheme_table(third_scheme, 4)
-    scheme = ReservationScheme(
-        ("s", "t", "o", "e", "g"),
-        (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200)),
-    )
     with pytest.raises(ValueError, match="200"):
-        build_scheme_table(scheme, 100)
+        build_scheme_table(FIVE, 100)
 
 
 def test_scheme_table_rejects_more_than_the_cell_limit(third_scheme):
     """Tables past 50,000 cells fail fast instead of allocating a network."""
-    five = ReservationScheme(
-        ("s", "t", "o", "e", "g"),
-        (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200)),
-    )
-    assert build_scheme_table(five, 10_000).height == 10_000
+    assert build_scheme_table(FIVE, 10_000).height == 10_000
     wide = ReservationScheme(("c1", "c2"), (F(1, 999983), F(999982, 999983)))
     with time_limit(5):
         with pytest.raises(ValueError, match="more than 50,000 cells"):
-            build_scheme_table(five, 10_200)
+            build_scheme_table(FIVE, 10_200)
         with pytest.raises(ValueError, match="height 3000000 over 2 categories"):
             build_scheme_table(third_scheme, 3_000_000)
         with pytest.raises(ValueError, match="height 999983"):
@@ -414,12 +396,11 @@ def _assert_branches_share_off_the_cycle(step: FlowStep) -> None:
 def test_observed_flow_branches_share_every_edge_off_the_cycle(third_scheme):
     """In observed draws and single steps alike, both branches replace only
     the cycle's edges of the pre-step network."""
-    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
-    for scheme, height in ((third_scheme, 30), (mixed, 12)):
+    for scheme, height in ((third_scheme, 30), (MIXED, 12)):
         for seed in range(3):
             steps = []
             draw_block(scheme, height, SplitStream(seed), on_step=steps.append)
-            _, single = _stepwise_draw(build_scheme_table(scheme, height), SplitStream(seed))
+            _, single = stepwise_draw(build_scheme_table(scheme, height), SplitStream(seed))
             assert steps and len(single) == len(steps)
             for step in steps + single:
                 _assert_branches_share_off_the_cycle(step)
@@ -526,88 +507,6 @@ def test_taller_table_marginals_stay_exact(third_scheme):
         assert marginal == F(1, 3), pos
 
 
-def _stepwise_draw(table, rng):
-    """A block and its observed steps from :func:`decompose_flow_once`, which
-    searches every cycle afresh on a network of its own."""
-    network, steps = build_flow_network(table), []
-    while not network.is_integral:
-        network = decompose_flow_once(network, rng, on_step=steps.append)
-    return IntegralBlock.from_network(network), steps
-
-
-def test_cached_draw_matches_stepwise_draw(third_scheme, quarters_scheme):
-    """Observed and unobserved draws walk the cached sampler, and both give
-    the block and the draw count of stepping the network one
-    :func:`decompose_flow_once` at a time; the observed draw shows that
-    loop's steps record for record (cycle, d+, d-, probability, branch, and
-    the pre-step, branch and result flows).  On 1/4, 1/3, 5/12 at height 12
-    the live walk resumes its cycle search where the loop starts afresh."""
-    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
-    for scheme, height in ((third_scheme, None), (quarters_scheme, None), (mixed, 12)):
-        table = build_scheme_table(scheme, height)
-        for seed in range(40):
-            fast, watched, slow = SplitStream(seed), SplitStream(seed), SplitStream(seed)
-            block, oracle = _stepwise_draw(table, slow)
-            steps = []
-            assert draw_block(scheme, height, fast) == block, (height, seed)
-            assert draw_block(scheme, height, watched, on_step=steps.append) == block, (height, seed)
-            assert fast._n == watched._n == slow._n, (height, seed)
-            assert len(steps) == len(oracle), (height, seed)
-            for number, (got, want) in enumerate(zip(steps, oracle)):
-                assert got == want, (height, seed, number)
-
-
-def _network_start(table) -> Walk:
-    """The start of a block walked on the full network, cell vertices kept."""
-    vertices, edges, scale, flows = roster._scheme_network(table)
-    return Walk(Graph(vertices, edges), scale, flows)
-
-
-def _network_walk(table, rng):
-    """A block and its ``(num, den, take)`` draws walked on the full network."""
-    walk, draws = _network_start(table), []
-    walk.run(rng, lambda *draw: draws.append(draw))
-    k, n, end = table.height, table.scheme.size, len(walk.flows)
-    cells = [f // walk.scale for f in walk.flows[end - k - k * n:end - k]]  # row by row
-    return IntegralBlock(table.scheme, k, tuple(tuple(cells[i:i + n]) for i in range(0, k * n, n))), draws
-
-
-def _sampler_walk(monkeypatch, table, rng):
-    """A fresh sampler's walked block and the ``(num, den, take)`` draws a ``Walk.run`` hook sees."""
-    sampler, draws, run = roster._BlockSampler(table), [], Walk.run
-    with monkeypatch.context() as patch:
-        patch.setattr(Walk, "run", lambda walk, rng, hook=None: run(walk, rng, lambda *draw: draws.append(draw)))
-        block = sampler.walk(rng)
-    return block, draws
-
-
-def test_folded_walk_draws_what_the_full_network_walk_draws(monkeypatch):
-    """The sampler walks the network with each cell's two edges folded into
-    one; every draw, the block and the draw count equal those of walking the
-    full network: on every golden scheme, on 1/4, 1/3, 5/12 (three columns,
-    so a block read column by column would differ), on five categories at
-    heights 200 and 2,000, and on a stream whose first u64 ``randrange``
-    rejects."""
-    golden = os.path.join(os.path.dirname(__file__), "golden")
-    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
-    cases = [
-        (parse_scheme_file(os.path.join(golden, name)), None, range(5))
-        for name in sorted(os.listdir(golden)) if name.startswith("scheme_")
-    ]
-    cases += [(mixed, 12, range(5)), (mixed, 24, range(5)), (FIVE, 200, range(3)), (FIVE, 2000, [7])]
-    rejected = (_unmix64(_MASK64) - _GAMMA) & _MASK64  # the key of a stream whose first u64 is 2**64 - 1
-    assert SplitStream(rejected).next_u64() == _MASK64
-    cases += [(FIVE, 200, [rejected])]
-    for scheme, height, seeds in cases:
-        table = build_scheme_table(scheme, height)
-        for seed in seeds:
-            folded, full = _CountingStream(seed), _CountingStream(seed)
-            block, draws = _sampler_walk(monkeypatch, table, folded)
-            assert (block, draws) == _network_walk(table, full), (scheme, height, seed)
-            assert folded._n == full._n and folded.bounds == full.bounds, (scheme, height, seed)
-    assert folded.bounds == [draws[0][1]] and folded._n == len(draws) + 1
-
-
 def test_sampler_graph_folds_every_cell_vertex_away():
     """The sampler's graph drops one of each cell's two edges: k*n fewer
     edges than the network; at five-category height 200, 2,195 edges of
@@ -631,122 +530,6 @@ def _leaf_depths(node, depth=0):
     return _leaf_depths(taken, depth + 1) + _leaf_depths(not_taken, depth + 1)
 
 
-def test_sampler_past_its_tree_depth_walks_what_the_tree_descent_draws(monkeypatch, quarters_scheme):
-    """A sampler whose walks take more steps than ``_TREE_DEPTH`` keeps no tree and
-    walks every block, drawing the blocks and the draw count of a sampler that
-    descends its tree.  The limit is inclusive: at the deepest leaf's depth the
-    tree is kept whole, one less drops it.  Inner nodes hold only a probability
-    and two children; leaves are blocks."""
-    table = build_scheme_table(quarters_scheme, 8)
-    free = roster._BlockSampler(table)
-    leaves = _leaf_depths(free.root)
-    assert all(isinstance(leaf, IntegralBlock) for leaf, _ in leaves)
-    deepest = max(depth for _, depth in leaves)
-    monkeypatch.setattr(roster._BlockSampler, "_TREE_DEPTH", deepest)
-    assert roster._BlockSampler(table).root == free.root
-    monkeypatch.setattr(roster._BlockSampler, "_TREE_DEPTH", deepest - 1)
-    capped = roster._BlockSampler(table)
-    assert capped.root is None and capped.fixed is None
-    for seed in range(60):
-        a, b = SplitStream(seed), SplitStream(seed)
-        assert capped.blocks(a, 2) == free.blocks(b, 2), seed
-        assert a._n == b._n, seed
-
-
-def _block_loop(sampler, rng, count):
-    """``count`` blocks walked one at a time."""
-    return [sampler.walk(rng) for _ in range(count)]
-
-
-def test_fused_positions_draw_what_the_block_loop_draws(monkeypatch, third_scheme, quarters_scheme):
-    """The fused descent returns the blocks that per-block walks on a
-    sampler of its own return, and leaves the stream at the same draw
-    index: on samplers used before, on fresh samplers, and on samplers
-    without a tree, which walk every block (the five-category scheme, 1/4,
-    1/3, 5/12 at height 12, and quarters at height 8 with the depth limit
-    lowered).  Any other source of randrange descends by ``randrange``."""
-    cases = [(third_scheme, 3, range(200)), (quarters_scheme, 4, range(200)), (FIVE, 200, range(2))]
-    for scheme, height, seeds in cases:
-        table = build_scheme_table(scheme, height)
-        fused, looped = roster._BlockSampler(table), roster._BlockSampler(table)
-        for seed in seeds:
-            count = seed % 7 if height < 200 else 2
-            a, b = SplitStream(seed), SplitStream(seed)
-            assert fused.blocks(a, count) == _block_loop(looped, b, count), (height, seed)
-            assert a._n == b._n, (height, seed)
-    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
-    for scheme, height, depth in ((third_scheme, 6, None), (quarters_scheme, 8, 4), (mixed, 12, None)):
-        table = build_scheme_table(scheme, height)
-        looped = roster._BlockSampler(table)
-        with monkeypatch.context() as patch:
-            if depth is not None:
-                patch.setattr(roster._BlockSampler, "_TREE_DEPTH", depth)
-            fused = roster._BlockSampler(table)
-        assert (fused.root is None) == (height > 6), height
-        for seed in range(60):
-            if height == 6:
-                fused = roster._BlockSampler(table)  # fresh
-            a, b = SplitStream(seed), SplitStream(seed)
-            assert fused.blocks(a, 4) == _block_loop(looped, b, 4), (height, seed)
-            assert a._n == b._n, (height, seed)
-    looped = roster._BlockSampler(build_scheme_table(quarters_scheme))
-    for seed in range(20):
-        fused = roster._BlockSampler(build_scheme_table(quarters_scheme))
-        a, b = random.Random(seed), random.Random(seed)
-        assert fused.blocks(a, 3) == _block_loop(looped, b, 3), seed
-        assert a.random() == b.random(), seed
-
-
-class _CountingStream(SplitStream):
-    """A stream that records the bound of every ``randrange`` call."""
-
-    __slots__ = ("bounds",)
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.bounds = []
-
-    def randrange(self, n):
-        self.bounds.append(n)
-        return super().randrange(n)
-
-
-def test_fused_positions_redraw_a_rejected_u64_like_randrange(third_scheme):
-    """Streams whose u64 number j is 2**64 - 1, which ``randrange(3)``
-    rejects: the fused descent hands such a u64 to ``randrange`` and draws
-    the blocks and the draw count of per-block walks on another sampler."""
-    assert _mix64(_unmix64(_MASK64)) == _MASK64
-
-    def stream(j, kind=SplitStream):  # u64 number j (from 1) is 2**64 - 1
-        return kind((_unmix64(_MASK64) - j * _GAMMA) & _MASK64)
-
-    rejecting = stream(1)
-    assert rejecting.randrange(3) < 3 and rejecting._n == 2
-    table = build_scheme_table(third_scheme)
-    sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
-    root = sampler.root
-    assert root[1] == 2 and root[2][1] == root[3][1] == 3  # a block reads two u64s
-    for j in range(1, 7):
-        a, b = stream(j, _CountingStream), stream(j)
-        assert sampler.blocks(a, 3) == _block_loop(plain, b, 3), j
-        # u64 number j falls on a root (den 2, odd j) or on a depth-2 node
-        # (den 3, even j), where it is rejected and costs one more u64.
-        assert a.bounds == [3 - j % 2], j
-        assert a._n == b._n == 7 - j % 2, j
-
-
-def _recorded_batches(monkeypatch):
-    """The (draw index, lane count) of every batch the descent mixes from now on."""
-    calls, mix = [], roster._u64s
-
-    def recording(key, n, count):
-        calls.append((n, count))
-        return mix(key, n, count)
-
-    monkeypatch.setattr(roster, "_u64s", recording)
-    return calls
-
-
 def test_fused_descent_draws_the_block_loop_across_batch_boundaries(
     monkeypatch, third_scheme, quarters_scheme
 ):
@@ -758,7 +541,7 @@ def test_fused_descent_draws_the_block_loop_across_batch_boundaries(
     per-block walks."""
     for scheme in (third_scheme, quarters_scheme):
         table = build_scheme_table(scheme)
-        fused, looped = roster._BlockSampler(table), roster._BlockSampler(table)
+        sampler = roster._BlockSampler(table)
         widest, inside = 0, False
         for seed, count in ((0, 100), (1, 150), (2, 67), (3, 33)):
             a, b = SplitStream(seed), SplitStream(seed)
@@ -766,9 +549,9 @@ def test_fused_descent_draws_the_block_loop_across_batch_boundaries(
             starts, want = [], []
             for _ in range(count):
                 starts.append(b._n)
-                want.append(looped.walk(b))
-            batches = _recorded_batches(monkeypatch)
-            assert fused.blocks(a, count) == want, (scheme, seed)
+                want.append(sampler.walk(b))
+            batches = recorded_batches(monkeypatch, roster)
+            assert sampler.blocks(a, count) == want, (scheme, seed)
             assert a._n == b._n, (scheme, seed)
             widest = max(widest, *(lanes for _, lanes in batches))
             inside = inside or any(n not in starts for n, _ in batches)
@@ -786,50 +569,28 @@ def test_fused_descent_redraws_a_rejected_u64_in_the_first_or_last_lane(
     (u64 64 of 100 blocks) and as the first lane of the second (u64 6 of 5
     blocks) it is handed to ``randrange``, and the descent draws the blocks
     and the draw count of per-block walks."""
-    table = build_scheme_table(third_scheme)
-    sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
+    sampler = roster._BlockSampler(build_scheme_table(third_scheme))
     for count, j, batch in ((100, 64, (0, 64)), (5, 6, (5, 8))):
-        key = (_unmix64(_MASK64) - j * _GAMMA) & _MASK64  # u64 number j is 2**64 - 1
-        a, b = _CountingStream(key), SplitStream(key)
-        batches = _recorded_batches(monkeypatch)
-        assert sampler.blocks(a, count) == _block_loop(plain, b, count), j
+        key = key_with_u64((1 << 64) - 1, j)
+        a, b = CountingStream(key), SplitStream(key)
+        batches = recorded_batches(monkeypatch, roster)
+        assert sampler.blocks(a, count) == [sampler.walk(b) for _ in range(count)], j
         assert a.bounds == [3] and a._n == b._n == 2 * count + 1, j
         assert batch in batches, (j, batches)
         monkeypatch.undo()
 
 
 def test_draws_change_no_node_of_the_tree(quarters_scheme):
-    """Blocks, walks and reads leave every node of the tree as it was built, and
-    draw what a sampler of its own draws one walk at a time."""
-    table = build_scheme_table(quarters_scheme, 8)
-    sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
+    """Blocks, walks and reads leave every node of the tree as it was built."""
+    sampler = roster._BlockSampler(build_scheme_table(quarters_scheme, 8))
     built = copy.deepcopy(sampler.root)
     for seed in range(30):
-        a, b = SplitStream(seed), SplitStream(seed)
-        looped = _block_loop(plain, b, 3)
-        assert sampler.blocks(a, 2) + [sampler.walk(a)] == looped, seed
-        assert a._n == b._n, seed
-        fresh = _block_loop(plain, SplitStream(seed + 100), 3)
-        assert _read(sampler, seed + 100, 3, [0, 2]) == [fresh[0], fresh[2]], seed
+        stream = SplitStream(seed)
+        sampler.blocks(stream, 2)
+        sampler.walk(stream)
+        sampler.read([3], [[0, 2]])([seed + 100])
         assert sampler.root == built, seed
     assert len(_leaf_depths(sampler.root)) == 196
-
-
-def test_walk_on_a_built_tree_draws_what_the_descent_draws(third_scheme):
-    """The 1/3 tree is whole when the sampler is built (no inner node misses a
-    child), and a walk returns the block, and leaves the stream at the draw
-    index, that the fused descent gives."""
-    sampler = roster._BlockSampler(build_scheme_table(third_scheme))
-    pending = [sampler.root]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, list):
-            assert None not in node[2:]
-            pending += node[2:]
-    for seed in range(50):
-        a, b = SplitStream(seed), SplitStream(seed)
-        assert [sampler.walk(a)] == sampler.blocks(b, 1), seed
-        assert a._n == b._n, seed
 
 
 def test_sampler_tree_is_the_enumerated_block_law(third_scheme, half_scheme, quarters_scheme, tenth_scheme):
@@ -853,205 +614,26 @@ def test_sampler_tree_is_the_enumerated_block_law(third_scheme, half_scheme, qua
         depths = {depth for _, depth in _leaf_depths(sampler.root)}
         assert (len(depths) == 1) == single, (scheme, height, depths)
         assert sampler.fixed == (min(depths) if single else None), (scheme, height)
-    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
     odd = ReservationScheme(("a", "b", "c"), (F(3, 20), F(1, 4), F(3, 5)))
-    for scheme, height in ((FIVE, 200), (mixed, 12), (odd, 20), (third_scheme, 30)):
+    for scheme, height in ((FIVE, 200), (MIXED, 12), (odd, 20), (third_scheme, 30)):
         sampler = roster._BlockSampler(build_scheme_table(scheme, height))
         assert sampler.root is None and sampler.fixed is None, (scheme, height)
 
 
 def test_a_sampler_never_changes_once_built(third_scheme, quarters_scheme):
-    """``blocks``, ``read``, ``walk`` and a stream that is not read from batches
+    """``blocks``, ``read``, ``walk`` and streams that are not read from batches
     leave a sampler's ``root`` and ``fixed`` the very objects it was built with,
-    with or without a tree.  On fresh samplers, ``blocks`` from a fresh stream,
-    ``read`` of every block of its key and one ``walk`` per block return the
-    same blocks, and the two streams stop at the same draw index."""
-    mixed = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))
-    for scheme, height in ((third_scheme, 3), (quarters_scheme, 8), (mixed, 12)):
-        table = build_scheme_table(scheme, height)
-        sampler = roster._BlockSampler(table)
+    with or without a tree."""
+    for scheme, height in ((third_scheme, 3), (quarters_scheme, 8), (MIXED, 12)):
+        sampler = roster._BlockSampler(build_scheme_table(scheme, height))
         root, fixed = sampler.root, sampler.fixed
         for seed in range(3):
             sampler.blocks(SplitStream(seed), 5)
-            _read(sampler, seed, 5, [1, 3])
+            sampler.read([5], [[1, 3]])([seed])
             sampler.walk(SplitStream(seed))
-            sampler.blocks(_CountedU64s(seed), 3)
+            sampler.blocks(CountedU64s(seed), 3)
             sampler.blocks(random.Random(seed), 3)
             assert sampler.root is root and sampler.fixed is fixed, (height, seed)
-        for seed in range(10):
-            count = 1 + seed
-            a, c = SplitStream(seed), SplitStream(seed)
-            drawn = roster._BlockSampler(table).blocks(a, count)
-            assert _read(roster._BlockSampler(table), seed, count, range(count)) == drawn, (height, seed)
-            walker = roster._BlockSampler(table)
-            assert [walker.walk(c) for _ in range(count)] == drawn, (height, seed)
-            assert a._n == c._n, (height, seed)
-
-
-def _read(sampler, key, count, wanted):
-    """The one-key case of ``sampler.read``: blocks ``wanted`` of the ``count`` drawn from a fresh stream of ``key``."""
-    return sampler.read([count], [wanted])([key])
-
-
-def _spied(monkeypatch, sampler):
-    """The counts of ``sampler.blocks`` calls from now on."""
-    calls, draw = [], sampler.blocks
-    monkeypatch.setattr(sampler, "blocks", lambda rng, count: calls.append(count) or draw(rng, count))
-    return calls
-
-
-def test_read_returns_the_wanted_blocks_of_blocks(monkeypatch, third_scheme, half_scheme, quarters_scheme):
-    """The one-key read returns blocks ``wanted`` of what ``blocks`` draws
-    from a fresh stream of that key, over seeds, counts 1-300 and random
-    wanted sets.  Trees whose leaves share one depth (1/3 at heights 3 and
-    6, half/half) decode only the wanted blocks; quarters, whose leaves sit
-    at depths 3 and 4, and the five-category scheme, which has no tree,
-    draw through ``blocks``."""
-    pick = random.Random(7)
-    cases = [
-        (third_scheme, 3, 2, 300), (third_scheme, 6, 4, 300), (half_scheme, 2, 1, 300),
-        (quarters_scheme, 4, None, 300), (FIVE, 200, None, 2),
-    ]
-    for scheme, height, depth, seeds in cases:
-        table = build_scheme_table(scheme, height)
-        sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
-        assert sampler.fixed == depth, (height, sampler.fixed)
-        calls = _spied(monkeypatch, sampler)
-        for seed in range(seeds):
-            count = 1 + seed if height < 200 else 2
-            wanted = sorted(pick.sample(range(count), pick.randint(0, min(count, 12))))
-            key = SplitStream(seed).child(1).key
-            drawn = plain.blocks(SplitStream(key), count)
-            assert _read(sampler, key, count, wanted) == [drawn[w] for w in wanted], (height, seed)
-        assert calls == ([] if depth else [1 + seed if height < 200 else 2 for seed in range(seeds)]), height
-        monkeypatch.undo()
-
-
-def test_read_falls_back_where_randrange_might_reject(monkeypatch, third_scheme, half_scheme):
-    """A u64 above 2**64 - L, where L (3 on 1/3, 2 on half/half) bounds every
-    denominator of the tree, may be rejected.  Keys built with the inverse of
-    the output function put such a u64 at number 1, in the middle, or last
-    among the d*count a read spans: the read then draws through ``blocks``.
-    At number 0, which no draw reads, or just past that span it decodes only
-    the wanted blocks, and so it does wherever 2**64 - L itself falls: the
-    read screens exactly L - 1 values.  Either way it returns what ``blocks``
-    draws."""
-    for scheme, scale, count, wanted in ((third_scheme, 3, 5, [0, 3, 4]), (half_scheme, 2, 7, [2, 6])):
-        table = build_scheme_table(scheme)
-        sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
-        span = sampler.fixed * count
-        assert sampler.start.scale == scale, scheme
-        for u in range((1 << 64) - scale, 1 << 64):
-            for j, inside in ((0, False), (1, True), (span // 2, True), (span, True), (span + 1, False)):
-                key = (_unmix64(u) - j * _GAMMA) & _MASK64  # u64 number j is u
-                assert _index_of(key, u) == j
-                calls = _spied(monkeypatch, sampler)
-                drawn = plain.blocks(SplitStream(key), count)
-                assert _read(sampler, key, count, wanted) == [drawn[w] for w in wanted], (u, j)
-                falls_back = inside and u > (1 << 64) - scale
-                assert calls == ([count] if falls_back else []), (scheme, u, j)
-                monkeypatch.undo()
-
-
-def test_one_read_over_many_streams_draws_what_each_stream_draws(monkeypatch, third_scheme, half_scheme,
-                                                                  quarters_scheme):
-    """One read over many keys returns, key after key, the wanted blocks of what ``blocks`` draws from a fresh
-    stream of each, over seeds, with counts of 0 and keys that want no block.  The key in the middle is built
-    with the inverse of the output function so that a u64 ``randrange`` might reject (one above 2**64 - L)
-    falls inside its span, where ``_index_of`` finds it: it alone falls back to ``blocks`` while the others
-    keep their draws.  On quarters, whose leaves sit at two depths, every key draws through ``blocks``."""
-    pick = random.Random(3)
-    cases = ((third_scheme, 3), (third_scheme, 6), (half_scheme, 2), (half_scheme, 8), (quarters_scheme, 4))
-    for scheme, height in cases:
-        table = build_scheme_table(scheme, height)
-        sampler, plain = roster._BlockSampler(table), roster._BlockSampler(table)
-        for seed in range(40):
-            size = pick.randint(3, 12)
-            middle = size // 2
-            counts = [pick.choice([0, 1, 2, pick.randint(1, 40)]) for _ in range(size)]
-            counts[middle] = max(counts[middle], 1)
-            wanted = [sorted(pick.sample(range(c), pick.randint(0, min(c, 6)))) for c in counts]
-            keys = [SplitStream(seed).child(s).key for s in range(size)]
-            if sampler.fixed:
-                j = 1 + pick.randrange(sampler.fixed * counts[middle])  # inside the middle key's span
-                u = pick.randrange((1 << 64) - sampler.start.scale + 1, 1 << 64)
-                keys[middle] = (_unmix64(u) - j * _GAMMA) & _MASK64
-                assert _index_of(keys[middle], u) == j
-            expected = []
-            for key, count, own in zip(keys, counts, wanted):
-                drawn = plain.blocks(SplitStream(key), count)
-                expected += [drawn[w] for w in own]
-            calls = _spied(monkeypatch, sampler)
-            assert sampler.read(counts, wanted)(keys) == expected, (height, seed)
-            assert calls == ([counts[middle]] if sampler.fixed else counts), (height, seed)
-            monkeypatch.undo()
-
-
-def test_a_rebound_next_u64_sends_every_key_of_a_read_through_blocks(monkeypatch, third_scheme, half_scheme):
-    """A tracer rebinds ``SplitStream.next_u64`` on the class; every key of a read, even one that wants no block,
-    then draws through ``blocks``, the rebound method sees every u64 those draws read, and the blocks are those
-    of the read without it."""
-    for scheme, height in ((third_scheme, 3), (third_scheme, 6), (half_scheme, 2)):
-        sampler = roster._BlockSampler(build_scheme_table(scheme, height))
-        counts, wanted = [3, 0, 40, 1, 5], [[0, 2], [], [0, 17, 39], [], [4]]
-        for seed in range(5):
-            keys = [SplitStream(seed).child(s).key for s in range(len(counts))]
-            plain = sampler.read(counts, wanted)(keys)
-            draws = 0
-            for key, count in zip(keys, counts):
-                stream = SplitStream(key)
-                sampler.blocks(stream, count)
-                draws += stream._n
-            seen, next_u64 = [], SplitStream.next_u64
-            monkeypatch.setattr(SplitStream, "next_u64", lambda rng: seen.append(rng.key) or next_u64(rng))
-            calls = _spied(monkeypatch, sampler)
-            assert sampler.read(counts, wanted)(keys) == plain, (height, seed)
-            assert calls == counts, (height, seed)
-            assert len(seen) == draws and set(seen) == {k for k, c in zip(keys, counts) if c}, (height, seed)
-            monkeypatch.undo()
-
-
-class _CountedU64s(SplitStream):
-    """A stream that counts its ``next_u64`` calls."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.calls = 0
-
-    def next_u64(self):
-        self.calls += 1
-        return super().next_u64()
-
-
-class _ZeroU64s(SplitStream):
-    """A stream whose every u64 is 0."""
-
-    def next_u64(self):
-        self._n += 1
-        return 0
-
-
-def test_streams_that_override_next_u64_see_every_draw(third_scheme):
-    """A subclass that overrides ``next_u64`` is not read from batches: on a
-    sampler with a tree and on one without (1/3 at height 24), through
-    ``blocks`` and ``draw_roster``, a counting stream sees every u64
-    and draws what a plain stream draws, and a stream of zeros draws one block
-    every time."""
-    table = build_scheme_table(third_scheme)
-    for sampler in (roster._BlockSampler(table), roster._BlockSampler(build_scheme_table(third_scheme, 24))):
-        for seed in range(5):
-            a, b = _CountedU64s(seed), SplitStream(seed)
-            assert sampler.blocks(a, 40) == sampler.blocks(b, 40), seed
-            assert a.calls == a._n == b._n, seed
-            zeros, one = _ZeroU64s(seed), _ZeroU64s(seed)
-            sampler.walk(one)
-            assert len(set(sampler.blocks(zeros, 30))) == 1, seed
-            assert zeros._n == 30 * one._n, seed
-    a, b = _CountedU64s(11), SplitStream(11)
-    assert draw_roster(third_scheme, 3000, a) == draw_roster(third_scheme, 3000, b)
-    assert a.calls == a._n == b._n == 2000
 
 
 def test_sampler_cache_stays_bounded_and_evicted_samplers_draw_alike():

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,13 +23,12 @@ from reserve2d import (
     within_department_quota,
     within_university_quota,
 )
-from reserve2d import roster
 from reserve2d.cli import _cycled_roster
 from reserve2d.core import _check_counts
 from reserve2d.roster import _sampler, build_scheme_table, draw_roster
 from reserve2d.solutions import _replicate, _runner, _trace
 
-from conftest import mod3_roster
+from conftest import FIVE, mod3_roster
 
 F = Fraction
 
@@ -313,13 +311,8 @@ def _tables(counts, problem=None):
     return [tuple(rows[a:a + m]) for a in range(0, len(rows), m)]
 
 
-_FIVE = ReservationScheme(
-    ("sc", "st", "obc", "ews", "open"),
-    (F(3, 20), F(3, 40), F(27, 100), F(1, 10), F(81, 200)),
-)
 _QUARTERS = ReservationScheme(("c1", "c2", "c3"), (F(1, 4), F(1, 4), F(1, 2)))
 _THIRD = ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3)))
-_HALF = ReservationScheme(("c1", "c2"), (F(1, 2), F(1, 2)))
 
 # Problems and block heights for the kernel's oracle tests.  Each has a
 # department or a period without vacancies, and reads boundaries at exact
@@ -331,7 +324,7 @@ _KERNEL_CASES = {
     # k = 8: a first period without vacancies, final counts (8, 16, 5).
     "quarters-8": (ReservationProblem(("a", "b", "c"), _QUARTERS, ((0, 0, 0), (3, 9, 5), (5, 7, 0))), 8),
     # k = 200, walked blocks: departments end at 200, 200 and 201.
-    "five": (ReservationProblem(("p", "q", "r"), _FIVE, ((150, 0, 37), (50, 200, 163), (0, 0, 1))), None),
+    "five": (ReservationProblem(("p", "q", "r"), FIVE, ((150, 0, 37), (50, 200, 163), (0, 0, 1))), None),
 }
 
 
@@ -377,21 +370,6 @@ def test_kernel_counts_fixed_rosters_like_the_sliced_ones(case):
         assert _tables(run_court(problem, roster)) == _oracle(problem, court, None)
         order = _orders(problem)[1]
         assert _tables(run_government(problem, roster, order)) == _pooled_government(problem, roster, order)
-
-
-@pytest.mark.parametrize("scheme, height", [(_THIRD, None), (_THIRD, 6), (_HALF, 4)])
-def test_proposed_runs_read_what_each_department_stream_draws(scheme, height):
-    """A proposed run mixes its departments' child keys, then reads every department's blocks in one read over
-    all the child streams.  Over 200 seeds it counts what each child stream's own blocks hold, with departments
-    and periods without vacancies and ends on block boundaries."""
-    vacancies = ((3, 0, 2, 6, 1, 0), (0, 0, 4, 3, 2, 0), (3, 0, 0, 6, 1, 0), (0, 0, 0, 0, 0, 0))
-    problem = ReservationProblem(("d1", "d2", "d3", "d4", "d5", "d6"), scheme, vacancies)
-    config = SolutionConfig("proposed", height=height)
-    assert _sampler(build_scheme_table(scheme, height)).fixed is not None
-    run = _runner(problem, config)
-    for seed in range(200):
-        key = SplitStream(seed).child(1).key
-        assert _tables(run(key), problem) == _oracle(problem, config, key), seed
 
 
 def _refusals(problem, grid):
@@ -527,23 +505,3 @@ def test_court_draws_only_the_positions_it_reads(quarters_scheme, seed):
     drawn = run_solution(problem, SolutionConfig("court"), seed)
     assert drawn.periods == run_court(problem, roster).periods
 
-
-def test_runs_whose_ends_close_blocks_decode_no_block(monkeypatch, third_scheme):
-    """When every position a run reads closes a block of the 1/3 scheme
-    (height 3), the counts come from the scheme's whole-block counts alone:
-    every solution counts what the sliced rosters hold, and no block is
-    drawn or decoded."""
-    problem = ReservationProblem(("d1", "d2", "d3"), third_scheme, ((3, 6, 0), (0, 3, 9)))
-    sampler = _sampler(build_scheme_table(third_scheme))
-    assert sampler.fixed is not None
-    configs = [SolutionConfig("proposed"), SolutionConfig("court")]
-    configs += [SolutionConfig("government", order=o) for o in _orders(problem)]
-    seeds = [SplitStream(6).child(r).key for r in range(4)]
-    expected = [[_oracle(problem, config, seed) for seed in seeds] for config in configs]
-    decoded, plan = [], roster._plan
-    monkeypatch.setattr(roster, "_u64s", lambda *args: decoded.append(args))
-    monkeypatch.setattr(roster, "_plan", lambda numbers, *args: decoded.extend(chain(*numbers)) or plan(numbers, *args))
-    monkeypatch.setattr(sampler, "blocks", lambda *args: decoded.append(args))
-    for config, want in zip(configs, expected):
-        assert [_tables(grid, problem) for grid in _replicate(problem, config, 4, SplitStream(6))] == want, config
-    assert decoded == []

@@ -23,10 +23,9 @@ from hypothesis import strategies as st
 from reserve2d import ReservationProblem, ReservationScheme, build_fair_share_table, roster, rounding
 from reserve2d import _walk
 from reserve2d._walk import Graph, Walk
-from reserve2d.rng import _GAMMA, _MASK64, SplitStream
+from reserve2d.rng import SplitStream
 
-from conftest import time_limit
-from test_roster import _CountingStream, _network_start, _unmix64
+from conftest import FIVE, CountingRandom, CountingStream, key_with_u64, per_step, recorded_batches, time_limit
 
 
 def oracle_cycle(walk: Walk, start: int = 0):
@@ -65,18 +64,6 @@ class OracleWalk(Walk):
 
     def cycle(self):
         return oracle_cycle(self)
-
-
-class CountingRandom(random.Random):
-    """A stdlib generator that counts its draws: an rng other than a SplitStream."""
-
-    def __init__(self, seed: int):
-        super().__init__(seed)
-        self._n = 0
-
-    def randrange(self, n: int) -> int:
-        self._n += 1
-        return super().randrange(n)
 
 
 def assert_walks_agree(start: Walk, seed: int, foreign=(), stream=SplitStream) -> None:
@@ -176,12 +163,6 @@ def test_run_draws_denominators_beyond_64_bits_as_the_oracle():
             assert_walks_agree(start, seed, foreign, CountingRandom)
 
 
-FIVE = ReservationScheme(
-    ("sc", "st", "obc", "ews", "open"),
-    (Fraction(3, 20), Fraction(3, 40), Fraction(27, 100), Fraction(1, 10), Fraction(81, 200)),
-)
-
-
 class CountingIncidence(tuple):
     """A vertex's incidence that counts the entries read from it."""
 
@@ -211,35 +192,17 @@ def test_resumed_walk_reads_under_half_the_incidence_of_the_oracle():
     assert resumed <= CountingIncidence.reads / 2, (resumed, CountingIncidence.reads)
 
 
-class PerStep:
-    """A stream behind an object that is no ``SplitStream``, so ``Walk.run``
-    calls its ``randrange`` at every step."""
-
-    def __init__(self, stream: SplitStream):
-        self.stream = stream
-
-    def randrange(self, n: int) -> int:
-        return self.stream.randrange(n)
-
-
 def assert_batched_run_draws_per_step(start: Walk, stream: SplitStream) -> list:
     """Run ``start`` on ``stream`` and on a copy of it read one ``randrange``
     per step: the same (num, den, take) of every step, flows and ``_n``."""
     plain = SplitStream(stream.key)
     plain._n = stream._n
     batched, stepped = (Walk(start.graph, start.scale, start.flows) for _ in range(2))
-    draws, per_step = [], []
+    draws, one_by_one = [], []
     batched.run(stream, lambda *draw: draws.append(draw))
-    stepped.run(PerStep(plain), lambda *draw: per_step.append(draw))
-    assert draws == per_step and batched.flows == stepped.flows and stream._n == plain._n
+    stepped.run(per_step(plain), lambda *draw: one_by_one.append(draw))
+    assert draws == one_by_one and batched.flows == stepped.flows and stream._n == plain._n
     return draws
-
-
-def _recorded_batches(monkeypatch) -> list:
-    """The (draw index, lane count) of every batch a walk mixes from now on."""
-    calls, mix = [], _walk._u64s
-    monkeypatch.setattr(_walk, "_u64s", lambda key, n, count: calls.append((n, count)) or mix(key, n, count))
-    return calls
 
 
 def _block_start(height: int = 200) -> Walk:
@@ -259,7 +222,7 @@ def test_batched_run_draws_what_per_step_randrange_draws(monkeypatch):
     """Five-category height-200 blocks and 5- to 40-department rounding
     tables, from even and odd draw indices, read their u64s in batches of at
     most 64 lanes and draw what a ``randrange`` at every step draws."""
-    batches = _recorded_batches(monkeypatch)
+    batches = recorded_batches(monkeypatch, _walk)
     for seed in range(3):
         stream = SplitStream(seed)
         for _ in range(seed):
@@ -270,20 +233,6 @@ def test_batched_run_draws_what_per_step_randrange_draws(monkeypatch):
     assert max(count for _, count in batches) == 64 and min(count for _, count in batches) < 64
 
 
-def test_batched_run_draws_per_step_on_the_network_with_its_cells_kept(monkeypatch):
-    """The sampler walks the network with its cell vertices folded away; on
-    the full network, from even and odd draw indices, the batched walk still
-    draws what per-step ``randrange`` draws, and as the folded one does."""
-    batches = _recorded_batches(monkeypatch)
-    for seed in range(3):
-        full, folded = SplitStream(seed), SplitStream(seed)
-        for _ in range(seed):
-            full.next_u64(), folded.next_u64()
-        draws = assert_batched_run_draws_per_step(_network_start(roster.build_scheme_table(FIVE, 200)), full)
-        assert len(draws) > 64 * 10 and draws == assert_batched_run_draws_per_step(_block_start(), folded)
-    assert max(count for _, count in batches) == 64
-
-
 def test_batched_run_hands_a_rejected_u64_to_randrange_in_the_first_or_last_lane(monkeypatch):
     """Streams whose u64 number j is 2**64 - 1: ``randrange`` rejects it for
     any den that is no power of two.  On a height-200 block it falls in the
@@ -291,9 +240,8 @@ def test_batched_run_hands_a_rejected_u64_to_randrange_in_the_first_or_last_lane
     and in the first lane of the second (j = 65); the batched walk hands it
     to ``randrange`` and draws what per-step draws do, one u64 more."""
     for j, batch in ((1, (0, 64)), (64, (0, 64)), (65, (64, 64))):
-        key = (_unmix64(_MASK64) - j * _GAMMA) & _MASK64
-        stream = _CountingStream(key)
-        batches = _recorded_batches(monkeypatch)
+        stream = CountingStream(key_with_u64((1 << 64) - 1, j))
+        batches = recorded_batches(monkeypatch, _walk)
         draws = assert_batched_run_draws_per_step(_block_start(), stream)
         assert batches[0] == (0, 64) and batch in batches, (j, batches)
         den = draws[j - 1][1]
@@ -311,7 +259,7 @@ def test_batched_run_draws_denominators_beyond_64_bits_per_step():
     start = rounding._walk(rounding.extend_table(build_fair_share_table(problem, 1)))
     widest = 0
     for seed in range(20):
-        stream = _CountingStream(seed)
+        stream = CountingStream(seed)
         wide = [den for _, den, _ in assert_batched_run_draws_per_step(start, stream) if den > 2**64]
         assert [b for b in stream.bounds if b > 2**64] == wide, seed
         widest = max(widest, *wide, 0)
@@ -321,7 +269,7 @@ def test_batched_run_draws_denominators_beyond_64_bits_per_step():
 def test_run_calls_any_other_rng_once_per_step(monkeypatch):
     """A ``random.Random`` is read by one ``randrange`` per step and never
     through a batch."""
-    batches = _recorded_batches(monkeypatch)
+    batches = recorded_batches(monkeypatch, _walk)
     for start in (_block_start(), *_round_starts((5, 14))):
         rng, steps = CountingRandom(3), []
         Walk(start.graph, start.scale, start.flows).run(rng, lambda *draw: steps.append(draw))
