@@ -28,8 +28,8 @@ once the smallest fractional edge is gone).  A step reads d+ and d- off the
 path found; ``hook(num, den, take)`` sees each draw before the push.  Each
 vertex keeps a forward-only pointer to its first fractional incidence entry.
 A step tests ``u % den < num`` on the u64 ``randrange(den)`` would read,
-from ``rng._u64s`` batches of at most 64 lanes and the edges not known
-integral; ``randrange`` draws a u64 it might reject, and any other rng.
+from one ``rng._ahead`` of a u64 per edge not known integral; where that is
+None, every step of the walk calls ``randrange``.
 :meth:`Walk.cycle` searches afresh; :meth:`Walk.step` pushes a given cycle and
 returns the ``(num, den, take)`` a hook sees; :func:`tree` pushes every cycle
 both ways and lists a walk's runs up to a depth.  An :func:`observer`'s branches
@@ -44,7 +44,7 @@ from math import gcd, lcm
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rng import _batched, _u64s
+from .rng import _ahead
 
 # A cycle lists (edge index, direction) pairs: +1 runs tail to head.
 Cycle = Sequence[tuple[int, int]]
@@ -145,12 +145,11 @@ class Walk:
     def run(self, rng, hook: Optional[Callable[[int, int, bool], None]] = None) -> None:
         """Step until every flow is integral, drawing what :meth:`step` on
         each :meth:`cycle` would; ``hook(num, den, take)`` sees each draw
-        before its push, while the flows are the pre-step ones.  A ``_batched``
-        stream is read from ``_u64s`` batches."""
+        before its push, with the pre-step flows and ``rng._n`` where
+        per-step draws leave it.  A step makes an edge integral, and no den
+        exceeds the scale, which bounds what :func:`rng._ahead` reads."""
         flows, scale, k = self.flows, self.scale, 0
-        batched = _batched(rng)
-        first = end = 0  # the batch holds u64s first+1 .. end
-        left = len(flows) - self._first  # edges not known integral: a step makes at least one so
+        us, i = _ahead(rng, len(flows) - self._first, scale), 0  # a u64 per edge not known integral; i used
         while self._search(k):
             found = self._path[self._start:]
             back = [d * flows[e] % scale for e, d, _ in found]  # room against the path
@@ -159,24 +158,18 @@ class Walk:
             d_plus, d_minus = (scale - top, low) if forward else (low, scale - top)
             g = gcd(d_plus, d_minus)
             num, den = d_minus // g, (d_minus + d_plus) // g
-            u = 1 << 64  # past every u64: randrange draws, as for a u64 it might reject
-            if batched:
-                n = rng._n  # u64 n+1 depends only on the key and n
-                if not first <= n < end:
-                    first, end = n, n + min(left, 64)
-                    batch = _u64s(rng.key, n, end - n)
-                u, left = batch[n - first], left - 1
-            if u + den > 1 << 64:
-                take = rng.randrange(den) < num
-            else:
-                rng._n, take = n + 1, u % den < num
+            take, i = (rng.randrange(den) if us is None else us[i]) % den < num, i + 1
             if hook is not None:
+                if us is not None:
+                    rng._n += 1
                 hook(num, den, take)
             rise = take == forward  # the path's edges rise
             amount = scale - top if rise else -low
             for e, d, _ in found:
                 flows[e] += d * amount
             k = self._start + back.index(top if rise else low)  # the first edge made integral
+        if us is not None and hook is None:
+            rng._n += i
 
     def step(self, rng, cycle: Cycle) -> tuple[int, int, bool]:
         """Push ``cycle``, a cycle of fractional edges, on a drawn branch and

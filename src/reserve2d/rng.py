@@ -15,10 +15,10 @@ the child's index.  This gives
 This module alone knows the key and index layout (SplitMix; Steele, Lea and
 Flood 2014): u64 n of key k is mix(k + n*gamma), child i of k is keyed
 mix(k ^ gamma*(2i+1)).  :func:`_mix_lanes` mixes u64s of any streams as the
-lanes of one integer for :func:`_u64s` (consecutive u64s of a stream) and the
-two lane reads, built once and applied per run: :func:`_plan` (chosen u64s of
-fresh streams, screened where ``randrange`` might reject) and :func:`_children`
-(a key's child keys).  :func:`_unmix64` inverts the output function, and
+lanes of one integer for :func:`_u64s` (consecutive u64s of a stream, read
+ahead by :func:`_ahead`) and the two lane reads, built once and applied per
+run: :func:`_plan` (chosen u64s of fresh streams; both screen where
+``randrange`` might reject) and :func:`_children` (a key's child keys).  :func:`_unmix64` inverts the output function, and
 :func:`_index_of` finds where a stream outputs a u64.
 
 The algorithm identifier below is recorded in report metadata so that
@@ -95,6 +95,18 @@ def _u64s(key: int, n: int, count: int):
     """u64s n+1 .. n+count of stream ``key``, mixed side by side in one :func:`_mix_lanes` pass."""
     ones, low, steps = _steps(count)
     return _mix_lanes((key + (n + 1) * _GAMMA & _MASK64) * ones + steps, count, low)
+
+
+def _ahead(rng, count: int, limit: int):
+    """u64s n+1 .. n+``count`` of ``rng`` at draw n, mixed by :func:`_u64s` in batches of at most 64; None if ``rng``
+    is not :func:`_batched`, or if one is above 2**64 - ``limit`` (``randrange`` might reject it for a bound up to
+    ``limit``).  u64 n+1 depends only on the key and n, so reading ahead changes no draw; the caller moves ``_n``."""
+    if not _batched(rng):
+        return None
+    us, key, end = [], rng.key, rng._n + count
+    for n in range(rng._n, end, 64):
+        us += _u64s(key, n, min(end - n, 64))
+    return None if us and max(us) + limit > 1 << 64 else us
 
 
 def _children(count: int):

@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 from ._walk import Graph, Walk, check_step, observer, scaled, tree
 from .core import ReservationScheme, Roster, _check_policy
-from .rng import SplitStream, _batched, _plan, _u64s
+from .rng import SplitStream, _ahead, _plan
 
 __all__ = [
     "SchemeTable",
@@ -462,7 +462,8 @@ class _BlockSampler:
         self.start = Walk(Graph(vertices, edges), scale, flows)
         self.root = tree(Walk(self.start.graph, scale, flows), self._TREE_DEPTH, self._block)
         depths = set() if self.root is None else _depths(self.root)
-        self.fixed = depths.pop() if len(depths) == 1 else None  # see read
+        self.depth = max(depths, default=0)  # the deepest leaf's
+        self.fixed = self.depth if len(depths) == 1 else None  # see read
 
     def _block(self, walk: Walk) -> IntegralBlock:
         """The block of an integral walk of the folded network."""
@@ -477,39 +478,23 @@ class _BlockSampler:
     def blocks(self, rng, count: int) -> list[IntegralBlock]:
         """``count`` blocks, drawing exactly what ``count`` calls of :meth:`walk` would.
 
-        Without a tree each block is walked; a stream that is not ``_batched`` descends
-        it by ``randrange``.  Otherwise the descent reads its u64s from batches of
-        ``rng._u64s``, as many as the blocks left read at the call's u64s per block so
-        far (one each before a block ends; at most 64), and stores the draw index once;
-        a u64 that ``randrange`` might reject is drawn by ``randrange``, dropping the batch."""
+        Without a tree each block is walked.  Otherwise the descent takes chunks of at most 64
+        blocks; a chunk of c blocks reads ahead c times the deepest leaf's depth with
+        :func:`rng._ahead` (no denominator exceeds the scale L) and moves ``rng._n`` past the
+        u64s it used, or, where that returns None, descends by ``randrange``."""
         if self.root is None:
             return [self.walk(rng) for _ in range(count)]
         drawn: list[IntegralBlock] = []
-        if not _batched(rng):
-            for _ in range(count):
+        for left in range(count, 0, -64):
+            us, i = _ahead(rng, min(left, 64) * self.depth, self.start.scale), 0  # i: u64s used
+            for _ in range(min(left, 64)):
                 node = self.root
                 while type(node) is list:
-                    node = node[2] if rng.randrange(node[1]) < node[0] else node[3]
+                    u, i = rng.randrange(node[1]) if us is None else us[i], i + 1
+                    node = node[2] if u % node[1] < node[0] else node[3]
                 drawn.append(node)
-            return drawn
-        key, n, top = rng.key, rng._n, 1 << 64
-        batch, first, end, origin = (), n, n, n  # the batch holds u64s first+1 .. end
-        for left in range(count, 0, -1):
-            node = self.root
-            while type(node) is list:
-                if n == end:
-                    lanes = -((origin - n) * left // len(drawn)) if drawn else left
-                    batch, first = _u64s(key, n, min(lanes, 64)), n
-                    end = n + len(batch)
-                u, den = batch[n - first], node[1]
-                n += 1
-                if u + den > top:  # randrange could reject u
-                    rng._n = n - 1
-                    u = rng.randrange(den)
-                    n = end = rng._n
-                node = node[2] if u % den < node[0] else node[3]
-            drawn.append(node)
-        rng._n = n
+            if us is not None:
+                rng._n += i
         return drawn
 
     def read(self, counts: Sequence[int], wanted: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[IntegralBlock]]:

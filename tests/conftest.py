@@ -14,7 +14,7 @@ import pytest
 from reserve2d import IntegralBlock, ReservationProblem, ReservationScheme, Roster, SplitStream
 from reserve2d import roster
 from reserve2d._walk import Graph, Walk
-from reserve2d.rng import _GAMMA, _MASK64, _index_of, _unmix64
+from reserve2d.rng import _GAMMA, _MASK64, _index_of, _u64s, _unmix64
 
 
 # The realistic five-category scheme (15 / 7.5 / 27 / 10 / 40.5 %); its minimal block height is 200.
@@ -109,10 +109,10 @@ def per_step(stream) -> SimpleNamespace:
     return SimpleNamespace(key=stream.key, randrange=stream.randrange)
 
 
-def recorded_batches(monkeypatch, module) -> list:
-    """The (draw index, lane count) of every batch ``module`` mixes with ``_u64s`` from now on."""
-    calls, mix = [], module._u64s
-    monkeypatch.setattr(module, "_u64s", lambda key, n, count: calls.append((n, count)) or mix(key, n, count))
+def recorded_batches(monkeypatch) -> list:
+    """The (draw index, lane count) of every batch ``rng._u64s`` mixes from now on."""
+    calls = []
+    monkeypatch.setattr("reserve2d.rng._u64s", lambda key, n, count: calls.append((n, count)) or _u64s(key, n, count))
     return calls
 
 

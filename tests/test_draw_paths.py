@@ -3,14 +3,16 @@
 The reference walks a stream's blocks one after another on the scheme table's full flow network, cell
 vertices kept; it is checked against the observed ``decompose_flow_once`` loop of
 ``build_flow_network(table)`` on every case but five-category, where one observed block takes seconds.
-``PATHS`` lists the other ways: the sampler's walk, its descent by ``randrange`` and in batches,
+``PATHS`` lists the other ways: the sampler's walk, its descent by ``randrange`` and by read-ahead,
 ``read``'s single-depth decode and its fallback, ``solutions._reader``'s counts, a proposed run, and
 ``_tally`` of a ``draw_roster`` roster.  ``CASES`` lists what they run on: every golden scheme (and
 half/half) at its minimal height, with its tree at the depth limit and one past it; five stream kinds;
-keys that put a u64 ``randrange`` might reject at the ends and middle of a read's span and past it; odd
-start indices; counts that cross 64-lane batches; and run ends on block boundaries.  For each stream a path
-must give the reference's blocks or counts, ``_n`` and ``randrange`` bounds, and be served the way the
-case predicts.  A change to the sampler edits rows or cases here, not tests.
+keys that put a u64 ``randrange`` might reject at the ends and middle of a read's span and past it, or at
+the ends of a second 64-block chunk; odd start indices; counts that cross 64-block chunks; and run ends on
+block boundaries.  For each stream a path must give the reference's blocks or counts and ``_n``, hand
+``randrange`` the bounds the case predicts (every decision of a walk or chunk whose read-ahead holds such a
+u64, or of a stream that is not read ahead), and be served the way the case predicts.  A change to the
+sampler edits rows or cases here, not tests.
 """
 
 import ast
@@ -64,12 +66,13 @@ class Case:
         c, k = self.counts[s], minimal_height(SCHEMES[self.scheme][0])
         return (0, c // 2 * k, c * k) if self.boundaries else (c * k // 2, max(c * k - 1, 0), c * k)
 
-    def rejects(self, s: int) -> bool:
-        """Whether u64s 1 .. d * count of stream s (d the leaves' depth) hold one above 2**64 - L,
-        L the scale, which ``randrange`` might reject for a denominator of the tree."""
-        scheme, (d, *_) = SCHEMES[self.scheme]
+    def rejects(self, s: int, n: int = 0, span: Optional[int] = None) -> bool:
+        """Whether u64s n+1 .. n+``span`` of stream s (default: 1 .. d * count, d the leaves' depth) hold one
+        above 2**64 - L, L the scale, which ``randrange`` might reject for a denominator of the walk."""
+        scheme, depths = SCHEMES[self.scheme]
         stream, top = SplitStream(self.keys[s]), (1 << 64) - minimal_height(scheme)
-        return any(stream.next_u64() > top for _ in range(d * self.counts[s]))
+        stream._n = n
+        return any(stream.next_u64() > top for _ in range(depths[0] * self.counts[s] if span is None else span))
 
 
 def _children_of(scheme: str, seed: int, counts: tuple, **fields) -> Case:
@@ -83,6 +86,15 @@ def _rejectable(name: str, count: int) -> tuple:
     scheme, (d,) = SCHEMES[name]
     low, span = (1 << 64) - minimal_height(scheme), d * count
     return tuple(key_with_u64(u, j) for u in (low, low + 1, _TOP) for j in (0, 1, span // 2, span, span + 1))
+
+
+def _in_second_chunk(name: str) -> tuple:
+    """Keys putting 2**64 - 1 (of 65 blocks) or 2**64 - L + 1 (of 150) at the first and the last u64 of the
+    second 64-block chunk, and those counts."""
+    scheme, (d,) = SCHEMES[name]
+    at = [(u, j, count) for count, u in ((65, _TOP), (150, (1 << 64) - minimal_height(scheme) + 1))
+          for j in (64 * d + 1, 64 * d + min(count - 64, 64) * d)]
+    return tuple(key_with_u64(u, j) for u, j, _ in at), tuple(count for _, _, count in at)
 
 
 def _cases() -> dict:
@@ -104,6 +116,8 @@ def _cases() -> dict:
     cases["quarters-batches-odd-start"] = _children_of("quarters", 8, batches, start=3)
     cases["third-rejectable"] = Case("third", _rejectable("third", 5), (5,) * 15)
     cases["tenth-rejectable"] = Case("tenth", _rejectable("tenth", 2), (2,) * 15)
+    cases["third-rejectable-chunks"] = Case("third", *_in_second_chunk("third"))
+    cases["tenth-rejectable-chunks"] = Case("tenth", *_in_second_chunk("tenth"))
     cases["third-boundaries"], cases["quarters-boundaries"] = (
         replace(cases[n], counts=(2, 0, 4), boundaries=True) for n in ("third", "quarters"))
     return cases
@@ -215,13 +229,13 @@ def _streams(case: Case) -> list:
 
 @cache
 def _reference(name: str) -> list:
-    """Each stream's (blocks, ``_n``, ``randrange`` bounds, (num, den, take) of every step), walked block after
-    block on the full network."""
+    """Each stream's (blocks, ``_n`` before each block and after the last, (num, den, take) of every step of each
+    block), walked block after block on the full network."""
     case = CASES[name]
     table, streams = build_scheme_table(SCHEMES[case.scheme][0]), _streams(case)
-    with _watch(case.kind == "rebound") as log:
-        walks = [[network_walk(table, stream) for _ in range(c)] for stream, c in zip(streams, case.counts)]
-    return [([b for b, _ in w], stream._n, log.bounds[stream.key], [d for _, ds in w for d in ds])
+    with _watch(case.kind == "rebound"):
+        walks = [[(stream._n, *network_walk(table, stream)) for _ in range(c)] for stream, c in zip(streams, case.counts)]
+    return [([b for _, b, _ in w], [n for n, _, _ in w] + [stream._n], [ds for _, _, ds in w])
             for stream, w in zip(streams, walks)]
 
 
@@ -232,9 +246,25 @@ def _sampler(case: Case):
     return type("Capped", (roster._BlockSampler,), {"_TREE_DEPTH": case.limit})(table)
 
 
-def _expected(path: DrawPath, case: Case, s: int, reference) -> tuple:
-    """What ``path`` gives for stream s: the result, ``_n``, ``randrange`` bounds and how it was served."""
-    blocks, n, bounds, draws = reference
+def _bounds(case: Case, s: int, reference, per_step: bool, edges: Optional[int]) -> list:
+    """The ``randrange`` bounds stream s sees: every decision's if ``per_step`` or the stream is no plain
+    ``SplitStream``.  Otherwise those of each walk (``edges`` given) or chunk of at most 64 descended blocks whose
+    read-ahead holds a u64 ``randrange`` might reject: a walk reads one u64 per edge, a chunk the deepest leaf's
+    depth per block."""
+    _, ns, draws = reference
+    size, bounds = 1 if edges else 64, []
+    for first in range(0, len(draws), size):
+        unit = draws[first:first + size]
+        ahead = edges or max(SCHEMES[case.scheme][1]) * len(unit)
+        if per_step or case.kind != "split" or case.rejects(s, ns[first], ahead):
+            bounds += [den for block in unit for _, den, _ in block]
+    return bounds
+
+
+def _expected(path: DrawPath, case: Case, s: int, reference, edges: int) -> tuple:
+    """What ``path`` gives for stream s: the result, ``_n``, ``randrange`` bounds and how it was served; a block's
+    walk has ``edges`` edges."""
+    blocks, ns, _ = reference
     if path.counts:
         positions = [p for block in blocks for p in block.positions]
         categories = SCHEMES[case.scheme][0].categories
@@ -252,7 +282,8 @@ def _expected(path: DrawPath, case: Case, s: int, reference) -> tuple:
             return result, None, [], "decoded" if wanted else "none"
     else:
         served = "none" if not case.counts[s] else "descended" if tree and path is not PATHS["walk"] else "walked"
-    return result, n, [den for _, den, _ in draws] if path.per_step else bounds, served
+    walked = not tree or path is PATHS["walk"]
+    return result, ns[-1], _bounds(case, s, reference, path.per_step, edges if walked else None), served
 
 
 def _observed(path: DrawPath, case: Case, s: int, result, stream, log) -> tuple:
@@ -276,7 +307,7 @@ def test_every_path_draws_the_reference(name):
     for path_name, path in PATHS.items():
         if not _applies(path, case):
             continue
-        want = [_expected(path, case, s, ref) for s, ref in enumerate(reference)]
+        want = [_expected(path, case, s, ref, len(sampler.start.flows)) for s, ref in enumerate(reference)]
         streams = _streams(case)
         with _watch(path.rebound or case.kind == "rebound") as log:
             results = path.run(sampler, case, streams)
@@ -293,15 +324,15 @@ def test_the_reference_is_the_observed_loop(name):
     table = build_scheme_table(SCHEMES[case.scheme][0])
     with _watch(case.kind == "rebound"):
         for s, (stream, fresh, reference) in enumerate(zip(_streams(case), _streams(case), _reference(name))):
-            blocks, n, _, draws = reference
-            looped = [stepwise_draw(table, stream) for _ in blocks]
-            taken = [(step.probability.numerator, step.probability.denominator, step.branch == "raise-forward")
-                     for _, steps in looped for step in steps]
-            assert ([block for block, _ in looped], stream._n, taken) == (blocks, n, draws), s
+            blocks = reference[0]
+            looped = [(stream._n, *stepwise_draw(table, stream)) for _ in blocks]
+            taken = [[(step.probability.numerator, step.probability.denominator, step.branch == "raise-forward")
+                      for step in steps] for _, _, steps in looped]
+            assert ([b for _, b, _ in looped], [n for n, _, _ in looped] + [stream._n], taken) == reference, s
             if blocks:
                 seen = []
                 assert draw_block(table.scheme, None, fresh, on_step=seen.append) == blocks[0], s
-                assert seen == looped[0][1], s
+                assert seen == looped[0][2], s
 
 
 def test_no_test_module_imports_another():

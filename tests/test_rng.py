@@ -13,6 +13,7 @@ from reserve2d import ALGORITHM, SplitStream
 from reserve2d.rng import (
     _GAMMA,
     _MASK64,
+    _ahead,
     _batched,
     _children,
     _index_of,
@@ -25,7 +26,7 @@ from reserve2d.rng import (
     _unmix64,
 )
 
-from conftest import key_with_u64, time_limit
+from conftest import CountedU64s, CountingRandom, key_with_u64, time_limit
 
 
 def test_same_seed_same_sequence():
@@ -245,6 +246,31 @@ def test_child_key_read_equals_split_stream_children(key, count):
     assert list(_children(count)(key)) == [SplitStream(key).child(i).key for i in range(count)]
 
 
+@given(key=st.integers(0, _MASK64), n=st.integers(0, 1 << 66), count=st.sampled_from([0, 1, 64, 65, 300]))
+@example(key=_MASK64, n=(1 << 64) - 1, count=65)
+def test_read_ahead_is_the_next_u64s_of_the_stream(key, n, count):
+    """``_ahead`` of a stream at draw n returns u64s n+1 .. n+``count``, none, one, 64 or more,
+    and leaves the stream at draw n."""
+    stream = SplitStream(key)
+    stream._n = n
+    assert _ahead(stream, count, 1) == [_u64(key, n + i) for i in range(1, count + 1)]
+    assert stream._n == n
+
+
+@pytest.mark.parametrize("count", [1, 64, 65, 200])
+def test_read_ahead_screens_every_u64_it_reads(count):
+    """A key built to put 2**64 - 3 + b at number j: from draw 5, a read-ahead of ``count`` u64s with
+    limit 3 is None exactly when j is its first, middle or last number and b > 0 (``randrange`` might
+    reject the u64 for a bound up to 3), and not for j = 5 or one past its numbers.  Streams that
+    override ``next_u64`` and other rngs are never read ahead."""
+    for b in range(3):
+        for j in (5, 6, 6 + count // 2, 5 + count, 6 + count):
+            stream = SplitStream(key_with_u64((1 << 64) - 3 + b, j))
+            stream._n = 5
+            assert (_ahead(stream, count, 3) is None) == (b > 0 and 5 < j <= 5 + count), (b, j)
+    assert _ahead(CountedU64s(1), count, 3) is None and _ahead(CountingRandom(1), count, 3) is None
+
+
 _streams = st.lists(
     st.tuples(st.integers(0, _MASK64), st.lists(st.integers(1, _MASK64), max_size=70), st.integers(0, 120)),
     min_size=1,
@@ -309,13 +335,15 @@ def test_a_rebound_next_u64_fails_every_stream_of_a_plan(monkeypatch):
     assert list(us) == [_u64(0, 1), _u64(0, 2), _u64(_MASK64, 9)]
 
 
-# The names of the splitmix64 key and index layout that only ``rng`` may know.
-_LAYOUT = {"_GAMMA", "_GAMMA_INV", "_MASK64", "_index_of", "_unmix64", "_pack", "_lanes", "_mix_lanes"}
+# The names of the splitmix64 key and index layout, and of the batches mixed from it, that only ``rng`` may know.
+_LAYOUT = {"_GAMMA", "_GAMMA_INV", "_MASK64", "_index_of", "_unmix64", "_pack", "_lanes", "_mix_lanes",
+           "_u64s", "_steps", "_batched"}
 
 
 def test_only_rng_knows_the_stream_layout():
     """No module of the library but ``rng.py`` defines, imports or reads a name of the
-    splitmix64 layout: the others read lanes through ``rng``'s lane reads."""
+    splitmix64 layout or of its batches: the others read lanes through ``rng``'s lane
+    reads and read-ahead."""
     source = Path(__file__).resolve().parents[1] / "src" / "reserve2d"
     for path in sorted(source.glob("*.py")):
         names = set()

@@ -33,8 +33,8 @@ from reserve2d.roster import (
     source_vertex,
 )
 
-from conftest import FIVE, CountedU64s, CountingStream, ForcedRng, key_with_u64, recorded_batches, stepwise_draw
-from conftest import time_limit, tree_law
+from conftest import FIVE, CountedU64s, CountingStream, ForcedRng, key_with_u64, per_step, recorded_batches
+from conftest import stepwise_draw, time_limit, tree_law
 
 F = Fraction
 MIXED = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))  # three columns, no tree at height 12
@@ -530,54 +530,59 @@ def _leaf_depths(node, depth=0):
     return _leaf_depths(taken, depth + 1) + _leaf_depths(not_taken, depth + 1)
 
 
-def test_fused_descent_draws_the_block_loop_across_batch_boundaries(
-    monkeypatch, third_scheme, quarters_scheme
-):
-    """Rosters of 100, 150, 67 and 33 blocks read batches of up to 64 u64s,
-    and on 1/3 and on quarters some batch begins inside a block (on 1/3, where
-    every block reads two u64s, the 33 lanes of the 33-block roster's first
-    batch end inside its 17th block); from an odd draw index the descent
-    still returns the blocks, and leaves the stream at the draw index, of
-    per-block walks."""
-    for scheme in (third_scheme, quarters_scheme):
-        table = build_scheme_table(scheme)
-        sampler = roster._BlockSampler(table)
-        widest, inside = 0, False
-        for seed, count in ((0, 100), (1, 150), (2, 67), (3, 33)):
+def test_descent_draws_the_block_loop_across_chunk_boundaries(monkeypatch, third_scheme, quarters_scheme):
+    """Rosters of 100, 150, 67, 64, 65 and 33 blocks, from an odd draw index,
+    descend in chunks of at most 64 blocks.  A chunk of c blocks reads c
+    times the deepest leaf's depth ahead (2 on 1/3; 4 on quarters, whose
+    depth-3 leaves leave some of it unread) from where the blocks before it
+    left the stream, in batches of at most 64, and the descent returns the
+    blocks, and leaves the stream at the draw index, of per-block walks."""
+    for scheme, depth in ((third_scheme, 2), (quarters_scheme, 4)):
+        sampler, unread = roster._BlockSampler(build_scheme_table(scheme)), False
+        for seed, count in ((0, 100), (1, 150), (2, 67), (3, 64), (4, 65), (5, 33)):
             a, b = SplitStream(seed), SplitStream(seed)
             a.next_u64(), b.next_u64()
             starts, want = [], []
             for _ in range(count):
                 starts.append(b._n)
                 want.append(sampler.walk(b))
-            batches = recorded_batches(monkeypatch, roster)
-            assert sampler.blocks(a, count) == want, (scheme, seed)
-            assert a._n == b._n, (scheme, seed)
-            widest = max(widest, *(lanes for _, lanes in batches))
-            inside = inside or any(n not in starts for n, _ in batches)
+            batches = recorded_batches(monkeypatch)
+            assert sampler.blocks(a, count) == want and a._n == b._n, (scheme, seed)
+            ahead = [min(count - first, 64) * depth for first in range(0, count, 64)]
+            assert batches == [(starts[64 * c] + m, min(64, span - m)) for c, span in enumerate(ahead)
+                               for m in range(0, span, 64)], (scheme, seed)
+            unread = unread or b._n < starts[0] + count * depth
             monkeypatch.undo()
-        assert widest == 64 and inside, scheme
+        assert unread == (depth == 4), scheme
 
 
-def test_fused_descent_redraws_a_rejected_u64_in_the_first_or_last_lane(
-    monkeypatch, third_scheme
-):
-    """On a grown 1/3 tree a block reads two u64s.  100 blocks read a first
-    batch of 64 lanes; 5 blocks read 5 lanes, then, two blocks and five u64s
-    in, ceil(5 * 3 / 2) = 8 lanes from u64 6 on.  A u64 2**64 - 1 at a
-    depth-2 node (den 3) is rejected: as the last lane of the first batch
-    (u64 64 of 100 blocks) and as the first lane of the second (u64 6 of 5
-    blocks) it is handed to ``randrange``, and the descent draws the blocks
-    and the draw count of per-block walks."""
-    sampler = roster._BlockSampler(build_scheme_table(third_scheme))
-    for count, j, batch in ((100, 64, (0, 64)), (5, 6, (5, 8))):
-        key = key_with_u64((1 << 64) - 1, j)
-        a, b = CountingStream(key), SplitStream(key)
-        batches = recorded_batches(monkeypatch, roster)
-        assert sampler.blocks(a, count) == [sampler.walk(b) for _ in range(count)], j
-        assert a.bounds == [3] and a._n == b._n == 2 * count + 1, j
-        assert batch in batches, (j, batches)
-        monkeypatch.undo()
+def _per_step_blocks(sampler, key: int, count: int) -> tuple:
+    """``count`` blocks descended from stream ``key`` one ``randrange`` at a time, the stream's
+    ``_n`` after them, and the bounds of each block's draws."""
+    stream, blocks, bounds = CountingStream(key), [], []
+    for _ in range(count):
+        before = len(stream.bounds)
+        blocks.append(sampler.blocks(per_step(stream), 1)[0])
+        bounds.append(stream.bounds[before:])
+    return blocks, stream._n, bounds
+
+
+def test_descent_draws_a_chunk_holding_a_rejectable_u64_by_randrange(third_scheme, quarters_scheme):
+    """Streams whose u64 number j is 2**64 - 1, which ``randrange(3)`` rejects.  100 blocks of 1/3
+    read u64s 1 .. 128 for their first chunk and 129 .. 200 for their second; at the first or the last
+    u64 of either, that chunk's every decision goes to ``randrange`` and the other chunk reads ahead.
+    On quarters, one just past the u64s the first chunk used is read ahead by both chunks.  Either way
+    the descent draws the blocks and ``_n`` of per-step draws."""
+    top, quarters = (1 << 64) - 1, roster._BlockSampler(build_scheme_table(quarters_scheme))
+    cases = [(third_scheme, j, chunks) for j, chunks in ((1, [0]), (128, [0]), (129, [1]), (200, [1]))]
+    j = next(j for j in range(129, 257) if _per_step_blocks(quarters, key_with_u64(top, j), 64)[1] == j - 1)
+    cases.append((quarters_scheme, j, [0, 1]))
+    for scheme, j, chunks in cases:
+        sampler, key = roster._BlockSampler(build_scheme_table(scheme)), key_with_u64(top, j)
+        blocks, n, bounds = _per_step_blocks(sampler, key, 100)
+        stream = CountingStream(key)
+        assert sampler.blocks(stream, 100) == blocks and stream._n == n, j
+        assert stream.bounds == [den for c in chunks for block in bounds[64 * c:64 * c + 64] for den in block], j
 
 
 def test_draws_change_no_node_of_the_tree(quarters_scheme):

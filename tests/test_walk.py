@@ -10,8 +10,8 @@ a seeded walk must choose the oracle's cycle and consume the same draws, on
 both graphs and across pushes of caller-supplied cycles (what
 ``decompose_once`` and ``decompose_flow_once`` do with ``cycle=``).
 
-``Walk.run`` reads a ``SplitStream``'s u64s from ``_u64s`` batches; the
-last tests check that against a ``randrange`` call at every step.
+``Walk.run`` reads a ``SplitStream``'s u64s ahead, one per edge; the last
+tests check that against a ``randrange`` call at every step.
 """
 
 import random
@@ -20,12 +20,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reserve2d import ReservationProblem, ReservationScheme, build_fair_share_table, roster, rounding
-from reserve2d import _walk
+from reserve2d import ReservationProblem, ReservationScheme, build_fair_share_table, controlled_round, draw_block
+from reserve2d import roster, rounding
 from reserve2d._walk import Graph, Walk
 from reserve2d.rng import SplitStream
 
-from conftest import FIVE, CountingRandom, CountingStream, key_with_u64, per_step, recorded_batches, time_limit
+from conftest import FIVE, CountedU64s, CountingRandom, CountingStream, key_with_u64, per_step, recorded_batches
+from conftest import time_limit
 
 
 def oracle_cycle(walk: Walk, start: int = 0):
@@ -193,15 +194,18 @@ def test_resumed_walk_reads_under_half_the_incidence_of_the_oracle():
 
 
 def assert_batched_run_draws_per_step(start: Walk, stream: SplitStream) -> list:
-    """Run ``start`` on ``stream`` and on a copy of it read one ``randrange``
-    per step: the same (num, den, take) of every step, flows and ``_n``."""
-    plain = SplitStream(stream.key)
-    plain._n = stream._n
-    batched, stepped = (Walk(start.graph, start.scale, start.flows) for _ in range(2))
+    """Run ``start`` on ``stream``, on a copy of it read one ``randrange`` per
+    step, and on a ``SplitStream`` copy with no hook: the same (num, den, take)
+    of every step, flows and ``_n``."""
+    plain, quiet = SplitStream(stream.key), SplitStream(stream.key)
+    plain._n = quiet._n = stream._n
+    batched, stepped, unhooked = (Walk(start.graph, start.scale, start.flows) for _ in range(3))
     draws, one_by_one = [], []
     batched.run(stream, lambda *draw: draws.append(draw))
     stepped.run(per_step(plain), lambda *draw: one_by_one.append(draw))
-    assert draws == one_by_one and batched.flows == stepped.flows and stream._n == plain._n
+    unhooked.run(quiet)
+    assert draws == one_by_one and batched.flows == stepped.flows == unhooked.flows
+    assert stream._n == plain._n == quiet._n
     return draws
 
 
@@ -220,34 +224,39 @@ def _round_starts(sizes=(5, 7, 10, 14, 20, 28, 40)):
 
 def test_batched_run_draws_what_per_step_randrange_draws(monkeypatch):
     """Five-category height-200 blocks and 5- to 40-department rounding
-    tables, from even and odd draw indices, read their u64s in batches of at
-    most 64 lanes and draw what a ``randrange`` at every step draws."""
-    batches = recorded_batches(monkeypatch, _walk)
+    tables, from even and odd draw indices, read one u64 per edge ahead, in
+    batches of at most 64 from the stream's draw index (never more than the
+    edge count; once with a hook and once without), and draw what a
+    ``randrange`` at every step draws."""
     for seed in range(3):
         stream = SplitStream(seed)
         for _ in range(seed):
             stream.next_u64()
-        assert len(assert_batched_run_draws_per_step(_block_start(), stream)) > 64 * 10
-        for start in _round_starts():
-            assert assert_batched_run_draws_per_step(start, SplitStream(seed + 10))
-    assert max(count for _, count in batches) == 64 and min(count for _, count in batches) < 64
+        for start, rng in ((_block_start(), stream), *((start, SplitStream(seed + 10)) for start in _round_starts())):
+            n, edges = rng._n, len(start.flows)
+            batches = recorded_batches(monkeypatch)
+            assert assert_batched_run_draws_per_step(start, rng)
+            assert batches == 2 * [(m, min(64, n + edges - m)) for m in range(n, n + edges, 64)], seed
+            monkeypatch.undo()
+    assert edges > 64
 
 
-def test_batched_run_hands_a_rejected_u64_to_randrange_in_the_first_or_last_lane(monkeypatch):
-    """Streams whose u64 number j is 2**64 - 1: ``randrange`` rejects it for
-    any den that is no power of two.  On a height-200 block it falls in the
-    first lane (j = 1) and the last lane (j = 64) of the first 64-lane batch,
-    and in the first lane of the second (j = 65); the batched walk hands it
-    to ``randrange`` and draws what per-step draws do, one u64 more."""
-    for j, batch in ((1, (0, 64)), (64, (0, 64)), (65, (64, 64))):
+def test_run_draws_every_step_by_randrange_when_its_read_ahead_holds_a_rejectable_u64():
+    """Streams whose u64 number j is 2**64 - 1, which ``randrange`` rejects
+    for any den that is no power of two.  A height-200 block's walk reads its
+    2,195 edges' u64s ahead: at the first (j = 1) or the last (j = 2,195) of
+    them it sends every step to ``randrange``, which reads a rejected first
+    u64 once more, and the walk draws what per-step draws do; just past them
+    (j = 2,196) no step calls ``randrange``."""
+    start = _block_start()
+    edges = len(start.flows)
+    for j in (1, edges, edges + 1):
         stream = CountingStream(key_with_u64((1 << 64) - 1, j))
-        batches = recorded_batches(monkeypatch, _walk)
-        draws = assert_batched_run_draws_per_step(_block_start(), stream)
-        assert batches[0] == (0, 64) and batch in batches, (j, batches)
-        den = draws[j - 1][1]
-        assert stream.bounds == [den] and den & (den - 1), j  # den is no power of two
-        assert stream._n == len(draws) + 1, j
-        monkeypatch.undo()
+        dens = [den for _, den, _ in assert_batched_run_draws_per_step(start, stream)]
+        assert dens[0] & (dens[0] - 1)  # the first den is no power of two
+        assert stream.bounds == (dens if j <= edges else []), j
+        assert stream._n == len(dens) + (j == 1), j
+    assert edges == 2195 > len(dens)
 
 
 def test_batched_run_draws_denominators_beyond_64_bits_per_step():
@@ -268,8 +277,8 @@ def test_batched_run_draws_denominators_beyond_64_bits_per_step():
 
 def test_run_calls_any_other_rng_once_per_step(monkeypatch):
     """A ``random.Random`` is read by one ``randrange`` per step and never
-    through a batch."""
-    batches = recorded_batches(monkeypatch, _walk)
+    read ahead."""
+    batches = recorded_batches(monkeypatch)
     for start in (_block_start(), *_round_starts((5, 14))):
         rng, steps = CountingRandom(3), []
         Walk(start.graph, start.scale, start.flows).run(rng, lambda *draw: steps.append(draw))
@@ -292,3 +301,22 @@ def test_run_honours_an_overridden_next_u64():
         stream.calls = 0
         assert assert_batched_run_draws_per_step(start, stream)
         assert stream.calls == stream._n > 0
+
+
+def test_hooks_see_the_draw_index_of_per_step_draws(third_scheme):
+    """An observed rounding of a five-category table of 14 departments and an
+    observed 1/3 block of height 60 show, at every step's hook, the ``rng._n``
+    the same key shows under per-step draws (a stream that overrides
+    ``next_u64``), though a ``SplitStream`` reads its u64s ahead."""
+    vacancies = random.Random(14)
+    problem = ReservationProblem([f"d{i}" for i in range(14)], FIVE, [[vacancies.randint(1, 30) for _ in range(14)]])
+    fair = build_fair_share_table(problem, 1)
+    observed = (lambda rng, hook: controlled_round(fair, rng, on_step=hook),
+                lambda rng, hook: draw_block(third_scheme, 60, rng, on_step=hook))
+    for draw in observed:
+        for seed in range(2):
+            seen = []
+            for rng in (SplitStream(seed), CountedU64s(seed)):
+                seen.append([])
+                draw(rng, lambda step: seen[-1].append(rng._n))
+            assert seen[0] == seen[1] and len(seen[0]) > 10, seed
