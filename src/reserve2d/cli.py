@@ -12,7 +12,8 @@ Four subcommands, all deterministic given their inputs and ``--seed``:
 Exit codes: 0 success, 2 malformed input (bad flags or unparseable files,
 reported with file and line), 3 out-of-range request (e.g. a period beyond
 the horizon), 4 missing flag dependencies (e.g. government without a
-roster).
+roster).  ``_EXIT_CODES`` maps each failure class to its code; ``main``
+reports every failure as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import fields, replace
 from functools import lru_cache
 from itertools import cycle, islice
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from typing import Optional, Sequence, Union
 
 from . import __version__
@@ -45,6 +45,8 @@ from .fileio import (
     _POSITION_LIMIT,
     _VACANCY_LIMIT,
     ParseError,
+    _csv_text,
+    _ratio,
     parse_problem_file,
     parse_roster_file,
     parse_scheme_file,
@@ -135,12 +137,6 @@ def _json(value, pad: str = "\n") -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
-def _ratio(p: int, q: int) -> Union[int, str]:
-    """``rational(Fraction(p, q))`` for q > 0, built without the Fraction."""
-    g = gcd(p, q)
-    return p // g if g == q else f"{p // g}/{q // g}"
-
-
 def _table_dict(table: Union[FairShareTable, ReservationTable]) -> dict:
     return {
         "departments": list(table.departments),
@@ -208,17 +204,6 @@ def _table_rows(period, fair, res, bias) -> list[list]:
             rows.append([period, "reservation", d, c, z])
             rows.append([period, "bias", d, c, float(b)])
     return rows
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    import csv
-    import io
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -416,11 +401,11 @@ def _cmd_compare(args) -> str:
                 for kind, t, scope, (count, *values) in series
             ],
         )
-    rows = [
-        [kind, t, scope, stat, v / den]  # int true division rounds as float(Fraction(v, den)) does
+    rows = (
+        (kind, t, scope, stat, v / den)  # int true division rounds as float(Fraction(v, den)) does
         for kind, t, scope, (_, *values) in series
         for stat, v in zip(_STATISTICS, values)
-    ]
+    )
     return _csv_text(("solution", "period", "scope", "statistic", "value"), rows)
 
 
@@ -495,23 +480,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each failure ``main`` reports, and the hint it adds to the message.
+_EXIT_CODES = {ParseError: (2, ""), FlagError: (2, ""), PeriodRangeError: (3, ""),
+               RosterLengthError: (4, " (--cycle-roster tiles a shorter roster)"), UsageError: (4, "")}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args.output)
         return 0
-    except (ParseError, FlagError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except PeriodRangeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except RosterLengthError as err:
-        print(f"error: {err} (--cycle-roster tiles a shorter roster)", file=sys.stderr)
-        return 4
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
+    except tuple(_EXIT_CODES) as err:
+        code, hint = next(_EXIT_CODES[cls] for cls in type(err).__mro__ if cls in _EXIT_CODES)
+        print(f"error: {err}{hint}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ import csv
 import io
 from fractions import Fraction
 from itertools import count, islice
-from typing import Optional, Sequence, Union
+from math import gcd
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import ReservationProblem, ReservationScheme, Roster
 
@@ -213,18 +214,26 @@ def parse_roster_file(
     return Roster(categories=cats, assignment=tuple(assignment))
 
 
-def roster_lines(roster: Roster) -> str:
-    """Render a roster in its file format (one line per position)."""
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV report: the header, then each row, one line each."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", "category"])
-    for position, category in enumerate(roster.assignment, start=1):
-        writer.writerow([position, category])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def roster_lines(roster: Roster) -> str:
+    """Render a roster in its file format (one line per position)."""
+    return _csv_text(("index", "category"), enumerate(roster.assignment, start=1))
+
+
+def _ratio(p: int, q: int) -> Union[int, str]:
+    """p/q for q > 0 as an int if whole, else as the reduced 'p/q' string; no Fraction is built."""
+    g = gcd(p, q)
+    return p // g if g == q else f"{p // g}/{q // g}"
 
 
 def rational(value: Union[int, Fraction]) -> Union[int, str]:
     """JSON-friendly exact rendering: ints stay ints, else 'p/q'."""
-    if value.denominator == 1:
-        return value.numerator
-    return f"{value.numerator}/{value.denominator}"
+    return _ratio(value.numerator, value.denominator)

@@ -83,8 +83,6 @@ def _steps(count: int) -> tuple[int, int, int]:
 
 def _mix_lanes(z: int, count: int, low: int):
     """:func:`_mix64` of the low word of each of the ``count`` 128-bit lanes of ``z``, lowest first; ``low`` masks them."""
-    if count == 1:
-        return (_mix64(z & _MASK64),)
     z &= low  # each lane is cut to its low word here and before every multiply
     z = ((z ^ z >> 30) & low) * _MIX1 & low
     z = ((z ^ z >> 27) & low) * _MIX2 & low

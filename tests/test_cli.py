@@ -3,7 +3,9 @@
 Most tests call ``main(argv)`` in-process and inspect stdout/stderr via
 capsys; two tests run the CLI in a subprocess, through ``python -m
 reserve2d`` and through the installed ``reserve2d`` console script, to make
-sure the entry points themselves work.
+sure the entry points themselves work.  ``FAILURES`` lists every failure a
+user can reach, each checked by one test for its exit code and its one
+``error:`` line.
 """
 
 import csv
@@ -106,167 +108,128 @@ def test_parser_is_built_once_and_parses_each_call_afresh(capsys, files):
     assert first.height == 6 and again.height is None
 
 
-def test_unknown_choice_exits_two(files):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", files["problem"], "--scheme", files["scheme"],
-              "--solution", "lottery"])
-    assert exc.value.code == 2
+# ---------------------------------------------------------------- failures
+
+# Input files the failure rows name as {placeholders}; each is written to tmp_path (bytes as they are).
+BAD_FILES = {
+    "letters": "department,period,vacancies\nd1,1,x\nd2,1,1\n",
+    "gap": "department,period,vacancies\nd1,1,2\nd2,1000000000000,1\n",
+    "nameless": "department,period,vacancies\n,1,2\nd2,1,1\n",
+    "two_fields": "department,period,vacancies\nd1,1\n",
+    "latin1": "department,period,vacancies\nd\xe9pt,1,2\n".encode("latin-1"),
+    "crowded": "department,period,vacancies\nd1,1,1000000000\nd2,1,1\n",
+    "eleven": "department,period,vacancies\n" + "".join(f"d{i},1,100000\n" for i in range(1, 12)),
+    "tiny": "category,numerator,denominator\nc1,1e-99999999,\nc2,1,\n",
+    "uncategorized": "category,numerator,denominator\n,1,3\nc2,2,3\n",
+    "wide": "category,numerator,denominator\nc1,1,999983\nc2,999982,999983\n",  # height 999983
+    "blank_position": "index,category\n1,c2\n2,\n",
+    "no_positions": "index,category\n",
+}
+SYNTH = "compare --scheme {scheme} --synthesize --replications 1 --seed 1"
+# A synthesized problem of at most P periods x M departments x Q vacancies, filled in with % (P, M, M, Q, Q).
+SIZED = SYNTH + " --periods %d --departments-range %d %d --vacancies-range %d %d"
+# (id, argv, exit code, start of the one stderr line, text that line holds).  The argv, start and text are formatted
+# with the ``files`` fixture, the paths of BAD_FILES and ``tmp`` (tmp_path).  A start of "usage: " marks a flag that
+# argparse refuses itself.
+FAILURES = [
+    ("unknown-choice", "run {problem} --scheme {scheme} --solution lottery", 2,
+     "usage: reserve2d run", "invalid choice: 'lottery'"),
+    ("letters-for-vacancies", "round {letters} --scheme {scheme} -t 1 --seed 1", 2,
+     "error: {letters}:2:", "vacancies must be an integer"),
+    ("huge-period-gap", "round {gap} --scheme {scheme} -t 1 --seed 1", 2,
+     "error: {gap}:3:", "periods must be contiguous"),
+    ("empty-department", "round {nameless} --scheme {scheme} -t 1 --seed 1", 2,
+     "error: {nameless}:2:", "department identifier is empty"),
+    ("problem-row-of-two-fields", "round {two_fields} --scheme {scheme} -t 1 --seed 1", 2,
+     "error: {two_fields}:2:", "expected 3 fields, got 2"),
+    ("problem-not-utf8", "round {latin1} --scheme {scheme} -t 1 --seed 1", 2,
+     "error: {latin1}:0:", "cannot read file"),
+    ("department-vacancies-past-the-limit-proposed", "run {crowded} --scheme {scheme} --solution proposed --seed 1", 2,
+     "error: {crowded}:2:", "over 100,000 vacancies"),
+    ("department-vacancies-past-the-limit-court",
+     "run {crowded} --scheme {scheme} --solution court --cycle-roster --roster {roster3}", 2,
+     "error: {crowded}:2:", "over 100,000 vacancies"),
+    ("problem-total-past-the-limit-round", "round {eleven} --scheme {scheme} -t 1 --seed 1", 2,
+     "error: {eleven}:12:", "has over 1,000,000 vacancies"),
+    ("problem-total-past-the-limit-run", "run {eleven} --scheme {scheme} --solution proposed --seed 1", 2,
+     "error: {eleven}:12:", "has over 1,000,000 vacancies"),
+    ("oversized-decimal-in-scheme", "roster {tiny} --length 5 --seed 1", 2,
+     "error: {tiny}:2:", "exponent over 100"),
+    ("empty-scheme-category", "roster {uncategorized} --length 3 --seed 1", 2,
+     "error: {uncategorized}:2:", "category identifier is empty"),
+    ("empty-roster-category", "run {problem} --scheme {scheme} --solution government --roster {blank_position}", 2,
+     "error: {blank_position}:3:", "category identifier is empty"),
+    ("roster-without-positions", "run {problem} --scheme {scheme} --solution court --roster {no_positions}", 2,
+     "error: {no_positions}:1:", "roster has no positions"),
+    ("roster-bad-height", "roster {scheme} --length 5 --seed 1 --height 4", 2,
+     "error: --height 4:", "smallest valid height is 3"),
+    ("run-proposed-bad-height", "run {problem} --scheme {scheme} --solution proposed --seed 1 --height 5", 2,
+     "error: --height 5:", "smallest valid height is 3"),
+    ("compare-bad-height", "compare {problem} --scheme {scheme} --replications 2 --seed 1 --height 1", 2,
+     "error: --height 1:", "at least 2"),
+    ("explicit-height-past-the-limit", "roster {scheme} --length 5 --seed 1 --height 3000000", 2,
+     "error: --height 3000000:", "more than 50,000 cells"),
+    ("scheme-height-past-the-limit-roster", "roster {wide} --length 5 --seed 1", 2,
+     "error: a scheme table of height 999983", "more than 50,000 cells"),
+    ("scheme-height-past-the-limit-run", "run {problem} --scheme {wide} --solution proposed --seed 1", 2,
+     "error: a scheme table of height 999983", "more than 50,000 cells"),
+    ("scheme-height-past-the-limit-compare", "compare {problem} --scheme {wide} --replications 2 --seed 1", 2,
+     "error: a scheme table of height 999983", "more than 50,000 cells"),
+    ("roster-length-past-the-limit", "roster {scheme} --length 1000000000000 --seed 1", 2,
+     "error: --length 1000000000000:", "at most 1,000,000 positions"),
+    ("replications-past-the-limit", "compare {problem} --scheme {scheme} --replications 1000001 --seed 1", 2,
+     "error: --replications 1000001:", "at most 1,000,000 allowed"),
+    ("output-into-missing-directory", "round {problem} --scheme {scheme} -t 1 --seed 1 -o {tmp}/missing/report.json", 2,
+     "error: cannot write {tmp}/missing/report.json:", "No such file or directory"),
+    ("output-onto-a-directory", "round {problem} --scheme {scheme} -t 1 --seed 1 -o {tmp}", 2,
+     "error: cannot write {tmp}:", "Is a directory"),
+    *((f"synthesized-vacancies-past-the-limit-{periods}x{hi}", SIZED % (periods, 2, 2, hi, hi), 2,
+       f"error: --periods {periods} x --vacancies-range HI {hi}:", "at most 100,000 vacancies")
+      for periods, hi in ((2, 50_001), (10**12, 1), (1, 10**18))),
+    *((f"synthesized-cells-past-the-limit-{periods}x{m}", SIZED % (periods, m, m, 0, 0), 2,
+       f"error: --periods {periods} x --departments-range HI {m}:", "at most 100,000 cells")
+      for periods, m in ((2, 50_001), (10**12, 2), (1, 10**9))),
+    ("synthesized-total-past-the-limit", SIZED % (1, 101, 101, 9901, 9901), 2,
+     "error: --periods 1 x --departments-range HI 101 x --vacancies-range HI 9901:", "at most 1,000,000 vacancies"),
+    *((f"synthesize{flag}-{lo}-{hi}", f"{SYNTH} {flag} {lo} {hi}", 2, f"error: {flag} needs", f"{least} <= LO <= HI")
+      for flag, least, lo, hi in (("--departments-range", 2, 5, 2), ("--departments-range", 2, 1, 3),
+                                  ("--vacancies-range", 0, -1, 3), ("--vacancies-range", 0, 4, 3))),
+    ("period-past-the-horizon", "round {problem} --scheme {scheme} -t 9 --seed 1", 3,
+     "error: period 9 out of range", "problem has periods 1..3"),
+    ("government-without-roster", "run {problem} --scheme {scheme} --solution government", 4,
+     "error: the government solution requires", "--roster"),
+    ("proposed-without-seed", "run {problem} --scheme {scheme} --solution proposed", 4,
+     "error: the proposed solution requires", "--seed"),
+    ("short-roster-without-cycling", "run {problem} --scheme {scheme} --solution government --roster {roster3}", 4,
+     "error: government run needs 18 roster positions, roster has 3", "(--cycle-roster tiles a shorter roster)"),
+    ("compare-without-problem", "compare --scheme {scheme} --seed 1", 4,
+     "error: compare needs a problem file", "--synthesize"),
+    ("compare-problem-and-synthesize", "compare {problem} --scheme {scheme} --synthesize --seed 1", 4,
+     "error: --synthesize replaces the problem file", "drop the positional argument"),
+]
 
 
-def test_parse_error_reports_file_and_line(capsys, files, tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("department,period,vacancies\nd1,1,x\nd2,1,1\n")
-    code, out, err = run_cli(
-        capsys, "round", str(bad), "--scheme", files["scheme"],
-        "-t", "1", "--seed", "1",
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert f"{bad}:2:" in err and "integer" in err
-
-
-def test_huge_period_gap_exits_two(capsys, files, tmp_path):
-    bad = tmp_path / "gap.csv"
-    bad.write_text("department,period,vacancies\nd1,1,2\nd2,1000000000000,1\n")
+@pytest.mark.parametrize("argv, code, start, text", [row[1:] for row in FAILURES], ids=[row[0] for row in FAILURES])
+def test_failure_exits_with_its_code_and_one_error_line(capsys, files, tmp_path, argv, code, start, text):
+    """Each row exits with its code within 5 s, writes nothing to stdout and one line, with no traceback, to stderr
+    (argparse: its usage, then its error line).  A new failure is a row, not a test."""
+    names = {**files, "tmp": tmp_path}
+    for name, content in BAD_FILES.items():
+        names[name] = path = tmp_path / f"{name}.csv"
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    argv, start, text = [a.format(**names) for a in argv.split()], start.format(**names), text.format(**names)
+    refused = start.startswith("usage: ")  # argparse writes its usage lines, then its error line
     with time_limit(5):
-        code, out, err = run_cli(
-            capsys, "round", str(bad), "--scheme", files["scheme"], "-t", "1", "--seed", "1",
-        )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "contiguous" in err
-
-
-def test_oversized_decimal_in_scheme_exits_two(capsys, files, tmp_path):
-    bad = tmp_path / "scheme.csv"
-    bad.write_text("category,numerator,denominator\nc1,1e-99999999,\nc2,1,\n")
-    with time_limit(5):
-        code, out, err = run_cli(capsys, "roster", str(bad), "--length", "5", "--seed", "1")
-    _assert_one_line_error(code, out, err, "exponent over 100", start=f"error: {bad}:2:")
-
-
-@pytest.mark.parametrize("flags", [["--solution", "proposed", "--seed", "1"],
-                                   ["--solution", "court", "--cycle-roster", "--roster", "{roster}"]])
-def test_vacancies_past_the_limit_exit_two(capsys, files, tmp_path, flags):
-    bad = tmp_path / "problem.csv"
-    bad.write_text("department,period,vacancies\nd1,1,1000000000\nd2,1,1\n")
-    argv = [a.format(roster=files["roster3"]) for a in flags]
-    with time_limit(5):
-        code, out, err = run_cli(capsys, "run", str(bad), "--scheme", files["scheme"], *argv)
-    _assert_one_line_error(code, out, err, "over 100,000 vacancies", start=f"error: {bad}:2:")
-
-
-def _assert_one_line_error(code, out, err, needle, start="error: --height"):
-    assert code == 2
-    assert out == ""
-    assert err.startswith(start) and needle in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-
-
-def test_roster_bad_height_exits_two(capsys, files):
-    code, out, err = run_cli(
-        capsys, "roster", files["scheme"], "--length", "5", "--seed", "1", "--height", "4",
-    )
-    _assert_one_line_error(code, out, err, "smallest valid height is 3")
-
-
-def test_roster_length_past_the_limit_exits_two(capsys, files):
-    with time_limit(5):
-        code, out, err = run_cli(
-            capsys, "roster", files["scheme"], "--length", "1000000000000", "--seed", "1",
-        )
-    _assert_one_line_error(code, out, err, "at most 1,000,000 positions", start="error: --length")
-    code, out, _ = run_cli(capsys, "roster", files["scheme"], "--length", "1000000", "--seed", "1")
-    assert code == 0 and out.count("\n") == 1_000_001
-
-
-class Drawing(Exception):
-    """Raised where ``compare`` would start drawing replications."""
-
-
-def test_compare_replications_past_the_limit_exit_two(capsys, files, monkeypatch):
-    counts = []
-
-    def replicate(problem, config, count, stream):
-        counts.append(count)
-        raise Drawing
-
-    monkeypatch.setattr(cli, "_replicate", replicate)
-    with time_limit(5):
-        code, out, err = run_cli(
-            capsys, "compare", files["problem"], "--scheme", files["scheme"],
-            "--replications", "1000001", "--seed", "1",
-        )
-    _assert_one_line_error(code, out, err, "at most 1,000,000 allowed", start="error: --replications")
-    assert counts == []
-    with pytest.raises(Drawing):
-        main(["compare", files["problem"], "--scheme", files["scheme"],
-              "--replications", "1000000", "--seed", "1"])
-    assert counts == [1_000_000]
-
-
-def test_run_proposed_bad_height_exits_two(capsys, files):
-    code, out, err = run_cli(
-        capsys, "run", files["problem"], "--scheme", files["scheme"],
-        "--solution", "proposed", "--seed", "1", "--height", "5",
-    )
-    _assert_one_line_error(code, out, err, "smallest valid height is 3")
-
-
-def test_compare_bad_height_exits_two(capsys, files):
-    code, out, err = run_cli(
-        capsys, "compare", files["problem"], "--scheme", files["scheme"],
-        "--replications", "2", "--seed", "1", "--height", "1",
-    )
-    _assert_one_line_error(code, out, err, "at least 2")
-
-
-@pytest.fixture(scope="module")
-def wide_scheme(tmp_path_factory):
-    """A scheme whose block height, 999983, is past the scheme-table limit."""
-    path = tmp_path_factory.mktemp("wide") / "scheme.csv"
-    path.write_text("category,numerator,denominator\nc1,1,999983\nc2,999982,999983\n")
-    return str(path)
-
-
-@pytest.mark.parametrize("command", [
-    ["roster", "{scheme}", "--length", "5", "--seed", "1"],
-    ["run", "{problem}", "--scheme", "{scheme}", "--solution", "proposed", "--seed", "1"],
-    ["compare", "{problem}", "--scheme", "{scheme}", "--replications", "2", "--seed", "1"],
-])
-def test_scheme_height_past_the_limit_exits_two(capsys, files, wide_scheme, command):
-    argv = [a.format(scheme=wide_scheme, problem=files["problem"]) for a in command]
-    with time_limit(5):
-        code, out, err = run_cli(capsys, *argv)
-    _assert_one_line_error(code, out, err, "more than 50,000 cells", start="error: ")
-
-
-def test_explicit_height_past_the_limit_exits_two(capsys, files):
-    with time_limit(5):
-        code, out, err = run_cli(
-            capsys, "roster", files["scheme"], "--length", "5", "--seed", "1",
-            "--height", "3000000",
-        )
-    _assert_one_line_error(code, out, err, "more than 50,000 cells")
-
-
-@pytest.mark.parametrize("target", ["missing/report.json", "."])
-def test_unwritable_output_exits_two(capsys, files, tmp_path, target):
-    code, out, err = run_cli(
-        capsys, "round", files["problem"], "--scheme", files["scheme"],
-        "-t", "1", "--seed", "1", "-o", str(tmp_path / target),
-    )
-    _assert_one_line_error(code, out, err, str(tmp_path), start="error: cannot write ")
-
-
-def test_out_of_range_period_exits_three(capsys, files):
-    code, out, err = run_cli(
-        capsys, "round", files["problem"], "--scheme", files["scheme"],
-        "-t", "9", "--seed", "1",
-    )
-    assert code == 3
-    assert err.startswith("error:") and "period" in err
+        if refused:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            exit_code = exc.value.code
+        else:
+            exit_code = main(argv)
+    out, err = capsys.readouterr()
+    assert (exit_code, out) == (code, "")
+    assert err.startswith(start) and text in err.splitlines()[-1] and "Traceback" not in err
+    assert refused or err.count("\n") == 1
 
 
 _JSON_VALUES = st.recursive(
@@ -428,6 +391,12 @@ def test_roster_output_feeds_run(capsys, files, tmp_path):
     assert report["periods"][2]["reservation"]["row_totals"] == [6, 3, 6, 3]
 
 
+def test_roster_of_a_million_positions_is_written(capsys, files):
+    """``--length`` at its limit draws; one past it is a row of FAILURES."""
+    code, out, _ = run_cli(capsys, "roster", files["scheme"], "--length", "1000000", "--seed", "1")
+    assert code == 0 and out.count("\n") == 1_000_001
+
+
 # --------------------------------------------------------------------- run
 
 
@@ -491,29 +460,6 @@ def test_cycled_short_roster_matches_full(capsys, files):
     )
     assert code == 0
     assert cycled == full
-
-
-def test_run_missing_dependencies_exit_four(capsys, files):
-    code, _, err = run_cli(
-        capsys, "run", files["problem"], "--scheme", files["scheme"],
-        "--solution", "government",
-    )
-    assert code == 4 and "--roster" in err
-
-    code, _, err = run_cli(
-        capsys, "run", files["problem"], "--scheme", files["scheme"],
-        "--solution", "proposed",
-    )
-    assert code == 4 and "--seed" in err
-
-
-def test_short_roster_without_cycling_exits_four(capsys, files):
-    code, _, err = run_cli(
-        capsys, "run", files["problem"], "--scheme", files["scheme"],
-        "--solution", "government", "--roster", files["roster3"],
-    )
-    assert code == 4
-    assert "18" in err and "--cycle-roster" in err
 
 
 def test_order_alpha_changes_position_split(capsys, files, tmp_path):
@@ -626,6 +572,30 @@ def test_compare_counters_do_not_grow_with_replications(capsys, files, monkeypat
         assert len(counter) <= 2 * scale - 1
 
 
+class Drawing(Exception):
+    """Raised where ``compare`` would start drawing replications."""
+
+
+@pytest.fixture
+def replications(monkeypatch):
+    """The (problem, count) pairs ``compare`` hands ``_replicate``, which raises Drawing instead of drawing."""
+    handed = []
+
+    def replicate(problem, config, count, stream):
+        handed.append((problem, count))
+        raise Drawing
+
+    monkeypatch.setattr(cli, "_replicate", replicate)
+    return handed
+
+
+def test_compare_hands_a_million_replications_to_the_driver(files, replications):
+    """``--replications`` at its limit reaches ``_replicate``; one past it is a row of FAILURES."""
+    with pytest.raises(Drawing):
+        main(["compare", files["problem"], "--scheme", files["scheme"], "--replications", "1000000", "--seed", "1"])
+    assert [count for _, count in replications] == [1_000_000]
+
+
 def test_compare_synthesize_json_smoke(capsys, files):
     code, out, _ = run_cli(
         capsys, "compare", "--scheme", files["scheme"], "--synthesize",
@@ -668,15 +638,6 @@ def test_synthesized_vacancies_at_the_limit_run(capsys, files):
     assert [sum(col) for col in zip(*vacancies)] == [100_000, 100_000]
 
 
-@pytest.mark.parametrize("periods, hi", [(2, 50_001), (10**12, 1), (1, 10**18)])
-def test_synthesized_vacancies_past_the_limit_exit_two(capsys, files, periods, hi):
-    with time_limit(5):  # refused before anything is drawn
-        code, out, err = _synthesize(capsys, files, periods, hi)
-    _assert_one_line_error(
-        code, out, err, "at most 100,000 vacancies", start=f"error: --periods {periods} x"
-    )
-
-
 def test_synthesized_cells_at_the_limit_run(capsys, files):
     code, out, _ = _synthesize(capsys, files, 2, 0, departments=50_000)
     assert code == 0
@@ -685,76 +646,12 @@ def test_synthesized_cells_at_the_limit_run(capsys, files):
     assert problem["vacancies"] == [[0] * 50_000] * 2
 
 
-@pytest.mark.parametrize("periods, departments", [(2, 50_001), (10**12, 2), (1, 10**9)])
-def test_synthesized_cells_past_the_limit_exit_two(capsys, files, periods, departments):
-    with time_limit(5):  # refused before anything is drawn, even with no vacancies
-        code, out, err = _synthesize(capsys, files, periods, 0, departments)
-    _assert_one_line_error(
-        code, out, err, "at most 100,000 cells",
-        start=f"error: --periods {periods} x --departments-range HI {departments}:",
-    )
-
-
-def test_synthesized_total_past_the_limit_exits_two(capsys, files, monkeypatch):
-    """Periods x departments HI x vacancies HI over 1,000,000 is refused before
-    anything is drawn; 1 x 100 x 10,000 reaches the replications."""
-    problems = []
-
-    def replicate(problem, config, count, stream):
-        problems.append(problem)
-        raise Drawing
-
-    monkeypatch.setattr(cli, "_replicate", replicate)
-    with time_limit(5):
-        code, out, err = _synthesize(capsys, files, 1, 9901, departments=101)
-    _assert_one_line_error(
-        code, out, err, "at most 1,000,000 vacancies",
-        start="error: --periods 1 x --departments-range HI 101 x --vacancies-range HI 9901:",
-    )
-    assert problems == []
+def test_synthesized_total_at_the_limit_reaches_the_driver(capsys, files, replications):
+    """1 period x 100 departments x 10,000 vacancies, a total of 1,000,000, reaches ``_replicate``;
+    1 x 101 x 9,901 is a row of FAILURES."""
     with pytest.raises(Drawing):
         _synthesize(capsys, files, 1, 10_000, departments=100)
-    assert sum(problems[0].vacancies[0]) == 1_000_000
-
-
-@pytest.mark.parametrize("command", [["round", "-t", "1"], ["run", "--solution", "proposed"]])
-def test_problem_total_past_the_limit_exits_two(capsys, files, tmp_path, command):
-    """Ten departments of 100,000 vacancies parse; an eleventh is refused at its row."""
-    rows = "".join(f"d{i},1,100000\n" for i in range(1, 12))
-    bad = tmp_path / "problem.csv"
-    bad.write_text("department,period,vacancies\n" + rows)
-    with time_limit(5):
-        code, out, err = run_cli(capsys, command[0], str(bad), "--scheme", files["scheme"],
-                                 *command[1:], "--seed", "1")
-    _assert_one_line_error(code, out, err, "has over 1,000,000 vacancies", start=f"error: {bad}:12:")
-
-
-@pytest.mark.parametrize("flag, lo, hi", [
-    ("--departments-range", 5, 2),
-    ("--departments-range", 1, 3),
-    ("--vacancies-range", -1, 3),
-    ("--vacancies-range", 4, 3),
-])
-def test_synthesize_malformed_range_exits_two(capsys, files, flag, lo, hi):
-    """A malformed range is a bad flag value (exit 2), like ``--periods 0``."""
-    code, out, err = run_cli(
-        capsys, "compare", "--scheme", files["scheme"], "--synthesize",
-        "--replications", "1", "--seed", "1", flag, str(lo), str(hi),
-    )
-    least = 2 if flag == "--departments-range" else 0
-    _assert_one_line_error(code, out, err, f"{flag} needs {least} <= LO <= HI", start="error: ")
-
-
-def test_compare_flag_dependencies(capsys, files):
-    code, _, err = run_cli(capsys, "compare", "--scheme", files["scheme"],
-                           "--seed", "1")
-    assert code == 4 and "problem" in err
-
-    code, _, err = run_cli(
-        capsys, "compare", files["problem"], "--scheme", files["scheme"],
-        "--synthesize", "--seed", "1",
-    )
-    assert code == 4 and "--synthesize" in err
+    assert sum(replications[0][0].vacancies[0]) == 1_000_000
 
 
 # ---------------------------------------------------------- console script

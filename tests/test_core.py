@@ -18,9 +18,14 @@ from reserve2d import (
     bias_of,
     build_fair_share_table,
     is_monotone,
+    run_court,
+    run_government,
+    run_proposed,
     within_department_quota,
     within_university_quota,
 )
+
+from conftest import mod3_roster
 
 F = Fraction
 
@@ -352,6 +357,22 @@ def test_trace_requires_monotone_reservations(four_dept_problem):
         SolutionTrace(
             four_dept_problem, "manual", _trace_periods(four_dept_problem, tables)
         )
+
+
+def test_is_monotone_holds_for_every_solution_and_growing_tables(four_dept_problem):
+    """A trace of each ``run_*`` is monotone, and so is a list of tables that never shrink."""
+    traces = (run_government(four_dept_problem, mod3_roster(18)), run_court(four_dept_problem, mod3_roster(6)),
+              run_proposed(four_dept_problem, 7))
+    assert all(is_monotone(trace) for trace in traces)
+    tables = [reserved for _, reserved in traces[2].periods]
+    assert is_monotone(tables) and is_monotone(iter(tables)) and is_monotone(tables[:1])
+
+
+def test_is_monotone_rejects_tables_on_different_grids(four_dept_problem):
+    table = _table(four_dept_problem, ((0, 2), (0, 1), (0, 2), (1, 0)))
+    renamed = ReservationTable.from_entries(("d1", "d2", "d3", "d5"), table.categories, table.entries)
+    with pytest.raises(ValueError, match="same grid"):
+        is_monotone([table, renamed])
 
 
 def test_trace_requires_all_periods(four_dept_problem):
