@@ -232,6 +232,30 @@ def test_failure_exits_with_its_code_and_one_error_line(capsys, files, tmp_path,
     assert refused or err.count("\n") == 1
 
 
+def _row(row_id):
+    """The argv, exit code, start and text of the FAILURES row ``row_id``."""
+    return next(row[1:] for row in FAILURES if row[0] == row_id)
+
+
+# The limit tests below keep their names and check their FAILURES rows through the one test above.
+@pytest.mark.parametrize("solution", ["proposed", "court"], ids=["flags0", "flags1"])
+def test_vacancies_past_the_limit_exit_two(capsys, files, tmp_path, solution):
+    row = _row(f"department-vacancies-past-the-limit-{solution}")
+    test_failure_exits_with_its_code_and_one_error_line(capsys, files, tmp_path, *row)
+
+
+@pytest.mark.parametrize("periods, hi", [(2, 50_001), (10**12, 1), (1, 10**18)])
+def test_synthesized_vacancies_past_the_limit_exit_two(capsys, files, tmp_path, periods, hi):
+    row = _row(f"synthesized-vacancies-past-the-limit-{periods}x{hi}")
+    test_failure_exits_with_its_code_and_one_error_line(capsys, files, tmp_path, *row)
+
+
+@pytest.mark.parametrize("periods, departments", [(2, 50_001), (10**12, 2), (1, 10**9)])
+def test_synthesized_cells_past_the_limit_exit_two(capsys, files, tmp_path, periods, departments):
+    row = _row(f"synthesized-cells-past-the-limit-{periods}x{departments}")
+    test_failure_exits_with_its_code_and_one_error_line(capsys, files, tmp_path, *row)
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: (
