@@ -25,7 +25,7 @@ from dataclasses import fields, replace
 from functools import lru_cache
 from itertools import cycle, islice
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import __version__
 from .analysis import BiasSummary, ViolationStats, _lattice_counts, _lattice_stats, _violations
@@ -194,16 +194,14 @@ def _period_dict(t: int, fair: FairShareTable, reserved: ReservationTable) -> di
     }
 
 
-def _table_rows(period, fair, res, bias) -> list[list]:
-    """Long-format CSV rows for one period's tables, margins included."""
-    rows = []
+def _table_rows(period, fair, res, bias) -> Iterator[tuple]:
+    """Long-format CSV rows for one period's tables, margins included, made as they are written."""
     depts, cats = (*fair.departments, _TOTAL), (*fair.categories, _TOTAL)
     for d, fair_row, res_row, bias_row in zip(depts, _grid(fair), _grid(res), bias.entries):
         for c, x, z, b in zip(cats, fair_row, res_row, bias_row):
-            rows.append([period, "fair", d, c, float(x)])
-            rows.append([period, "reservation", d, c, z])
-            rows.append([period, "bias", d, c, float(b)])
-    return rows
+            yield period, "fair", d, c, float(x)
+            yield period, "reservation", d, c, z
+            yield period, "bias", d, c, float(b)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -300,15 +298,17 @@ def _cmd_run(args) -> str:
             order=list(_order_of(problem, args.order)),
             periods=[_period_dict(t, *tables) for t, tables in enumerate(trace.periods, 1)],
         )
-    csv_rows = []
-    for t, (fair, reserved) in enumerate(trace.periods, 1):
-        csv_rows.extend(_table_rows(t, fair, reserved, bias_of(reserved, fair)))
-        for scope in ("department", "university"):
-            stats = _violations(fair, reserved, scope, t)
-            for key, value in (("count", stats.count), ("max_possible", stats.max_possible),
-                               ("percentage", float(stats.percentage))):
-                csv_rows.append([t, "violations", scope, key, value])
-    return _csv_text(_TABLE_HEADER, csv_rows)
+
+    def rows():  # each period's table rows, then its violation rows
+        for t, (fair, reserved) in enumerate(trace.periods, 1):
+            yield from _table_rows(t, fair, reserved, bias_of(reserved, fair))
+            for scope in ("department", "university"):
+                stats = _violations(fair, reserved, scope, t)
+                for key, value in (("count", stats.count), ("max_possible", stats.max_possible),
+                                   ("percentage", float(stats.percentage))):
+                    yield t, "violations", scope, key, value
+
+    return _csv_text(_TABLE_HEADER, rows())
 
 
 # --- compare ----------------------------------------------------------------

@@ -1,18 +1,26 @@
 """Shared fixtures and helpers: small schemes and problems, scripted and
-counting streams, and the block walk of a scheme table's full network.
+counting streams, the block walk of a scheme table's full network, and
+``REFUSALS``, the table of every refusal of the roster and rounding objects.
 
 Test modules import helpers from here, never from one another."""
 
 import random
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
 
-from reserve2d import IntegralBlock, ReservationProblem, ReservationScheme, Roster, SplitStream
-from reserve2d import roster
+from reserve2d import (
+    ExtendedTable, FairShareTable, FlowNetwork, FractionCycle, IntegralBlock, ReservationProblem,
+    ReservationScheme, Roster, SplitStream, build_fair_share_table, build_flow_network, build_scheme_table,
+    controlled_round, decompose_flow_once, decompose_once, draw_block, draw_roster, extend_table, find_flow_cycle,
+)
+from reserve2d import roster, rounding
+from reserve2d.roster import FlowEdge, cell_vertex, prefix_vertex, row_vertex, sink_vertex, source_vertex
 from reserve2d._walk import Graph, Walk
 from reserve2d.rng import _GAMMA, _MASK64, _index_of, _u64s, _unmix64
 
@@ -22,6 +30,9 @@ FIVE = ReservationScheme(
     ("sc", "st", "obc", "ews", "open"),
     (Fraction(3, 20), Fraction(3, 40), Fraction(27, 100), Fraction(1, 10), Fraction(81, 200)),
 )
+THIRD = ReservationScheme(("c1", "c2"), (Fraction(1, 3), Fraction(2, 3)))
+QUARTERS = ReservationScheme(("c1", "c2", "c3"), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+TENTH = ReservationScheme(("c1", "c2"), (Fraction(1, 10), Fraction(9, 10)))
 
 
 class ForcedRng:
@@ -167,12 +178,12 @@ def mod3_roster(length: int) -> Roster:
 
 @pytest.fixture
 def tenth_scheme() -> ReservationScheme:
-    return ReservationScheme(("c1", "c2"), (Fraction(1, 10), Fraction(9, 10)))
+    return TENTH
 
 
 @pytest.fixture
 def third_scheme() -> ReservationScheme:
-    return ReservationScheme(("c1", "c2"), (Fraction(1, 3), Fraction(2, 3)))
+    return THIRD
 
 
 @pytest.fixture
@@ -182,9 +193,7 @@ def half_scheme() -> ReservationScheme:
 
 @pytest.fixture
 def quarters_scheme() -> ReservationScheme:
-    return ReservationScheme(
-        ("c1", "c2", "c3"), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-    )
+    return QUARTERS
 
 
 @pytest.fixture
@@ -205,3 +214,302 @@ def four_dept_problem(third_scheme) -> ReservationProblem:
 def three_dept_problem(quarters_scheme) -> ReservationProblem:
     """Three departments, one period, vacancies (2, 1, 3)."""
     return ReservationProblem(("d1", "d2", "d3"), quarters_scheme, ((2, 1, 3),))
+
+
+# ---------------------------------------------------------------- refusals
+
+F = Fraction
+_H = F(1, 2)
+# A 10-edge cycle of the 1/3 scheme table's network, as a closed vertex path; it has headroom 1/3 both ways.
+PAPER_STYLE_CYCLE = [
+    ("prefix", 3, 0), ("cell", 2, 0), ("row", 2), ("cell", 2, 1),
+    ("prefix", 3, 1), ("prefix", 2, 1), ("cell", 1, 1), ("row", 1),
+    ("cell", 1, 0), ("prefix", 2, 0),
+]
+# An 8-cell cycle of the extended quarters table of vacancies (2, 1, 3); it splits 2:1.
+APPENDIX_CYCLE = FractionCycle(((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 1), (3, 1), (3, 0)))
+GOOD_FAIR = dict(departments=("a", "b"), categories=("x", "y"), entries=((_H, F(3, 2)), (F(3, 2), _H)),
+                 row_totals=(2, 2), column_totals=(2, 2), grand_total=4)
+
+
+@cache
+def observed() -> SimpleNamespace:
+    """What REFUSALS rows take apart, built once: the 1/3 scheme table's network and a walk of it to
+    integrality, the extended quarters table of vacancies (2, 1, 3), each one's raising step along its
+    cycle above with that step's raised branch moved by one scaled unit (a valid network or table that
+    no longer mixes back), and the tables some rows build branches or extensions from."""
+    network = build_flow_network(build_scheme_table(THIRD))
+    integral, rng = network, SplitStream(11)
+    while not integral.is_integral:
+        integral = decompose_flow_once(integral, rng)
+    table = extend_table(build_fair_share_table(ReservationProblem(("d1", "d2", "d3"), QUARTERS, ((2, 1, 3),)), 1))
+    steps = []
+    decompose_flow_once(network, ForcedRng(True), cycle=PAPER_STYLE_CYCLE, on_step=steps.append)
+    decompose_once(table, APPENDIX_CYCLE, ForcedRng(True), on_step=steps.append)
+    forward = list(steps[0].raise_forward.edges)  # pushed 1/3 around the forward branch's own first cycle
+    for e, d in find_flow_cycle(steps[0].raise_forward):
+        forward[e] = replace(forward[e], flow=forward[e].flow + d * F(1, 3))
+    odd = [list(row) for row in steps[1].raise_odd.entries]  # a quarter moved around cells (1, 0) to (2, 1)
+    for (i, j), d in (((1, 0), 1), ((1, 1), -1), ((2, 0), -1), ((2, 1), 1)):
+        odd[i][j] += d * F(1, 4)
+    return SimpleNamespace(
+        network=network, integral=integral, table=table, flow_step=steps[0], rounding_step=steps[1],
+        moved_forward=FlowNetwork(network.table, tuple(forward)),
+        moved_odd=ExtendedTable(table.source, tuple(map(tuple, odd))),
+        renamed=build_scheme_table(ReservationScheme(("x", "y"), THIRD.fractions)),
+        wider=build_fair_share_table(ReservationProblem(("d1", "d2", "d3", "d4"), QUARTERS, ((2, 1, 3, 4),)), 1),
+        tenths=build_fair_share_table(ReservationProblem(("d1", "d2"), TENTH, ((9, 8),)), 1),
+        # two fair tables whose margins hold but whose extension does not
+        negative=FairShareTable(("d1", "d2"), ("c0", "c1"), ((F(1), F(1)), (F(-1), F(2))), (2, 1), (F(0), F(3)), 3),
+        halves=FairShareTable(
+            ("d1", "d2"), ("c0", "c1"), ((F(1), F(1)), (_H, F(1))), (2, F(3, 2)), (F(3, 2), F(2)), F(7, 2)),
+    )
+
+
+def _edge(e: int, **changes):
+    """The 1/3 network with edge ``e`` changed (edge 0 runs source -> prefix (3, 0), edge 10 cell (0, 0) -> row 0)."""
+    return lambda s: FlowNetwork(s.network.table, tuple(
+        replace(edge, **changes) if i == e else edge for i, edge in enumerate(s.network.edges)))
+
+
+def _network_cycle(cycle):
+    return lambda s: decompose_flow_once(s.network, s.rng, cycle=cycle)
+
+
+def _table_cycle(*cells):
+    return lambda s: decompose_once(s.table, FractionCycle(cells), s.rng)
+
+
+def _block(*rows):
+    return lambda s: IntegralBlock(THIRD, 3, rows)
+
+
+def _extended(n: int, *rows):
+    """``rows`` over the zero fair table of two departments and ``n`` categories."""
+    fair = FairShareTable(("d1", "d2"), tuple(f"c{j}" for j in range(n)), ((0,) * n,) * 2, (0, 0), (0,) * n, 0)
+    return lambda s: ExtendedTable(fair, tuple(tuple(F(v) for v in row) for row in rows))
+
+
+def _fair_but(**changes):
+    return lambda s: FairShareTable(**{**GOOD_FAIR, **changes})
+
+
+def _step(walk: str, build=None, **changes):
+    """The observed step of ``walk`` ("flow" or "rounding") with ``changes``, or with ``build(s, b)``
+    in place of each branch b, the raised one its result."""
+    def call(s):
+        step = getattr(s, f"{walk}_step")
+        if build is None:
+            return replace(step, **changes)
+        raised, lowered = (name.replace("-", "_") for name in step.BRANCHES)  # the branch fields
+        branch = build(s, getattr(step, raised))
+        return replace(step, **{raised: branch, lowered: build(s, getattr(step, lowered))}, result=branch)
+    return call
+
+
+_ORDER = "branches must list the pre-step network's edges in order, differing only in flow"
+_POLICY = "unknown extension policy 'tile'; expected 'independent-blocks' or 'repeat-block'"
+_SHAPE = "extended table must be 3 x 2 (source rows plus one synthetic row)"
+_ZERO = FairShareTable(("d1", "d2"), (), ((), ()), (0, 0), (), 0)  # no categories
+
+# Every refusal of the roster and rounding objects: an id, a call on ``observed()`` and ``rng`` (a fresh
+# ``SplitStream(1)``), the exception class and the full message.  A change to a refusal edits its row.
+REFUSALS = [
+    # scheme tables
+    ("height-1-on-thirds", lambda s: build_scheme_table(THIRD, 1), ValueError,
+     "scheme table height must be at least 2, got 1"),
+    ("height-4-on-thirds", lambda s: build_scheme_table(THIRD, 4), ValueError, "height 4 leaves column 'c1' with "
+     "the non-integral total 4/3; the smallest valid height is 3 (any multiple of it works)"),
+    ("height-100-on-five", lambda s: build_scheme_table(FIVE, 100), ValueError, "height 100 leaves column 'st' with "
+     "the non-integral total 15/2; the smallest valid height is 200 (any multiple of it works)"),
+    ("block-of-height-5-on-thirds", lambda s: draw_block(THIRD, 5, s.rng), ValueError, "height 5 leaves column 'c1' "
+     "with the non-integral total 5/3; the smallest valid height is 3 (any multiple of it works)"),
+    ("five-past-the-cell-limit", lambda s: build_scheme_table(FIVE, 10_200), ValueError,
+     "a scheme table of height 10200 over 5 categories has more than 50,000 cells"),
+    ("thirds-past-the-cell-limit", lambda s: build_scheme_table(THIRD, 3_000_000), ValueError,
+     "a scheme table of height 3000000 over 2 categories has more than 50,000 cells"),
+    ("roster-past-the-cell-limit", lambda s: draw_roster(
+        ReservationScheme(("c1", "c2"), (F(1, 999983), F(999982, 999983))), 5, s.rng), ValueError,
+     "a scheme table of height 999983 over 2 categories has more than 50,000 cells"),
+    # flow networks: checked in scaled integers, each message prints Fractions (an imbalance of one unit as 1)
+    ("network-not-conserved", _edge(10, flow=F(2, 3), upper=1), ValueError,
+     "flow is not conserved at ('cell', 0, 0): imbalance -1/3"),
+    ("network-bound-of-width-2", _edge(0, upper=3), ValueError,
+     "edge ('source',)->('prefix', 3, 0): bound width 2 exceeds 1"),
+    ("network-flow-below-its-bound", _edge(10, flow=F(-1, 3)), ValueError,
+     "edge ('cell', 0, 0)->('row', 0): flow -1/3 outside [0, 1]"),
+    ("network-imbalance-of-a-half", _edge(0, flow=F(3, 2), upper=2), ValueError,
+     "flow is not conserved at ('prefix', 3, 0): imbalance 1/2"),
+    ("network-imbalance-of-one", _edge(0, flow=F(2), upper=2), ValueError,
+     "flow is not conserved at ('prefix', 3, 0): imbalance 1"),
+    ("network-cell-with-two-edges-in", lambda s: FlowNetwork(s.network.table, s.network.edges + (
+        FlowEdge(prefix_vertex(2, 0), cell_vertex(0, 0), F(0), 0, 0),)), ValueError,
+     "('cell', 0, 0) must have exactly one incoming edge"),
+    ("network-row-with-two-edges-out", lambda s: FlowNetwork(s.network.table, s.network.edges + (
+        FlowEdge(row_vertex(0), sink_vertex(), F(0), 0, 0),)), ValueError, "('row', 0) must have exactly one outgoing edge"),
+    ("block-of-a-fractional-network", lambda s: IntegralBlock.from_network(s.network), ValueError,
+     "network still has fractional flows"),
+    # cycles supplied to decompose_flow_once
+    ("vertex-path-without-an-edge", _network_cycle([source_vertex(), cell_vertex(0, 0)]), ValueError,
+     "no edge joins ('source',) and ('cell', 0, 0)"),
+    ("vertex-path-through-an-integral-edge", _network_cycle([
+        source_vertex(), prefix_vertex(3, 0), prefix_vertex(2, 0), cell_vertex(0, 0), row_vertex(0), cell_vertex(0, 1),
+        prefix_vertex(2, 1), prefix_vertex(3, 1)]), ValueError,
+     "edge ('source',)->('prefix', 3, 0) is integral; cycles must be fractional"),
+    ("edge-cycle-with-negative-indices", _network_cycle([(3, 1), (14, 1), (-5, -1), (-16, -1)]), ValueError,
+     "cycle ((3, 1), (14, 1), (-5, -1), (-16, -1)) leaves the network's edges 0..18"),  # -5, -16 alias 14, 3
+    ("edge-cycle-past-the-edges", _network_cycle([(999, 1), (3, 1)]), ValueError,
+     "cycle ((999, 1), (3, 1)) leaves the network's edges 0..18"),
+    ("edge-cycle-at-the-edge-count", _network_cycle([(3, 1), (19, 1)]), ValueError,
+     "cycle ((3, 1), (19, 1)) leaves the network's edges 0..18"),
+    ("edge-cycle-of-one-edge", _network_cycle([(3, 1)]), ValueError, "a cycle must list at least two distinct edges"),
+    ("edge-cycle-of-one-edge-twice", _network_cycle([(3, 1), (3, 1)]), ValueError,
+     "a cycle must list at least two distinct edges"),
+    ("edge-cycle-in-direction-2", _network_cycle([(3, 2), (14, 1)]), ValueError, "direction must be +1 or -1, got 2"),
+    ("edge-cycle-that-breaks", _network_cycle([(2, 1), (7, 1)]), ValueError,
+     "cycle breaks between edges (('prefix', 3, 0), ('prefix', 2, 0)) and (('prefix', 3, 1), ('cell', 2, 1))"),
+    ("integral-network", lambda s: decompose_flow_once(s.integral, s.rng), ValueError,
+     "network is already integral; nothing to decompose"),
+    # flow steps: branches on another scheme table or with other edges are refused before the mixture check
+    ("flow-branches-on-another-table", _step("flow", lambda s, b: FlowNetwork(s.renamed, b.edges)), ValueError,
+     "branches must share the scheme table of the pre-step network"),
+    ("flow-lowered-branch-on-another-table", lambda s: replace(
+        s.flow_step, raise_backward=FlowNetwork(s.renamed, s.flow_step.raise_backward.edges)), ValueError,
+     "branches must share the scheme table of the pre-step network"),
+    ("flow-branches-with-an-extra-edge", _step("flow", lambda s, b: FlowNetwork(
+        b.table, b.edges + (FlowEdge(source_vertex(), sink_vertex(), F(5), 5, 5),))), ValueError, _ORDER),
+    ("flow-branches-with-two-edges-swapped", _step("flow", lambda s, b: FlowNetwork(  # two row -> sink edges
+        b.table, b.edges[:-2] + b.edges[:-3:-1])), ValueError, _ORDER),
+    ("flow-step-that-does-not-mix-back", lambda s: replace(
+        s.flow_step, raise_forward=s.moved_forward, result=s.moved_forward), ValueError,
+     "branches do not mix back to the pre-step value at (('prefix', 3, 0), ('prefix', 2, 0))"),
+    ("flow-step-of-zero-d-plus", _step("flow", d_plus=F(0)), ValueError, "both adjustments must be positive"),
+    ("flow-step-on-an-unknown-branch", _step("flow", branch="sideways"), ValueError, "unknown branch 'sideways'"),
+    ("flow-step-with-the-other-result", lambda s: replace(s.flow_step, result=s.flow_step.raise_backward),
+     ValueError, "result must be the branch named by 'branch'"),
+    # blocks and rosters
+    ("block-row-with-two-ones", _block((1, 1), (0, 1), (0, 1)), ValueError, "row 1 must contain exactly one 1"),
+    ("block-a-full-seat-off", _block((1, 0), (1, 0), (0, 1)), ValueError,
+     "column 'c1' has 2 of the first 2 positions; fair share is 2/3"),
+    ("block-short-of-rows", _block((1, 0), (0, 1)), ValueError, "expected 3 rows, got 2"),
+    ("block-row-of-width-3", _block((1, 0, 0), (0, 1), (0, 1)), ValueError, "row 1 is not a 0/1 row of width 2"),
+    ("block-row-holding-a-2", _block((0, 2), (0, 1), (1, 0)), ValueError, "row 1 is not a 0/1 row of width 2"),
+    ("roster-of-negative-length", lambda s: draw_roster(THIRD, -1, s.rng), ValueError,
+     "roster length must be nonnegative, got -1"),
+    ("roster-draw-under-an-unknown-policy", lambda s: draw_roster(THIRD, 3, s.rng, "tile"), ValueError, _POLICY),
+    ("roster-under-an-unknown-policy", lambda s: Roster(THIRD.categories, (), extension_policy="tile"), ValueError,
+     _POLICY),
+    # extended tables: one rule broken, then two (the first check in order wins)
+    ("extended-without-its-synthetic-row", lambda s: ExtendedTable(s.tenths, s.tenths.entries), ValueError, _SHAPE),
+    ("extended-with-a-fractional-synthetic-row", lambda s: ExtendedTable(
+        s.tenths, s.tenths.entries + ((F(1, 10), F(1, 10)),)), ValueError, "row 2 does not sum to an integer"),
+    ("extended-of-width-0-without-its-synthetic-row", lambda s: ExtendedTable(_ZERO, ((), ())), ValueError,
+     "extended table must be 3 x 0 (source rows plus one synthetic row)"),
+    ("extended-of-two-rows", _extended(2, (1, 1), (1, 1)), ValueError, _SHAPE),
+    ("extended-with-a-short-row", _extended(2, (1, 1), (1, 1), (0,)), ValueError, _SHAPE),
+    ("extended-with-a-negative-entry", _extended(2, (1, 1), (-1, 2), (0, 0)), ValueError, "row 1 has a negative entry"),
+    ("extended-with-a-fractional-row", _extended(2, (1, 1), (_H, 1), (_H, 0)), ValueError,
+     "row 1 does not sum to an integer"),
+    ("extended-with-a-fractional-column", _extended(3, (1, 0, 0), (0, _H, _H), (0, 0, 1)), ValueError,
+     "column 1 does not sum to an integer"),
+    ("extended-with-long-rows-one-fractional", _extended(2, (1, 1, 0), (_H, 0, 0), (0, 0, 0)), ValueError, _SHAPE),
+    ("extended-with-a-negative-fractional-row", _extended(2, (1, 1), (-_H, 1), (_H, 0)), ValueError,
+     "row 1 has a negative entry"),
+    ("extended-with-a-fractional-then-a-negative-row", _extended(2, (_H, 1), (-1, 2), (_H, 0)), ValueError,
+     "row 0 does not sum to an integer"),
+    ("extended-with-a-fractional-row-and-column", _extended(2, (_H, _H), (_H, 1), (0, 0)), ValueError,
+     "row 1 does not sum to an integer"),
+    # the same checks, run on the integers of a fair table's extension before any draw
+    ("extend-table-to-a-negative-entry", lambda s: extend_table(s.negative), ValueError, "row 1 has a negative entry"),
+    ("integer-extension-to-a-negative-entry", lambda s: rounding._extension(s.negative), ValueError,
+     "row 1 has a negative entry"),
+    ("controlled-round-to-a-negative-entry", lambda s: controlled_round(s.negative, s.rng), ValueError,
+     "row 1 has a negative entry"),
+    ("extend-table-to-a-fractional-row", lambda s: extend_table(s.halves), ValueError, "row 1 does not sum to an integer"),
+    ("integer-extension-to-a-fractional-row", lambda s: rounding._extension(s.halves), ValueError,
+     "row 1 does not sum to an integer"),
+    ("controlled-round-to-a-fractional-row", lambda s: controlled_round(s.halves, s.rng), ValueError,
+     "row 1 does not sum to an integer"),
+    # fair tables: the margins are checked in scaled integers, and each message prints its sum as a Fraction
+    ("fair-row-a-short", _fair_but(entries=((_H, _H), (F(3, 2), _H))), ValueError, "row 'a' sums to 1, stored total is 2"),
+    ("fair-row-b-off-by-a-third", _fair_but(entries=((_H, F(3, 2)), (F(3, 2), F(1, 3)))), ValueError,
+     "row 'b' sums to 11/6, stored total is 2"),
+    ("fair-row-total-too-large", _fair_but(row_totals=(2, 3), grand_total=5), ValueError,
+     "row 'b' sums to 2, stored total is 3"),
+    ("fair-column-total-of-halves", _fair_but(column_totals=(F(5, 2), F(3, 2))), ValueError,
+     "column 'x' sums to 2, stored total is 5/2"),
+    ("fair-column-total-of-thirds", _fair_but(column_totals=(F(7, 3), F(5, 3))), ValueError,
+     "column 'x' sums to 2, stored total is 7/3"),
+    ("fair-grand-total-too-large", _fair_but(grand_total=5), ValueError, "row totals do not sum to the grand total"),
+    ("fair-without-categories", _fair_but(categories=(), entries=((), ()), row_totals=(0, 1), column_totals=(),
+                                          grand_total=1), ValueError, "row 'b' sums to 0, stored total is 1"),
+    ("fair-without-departments", _fair_but(departments=(), entries=(), row_totals=(), column_totals=(_H, _H),
+                                           grand_total=0), ValueError, "column 'x' sums to 0, stored total is 1/2"),
+    ("fair-without-departments-with-a-grand-total", _fair_but(
+        departments=(), entries=(), row_totals=(), column_totals=(0, 0), grand_total=1), ValueError,
+     "row totals do not sum to the grand total"),
+    # fraction cycles, alone and supplied to decompose_once
+    ("cell-cycle-of-two-cells", lambda s: FractionCycle(((0, 0), (0, 1))), ValueError,
+     "a cycle needs an even number (>= 4) of cells, got 2"),
+    ("cell-cycle-of-three-cells", lambda s: FractionCycle(((0, 0), (0, 1), (1, 1))), ValueError,
+     "a cycle needs an even number (>= 4) of cells, got 3"),
+    ("cell-cycle-repeating-a-cell", lambda s: FractionCycle(((0, 0), (1, 1), (1, 0), (0, 0))), ValueError,
+     "cycle cells must be distinct"),
+    ("cell-cycle-starting-on-a-column-step", lambda s: FractionCycle(((0, 0), (1, 0), (1, 1), (0, 1))), ValueError,
+     "cells (0, 0) and (1, 0) must share a row (step 0 is a row step)"),
+    ("cell-cycle-past-the-columns", _table_cycle((0, 0), (0, 5), (1, 5), (1, 0)), ValueError,  # 5 would be edge 5
+     "cycle ((0, 0), (0, 5), (1, 5), (1, 0)) leaves the 4 x 3 extended table"),
+    ("cell-cycle-at-a-negative-column", _table_cycle((0, 0), (0, -2), (1, -2), (1, 0)), ValueError,  # -2 would alias 1
+     "cycle ((0, 0), (0, -2), (1, -2), (1, 0)) leaves the 4 x 3 extended table"),
+    ("cell-cycle-past-the-synthetic-row", _table_cycle((0, 0), (0, 1), (4, 1), (4, 0)), ValueError,
+     "cycle ((0, 0), (0, 1), (4, 1), (4, 0)) leaves the 4 x 3 extended table"),
+    ("cell-cycle-at-a-negative-row", _table_cycle((-1, 0), (-1, 1), (0, 1), (0, 0)), ValueError,
+     "cycle ((-1, 0), (-1, 1), (0, 1), (0, 0)) leaves the 4 x 3 extended table"),
+    ("cell-cycle-from-an-integral-cell-outside", _table_cycle((0, 2), (0, 3), (1, 3), (1, 2)), ValueError,
+     "cycle ((0, 2), (0, 3), (1, 3), (1, 2)) leaves the 4 x 3 extended table"),  # (0, 2) is integral, but (0, 3) is outside
+    ("cell-cycle-through-an-integral-cell", _table_cycle((0, 0), (0, 2), (1, 2), (1, 0)), RuntimeError,
+     "internal error: degenerate cycle (cell (0, 2) is integral)"),
+    ("integral-table", lambda s: decompose_once(extend_table(build_fair_share_table(
+        ReservationProblem(("d1", "d2"), THIRD, ((3, 6),)), 1)), None, s.rng), ValueError,
+     "table is already integral; nothing to decompose"),
+    ("table-of-width-0", lambda s: decompose_once(extend_table(_ZERO), None, s.rng), ValueError,
+     "table is already integral; nothing to decompose"),
+    # rounding steps: branches extending another table are refused before the mixture check
+    ("rounding-step-of-another-probability", _step("rounding", probability=_H), ValueError,
+     "branch probability must equal d-/(d- + d+)"),
+    ("rounding-branches-of-another-table", _step("rounding", lambda s, b: ExtendedTable(  # four departments
+        s.wider, b.entries + ((F(0),) * 3,))), ValueError,
+     "branches must extend the departments and categories of the pre-step table"),
+    ("rounding-step-that-does-not-mix-back", lambda s: replace(s.rounding_step, raise_odd=s.moved_odd, result=s.moved_odd),
+     ValueError, "branches do not mix back to the pre-step value at (1, 0)"),
+    ("rounding-step-of-zero-d-minus", _step("rounding", d_minus=F(0)), ValueError, "both adjustments must be positive"),
+    ("rounding-step-on-an-unknown-branch", _step("rounding", branch="sideways"), ValueError, "unknown branch 'sideways'"),
+    ("rounding-step-with-the-other-result", lambda s: replace(s.rounding_step, result=s.rounding_step.raise_even),
+     ValueError, "result must be the branch named by 'branch'"),
+]
+_ROWS = {row_id: row for row_id, *row in REFUSALS}
+
+
+def refuse(*row_ids: str) -> None:
+    """Run REFUSALS rows: within 5 s each call raises exactly its class with exactly its
+    message, and draws nothing from the stream it is handed."""
+    for row_id in row_ids:
+        call, error, message = _ROWS[row_id]
+        s = SimpleNamespace(**vars(observed()), rng=SplitStream(1))
+        with time_limit(5), pytest.raises(error) as refused:
+            call(s)
+        assert type(refused.value) is error and str(refused.value) == message
+        assert s.rng._n == 0
+
+
+def rerun(rows):
+    """A test that runs REFUSALS rows again under a name that checked them before the table
+    held them: ``rows`` lists row ids, or maps each id of a parametrized test to its list."""
+    if isinstance(rows, dict):
+        @pytest.mark.parametrize("row_ids", list(rows.values()), ids=list(rows))
+        def test(row_ids):
+            refuse(*row_ids)
+    else:
+        def test():
+            refuse(*rows)
+    return test

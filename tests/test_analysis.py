@@ -451,6 +451,15 @@ def test_adversarial_sequence_validates_choices():
         adversarial_sequence(2, lambda s, d, fair, res: "c1")
 
 
+def test_prefer_first_category_refuses_when_every_category_breaks_the_university_quota(half_scheme):
+    """Both columns already hold their one fair seat, so d3's seat breaks the quota in either."""
+    fair = build_fair_share_table(ReservationProblem(("d1", "d2", "d3"), half_scheme, ((1, 1, 0),)), 1)
+    reserved = ReservationTable.from_entries(fair.departments, fair.categories, ((1, 0), (0, 1), (0, 0)))
+    with pytest.raises(ValueError) as refused:
+        prefer_first_category(1, "d3", fair, reserved)
+    assert str(refused.value) == "no category keeps the university quota at period 1"
+
+
 def _scripted_play(script):
     """Follow the script's category preference wherever it is compliant."""
 

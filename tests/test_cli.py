@@ -117,6 +117,7 @@ BAD_FILES = {
     "nameless": "department,period,vacancies\n,1,2\nd2,1,1\n",
     "two_fields": "department,period,vacancies\nd1,1\n",
     "latin1": "department,period,vacancies\nd\xe9pt,1,2\n".encode("latin-1"),
+    "header_only": "department,period,vacancies\n",
     "crowded": "department,period,vacancies\nd1,1,1000000000\nd2,1,1\n",
     "eleven": "department,period,vacancies\n" + "".join(f"d{i},1,100000\n" for i in range(1, 12)),
     "tiny": "category,numerator,denominator\nc1,1e-99999999,\nc2,1,\n",
@@ -124,6 +125,7 @@ BAD_FILES = {
     "wide": "category,numerator,denominator\nc1,1,999983\nc2,999982,999983\n",  # height 999983
     "blank_position": "index,category\n1,c2\n2,\n",
     "no_positions": "index,category\n",
+    "three_fields": "index,category\n1,c2,x\n",
 }
 SYNTH = "compare --scheme {scheme} --synthesize --replications 1 --seed 1"
 # A synthesized problem of at most P periods x M departments x Q vacancies, filled in with % (P, M, M, Q, Q).
@@ -144,6 +146,8 @@ FAILURES = [
      "error: {two_fields}:2:", "expected 3 fields, got 2"),
     ("problem-not-utf8", "round {latin1} --scheme {scheme} -t 1 --seed 1", 2,
      "error: {latin1}:0:", "cannot read file"),
+    ("problem-of-only-a-header", "round {header_only} --scheme {scheme} -t 1 --seed 1", 2,
+     "error: {header_only}:1:", "no vacancy rows found"),
     ("department-vacancies-past-the-limit-proposed", "run {crowded} --scheme {scheme} --solution proposed --seed 1", 2,
      "error: {crowded}:2:", "over 100,000 vacancies"),
     ("department-vacancies-past-the-limit-court",
@@ -161,6 +165,8 @@ FAILURES = [
      "error: {blank_position}:3:", "category identifier is empty"),
     ("roster-without-positions", "run {problem} --scheme {scheme} --solution court --roster {no_positions}", 2,
      "error: {no_positions}:1:", "roster has no positions"),
+    ("roster-row-of-three-fields", "run {problem} --scheme {scheme} --solution government --roster {three_fields}", 2,
+     "error: {three_fields}:2:", "expected 2 fields, got 3"),
     ("roster-bad-height", "roster {scheme} --length 5 --seed 1 --height 4", 2,
      "error: --height 4:", "smallest valid height is 3"),
     ("run-proposed-bad-height", "run {problem} --scheme {scheme} --solution proposed --seed 1 --height 5", 2,

@@ -241,6 +241,12 @@ def test_from_entries_rejects_a_ragged_row_with_the_grid_message():
     assert empty.column_totals == (0, 0) and empty.grand_total == 0
 
 
+def test_a_fair_table_missing_a_row_is_refused_by_the_grid_check():
+    with pytest.raises(ValueError) as refused:
+        FairShareTable(("a", "b"), ("x", "y"), ((F(1, 2), F(3, 2)),), (2, 2), (F(2), F(2)), 4)
+    assert str(refused.value) == "fair share table: expected 2 rows, got 1"
+
+
 def test_from_entries_sums_the_margins_and_checks_every_entry():
     """The margins are the entries' sums, as a direct construction with them
     would take; a negative or non-integer entry is refused with its message."""

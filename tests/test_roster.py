@@ -2,16 +2,12 @@
 
 import copy
 import random
-from dataclasses import replace
 from fractions import Fraction
-
-import pytest
 
 from reserve2d import (
     FlowNetwork,
     IntegralBlock,
     ReservationScheme,
-    Roster,
     SplitStream,
     build_flow_network,
     build_scheme_table,
@@ -24,7 +20,6 @@ from reserve2d import (
 from reserve2d import roster
 from reserve2d._walk import scaled
 from reserve2d.roster import (
-    FlowEdge,
     FlowStep,
     cell_vertex,
     prefix_vertex,
@@ -33,8 +28,8 @@ from reserve2d.roster import (
     source_vertex,
 )
 
-from conftest import FIVE, CountedU64s, CountingStream, ForcedRng, key_with_u64, per_step, recorded_batches
-from conftest import stepwise_draw, time_limit, tree_law
+from conftest import FIVE, PAPER_STYLE_CYCLE, CountedU64s, CountingStream, ForcedRng, key_with_u64, per_step
+from conftest import recorded_batches, rerun, stepwise_draw, tree_law
 
 F = Fraction
 MIXED = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))  # three columns, no tree at height 12
@@ -57,26 +52,6 @@ def test_minimal_height_with_many_denominators():
     assert minimal_height(FIVE) == 200
 
 
-def test_scheme_table_rejects_bad_height(third_scheme):
-    with pytest.raises(ValueError, match="3"):
-        build_scheme_table(third_scheme, 4)
-    with pytest.raises(ValueError, match="200"):
-        build_scheme_table(FIVE, 100)
-
-
-def test_scheme_table_rejects_more_than_the_cell_limit(third_scheme):
-    """Tables past 50,000 cells fail fast instead of allocating a network."""
-    assert build_scheme_table(FIVE, 10_000).height == 10_000
-    wide = ReservationScheme(("c1", "c2"), (F(1, 999983), F(999982, 999983)))
-    with time_limit(5):
-        with pytest.raises(ValueError, match="more than 50,000 cells"):
-            build_scheme_table(FIVE, 10_200)
-        with pytest.raises(ValueError, match="height 3000000 over 2 categories"):
-            build_scheme_table(third_scheme, 3_000_000)
-        with pytest.raises(ValueError, match="height 999983"):
-            draw_roster(wide, 5, SplitStream(1))
-
-
 def test_scheme_table_shape(third_scheme):
     table = build_scheme_table(third_scheme)
     assert table.height == 3
@@ -84,6 +59,7 @@ def test_scheme_table_shape(third_scheme):
     assert table.column_totals == (1, 2)
     taller = build_scheme_table(third_scheme, 6)
     assert taller.column_totals == (2, 4)
+    assert build_scheme_table(FIVE, 10_000).height == 10_000  # 50,000 cells, the most a table may have
 
 
 # ---------------------------------------------------------------- the network
@@ -103,56 +79,6 @@ def test_network_structure(third_scheme):
         assert e.lower <= e.flow <= e.upper
         if e.flow.denominator == 1:
             assert e.lower == e.upper == e.flow
-
-
-def test_network_validates_conservation(third_scheme):
-    net = build_flow_network(build_scheme_table(third_scheme))
-    edges = list(net.edges)
-    target = next(
-        i for i, e in enumerate(edges) if e.tail == cell_vertex(0, 0)
-    )
-    edges[target] = replace(edges[target], flow=F(2, 3), upper=1)
-    with pytest.raises(ValueError) as exc:
-        FlowNetwork(net.table, tuple(edges))
-    assert str(exc.value) == "flow is not conserved at ('cell', 0, 0): imbalance -1/3"
-
-
-def test_network_validates_bounds(third_scheme):
-    net = build_flow_network(build_scheme_table(third_scheme))
-    edges = list(net.edges)
-    edges[0] = replace(edges[0], upper=edges[0].lower + 2)
-    with pytest.raises(ValueError) as exc:
-        FlowNetwork(net.table, tuple(edges))
-    assert str(exc.value) == "edge ('source',)->('prefix', 3, 0): bound width 2 exceeds 1"
-
-
-def _refusal(table, edges) -> str:
-    with pytest.raises(ValueError) as exc:
-        FlowNetwork(table, tuple(edges))
-    return str(exc.value)
-
-
-def test_network_messages_print_the_flows_as_fractions(third_scheme):
-    """The constructor checks scaled integers; its messages show ``Fraction``s
-    (an imbalance of a whole unit prints as 1) and name the vertex or edge."""
-    net = build_flow_network(build_scheme_table(third_scheme))
-    edges = list(net.edges)
-    cell = next(i for i, e in enumerate(edges) if e.tail == cell_vertex(0, 0))
-    below = edges[:cell] + [replace(edges[cell], flow=F(-1, 3))] + edges[cell + 1:]
-    assert _refusal(net.table, below) == "edge ('cell', 0, 0)->('row', 0): flow -1/3 outside [0, 1]"
-    above = [replace(edges[0], flow=F(3, 2), upper=2)] + edges[1:]
-    assert _refusal(net.table, above) == "flow is not conserved at ('prefix', 3, 0): imbalance 1/2"
-    whole = [replace(edges[0], flow=F(2), upper=2)] + edges[1:]
-    assert _refusal(net.table, whole) == "flow is not conserved at ('prefix', 3, 0): imbalance 1"
-
-
-def test_network_validates_degrees(third_scheme):
-    net = build_flow_network(build_scheme_table(third_scheme))
-    extra_in = FlowEdge(prefix_vertex(2, 0), cell_vertex(0, 0), F(0), 0, 0)
-    extra_out = FlowEdge(row_vertex(0), sink_vertex(), F(0), 0, 0)
-    refused_in, refused_out = (_refusal(net.table, net.edges + (extra,)) for extra in (extra_in, extra_out))
-    assert refused_in == "('cell', 0, 0) must have exactly one incoming edge"
-    assert refused_out == "('row', 0) must have exactly one outgoing edge"
 
 
 def _tuple_sorted_network(table):
@@ -265,13 +191,6 @@ def test_a_network_with_its_edges_in_another_order_is_walked_on_its_own_edges(th
                 assert abs(positions[:depth].count(cat) - depth * f) < 1
 
 
-PAPER_STYLE_CYCLE = [
-    ("prefix", 3, 0), ("cell", 2, 0), ("row", 2), ("cell", 2, 1),
-    ("prefix", 3, 1), ("prefix", 2, 1), ("cell", 1, 1), ("row", 1),
-    ("cell", 1, 0), ("prefix", 2, 0),
-]
-
-
 def test_named_cycle_step_is_an_even_split(third_scheme):
     """A known 10-edge cycle has headroom 1/3 both ways, so the step is a
     fair coin; both branch networks are checked edge by edge."""
@@ -298,83 +217,6 @@ def test_named_cycle_step_is_an_even_split(third_scheme):
     # exact mixture identity
     for e, f, b in zip(net.edges, fwd.edges, bwd.edges):
         assert F(1, 2) * f.flow + F(1, 2) * b.flow == e.flow
-
-
-def _named_step(third_scheme) -> FlowStep:
-    net = build_flow_network(build_scheme_table(third_scheme))
-    captured = []
-    decompose_flow_once(net, ForcedRng(True), cycle=PAPER_STYLE_CYCLE, on_step=captured.append)
-    return captured[0]
-
-
-def test_flow_step_refuses_branches_on_another_scheme_table(third_scheme):
-    """Branches with the same edges and flows but another scheme table are
-    refused before the mixture check."""
-    step = _named_step(third_scheme)
-    renamed = build_scheme_table(ReservationScheme(("x", "y"), third_scheme.fractions))
-    forward = FlowNetwork(renamed, step.raise_forward.edges)
-    backward = FlowNetwork(renamed, step.raise_backward.edges)
-    with pytest.raises(ValueError) as exc:
-        replace(step, raise_forward=forward, raise_backward=backward, result=forward)
-    assert str(exc.value) == "branches must share the scheme table of the pre-step network"
-    with pytest.raises(ValueError) as exc:
-        replace(step, raise_backward=backward)
-    assert str(exc.value) == "branches must share the scheme table of the pre-step network"
-
-
-def test_flow_step_names_the_edge_that_does_not_mix_back(third_scheme):
-    """Pushing the forward branch one scaled unit (1/3) around one of its own
-    cycles keeps it a valid network, but the step no longer mixes back; the
-    message names the cycle's smallest edge."""
-    step = _named_step(third_scheme)
-    forward = step.raise_forward
-    cycle = find_flow_cycle(forward)
-    assert cycle[0] == (2, 1)
-    edges = list(forward.edges)
-    for e, d in cycle:
-        edges[e] = replace(edges[e], flow=edges[e].flow + d * F(1, 3))
-    moved = FlowNetwork(forward.table, tuple(edges))
-    with pytest.raises(ValueError) as exc:
-        replace(step, raise_forward=moved, result=moved)
-    assert str(exc.value) == (
-        "branches do not mix back to the pre-step value at (('prefix', 3, 0), ('prefix', 2, 0))"
-    )
-
-
-_FOREIGN_EDGES = "branches must list the pre-step network's edges in order, differing only in flow"
-
-
-def test_flow_step_refuses_branches_with_an_edge_the_network_lacks(third_scheme):
-    """An edge appended to both branches is valid in each network but is not
-    one of the pre-step network's, so the step is refused."""
-    step = _named_step(third_scheme)
-    extra = FlowEdge(source_vertex(), sink_vertex(), F(5), 5, 5)
-    forward, backward = (
-        FlowNetwork(branch.table, branch.edges + (extra,))
-        for branch in (step.raise_forward, step.raise_backward)
-    )
-    assert len(forward.edges) == len(step.network.edges) + 1 == 20
-    with pytest.raises(ValueError) as exc:
-        replace(step, raise_forward=forward, raise_backward=backward, result=forward)
-    assert str(exc.value) == _FOREIGN_EDGES
-
-
-def test_flow_step_refuses_branches_that_list_the_edges_in_another_order(third_scheme):
-    """Swapping two row -> sink edges, each carrying 1, in both branches keeps
-    every index's flows mixing back, but the branches no longer list the
-    pre-step network's edges in its order."""
-    step = _named_step(third_scheme)
-
-    def swapped(network):
-        edges = list(network.edges)
-        edges[-1], edges[-2] = edges[-2], edges[-1]
-        assert edges[-1].flow == edges[-2].flow == 1
-        return FlowNetwork(network.table, tuple(edges))
-
-    forward, backward = swapped(step.raise_forward), swapped(step.raise_backward)
-    with pytest.raises(ValueError) as exc:
-        replace(step, raise_forward=forward, raise_backward=backward, result=forward)
-    assert str(exc.value) == _FOREIGN_EDGES
 
 
 def _assert_branches_share_off_the_cycle(step: FlowStep) -> None:
@@ -404,40 +246,6 @@ def test_observed_flow_branches_share_every_edge_off_the_cycle(third_scheme):
             assert steps and len(single) == len(steps)
             for step in steps + single:
                 _assert_branches_share_off_the_cycle(step)
-
-
-def test_supplied_cycle_is_validated(third_scheme):
-    net = build_flow_network(build_scheme_table(third_scheme))
-    with pytest.raises(ValueError, match="no edge joins"):
-        decompose_flow_once(
-            net, ForcedRng(True), cycle=[source_vertex(), cell_vertex(0, 0)]
-        )
-    with pytest.raises(ValueError, match="integral"):
-        # source edges are integral, so this walk is not a fractional cycle
-        decompose_flow_once(
-            net,
-            ForcedRng(True),
-            cycle=[
-                source_vertex(), prefix_vertex(3, 0), prefix_vertex(2, 0),
-                cell_vertex(0, 0), row_vertex(0), cell_vertex(0, 1),
-                prefix_vertex(2, 1), prefix_vertex(3, 1),
-            ],
-        )
-
-
-@pytest.mark.parametrize("cycle", [
-    [(3, 1), (14, 1), (-5, -1), (-16, -1)],  # -5 and -16 alias edges 14 and 3
-    [(999, 1), (3, 1)],
-    [(3, 1), (19, 1)],  # the network has 19 edges
-])
-def test_supplied_cycle_must_stay_in_the_network(third_scheme, cycle):
-    net = build_flow_network(build_scheme_table(third_scheme))
-    assert len(net.edges) == 19
-    rng = SplitStream(1)
-    with pytest.raises(ValueError) as exc:
-        decompose_flow_once(net, rng, cycle=cycle)
-    assert str(exc.value) == f"cycle {tuple(cycle)} leaves the network's edges 0..18"
-    assert rng._n == 0
 
 
 def test_decomposition_strictly_reduces_fractional_edges(third_scheme):
@@ -680,23 +488,14 @@ def test_an_observed_draw_leaves_the_cached_sampler_alone(third_scheme, quarters
     assert roster._sampler(table) is cached
 
 
-def test_block_validation():
-    scheme = ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3)))
-    with pytest.raises(ValueError, match="exactly one 1"):
-        IntegralBlock(scheme, 3, ((1, 1), (0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="fair share"):
-        # two c1 in the first two rows drifts a full seat from 2 * 1/3
-        IntegralBlock(scheme, 3, ((1, 0), (1, 0), (0, 1)))
-    ok = IntegralBlock(scheme, 3, ((0, 1), (1, 0), (0, 1)))
-    assert ok.positions == ("c2", "c1", "c2")
+def test_a_valid_block_reads_its_positions(third_scheme):
+    assert IntegralBlock(third_scheme, 3, ((0, 1), (1, 0), (0, 1))).positions == ("c2", "c1", "c2")
 
 
-def test_draw_block_respects_height(third_scheme):
+def test_draw_block_of_twice_the_minimal_height(third_scheme):
     block = draw_block(third_scheme, 6, SplitStream(0))
     assert len(block.positions) == 6
     assert block.positions.count("c1") == 2
-    with pytest.raises(ValueError, match="3"):
-        draw_block(third_scheme, 5, SplitStream(0))
 
 
 # ---------------------------------------------------------------- rosters
@@ -720,19 +519,8 @@ def test_repeat_block_roster_is_periodic(third_scheme):
     assert draw_block(third_scheme, None, SplitStream(1)).positions == ("c2", "c2", "c1")
 
 
-def test_empty_and_invalid_rosters(third_scheme):
+def test_a_roster_of_length_zero_is_empty(third_scheme):
     assert len(draw_roster(third_scheme, 0, SplitStream(0))) == 0
-    with pytest.raises(ValueError):
-        draw_roster(third_scheme, -1, SplitStream(0))
-    rng = SplitStream(0)
-    message = "unknown extension policy 'tile'; expected 'independent-blocks' or 'repeat-block'"
-    with pytest.raises(ValueError) as refused:
-        draw_roster(third_scheme, 3, rng, "tile")
-    assert str(refused.value) == message
-    assert rng._n == 0  # refused before any draw
-    with pytest.raises(ValueError) as refused:
-        Roster(third_scheme.categories, (), extension_policy="tile")
-    assert str(refused.value) == message
 
 
 def test_roster_prefix_counts_never_drift_a_full_seat(third_scheme, quarters_scheme):
@@ -757,3 +545,31 @@ def test_position_marginals_monte_carlo(third_scheme):
     se = (draws * (1 / 3) * (2 / 3)) ** 0.5
     for p in range(6):
         assert abs(hits[p] - draws / 3) < 4 * se, (p, hits[p])
+
+
+# ---------------------------------------------------------------- refusals
+
+# These tests checked refusals that are rows of conftest.REFUSALS now (tests/test_refusals.py runs
+# each row); each name runs its rows again.
+test_scheme_table_rejects_bad_height = rerun(["height-4-on-thirds", "height-100-on-five"])
+test_scheme_table_rejects_more_than_the_cell_limit = rerun(
+    ["five-past-the-cell-limit", "thirds-past-the-cell-limit", "roster-past-the-cell-limit"])
+test_network_validates_conservation = rerun(["network-not-conserved"])
+test_network_validates_bounds = rerun(["network-bound-of-width-2"])
+test_network_messages_print_the_flows_as_fractions = rerun(
+    ["network-flow-below-its-bound", "network-imbalance-of-a-half", "network-imbalance-of-one"])
+test_network_validates_degrees = rerun(["network-cell-with-two-edges-in", "network-row-with-two-edges-out"])
+test_flow_step_refuses_branches_on_another_scheme_table = rerun(
+    ["flow-branches-on-another-table", "flow-lowered-branch-on-another-table"])
+test_flow_step_names_the_edge_that_does_not_mix_back = rerun(["flow-step-that-does-not-mix-back"])
+test_flow_step_refuses_branches_with_an_edge_the_network_lacks = rerun(["flow-branches-with-an-extra-edge"])
+test_flow_step_refuses_branches_that_list_the_edges_in_another_order = rerun(
+    ["flow-branches-with-two-edges-swapped"])
+test_supplied_cycle_is_validated = rerun(["vertex-path-without-an-edge", "vertex-path-through-an-integral-edge"])
+test_supplied_cycle_must_stay_in_the_network = rerun({
+    "cycle0": ["edge-cycle-with-negative-indices"], "cycle1": ["edge-cycle-past-the-edges"],
+    "cycle2": ["edge-cycle-at-the-edge-count"]})
+test_block_validation = rerun(["block-row-with-two-ones", "block-a-full-seat-off"])
+test_draw_block_respects_height = rerun(["block-of-height-5-on-thirds"])
+test_empty_and_invalid_rosters = rerun(
+    ["roster-of-negative-length", "roster-draw-under-an-unknown-policy", "roster-under-an-unknown-policy"])

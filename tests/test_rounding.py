@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reserve2d import (
-    DecompositionStep,
     ExtendedTable,
     FairShareTable,
     FractionCycle,
@@ -28,7 +27,7 @@ from reserve2d import (
 )
 from reserve2d._walk import Walk, scaled, tree
 
-from conftest import ForcedRng, time_limit, tree_law
+from conftest import APPENDIX_CYCLE, GOOD_FAIR, ForcedRng, rerun, time_limit, tree_law
 
 F = Fraction
 
@@ -80,40 +79,7 @@ def test_extension_makes_all_lines_integral(parts, qs):
     assert all(0 <= v < 1 for v in ext.entries[-1])
 
 
-def test_extended_table_shape_is_validated(two_dept_problem):
-    x1 = build_fair_share_table(two_dept_problem, 1)
-    with pytest.raises(ValueError):
-        ExtendedTable(x1, x1.entries)  # synthetic row missing
-    with pytest.raises(ValueError):
-        ExtendedTable(x1, x1.entries + ((F(1, 10), F(1, 10)),))  # columns not integral
-
-
-_H = F(1, 2)
-_SHAPE = "extended table must be 3 x 2 (source rows plus one synthetic row)"
-
-
-@pytest.mark.parametrize("n, rows, message", [
-    # one rule broken
-    (2, ((1, 1), (1, 1)), _SHAPE),
-    (2, ((1, 1), (1, 1), (0,)), _SHAPE),
-    (2, ((1, 1), (-1, 2), (0, 0)), "row 1 has a negative entry"),
-    (2, ((1, 1), (_H, 1), (_H, 0)), "row 1 does not sum to an integer"),
-    (3, ((1, 0, 0), (0, _H, _H), (0, 0, 1)), "column 1 does not sum to an integer"),
-    # two rules broken: the first check in order wins
-    (2, ((1, 1, 0), (_H, 0, 0), (0, 0, 0)), _SHAPE),  # row 1 sums to 1/2 too
-    (2, ((1, 1), (-_H, 1), (_H, 0)), "row 1 has a negative entry"),  # and sums to 1/2
-    (2, ((_H, 1), (-1, 2), (_H, 0)), "row 0 does not sum to an integer"),  # row 1 negative
-    (2, ((_H, _H), (_H, 1), (0, 0)), "row 1 does not sum to an integer"),  # column 1 sums to 3/2
-])
-def test_extended_table_checks_in_order(n, rows, message):
-    categories = tuple(f"c{j}" for j in range(n))
-    fair = FairShareTable(("d1", "d2"), categories, ((0,) * n,) * 2, (0, 0), (0,) * n, 0)
-    with pytest.raises(ValueError) as err:
-        ExtendedTable(fair, tuple(tuple(F(v) for v in row) for row in rows))
-    assert str(err.value) == message
-
-
-def test_extended_table_of_width_zero():
+def test_a_table_of_width_zero_extends_and_rounds():
     """A table with no categories extends, has no fractional cell and no
     cycle, and rounds to the reservation table with no categories."""
     fair = FairShareTable(("d1", "d2"), (), ((), ()), (0, 0), (), 0)
@@ -124,11 +90,6 @@ def test_extended_table_of_width_zero():
     assert ext.entries == ((), (), ())
     assert ext.is_integral and ext.fraction_cells() == ()
     assert find_fraction_cycle(ext) is None
-    with pytest.raises(ValueError, match="already integral"):
-        decompose_once(ext, None, SplitStream(1))
-    with pytest.raises(ValueError) as err:
-        ExtendedTable(fair, ((), ()))
-    assert str(err.value) == "extended table must be 3 x 0 (source rows plus one synthetic row)"
 
 
 def _fair_tables(scheme, seeds):
@@ -195,64 +156,13 @@ def test_integer_extension_is_the_extended_tables_scaled_entries():
         assert fair._scaled == (scale, tuple(flows))
         assert rounding._extension(fair) == extend_table(fair)._scaled
     assert rounding._extension(fairs[-1]) == (1, [1, 2, 2, 4, 0, 0])
-
-
-@pytest.mark.parametrize("n, rows, totals, message", [
-    (2, ((1, 1), (-1, 2)), (2, 1), "row 1 has a negative entry"),
-    (2, ((1, 1), (_H, 1)), (2, F(3, 2)), "row 1 does not sum to an integer"),
-])
-def test_integer_extension_runs_the_extended_tables_checks(n, rows, totals, message):
-    """A fair table the margin checks accept but the extension refuses is
-    refused by ``controlled_round`` with ``ExtendedTable``'s message, before
-    any draw."""
-    rows = tuple(tuple(F(v) for v in row) for row in rows)
-    columns = tuple(map(sum, zip(*rows)))
-    fair = FairShareTable(("d1", "d2"), ("c0", "c1")[:n], rows, totals, columns, sum(totals))
-    for extend in (extend_table, rounding._extension, lambda fair: controlled_round(fair, ForcedRng())):
-        with pytest.raises(ValueError) as err:
-            extend(fair)
-        assert str(err.value) == message
-
-
-_GOOD = dict(departments=("a", "b"), categories=("x", "y"),
-             entries=((_H, F(3, 2)), (F(3, 2), _H)), row_totals=(2, 2), column_totals=(2, 2), grand_total=4)
-
-
-@pytest.mark.parametrize("changes, message", [
-    (dict(entries=((_H, _H), (F(3, 2), _H))), "row 'a' sums to 1, stored total is 2"),
-    (dict(entries=((_H, F(3, 2)), (F(3, 2), F(1, 3)))), "row 'b' sums to 11/6, stored total is 2"),
-    (dict(row_totals=(2, 3), grand_total=5), "row 'b' sums to 2, stored total is 3"),
-    (dict(column_totals=(F(5, 2), F(3, 2))), "column 'x' sums to 2, stored total is 5/2"),
-    (dict(column_totals=(F(7, 3), F(5, 3))), "column 'x' sums to 2, stored total is 7/3"),
-    (dict(grand_total=5), "row totals do not sum to the grand total"),
-    (dict(categories=(), entries=((), ()), row_totals=(0, 1), column_totals=(), grand_total=1),
-     "row 'b' sums to 0, stored total is 1"),
-    (dict(departments=(), entries=(), row_totals=(), column_totals=(_H, _H), grand_total=0),
-     "column 'x' sums to 0, stored total is 1/2"),
-    (dict(departments=(), entries=(), row_totals=(), column_totals=(0, 0), grand_total=1),
-     "row totals do not sum to the grand total"),
-])
-def test_malformed_fair_tables_keep_their_messages(changes, message):
-    """The margins are checked on the scaled integers; each message, its sum
-    printed as a ``Fraction``, is the one the ``Fraction`` sums gave."""
-    with pytest.raises(ValueError) as err:
-        FairShareTable(**{**_GOOD, **changes})
-    assert str(err.value) == message
-    assert FairShareTable(**_GOOD)._scaled == (2, (1, 3, 3, 1))
+    assert FairShareTable(**GOOD_FAIR)._scaled == (2, (1, 3, 3, 1))  # the table the fair-table REFUSALS rows break
 
 
 # ---------------------------------------------------------------- cycles
 
 
-def test_cycle_validation():
-    with pytest.raises(ValueError):
-        FractionCycle(((0, 0), (0, 1)))  # too short
-    with pytest.raises(ValueError):
-        FractionCycle(((0, 0), (0, 1), (1, 1)))  # odd length
-    with pytest.raises(ValueError):
-        FractionCycle(((0, 0), (1, 1), (1, 0), (0, 0)))  # duplicate / misaligned
-    with pytest.raises(ValueError):
-        FractionCycle(((0, 0), (1, 0), (1, 1), (0, 1)))  # starts on a column step
+def test_a_cycles_odd_cells_are_its_even_positions():
     c = FractionCycle(((0, 0), (0, 1), (1, 1), (1, 0)))
     assert c.odd_cells == ((0, 0), (1, 1))
     assert c.even_cells == ((0, 1), (1, 0))
@@ -295,11 +205,6 @@ def test_find_cycle_returns_none_when_integral(third_scheme):
 # ---------------------------------------------------------------- single steps
 
 
-APPENDIX_CYCLE = FractionCycle(
-    ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 1), (3, 1), (3, 0))
-)
-
-
 def test_eight_cycle_step_exact_branches(three_dept_problem):
     """A known 8-cycle splits 2:1 and both branches are reproduced exactly."""
     ext = extend_table(build_fair_share_table(three_dept_problem, 1))
@@ -339,57 +244,6 @@ def test_forced_even_branch_is_the_other_table(three_dept_problem):
     assert result is captured[0].raise_even
 
 
-def test_step_rejects_inconsistent_probability(three_dept_problem):
-    ext = extend_table(build_fair_share_table(three_dept_problem, 1))
-    captured = []
-    decompose_once(ext, APPENDIX_CYCLE, ForcedRng(True), on_step=captured.append)
-    step = captured[0]
-    with pytest.raises(ValueError):
-        DecompositionStep(
-            table=step.table,
-            cycle=step.cycle,
-            d_plus=step.d_plus,
-            d_minus=step.d_minus,
-            probability=F(1, 2),  # inconsistent with d-/(d- + d+) = 1/3
-            raise_odd=step.raise_odd,
-            raise_even=step.raise_even,
-            branch=step.branch,
-            result=step.result,
-        )
-
-
-def test_step_refuses_branches_that_extend_another_table(third_scheme):
-    """Branches that extend departments ('a', 'b', 'c') where the pre-step
-    table extends ('a', 'b') are refused before the mixture check, though
-    their first three rows mix back to the pre-step rows."""
-    ext = extend_table(build_fair_share_table(ReservationProblem(("a", "b"), third_scheme, ((1, 2),)), 1))
-    captured = []
-    decompose_once(ext, None, ForcedRng(True), on_step=captured.append)
-    (step,) = captured
-    wider = build_fair_share_table(ReservationProblem(("a", "b", "c"), third_scheme, ((1, 2, 3),)), 1)
-    odd, even = (ExtendedTable(wider, t.entries + ((F(0), F(0)),)) for t in (step.raise_odd, step.raise_even))
-    with pytest.raises(ValueError) as exc:
-        replace(step, raise_odd=odd, raise_even=even, result=odd)
-    assert str(exc.value) == "branches must extend the departments and categories of the pre-step table"
-
-
-def test_step_names_the_cell_that_does_not_mix_back(three_dept_problem):
-    """Moving a quarter (one scaled unit) around a rectangle of the raise-odd
-    table keeps it a valid extended table, but the step no longer mixes back;
-    the message names the rectangle's first cell."""
-    ext = extend_table(build_fair_share_table(three_dept_problem, 1))
-    captured = []
-    decompose_once(ext, APPENDIX_CYCLE, ForcedRng(True), on_step=captured.append)
-    (step,) = captured
-    rows = [list(row) for row in step.raise_odd.entries]
-    for (i, j), d in (((1, 0), 1), ((1, 1), -1), ((2, 0), -1), ((2, 1), 1)):
-        rows[i][j] += d * F(1, 4)
-    moved = ExtendedTable(ext.source, tuple(map(tuple, rows)))
-    with pytest.raises(ValueError) as exc:
-        replace(step, raise_odd=moved, result=moved)
-    assert str(exc.value) == "branches do not mix back to the pre-step value at (1, 0)"
-
-
 def test_observed_branches_share_every_entry_off_the_cycle(three_dept_problem):
     """In observed roundings and single steps alike, both branches replace
     only the cycle's cells of the pre-step table: every other entry is the
@@ -416,36 +270,6 @@ def test_observed_branches_share_every_entry_off_the_cycle(three_dept_problem):
                 else:
                     assert up is v and down is v, (i, j)
                 assert type(up) is type(down) is F
-
-
-def test_decompose_rejects_integral_table(third_scheme):
-    problem = ReservationProblem(("d1", "d2"), third_scheme, ((3, 6),))
-    ext = extend_table(build_fair_share_table(problem, 1))
-    with pytest.raises(ValueError):
-        decompose_once(ext, None, ForcedRng(True))
-
-
-def test_degenerate_cycle_is_an_internal_error(three_dept_problem):
-    ext = extend_table(build_fair_share_table(three_dept_problem, 1))
-    through_integral = FractionCycle(((0, 0), (0, 2), (1, 2), (1, 0)))  # (0,2) = 1
-    with pytest.raises(RuntimeError):
-        decompose_once(ext, through_integral, ForcedRng(True))
-
-
-@pytest.mark.parametrize("cells", [
-    ((0, 0), (0, 5), (1, 5), (1, 0)),  # column 5 would be edge 5, cell (1, 2)
-    ((0, 0), (0, -2), (1, -2), (1, 0)),  # column -2 would alias column 1
-    ((0, 0), (0, 1), (4, 1), (4, 0)),  # row 4 is past the synthetic row
-    ((-1, 0), (-1, 1), (0, 1), (0, 0)),
-    ((0, 2), (0, 3), (1, 3), (1, 2)),  # (0, 2) is integral, but (0, 3) is outside
-])
-def test_cycle_outside_the_table_is_refused_before_any_draw(three_dept_problem, cells):
-    ext = extend_table(build_fair_share_table(three_dept_problem, 1))
-    rng = SplitStream(1)
-    with pytest.raises(ValueError) as exc:
-        decompose_once(ext, FractionCycle(cells), rng)
-    assert str(exc.value) == f"cycle {cells} leaves the 4 x 3 extended table"
-    assert rng._n == 0
 
 
 # ---------------------------------------------------------------- full rounding
@@ -630,3 +454,49 @@ def test_observed_and_unobserved_rounding_agree_on_five_category_tables():
             assert steps[0].table == extend_table(fair)
             assert all(step.table is before.result for before, step in zip(steps, steps[1:]))
             assert steps[-1].result.entries[:-1] == rounded.entries
+
+
+# ---------------------------------------------------------------- refusals
+
+# These tests checked refusals that are rows of conftest.REFUSALS now (tests/test_refusals.py runs
+# each row); each name runs its rows again, a parametrized one under its old ids.
+test_extended_table_shape_is_validated = rerun(
+    ["extended-without-its-synthetic-row", "extended-with-a-fractional-synthetic-row"])
+test_extended_table_checks_in_order = rerun({
+    "2-rows0-extended table must be 3 x 2 (source rows plus one synthetic row)": ["extended-of-two-rows"],
+    "2-rows1-extended table must be 3 x 2 (source rows plus one synthetic row)": ["extended-with-a-short-row"],
+    "2-rows2-row 1 has a negative entry": ["extended-with-a-negative-entry"],
+    "2-rows3-row 1 does not sum to an integer": ["extended-with-a-fractional-row"],
+    "3-rows4-column 1 does not sum to an integer": ["extended-with-a-fractional-column"],
+    "2-rows5-extended table must be 3 x 2 (source rows plus one synthetic row)":
+        ["extended-with-long-rows-one-fractional"],
+    "2-rows6-row 1 has a negative entry": ["extended-with-a-negative-fractional-row"],
+    "2-rows7-row 0 does not sum to an integer": ["extended-with-a-fractional-then-a-negative-row"],
+    "2-rows8-row 1 does not sum to an integer": ["extended-with-a-fractional-row-and-column"]})
+test_extended_table_of_width_zero = rerun(["extended-of-width-0-without-its-synthetic-row", "table-of-width-0"])
+test_integer_extension_runs_the_extended_tables_checks = rerun({
+    f"2-rows{k}-totals{k}-{message}": [f"{call}-to-{what}"
+                                       for call in ("extend-table", "integer-extension", "controlled-round")]
+    for k, (what, message) in enumerate((("a-negative-entry", "row 1 has a negative entry"),
+                                         ("a-fractional-row", "row 1 does not sum to an integer")))})
+test_malformed_fair_tables_keep_their_messages = rerun({
+    "changes0-row 'a' sums to 1, stored total is 2": ["fair-row-a-short"],
+    "changes1-row 'b' sums to 11/6, stored total is 2": ["fair-row-b-off-by-a-third"],
+    "changes2-row 'b' sums to 2, stored total is 3": ["fair-row-total-too-large"],
+    "changes3-column 'x' sums to 2, stored total is 5/2": ["fair-column-total-of-halves"],
+    "changes4-column 'x' sums to 2, stored total is 7/3": ["fair-column-total-of-thirds"],
+    "changes5-row totals do not sum to the grand total": ["fair-grand-total-too-large"],
+    "changes6-row 'b' sums to 0, stored total is 1": ["fair-without-categories"],
+    "changes7-column 'x' sums to 0, stored total is 1/2": ["fair-without-departments"],
+    "changes8-row totals do not sum to the grand total": ["fair-without-departments-with-a-grand-total"]})
+test_cycle_validation = rerun(["cell-cycle-of-two-cells", "cell-cycle-of-three-cells",
+                               "cell-cycle-repeating-a-cell", "cell-cycle-starting-on-a-column-step"])
+test_step_rejects_inconsistent_probability = rerun(["rounding-step-of-another-probability"])
+test_step_refuses_branches_that_extend_another_table = rerun(["rounding-branches-of-another-table"])
+test_step_names_the_cell_that_does_not_mix_back = rerun(["rounding-step-that-does-not-mix-back"])
+test_decompose_rejects_integral_table = rerun(["integral-table"])
+test_degenerate_cycle_is_an_internal_error = rerun(["cell-cycle-through-an-integral-cell"])
+test_cycle_outside_the_table_is_refused_before_any_draw = rerun({
+    "cells0": ["cell-cycle-past-the-columns"], "cells1": ["cell-cycle-at-a-negative-column"],
+    "cells2": ["cell-cycle-past-the-synthetic-row"], "cells3": ["cell-cycle-at-a-negative-row"],
+    "cells4": ["cell-cycle-from-an-integral-cell-outside"]})
