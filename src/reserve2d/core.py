@@ -219,6 +219,9 @@ class FairShareTable:
     def __post_init__(self):
         m, n = len(self.departments), len(self.categories)
         _check_grid(self.entries, m, n, "fair share table")
+        for total in (*self.row_totals, self.grand_total):
+            if not isinstance(total, int):
+                raise ValueError(f"fair share table totals must be integers, got {total!r}")
         # Row-major entries times their lcm S, derived once; not a field, so ==, hash and repr ignore it.
         scale, flows = scaled(v for row in self.entries for v in row)
         object.__setattr__(self, "_scaled", (scale, tuple(flows)))

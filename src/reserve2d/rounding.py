@@ -211,7 +211,7 @@ def decompose_once(
             raise ValueError(f"cycle {cycle.cells} leaves the {len(table.entries)} x {n} extended table")
         for i, j in cycle.cells:
             if table.entries[i][j].denominator == 1:
-                raise RuntimeError(f"internal error: degenerate cycle (cell ({i}, {j}) is integral)")
+                raise ValueError(f"cell ({i}, {j}) is integral; cycles must be fractional")
         edges = [(i * n + j, 1 - 2 * (s % 2)) for s, (i, j) in enumerate(cycle.cells)]
     if edges is None:
         raise ValueError("table is already integral; nothing to decompose")

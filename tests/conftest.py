@@ -1,6 +1,6 @@
-"""Shared fixtures and helpers: small schemes and problems, scripted and
-counting streams, the block walk of a scheme table's full network, and
-``REFUSALS``, the table of every refusal of the roster and rounding objects.
+"""Shared fixtures and helpers: small and golden schemes and problems, scripted and counting streams, the
+block walk of a scheme table's full network, ``expand`` (the observed-step oracle of both walks' exact laws)
+and ``REFUSALS``, the table of every refusal of the roster and rounding objects.
 
 Test modules import helpers from here, never from one another."""
 
@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,7 @@ from reserve2d import (
 from reserve2d import roster, rounding
 from reserve2d.roster import FlowEdge, cell_vertex, prefix_vertex, row_vertex, sink_vertex, source_vertex
 from reserve2d._walk import Graph, Walk
+from reserve2d.fileio import parse_scheme_file
 from reserve2d.rng import _GAMMA, _MASK64, _index_of, _u64s, _unmix64
 
 
@@ -33,6 +35,11 @@ FIVE = ReservationScheme(
 THIRD = ReservationScheme(("c1", "c2"), (Fraction(1, 3), Fraction(2, 3)))
 QUARTERS = ReservationScheme(("c1", "c2", "c3"), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
 TENTH = ReservationScheme(("c1", "c2"), (Fraction(1, 10), Fraction(9, 10)))
+MIXED = ReservationScheme(("a", "b", "c"), (Fraction(1, 4), Fraction(1, 3), Fraction(5, 12)))  # no tree at height 12
+# Each golden scheme, and half/half (one-u64 blocks: one-lane reads), with its leaves' depths at its minimal height.
+SCHEMES = {name: (parse_scheme_file(str(Path(__file__).parent / "golden" / f"scheme_{name}.csv")), depths)
+           for name, depths in (("third", (2,)), ("quarters", (3, 4)), ("tenth", (9,)), ("five", None))}
+SCHEMES["half"] = (ReservationScheme(("c1", "c2"), (Fraction(1, 2), Fraction(1, 2))), (1,))
 
 
 class ForcedRng:
@@ -54,16 +61,54 @@ class ForcedRng:
         return 0 if self.outcomes.pop(0) else n - 1
 
 
+def random_problem(parts, vacancies) -> ReservationProblem:
+    """One period of ``vacancies`` under the scheme of fractions proportional to ``parts``."""
+    scheme = ReservationScheme(tuple(f"c{j}" for j in range(len(parts))), tuple(Fraction(p, sum(parts)) for p in parts))
+    return ReservationProblem(tuple(f"d{i}" for i in range(len(vacancies))), scheme, (tuple(vacancies),))
+
+
 def tree_law(root, key=lambda leaf: leaf) -> dict:
-    """The probability of each ``key(leaf)`` under a ``_walk.tree`` root, equal keys merged."""
-    law, pending = {}, [(root, Fraction(1))]
+    """The probability of each ``key(leaf)`` under a ``_walk.tree`` root, equal keys merged; every
+    inner node must hold a probability num/den strictly between 0 and 1."""
+    law, pending = {}, [(root, 1, 1)]  # a node and its mass p/q
     while pending:
-        node, mass = pending.pop()
+        node, p, q = pending.pop()
         if isinstance(node, list):
             num, den, taken, not_taken = node
-            pending += [(taken, mass * Fraction(num, den)), (not_taken, mass * Fraction(den - num, den))]
-        else:
-            law[key(node)] = law.get(key(node), 0) + mass
+            assert 0 < num < den, node[:2]
+            pending += [(taken, p * num, q * den), (not_taken, p * (den - num), q * den)]
+        else:  # masses summed in integers over each denominator q
+            over = law.setdefault(key(node), {})
+            over[q] = over.get(q, 0) + p
+    return {leaf: sum(Fraction(p, q) for q, p in over.items()) for leaf, over in law.items()}
+
+
+def expand(start, step, key=lambda leaf: leaf) -> dict:
+    """The exact law of ``key`` of the integral networks or tables reached from ``start``, equal keys merged,
+    from both branches (named by ``BRANCHES``) of every observed ``step``: ``decompose_flow_once``, or
+    ``decompose_once`` with its cycle left to the walk.  A branch must have fewer fractional entries than its
+    pre-step object and every entry within floor/ceil of its start.  Equal objects are expanded once, their
+    masses summed, after every object with more fractional entries (all the runs into them)."""
+    fractional = lambda walked: sum(1 for f in walked._scaled[1] if f % walked._scaled[0])  # how many entries
+    scale, flows = start._scaled
+    bounds = [(f // scale, -(-f // scale)) for f in flows]
+    # fractional entries -> scaled entries -> (the object, its mass)
+    law, levels = {}, {fractional(start): {(scale, tuple(flows)): (start, Fraction(1))}}
+    while levels:
+        count = max(levels)
+        for walked, mass in levels.pop(count).values():
+            if not count:
+                law[key(walked)] = law.get(key(walked), 0) + mass
+                continue
+            seen = []
+            step(walked, rng=ForcedRng(True), on_step=seen.append)
+            (record,) = seen
+            for name, p in zip(record.BRANCHES, (record.probability, 1 - record.probability)):
+                branch = getattr(record, name.replace("-", "_"))
+                (s, fs), fewer = branch._scaled, fractional(branch)
+                assert fewer < count and all(low * s <= f <= high * s for (low, high), f in zip(bounds, fs)), name
+                level, state = levels.setdefault(fewer, {}), (s, tuple(fs))
+                level[state] = branch, level.get(state, (None, 0))[1] + mass * p
     return law
 
 
@@ -259,10 +304,8 @@ def observed() -> SimpleNamespace:
         renamed=build_scheme_table(ReservationScheme(("x", "y"), THIRD.fractions)),
         wider=build_fair_share_table(ReservationProblem(("d1", "d2", "d3", "d4"), QUARTERS, ((2, 1, 3, 4),)), 1),
         tenths=build_fair_share_table(ReservationProblem(("d1", "d2"), TENTH, ((9, 8),)), 1),
-        # two fair tables whose margins hold but whose extension does not
+        # a fair table whose margins hold but whose extension does not
         negative=FairShareTable(("d1", "d2"), ("c0", "c1"), ((F(1), F(1)), (F(-1), F(2))), (2, 1), (F(0), F(3)), 3),
-        halves=FairShareTable(
-            ("d1", "d2"), ("c0", "c1"), ((F(1), F(1)), (_H, F(1))), (2, F(3, 2)), (F(3, 2), F(2)), F(7, 2)),
     )
 
 
@@ -425,12 +468,12 @@ REFUSALS = [
      "row 1 has a negative entry"),
     ("controlled-round-to-a-negative-entry", lambda s: controlled_round(s.negative, s.rng), ValueError,
      "row 1 has a negative entry"),
-    ("extend-table-to-a-fractional-row", lambda s: extend_table(s.halves), ValueError, "row 1 does not sum to an integer"),
-    ("integer-extension-to-a-fractional-row", lambda s: rounding._extension(s.halves), ValueError,
-     "row 1 does not sum to an integer"),
-    ("controlled-round-to-a-fractional-row", lambda s: controlled_round(s.halves, s.rng), ValueError,
-     "row 1 does not sum to an integer"),
-    # fair tables: the margins are checked in scaled integers, and each message prints its sum as a Fraction
+    # fair tables: the totals must be integers; the margins are checked in scaled integers, and each message
+    # prints its sum as a Fraction
+    ("fair-with-a-fractional-row-total", _fair_but(row_totals=(2, F(3, 2)), grand_total=F(7, 2)), ValueError,
+     "fair share table totals must be integers, got Fraction(3, 2)"),
+    ("fair-with-a-whole-fraction-grand-total", _fair_but(grand_total=F(4)), ValueError,
+     "fair share table totals must be integers, got Fraction(4, 1)"),
     ("fair-row-a-short", _fair_but(entries=((_H, _H), (F(3, 2), _H))), ValueError, "row 'a' sums to 1, stored total is 2"),
     ("fair-row-b-off-by-a-third", _fair_but(entries=((_H, F(3, 2)), (F(3, 2), F(1, 3)))), ValueError,
      "row 'b' sums to 11/6, stored total is 2"),
@@ -467,8 +510,8 @@ REFUSALS = [
      "cycle ((-1, 0), (-1, 1), (0, 1), (0, 0)) leaves the 4 x 3 extended table"),
     ("cell-cycle-from-an-integral-cell-outside", _table_cycle((0, 2), (0, 3), (1, 3), (1, 2)), ValueError,
      "cycle ((0, 2), (0, 3), (1, 3), (1, 2)) leaves the 4 x 3 extended table"),  # (0, 2) is integral, but (0, 3) is outside
-    ("cell-cycle-through-an-integral-cell", _table_cycle((0, 0), (0, 2), (1, 2), (1, 0)), RuntimeError,
-     "internal error: degenerate cycle (cell (0, 2) is integral)"),
+    ("cell-cycle-through-an-integral-cell", _table_cycle((0, 0), (0, 2), (1, 2), (1, 0)), ValueError,
+     "cell (0, 2) is integral; cycles must be fractional"),
     ("integral-table", lambda s: decompose_once(extend_table(build_fair_share_table(
         ReservationProblem(("d1", "d2"), THIRD, ((3, 6),)), 1)), None, s.rng), ValueError,
      "table is already integral; nothing to decompose"),

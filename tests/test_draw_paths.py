@@ -19,7 +19,6 @@ import ast
 from collections import defaultdict
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
 from pathlib import Path
@@ -29,22 +28,14 @@ from unittest.mock import patch
 
 import pytest
 
-from reserve2d import ReservationProblem, ReservationScheme, SolutionConfig, SplitStream, build_scheme_table, roster
+from reserve2d import ReservationProblem, SolutionConfig, SplitStream, build_scheme_table, roster
 from reserve2d import draw_block, draw_roster, minimal_height
 from reserve2d._walk import Walk
-from reserve2d.fileio import parse_scheme_file
 from reserve2d.solutions import _reader, _runner, _tally
 
-from conftest import CountedU64s, CountingRandom, ZeroU64s, key_with_u64, network_walk, per_step, stepwise_draw
+from conftest import SCHEMES, CountedU64s, CountingRandom, ZeroU64s, key_with_u64, network_walk, per_step, stepwise_draw
 
-_GOLDEN, _TOP = Path(__file__).parent / "golden", (1 << 64) - 1
-# Each golden scheme, and half/half, whose one-u64 blocks make one-lane reads, with the depths of
-# its walks' leaves at its minimal height (None: past every tree).
-SCHEMES = {
-    name: (parse_scheme_file(str(_GOLDEN / f"scheme_{name}.csv")), depths)
-    for name, depths in (("third", (2,)), ("quarters", (3, 4)), ("tenth", (9,)), ("five", None))
-}
-SCHEMES["half"] = (ReservationScheme(("c1", "c2"), (Fraction(1, 2), Fraction(1, 2))), (1,))
+_TOP = (1 << 64) - 1
 # The streams a case can draw from; "rebound" draws while ``SplitStream.next_u64`` is rebound on the class.
 KINDS = {"split": SplitStream, "counted": CountedU64s, "zeros": ZeroU64s, "random": CountingRandom,
          "rebound": SplitStream}

@@ -28,11 +28,10 @@ from reserve2d.roster import (
     source_vertex,
 )
 
-from conftest import FIVE, PAPER_STYLE_CYCLE, CountedU64s, CountingStream, ForcedRng, key_with_u64, per_step
-from conftest import recorded_batches, rerun, stepwise_draw, tree_law
+from conftest import FIVE, MIXED, PAPER_STYLE_CYCLE, CountedU64s, CountingStream, ForcedRng, key_with_u64, per_step
+from conftest import recorded_batches, rerun, stepwise_draw
 
 F = Fraction
-MIXED = ReservationScheme(("a", "b", "c"), (F(1, 4), F(1, 3), F(5, 12)))  # three columns, no tree at height 12
 
 
 def _flow(network, tail, head):
@@ -248,73 +247,6 @@ def test_observed_flow_branches_share_every_edge_off_the_cycle(third_scheme):
                 _assert_branches_share_off_the_cycle(step)
 
 
-def test_decomposition_strictly_reduces_fractional_edges(third_scheme):
-    net = build_flow_network(build_scheme_table(third_scheme, 6))
-    rng = SplitStream(21)
-    counts = [sum(e.flow.denominator > 1 for e in net.edges)]
-    while not net.is_integral:
-        net = decompose_flow_once(net, rng)
-        counts.append(sum(e.flow.denominator > 1 for e in net.edges))
-        assert counts[-1] < counts[-2]
-    assert len(counts) - 1 <= counts[0]
-    block = IntegralBlock.from_network(net)
-    assert len(block.positions) == 6
-
-
-# ---------------------------------------------------------------- blocks
-
-
-def _enumerate_blocks(scheme, height=None):
-    """Exact block distribution by expanding both branches of every step."""
-    outcomes = {}
-
-    def expand(network, mass):
-        if network.is_integral:
-            key = IntegralBlock.from_network(network).positions
-            outcomes[key] = outcomes.get(key, F(0)) + mass
-            return
-        captured = []
-        decompose_flow_once(network, ForcedRng(True), on_step=captured.append)
-        step = captured[0]
-        expand(step.raise_forward, mass * step.probability)
-        expand(step.raise_backward, mass * (1 - step.probability))
-
-    expand(build_flow_network(build_scheme_table(scheme, height)), F(1))
-    return outcomes
-
-
-def test_block_distribution_is_exactly_uniform_for_one_in_three(third_scheme):
-    assert _enumerate_blocks(third_scheme) == {
-        ("c1", "c2", "c2"): F(1, 3),
-        ("c2", "c1", "c2"): F(1, 3),
-        ("c2", "c2", "c1"): F(1, 3),
-    }
-
-
-def test_block_distribution_half_half(half_scheme):
-    assert _enumerate_blocks(half_scheme) == {
-        ("c1", "c2"): F(1, 2),
-        ("c2", "c1"): F(1, 2),
-    }
-
-
-def test_block_marginals_are_exactly_the_fractions(quarters_scheme):
-    outcomes = _enumerate_blocks(quarters_scheme)
-    assert sum(outcomes.values()) == 1
-    for pos in range(4):
-        for cat, frac in zip(quarters_scheme.categories, quarters_scheme.fractions):
-            marginal = sum(m for key, m in outcomes.items() if key[pos] == cat)
-            assert marginal == frac, (pos, cat)
-
-
-def test_taller_table_marginals_stay_exact(third_scheme):
-    outcomes = _enumerate_blocks(third_scheme, height=6)
-    assert sum(outcomes.values()) == 1
-    for pos in range(6):
-        marginal = sum(m for key, m in outcomes.items() if key[pos] == "c1")
-        assert marginal == F(1, 3), pos
-
-
 def test_sampler_graph_folds_every_cell_vertex_away():
     """The sampler's graph drops one of each cell's two edges: k*n fewer
     edges than the network; at five-category height 200, 2,195 edges of
@@ -404,33 +336,6 @@ def test_draws_change_no_node_of_the_tree(quarters_scheme):
         sampler.read([3], [[0, 2]])([seed + 100])
         assert sampler.root == built, seed
     assert len(_leaf_depths(sampler.root)) == 196
-
-
-def test_sampler_tree_is_the_enumerated_block_law(third_scheme, half_scheme, quarters_scheme, tenth_scheme):
-    """Where every walk takes at most ``_TREE_DEPTH`` steps, the law of the
-    sampler's tree is the law :func:`_enumerate_blocks` finds by expanding
-    observed steps, every position marginal is its fraction exactly, and
-    ``fixed`` is set exactly when every leaf sits at one depth.  Schemes whose
-    walks run deeper keep no tree."""
-    fifths = ReservationScheme(("a", "b", "c", "d"), (F(1, 5), F(1, 5), F(1, 5), F(2, 5)))
-    cases = [
-        (third_scheme, 3, True), (third_scheme, 6, True), (half_scheme, 2, True), (quarters_scheme, 4, False),
-        (quarters_scheme, 8, False), (tenth_scheme, 10, True), (fifths, 5, False),
-    ]
-    for scheme, height, single in cases:
-        sampler = roster._BlockSampler(build_scheme_table(scheme, height))
-        law = tree_law(sampler.root, lambda block: block.positions)
-        assert law == _enumerate_blocks(scheme, height), (scheme, height)
-        for pos in range(height):
-            for cat, frac in zip(scheme.categories, scheme.fractions):
-                assert sum(m for block, m in law.items() if block[pos] == cat) == frac, (height, pos, cat)
-        depths = {depth for _, depth in _leaf_depths(sampler.root)}
-        assert (len(depths) == 1) == single, (scheme, height, depths)
-        assert sampler.fixed == (min(depths) if single else None), (scheme, height)
-    odd = ReservationScheme(("a", "b", "c"), (F(3, 20), F(1, 4), F(3, 5)))
-    for scheme, height in ((FIVE, 200), (MIXED, 12), (odd, 20), (third_scheme, 30)):
-        sampler = roster._BlockSampler(build_scheme_table(scheme, height))
-        assert sampler.root is None and sampler.fixed is None, (scheme, height)
 
 
 def test_a_sampler_never_changes_once_built(third_scheme, quarters_scheme):
