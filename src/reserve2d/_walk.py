@@ -20,21 +20,21 @@ never touched again, so the walk takes at most one step per fractional
 edge.  Flows are integers scaled by their common denominator S, so an edge
 is fractional exactly when its scaled flow is not a multiple of S.
 
-:meth:`Walk.run` is the loop of every rounding and block draw.  Its searches
-resume: edges only turn integral, so a vertex's choice changes only when its
-chosen edge does, and a push touches only its cycle, so a search keeps the
-last path up to the first edge the push made integral and walks on (afresh
-once the smallest fractional edge is gone).  A step reads d+ and d- off the
-path found; ``hook(num, den, take)`` sees each draw before the push.  Each
-vertex keeps a forward-only pointer to its first fractional incidence entry.
-A step tests ``u % den < num`` on the u64 ``randrange(den)`` would read,
-from one ``rng._ahead`` of a u64 per edge not known integral; where that is
-None, every step of the walk calls ``randrange``.
-:meth:`Walk.cycle` searches afresh; :meth:`Walk.step` pushes a given cycle and
-returns the ``(num, den, take)`` a hook sees; :func:`tree` pushes every cycle
-both ways and lists a walk's runs up to a depth.  An :func:`observer`'s branches
-replace only the cycle's entries of the pre-step object; :func:`check_step`
-checks the mixture identity on every entry in scaled integers.
+:meth:`Walk.run` is the loop of every rounding and block draw and holds the only cycle
+search.  Its searches resume: edges only turn integral, so a vertex's choice changes
+only when its chosen edge does, and a push touches only its cycle, so a search keeps the
+last path up to the first edge the push made integral and walks on (afresh once the
+smallest fractional edge is gone).  A step reads d+ and d- off the path found;
+``hook(num, den, take)`` sees each draw before the push.  Each vertex keeps a
+forward-only pointer to its first fractional incidence entry.  A step tests
+``u % den < num`` on the u64 ``randrange(den)`` would read, from chunks of up to 64
+that ``rng._ahead`` reads as steps use them (so at most 63 go unused); from a chunk
+that is None on, every step calls ``randrange``.  :meth:`Walk.cycle` is a run stopped
+at its first draw, so it searches afresh; :meth:`Walk.step` pushes a given cycle and
+returns the ``(num, den, take)`` a hook sees; :func:`tree` pushes every cycle both ways
+and lists a walk's runs up to a depth.  An :func:`observer`'s branches replace only the
+cycle's entries of the pre-step object; :func:`check_step` checks the mixture identity
+on every entry in scaled integers.
 """
 
 from __future__ import annotations
@@ -77,10 +77,18 @@ def headroom(scale: int, flows: Sequence[int], cycle: Cycle) -> tuple[int, int]:
     return scale - max(back), min(back)
 
 
+class _Stop(Exception):
+    """Raised at a run's first draw by this class's ``randrange``: the class is :meth:`Walk.cycle`'s stand-in rng."""
+
+    @staticmethod
+    def randrange(den: int) -> int:
+        raise _Stop
+
+
 class Walk:
     """Mutable scaled flows on a graph, rounded one cycle push at a time."""
 
-    __slots__ = ("graph", "scale", "flows", "_first", "_next", "_path", "_seen", "_start")
+    __slots__ = ("graph", "scale", "flows", "_first", "_next", "_path", "_start")
 
     def __init__(self, graph: Graph, scale: int, flows: Sequence[int]):
         self.graph = graph
@@ -88,51 +96,15 @@ class Walk:
         self.flows = list(flows)
         self._first = 0  # no edge below this one is fractional
         self._next = [0] * len(graph.incidence)  # likewise in each vertex's incidence
-        # The last search: its path of incidence entries, vertex -> index leaving it, cycle start.
-        self._path, self._seen, self._start = [], {}, 0
-
-    def _search(self, k: int) -> bool:
-        """Make ``_path[_start:]`` the next cycle, walking on from path entry
-        ``k`` (0: afresh); False once all flows are integral."""
-        flows, scale, path, seen = self.flows, self.scale, self._path, self._seen
-        if k:  # resume where the last cycle first lost an edge
-            arrived, _, vertex = path[k - 1]
-            for entry in path[k:-1]:
-                del seen[entry[2]]
-        else:
-            end = len(flows)
-            self._first = e = next((e for e in range(self._first, end) if flows[e] % scale), end)
-            if e == end:
-                return False
-            vertex, arrived = self.graph.tails[e], -1
-            self._seen = seen = {vertex: 0}
-        del path[k:]
-        incidence, first = self.graph.incidence, self._next
-        while True:
-            edges, i = incidence[vertex], first[vertex]
-            try:
-                while not flows[edges[i][0]] % scale:
-                    i += 1
-                first[vertex] = i
-                if edges[i][0] == arrived:
-                    i += 1
-                    while not flows[edges[i][0]] % scale:
-                        i += 1
-            except IndexError:
-                raise RuntimeError(f"internal error: the walk stalled at vertex {vertex}") from None
-            entry = edges[i]
-            path.append(entry)
-            k += 1
-            arrived, _, vertex = entry
-            if vertex in seen:
-                break
-            seen[vertex] = k
-        self._start = seen[vertex]
-        return True
+        self._path, self._start = [], 0  # the last search's path of incidence entries, and where its cycle starts
 
     def cycle(self) -> Optional[Cycle]:
-        """The next cycle of fractional edges, or None once all are integral."""
-        return self._found() if self._search(0) else None
+        """The next cycle of fractional edges, or None once all are integral: :meth:`run`'s
+        search, stopped before its first push by an rng whose ``randrange`` raises."""
+        try:
+            return self.run(_Stop)  # None: it ran without a draw, so every flow is integral
+        except _Stop:
+            return self._found()
 
     def _found(self) -> Cycle:
         """The cycle the last search found, in the cycle rule's rotation."""
@@ -147,29 +119,63 @@ class Walk:
         each :meth:`cycle` would; ``hook(num, den, take)`` sees each draw
         before its push, with the pre-step flows and ``rng._n`` where
         per-step draws leave it.  A step makes an edge integral, and no den
-        exceeds the scale, which bounds what :func:`rng._ahead` reads."""
-        flows, scale, k = self.flows, self.scale, 0
-        us, i = _ahead(rng, len(flows) - self._first, scale), 0  # a u64 per edge not known integral; i used
-        while self._search(k):
-            found = self._path[self._start:]
+        exceeds the scale, which bounds what each :func:`rng._ahead` reads."""
+        flows, scale, path, tails = self.flows, self.scale, self._path, self.graph.tails
+        incidence, first, end = self.graph.incidence, self._next, len(flows)
+        left, k = end - self._first, 0  # steps the walk may still take; the path entry a search resumes at
+        us, i, stop = [], 0, 0  # the read-ahead chunk, its u64s used, and its length (-1 once it is None)
+        while True:
+            if k:  # resume where the last cycle first lost an edge
+                arrived, _, vertex = path[k - 1]
+                for entry in path[k:-1]:
+                    del seen[entry[2]]
+            else:
+                self._first = e = next((e for e in range(self._first, end) if flows[e] % scale), end)
+                if e == end:
+                    break
+                vertex, arrived = tails[e], -1
+                seen = {vertex: 0}  # vertex -> index of the path entry leaving it
+            del path[k:]
+            while True:
+                edges, j = incidence[vertex], first[vertex]
+                try:
+                    while not flows[edges[j][0]] % scale:
+                        j += 1
+                    first[vertex] = j
+                    if edges[j][0] == arrived:
+                        j += 1
+                        while not flows[edges[j][0]] % scale:
+                            j += 1
+                except IndexError:
+                    raise RuntimeError(f"internal error: the walk stalled at vertex {vertex}") from None
+                entry = edges[j]
+                path.append(entry)
+                k += 1
+                arrived, _, vertex = entry
+                if vertex in seen:
+                    break
+                seen[vertex] = k
+            self._start = start = seen[vertex]
+            found = path[start:]
             back = [d * flows[e] % scale for e, d, _ in found]  # room against the path
             top, low = max(back), min(back)
             forward = min(found)[1] > 0  # the cycle runs its smallest edge forward
             d_plus, d_minus = (scale - top, low) if forward else (low, scale - top)
             g = gcd(d_plus, d_minus)
             num, den = d_minus // g, (d_minus + d_plus) // g
+            if i == stop:  # the chunk is used up: read the next, or call randrange from a None one on
+                us, i, left = _ahead(rng, min(left, 64), scale), 0, left - 64
+                stop = -1 if us is None else len(us)
             take, i = (rng.randrange(den) if us is None else us[i]) % den < num, i + 1
+            if us is not None:  # where a per-step draw leaves it
+                rng._n += 1
             if hook is not None:
-                if us is not None:
-                    rng._n += 1
                 hook(num, den, take)
             rise = take == forward  # the path's edges rise
             amount = scale - top if rise else -low
             for e, d, _ in found:
                 flows[e] += d * amount
-            k = self._start + back.index(top if rise else low)  # the first edge made integral
-        if us is not None and hook is None:
-            rng._n += i
+            k = start + back.index(top if rise else low)  # the first edge made integral
 
     def step(self, rng, cycle: Cycle) -> tuple[int, int, bool]:
         """Push ``cycle``, a cycle of fractional edges, on a drawn branch and

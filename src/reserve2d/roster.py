@@ -42,7 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from math import lcm
 from operator import add, not_
 from typing import Callable, Optional, Sequence
@@ -382,23 +382,30 @@ class IntegralBlock:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = self.scheme.size
-        if len(self.entries) != self.height:
-            raise ValueError(f"expected {self.height} rows, got {len(self.entries)}")
-        counts = [0] * n
-        shares = [(f.numerator, f.denominator) for f in self.scheme.fractions]
-        for depth, row in enumerate(self.entries, start=1):
-            if len(row) != n or any(v not in (0, 1) for v in row):
-                raise ValueError(f"row {depth} is not a 0/1 row of width {n}")
-            if sum(row) != 1:
-                raise ValueError(f"row {depth} must contain exactly one 1")
-            for j, (v, (num, den)) in enumerate(zip(row, shares)):
-                counts[j] += v
-                if abs(counts[j] * den - depth * num) >= den:  # |count - depth*a_j| >= 1
-                    raise ValueError(
-                        f"column {self.scheme.categories[j]!r} has {counts[j]} of the "
-                        f"first {depth} positions; fair share is {depth * self.scheme.fractions[j]}"
-                    )
+        rows, n, shares = self.entries, self.scheme.size, self.scheme.fractions
+        if len(rows) != self.height:
+            raise ValueError(f"expected {self.height} rows, got {len(rows)}")
+        build_scheme_table(self.scheme, self.height)  # refuses a height no scheme table has
+        # Whole-list passes find the first bad depth: its row is no 0/1 row of width n, or does not sum to 1, or
+        # a column's count c of the first l positions is 1 or more from l*a_j (checked as c*den - l*num).
+        try:
+            binary = {*map(len, rows)} == {n} and {*chain.from_iterable(rows)} <= {0, 1}
+        except TypeError:  # a row with no length or an unhashable entry, which the search below finds
+            binary = False
+        cut = len(rows) if binary else next((l for l, row in enumerate(rows) if not hasattr(row, "__len__") or len(row) != n
+                                             or not all(map((0, 1).__contains__, row))), len(rows))  # the rows checked on
+        error = f"row {cut + 1} is not a 0/1 row of width {n}"
+        if (sums := [*map(sum, rows[:cut])]).count(1) < cut:
+            cut, error = next((l, f"row {l + 1} must contain exactly one 1") for l, s in enumerate(sums) if s != 1)
+        for j, (column, (num, den)) in enumerate(zip(zip(*rows[:cut]), map(Fraction.as_integer_ratio, shares))):
+            gaps = [*accumulate(map({0: -num, 1: den - num}.__getitem__, column[:cut]))]  # above the bad depths found
+            if min(gaps) <= -den or max(gaps) >= den:
+                l = next(l for l, gap in enumerate(gaps) if not -den < gap < den)
+                cut, error = l, (f"column {self.scheme.categories[j]!r} has {(gaps[l] + (l + 1) * num) // den} of the "
+                                 f"first {l + 1} positions; fair share is {(l + 1) * shares[j]}")
+        if cut < len(rows):
+            len(rows[cut])  # a row with no length, refused by no earlier depth, raises len()'s TypeError
+            raise ValueError(error)
 
     @cached_property
     def positions(self) -> tuple[str, ...]:

@@ -188,6 +188,28 @@ def network_walk(table, rng) -> tuple:
     return roster._block_of(table, [f // walk.scale for f in walk.flows[-k - k * n:-k]]), draws
 
 
+def row_by_row_block_check(scheme: ReservationScheme, height: int, entries) -> None:
+    """The check ``IntegralBlock`` made row by row before its whole-list passes: raise the first refusal
+    met at depths 1, 2, ... (row shape, then row sum, then each column's prefix count in column order)."""
+    n = scheme.size
+    if len(entries) != height:
+        raise ValueError(f"expected {height} rows, got {len(entries)}")
+    counts = [0] * n
+    shares = [(f.numerator, f.denominator) for f in scheme.fractions]
+    for depth, row in enumerate(entries, start=1):
+        if len(row) != n or any(v not in (0, 1) for v in row):
+            raise ValueError(f"row {depth} is not a 0/1 row of width {n}")
+        if sum(row) != 1:
+            raise ValueError(f"row {depth} must contain exactly one 1")
+        for j, (v, (num, den)) in enumerate(zip(row, shares)):
+            counts[j] += v
+            if abs(counts[j] * den - depth * num) >= den:  # |count - depth*a_j| >= 1
+                raise ValueError(
+                    f"column {scheme.categories[j]!r} has {counts[j]} of the "
+                    f"first {depth} positions; fair share is {depth * scheme.fractions[j]}"
+                )
+
+
 def stepwise_draw(table, rng) -> tuple:
     """A block and its observed steps from :func:`decompose_flow_once`, which
     searches every cycle afresh on a network of its own."""
@@ -436,6 +458,8 @@ REFUSALS = [
      "column 'c1' has 2 of the first 2 positions; fair share is 2/3"),
     ("block-short-of-rows", _block((1, 0), (0, 1)), ValueError, "expected 3 rows, got 2"),
     ("block-row-of-width-3", _block((1, 0, 0), (0, 1), (0, 1)), ValueError, "row 1 is not a 0/1 row of width 2"),
+    ("block-of-height-2-on-thirds", lambda s: IntegralBlock(THIRD, 2, ((1, 0), (0, 1))), ValueError, "height 2 leaves "
+     "column 'c1' with the non-integral total 2/3; the smallest valid height is 3 (any multiple of it works)"),
     ("block-row-holding-a-2", _block((0, 2), (0, 1), (1, 0)), ValueError, "row 1 is not a 0/1 row of width 2"),
     ("roster-of-negative-length", lambda s: draw_roster(THIRD, -1, s.rng), ValueError,
      "roster length must be nonnegative, got -1"),

@@ -7,11 +7,12 @@ vertices kept; it is checked against the observed ``decompose_flow_once`` loop o
 ``read``'s single-depth decode and its fallback, ``solutions._reader``'s counts, a proposed run, and
 ``_tally`` of a ``draw_roster`` roster.  ``CASES`` lists what they run on: every golden scheme (and
 half/half) at its minimal height, with its tree at the depth limit and one past it; five stream kinds;
-keys that put a u64 ``randrange`` might reject at the ends and middle of a read's span and past it, or at
-the ends of a second 64-block chunk; odd start indices; counts that cross 64-block chunks; and run ends on
-block boundaries.  For each stream a path must give the reference's blocks or counts and ``_n``, hand
-``randrange`` the bounds the case predicts (every decision of a walk or chunk whose read-ahead holds such a
-u64, or of a stream that is not read ahead), and be served the way the case predicts.  A change to the
+keys that put a u64 ``randrange`` might reject at the ends and middle of a read's span and past it, at
+the ends of a second 64-block chunk, or in and past the last 64-u64 chunk a walk reads; odd start indices;
+counts that cross 64-block chunks; and run ends on block boundaries.  For each stream a path must give the
+reference's blocks or counts and ``_n``, hand ``randrange`` the bounds the case predicts (every decision of a
+walk from, or of a chunk of blocks at, a read-ahead chunk holding such a u64, or of a stream that is not read
+ahead), and be served the way the case predicts.  A change to the
 sampler edits rows or cases here, not tests.
 """
 
@@ -91,7 +92,9 @@ def _in_second_chunk(name: str) -> tuple:
 def _cases() -> dict:
     batches = (0, 1, 33, 67, 100, 150)
     cases = {"five": _children_of("five", 5, (2, 0)), "five-odd-start": _children_of("five", 9, (1,), start=1),
-             "five-rejectable": Case("five", (key_with_u64(_TOP, 1),), (1,))}
+             "five-rejectable": Case("five", (key_with_u64(_TOP, 1),), (1,)),
+             # each block's walk (745 steps for the second key) reads u64s 705-768 as its last chunk
+             "five-rejectable-last-chunk": Case("five", tuple(key_with_u64(_TOP, j) for j in (705, 746, 769)), (1,) * 3)}
     for i in range(4):  # reads of one u64, whose lane carries past 2**64: each decides one bit of a block
         cases[f"half-one-lane-{i}"] = Case("half", (_TOP - i,), (1,))
     for name in ("third", "quarters", "tenth", "half"):
@@ -200,7 +203,7 @@ def _watch(rebound: bool):
     log = SimpleNamespace(bounds=defaultdict(list), walked=set(), blocks={}, wanted=None, u64s=defaultdict(int))
     bound, sampler = (lambda rng, n: log.bounds[rng.key].append(n)), roster._BlockSampler
     spies = [(SplitStream, "randrange", bound), (CountingRandom, "randrange", bound),
-             (Walk, "run", lambda walk, rng, *hook: log.walked.add(rng.key)),
+             (Walk, "run", lambda walk, rng, *hook: log.walked.add(getattr(rng, "key", None))),  # cycle's has none
              (sampler, "blocks", lambda self, rng, count: log.blocks.setdefault(rng.key, (rng, count))),
              (sampler, "read", lambda self, counts, wanted: setattr(log, "wanted", [list(own) for own in wanted]))]
     spies += [(SplitStream, "next_u64", lambda rng: log.u64s.update({rng.key: log.u64s[rng.key] + 1}))] * rebound
@@ -239,15 +242,23 @@ def _sampler(case: Case):
 
 def _bounds(case: Case, s: int, reference, per_step: bool, edges: Optional[int]) -> list:
     """The ``randrange`` bounds stream s sees: every decision's if ``per_step`` or the stream is no plain
-    ``SplitStream``.  Otherwise those of each walk (``edges`` given) or chunk of at most 64 descended blocks whose
-    read-ahead holds a u64 ``randrange`` might reject: a walk reads one u64 per edge, a chunk the deepest leaf's
-    depth per block."""
+    ``SplitStream``.  Otherwise those of each walk (``edges`` given) from its first chunk of read-ahead that holds a
+    u64 ``randrange`` might reject on, and of each chunk of at most 64 descended blocks whose read-ahead holds one.
+    A walk reads min(64, edges not yet read) u64s whenever its steps have used the last chunk; a chunk of blocks
+    reads the deepest leaf's depth per block."""
     _, ns, draws = reference
-    size, bounds = 1 if edges else 64, []
-    for first in range(0, len(draws), size):
-        unit = draws[first:first + size]
-        ahead = edges or max(SCHEMES[case.scheme][1]) * len(unit)
-        if per_step or case.kind != "split" or case.rejects(s, ns[first], ahead):
+    if per_step or case.kind != "split":
+        return [den for block in draws for _, den, _ in block]
+    bounds = []
+    if edges:
+        for n, block in zip(ns, draws):
+            chunks = range(0, len(block), 64)
+            first = next((m for m in chunks if case.rejects(s, n + m, min(64, edges - m))), len(block))
+            bounds += [den for _, den, _ in block[first:]]
+        return bounds
+    for first in range(0, len(draws), 64):
+        unit = draws[first:first + 64]
+        if case.rejects(s, ns[first], max(SCHEMES[case.scheme][1]) * len(unit)):
             bounds += [den for block in unit for _, den, _ in block]
     return bounds
 

@@ -246,11 +246,16 @@ def test_child_key_read_equals_split_stream_children(key, count):
     assert list(_children(count)(key)) == [SplitStream(key).child(i).key for i in range(count)]
 
 
-@given(key=st.integers(0, _MASK64), n=st.integers(0, 1 << 66), count=st.sampled_from([0, 1, 64, 65, 300]))
+@given(key=st.integers(0, _MASK64), n=st.integers(0, 1 << 66), count=st.sampled_from([0, 1, 2, 3, 4, 5, 64, 65, 300]))
 @example(key=_MASK64, n=(1 << 64) - 1, count=65)
+@example(key=_MASK64, n=(1 << 64) - 1, count=1)
+@example(key=1, n=0, count=2)
+@example(key=2, n=5, count=3)
+@example(key=3, n=1 << 65, count=4)
+@example(key=_MASK64, n=63, count=5)
 def test_read_ahead_is_the_next_u64s_of_the_stream(key, n, count):
-    """``_ahead`` of a stream at draw n returns u64s n+1 .. n+``count``, none, one, 64 or more,
-    and leaves the stream at draw n."""
+    """``_ahead`` of a stream at draw n returns u64s n+1 .. n+``count``, none, one to five lanes,
+    64 or more, and leaves the stream at draw n."""
     stream = SplitStream(key)
     stream._n = n
     assert _ahead(stream, count, 1) == [_u64(key, n + i) for i in range(1, count + 1)]

@@ -4,6 +4,9 @@ import copy
 import random
 from fractions import Fraction
 
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
 from reserve2d import (
     FlowNetwork,
     IntegralBlock,
@@ -28,8 +31,8 @@ from reserve2d.roster import (
     source_vertex,
 )
 
-from conftest import FIVE, MIXED, PAPER_STYLE_CYCLE, CountedU64s, CountingStream, ForcedRng, key_with_u64, per_step
-from conftest import recorded_batches, rerun, stepwise_draw
+from conftest import FIVE, MIXED, PAPER_STYLE_CYCLE, SCHEMES, CountedU64s, CountingStream, ForcedRng, key_with_u64
+from conftest import per_step, recorded_batches, rerun, row_by_row_block_check, stepwise_draw
 
 F = Fraction
 
@@ -395,6 +398,56 @@ def test_an_observed_draw_leaves_the_cached_sampler_alone(third_scheme, quarters
 
 def test_a_valid_block_reads_its_positions(third_scheme):
     assert IntegralBlock(third_scheme, 3, ((0, 1), (1, 0), (0, 1))).positions == ("c2", "c1", "c2")
+
+
+def _refusal(build) -> object:
+    """The class and message ``build()`` raises, or None."""
+    try:
+        build()
+    except Exception as error:  # noqa: BLE001 - the class is what is compared
+        return type(error), str(error)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_check_refuses_what_the_row_by_row_check_refuses(data):
+    """A table of a golden scheme (or half/half) at a valid height, a drawn block or one-hot rows of random
+    columns, with up to three edits at random rows, columns and depths (an entry set to -1 .. 2, 0.0, 1.0,
+    True or the unhashable [1], a row's 1 moved, two rows swapped, a row widened or cut, a row replaced by
+    an int, which has no length, the last row dropped): ``IntegralBlock`` accepts it exactly when
+    ``conftest.row_by_row_block_check`` does, and otherwise raises the same class and message."""
+    scheme = SCHEMES[data.draw(st.sampled_from(sorted(SCHEMES)))][0]
+    n, height = scheme.size, minimal_height(scheme) * data.draw(st.integers(1, 1 if scheme.size > 3 else 4))
+    if data.draw(st.booleans()):
+        rows = [list(row) for row in draw_block(scheme, height, SplitStream(data.draw(st.integers(0, 99)))).entries]
+    else:
+        rows = [[int(j == c) for j in range(n)] for c in data.draw(st.lists(
+            st.integers(0, n - 1), min_size=height, max_size=height))]
+    edit = st.tuples(st.sampled_from(["set", "move", "swap", "widen", "cut", "int", "drop"]), st.integers(0, height - 1),
+                     st.integers(0, n - 1), st.sampled_from([-1, 0, 1, 2, 0.0, 1.0, True, [1]]))
+    edits = data.draw(st.lists(edit, max_size=3))
+    last = {"cut": 1, "int": 2, "drop": 3}  # entries first, then shapes
+    for kind, i, j, v in sorted(edits, key=lambda e: last.get(e[0], 0)):
+        if kind == "set":
+            rows[i][j] = v
+        elif kind == "move":
+            rows[i] = [int(c == j) for c in range(n)]
+        elif kind == "swap":
+            other = (i + j + 1) % height
+            rows[i], rows[other] = rows[other], rows[i]
+        elif kind == "widen":
+            rows[i].append(v)
+        elif kind == "cut":
+            del rows[i][-1:]
+        elif kind == "int":
+            rows[i] = j
+        elif rows:
+            rows.pop()
+    entries = tuple(row if type(row) is int else tuple(row) for row in rows)
+    want = _refusal(lambda: row_by_row_block_check(scheme, height, entries))
+    assert _refusal(lambda: IntegralBlock(scheme, height, entries)) == want
+    event("refused" if want else "accepted")
 
 
 def test_draw_block_of_twice_the_minimal_height(third_scheme):

@@ -10,8 +10,9 @@ a seeded walk must choose the oracle's cycle and consume the same draws, on
 both graphs and across pushes of caller-supplied cycles (what
 ``decompose_once`` and ``decompose_flow_once`` do with ``cycle=``).
 
-``Walk.run`` reads a ``SplitStream``'s u64s ahead, one per edge; the last
-tests check that against a ``randrange`` call at every step.
+``Walk.run`` reads a ``SplitStream``'s u64s ahead in chunks of 64 as its
+steps use them; the last tests check that against a ``randrange`` call at
+every step.
 """
 
 import random
@@ -224,39 +225,50 @@ def _round_starts(sizes=(5, 7, 10, 14, 20, 28, 40)):
 
 def test_batched_run_draws_what_per_step_randrange_draws(monkeypatch):
     """Five-category height-200 blocks and 5- to 40-department rounding
-    tables, from even and odd draw indices, read one u64 per edge ahead, in
-    batches of at most 64 from the stream's draw index (never more than the
-    edge count; once with a hook and once without), and draw what a
-    ``randrange`` at every step draws."""
+    tables, from even and odd draw indices, read u64s ahead in chunks of 64
+    from the stream's draw index, one chunk whenever the steps have used the
+    last (never past the edge count; once with a hook and once without), so
+    a walk mixes at most its steps + 63 u64s, and draw what a ``randrange``
+    at every step draws."""
+    block = _block_start()
     for seed in range(3):
         stream = SplitStream(seed)
         for _ in range(seed):
             stream.next_u64()
-        for start, rng in ((_block_start(), stream), *((start, SplitStream(seed + 10)) for start in _round_starts())):
+        for start, rng in ((block, stream), *((start, SplitStream(seed + 10)) for start in _round_starts())):
             n, edges = rng._n, len(start.flows)
             batches = recorded_batches(monkeypatch)
-            assert assert_batched_run_draws_per_step(start, rng)
-            assert batches == 2 * [(m, min(64, n + edges - m)) for m in range(n, n + edges, 64)], seed
+            steps = len(assert_batched_run_draws_per_step(start, rng))
+            chunks = [(n + m, min(64, edges - m)) for m in range(0, steps, 64)]
+            assert batches == 2 * chunks, seed
+            assert steps <= sum(count for _, count in chunks) <= steps + 63
+            if start is block:
+                assert 704 < steps <= 768 and len(chunks) == 12 and edges == 2195, seed
             monkeypatch.undo()
     assert edges > 64
 
 
 def test_run_draws_every_step_by_randrange_when_its_read_ahead_holds_a_rejectable_u64():
     """Streams whose u64 number j is 2**64 - 1, which ``randrange`` rejects
-    for any den that is no power of two.  A height-200 block's walk reads its
-    2,195 edges' u64s ahead: at the first (j = 1) or the last (j = 2,195) of
-    them it sends every step to ``randrange``, which reads a rejected first
-    u64 once more, and the walk draws what per-step draws do; just past them
-    (j = 2,196) no step calls ``randrange``."""
+    for any den that is no power of two.  A height-200 block's walk of S
+    steps (727-751) reads 12 chunks of 64 u64s ahead, the last u64s 705-768.
+    From the chunk holding u64 j, every step goes to ``randrange``: at j = 1
+    (the first chunk) every step, which reads the rejected u64 once more; at
+    j = 705 (the first of the last chunk used) the last chunk's steps, with
+    one more u64 read; at j = 746, which is S + 1 for its key (just past the
+    last u64 used), the last chunk's steps, reading no more.  At j = 769, past the last chunk
+    read, no step calls ``randrange``.  The walk draws what per-step draws
+    do."""
     start = _block_start()
-    edges = len(start.flows)
-    for j in (1, edges, edges + 1):
+    for j, first, rejected in ((1, 0, True), (705, 704, True), (746, 704, False), (769, None, False)):
         stream = CountingStream(key_with_u64((1 << 64) - 1, j))
         dens = [den for _, den, _ in assert_batched_run_draws_per_step(start, stream)]
-        assert dens[0] & (dens[0] - 1)  # the first den is no power of two
-        assert stream.bounds == (dens if j <= edges else []), j
-        assert stream._n == len(dens) + (j == 1), j
-    assert edges == 2195 > len(dens)
+        assert 704 < len(dens) <= 768 and (j != 746 or len(dens) == 745), j  # S: u64 j sits as said
+        if rejected:
+            assert dens[j - 1] & (dens[j - 1] - 1), j  # the den step j draws for is no power of two
+        assert stream.bounds == ([] if first is None else dens[first:]), j
+        assert stream._n == len(dens) + rejected, j
+    assert len(start.flows) == 2195
 
 
 def test_batched_run_draws_denominators_beyond_64_bits_per_step():
