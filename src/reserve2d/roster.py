@@ -11,26 +11,22 @@ category's quota at every prefix length.
 Blocks are drawn from a flow network whose vertices are the constraints of
 the scheme table:
 
-* one *cell* vertex per table cell (value in [0, 1]),
 * one *row* vertex per row (row sums are 1),
 * one *prefix* vertex per column j and depth l in 2..k (the sum of the
   first l cells of column j lies within floor/ceil of l*a_j).
 
-Column j's flow enters at its deepest prefix vertex carrying k*a_j, peels
-off one cell's worth (a_j) at each depth, and every row forwards exactly 1
-to the sink.  The dependent-rounding walk of :mod:`reserve2d._walk` turns
-these flows into an integral flow, i.e. a block, keeping every edge's
-expectation.
+Cell (i, j) (value in [0, 1]) is the edge to row i from column j's prefix
+vertex at depth max(i, 1) + 1.  Column j's flow enters at its deepest prefix
+vertex carrying k*a_j, peels off one cell's worth (a_j) at each depth, and
+every row forwards exactly 1 to the sink.  The dependent-rounding walk of
+:mod:`reserve2d._walk` turns these flows into an integral flow, i.e. a block,
+keeping every edge's expectation.
 
 The sampler numbers the vertices arithmetically and builds the edges and
-their flows, scaled to integers, directly, then folds every cell vertex
-away: a cell's one edge in and one edge out always carry the same flow, so
-the pair becomes one prefix -> row edge at the prefix -> cell edge's place.
-Every vertex keeps its edges' relative order, so the walk finds the same
-cycles (each cell pair as one edge) and the same draws.  A sampler whose
-walks are all short lists them once as a tree and descends it.  Tuple vertices
-and ``Fraction`` flows exist only at the API edge: :class:`FlowNetwork`, the
-functions that take one, and observed draws, which walk a network, not a sampler.
+their flows, scaled to integers, directly.  A sampler whose walks are all
+short lists them once as a tree and descends it.  Tuple vertices and
+``Fraction`` flows exist only at the API edge: :class:`FlowNetwork`, the
+functions that take one, and observed draws, which walk a network.
 
 Rosters longer than one block either concatenate independent block draws
 (the default) or tile a single draw (``repeat-block``).
@@ -66,7 +62,6 @@ __all__ = [
     "draw_roster",
     "source_vertex",
     "prefix_vertex",
-    "cell_vertex",
     "row_vertex",
     "sink_vertex",
 ]
@@ -83,10 +78,6 @@ def source_vertex() -> Vertex:
 def prefix_vertex(depth: int, column: int) -> Vertex:
     """Constraint vertex for the first ``depth`` cells of ``column`` (depth >= 2)."""
     return ("prefix", depth, column)
-
-
-def cell_vertex(row: int, column: int) -> Vertex:
-    return ("cell", row, column)
 
 
 def row_vertex(row: int) -> Vertex:
@@ -161,32 +152,30 @@ class FlowEdge:
     upper: int
 
 
-def _scheme_network(table: SchemeTable) -> tuple[int, list[tuple[int, int]], int, list[int]]:
-    """Vertex count, edges, scale L and initial flows times L of ``table``'s network.
+def _scheme_network(table: SchemeTable) -> tuple[int, list[tuple[int, int]], int, list[int], list[int]]:
+    """Vertex count, edges, scale L, initial flows times L and each cell's edge (row by row) of ``table``'s network.
 
-    Vertices are numbered source 0, prefix (j, depth) for each column j with
-    depth falling from k to 2, cell (i, j) row-major, row i, sink, and the
-    edges are listed by (tail, head) number.  That order fixes the walk's
-    cycle rule, hence every draw.  L is the lcm of the scheme denominators.
+    Vertices are numbered source 0, prefix (j, depth) for each column j with depth falling from k to 2,
+    row i, sink, and the edges are listed by (tail, head) number.  That order fixes the walk's cycle
+    rule, hence every draw.  L is the lcm of the scheme denominators.
     """
     k, n = table.height, table.scheme.size
     scale = minimal_height(table.scheme)
     shares = [int(scale * a) for a in table.scheme.fractions]
-    cell = 1 + n * (k - 1)
-    row = cell + k * n
+    row, cells = 1 + n * (k - 1), [0] * (k * n)
     edges = [(0, 1 + j * (k - 1)) for j in range(n)]
     flows = [k * s for s in shares]  # the first l cells of column j carry l*a_j
     for j, s in enumerate(shares):
         for depth in range(k, 1, -1):
             prefix = 1 + j * (k - 1) + k - depth
-            inner = prefix + 1 if depth > 2 else cell + j  # the next prefix, or cell (0, j)
-            edges += [(prefix, inner), (prefix, cell + (depth - 1) * n + j)]
+            inner = prefix + 1 if depth > 2 else row  # the next prefix, or row 0 through cell (0, j)
+            cells[(depth - 1) * n + j] = len(edges) + 1
+            edges += [(prefix, inner), (prefix, row + depth - 1)]
             flows += [(depth - 1) * s, s]
-    edges += [(cell + c, row + c // n) for c in range(k * n)]
-    flows += shares * k
+        cells[j] = len(edges) - 2
     edges += [(row + i, row + k) for i in range(k)]
     flows += [scale] * k
-    return row + k + 1, edges, scale, flows
+    return row + k + 1, edges, scale, flows, cells
 
 
 @dataclass(frozen=True)
@@ -217,9 +206,9 @@ class FlowNetwork:
                 continue
             if b:
                 raise ValueError(f"flow is not conserved at {v}: imbalance {Fraction(b, scale)}")
-            if v[0] in ("prefix", "cell") and indeg.get(v, 0) != 1:
+            if v[0] == "prefix" and indeg.get(v, 0) != 1:
                 raise ValueError(f"{v} must have exactly one incoming edge")
-            if v[0] in ("cell", "row") and outdeg.get(v, 0) != 1:
+            if v[0] == "row" and outdeg.get(v, 0) != 1:
                 raise ValueError(f"{v} must have exactly one outgoing edge")
 
     @property
@@ -233,11 +222,10 @@ def build_flow_network(table: SchemeTable) -> FlowNetwork:
     names = [  # the tuple of each vertex number
         source_vertex(),
         *(prefix_vertex(depth, j) for j in range(n) for depth in range(k, 1, -1)),
-        *(cell_vertex(i, j) for i in range(k) for j in range(n)),
         *(row_vertex(i) for i in range(k)),
         sink_vertex(),
     ]
-    _, edges, scale, flows = _scheme_network(table)
+    _, edges, scale, flows, _ = _scheme_network(table)
     return FlowNetwork(table, tuple(
         FlowEdge(names[tail], names[head], Fraction(f, scale), f // scale, -(-f // scale))
         for (tail, head), f in zip(edges, flows)
@@ -404,7 +392,6 @@ class IntegralBlock:
                 cut, error = l, (f"column {self.scheme.categories[j]!r} has {(gaps[l] + (l + 1) * num) // den} of the "
                                  f"first {l + 1} positions; fair share is {(l + 1) * shares[j]}")
         if cut < len(rows):
-            len(rows[cut])  # a row with no length, refused by no earlier depth, raises len()'s TypeError
             raise ValueError(error)
 
     @cached_property
@@ -426,16 +413,16 @@ class IntegralBlock:
             raise ValueError("network still has fractional flows")
         table = network.table
         grid = [[0] * table.scheme.size for _ in range(table.height)]
-        for e in network.edges:
-            if e.tail[0] == "cell":
-                grid[e.tail[1]][e.tail[2]] = int(e.flow)
+        for e in network.edges:  # cell (i, j) is the edge from a prefix of column j to row i
+            if e.tail[0] == "prefix" and e.head[0] == "row":
+                grid[e.head[1]][e.tail[2]] = int(e.flow)
         return cls(table.scheme, table.height, tuple(tuple(r) for r in grid))
 
 
-def _block_of(table: SchemeTable, cells: Sequence[int]) -> IntegralBlock:
-    """The block of ``table`` whose cells, row by row, are ``cells``."""
-    n = table.scheme.size
-    return IntegralBlock(table.scheme, table.height, tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n)))
+def _block_of(table: SchemeTable, cells: Sequence[int], walk: Walk) -> IntegralBlock:
+    """The block of an integral walk of ``table``'s network, whose cells, row by row, are edges ``cells``."""
+    n, entries = table.scheme.size, [walk.flows[e] // walk.scale for e in cells]
+    return IntegralBlock(table.scheme, table.height, tuple(tuple(entries[i:i + n]) for i in range(0, len(entries), n)))
 
 
 def _depths(node, depth: int = 0) -> set[int]:
@@ -446,7 +433,7 @@ def _depths(node, depth: int = 0) -> set[int]:
 class _BlockSampler:
     """Unobserved block draws for one scheme table; a sampler never changes once built.
 
-    ``root`` is every walk of the folded network as a :func:`reserve2d._walk.tree` over blocks, or
+    ``root`` is every walk of the table's network as a :func:`reserve2d._walk.tree` over blocks, or
     None if a walk takes more than ``_TREE_DEPTH`` steps.  :meth:`blocks` descends it (drawing what
     :meth:`walk` would) or walks; :meth:`read` takes keys of fresh streams and decodes only the
     blocks asked for if leaves share a depth."""
@@ -457,15 +444,7 @@ class _BlockSampler:
 
     def __init__(self, table: SchemeTable):
         self.table = table
-        vertices, edges, scale, flows = _scheme_network(table)
-        k, n = table.height, table.scheme.size
-        cell, row = 1 + n * (k - 1), vertices - k - 1  # the first cell and the first row vertex
-        del edges[-k - k * n:-k], flows[-k - k * n:-k]  # the cell -> row edges, row by row
-        self.cells = [0] * (k * n)  # the folded edge of each cell, row by row
-        for e, (tail, head) in enumerate(edges):
-            if cell <= head < row:  # prefix -> cell (i, j) becomes prefix -> row i
-                self.cells[head - cell] = e
-                edges[e] = tail, row + (head - cell) // n
+        vertices, edges, scale, flows, self.cells = _scheme_network(table)
         self.start = Walk(Graph(vertices, edges), scale, flows)
         self.root = tree(Walk(self.start.graph, scale, flows), self._TREE_DEPTH, self._block)
         depths = set() if self.root is None else _depths(self.root)
@@ -473,8 +452,8 @@ class _BlockSampler:
         self.fixed = self.depth if len(depths) == 1 else None  # see read
 
     def _block(self, walk: Walk) -> IntegralBlock:
-        """The block of an integral walk of the folded network."""
-        return _block_of(self.table, [walk.flows[e] // walk.scale for e in self.cells])
+        """The block of an integral walk from ``start``."""
+        return _block_of(self.table, self.cells, walk)
 
     def walk(self, rng) -> IntegralBlock:
         """One block walked from the start with ``rng``'s draws."""
@@ -542,17 +521,16 @@ def draw_block(
     """Draw one integral block; every cell's expectation is its fraction.
 
     An unobserved draw descends or walks the cached sampler.  An observed one
-    walks the table's own network, which draws what the sampler does, and
-    leaves the cached sampler alone; both branches of every step validate
-    all their edges, so observe small tables.
+    walks the table's network, whose edges are the sampler's, so it draws what
+    the sampler does and leaves the cached sampler alone; both branches of
+    every step validate all their edges, so observe small tables.
     """
     table = build_scheme_table(scheme, height)
     if on_step is None:
         return _sampler(table).blocks(rng, 1)[0]
     walk = _walk(network := build_flow_network(table))
     walk.run(rng, observer(FlowStep, network, tuple, _network_at, walk._found, on_step))
-    k, n = table.height, table.scheme.size  # the cell -> row edges come last but for the row -> sink ones
-    return _block_of(table, [f // walk.scale for f in walk.flows[-k - k * n:-k]])
+    return _block_of(table, _scheme_network(table)[-1], walk)
 
 
 def draw_roster(

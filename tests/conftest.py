@@ -1,6 +1,6 @@
 """Shared fixtures and helpers: small and golden schemes and problems, scripted and counting streams, the
-block walk of a scheme table's full network, ``expand`` (the observed-step oracle of both walks' exact laws)
-and ``REFUSALS``, the table of every refusal of the roster and rounding objects.
+block walk of a scheme table's network in the paper's form (a vertex per cell), ``expand`` (the observed-step
+oracle of both walks' exact laws) and ``REFUSALS``, the table of every refusal of the roster and rounding objects.
 
 Test modules import helpers from here, never from one another."""
 
@@ -19,9 +19,10 @@ from reserve2d import (
     ExtendedTable, FairShareTable, FlowNetwork, FractionCycle, IntegralBlock, ReservationProblem,
     ReservationScheme, Roster, SplitStream, build_fair_share_table, build_flow_network, build_scheme_table,
     controlled_round, decompose_flow_once, decompose_once, draw_block, draw_roster, extend_table, find_flow_cycle,
+    minimal_height,
 )
 from reserve2d import roster, rounding
-from reserve2d.roster import FlowEdge, cell_vertex, prefix_vertex, row_vertex, sink_vertex, source_vertex
+from reserve2d.roster import FlowEdge, prefix_vertex, row_vertex, sink_vertex, source_vertex
 from reserve2d._walk import Graph, Walk
 from reserve2d.fileio import parse_scheme_file
 from reserve2d.rng import _GAMMA, _MASK64, _index_of, _u64s, _unmix64
@@ -179,13 +180,39 @@ def key_with_u64(u: int, j: int) -> int:
     return key
 
 
+def paper_network(table) -> tuple:
+    """The paper's network of ``table``, a vertex per cell: its vertex count, edges, scale L, initial flows
+    times L and each cell's edge, row by row, the cell -> row one.  Vertices are numbered source 0, prefix
+    (j, depth) for each column j with depth falling from k to 2, cell (i, j) row-major, row i, sink, and the
+    edges are listed by (tail, head) number.  Each cell's two edges carry the same flow, so ``roster``'s
+    network is this one with each cell's pair as one prefix -> row edge at the prefix -> cell edge's place."""
+    k, n = table.height, table.scheme.size
+    scale = minimal_height(table.scheme)
+    shares = [int(scale * a) for a in table.scheme.fractions]
+    cell = 1 + n * (k - 1)
+    row = cell + k * n
+    edges = [(0, 1 + j * (k - 1)) for j in range(n)]
+    flows = [k * s for s in shares]  # the first l cells of column j carry l*a_j
+    for j, s in enumerate(shares):
+        for depth in range(k, 1, -1):
+            prefix = 1 + j * (k - 1) + k - depth
+            inner = prefix + 1 if depth > 2 else cell + j  # the next prefix, or cell (0, j)
+            edges += [(prefix, inner), (prefix, cell + (depth - 1) * n + j)]
+            flows += [(depth - 1) * s, s]
+    cells = range(len(edges), len(edges) + k * n)
+    edges += [(cell + c, row + c // n) for c in range(k * n)]
+    flows += shares * k
+    edges += [(row + i, row + k) for i in range(k)]
+    flows += [scale] * k
+    return row + k + 1, edges, scale, flows, cells
+
+
 def network_walk(table, rng) -> tuple:
-    """A block and its ``(num, den, take)`` draws walked on the full network, cell vertices kept."""
-    vertices, edges, scale, flows = roster._scheme_network(table)
+    """A block and its ``(num, den, take)`` draws walked on the paper's network, cell vertices kept."""
+    vertices, edges, scale, flows, cells = paper_network(table)
     walk, draws = Walk(Graph(vertices, edges), scale, flows), []
     walk.run(rng, lambda *draw: draws.append(draw))
-    k, n = table.height, table.scheme.size  # the cell -> row edges come last but for the row -> sink ones
-    return roster._block_of(table, [f // walk.scale for f in walk.flows[-k - k * n:-k]]), draws
+    return roster._block_of(table, cells, walk), draws
 
 
 def row_by_row_block_check(scheme: ReservationScheme, height: int, entries) -> None:
@@ -197,7 +224,7 @@ def row_by_row_block_check(scheme: ReservationScheme, height: int, entries) -> N
     counts = [0] * n
     shares = [(f.numerator, f.denominator) for f in scheme.fractions]
     for depth, row in enumerate(entries, start=1):
-        if len(row) != n or any(v not in (0, 1) for v in row):
+        if not hasattr(row, "__len__") or len(row) != n or any(v not in (0, 1) for v in row):
             raise ValueError(f"row {depth} is not a 0/1 row of width {n}")
         if sum(row) != 1:
             raise ValueError(f"row {depth} must contain exactly one 1")
@@ -287,12 +314,8 @@ def three_dept_problem(quarters_scheme) -> ReservationProblem:
 
 F = Fraction
 _H = F(1, 2)
-# A 10-edge cycle of the 1/3 scheme table's network, as a closed vertex path; it has headroom 1/3 both ways.
-PAPER_STYLE_CYCLE = [
-    ("prefix", 3, 0), ("cell", 2, 0), ("row", 2), ("cell", 2, 1),
-    ("prefix", 3, 1), ("prefix", 2, 1), ("cell", 1, 1), ("row", 1),
-    ("cell", 1, 0), ("prefix", 2, 0),
-]
+# A 6-edge cycle of the 1/3 scheme table's network, as a closed vertex path; it has headroom 1/3 both ways.
+PAPER_STYLE_CYCLE = [("prefix", 3, 0), ("row", 2), ("prefix", 3, 1), ("prefix", 2, 1), ("row", 1), ("prefix", 2, 0)]
 # An 8-cell cycle of the extended quarters table of vacancies (2, 1, 3); it splits 2:1.
 APPENDIX_CYCLE = FractionCycle(((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 1), (3, 1), (3, 0)))
 GOOD_FAIR = dict(departments=("a", "b"), categories=("x", "y"), entries=((_H, F(3, 2)), (F(3, 2), _H)),
@@ -332,7 +355,8 @@ def observed() -> SimpleNamespace:
 
 
 def _edge(e: int, **changes):
-    """The 1/3 network with edge ``e`` changed (edge 0 runs source -> prefix (3, 0), edge 10 cell (0, 0) -> row 0)."""
+    """The 1/3 network with edge ``e`` changed (edge 0 runs source -> prefix (3, 0), edge 4 prefix (2, 0) -> row 0,
+    cell (0, 0))."""
     return lambda s: FlowNetwork(s.network.table, tuple(
         replace(edge, **changes) if i == e else edge for i, edge in enumerate(s.network.edges)))
 
@@ -397,42 +421,42 @@ REFUSALS = [
         ReservationScheme(("c1", "c2"), (F(1, 999983), F(999982, 999983))), 5, s.rng), ValueError,
      "a scheme table of height 999983 over 2 categories has more than 50,000 cells"),
     # flow networks: checked in scaled integers, each message prints Fractions (an imbalance of one unit as 1)
-    ("network-not-conserved", _edge(10, flow=F(2, 3), upper=1), ValueError,
-     "flow is not conserved at ('cell', 0, 0): imbalance -1/3"),
+    ("network-not-conserved", _edge(4, flow=F(2, 3)), ValueError,
+     "flow is not conserved at ('prefix', 2, 0): imbalance -1/3"),
     ("network-bound-of-width-2", _edge(0, upper=3), ValueError,
      "edge ('source',)->('prefix', 3, 0): bound width 2 exceeds 1"),
-    ("network-flow-below-its-bound", _edge(10, flow=F(-1, 3)), ValueError,
-     "edge ('cell', 0, 0)->('row', 0): flow -1/3 outside [0, 1]"),
+    ("network-flow-below-its-bound", _edge(4, flow=F(-1, 3)), ValueError,
+     "edge ('prefix', 2, 0)->('row', 0): flow -1/3 outside [0, 1]"),
     ("network-imbalance-of-a-half", _edge(0, flow=F(3, 2), upper=2), ValueError,
      "flow is not conserved at ('prefix', 3, 0): imbalance 1/2"),
     ("network-imbalance-of-one", _edge(0, flow=F(2), upper=2), ValueError,
      "flow is not conserved at ('prefix', 3, 0): imbalance 1"),
-    ("network-cell-with-two-edges-in", lambda s: FlowNetwork(s.network.table, s.network.edges + (
-        FlowEdge(prefix_vertex(2, 0), cell_vertex(0, 0), F(0), 0, 0),)), ValueError,
-     "('cell', 0, 0) must have exactly one incoming edge"),
+    ("network-prefix-with-two-edges-in", lambda s: FlowNetwork(s.network.table, s.network.edges + (
+        FlowEdge(prefix_vertex(3, 0), prefix_vertex(2, 0), F(0), 0, 0),)), ValueError,
+     "('prefix', 2, 0) must have exactly one incoming edge"),
     ("network-row-with-two-edges-out", lambda s: FlowNetwork(s.network.table, s.network.edges + (
         FlowEdge(row_vertex(0), sink_vertex(), F(0), 0, 0),)), ValueError, "('row', 0) must have exactly one outgoing edge"),
     ("block-of-a-fractional-network", lambda s: IntegralBlock.from_network(s.network), ValueError,
      "network still has fractional flows"),
     # cycles supplied to decompose_flow_once
-    ("vertex-path-without-an-edge", _network_cycle([source_vertex(), cell_vertex(0, 0)]), ValueError,
-     "no edge joins ('source',) and ('cell', 0, 0)"),
+    ("vertex-path-without-an-edge", _network_cycle([source_vertex(), row_vertex(0)]), ValueError,
+     "no edge joins ('source',) and ('row', 0)"),
     ("vertex-path-through-an-integral-edge", _network_cycle([
-        source_vertex(), prefix_vertex(3, 0), prefix_vertex(2, 0), cell_vertex(0, 0), row_vertex(0), cell_vertex(0, 1),
-        prefix_vertex(2, 1), prefix_vertex(3, 1)]), ValueError,
+        source_vertex(), prefix_vertex(3, 0), prefix_vertex(2, 0), row_vertex(0), prefix_vertex(2, 1),
+        prefix_vertex(3, 1)]), ValueError,
      "edge ('source',)->('prefix', 3, 0) is integral; cycles must be fractional"),
-    ("edge-cycle-with-negative-indices", _network_cycle([(3, 1), (14, 1), (-5, -1), (-16, -1)]), ValueError,
-     "cycle ((3, 1), (14, 1), (-5, -1), (-16, -1)) leaves the network's edges 0..18"),  # -5, -16 alias 14, 3
+    ("edge-cycle-with-negative-indices", _network_cycle([(3, 1), (12, 1), (-1, -1), (-10, -1)]), ValueError,
+     "cycle ((3, 1), (12, 1), (-1, -1), (-10, -1)) leaves the network's edges 0..12"),  # -1, -10 alias 12, 3
     ("edge-cycle-past-the-edges", _network_cycle([(999, 1), (3, 1)]), ValueError,
-     "cycle ((999, 1), (3, 1)) leaves the network's edges 0..18"),
-    ("edge-cycle-at-the-edge-count", _network_cycle([(3, 1), (19, 1)]), ValueError,
-     "cycle ((3, 1), (19, 1)) leaves the network's edges 0..18"),
+     "cycle ((999, 1), (3, 1)) leaves the network's edges 0..12"),
+    ("edge-cycle-at-the-edge-count", _network_cycle([(3, 1), (13, 1)]), ValueError,
+     "cycle ((3, 1), (13, 1)) leaves the network's edges 0..12"),
     ("edge-cycle-of-one-edge", _network_cycle([(3, 1)]), ValueError, "a cycle must list at least two distinct edges"),
     ("edge-cycle-of-one-edge-twice", _network_cycle([(3, 1), (3, 1)]), ValueError,
      "a cycle must list at least two distinct edges"),
-    ("edge-cycle-in-direction-2", _network_cycle([(3, 2), (14, 1)]), ValueError, "direction must be +1 or -1, got 2"),
+    ("edge-cycle-in-direction-2", _network_cycle([(3, 2), (12, 1)]), ValueError, "direction must be +1 or -1, got 2"),
     ("edge-cycle-that-breaks", _network_cycle([(2, 1), (7, 1)]), ValueError,
-     "cycle breaks between edges (('prefix', 3, 0), ('prefix', 2, 0)) and (('prefix', 3, 1), ('cell', 2, 1))"),
+     "cycle breaks between edges (('prefix', 3, 0), ('prefix', 2, 0)) and (('prefix', 3, 1), ('row', 2))"),
     ("integral-network", lambda s: decompose_flow_once(s.integral, s.rng), ValueError,
      "network is already integral; nothing to decompose"),
     # flow steps: branches on another scheme table or with other edges are refused before the mixture check
@@ -461,6 +485,7 @@ REFUSALS = [
     ("block-of-height-2-on-thirds", lambda s: IntegralBlock(THIRD, 2, ((1, 0), (0, 1))), ValueError, "height 2 leaves "
      "column 'c1' with the non-integral total 2/3; the smallest valid height is 3 (any multiple of it works)"),
     ("block-row-holding-a-2", _block((0, 2), (0, 1), (1, 0)), ValueError, "row 1 is not a 0/1 row of width 2"),
+    ("block-row-with-no-length", _block((1, 0), 1, (0, 1)), ValueError, "row 2 is not a 0/1 row of width 2"),
     ("roster-of-negative-length", lambda s: draw_roster(THIRD, -1, s.rng), ValueError,
      "roster length must be nonnegative, got -1"),
     ("roster-draw-under-an-unknown-policy", lambda s: draw_roster(THIRD, 3, s.rng, "tile"), ValueError, _POLICY),

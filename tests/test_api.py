@@ -50,4 +50,4 @@ def test_no_exported_name_is_dropped():
     assert set(EXPORTED) <= set(reserve2d.__all__)
     assert "run_solution" in solutions.__all__
     added = set(reserve2d.__all__) - set(EXPORTED)
-    assert added == {"source_vertex", "prefix_vertex", "cell_vertex", "row_vertex", "sink_vertex"}
+    assert added == {"source_vertex", "prefix_vertex", "row_vertex", "sink_vertex"}

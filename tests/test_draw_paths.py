@@ -1,8 +1,9 @@
 """One table of the ways unobserved roster blocks are drawn, each checked against one reference.
 
-The reference walks a stream's blocks one after another on the scheme table's full flow network, cell
-vertices kept; it is checked against the observed ``decompose_flow_once`` loop of
-``build_flow_network(table)`` on every case but five-category, where one observed block takes seconds.
+The reference walks a stream's blocks one after another on the scheme table's network in the paper's form,
+a vertex per cell (``conftest.paper_network``); it is checked against the observed ``decompose_flow_once``
+loop of ``build_flow_network(table)``, whose network has each cell as one prefix -> row edge, on every case
+but five-category, where one observed block takes seconds.
 ``PATHS`` lists the other ways: the sampler's walk, its descent by ``randrange`` and by read-ahead,
 ``read``'s single-depth decode and its fallback, ``solutions._reader``'s counts, a proposed run, and
 ``_tally`` of a ``draw_roster`` roster.  ``CASES`` lists what they run on: every golden scheme (and
@@ -224,7 +225,7 @@ def _streams(case: Case) -> list:
 @cache
 def _reference(name: str) -> list:
     """Each stream's (blocks, ``_n`` before each block and after the last, (num, den, take) of every step of each
-    block), walked block after block on the full network."""
+    block), walked block after block on the paper's network."""
     case = CASES[name]
     table, streams = build_scheme_table(SCHEMES[case.scheme][0]), _streams(case)
     with _watch(case.kind == "rebound"):

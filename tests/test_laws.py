@@ -1,12 +1,13 @@
 """``LAWS``: one table of exact laws that checks every sure guarantee of both dependent-rounding walks.
 
 A row's law is ``conftest.tree_law`` of ``_walk.tree`` over the walk users run unobserved, an outcome being
-row-major integer entries: the block sampler's folded walk from ``start`` (a block's 0/1 cells), or the integer
-walk ``controlled_round`` starts from ``rounding._extension`` (an extended table, synthetic row included).  The
-law has mass 1, each entry's mean is its start exactly, every outcome is valid, seeded unobserved draws land
-in its support, and on oracle-sized rows it is ``conftest.expand``'s law of the public observed steps.  A
-block row's sampler tree has the law and leaves at the recorded depths; past the depth limit the sampler
-keeps none, and the row computes no law.  A change to either walk edits rows here, not tests.
+row-major integer entries: the block sampler's walk from ``start`` (a block's 0/1 cells, the edges of its
+``cells`` map), or the integer walk ``controlled_round`` starts from ``rounding._extension`` (an extended
+table, synthetic row included).  The law has mass 1, each entry's mean is its start exactly, every outcome
+is valid, seeded unobserved draws land in its support, and on oracle-sized rows it is ``conftest.expand``'s
+law of the public observed steps.  A block row's sampler tree has the law and leaves at the recorded depths;
+past the depth limit the sampler keeps none, and the row computes no law.  A change to either walk edits
+rows here, not tests.
 """
 
 import random

@@ -24,14 +24,13 @@ from reserve2d import roster
 from reserve2d._walk import scaled
 from reserve2d.roster import (
     FlowStep,
-    cell_vertex,
     prefix_vertex,
     row_vertex,
     sink_vertex,
     source_vertex,
 )
 
-from conftest import FIVE, MIXED, PAPER_STYLE_CYCLE, SCHEMES, CountedU64s, CountingStream, ForcedRng, key_with_u64
+from conftest import FIVE, MIXED, PAPER_STYLE_CYCLE, SCHEMES, THIRD, CountedU64s, CountingStream, ForcedRng, key_with_u64
 from conftest import per_step, recorded_batches, rerun, row_by_row_block_check, stepwise_draw
 
 F = Fraction
@@ -69,12 +68,12 @@ def test_scheme_table_shape(third_scheme):
 
 def test_network_structure(third_scheme):
     net = build_flow_network(build_scheme_table(third_scheme))
-    assert len(net.edges) == 19
+    assert len(net.edges) == 13
     assert _flow(net, source_vertex(), prefix_vertex(3, 0)) == 1
     assert _flow(net, source_vertex(), prefix_vertex(3, 1)) == 2
     assert _flow(net, prefix_vertex(3, 1), prefix_vertex(2, 1)) == F(4, 3)
-    assert _flow(net, prefix_vertex(2, 0), cell_vertex(0, 0)) == F(1, 3)
-    assert _flow(net, cell_vertex(2, 1), row_vertex(2)) == F(2, 3)
+    assert _flow(net, prefix_vertex(2, 0), row_vertex(0)) == F(1, 3)  # cell (0, 0)
+    assert _flow(net, prefix_vertex(3, 1), row_vertex(2)) == F(2, 3)  # cell (2, 1)
     assert _flow(net, row_vertex(0), sink_vertex()) == 1
     for e in net.edges:
         assert e.upper - e.lower in (0, 1)
@@ -86,17 +85,14 @@ def test_network_structure(third_scheme):
 def _tuple_sorted_network(table):
     """The reference construction: tuple vertices in canonical order, edges
     sorted by that order, and ``Fraction`` flows at each constraint's sum.
-    Returns the vertex count, the numbered edges, the scaled flows, the
-    tuple edges and the ``Fraction`` flows."""
+    Returns the vertex count, the numbered edges, the scale, the scaled flows,
+    each cell's edge row by row, the tuple edges and the ``Fraction`` flows."""
     k, alphas = table.height, table.scheme.fractions
     n = len(alphas)
     seq = [source_vertex()]
     for j in range(n):
         for depth in range(k, 1, -1):
             seq.append(prefix_vertex(depth, j))
-    for i in range(k):
-        for j in range(n):
-            seq.append(cell_vertex(i, j))
     for i in range(k):
         seq.append(row_vertex(i))
     seq.append(sink_vertex())
@@ -107,11 +103,8 @@ def _tuple_sorted_network(table):
         for depth in range(k, 2, -1):
             pairs.append((prefix_vertex(depth, j), prefix_vertex(depth - 1, j)))
         for depth in range(k, 1, -1):
-            pairs.append((prefix_vertex(depth, j), cell_vertex(depth - 1, j)))
-        pairs.append((prefix_vertex(2, j), cell_vertex(0, j)))
-    for i in range(k):
-        for j in range(n):
-            pairs.append((cell_vertex(i, j), row_vertex(i)))
+            pairs.append((prefix_vertex(depth, j), row_vertex(depth - 1)))  # cell (depth - 1, j)
+        pairs.append((prefix_vertex(2, j), row_vertex(0)))  # cell (0, j)
     for i in range(k):
         pairs.append((row_vertex(i), sink_vertex()))
     pairs.sort(key=lambda e: (order[e[0]], order[e[1]]))
@@ -119,28 +112,28 @@ def _tuple_sorted_network(table):
     def initial(tail, head):
         if head[0] == "prefix":  # the first l cells of column j carry l*a_j
             return head[1] * alphas[head[2]]
-        if head[0] == "cell":
-            return alphas[head[2]]
-        if tail[0] == "cell":
+        if head[0] == "row":  # a cell
             return alphas[tail[2]]
         return F(1)  # row -> sink
 
     fractions = [initial(t, h) for t, h in pairs]
     scale, flows = scaled(fractions)
     numbered = [(order[t], order[h]) for t, h in pairs]
-    return len(seq), numbered, scale, flows, pairs, fractions
+    index = {pair: e for e, pair in enumerate(pairs)}
+    cells = [index[prefix_vertex(max(i, 1) + 1, j), row_vertex(i)] for i in range(k) for j in range(n)]
+    return len(seq), numbered, scale, flows, cells, pairs, fractions
 
 
 def test_numbered_network_equals_the_tuple_sorted_one(third_scheme, quarters_scheme):
-    """The integer edges and scaled flows equal the tuple-sorted network's
+    """The integer edges, scaled flows and cell edges equal the tuple-sorted network's
     index for index: the edge order fixes the cycle rule, hence every draw."""
     for scheme, heights in (
         (third_scheme, (3, 6, 30, 99)), (quarters_scheme, (4, 8, 40)), (FIVE, (200, 400))
     ):
         for k in heights:
             table = build_scheme_table(scheme, k)
-            vertices, edges, scale, flows, pairs, fractions = _tuple_sorted_network(table)
-            assert roster._scheme_network(table) == (vertices, edges, scale, flows), k
+            vertices, edges, scale, flows, cells, pairs, fractions = _tuple_sorted_network(table)
+            assert roster._scheme_network(table) == (vertices, edges, scale, flows, cells), k
             network = build_flow_network(table)
             assert [(e.tail, e.head, e.flow) for e in network.edges] == [
                 (t, h, f) for (t, h), f in zip(pairs, fractions)
@@ -153,10 +146,7 @@ def test_numbered_network_equals_the_tuple_sorted_one(third_scheme, quarters_sch
 def test_deterministic_cycle_is_stable(third_scheme):
     net = build_flow_network(build_scheme_table(third_scheme))
     cycle = find_flow_cycle(net)
-    assert cycle == (
-        (2, 1), (4, 1), (10, 1), (11, -1), (8, -1),
-        (6, -1), (7, 1), (15, 1), (14, -1), (3, -1),
-    )
+    assert cycle == ((2, 1), (4, 1), (8, -1), (6, -1), (7, 1), (3, -1))
     assert find_flow_cycle(net) == cycle
     # every edge on the cycle is fractional, and consecutive edges chain up
     skeleton = [(e.tail, e.head) for e in net.edges]
@@ -193,8 +183,19 @@ def test_a_network_with_its_edges_in_another_order_is_walked_on_its_own_edges(th
                 assert abs(positions[:depth].count(cat) - depth * f) < 1
 
 
+def test_a_block_reads_alike_off_a_network_with_its_edges_reversed(third_scheme, quarters_scheme):
+    """``IntegralBlock.from_network`` finds each cell by its prefix and row
+    vertices, so an integral network listed backwards gives the same block."""
+    for scheme, height in ((third_scheme, 3), (third_scheme, 12), (quarters_scheme, 8)):
+        table = build_scheme_table(scheme, height)
+        for seed in range(3):
+            block, steps = stepwise_draw(table, SplitStream(seed))
+            reversed_network = FlowNetwork(table, steps[-1].result.edges[::-1])
+            assert IntegralBlock.from_network(reversed_network) == block, (height, seed)
+
+
 def test_named_cycle_step_is_an_even_split(third_scheme):
-    """A known 10-edge cycle has headroom 1/3 both ways, so the step is a
+    """A known 6-edge cycle has headroom 1/3 both ways, so the step is a
     fair coin; both branch networks are checked edge by edge."""
     net = build_flow_network(build_scheme_table(third_scheme))
     captured = []
@@ -207,11 +208,11 @@ def test_named_cycle_step_is_an_even_split(third_scheme):
     assert step.probability == F(1, 2)
     assert step.branch == "raise-forward"
     fwd, bwd = step.raise_forward, step.raise_backward
-    assert _flow(fwd, prefix_vertex(2, 1), cell_vertex(1, 1)) == 1
+    assert _flow(fwd, prefix_vertex(2, 1), row_vertex(1)) == 1  # cell (1, 1)
     assert _flow(fwd, prefix_vertex(3, 1), prefix_vertex(2, 1)) == F(5, 3)
-    assert _flow(fwd, cell_vertex(2, 0), row_vertex(2)) == F(2, 3)
-    assert _flow(fwd, cell_vertex(1, 0), row_vertex(1)) == 0
-    assert _flow(bwd, cell_vertex(1, 0), row_vertex(1)) == F(2, 3)
+    assert _flow(fwd, prefix_vertex(3, 0), row_vertex(2)) == F(2, 3)  # cell (2, 0)
+    assert _flow(fwd, prefix_vertex(2, 0), row_vertex(1)) == 0  # cell (1, 0)
+    assert _flow(bwd, prefix_vertex(2, 0), row_vertex(1)) == F(2, 3)
     assert _flow(bwd, prefix_vertex(3, 1), prefix_vertex(2, 1)) == 1
     # untouched edges keep their flow in both branches
     assert _flow(fwd, source_vertex(), prefix_vertex(3, 1)) == 2
@@ -250,15 +251,20 @@ def test_observed_flow_branches_share_every_edge_off_the_cycle(third_scheme):
                 _assert_branches_share_off_the_cycle(step)
 
 
-def test_sampler_graph_folds_every_cell_vertex_away():
-    """The sampler's graph drops one of each cell's two edges: k*n fewer
-    edges than the network; at five-category height 200, 2,195 edges of
-    which 1,957 start fractional."""
-    for scheme, height in ((FIVE, 200), (FIVE, 400), (ReservationScheme(("a", "b"), (F(1, 3), F(2, 3))), 6)):
+def test_sampler_walks_the_networks_own_edges_in_order():
+    """The sampler walks ``build_flow_network``'s edges, index for index, from
+    their flows, one vertex number per tuple vertex; at five-category height
+    200, 2,195 edges of which 1,957 start fractional."""
+    for scheme, height in ((FIVE, 200), (FIVE, 400), (THIRD, 6)):
         table = build_scheme_table(scheme, height)
-        start = roster._BlockSampler(table).start
-        edges = len(build_flow_network(table).edges) - height * scheme.size
-        assert len(start.graph.tails) == len(start.flows) == edges, height
+        network, start = build_flow_network(table), roster._BlockSampler(table).start
+        heads = {e: head for inc in start.graph.incidence for e, d, head in inc if d > 0}
+        names = {}  # vertex number -> tuple vertex
+        for e, edge in enumerate(network.edges):
+            assert names.setdefault(start.graph.tails[e], edge.tail) == edge.tail, (height, e)
+            assert names.setdefault(heads[e], edge.head) == edge.head, (height, e)
+        assert len(set(names.values())) == len(names) and len(heads) == len(network.edges), height
+        assert [F(f, start.scale) for f in start.flows] == [edge.flow for edge in network.edges], height
     start = roster._BlockSampler(build_scheme_table(FIVE, 200)).start
     assert len(start.flows) == 2195
     assert sum(1 for f in start.flows if f % start.scale) == 1957
@@ -516,7 +522,7 @@ test_network_validates_conservation = rerun(["network-not-conserved"])
 test_network_validates_bounds = rerun(["network-bound-of-width-2"])
 test_network_messages_print_the_flows_as_fractions = rerun(
     ["network-flow-below-its-bound", "network-imbalance-of-a-half", "network-imbalance-of-one"])
-test_network_validates_degrees = rerun(["network-cell-with-two-edges-in", "network-row-with-two-edges-out"])
+test_network_validates_degrees = rerun(["network-prefix-with-two-edges-in", "network-row-with-two-edges-out"])
 test_flow_step_refuses_branches_on_another_scheme_table = rerun(
     ["flow-branches-on-another-table", "flow-lowered-branch-on-another-table"])
 test_flow_step_names_the_edge_that_does_not_mix_back = rerun(["flow-step-that-does-not-mix-back"])
