@@ -98,7 +98,8 @@ def _u64s(key: int, n: int, count: int):
 def _ahead(rng, count: int, limit: int):
     """u64s n+1 .. n+``count`` of ``rng`` at draw n, mixed by :func:`_u64s` in batches of at most 64; None if ``rng``
     is not :func:`_batched`, or if one is above 2**64 - ``limit`` (``randrange`` might reject it for a bound up to
-    ``limit``).  u64 n+1 depends only on the key and n, so reading ahead changes no draw; the caller moves ``_n``."""
+    ``limit``).  u64 n+1 depends only on the key and n, so reading ahead changes no draw; the caller moves ``_n``.
+    A seeded stream's ``count`` u64s hold one such u64 with a chance of about count*limit/2**64."""
     if not _batched(rng):
         return None
     us, key, end = [], rng.key, rng._n + count

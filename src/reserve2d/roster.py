@@ -374,14 +374,17 @@ class IntegralBlock:
         if len(rows) != self.height:
             raise ValueError(f"expected {self.height} rows, got {len(rows)}")
         build_scheme_table(self.scheme, self.height)  # refuses a height no scheme table has
-        # Whole-list passes find the first bad depth: its row is no 0/1 row of width n, or does not sum to 1, or
-        # a column's count c of the first l positions is 1 or more from l*a_j (checked as c*den - l*num).
+        # Whole-list passes find the first bad depth: its row is no 0/1 row of width n (an entry is the int 0 or 1,
+        # not a float, bool or Fraction equal to one), or does not sum to 1, or a column's count c of the first l
+        # positions is 1 or more from l*a_j (checked as c*den - l*num).
         try:
-            binary = {*map(len, rows)} == {n} and {*chain.from_iterable(rows)} <= {0, 1}
+            binary = ({*map(len, rows)} == {n} and {*chain.from_iterable(rows)} <= {0, 1}
+                      and {*map(type, chain.from_iterable(rows))} <= {int})
         except TypeError:  # a row with no length or an unhashable entry, which the search below finds
             binary = False
         cut = len(rows) if binary else next((l for l, row in enumerate(rows) if not hasattr(row, "__len__") or len(row) != n
-                                             or not all(map((0, 1).__contains__, row))), len(rows))  # the rows checked on
+                                             or not all(type(v) is int and v in (0, 1) for v in row)),
+                                            len(rows))  # the rows checked on
         error = f"row {cut + 1} is not a 0/1 row of width {n}"
         if (sums := [*map(sum, rows[:cut])]).count(1) < cut:
             cut, error = next((l, f"row {l + 1} must contain exactly one 1") for l, s in enumerate(sums) if s != 1)
@@ -507,7 +510,8 @@ class _BlockSampler:
 
 @lru_cache(maxsize=1)
 def _sampler(table: SchemeTable) -> _BlockSampler:
-    """The block sampler of a scheme table; only the last is kept (one can hold 34 MB)."""
+    """The block sampler of a scheme table; only the last is kept, since every subcommand draws from one table: a
+    five-category one at the 50,000-cell limit holds about 34 MB, and peaks near 50 MB while built (tracemalloc)."""
     return _BlockSampler(table)
 
 

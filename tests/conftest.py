@@ -224,7 +224,7 @@ def row_by_row_block_check(scheme: ReservationScheme, height: int, entries) -> N
     counts = [0] * n
     shares = [(f.numerator, f.denominator) for f in scheme.fractions]
     for depth, row in enumerate(entries, start=1):
-        if not hasattr(row, "__len__") or len(row) != n or any(v not in (0, 1) for v in row):
+        if not hasattr(row, "__len__") or len(row) != n or any(type(v) is not int or v not in (0, 1) for v in row):
             raise ValueError(f"row {depth} is not a 0/1 row of width {n}")
         if sum(row) != 1:
             raise ValueError(f"row {depth} must contain exactly one 1")
@@ -486,6 +486,10 @@ REFUSALS = [
      "column 'c1' with the non-integral total 2/3; the smallest valid height is 3 (any multiple of it works)"),
     ("block-row-holding-a-2", _block((0, 2), (0, 1), (1, 0)), ValueError, "row 1 is not a 0/1 row of width 2"),
     ("block-row-with-no-length", _block((1, 0), 1, (0, 1)), ValueError, "row 2 is not a 0/1 row of width 2"),
+    ("block-holding-a-float-one", lambda s: IntegralBlock(SCHEMES["half"][0], 2, ((1.0, 0), (0, 1))), ValueError,
+     "row 1 is not a 0/1 row of width 2"),
+    ("block-holding-a-float-zero", lambda s: IntegralBlock(SCHEMES["half"][0], 2, ((0.0, 1), (0, 1))), ValueError,
+     "row 1 is not a 0/1 row of width 2"),
     ("roster-of-negative-length", lambda s: draw_roster(THIRD, -1, s.rng), ValueError,
      "roster length must be nonnegative, got -1"),
     ("roster-draw-under-an-unknown-policy", lambda s: draw_roster(THIRD, 3, s.rng, "tile"), ValueError, _POLICY),

@@ -100,8 +100,9 @@ _SEEDED, _HALF, _TENTHS = _seeded(), SCHEMES["half"][0], ReservationProblem(("d1
 _TWICE = {"third": (4,), "quarters": (6, 7, 8), "tenth": None, "five": None, "half": (2,)}  # leaf depths at 2x height
 _LARGE = {3: 56, 9: 67, 11: 142, 29: 80, 34: 66, 37: 111, 38: 341, 39: 58}  # seeded tables of over 50 outcomes
 # Every golden scheme (and half/half) at its minimal height and twice it; fifths; the tallest height at which
-# 1/3, half/half and quarters keep a tree (README) and the next one; schemes that give up; both periods of
-# the two-department 1/10 problem, the three-department quarters problem and 40 seeded tables up to 5 x 4.
+# 1/3, half/half and quarters keep a tree and the next one (rows third-18 and third-21, half-24 and half-26,
+# quarters-12 and quarters-16); schemes that give up; both periods of the two-department 1/10 problem, the
+# three-department quarters problem and 40 seeded tables up to 5 x 4.
 # Law-only rows record their outcome count: the trees at the depth limit and the large seeded tables (each takes
 # 0.03-3.7 s to expand observed; the smaller rows, old enumerator inputs among them, stay oracle-sized).
 LAWS = {
