@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import exp, lcm, sqrt
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     FairShareTable,
@@ -130,34 +130,41 @@ class BiasSummary:
     upper_adjacent: Fraction
 
 
-def _lattice_stats(counts: Counter) -> tuple[int, ...]:
-    """The size of a sample holding ``counts[k]`` copies of k, then its minimum, Tukey
-    hinges and median, maximum and adjacent values, each doubled: all in integers.
+def _lattice_series(counts: Counter, span: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each period t's statistics from ``counts`` of keys k + (t-1)*span, |k| < span/2, in period order:
+    the size of its sample, then its minimum, Tukey hinges and median, maximum and adjacent values,
+    each doubled: all in integers.
 
-    Cost follows the number of distinct keys, not the sample size.  Hinges are
-    kept doubled and fences quadrupled.
+    The keys are sorted once; each period's keys are a contiguous run of them, and every bisect stays
+    inside the run.  Cost follows the number of distinct keys, not the sample size.  Hinges are kept
+    doubled and fences quadrupled.
     """
-    if not counts:
-        raise ValueError("cannot summarize an empty bias sample")
     keys = sorted(counts)
     cumulative = list(accumulate(map(counts.__getitem__, keys)))
-    k = cumulative[-1]
+    start, half = 0, span // 2
+    while start < len(keys):
+        t = (keys[start] + half) // span
+        end = bisect_left(keys, (t + 1) * span - half, start)
+        before = cumulative[start - 1] if start else 0
+        k = cumulative[end - 1] - before
 
-    def twice_median(start: int, size: int) -> int:
-        lo, hi = start + (size - 1) // 2, start + size // 2
-        return keys[bisect_right(cumulative, lo)] + keys[bisect_right(cumulative, hi)]
+        def twice_median(first: int, size: int) -> int:  # of the run's values first, ..., first + size - 1
+            i, j = before + first + (size - 1) // 2, before + first + size // 2
+            return keys[bisect_right(cumulative, i, start, end)] + keys[bisect_right(cumulative, j, start, end)]
 
-    half = (k + 1) // 2
-    q1, q3 = twice_median(0, half), twice_median(k - half, half)
-    lo_fence, hi_fence = 2 * q1 - 3 * (q3 - q1), 2 * q3 + 3 * (q3 - q1)
-    lower, upper = keys[bisect_left(keys, -(-lo_fence // 4))], keys[bisect_right(keys, hi_fence // 4) - 1]
-    return k, 2 * keys[0], q1, twice_median(0, k), q3, 2 * keys[-1], 2 * lower, 2 * upper
+        m = (k + 1) // 2
+        q1, q3 = twice_median(0, m), twice_median(k - m, m)
+        lower = keys[bisect_left(keys, -(-(2 * q1 - 3 * (q3 - q1)) // 4), start, end)]
+        upper = keys[bisect_right(keys, (2 * q3 + 3 * (q3 - q1)) // 4, start, end) - 1]
+        doubled = (2 * keys[start], q1, twice_median(0, k), q3, 2 * keys[end - 1], 2 * lower, 2 * upper)
+        yield t + 1, (k, *(v - 2 * t * span for v in doubled))
+        start = end
 
 
-def _lattice_summary(counts: Counter, scale: int, period: int, scope: str) -> BiasSummary:
-    """Exact Tukey summary of a sample holding ``counts[k]`` copies of k/scale."""
-    count, *stats = _lattice_stats(counts)
-    return BiasSummary(period, scope, count, *(Fraction(s, 2 * scale) for s in stats))
+def _lattice_summary(stats: Sequence[int], scale: int, period: int, scope: str) -> BiasSummary:
+    """The exact Tukey summary of a sample of values k/scale whose statistics are ``stats``."""
+    count, *values = stats
+    return BiasSummary(period, scope, count, *(Fraction(s, 2 * scale) for s in values))
 
 
 def summarize_biases(values: Sequence[Fraction], period: int, scope: str) -> BiasSummary:
@@ -166,20 +173,23 @@ def summarize_biases(values: Sequence[Fraction], period: int, scope: str) -> Bia
     Raises TypeError for floats: their binary expansion is not the bias.
     """
     data = [_as_fraction(v) for v in values]
+    if not data:
+        raise ValueError("cannot summarize an empty bias sample")
     scale = lcm(*(v.denominator for v in data))
     counts = Counter(v.numerator * (scale // v.denominator) for v in data)
-    return _lattice_summary(counts, scale, period, scope)
+    ((_, stats),) = _lattice_series(counts, 2 * max(map(abs, counts)) + 1)  # a span that puts every key in period 1
+    return _lattice_summary(stats, scale, period, scope)
 
 
-def _lattice_counts(problem: ReservationProblem, runs: Iterable[Sequence[int]]) -> tuple:
-    """L and the counts of L*bias per (period, scope) over the count vectors ``runs``.
+def _lattice_counts(problem: ReservationProblem, runs: Iterable[Sequence[int]]) -> tuple[int, int, Counter, Counter]:
+    """L, the period span B, and the department and university counts of L*bias + (t-1)*B over
+    the count vectors ``runs``.
 
     ``run[(t-1)*m*n + i*n + j]`` is department i's count of category j through
     period t.  L is the lcm of the scheme denominators, so L*bias = z*L - (a_j*L)*Q
-    is an integer.  A run updates one Counter per scope, keyed L*bias + (t-1)*B: B
-    exceeds 2*L*(total vacancies), so periods never share a key, and each is split
-    into one Counter per period at the end.  Counters merge by addition; their size
-    follows the spread of the biases.
+    is an integer.  A run updates one Counter per scope: B exceeds 2*L*(total
+    vacancies), so periods never share a key, and :func:`_lattice_series` reads
+    them apart.  Counters merge by addition; their size follows the spread of the biases.
     """
     scale = minimal_height(problem.scheme)
     scaled = [a.numerator * (scale // a.denominator) for a in problem.scheme.fractions]
@@ -191,14 +201,15 @@ def _lattice_counts(problem: ReservationProblem, runs: Iterable[Sequence[int]]) 
     for counts in runs:
         department.update([scale * z + key for z, key in zip(counts, cells)])
         university.update([scale * sum(counts[s]) + key for s, key in zip(strides, columns)])
-    split: dict[tuple[int, str], Counter] = {}
-    for scope, counter in (("department", department), ("university", university)):
-        periods, half = [Counter() for _ in problem._cumulative], span // 2
-        for key, count in counter.items():
-            t, bias = divmod(key + half, span)
-            periods[t][bias - half] = count
-        split.update(((t, scope), c) for t, c in enumerate(periods, start=1) if c)
-    return scale, split
+    return scale, span, department, university
+
+
+def _bias_series(problem: ReservationProblem, runs: Iterable[Sequence[int]]) -> Iterator[tuple[int, str, tuple]]:
+    """(t, scope, statistics of L*bias) per period, department then university, over the count vectors ``runs``."""
+    _, span, department, university = _lattice_counts(problem, runs)
+    for (t, a), (_, b) in zip(_lattice_series(department, span), _lattice_series(university, span)):
+        yield t, "department", a
+        yield t, "university", b
 
 
 def bias_trace(trace: SolutionTrace) -> tuple[BiasSummary, ...]:
@@ -208,8 +219,8 @@ def bias_trace(trace: SolutionTrace) -> tuple[BiasSummary, ...]:
     scope the n column-total biases.
     """
     counts = [z for _, reserved in trace.periods for row in reserved.entries for z in row]
-    scale, split = _lattice_counts(trace.problem, [counts])
-    return tuple(_lattice_summary(split[key], scale, *key) for key in sorted(split))
+    scale = minimal_height(trace.problem.scheme)
+    return tuple(_lattice_summary(stats, scale, t, scope) for t, scope, stats in _bias_series(trace.problem, [counts]))
 
 
 @dataclass(frozen=True)

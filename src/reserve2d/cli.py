@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields, replace
-from functools import lru_cache
-from itertools import cycle, islice
+from functools import cache, lru_cache
+from itertools import chain, cycle, islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import __version__
-from .analysis import BiasSummary, ViolationStats, _lattice_counts, _lattice_stats, _violations
+from .analysis import BiasSummary, ViolationStats, _bias_series, _violations
 from .core import (
     BiasTable,
     FairShareTable,
@@ -45,7 +46,7 @@ from .fileio import (
     _POSITION_LIMIT,
     _VACANCY_LIMIT,
     ParseError,
-    _csv_text,
+    _csv_chunks,
     _ratio,
     parse_problem_file,
     parse_roster_file,
@@ -56,7 +57,7 @@ from .fileio import (
 from .rng import ALGORITHM, SplitStream
 from .rounding import controlled_round
 from .solutions import RosterLengthError, SolutionConfig, _positions_needed, _replicate, run_solution
-from .roster import build_scheme_table, draw_roster
+from .roster import build_scheme_table, draw_roster, minimal_height
 
 __all__ = ["main"]
 
@@ -69,6 +70,8 @@ _TOTAL = "total"
 _TABLE_HEADER = ("period", "table", "department", "category", "value")
 # Summary statistics in report order: the BiasSummary fields after period, scope, count.
 _STATISTICS = tuple(f.name for f in fields(BiasSummary))[3:]
+# The fields of a compare series row, in the order its values are given.
+_SERIES = ("solution", "period", "scope", "count", *_STATISTICS)
 
 
 class UsageError(Exception):
@@ -108,13 +111,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _json_report(command: str, seed: Optional[int], **body) -> str:
-    """A JSON report: the command, its metadata, then ``body``."""
+def _json_report(command: str, seed: Optional[int], **body) -> Iterator[str]:
+    """A JSON report in chunks: the command, its metadata, then ``body``."""
     meta = {"package": f"reserve2d {__version__}", "generator": ALGORITHM}
     if seed is not None:
         meta["seed"] = seed
-    report = {"command": command, "metadata": meta, **body}
-    return _json(report) + "\n"
+    return chain(_json_chunks({"command": command, "metadata": meta, **body}), "\n")
+
+
+def _json_chunks(value, pad: str = "\n") -> Iterator[str]:
+    """``_json(value, pad)``, a dict entry at a time; a callable is a list, given its items' pad, of their texts."""
+    inner = pad + "  "
+    if callable(value):
+        sep = "["
+        for text in value(inner):
+            yield sep + inner + text
+            sep = ","
+        yield "[]" if sep == "[" else pad + "]"
+    elif type(value) is dict and value:
+        sep = "{"
+        for key, item in sorted(value.items()):
+            yield sep + inner + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(item, inner)
+            sep = ","
+        yield pad + "}"
+    else:
+        yield _json(value, pad)
+
+
+def _row_format(names: Sequence[str], pad: str) -> str:
+    """A format string writing ``_json`` of the dict of ``names`` at ``pad``, given its values' JSON texts in order."""
+    inner = pad + "  "
+    items = [f"{encode_basestring_ascii(name)}: {{{names.index(name)}}}" for name in sorted(names)]
+    return "{{" + inner + ("," + inner).join(items) + pad + "}}"
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -137,23 +166,14 @@ def _json(value, pad: str = "\n") -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
-def _table_dict(table: Union[FairShareTable, ReservationTable]) -> dict:
-    return {
-        "departments": list(table.departments),
-        "categories": list(table.categories),
-        "entries": [[rational(v) for v in row] for row in table.entries],
-        "row_totals": list(table.row_totals),
-        "column_totals": [rational(v) for v in table.column_totals],
-        "grand_total": table.grand_total,
-    }
-
-
-def _bias_dict(bias: BiasTable) -> dict:
-    return {
-        "departments": list(bias.departments),
-        "categories": list(bias.categories),
-        "entries": [[rational(v) for v in row] for row in bias.entries],
-    }
+def _table_dict(table: Union[FairShareTable, ReservationTable, BiasTable]) -> dict:
+    """A table's departments, categories and exact entries, then its margins unless it is a bias table."""
+    entries = {"departments": list(table.departments), "categories": list(table.categories),
+               "entries": [[rational(v) for v in row] for row in table.entries]}
+    if isinstance(table, BiasTable):
+        return entries
+    return {**entries, "row_totals": list(table.row_totals),
+            "column_totals": [rational(v) for v in table.column_totals], "grand_total": table.grand_total}
 
 
 def _violation_fields(stats: ViolationStats) -> dict:
@@ -164,15 +184,8 @@ def _violation_fields(stats: ViolationStats) -> dict:
         "count": stats.count,
         "max_possible": stats.max_possible,
         "percentage": rational(stats.percentage),
-        "cells": [
-            {
-                "department": v.department,
-                "category": v.category,
-                "reserved": v.reserved,
-                "fair": rational(v.fair),
-            }
-            for v in stats.violations
-        ],
+        "cells": [{"department": v.department, "category": v.category, "reserved": v.reserved, "fair": rational(v.fair)}
+                  for v in stats.violations],
         "magnitudes": [rational(mag) for mag in stats.magnitudes],
         "average_magnitude": exact(stats.average_magnitude),
         "min_magnitude": exact(stats.min_magnitude),
@@ -186,11 +199,9 @@ def _period_dict(t: int, fair: FairShareTable, reserved: ReservationTable) -> di
         "period": t,
         "fair_share": _table_dict(fair),
         "reservation": _table_dict(reserved),
-        "bias": _bias_dict(bias_of(reserved, fair)),
-        "violations": {
-            scope: _violation_fields(_violations(fair, reserved, scope, t))
-            for scope in ("department", "university")
-        },
+        "bias": _table_dict(bias_of(reserved, fair)),
+        "violations": {scope: _violation_fields(_violations(fair, reserved, scope, t))
+                       for scope in ("department", "university")},
     }
 
 
@@ -204,15 +215,25 @@ def _table_rows(period, fair, res, bias) -> Iterator[tuple]:
             yield period, "bias", d, c, float(b)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
+    """Write each chunk as it comes, to stdout or to ``output``.  A file is written under a temporary name beside it
+    and moved into place at the end, so a failed or interrupted report leaves none; a pipe or device is written to."""
     if output is None:
-        sys.stdout.write(text)
-        return
+        return sys.stdout.writelines(chunks)
+    special = os.path.exists(output) and not (os.path.isfile(output) or os.path.isdir(output))
+    target = os.path.realpath(output) if os.path.islink(output) else output  # a link is written through
+    temp = output if special else f"{target}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise FlagError(f"cannot write {output}: {err.strerror or err}") from None
+        with open(temp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        if temp != output:
+            os.replace(temp, target)
+    except BaseException as err:
+        if temp != output and os.path.exists(temp):
+            os.remove(temp)
+        if isinstance(err, OSError):
+            raise FlagError(f"cannot write {output}: {err.strerror or err}") from None
+        raise
 
 
 def _load_problem(args) -> ReservationProblem:
@@ -232,13 +253,13 @@ def _order_of(problem: ReservationProblem, name: str) -> tuple[str, ...]:
 # --- round ----------------------------------------------------------------
 
 
-def _cmd_round(args) -> str:
+def _cmd_round(args) -> Iterable[str]:
     problem = _load_problem(args)
     fair = build_fair_share_table(problem, args.period)
     rounded = controlled_round(fair, SplitStream(args.seed))
     if args.format == "json":
         return _json_report("round", args.seed, **_period_dict(args.period, fair, rounded))
-    return _csv_text(_TABLE_HEADER, _table_rows(args.period, fair, rounded, bias_of(rounded, fair)))
+    return _csv_chunks(_TABLE_HEADER, _table_rows(args.period, fair, rounded, bias_of(rounded, fair)))
 
 
 # --- roster ---------------------------------------------------------------
@@ -250,22 +271,17 @@ _CELL_LIMIT = 100_000
 _REPLICATION_LIMIT = 1_000_000
 
 
-def _cmd_roster(args) -> str:
+def _cmd_roster(args) -> Iterable[str]:
     if args.length > _POSITION_LIMIT:
         raise FlagError(f"--length {args.length}: a roster may have at most {_POSITION_LIMIT:,} positions")
     scheme = parse_scheme_file(args.scheme)
     _check_height(scheme, args.height)
     roster = draw_roster(scheme, args.length, SplitStream(args.seed), args.policy, height=args.height)
     if args.format == "json":
-        return _json_report(
-            "roster",
-            args.seed,
-            block_length=roster.block_length,
-            extension_policy=roster.extension_policy,
-            categories=list(roster.categories),
-            assignment=list(roster.assignment),
-        )
-    return roster_lines(roster)
+        return _json_report("roster", args.seed, block_length=roster.block_length,
+                            extension_policy=roster.extension_policy, categories=list(roster.categories),
+                            assignment=list(roster.assignment))
+    return (roster_lines(roster),)
 
 
 # --- run ------------------------------------------------------------------
@@ -286,18 +302,14 @@ def _solution_config(args, problem: ReservationProblem) -> tuple[SolutionConfig,
     return SolutionConfig(args.solution, roster=roster, order=order), args.seed
 
 
-def _cmd_run(args) -> str:
+def _cmd_run(args) -> Iterable[str]:
     problem = _load_problem(args)
     config, seed = _solution_config(args, problem)
     trace = run_solution(problem, config, seed)
     if args.format == "json":
-        return _json_report(
-            "run",
-            seed,
-            solution=args.solution,
-            order=list(_order_of(problem, args.order)),
-            periods=[_period_dict(t, *tables) for t, tables in enumerate(trace.periods, 1)],
-        )
+        periods = enumerate(trace.periods, 1)  # each period is made and written in turn
+        return _json_report("run", seed, solution=args.solution, order=list(_order_of(problem, args.order)),
+                            periods=lambda pad: (_json(_period_dict(t, *tables), pad) for t, tables in periods))
 
     def rows():  # each period's table rows, then its violation rows
         for t, (fair, reserved) in enumerate(trace.periods, 1):
@@ -308,7 +320,7 @@ def _cmd_run(args) -> str:
                                    ("percentage", float(stats.percentage))):
                     yield t, "violations", scope, key, value
 
-    return _csv_text(_TABLE_HEADER, rows())
+    return _csv_chunks(_TABLE_HEADER, rows())
 
 
 # --- compare ----------------------------------------------------------------
@@ -346,7 +358,7 @@ def _synthesize_problem(args, scheme) -> ReservationProblem:
     return ReservationProblem(departments, scheme, vacancies)
 
 
-def _cmd_compare(args) -> str:
+def _cmd_compare(args) -> Iterable[str]:
     if args.replications > _REPLICATION_LIMIT:
         raise FlagError(f"--replications {args.replications}: at most {_REPLICATION_LIMIT:,} allowed")
     scheme = parse_scheme_file(args.scheme)
@@ -368,45 +380,33 @@ def _cmd_compare(args) -> str:
     order = _order_of(problem, args.order)
 
     master = SplitStream(args.seed)
-    series = []
-    for kind, sub in (("proposed", _SUB_PROPOSED), ("government", _SUB_GOVERNMENT), ("court", _SUB_COURT)):
-        config = SolutionConfig(kind, roster=roster if kind != "proposed" else None,
-                                order=order if kind == "government" else None, height=args.height)
-        grids = _replicate(problem, config, args.replications, master.child(sub))
-        scale, counts = _lattice_counts(problem, grids)
-        series.extend((kind, *key, _lattice_stats(counts[key])) for key in counts)
-    series.sort()  # by solution, period and scope, each triple once
-    den = 2 * scale  # the statistics' common denominator
-
-    if args.format == "json":
-        return _json_report(
-            "compare",
-            args.seed,
-            replications=args.replications,
-            synthesized=bool(args.synthesize),
-            problem={
-                "departments": list(problem.departments),
-                "categories": list(scheme.categories),
-                "periods": problem.periods,
-                "vacancies": [list(row) for row in problem.vacancies],
-            },
-            series=[
-                {
-                    "solution": kind,
-                    "period": t,
-                    "scope": scope,
-                    "count": count,
-                    **{stat: _ratio(v, den) for stat, v in zip(_STATISTICS, values)},
-                }
-                for kind, t, scope, (count, *values) in series
-            ],
+    runs = {  # every runner is built, and every roster checked, before the first byte is written
+        kind: _replicate(problem, SolutionConfig(kind, roster=roster if kind != "proposed" else None,
+                                                 order=order if kind == "government" else None, height=args.height),
+                         args.replications, master.child(sub))
+        for kind, sub in (("proposed", _SUB_PROPOSED), ("government", _SUB_GOVERNMENT), ("court", _SUB_COURT))
+    }
+    # (solution, period, scope, statistics) in report order, one solution's counts held at a time
+    series = ((kind, *row) for kind, grids in sorted(runs.items()) for row in _bias_series(problem, grids))
+    den = 2 * minimal_height(scheme)  # the statistics' common denominator
+    if args.format == "csv":
+        rows = (
+            (kind, t, scope, stat, v / den)  # int true division rounds as float(Fraction(v, den)) does
+            for kind, t, scope, (_, *values) in series
+            for stat, v in zip(_STATISTICS, values)
         )
-    rows = (
-        (kind, t, scope, stat, v / den)  # int true division rounds as float(Fraction(v, den)) does
-        for kind, t, scope, (_, *values) in series
-        for stat, v in zip(_STATISTICS, values)
-    )
-    return _csv_text(("solution", "period", "scope", "statistic", "value"), rows)
+        return _csv_chunks(("solution", "period", "scope", "statistic", "value"), rows)
+
+    def rows(pad: str) -> Iterator[str]:
+        row, text = _row_format(_SERIES, pad).format, cache(lambda v: _json(_ratio(v, den)))
+        for kind, t, scope, (count, *values) in series:
+            yield row(f'"{kind}"', t, f'"{scope}"', count, *map(text, values))
+
+    return _json_report("compare", args.seed, replications=args.replications, synthesized=bool(args.synthesize),
+                        problem={"departments": list(problem.departments), "categories": list(scheme.categories),
+                                 "periods": problem.periods,
+                                 "vacancies": lambda pad: (_json(list(row), pad) for row in problem.vacancies)},
+                        series=rows)
 
 
 # --- parser -----------------------------------------------------------------
@@ -429,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_round.add_argument("-t", "--period", type=_positive_int, required=True)
     p_round.add_argument("--seed", type=_seed_type, required=True)
     p_round.add_argument("--format", choices=("json", "csv"), default="json")
-    p_round.add_argument("-o", "--output")
     p_round.set_defaults(func=_cmd_round)
 
     p_roster = sub.add_parser("roster", help="draw a roster from a scheme")
@@ -439,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roster.add_argument("--policy", choices=_POLICIES, default=_POLICIES[0])
     p_roster.add_argument("--height", type=_positive_int, default=None)
     p_roster.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_roster.add_argument("-o", "--output")
     p_roster.set_defaults(func=_cmd_roster)
 
     p_run = sub.add_parser("run", help="run one solution over a problem")
@@ -455,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--order", choices=("input", "alpha"), default="input")
     p_run.add_argument("--height", type=_positive_int, default=None)
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
-    p_run.add_argument("-o", "--output")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare bias distributions of all three solutions")
@@ -475,8 +472,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--vacancies-range", type=int, nargs=2, default=(1, 30),
                        metavar=("LO", "HI"))
     p_cmp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_cmp.add_argument("-o", "--output")
     p_cmp.set_defaults(func=_cmd_compare)
+    for command in (p_round, p_roster, p_run, p_cmp):
+        command.add_argument("-o", "--output")
     return parser
 
 

@@ -424,14 +424,14 @@ def bias_of(reserved: ReservationTable, fair: FairShareTable) -> BiasTable:
     return BiasTable(fair.departments, fair.categories, rows)
 
 
-def _check_counts(problem: ReservationProblem, counts: Sequence[int]) -> None:
-    """What a trace guarantees of its counts ``counts[(t-1)*m*n + i*n + j]``, checked in integers
-    over the whole vector: no negative entry, row totals equal to the cumulative vacancies, and
-    no entry that shrinks from one period to the next.  Only a failure is worded, period by period."""
+def _check_counts(problem: ReservationProblem, counts: Sequence[int]) -> Sequence[int]:
+    """``counts``, once checked for what a trace guarantees of its counts ``counts[(t-1)*m*n + i*n + j]``,
+    in integers over the whole vector: no negative entry, row totals equal to the cumulative vacancies,
+    and no entry that shrinks from one period to the next.  Only a failure is worded, period by period."""
     n, width = problem.scheme.size, len(problem.departments) * problem.scheme.size
     if (min(counts) >= 0 and tuple(map(sum, zip(*[iter(counts)] * n))) == problem._row_totals
             and not any(map(gt, counts, islice(counts, width, None)))):
-        return
+        return counts
     for t, q in enumerate(problem._cumulative, start=1):
         period = counts[(t - 1) * width:t * width]
         for z in filter((0).__gt__, period):  # the first negative entry

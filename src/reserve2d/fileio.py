@@ -25,7 +25,7 @@ import io
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import ReservationProblem, ReservationScheme, Roster
 
@@ -214,18 +214,20 @@ def parse_roster_file(
     return Roster(categories=cats, assignment=tuple(assignment))
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A CSV report: the header, then each row, one line each."""
-    out = io.StringIO()
+def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """A CSV report in chunks of 512 rows, made as they are read: the header, then each row, one line each."""
+    out, rows = io.StringIO(), iter(rows)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    while text := (writer.writerows(islice(rows, 512)) or out.getvalue()):  # writerows returns None
+        yield text
+        out.seek(0)
+        out.truncate()
 
 
 def roster_lines(roster: Roster) -> str:
     """Render a roster in its file format (one line per position)."""
-    return _csv_text(("index", "category"), enumerate(roster.assignment, start=1))
+    return "".join(_csv_chunks(("index", "category"), enumerate(roster.assignment, start=1)))
 
 
 def _ratio(p: int, q: int) -> Union[int, str]:

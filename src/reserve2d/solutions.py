@@ -238,14 +238,13 @@ def _replicate(
     """The counts of ``replications`` runs of ``config``, run r seeded by
     ``stream.child(r)``, each checked as a trace of it would be.
 
-    A government or court run with a fixed roster is deterministic, so it
-    runs once.
+    The runner is built, and a roster too short refused, at the call; the
+    runs are made as they are read.  A government or court run with a fixed
+    roster is deterministic, so it runs once.
     """
     run = _runner(problem, config)
-    for r in range(1 if config.kind != "proposed" and config.roster is not None else replications):
-        counts = run(stream.child(r).key)
-        _check_counts(problem, counts)
-        yield counts
+    fixed = config.kind != "proposed" and config.roster is not None
+    return (_check_counts(problem, run(stream.child(r).key)) for r in range(1 if fixed else replications))
 
 
 @dataclass(frozen=True)

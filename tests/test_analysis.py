@@ -31,7 +31,13 @@ from reserve2d import (
     within_university_quota,
 )
 from reserve2d import analysis, cli
-from reserve2d.analysis import _lattice_counts, _lattice_stats, _lattice_summary, summarize_biases
+from reserve2d.analysis import (
+    _bias_series,
+    _lattice_counts,
+    _lattice_series,
+    _lattice_summary,
+    summarize_biases,
+)
 from reserve2d.fileio import rational
 from reserve2d.roster import _sampler, build_scheme_table, minimal_height
 from reserve2d.solutions import _replicate
@@ -130,6 +136,12 @@ def _oracle_summary(values):
     )
 
 
+def _stats(counts):
+    """The integer statistics of one sample: its only period under a span past every key."""
+    ((_, stats),) = _lattice_series(counts, 2 * max(map(abs, counts)) + 1)
+    return stats
+
+
 def _fields(s):
     return (s.count, s.minimum, s.q1, s.median, s.q3, s.maximum,
             s.lower_adjacent, s.upper_adjacent)
@@ -169,7 +181,7 @@ def test_integer_statistics_render_as_the_summary_fractions(values):
     """``compare`` renders the integer statistics over 2L as ``rational`` and
     ``float`` render ``summarize_biases``'s fields."""
     scale = lcm(*(v.denominator for v in values))
-    count, *stats = _lattice_stats(Counter(v.numerator * (scale // v.denominator) for v in values))
+    count, *stats = _stats(Counter(v.numerator * (scale // v.denominator) for v in values))
     summary = summarize_biases(values, 1, "department")
     fields = [getattr(summary, stat) for stat in cli._STATISTICS]
     assert count == summary.count
@@ -184,42 +196,47 @@ def test_merged_lattice_counts_summarize_the_concatenated_sample(a, b):
     def counts(values):
         return Counter(v.numerator * (scale // v.denominator) for v in values)
 
-    merged = _lattice_summary(counts(a) + counts(b), scale, 2, "university")
+    merged = _lattice_summary(_stats(counts(a) + counts(b)), scale, 2, "university")
     assert merged == summarize_biases(a + b, 2, "university")
     assert _fields(merged) == _oracle_summary(a + b)
 
 
-def _scaled_bias_counts(traces, scale):
-    """Counters of scale * bias per (period, scope) over the bias tables of ``traces``."""
-    expected = {}
+def _biases(traces):
+    """The biases of ``traces``' tables per (period, scope), pooled over the traces."""
+    biases = {}
     for trace in traces:
         for t, (fair, reserved) in enumerate(trace.periods, start=1):
             bias = bias_of(reserved, fair)
-            expected.setdefault((t, "department"), Counter()).update(
-                scale * v for row in bias.internal for v in row
-            )
-            expected.setdefault((t, "university"), Counter()).update(
-                scale * v for v in bias.column_total_biases
-            )
-    return expected
+            biases.setdefault((t, "department"), []).extend(v for row in bias.internal for v in row)
+            biases.setdefault((t, "university"), []).extend(bias.column_total_biases)
+    return biases
+
+
+def _scaled_bias_counts(traces, scale, span):
+    """The department and university Counters of scale * bias + (t-1) * span over the bias tables of ``traces``."""
+    expected = {"department": Counter(), "university": Counter()}
+    for (t, scope), values in _biases(traces).items():
+        expected[scope].update(scale * v + (t - 1) * span for v in values)
+    return expected["department"], expected["university"]
 
 
 def test_lattice_counts_are_the_scaled_bias_tables(four_dept_problem):
     """The counts of compare's grids are 3 times the biases of the tables of
-    the same runs."""
+    the same runs, each period's keys offset by a span over twice 3 times the
+    total vacancies."""
     government = SolutionConfig("government", roster=mod3_roster(18))
     grids = [*_replicate(four_dept_problem, government, 1, SplitStream(0))]
     grids += _replicate(four_dept_problem, SolutionConfig("proposed"), 5, SplitStream(8))
     traces = [run_government(four_dept_problem, mod3_roster(18))]
     traces += [run_proposed(four_dept_problem, SplitStream(8).child(r).key) for r in range(5)]
-    scale, counts = _lattice_counts(four_dept_problem, grids)
-    assert scale == 3
-    assert counts == _scaled_bias_counts(traces, 3)
+    scale, span, department, university = _lattice_counts(four_dept_problem, grids)
+    assert (scale, span) == (3, 2 * 3 * 18 + 1)
+    assert (department, university) == _scaled_bias_counts(traces, 3, span)
 
 
-def test_lattice_counts_build_one_counter_per_period_and_scope(four_dept_problem, monkeypatch):
-    """The split builds no throwaway Counter per key: two accumulators, then
-    one Counter per (period, scope) that it returns."""
+def test_lattice_counts_build_one_counter_per_scope(four_dept_problem, monkeypatch):
+    """Counting builds one Counter per scope, which it returns, and
+    summarizing every period of them builds no other."""
     built = []
 
     class Counting(Counter):
@@ -229,10 +246,10 @@ def test_lattice_counts_build_one_counter_per_period_and_scope(four_dept_problem
 
     monkeypatch.setattr(analysis, "Counter", Counting)
     grids = _replicate(four_dept_problem, SolutionConfig("proposed"), 4, SplitStream(2))
-    _, counts = _lattice_counts(four_dept_problem, grids)
-    assert len(counts) == 2 * four_dept_problem.periods
-    assert len(built) == 2 + len(counts)
-    assert all(any(c is b for b in built) for c in counts.values())
+    _, span, *scopes = _lattice_counts(four_dept_problem, grids)
+    periods = [[t for t, _ in _lattice_series(counter, span)] for counter in scopes]
+    assert periods == [list(range(1, four_dept_problem.periods + 1))] * 2
+    assert len(built) == 2 and all(c is b for c, b in zip(scopes, built))
 
 
 _FIVE = ReservationScheme(
@@ -243,6 +260,7 @@ _FIVE = ReservationScheme(
 @pytest.mark.parametrize("scheme, vacancies", [
     (ReservationScheme(("c1", "c2"), (F(1, 3), F(2, 3))), ((0, 0, 0), (3, 9, 5), (0, 0, 0), (5, 7, 0))),
     (ReservationScheme(("c1", "c2"), (F(1, 10), F(9, 10))), ((4, 0), (0, 0), (7, 0))),
+    (ReservationScheme(("c1", "c2"), (F(1, 10), F(9, 10))), ((5, 0), (0, 0), (1, 0))),
     (_FIVE, ((0, 0, 0), (150, 0, 37), (0, 0, 0), (50, 200, 163))),
 ])
 def test_lattice_counts_keep_periods_apart_at_the_bound(scheme, vacancies):
@@ -250,7 +268,10 @@ def test_lattice_counts_keep_periods_apart_at_the_bound(scheme, vacancies):
     column-total bias to (1 - a_j) times the total vacancies, near the bound
     the period keys are spaced by; with periods that open no vacancy and a
     five-category scheme (L = 200), the counts of government and court runs
-    still equal the scaled bias tables period by period."""
+    still equal the scaled bias tables, and each period's statistics, read
+    from its run of the sorted keys, still summarize that period's biases,
+    also where a period opens most of the vacancies and its upper fence
+    reaches past the next period's smallest key."""
     problem = ReservationProblem([f"d{i}" for i in range(len(vacancies[0]))], scheme, vacancies)
     total = sum(problem.cumulative_vacancies(problem.periods))
     runs, traces = [], []
@@ -259,11 +280,15 @@ def test_lattice_counts_keep_periods_apart_at_the_bound(scheme, vacancies):
         for kind, run in (("government", run_government), ("court", run_court)):
             runs += _replicate(problem, SolutionConfig(kind, roster=roster), 1, SplitStream(0))
             traces.append(run(problem, roster))
-    scale, counts = _lattice_counts(problem, runs)
+    scale, span, department, university = _lattice_counts(problem, runs)
     assert scale == minimal_height(scheme)
-    assert counts == _scaled_bias_counts(traces, scale)
-    final = counts[problem.periods, "university"]
-    assert max(final) == max(scale * (1 - a) * total for a in scheme.fractions)
+    assert (department, university) == _scaled_bias_counts(traces, scale, span)
+    biases = _biases(traces)
+    series = [(t, scope, (count, *(F(v, 2 * scale) for v in stats)))
+              for t, scope, (count, *stats) in _bias_series(problem, runs)]
+    assert series == [(t, scope, _oracle_summary(biases[t, scope])) for t, scope in biases]
+    final = series[-1][2]
+    assert final[5] == max((1 - a) * total for a in scheme.fractions)
 
 
 def test_bias_trace_of_the_pooled_baseline_grows_linearly(four_dept_problem):

@@ -12,16 +12,19 @@ import csv
 import io
 import json
 import os
+import random
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reserve2d
-from reserve2d import cli
+from reserve2d import analysis, cli
 from reserve2d.cli import main
 from reserve2d.fileio import parse_roster_file
 
@@ -208,6 +211,9 @@ FAILURES = [
      "error: the proposed solution requires", "--seed"),
     ("short-roster-without-cycling", "run {problem} --scheme {scheme} --solution government --roster {roster3}", 4,
      "error: government run needs 18 roster positions, roster has 3", "(--cycle-roster tiles a shorter roster)"),
+    ("compare-short-roster-to-a-file",
+     "compare {problem} --scheme {scheme} --roster {roster3} --replications 2 --seed 1 -o {tmp}/report.csv", 4,
+     "error: government run needs 18 roster positions, roster has 3", "(--cycle-roster tiles a shorter roster)"),
     ("compare-without-problem", "compare --scheme {scheme} --seed 1", 4,
      "error: compare needs a problem file", "--synthesize"),
     ("compare-problem-and-synthesize", "compare {problem} --scheme {scheme} --synthesize --seed 1", 4,
@@ -218,12 +224,20 @@ FAILURES = [
 @pytest.mark.parametrize("argv, code, start, text", [row[1:] for row in FAILURES], ids=[row[0] for row in FAILURES])
 def test_failure_exits_with_its_code_and_one_error_line(capsys, files, tmp_path, argv, code, start, text):
     """Each row exits with its code within 5 s, writes nothing to stdout and one line, with no traceback, to stderr
-    (argparse: its usage, then its error line).  A new failure is a row, not a test."""
+    (argparse: its usage, then its error line).  A row that names ``-o`` leaves neither a report file nor a
+    temporary file beside it.  A new failure is a row, not a test."""
     names = {**files, "tmp": tmp_path}
     for name, content in BAD_FILES.items():
         names[name] = path = tmp_path / f"{name}.csv"
         path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
     argv, start, text = [a.format(**names) for a in argv.split()], start.format(**names), text.format(**names)
+    output = argv[argv.index("-o") + 1] if "-o" in argv else None
+
+    def beside():  # the names in the directory the -o file would go in, if that directory exists
+        folder = os.path.dirname(output)
+        return sorted(os.listdir(folder)) if os.path.isdir(folder) else None
+
+    before = output and beside()
     refused = start.startswith("usage: ")  # argparse writes its usage lines, then its error line
     with time_limit(5):
         if refused:
@@ -236,6 +250,7 @@ def test_failure_exits_with_its_code_and_one_error_line(capsys, files, tmp_path,
     assert (exit_code, out) == (code, "")
     assert err.startswith(start) and text in err.splitlines()[-1] and "Traceback" not in err
     assert refused or err.count("\n") == 1
+    assert output is None or (not os.path.isfile(output) and beside() == before)
 
 
 def _row(row_id):
@@ -272,13 +287,27 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@given(value=_JSON_VALUES)
+# Compare series rows, whose statistics are ints, negative numerators and "p/q" strings, as ``_ratio`` writes them.
+_SERIES_ROWS = st.tuples(
+    st.sampled_from(("court", "government", "proposed")), st.integers(1, 10**6),
+    st.sampled_from(("department", "university")), st.integers(1, 10**9),
+    st.lists(st.builds(cli._ratio, st.integers(-10**6, 10**6), st.integers(1, 400)), min_size=7, max_size=7),
+).map(lambda row: dict(zip(cli._SERIES, (*row[:4], *row[4]))))
+
+
+@given(value=_JSON_VALUES | _SERIES_ROWS)
 @example(value={"d\u00e9pt \u2603": ["1/3", 7, -0.5, float("nan"), True, None, [], {}], "a": {"\U0001f600": [[]]}})
 @example(value=[{"x": 1.0, "y": float("inf")}, ("t", 2), {3: "three", 1: "one"}])
+@example(value=dict(zip(cli._SERIES, ("court", 3, "university", 6, -1, "-1/3", 0, "1/6", "5/2", -2, "-7/6"))))
 def test_json_writer_writes_what_the_indented_encoder_writes(value):
     """``cli._json`` writes the bytes of ``json.dumps(value, indent=2, sort_keys=True)``: ``ensure_ascii``
-    escapes, floats, empty and nested containers, tuples and non-string keys included."""
+    escapes, floats, empty and nested containers, tuples and non-string keys included.  ``compare``'s
+    series-row format writes what ``cli._json`` writes of the row at the series pad and at the top."""
     assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+    if type(value) is dict and list(value) == list(cli._SERIES):
+        texts = [cli._json(value[name]) for name in cli._SERIES]
+        for pad in ("\n    ", "\n"):
+            assert cli._row_format(cli._SERIES, pad).format(*texts) == cli._json(value, pad)
 
 
 def test_json_reports_are_written_without_the_encoder(monkeypatch, capsys, files):
@@ -304,6 +333,76 @@ def test_json_reports_are_written_without_the_encoder(monkeypatch, capsys, files
     assert [out for _, out, _ in outs] == expected
     written = "".join(expected)
     assert all(literal in written for literal in (": true", ": false", ": null", ": []")), written
+
+
+class LargestWrite(io.StringIO):
+    """A stdout that records the length of its largest single write."""
+
+    largest = 0
+
+    def write(self, text):
+        self.largest = max(self.largest, len(text))
+        return super().write(text)
+
+
+def test_large_reports_are_written_in_bounded_pieces(monkeypatch, files, tmp_path):
+    """A compare of 3,000 periods (JSON and CSV) and a run of 2,000 periods (JSON), each over ten times the
+    64 KiB bound, are written at most 64 KiB at a time, as they are made.  Each JSON text is what the indented
+    encoder writes, and ``-o`` writes the bytes stdout gets."""
+    problem = tmp_path / "long.csv"
+    draw = iter(random.Random(5).choices(range(3), k=3 * 2000))
+    problem.write_text("department,period,vacancies\n" + "".join(
+        f"d{d},{t},{next(draw)}\n" for t in range(1, 2001) for d in (1, 2, 3)))
+    compare = ["compare", "--scheme", files["scheme"], "--synthesize", "--periods", "3000",
+               "--departments-range", "2", "2", "--vacancies-range", "0", "2", "--replications", "1", "--seed", "9"]
+    argvs = ([*compare, "--format", "json"], [*compare, "--format", "csv"],
+             ["run", str(problem), "--scheme", files["scheme"], "--solution", "proposed", "--seed", "9"])
+    texts = []
+    for argv in argvs:
+        out = LargestWrite()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        texts.append(out.getvalue())
+        assert len(texts[-1]) > 10 * 64 * 1024 and 0 < out.largest <= 64 * 1024, (argv[0], out.largest)
+    for text in texts[::2]:
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    target = tmp_path / "out" / "report.json"
+    target.parent.mkdir()
+    assert main([*argvs[0], "-o", str(target)]) == 0
+    assert os.listdir(target.parent) == ["report.json"] and target.read_text() == texts[0]
+
+
+def test_an_interrupted_report_leaves_the_output_as_it_was(tmp_path):
+    """A report stopped after its first chunk, by an error or an interrupt, leaves no file where there was none
+    and an existing file as it was, with no temporary file beside either."""
+
+    def stopped(error):
+        yield "partial"
+        raise error
+
+    for name, error in (("new.json", KeyboardInterrupt()), ("old.json", ValueError("stop"))):
+        target = tmp_path / name
+        if name == "old.json":
+            target.write_text("the last report\n")
+        with pytest.raises(type(error)):
+            cli._emit(stopped(error), str(target))
+    assert os.listdir(tmp_path) == ["old.json"] and (tmp_path / "old.json").read_text() == "the last report\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_output_to_a_pipe_is_written_through_it(capsys, files, tmp_path):
+    """``-o`` naming a pipe writes the report into the pipe and leaves it a pipe: only a file is replaced."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_text()), daemon=True)  # opens when a writer does
+    reader.start()
+    argv = ["roster", files["scheme"], "--length", "5", "--seed", "1"]
+    assert main([*argv, "-o", str(pipe)]) == 0
+    reader.join(5)
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode) and os.listdir(tmp_path) == ["pipe"]
+    assert read == [run_cli(capsys, *argv)[1]]
 
 
 # ------------------------------------------------------------------- round
@@ -570,36 +669,33 @@ def test_compare_csv_shape_and_known_biases(capsys, files):
 
 
 def test_compare_counters_do_not_grow_with_replications(capsys, files, monkeypatch):
-    """Proposed biases lie in (-1, 1), so on the 1/3 scheme (L = 3) each
-    department-scope counter holds at most 2L - 1 = 5 keys, however many
-    replications it counts."""
-    seen, kinds = [], []
-    lattice_counts, replicate = cli._lattice_counts, cli._replicate
+    """Proposed biases lie in (-1, 1), so on the 1/3 scheme (L = 3) each period's
+    department-scope keys number at most 2L - 1 = 5, however many replications
+    the counter counts."""
+    seen = []
+    lattice_counts = analysis._lattice_counts
 
     def spy(problem, grids):
         counted = []
-        scale, counts = lattice_counts(problem, (counted.append(grid) or grid for grid in grids))
-        seen.append((kinds.pop(0), len(counted), scale, counts))
-        return scale, counts
+        scale, span, department, university = lattice_counts(problem, (counted.append(g) or g for g in grids))
+        seen.append((len(counted), scale, span, department))
+        return scale, span, department, university
 
-    def replicate_spy(problem, config, replications, stream):
-        kinds.append(config.kind)
-        return replicate(problem, config, replications, stream)
-
-    monkeypatch.setattr(cli, "_lattice_counts", spy)
-    monkeypatch.setattr(cli, "_replicate", replicate_spy)
+    monkeypatch.setattr(analysis, "_lattice_counts", spy)
     code, _, err = run_cli(
         capsys, "compare", files["problem"], "--scheme", files["scheme"],
         "--replications", "50", "--seed", "3",
     )
     assert (code, err) == (0, "")
-    kind, grids, scale, counts = seen[0]
-    assert (kind, grids, scale) == ("proposed", 50, 3)
-    department = [c for (t, scope), c in counts.items() if scope == "department"]
-    assert len(department) == 3
-    for counter in department:
-        assert sum(counter.values()) == 50 * 4 * 2
-        assert len(counter) <= 2 * scale - 1
+    grids, scale, span, department = seen[-1]  # court, government, then proposed
+    assert (len(seen), grids, scale) == (3, 50, 3)
+    periods = {}
+    for key, count in department.items():
+        periods.setdefault((key + span // 2) // span, []).append(count)
+    assert sorted(periods) == [0, 1, 2]
+    for counts in periods.values():
+        assert sum(counts) == 50 * 4 * 2
+        assert len(counts) <= 2 * scale - 1
 
 
 class Drawing(Exception):
