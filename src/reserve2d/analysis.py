@@ -324,6 +324,13 @@ _ADVERSARIAL_CATEGORIES = ("c1", "c2")
 DecideCallback = Callable[[int, str, FairShareTable, ReservationTable], str]
 
 
+def _with_seat(reserved: ReservationTable, i: int, j: int) -> ReservationTable:
+    """``reserved`` with one more seat at department ``i``, category ``j``."""
+    entries = [list(row) for row in reserved.entries]
+    entries[i][j] += 1
+    return ReservationTable.from_entries(reserved.departments, reserved.categories, entries)
+
+
 def prefer_first_category(
     period: int, department: str, fair: FairShareTable, reserved: ReservationTable
 ) -> str:
@@ -334,12 +341,7 @@ def prefer_first_category(
     """
     i = fair.departments.index(department)
     for j, cat in enumerate(fair.categories):
-        entries = [list(row) for row in reserved.entries]
-        entries[i][j] += 1
-        trial = ReservationTable.from_entries(
-            reserved.departments, reserved.categories, entries
-        )
-        if not within_university_quota(trial, fair):
+        if not within_university_quota(_with_seat(reserved, i, j), fair):
             return cat
     raise ValueError(
         f"no category keeps the university quota at period {period}"
@@ -372,33 +374,19 @@ def adversarial_sequence(periods: int, decide: DecideCallback) -> AdversarialRun
     """
     if periods < 1:
         raise ValueError(f"need at least one period, got {periods}")
-    scheme = ReservationScheme(
-        _ADVERSARIAL_CATEGORIES, (Fraction(1, 2), Fraction(1, 2))
-    )
+    scheme = ReservationScheme(_ADVERSARIAL_CATEGORIES, (Fraction(1, 2), Fraction(1, 2)))
     depts = _ADVERSARIAL_DEPARTMENTS
-    counts = [[0, 0] for _ in depts]
-    vacancy_rows: list[tuple[int, int, int]] = []
-    decisions = []
-    pairs = []
-    d3_last_choice = None
+    reserved = ReservationTable.from_entries(depts, scheme.categories, [(0, 0)] * len(depts))
+    vacancy_rows, decisions, pairs = [], [], []
     for s in range(1, periods + 1):
-        if s % 2:
-            i = 2
-        else:
-            i = 0 if d3_last_choice == _ADVERSARIAL_CATEGORIES[0] else 1
+        i = 2 if s % 2 else (0 if decisions[-1][2] == _ADVERSARIAL_CATEGORIES[0] else 1)
         vacancy_rows.append(tuple(1 if k == i else 0 for k in range(3)))
-        problem_so_far = ReservationProblem(depts, scheme, vacancy_rows)
-        fair = build_fair_share_table(problem_so_far, s)
-        before = ReservationTable.from_entries(
-            depts, scheme.categories, [row[:] for row in counts]
-        )
-        choice = decide(s, depts[i], fair, before)
+        problem = ReservationProblem(depts, scheme, vacancy_rows)  # the last is the run's problem
+        fair = build_fair_share_table(problem, s)
+        choice = decide(s, depts[i], fair, reserved)
         if choice not in scheme.categories:
             raise ValueError(f"callback returned unknown category {choice!r}")
-        counts[i][scheme.categories.index(choice)] += 1
-        reserved = ReservationTable.from_entries(
-            depts, scheme.categories, [row[:] for row in counts]
-        )
+        reserved = _with_seat(reserved, i, scheme.categories.index(choice))
         if within_university_quota(reserved, fair):
             raise ValueError(
                 f"callback violated the university quota at period {s}: "
@@ -407,8 +395,5 @@ def adversarial_sequence(periods: int, decide: DecideCallback) -> AdversarialRun
             )
         decisions.append((s, depts[i], choice))
         pairs.append((fair, reserved))
-        if s % 2:
-            d3_last_choice = choice
-    problem = ReservationProblem(depts, scheme, vacancy_rows)
     trace = SolutionTrace(problem, "adversarial", tuple(pairs))
     return AdversarialRun(problem, trace, tuple(decisions))

@@ -52,7 +52,6 @@ from .fileio import (
     parse_roster_file,
     parse_scheme_file,
     rational,
-    roster_lines,
 )
 from .rng import ALGORITHM, SplitStream
 from .rounding import controlled_round
@@ -240,10 +239,14 @@ def _load_problem(args) -> ReservationProblem:
     return parse_problem_file(args.problem, parse_scheme_file(args.scheme))
 
 
-def _cycled_roster(roster: Roster, needed: int) -> Roster:
-    if len(roster) >= needed:
-        return roster
-    return replace(roster, assignment=tuple(islice(cycle(roster.assignment), needed)))
+def _roster(args, problem: ReservationProblem, kind: str) -> Optional[Roster]:
+    """The ``--roster`` file, or None without one; ``--cycle-roster`` tiles it to the positions a ``kind`` run reads."""
+    if args.roster is None:
+        return None
+    roster = parse_roster_file(args.roster, problem.scheme.categories)
+    if args.cycle_roster and len(roster) < (needed := _positions_needed(problem, kind)):
+        roster = replace(roster, assignment=tuple(islice(cycle(roster.assignment), needed)))
+    return roster
 
 
 def _order_of(problem: ReservationProblem, name: str) -> tuple[str, ...]:
@@ -277,11 +280,13 @@ def _cmd_roster(args) -> Iterable[str]:
     scheme = parse_scheme_file(args.scheme)
     _check_height(scheme, args.height)
     roster = draw_roster(scheme, args.length, SplitStream(args.seed), args.policy, height=args.height)
-    if args.format == "json":
-        return _json_report("roster", args.seed, block_length=roster.block_length,
-                            extension_policy=roster.extension_policy, categories=list(roster.categories),
-                            assignment=list(roster.assignment))
-    return (roster_lines(roster),)
+    if args.format == "csv":
+        return _csv_chunks(("index", "category"), enumerate(roster.assignment, start=1))
+    text, positions = {c: _json(c) for c in roster.categories}.__getitem__, roster.assignment
+    return _json_report("roster", args.seed, block_length=roster.block_length,
+                        extension_policy=roster.extension_policy, categories=list(roster.categories),
+                        assignment=lambda pad: (("," + pad).join(map(text, positions[k:k + 1024]))
+                                                for k in range(0, len(positions), 1024)))  # one chunk a position: 2x slower
 
 
 # --- run ------------------------------------------------------------------
@@ -294,11 +299,9 @@ def _solution_config(args, problem: ReservationProblem) -> tuple[SolutionConfig,
             raise UsageError("the proposed solution requires --seed")
         _check_height(problem.scheme, args.height)
         return SolutionConfig("proposed", height=args.height), args.seed
-    if args.roster is None:
+    roster = _roster(args, problem, args.solution)
+    if roster is None:
         raise UsageError(f"the {args.solution} solution requires --roster")
-    roster = parse_roster_file(args.roster, problem.scheme.categories)
-    if args.cycle_roster:
-        roster = _cycled_roster(roster, _positions_needed(problem, args.solution))
     return SolutionConfig(args.solution, roster=roster, order=order), args.seed
 
 
@@ -372,11 +375,7 @@ def _cmd_compare(args) -> Iterable[str]:
             raise UsageError("compare needs a problem file (or --synthesize)")
         problem = parse_problem_file(args.problem, scheme)
 
-    roster = None
-    if args.roster is not None:
-        roster = parse_roster_file(args.roster, scheme.categories)
-        if args.cycle_roster:
-            roster = _cycled_roster(roster, _positions_needed(problem, "government"))
+    roster = _roster(args, problem, "government")
     order = _order_of(problem, args.order)
 
     master = SplitStream(args.seed)

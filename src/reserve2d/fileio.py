@@ -1,4 +1,4 @@
-"""File formats: problem, scheme, and roster CSVs; JSON/CSV reports.
+"""File formats: problem, scheme, and roster CSVs; CSV reports and exact rationals.
 
 Input formats (all CSV with a mandatory header):
 
@@ -12,10 +12,10 @@ Input formats (all CSV with a mandatory header):
   decimal or ``p/q`` string.
 * roster file, header ``index,category``: positions 1..L in order.
 
-Reports are plain dicts ready for ``json.dumps``; exact rationals are
-rendered as ``"p/q"`` strings (integers stay integers) so reports
-round-trip losslessly and rerunning a command reproduces them byte for
-byte.
+Beside the three readers, the module holds the CSV report writer, which
+renders rows in chunks as they come, and the exact rendering of rationals
+that the JSON reports use: ``"p/q"`` strings, integers staying integers, so
+reports round-trip losslessly and a rerun reproduces them byte for byte.
 """
 
 from __future__ import annotations

@@ -82,8 +82,9 @@ def _check_extended(scale: int, flows: list[int], rows: int, n: int) -> None:
 
 def extend_table(fair: FairShareTable) -> ExtendedTable:
     """Append the synthetic row that makes every column total integral."""
-    synthetic = tuple((1 - (total % 1)) % 1 for total in fair.column_totals)
-    return ExtendedTable(fair, fair.entries + (synthetic,))
+    scale, flows = _extension(fair)
+    synthetic = flows[len(flows) - len(fair.categories):]  # the last n flows
+    return ExtendedTable(fair, (*fair.entries, tuple(Fraction(f, scale) for f in synthetic)))
 
 
 def _extension(fair: FairShareTable) -> tuple[int, list[int]]:

@@ -346,17 +346,21 @@ class LargestWrite(io.StringIO):
 
 
 def test_large_reports_are_written_in_bounded_pieces(monkeypatch, files, tmp_path):
-    """A compare of 3,000 periods (JSON and CSV) and a run of 2,000 periods (JSON), each over ten times the
-    64 KiB bound, are written at most 64 KiB at a time, as they are made.  Each JSON text is what the indented
-    encoder writes, and ``-o`` writes the bytes stdout gets."""
+    """A compare of 3,000 periods (JSON and CSV), a run of 2,000 periods (JSON) and rosters of about 200,000
+    positions (JSON and CSV), each over ten times the 64 KiB bound, are written at most 64 KiB at a time, as they
+    are made.  Each JSON text is what the indented encoder writes, a roster's JSON holds the positions its CSV
+    does, and ``-o`` writes the bytes stdout gets."""
     problem = tmp_path / "long.csv"
     draw = iter(random.Random(5).choices(range(3), k=3 * 2000))
     problem.write_text("department,period,vacancies\n" + "".join(
         f"d{d},{t},{next(draw)}\n" for t in range(1, 2001) for d in (1, 2, 3)))
     compare = ["compare", "--scheme", files["scheme"], "--synthesize", "--periods", "3000",
                "--departments-range", "2", "2", "--vacancies-range", "0", "2", "--replications", "1", "--seed", "9"]
+    roster = ["roster", files["scheme"], "--seed", "9", "--length"]  # 200,704 is 196 JSON chunks of 1,024
     argvs = ([*compare, "--format", "json"], [*compare, "--format", "csv"],
-             ["run", str(problem), "--scheme", files["scheme"], "--solution", "proposed", "--seed", "9"])
+             ["run", str(problem), "--scheme", files["scheme"], "--solution", "proposed", "--seed", "9"],
+             [*roster, "200704", "--format", "json"], [*roster, "200000", "--format", "json"],
+             [*roster, "200000", "--format", "csv"])
     texts = []
     for argv in argvs:
         out = LargestWrite()
@@ -365,8 +369,11 @@ def test_large_reports_are_written_in_bounded_pieces(monkeypatch, files, tmp_pat
         monkeypatch.undo()
         texts.append(out.getvalue())
         assert len(texts[-1]) > 10 * 64 * 1024 and 0 < out.largest <= 64 * 1024, (argv[0], out.largest)
-    for text in texts[::2]:
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    for argv, text in zip(argvs, texts):  # compared line by line: pytest's diff of two long strings takes minutes
+        if "csv" not in argv:
+            assert text.split("\n") == (json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n").split("\n"), argv
+    positions = [line.split(",")[1] for line in texts[5].splitlines()[1:]]  # the same roster, JSON and CSV
+    assert json.loads(texts[4])["assignment"] == positions and len(positions) == 200000
     target = tmp_path / "out" / "report.json"
     target.parent.mkdir()
     assert main([*argvs[0], "-o", str(target)]) == 0

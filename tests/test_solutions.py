@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,6 @@ from reserve2d import (
     within_department_quota,
     within_university_quota,
 )
-from reserve2d.cli import _cycled_roster
 from reserve2d.core import _check_counts
 from reserve2d.roster import _sampler, build_scheme_table, draw_roster
 from reserve2d.solutions import _replicate, _runner, _trace
@@ -357,7 +357,8 @@ def test_kernel_counts_fixed_rosters_like_the_sliced_ones(case):
     problem, height = _KERNEL_CASES[case]
     needed = sum(problem.cumulative_vacancies(problem.periods))
     drawn = draw_roster(problem.scheme, needed + 2, SplitStream(5), height=height)
-    tiled = _cycled_roster(draw_roster(problem.scheme, 7, SplitStream(6), height=height), needed)
+    short = draw_roster(problem.scheme, 7, SplitStream(6), height=height)
+    tiled = replace(short, assignment=tuple(islice(cycle(short.assignment), needed)))
     assert len(tiled) == needed
     for roster in (drawn, tiled, replace(drawn, assignment=drawn.assignment[::-1])):
         court = SolutionConfig("court", roster=roster)
