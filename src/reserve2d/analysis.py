@@ -279,8 +279,7 @@ def tail_diagnostic(
     if not grid or grid[0] <= 0:
         raise ValueError("the b grid must contain positive thresholds")
 
-    fair = build_fair_share_table(problem, t)
-    x = fair.column_totals[j]
+    x = problem.scheme.fractions[j] * sum(problem.cumulative_vacancies(t))  # the fair column total
     if x == 0:
         raise ValueError(f"category {cat!r} has a fair column total of 0 at period {t}; "
                          "the tail bounds need a positive total")

@@ -292,26 +292,27 @@ def _cmd_roster(args) -> Iterable[str]:
 # --- run ------------------------------------------------------------------
 
 
-def _solution_config(args, problem: ReservationProblem) -> tuple[SolutionConfig, Optional[int]]:
+def _solution_config(args, problem: ReservationProblem) -> SolutionConfig:
+    """The run's config, holding the department order the JSON report prints (only government reads it)."""
     order = _order_of(problem, args.order)
     if args.solution == "proposed":
         if args.seed is None:
             raise UsageError("the proposed solution requires --seed")
         _check_height(problem.scheme, args.height)
-        return SolutionConfig("proposed", height=args.height), args.seed
+        return SolutionConfig("proposed", order=order, height=args.height)
     roster = _roster(args, problem, args.solution)
     if roster is None:
         raise UsageError(f"the {args.solution} solution requires --roster")
-    return SolutionConfig(args.solution, roster=roster, order=order), args.seed
+    return SolutionConfig(args.solution, roster=roster, order=order)
 
 
 def _cmd_run(args) -> Iterable[str]:
     problem = _load_problem(args)
-    config, seed = _solution_config(args, problem)
-    trace = run_solution(problem, config, seed)
+    config = _solution_config(args, problem)
+    trace = run_solution(problem, config, args.seed)
     if args.format == "json":
         periods = enumerate(trace.periods, 1)  # each period is made and written in turn
-        return _json_report("run", seed, solution=args.solution, order=list(_order_of(problem, args.order)),
+        return _json_report("run", args.seed, solution=args.solution, order=list(config.order),
                             periods=lambda pad: (_json(_period_dict(t, *tables), pad) for t, tables in periods))
 
     def rows():  # each period's table rows, then its violation rows
@@ -380,8 +381,7 @@ def _cmd_compare(args) -> Iterable[str]:
 
     master = SplitStream(args.seed)
     runs = {  # every runner is built, and every roster checked, before the first byte is written
-        kind: _replicate(problem, SolutionConfig(kind, roster=roster if kind != "proposed" else None,
-                                                 order=order if kind == "government" else None, height=args.height),
+        kind: _replicate(problem, SolutionConfig(kind, roster=roster, order=order, height=args.height),
                          args.replications, master.child(sub))
         for kind, sub in (("proposed", _SUB_PROPOSED), ("government", _SUB_GOVERNMENT), ("court", _SUB_COURT))
     }

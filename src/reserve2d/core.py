@@ -205,7 +205,7 @@ def _check_margins(table, scale: int, rows) -> None:
 
 @dataclass(frozen=True)
 class FairShareTable:
-    """Exact fair shares x_ij = a_j * Q_i^t with validated margins."""
+    """Exact, nonnegative fair shares x_ij = a_j * Q_i^t with validated margins."""
 
     departments: tuple[str, ...]
     categories: tuple[str, ...]
@@ -223,6 +223,8 @@ class FairShareTable:
         # Row-major entries times their lcm S, derived once; not a field, so ==, hash and repr ignore it.
         scale, flows = scaled(v for row in self.entries for v in row)
         object.__setattr__(self, "_scaled", (scale, tuple(flows)))
+        if (low := min(flows, default=0)) < 0:
+            raise ValueError(f"fair share table entries must be nonnegative, got {Fraction(low, scale)}")
         _check_margins(self, scale, [flows[i * n:(i + 1) * n] for i in range(m)])
 
 

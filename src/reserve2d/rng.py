@@ -160,22 +160,17 @@ class SplitStream:
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), exactly (rejection sampling).
 
-        A bound up to 2**64 reads one u64 per attempt; a wider one reads
-        ceil(log2(n) / 64) of them, most significant first.
+        Each attempt reads max(1, ceil(log2(n) / 64)) u64s, most significant
+        first, so a bound up to 2**64 reads one.
         """
         if n <= 0:
             raise ValueError(f"randrange bound must be positive, got {n}")
-        if n <= 1 << 64:
-            limit = (1 << 64) - ((1 << 64) % n)
-            while True:
-                u = self.next_u64()
-                if u < limit:
-                    return u % n
-        words = -(-(n - 1).bit_length() // 64)
-        limit = (1 << 64 * words) - (1 << 64 * words) % n
+        words = ((n - 1).bit_length() + 63) // 64 or 1
+        span = 1 << 64 * words
+        limit = span - span % n
         while True:
-            u = 0
-            for _ in range(words):
+            u = self.next_u64()
+            for _ in range(1, words):
                 u = u << 64 | self.next_u64()
             if u < limit:
                 return u % n

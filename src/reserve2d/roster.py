@@ -37,9 +37,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, compress
 from math import lcm
+from numbers import Integral
 from operator import add, not_
 from typing import Callable, Optional, Sequence
 
@@ -107,6 +108,8 @@ class SchemeTable:
     height: int
 
     def __post_init__(self):
+        if not isinstance(self.height, Integral):
+            raise TypeError(f"scheme table height must be an integer, got {self.height!r}")
         if self.height < 2:
             raise ValueError(f"scheme table height must be at least 2, got {self.height}")
         for cat, f in zip(self.scheme.categories, self.scheme.fractions):
@@ -131,7 +134,7 @@ class SchemeTable:
         return tuple(int(self.height * f) for f in self.scheme.fractions)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: a float height is refused, not served an int height's table
 def build_scheme_table(
     scheme: ReservationScheme, height: Optional[int] = None
 ) -> SchemeTable:
@@ -155,9 +158,9 @@ class FlowEdge:
 def _scheme_network(table: SchemeTable) -> tuple[int, list[tuple[int, int]], int, list[int], list[int]]:
     """Vertex count, edges, scale L, initial flows times L and each cell's edge (row by row) of ``table``'s network.
 
-    Vertices are numbered source 0, prefix (j, depth) for each column j with depth falling from k to 2,
-    row i, sink, and the edges are listed by (tail, head) number.  That order fixes the walk's cycle
-    rule, hence every draw.  L is the lcm of the scheme denominators.
+    Vertices are numbered as :func:`_vertices` lists them, and the edges are listed by (tail, head)
+    number.  That order fixes the walk's cycle rule, hence every draw.  L is the lcm of the scheme
+    denominators.
     """
     k, n = table.height, table.scheme.size
     scale = minimal_height(table.scheme)
@@ -176,6 +179,14 @@ def _scheme_network(table: SchemeTable) -> tuple[int, list[tuple[int, int]], int
     edges += [(row + i, row + k) for i in range(k)]
     flows += [scale] * k
     return row + k + 1, edges, scale, flows, cells
+
+
+@lru_cache(maxsize=1)  # every FlowNetwork checks its vertices against it; read, never changed
+def _vertices(table: SchemeTable) -> dict[Vertex, None]:
+    """The network's vertices by number: source, prefix (j, depth) for each column j with depth k to 2, row i, sink."""
+    k, n = table.height, table.scheme.size
+    return dict.fromkeys([source_vertex(), *(prefix_vertex(depth, j) for j in range(n) for depth in range(k, 1, -1)),
+                          *(row_vertex(i) for i in range(k)), sink_vertex()])
 
 
 @dataclass(frozen=True)
@@ -210,6 +221,13 @@ class FlowNetwork:
                 raise ValueError(f"{v} must have exactly one incoming edge")
             if v[0] == "row" and outdeg.get(v, 0) != 1:
                 raise ValueError(f"{v} must have exactly one outgoing edge")
+        # The decoder reads a cell by its vertices; a walk stalls if the source's (so the sink's) total is not whole.
+        known = _vertices(self.table)
+        for v in (v for v in balance if v not in known):
+            raise ValueError(f"{v} is not a vertex of the height-{self.table.height} scheme table's network")
+        sent = -balance.get(source_vertex(), 0)
+        if sent % scale:
+            raise ValueError(f"the source sends {Fraction(sent, scale)}, not a whole number")
 
     @property
     def is_integral(self) -> bool:
@@ -218,14 +236,7 @@ class FlowNetwork:
 
 def build_flow_network(table: SchemeTable) -> FlowNetwork:
     """Flow network of ``table`` with every edge at its constraint's sum."""
-    k, n = table.height, table.scheme.size
-    names = [  # the tuple of each vertex number
-        source_vertex(),
-        *(prefix_vertex(depth, j) for j in range(n) for depth in range(k, 1, -1)),
-        *(row_vertex(i) for i in range(k)),
-        sink_vertex(),
-    ]
-    _, edges, scale, flows, _ = _scheme_network(table)
+    names, (_, edges, scale, flows, _) = [*_vertices(table)], _scheme_network(table)
     return FlowNetwork(table, tuple(
         FlowEdge(names[tail], names[head], Fraction(f, scale), f // scale, -(-f // scale))
         for (tail, head), f in zip(edges, flows)
@@ -449,20 +460,16 @@ class _BlockSampler:
         self.table = table
         vertices, edges, scale, flows, self.cells = _scheme_network(table)
         self.start = Walk(Graph(vertices, edges), scale, flows)
-        self.root = tree(Walk(self.start.graph, scale, flows), self._TREE_DEPTH, self._block)
+        self.root = tree(Walk(self.start.graph, scale, flows), self._TREE_DEPTH, partial(_block_of, table, self.cells))
         depths = set() if self.root is None else _depths(self.root)
         self.depth = max(depths, default=0)  # the deepest leaf's
         self.fixed = self.depth if len(depths) == 1 else None  # see read
-
-    def _block(self, walk: Walk) -> IntegralBlock:
-        """The block of an integral walk from ``start``."""
-        return _block_of(self.table, self.cells, walk)
 
     def walk(self, rng) -> IntegralBlock:
         """One block walked from the start with ``rng``'s draws."""
         walk = Walk(self.start.graph, self.start.scale, self.start.flows)
         walk.run(rng)
-        return self._block(walk)
+        return _block_of(self.table, self.cells, walk)
 
     def blocks(self, rng, count: int) -> list[IntegralBlock]:
         """``count`` blocks, drawing exactly what ``count`` calls of :meth:`walk` would.

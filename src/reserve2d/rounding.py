@@ -37,8 +37,8 @@ __all__ = [
 class ExtendedTable:
     """A fair share table plus the synthetic balancing row (always last).
 
-    Every row and column sums to an integer; entries evolve during rounding
-    but the link to the source table is kept for provenance.
+    Construction checks that every entry is nonnegative and every line sums
+    to an integer; entries evolve during rounding but the source is kept.
     """
 
     source: FairShareTable
@@ -54,7 +54,15 @@ class ExtendedTable:
         # integers; not a field, so equality, hashing and repr ignore it.
         scale, flows = scaled(v for row in self.entries for v in row)
         object.__setattr__(self, "_scaled", (scale, flows))
-        _check_extended(scale, flows, m + 1, n)
+        for r in range(m + 1):
+            row = flows[r * n:(r + 1) * n]
+            if min(row, default=0) < 0:
+                raise ValueError(f"row {r} has a negative entry")
+            if sum(row) % scale:
+                raise ValueError(f"row {r} does not sum to an integer")
+        for j in range(n):
+            if sum(flows[j::n]) % scale:
+                raise ValueError(f"column {j} does not sum to an integer")
 
     @property
     def is_integral(self) -> bool:
@@ -67,19 +75,6 @@ class ExtendedTable:
         return tuple(divmod(e, n) for e, f in enumerate(flows) if f % scale)
 
 
-def _check_extended(scale: int, flows: list[int], rows: int, n: int) -> None:
-    """The checks of an extended table, on its row-major entries times ``scale``."""
-    for r in range(rows):
-        row = flows[r * n:(r + 1) * n]
-        if min(row, default=0) < 0:
-            raise ValueError(f"row {r} has a negative entry")
-        if sum(row) % scale:
-            raise ValueError(f"row {r} does not sum to an integer")
-    for j in range(n):
-        if sum(flows[j::n]) % scale:
-            raise ValueError(f"column {j} does not sum to an integer")
-
-
 def extend_table(fair: FairShareTable) -> ExtendedTable:
     """Append the synthetic row that makes every column total integral."""
     scale, flows = _extension(fair)
@@ -88,12 +83,11 @@ def extend_table(fair: FairShareTable) -> ExtendedTable:
 
 
 def _extension(fair: FairShareTable) -> tuple[int, list[int]]:
-    """``extend_table(fair)._scaled`` from ``fair._scaled``: a synthetic entry is (-column sum) mod S."""
+    """``extend_table(fair)._scaled`` from ``fair._scaled``: a synthetic entry is (-column sum) mod S.  No check:
+    a fair row is nonnegative and sums to Q_i*S, and a synthetic row in [0, S) makes each column (so itself) 0 mod S."""
     scale, flows = fair._scaled
     n = len(fair.categories)
-    flows = [*flows, *(-sum(flows[j::n]) % scale for j in range(n))]
-    _check_extended(scale, flows, len(fair.departments) + 1, n)
-    return scale, flows
+    return scale, [*flows, *(-sum(flows[j::n]) % scale for j in range(n))]
 
 
 @dataclass(frozen=True)

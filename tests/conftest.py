@@ -349,8 +349,6 @@ def observed() -> SimpleNamespace:
         renamed=build_scheme_table(ReservationScheme(("x", "y"), THIRD.fractions)),
         wider=build_fair_share_table(ReservationProblem(("d1", "d2", "d3", "d4"), QUARTERS, ((2, 1, 3, 4),)), 1),
         tenths=build_fair_share_table(ReservationProblem(("d1", "d2"), TENTH, ((9, 8),)), 1),
-        # a fair table whose margins hold but whose extension does not
-        negative=FairShareTable(("d1", "d2"), ("c0", "c1"), ((F(1), F(1)), (F(-1), F(2))), (2, 1), (F(0), F(3)), 3),
     )
 
 
@@ -383,6 +381,17 @@ def _fair_but(**changes):
     return lambda s: FairShareTable(**{**GOOD_FAIR, **changes})
 
 
+def _negative() -> FairShareTable:
+    """The fair table of rows (1, 1) and (-1, 2): its margins hold, and its synthetic row would be (0, 0)."""
+    return FairShareTable(("d1", "d2"), ("c0", "c1"), ((F(1), F(1)), (F(-1), F(2))), (2, 1), (F(0), F(3)), 3)
+
+
+def _path(*vertices, flow=F(1)):
+    """A network of the 1/3 scheme table with one edge, carrying ``flow`` within [0, 1], between consecutive
+    ``vertices``."""
+    return lambda s: FlowNetwork(s.network.table, tuple(FlowEdge(a, b, flow, 0, 1) for a, b in zip(vertices, vertices[1:])))
+
+
 def _step(walk: str, build=None, **changes):
     """The observed step of ``walk`` ("flow" or "rounding") with ``changes``, or with ``build(s, b)``
     in place of each branch b, the raised one its result."""
@@ -399,6 +408,7 @@ def _step(walk: str, build=None, **changes):
 _ORDER = "branches must list the pre-step network's edges in order, differing only in flow"
 _POLICY = "unknown extension policy 'tile'; expected 'independent-blocks' or 'repeat-block'"
 _SHAPE = "extended table must be 3 x 2 (source rows plus one synthetic row)"
+_NEGATIVE = "fair share table entries must be nonnegative, got -1"
 _ZERO = FairShareTable(("d1", "d2"), (), ((), ()), (0, 0), (), 0)  # no categories
 
 # Every refusal of the roster and rounding objects: an id, a call on ``observed()`` and ``rng`` (a fresh
@@ -420,6 +430,8 @@ REFUSALS = [
     ("roster-past-the-cell-limit", lambda s: draw_roster(
         ReservationScheme(("c1", "c2"), (F(1, 999983), F(999982, 999983))), 5, s.rng), ValueError,
      "a scheme table of height 999983 over 2 categories has more than 50,000 cells"),
+    ("roster-of-height-6.0-on-thirds", lambda s: (build_scheme_table(THIRD, 6), draw_roster(THIRD, 3, s.rng, height=6.0)),
+     TypeError, "scheme table height must be an integer, got 6.0"),  # refused though height 6's table is cached
     # flow networks: checked in scaled integers, each message prints Fractions (an imbalance of one unit as 1)
     ("network-not-conserved", _edge(4, flow=F(2, 3)), ValueError,
      "flow is not conserved at ('prefix', 2, 0): imbalance -1/3"),
@@ -436,6 +448,13 @@ REFUSALS = [
      "('prefix', 2, 0) must have exactly one incoming edge"),
     ("network-row-with-two-edges-out", lambda s: FlowNetwork(s.network.table, s.network.edges + (
         FlowEdge(row_vertex(0), sink_vertex(), F(0), 0, 0),)), ValueError, "('row', 0) must have exactly one outgoing edge"),
+    # networks the decoder (a vertex off the table) or the walk (a source total that is not whole) cannot take
+    ("network-through-a-row-off-its-table", _path(source_vertex(), prefix_vertex(2, 0), row_vertex(7), sink_vertex()),
+     ValueError, "('row', 7) is not a vertex of the height-3 scheme table's network"),
+    ("network-through-a-prefix-off-its-table", _path(source_vertex(), prefix_vertex(2, 5), row_vertex(0), sink_vertex()),
+     ValueError, "('prefix', 2, 5) is not a vertex of the height-3 scheme table's network"),
+    ("network-sending-half-a-unit", _path(source_vertex(), prefix_vertex(2, 0), row_vertex(0), sink_vertex(), flow=_H),
+     ValueError, "the source sends 1/2, not a whole number"),
     ("block-of-a-fractional-network", lambda s: IntegralBlock.from_network(s.network), ValueError,
      "network still has fractional flows"),
     # cycles supplied to decompose_flow_once
@@ -515,12 +534,10 @@ REFUSALS = [
      "row 0 does not sum to an integer"),
     ("extended-with-a-fractional-row-and-column", _extended(2, (_H, _H), (_H, 1), (0, 0)), ValueError,
      "row 1 does not sum to an integer"),
-    # the same checks, run on the integers of a fair table's extension before any draw
-    ("extend-table-to-a-negative-entry", lambda s: extend_table(s.negative), ValueError, "row 1 has a negative entry"),
-    ("integer-extension-to-a-negative-entry", lambda s: rounding._extension(s.negative), ValueError,
-     "row 1 has a negative entry"),
-    ("controlled-round-to-a-negative-entry", lambda s: controlled_round(s.negative, s.rng), ValueError,
-     "row 1 has a negative entry"),
+    # a negative fair share: the fair table refuses it, so an extension or a rounding of a fair table checks nothing
+    ("extend-table-to-a-negative-entry", lambda s: extend_table(_negative()), ValueError, _NEGATIVE),
+    ("integer-extension-to-a-negative-entry", lambda s: rounding._extension(_negative()), ValueError, _NEGATIVE),
+    ("controlled-round-to-a-negative-entry", lambda s: controlled_round(_negative(), s.rng), ValueError, _NEGATIVE),
     # fair tables: the totals must be integers; the margins are checked in scaled integers, and each message
     # prints its sum as a Fraction
     ("fair-with-a-fractional-row-total", _fair_but(row_totals=(2, F(3, 2)), grand_total=F(7, 2)), ValueError,

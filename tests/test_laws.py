@@ -55,7 +55,7 @@ def _blocks(scheme: ReservationScheme, height: int, depths: Optional[tuple], out
             return None
         start, cells = sampler.start, sampler.cells
         walk = Walk(start.graph, start.scale, start.flows)
-        law = _law(walk, lambda done: tuple(done.flows[e] // done.scale for e in cells))  # the cells _block reads
+        law = _law(walk, lambda done: tuple(done.flows[e] // done.scale for e in cells))  # the cells _block_of reads
         assert tree_law(sampler.root, lambda block: sum(block.entries, ())) == law  # each leaf built a block
         assert roster._depths(sampler.root) == set(depths) and sampler.fixed == (depths[0] if len(depths) == 1 else None)
         return law

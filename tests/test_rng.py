@@ -148,7 +148,8 @@ def test_algorithm_label():
 
 
 def test_randrange_draws_for_64_bit_bounds_are_pinned():
-    """Bounds up to 2**64 read one u64 per attempt, as they always have."""
+    """Bounds up to 2**64 read one u64 per attempt, as they always have (a bound of 1 too); the wider
+    bounds pinned here read two."""
     s = SplitStream(7)
     assert [s.randrange(10) for _ in range(3)] == [7, 4, 6]
     t = SplitStream(7)
@@ -156,6 +157,15 @@ def test_randrange_draws_for_64_bit_bounds_are_pinned():
         7191089600892374487, 309689372594955804, 16616101746815609346,
     ]
     assert s._n == t._n == 3
+    for n, draws, used in (
+        (1, [0, 0, 0], 3),
+        (2**64 + 1, [11565343845412132934, 12583808255195414474, 14701863683674376248], 6),
+        (3 * 2**64, [309689372594955804, 10753165928301472203, 23047943529175099921], 6),
+    ):
+        u = SplitStream(7)
+        with time_limit(5):
+            assert [u.randrange(n) for _ in range(3)] == draws
+        assert u._n == used
 
 
 def test_randrange_beyond_64_bits_terminates_and_covers():
