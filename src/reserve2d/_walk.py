@@ -24,8 +24,10 @@ is fractional exactly when its scaled flow is not a multiple of S.
 search.  Its searches resume: edges only turn integral, so a vertex's choice changes
 only when its chosen edge does, and a push touches only its cycle, so a search keeps the
 last path up to the first edge the push made integral and walks on (afresh once the
-smallest fractional edge is gone).  A step reads d+ and d- off the path found;
-``hook(num, den, take)`` sees each draw before the push.  Each vertex keeps a
+smallest fractional edge is gone).  A per-vertex list marks the path's vertices; the
+start vertex needs no unmarking of its own, as a search starts afresh only when its
+cycle began there, so it heads the old path's last entry.  A step reads d+ and d- off
+the path found; ``hook(num, den, take)`` sees each draw before the push.  Each vertex keeps a
 forward-only pointer to its first fractional incidence entry.  A step tests
 ``u % den < num`` on the u64 ``randrange(den)`` would read, from chunks of up to 64
 that ``rng._ahead`` reads as steps use them (so at most 63 go unused); from a chunk
@@ -119,22 +121,30 @@ class Walk:
         each :meth:`cycle` would; ``hook(num, den, take)`` sees each draw
         before its push, with the pre-step flows and ``rng._n`` where
         per-step draws leave it.  A step makes an edge integral, and no den
-        exceeds the scale, which bounds what each :func:`rng._ahead` reads."""
+        exceeds the scale, which bounds what each :func:`rng._ahead` reads.
+
+        ``seen`` marks each vertex on the path with the index of the entry leaving it (-1 off
+        it).  A resumed search unmarks the heads of the entries it drops; a fresh one those of
+        the whole old path, which covers the old start vertex: k is 0 only when the cycle
+        begins at ``path[0]``, so that vertex is the head of the path's last entry."""
         flows, scale, path, tails = self.flows, self.scale, self._path, self.graph.tails
         incidence, first, end = self.graph.incidence, self._next, len(flows)
         left, k = end - self._first, 0  # steps the walk may still take; the path entry a search resumes at
         us, i, stop = [], 0, 0  # the read-ahead chunk, its u64s used, and its length (-1 once it is None)
+        seen = [-1] * len(incidence)  # vertex -> index of the path entry leaving it; -1 off the path
         while True:
             if k:  # resume where the last cycle first lost an edge
                 arrived, _, vertex = path[k - 1]
                 for entry in path[k:-1]:
-                    del seen[entry[2]]
+                    seen[entry[2]] = -1
             else:
                 self._first = e = next((e for e in range(self._first, end) if flows[e] % scale), end)
                 if e == end:
                     break
+                for entry in path:
+                    seen[entry[2]] = -1
                 vertex, arrived = tails[e], -1
-                seen = {vertex: 0}  # vertex -> index of the path entry leaving it
+                seen[vertex] = 0
             del path[k:]
             while True:
                 edges, j = incidence[vertex], first[vertex]
@@ -152,7 +162,7 @@ class Walk:
                 path.append(entry)
                 k += 1
                 arrived, _, vertex = entry
-                if vertex in seen:
+                if seen[vertex] >= 0:
                     break
                 seen[vertex] = k
             self._start = start = seen[vertex]

@@ -212,6 +212,12 @@ class FlowNetwork:
             balance[e.head] += f
             outdeg[e.tail] += 1
             indeg[e.head] += 1
+        # Each vertex must be the table's, with int indices: the decoder indexes with them, and ("row", 1.0) ==
+        # ("row", 1).  Two whole-set screens pass a well-formed network; the loop names the first vertex that fails.
+        known = _vertices(self.table)
+        if not known.keys() >= balance.keys() or {*map(type, chain.from_iterable(balance))} - {str, int}:
+            for v in (v for v in balance if v not in known or not all(type(i) is int for i in v[1:])):
+                raise ValueError(f"{v} is not a vertex of the height-{self.table.height} scheme table's network")
         for v, b in balance.items():
             if v[0] in ("source", "sink"):
                 continue
@@ -221,10 +227,7 @@ class FlowNetwork:
                 raise ValueError(f"{v} must have exactly one incoming edge")
             if v[0] == "row" and outdeg.get(v, 0) != 1:
                 raise ValueError(f"{v} must have exactly one outgoing edge")
-        # The decoder reads a cell by its vertices; a walk stalls if the source's (so the sink's) total is not whole.
-        known = _vertices(self.table)
-        for v in (v for v in balance if v not in known):
-            raise ValueError(f"{v} is not a vertex of the height-{self.table.height} scheme table's network")
+        # A walk stalls if the source's (so the sink's) total is not whole.
         sent = -balance.get(source_vertex(), 0)
         if sent % scale:
             raise ValueError(f"the source sends {Fraction(sent, scale)}, not a whole number")

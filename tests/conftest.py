@@ -453,6 +453,12 @@ REFUSALS = [
      ValueError, "('row', 7) is not a vertex of the height-3 scheme table's network"),
     ("network-through-a-prefix-off-its-table", _path(source_vertex(), prefix_vertex(2, 5), row_vertex(0), sink_vertex()),
      ValueError, "('prefix', 2, 5) is not a vertex of the height-3 scheme table's network"),
+    ("network-through-a-float-row", _path(source_vertex(), prefix_vertex(2, 0), ("row", 1.0), sink_vertex()),
+     ValueError, "('row', 1.0) is not a vertex of the height-3 scheme table's network"),  # == ("row", 1)
+    ("network-through-an-empty-vertex", _path(source_vertex(), prefix_vertex(2, 0), (), sink_vertex()),
+     ValueError, "() is not a vertex of the height-3 scheme table's network"),
+    ("network-through-an-int-vertex", _path(source_vertex(), prefix_vertex(2, 0), 7, sink_vertex()),
+     ValueError, "7 is not a vertex of the height-3 scheme table's network"),
     ("network-sending-half-a-unit", _path(source_vertex(), prefix_vertex(2, 0), row_vertex(0), sink_vertex(), flow=_H),
      ValueError, "the source sends 1/2, not a whole number"),
     ("block-of-a-fractional-network", lambda s: IntegralBlock.from_network(s.network), ValueError,

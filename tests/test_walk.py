@@ -18,6 +18,7 @@ every step.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -332,3 +333,13 @@ def test_hooks_see_the_draw_index_of_per_step_draws(third_scheme):
                 seen.append([])
                 draw(rng, lambda step: seen[-1].append(rng._n))
             assert seen[0] == seen[1] and len(seen[0]) > 10, seed
+
+
+def test_a_walk_with_a_lone_fractional_edge_stalls_before_drawing():
+    """Vertex 1 touches one fractional edge, which no balanced flow allows: the search finds no way on
+    and says where, before any draw."""
+    rng = SplitStream(0)
+    with pytest.raises(RuntimeError) as stalled:
+        Walk(Graph(3, [(0, 1), (1, 2)]), 2, [1, 2]).run(rng)
+    assert str(stalled.value) == "internal error: the walk stalled at vertex 1"
+    assert rng._n == 0
