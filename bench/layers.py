@@ -18,12 +18,17 @@ and they take turns: ``REPEATS`` repetitions of each row per side, switching whi
 first each time, so the host's swings in speed fall on both sides alike.  A pair is one
 repetition of each side, run back to back; ``this_wins`` counts the pairs this side won.
 
-The rows are the layers a walk serves.  ``draw_block`` at heights 3 (1/3) and 24 (half/half)
-descends the sampler's tree, so they predict no change from a walk's; at height 200
+The first rows are the layers a walk serves.  ``draw_block`` at heights 3 (1/3) and 24
+(half/half) descends the sampler's tree, so they predict no change from a walk's; at height 200
 (five-category) it walks.  Each sampler is built before timing, as every draw after a table's
 first finds it built.  ``controlled_round`` rounds five-category fair tables of 5, 14 and 40
 departments, and ``draw_roster`` draws two five-category blocks, as a department roster of
-lottery-five does.  Only the standard library is used.
+lottery-five does.  The last rows run a solution's replications, which read their blocks off
+the lanes of fresh streams: ``replicate`` counts 100 runs of each solution into its lattice
+Counters, as ``compare`` does, on compare-third's problem (1/3, 10 departments, 9 periods) and
+on the one ``compare --synthesize --seed 9`` builds; ``tail_diagnostic`` takes criterion 8's
+problem (100 one-vacancy departments, half/half) at 2,000 replications; ``run_solution`` is one
+proposed run on compare-third's problem.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = 1
-REPEATS = 10  # per side and row; a full run with --src takes about 25 s on 2 cores
+REPEATS = 10  # per side and row; a full run with --src takes about 46 s on 2 cores
 
 # name, layer, inputs and seeds of a full run (--quick uses 2)
 ROWS = [
@@ -52,16 +57,29 @@ ROWS = [
        {"scheme": "five-category", "departments": m, "periods": 1, "vacancies": f"Random('round/{m}'), 1-30"}, seeds)
       for m, seeds in ((5, 400), (14, 200), (40, 60))),
     ("draw_roster/five/2-blocks", "roster.draw_roster", {"scheme": "five-category", "length": 400}, 20),
+    ("replicate/1-3/compare-third", "solutions._replicate",
+     {"scheme": "1/3", "synthesize": ["--seed", "1", "--periods", "9", "--departments-range", "10", "10"],
+      "replications": 100}, 5),
+    ("replicate/1-3/compare-seed-9", "solutions._replicate",
+     {"scheme": "1/3", "synthesize": ["--seed", "9"], "replications": 100}, 2),
+    ("tail_diagnostic/half/100x1", "analysis.tail_diagnostic",  # criterion 8's problem, at 2,000 replications
+     {"scheme": "half/half", "departments": 100, "vacancies": 1, "replications": 2000}, 2),
+    ("run_solution/1-3/proposed", "solutions.run_solution",
+     {"scheme": "1/3", "synthesize": ["--seed", "1", "--periods", "9", "--departments-range", "10", "10"]}, 200),
 ]
 
 
 def _call(name: str, inputs: dict):
-    """The path a row's call takes ("tree descent" or "walk") and the call, on a stream, with its set-up done."""
+    """The path a row's call takes ("tree descent", "walk" or, for a solution's runs, "lane read") and the call, on a
+    stream, with its set-up done."""
     from fractions import Fraction
 
-    from reserve2d import ReservationProblem, ReservationScheme, build_fair_share_table
-    from reserve2d import controlled_round, draw_block, draw_roster
+    from reserve2d import ReservationProblem, ReservationScheme, SolutionConfig, build_fair_share_table
+    from reserve2d import controlled_round, draw_block, draw_roster, run_solution, tail_diagnostic
+    from reserve2d.analysis import _lattice_counts
+    from reserve2d.cli import _build_parser, _synthesize_problem
     from reserve2d.roster import _sampler, build_scheme_table
+    from reserve2d.solutions import _replicate
 
     scheme = {
         "1/3": ReservationScheme(("reserved", "open"), (Fraction(1, 3), Fraction(2, 3))),
@@ -81,7 +99,25 @@ def _call(name: str, inputs: dict):
     path = "walk" if sampler.root is None else "tree descent"
     if layer == "draw_block":
         return path, lambda rng: draw_block(scheme, inputs["height"], rng).positions
-    return path, lambda rng: draw_roster(scheme, inputs["length"], rng).assignment
+    if layer == "draw_roster":
+        return path, lambda rng: draw_roster(scheme, inputs["length"], rng).assignment
+    # A solution's runs read their blocks off the lanes of fresh streams where every leaf has one depth.
+    path = "lane read" if sampler.fixed else "blocks"
+    if "synthesize" in inputs:  # the problem ``compare --synthesize`` builds with these flags
+        args = _build_parser().parse_args(["compare", "--synthesize", "--scheme", "-", *inputs["synthesize"]])
+        problem = _synthesize_problem(args, scheme)
+    else:
+        m = inputs["departments"]
+        problem = ReservationProblem([f"d{i}" for i in range(1, m + 1)], scheme, [[inputs["vacancies"]] * m])
+    if layer == "replicate":  # every solution's runs counted into its two lattice Counters, as ``compare`` does
+        return path, lambda rng: [
+            sorted(counter.items()) for i, kind in enumerate(("proposed", "government", "court"))
+            for counter in _lattice_counts(problem, _replicate(problem, SolutionConfig(kind), inputs["replications"],
+                                                               rng.child(i)))[2:]]
+    if layer == "tail_diagnostic":
+        return path, lambda rng: tail_diagnostic(problem, "c1", 1, inputs["replications"], (2, 4, 6, 8, 10),
+                                                 seed=rng.key)
+    return path, lambda rng: run_solution(problem, SolutionConfig("proposed"), rng.key).periods
 
 
 def worker(src: str, quick: bool) -> None:

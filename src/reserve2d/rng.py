@@ -18,8 +18,9 @@ mix(k ^ gamma*(2i+1)).  :func:`_mix_lanes` mixes u64s of any streams as the
 lanes of one integer for :func:`_u64s` (consecutive u64s of a stream, read
 ahead by :func:`_ahead`) and the two lane reads, built once and applied per
 run: :func:`_plan` (chosen u64s of fresh streams; both screen where
-``randrange`` might reject) and :func:`_children` (a key's child keys).  :func:`_unmix64` inverts the output function, and
-:func:`_index_of` finds where a stream outputs a u64.
+``randrange`` might reject; a chunk of runs, c copies, in one pass with one copy's lane constants repeated c times)
+and :func:`_children` (a key's child keys).  :func:`_unmix64` inverts the output function, and :func:`_index_of`
+finds where a stream outputs a u64.
 
 The algorithm identifier below is recorded in report metadata so that
 archived outputs name the generator that produced them.
@@ -116,20 +117,28 @@ def _children(count: int):
 
 def _plan(numbers: list[list[int]], spans: list[int], limit: int):
     """Screen bytes, and u64s ``numbers[s]`` of the fresh stream of each ``keys[s]`` mixed in one :func:`_mix_lanes`
-    pass, as a function of ``keys``.  Byte s is 0 if u64s 1 .. ``spans[s]`` of stream s hold one above 2**64 - ``limit``
-    (``randrange`` might reject it for a bound up to ``limit``), or while ``SplitStream.next_u64`` is rebound.  Lane s
-    of one integer holds where stream s outputs each such u64, less 1, and keeps bit 64 if none is below the span."""
-    (ones, low), size = _lanes(len(spans)), 16 * len(spans)
-    high, marks = ones << 64, [_index_of(0, u) * ones for u in range((1 << 64) - limit + 1, 1 << 64)]
-    room = high - _pack(spans)  # lane s: 2**64 - span s
-    owner = [s for s, own in enumerate(numbers) for _ in own]  # each wanted u64's stream
-    steps, wide = _pack([n for own in numbers for n in own]) * _GAMMA, _lanes(len(owner))[1]
+    pass, as a function of ``keys``, c copies of the streams' keys.  Byte s is 0 if u64s 1 .. ``spans[s]`` of stream s
+    hold one above 2**64 - ``limit`` (``randrange`` might reject it for a bound up to ``limit``), or while
+    ``SplitStream.next_u64`` is rebound.  Lane s of one integer holds where stream s outputs each such u64, less 1, and
+    keeps bit 64 if none is below the span.  Each key's 16-byte lane is repeated over the wanted u64s it owns."""
+    (ones, low), owned, size = _lanes(len(spans)), [*map(len, numbers)], 16 * len(spans)
+    one = [ones, low, (ones << 64) - _pack(spans),  # lane s: 1, the low word, 2**64 - span s
+           _pack([n for own in numbers for n in own]) * _GAMMA, _lanes(sum(owned))[1]]  # wanted u64 i: n * _GAMMA, low word
+
+    @lru_cache(maxsize=2)  # a run of chunks has two sizes, full and the last
+    def copies(c: int) -> tuple:  # one's constants, their bytes repeated c times; 1s at bit 64; marks in every lane
+        ones, *rest = (int.from_bytes(x.to_bytes(w, "little") * c, "little")
+                       for x, w in zip(one, [size] * 3 + [16 * sum(owned)] * 2))
+        return ones, ones << 64, *rest, [_index_of(0, u) * ones for u in range((1 << 64) - limit + 1, 1 << 64)]
 
     def plan(keys: list[int]):
+        c = len(keys) // len(spans)
+        ones, high, low, room, steps, mask, marked = copies(c)
         back = high - (_pack(keys) * _GAMMA_INV + ones & low)  # key k's u64 n is stream 0's n + k * _GAMMA_INV
         gate = high if _batched(SplitStream(0)) else 0
-        ok = reduce(and_, [(m + back & low) + room for m in marks], gate).to_bytes(size, "little")[8::16]
-        return ok, owner and _mix_lanes(_pack([*map(keys.__getitem__, owner)]) + steps, len(owner), wide)
+        ok = reduce(and_, [(m + back & low) + room for m in marked], gate).to_bytes(size * c, "little")[8::16]
+        owners = b"".join([key.to_bytes(16, "little") * n for key, n in zip(keys, owned * c)])
+        return ok, owners and _mix_lanes(int.from_bytes(owners, "little") + steps, len(owners) // 16, mask)
 
     return plan
 

@@ -496,24 +496,30 @@ class _BlockSampler:
                 rng._n += i
         return drawn
 
-    def read(self, counts: Sequence[int], wanted: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[IntegralBlock]]:
+    def read(self, counts: Sequence[int],
+             wanted: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[list[IntegralBlock]]]:
         """Blocks ``wanted[s]`` (from 0) of the ``counts[s]`` :meth:`blocks` would draw from a fresh stream of key s, as a
-        function of a list of keys.  With all leaves at depth d (``fixed``), block b is u64s d*b+1 .. d*b+d: an
-        :func:`rng._plan` (``rng`` alone knows the stream layout; no denominator exceeds the scale L) mixes them, decoded
-        a tree level at a time, and screens out keys whose d*count u64s hold one ``randrange`` might reject (all keys
-        while ``SplitStream.next_u64`` is rebound).  Those, and every key of other samplers, draw through :meth:`blocks`."""
+        function of a list of keys, c copies of the streams' keys, in one list per copy.  With all leaves at depth d
+        (``fixed``), block b is u64s d*b+1 .. d*b+d: one :func:`rng._plan` (``rng`` alone knows the stream layout; no
+        denominator exceeds the scale L) mixes them for every copy, decoded a tree level at a time (level 0 off the root
+        alone), and screens out keys whose d*count u64s hold one ``randrange`` might reject (all keys while
+        ``SplitStream.next_u64`` is rebound).  Those, and every key of other samplers, draw through :meth:`blocks`."""
         d, at = self.fixed or 0, [*accumulate(map(len, wanted), initial=0)]
         plan = _plan([[d * b + l + 1 for b in own for l in range(d)] for own in wanted], [d * c for c in counts],
                      self.start.scale) if d else lambda keys: (bytes(len(keys)), ())
+        num, den, take, leave = self.root if d else [None] * 4
 
-        def read(keys: Sequence[int]) -> list[IntegralBlock]:
-            ok, us = plan(keys)
-            nodes = [self.root] * at[-1]
-            for l in range(d):  # level l of every block
+        def read(keys: Sequence[int]) -> list[list[IntegralBlock]]:
+            (ok, us), w, c = plan(keys), at[-1], len(keys) // len(counts)
+            nodes = [take if u % den < num else leave for u in us[::d]] if d else [None] * (w * c)
+            for l in range(1, d):  # level l of every block
                 nodes = [node[2] if u % node[1] < node[0] else node[3] for node, u in zip(nodes, us[l::d])]
-            for s in compress(range(len(ok)), map(not_, ok)):  # the keys that did not pass
-                nodes[at[s]:at[s + 1]] = map(self.blocks(SplitStream(keys[s]), counts[s]).__getitem__, wanted[s])
-            return nodes
+            copies = [nodes[q * w:q * w + w] for q in range(c)]
+            for i in compress(range(len(ok)), map(not_, ok)):  # the keys that did not pass: stream s of copy q
+                q, s = divmod(i, len(counts))
+                drawn = self.blocks(SplitStream(keys[i]), counts[s])
+                copies[q][at[s]:at[s + 1]] = map(drawn.__getitem__, wanted[s])
+            return copies
 
         return read
 

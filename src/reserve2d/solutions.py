@@ -16,7 +16,8 @@ at every Q_i^t, government at its running pooled positions, taking
 differences.  A whole block of height k holds exactly k*a_j of category j,
 so the count at q is (q // k)*k*a_j plus a prefix count of block q // k, and
 a drawn roster decodes only the blocks that hold such a q inside them
-(:func:`_reader`).  A run is one flat list of integer counts,
+(:func:`_reader`), a chunk of runs in one lane pass with one run's lane
+constants and lists repeated per run.  A run is one flat list of integer counts,
 ``counts[(t-1)*m*n + i*n + j]``: period-major, then department, then category.
 The ``run_*`` functions return it as a validated :class:`SolutionTrace`; the
 replication loop behind ``compare`` checks it in integers and builds no tables.
@@ -28,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from math import sqrt
 from operator import add, attrgetter, getitem, mul, sub
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ReservationProblem,
@@ -89,11 +90,15 @@ def _tally(source: Sequence[str], ends: Sequence[int], categories: Sequence[str]
     return list(chain.from_iterable(out))
 
 
-def _reader(sampler: _BlockSampler, ends: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list]:
+_LANES = 4096  # most u64 lanes, and ends, a chunk of runs reads (a larger run alone), however many runs there are
+
+
+def _reader(sampler: _BlockSampler, ends: Sequence[Sequence[int]]) -> Callable[[Iterable[Sequence[int]]], Iterator[list]]:
     """What :func:`_tally` counts in the independent blocks ``sampler`` draws from a fresh stream
-    of key s at each q in ``ends[s]``, as a function of the keys: every stream's first end, then
-    every stream's second, and so on; it draws no block past a stream's last end and reads only
-    those an end falls in, in one ``sampler.read`` of all the keys as given."""
+    of key s at each q in ``ends[s]``, as a function of the runs' keys (a list each), run by run:
+    every stream's first end, then every stream's second, and so on.  It draws no block past a
+    stream's last end and reads only those an end falls in, a chunk of runs (as many as ``_LANES``
+    holds, or one) in one ``sampler.read``, and counts each run with one run's lists."""
     k, whole = sampler.table.height, sampler.table.column_totals
     wanted = [sorted({q // k for q in own if q % k}) for own in ends]
     place = {sb: i for i, sb in enumerate((s, b) for s, own in enumerate(wanted) for b in own)}
@@ -104,10 +109,14 @@ def _reader(sampler: _BlockSampler, ends: Sequence[Sequence[int]]) -> Callable[[
     rs = [r for _, _, r in spots]
     none = ((0,) * len(whole),)
     blocks = sampler.read([-(-max(own) // k) for own in ends], wanted)  # each stream draws its blocks to its last end
+    per = max(1, _LANES // max(1, len(spots), (sampler.fixed or 0) * len(place)))  # runs a chunk holds
 
-    def read(keys: Sequence[int]) -> list:
-        prefixes = [*map(attrgetter("_prefix"), blocks(keys)), none]
-        return list(map(add, base, chain.from_iterable(map(getitem, map(prefixes.__getitem__, idx), rs))))
+    def read(runs: Iterable[Sequence[int]]) -> Iterator[list]:
+        runs = iter(runs)
+        while keys := [*chain.from_iterable(islice(runs, per))]:
+            for run in blocks(keys):  # run by run
+                prefixes = [*map(attrgetter("_prefix"), run), none]
+                yield list(map(add, base, chain.from_iterable(map(getitem, map(prefixes.__getitem__, idx), rs))))
 
     return read
 
@@ -200,13 +209,13 @@ class SolutionConfig:
             )
 
 
-def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable:
-    """The counts of one run of ``config`` as a function of its seed, with what
-    no seed changes worked out once."""
+def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable[[Iterable[int]], Iterator[list]]:
+    """The counts of the runs of ``config``, one per seed, as a function of the seeds, with what
+    no seed changes worked out once; :func:`_reader` reads the runs' blocks a chunk at a time."""
     if config.kind == "proposed":  # department i reads blocks drawn from child stream i
         read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), list(zip(*problem._cumulative)))
         children = _children(len(problem.departments))
-        return lambda seed: read(children(SplitStream(seed).key))
+        return lambda seeds: read(children(SplitStream(seed).key) for seed in seeds)
     if config.roster is not None:
         _check_roster(problem, config.roster, config.kind)
     if config.kind == "government":
@@ -215,9 +224,9 @@ def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable:
         ends, arrange = list(problem._row_totals), lambda counts: counts
     if config.roster is not None:
         fixed = arrange(_tally(config.roster.assignment, ends, problem.scheme.categories))
-        return lambda seed: fixed
+        return lambda seeds: (fixed for _ in seeds)
     read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), [ends])
-    return lambda seed: arrange(read([SplitStream(seed).key]))
+    return lambda seeds: map(arrange, read([SplitStream(seed).key] for seed in seeds))
 
 
 def run_solution(
@@ -228,7 +237,7 @@ def run_solution(
         raise ValueError("the proposed solution needs a seed")
     if seed is None and config.roster is None:
         raise ValueError(f"the {config.kind} solution needs a roster or a seed to draw one")
-    counts = _runner(problem, config)(seed)
+    (counts,) = _runner(problem, config)([seed])
     return _trace(problem, config.kind, counts, seed if config.kind == "proposed" else None)
 
 
@@ -239,12 +248,13 @@ def _replicate(
     ``stream.child(r)``, each checked as a trace of it would be.
 
     The runner is built, and a roster too short refused, at the call; the
-    runs are made as they are read.  A government or court run with a fixed
-    roster is deterministic, so it runs once.
+    runs are made a chunk at a time as they are read (:func:`_reader`).  A
+    government or court run with a fixed roster is deterministic, so it runs once.
     """
     run = _runner(problem, config)
     fixed = config.kind != "proposed" and config.roster is not None
-    return (_check_counts(problem, run(stream.child(r).key)) for r in range(1 if fixed else replications))
+    seeds = (stream.child(r).key for r in range(1 if fixed else replications))
+    return (_check_counts(problem, counts) for counts in run(seeds))
 
 
 @dataclass(frozen=True)

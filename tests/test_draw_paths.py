@@ -5,8 +5,9 @@ a vertex per cell (``conftest.paper_network``); it is checked against the observ
 loop of ``build_flow_network(table)``, whose network has each cell as one prefix -> row edge, on every case
 but five-category, where one observed block takes seconds.
 ``PATHS`` lists the other ways: the sampler's walk, its descent by ``randrange`` and by read-ahead,
-``read``'s single-depth decode and its fallback, ``solutions._reader``'s counts, a proposed run, and
-``_tally`` of a ``draw_roster`` roster.  ``CASES`` lists what they run on: every golden scheme (and
+``read``'s single-depth decode and its fallback, ``solutions._reader``'s counts, both again with the case's
+keys as the last copy of a chunk after other streams' keys, a proposed run, and ``_tally`` of a
+``draw_roster`` roster.  ``CASES`` lists what they run on: every golden scheme (and
 half/half) at its minimal height, with its tree at the depth limit and one past it; five stream kinds;
 keys that put a u64 ``randrange`` might reject at the ends and middle of a read's span and past it, at
 the ends of a second 64-block chunk, or in and past the last 64-u64 chunk a walk reads; odd start indices;
@@ -140,12 +141,37 @@ def _descended(sampler, case, streams, view=lambda stream: stream) -> list:
 
 
 def _read(sampler, case, streams) -> list:
-    blocks = iter(sampler.read(case.counts, [range(c) for c in case.counts])(case.keys))
+    (blocks,) = sampler.read(case.counts, [range(c) for c in case.counts])(case.keys)
+    blocks = iter(blocks)
     return [list(islice(blocks, c)) for c in case.counts]
 
 
+def _others(case: Case) -> tuple:
+    """Keys of other streams, one for each of the case's, read in the same chunk as the case's keys."""
+    return tuple(SplitStream(key).child(7).key for key in case.keys)
+
+
+def _chunked_read(sampler, case, streams) -> list:
+    """The case's keys read as the last of three copies in one ``read``, after two copies of other streams'
+    keys, each of which gives the blocks its keys give read alone."""
+    read = sampler.read(case.counts, [range(c) for c in case.counts])
+    first, second, blocks = read(_others(case) * 2 + case.keys)
+    assert [first] == [second] == read(_others(case))
+    blocks = iter(blocks)
+    return [list(islice(blocks, c)) for c in case.counts]
+
+
+def _chunked_counts(sampler, case, streams) -> list:
+    """The case's keys read as the second run of a chunk of two in ``_reader``, after another run's keys,
+    which counts what its keys count read alone."""
+    read = _reader(sampler, [case.ends(s) for s in range(len(case.keys))])
+    first, flat = read([_others(case), case.keys])
+    assert [first] == [*read([_others(case)])]
+    return _by_stream(flat, case, sampler.table.scheme.size)
+
+
 def _reader_counts(sampler, case, streams) -> list:
-    flat = _reader(sampler, [case.ends(s) for s in range(len(case.keys))])(case.keys)
+    (flat,) = _reader(sampler, [case.ends(s) for s in range(len(case.keys))])([case.keys])
     return _by_stream(flat, case, sampler.table.scheme.size)
 
 
@@ -160,7 +186,8 @@ def _proposed_counts(sampler, case, streams) -> list:
     ends = [case.ends(s) for s in range(len(case.keys))]
     vacancies = [[e[t] - (e[t - 1] if t else 0) for e in ends] for t in range(3)]
     problem = ReservationProblem([f"d{s}" for s in range(len(ends))], sampler.table.scheme, vacancies)
-    return _by_stream(_runner(problem, SolutionConfig("proposed"))(case.seed), case, sampler.table.scheme.size)
+    (flat,) = _runner(problem, SolutionConfig("proposed"))([case.seed])
+    return _by_stream(flat, case, sampler.table.scheme.size)
 
 
 def _tally_counts(sampler, case, streams) -> list:
@@ -177,6 +204,8 @@ PATHS = {
     "read decode": DrawPath(_read, reads=True),
     "read fallback": DrawPath(_read, reads=True, per_step=True, rebound=True),
     "_reader counts": DrawPath(_reader_counts, reads=True, counts=True),
+    "chunked read": DrawPath(_chunked_read, reads=True),
+    "chunked counts": DrawPath(_chunked_counts, reads=True, counts=True),
     "proposed run": DrawPath(_proposed_counts, reads=True, counts=True, default_sampler=True),
     "_tally of draw_roster": DrawPath(_tally_counts, counts=True, default_sampler=True),
 }

@@ -311,6 +311,22 @@ def test_plan_reads_the_wanted_u64s_and_screens_the_spans(streams, limit):
     assert list(ok) == [all(_u64(key, n) <= top for n in range(1, span + 1)) for key, span in zip(keys, spans)]
 
 
+@given(streams=_streams, limit=st.integers(1, 64), copies=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+       data=st.data())
+@example(streams=[(0, [1, 2], 2), (_MASK64, [], 0)], limit=3, copies=[1, 3, 1, 4], data=None)
+def test_a_plan_reads_copies_as_it_reads_each_alone(streams, limit, copies, data):
+    """A plan given c copies of its streams' keys (c from 0 to 4, calls of several sizes one after another)
+    returns, copy after copy, the screen bytes and u64s it returns for each copy's keys alone, and the
+    copies' keys may differ."""
+    _, numbers, spans = (list(column) for column in zip(*streams))
+    plan = _plan(numbers, spans, limit)
+    for c in copies:
+        keys = [data.draw(st.integers(0, _MASK64)) if data else key for _ in range(c) for key, *_ in streams]
+        alone = [plan(keys[a:a + len(spans)]) for a in range(0, len(keys), len(spans))]
+        ok, us = plan(keys)
+        assert (bytes(ok), list(us)) == (b"".join(o for o, _ in alone), [u for _, own in alone for u in own])
+
+
 @given(
     limit=st.integers(2, 200),
     below=st.integers(0, 199),

@@ -24,11 +24,12 @@ from reserve2d import (
     within_department_quota,
     within_university_quota,
 )
+from reserve2d import cli, rng, roster, solutions
 from reserve2d.core import _check_counts
-from reserve2d.roster import _sampler, build_scheme_table, draw_roster
+from reserve2d.roster import _sampler, build_scheme_table, draw_roster, minimal_height
 from reserve2d.solutions import _replicate, _runner, _trace
 
-from conftest import FIVE, mod3_roster
+from conftest import FIVE, SCHEMES, key_with_u64, mod3_roster
 
 F = Fraction
 
@@ -447,7 +448,7 @@ def test_flat_check_refuses_mutated_runs_as_a_trace_does(data):
     vacancies = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=m, max_size=m), min_size=1, max_size=4))
     problem = ReservationProblem([f"d{i}" for i in range(m)], scheme, vacancies)
     kind = data.draw(st.sampled_from(["court", "government", "proposed"]))
-    counts = _runner(problem, SolutionConfig(kind))(data.draw(st.integers(0, 2**64 - 1)))
+    (counts,) = _runner(problem, SolutionConfig(kind))([data.draw(st.integers(0, 2**64 - 1))])
     _check_counts(problem, counts)
     assert _tables(_trace(problem, kind, counts)) == _tables(counts, problem)
     mutated, mutation = list(counts), data.draw(st.sampled_from(["step", "negative", "shrink"]))
@@ -506,3 +507,73 @@ def test_court_draws_only_the_positions_it_reads(quarters_scheme, seed):
     drawn = run_solution(problem, SolutionConfig("court"), seed)
     assert drawn.periods == run_court(problem, roster).periods
 
+
+
+def _chunked(monkeypatch, lanes, problem, config, replications, stream):
+    """The runs ``_replicate`` yields with ``_LANES`` set to ``lanes``, and the runs each read of the sampler held."""
+    reads, build = [], roster._BlockSampler.read
+    monkeypatch.setattr(solutions, "_LANES", lanes)
+
+    def spied(sampler, counts, wanted):
+        read = build(sampler, counts, wanted)
+        return lambda keys: reads.append(len(keys) // len(counts)) or read(keys)
+
+    monkeypatch.setattr(roster._BlockSampler, "read", spied)
+    runs = [*_replicate(problem, config, replications, stream)]
+    monkeypatch.undo()
+    return runs, reads
+
+
+@pytest.mark.parametrize("kind", ["proposed", "government", "court"])
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_chunked_runs_count_what_runs_read_one_at_a_time_count(monkeypatch, name, kind):
+    """With ``_LANES`` lowered until a chunk holds C >= 2 runs, R = 1, 2, C-1, C and C+1 replications give,
+    run by run, the counts of each run read alone, in chunks of C and the rest, on every scheme: tree decodes
+    (third, tenth, half), leaves at two depths (quarters) and walks (five), whose keys all draw through
+    ``blocks``."""
+    scheme = SCHEMES[name][0]
+    k = minimal_height(scheme)
+    problem = ReservationProblem(("d0", "d1", "d2"), scheme, ((1, k, 2), (k + 1, 0, 3)))  # ends in and on blocks
+    config, stream = SolutionConfig(kind), SplitStream(31)
+    lanes = next(lanes for lanes in (16, 32, 64, 128)
+                 if _chunked(monkeypatch, lanes, problem, config, 3, stream)[1][0] >= 2)
+    chunk = max(_chunked(monkeypatch, lanes, problem, config, 6, stream)[1])
+    alone = [next(iter(_runner(problem, config)([stream.child(r).key]))) for r in range(chunk + 1)]
+    for replications in sorted({1, 2, chunk - 1, chunk, chunk + 1}):
+        runs, reads = _chunked(monkeypatch, lanes, problem, config, replications, stream)
+        assert runs == alone[:replications], replications
+        assert reads == [chunk] * (replications // chunk) + [replications % chunk] * bool(replications % chunk)
+
+
+def test_a_rejectable_key_falls_back_alone_in_its_chunk(monkeypatch):
+    """A chunk of five government runs on 1/3 whose middle key puts 2**64 - 1 (which ``randrange(3)``
+    rejects) inside the u64s its blocks read: that key alone draws through ``blocks``, and every run counts
+    what it counts read alone.  While ``SplitStream.next_u64`` is rebound every key of the chunk does."""
+    problem = ReservationProblem(("d0", "d1"), SCHEMES["third"][0], ((2, 2), (1, 3)))
+    read = _runner(problem, SolutionConfig("government"))
+    keys = [SplitStream(9).child(r).key for r in range(5)]
+    keys[2] = key_with_u64((1 << 64) - 1, 2)
+    alone = [next(iter(read([key]))) for key in keys]
+    fell_back, blocks = [], roster._BlockSampler.blocks
+    monkeypatch.setattr(roster._BlockSampler, "blocks",
+                        lambda sampler, rng, count: fell_back.append(rng.key) or blocks(sampler, rng, count))
+    assert [*read(keys)] == alone and fell_back == [keys[2]]
+    fell_back.clear()
+    next_u64 = SplitStream.next_u64
+    monkeypatch.setattr(SplitStream, "next_u64", lambda rng: next_u64(rng))
+    assert [*read(keys)] == alone and fell_back == keys
+
+
+@pytest.mark.parametrize("kind", ["proposed", "government", "court"])
+def test_no_chunk_reads_more_lanes_than_its_bound_at_the_replication_limit(kind, monkeypatch):
+    """At the largest ``--replications`` on compare-third's problem (1/3, 10 departments, 9 periods), the
+    runs are read in chunks that each mix at most ``_LANES`` u64 lanes, and 200 runs come before any
+    later chunk is read."""
+    vacancies = [[1 + (3 * t + i) % 5 for i in range(10)] for t in range(9)]
+    problem = ReservationProblem(tuple(f"d{i}" for i in range(10)), SCHEMES["third"][0], vacancies)
+    lanes, mix = [], rng._mix_lanes
+    monkeypatch.setattr(rng, "_mix_lanes", lambda z, count, low: lanes.append(count) or mix(z, count, low))
+    runs = _replicate(problem, SolutionConfig(kind), cli._REPLICATION_LIMIT, SplitStream(3))
+    assert len([*islice(runs, 200)]) == 200
+    chunks = [count for count in lanes if count > 10]  # a proposed run mixes its 10 departments' keys alone
+    assert max(lanes) <= solutions._LANES and 2 <= len(chunks) <= 200 // 10  # ten runs a chunk or more
