@@ -28,7 +28,9 @@ the lanes of fresh streams: ``replicate`` counts 100 runs of each solution into 
 Counters, as ``compare`` does, on compare-third's problem (1/3, 10 departments, 9 periods) and
 on the one ``compare --synthesize --seed 9`` builds; ``tail_diagnostic`` takes criterion 8's
 problem (100 one-vacancy departments, half/half) at 2,000 replications; ``run_solution`` is one
-proposed run on compare-third's problem.  Only the standard library is used.
+proposed run on compare-third's problem.  ``tables`` takes one seeded proposed trace (five-category,
+48 departments x 9 periods, vacancies from ``Random('tables')`` in 1-30) and runs ``bias_of`` and both
+quota checks on every period, as ``run`` does.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ ROWS = [
      {"scheme": "half/half", "departments": 100, "vacancies": 1, "replications": 2000}, 2),
     ("run_solution/1-3/proposed", "solutions.run_solution",
      {"scheme": "1/3", "synthesize": ["--seed", "1", "--periods", "9", "--departments-range", "10", "10"]}, 200),
+    ("tables/five/48x9", "core.bias_of",  # with both quota checks, on every period of one proposed trace (seed 1)
+     {"scheme": "five-category", "departments": 48, "periods": 9, "vacancies": "Random('tables'), 1-30"}, 20),
 ]
 
 
@@ -76,6 +80,7 @@ def _call(name: str, inputs: dict):
 
     from reserve2d import ReservationProblem, ReservationScheme, SolutionConfig, build_fair_share_table
     from reserve2d import controlled_round, draw_block, draw_roster, run_solution, tail_diagnostic
+    from reserve2d import bias_of, within_department_quota, within_university_quota
     from reserve2d.analysis import _lattice_counts
     from reserve2d.cli import _build_parser, _synthesize_problem
     from reserve2d.roster import _sampler, build_scheme_table
@@ -95,6 +100,13 @@ def _call(name: str, inputs: dict):
         problem = ReservationProblem([f"d{i}" for i in range(m)], scheme, [[vacancies.randint(1, 30) for _ in range(m)]])
         fair = build_fair_share_table(problem, 1)
         return "walk", lambda rng: controlled_round(fair, rng).entries
+    if layer == "tables":  # the trace is drawn once, so the call draws nothing
+        vacancies, m = random.Random("tables"), inputs["departments"]
+        problem = ReservationProblem([f"d{i}" for i in range(m)], scheme,
+                                     [[vacancies.randint(1, 30) for _ in range(m)] for _ in range(inputs["periods"])])
+        periods = run_solution(problem, SolutionConfig("proposed"), 1).periods
+        return "fair tables", lambda rng: [(bias_of(reserved, fair).entries, within_department_quota(reserved, fair),
+                                            within_university_quota(reserved, fair)) for fair, reserved in periods]
     sampler = _sampler(build_scheme_table(scheme, inputs.get("height")))  # built before timing
     path = "walk" if sampler.root is None else "tree descent"
     if layer == "draw_block":

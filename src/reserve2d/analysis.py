@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import exp, lcm, sqrt
+from math import exp, sqrt
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -38,8 +38,8 @@ from .core import (
     within_department_quota,
     within_university_quota,
 )
+from ._walk import scaled
 from .rng import ALGORITHM, SplitStream
-from .roster import minimal_height
 from .solutions import SolutionConfig, _replicate
 
 __all__ = [
@@ -175,8 +175,8 @@ def summarize_biases(values: Sequence[Fraction], period: int, scope: str) -> Bia
     data = [_as_fraction(v) for v in values]
     if not data:
         raise ValueError("cannot summarize an empty bias sample")
-    scale = lcm(*(v.denominator for v in data))
-    counts = Counter(v.numerator * (scale // v.denominator) for v in data)
+    scale, keys = scaled(data)
+    counts = Counter(keys)
     ((_, stats),) = _lattice_series(counts, 2 * max(map(abs, counts)) + 1)  # a span that puts every key in period 1
     return _lattice_summary(stats, scale, period, scope)
 
@@ -191,11 +191,10 @@ def _lattice_counts(problem: ReservationProblem, runs: Iterable[Sequence[int]]) 
     vacancies), so periods never share a key, and :func:`_lattice_series` reads
     them apart.  Counters merge by addition; their size follows the spread of the biases.
     """
-    scale = minimal_height(problem.scheme)
-    scaled = [a.numerator * (scale // a.denominator) for a in problem.scheme.fractions]
-    m, n, span = len(problem.departments), len(scaled), 2 * scale * sum(problem._cumulative[-1]) + 1
-    cells = [t * span - a * q for t, cumulative in enumerate(problem._cumulative) for q in cumulative for a in scaled]
-    columns = [t * span - a * sum(cumulative) for t, cumulative in enumerate(problem._cumulative) for a in scaled]
+    scale, shares = problem.scheme._lattice
+    m, n, span = len(problem.departments), len(shares), 2 * scale * sum(problem._cumulative[-1]) + 1
+    cells = [t * span - a * q for t, cumulative in enumerate(problem._cumulative) for q in cumulative for a in shares]
+    columns = [t * span - a * sum(cumulative) for t, cumulative in enumerate(problem._cumulative) for a in shares]
     strides = [slice(a + j, a + m * n, n) for a in range(0, len(cells), m * n) for j in range(n)]
     department, university = Counter(), Counter()
     for counts in runs:
@@ -219,7 +218,7 @@ def bias_trace(trace: SolutionTrace) -> tuple[BiasSummary, ...]:
     scope the n column-total biases.
     """
     counts = [z for _, reserved in trace.periods for row in reserved.entries for z in row]
-    scale = minimal_height(trace.problem.scheme)
+    scale = trace.problem.scheme._lattice[0]
     return tuple(_lattice_summary(stats, scale, t, scope) for t, scope, stats in _bias_series(trace.problem, [counts]))
 
 
@@ -268,8 +267,6 @@ def tail_diagnostic(
     minus its fair share x; bounds are exp(-b^2/(3x)) and exp(-b^2/(2x)).
     """
     problem.check_period(t)
-    if replications < 1:
-        raise ValueError(f"need at least one replication, got {replications}")
     cats = problem.scheme.categories
     j = cats.index(category) if category in cats else category
     if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < len(cats):
@@ -295,8 +292,8 @@ def tail_diagnostic(
         Fraction(sum(c for total, c in totals.items() if total - x <= -b), replications)
         for b in grid
     )
-    upper_bound = tuple(exp(-float(b * b / (3 * x))) for b in grid)
-    lower_bound = tuple(exp(-float(b * b / (2 * x))) for b in grid)
+    # Capped: float() overflows on a huge exponent, and exp() of any exponent below -745 is 0.0 already.
+    upper_bound, lower_bound = (tuple(exp(-float(min(b * b / (c * x), 1000))) for b in grid) for c in (3, 2))
     smallest = min(upper_bound[-1], lower_bound[-1])
     adequate = sqrt(smallest / replications) < smallest / 4
     return TailDiagnostic(

@@ -9,9 +9,9 @@ of category ``j``, the *fair share table* at period ``t`` has entries
     x_ij = a_j * Q_i^t
 
 with row totals ``Q_i^t`` (integers), column totals ``a_j * sum_i Q_i^t``,
-and grand total ``sum_i Q_i^t``.  All arithmetic is exact: fractions are
-:class:`fractions.Fraction` throughout, and additivity is validated as an
-identity, not up to tolerance.
+and grand total ``sum_i Q_i^t``.  All arithmetic is exact: values are
+:class:`fractions.Fraction` at the API, and margins, quota checks and biases
+are computed in the fair table's scaled integers (S times each entry).
 
 A *reservation table* is a nonnegative integer table with the same row
 totals.  It satisfies the
@@ -93,9 +93,9 @@ class ReservationScheme:
             raise ValueError(f"fractions must sum to 1, got {sum(fracs)}")
         object.__setattr__(self, "categories", categories)
         object.__setattr__(self, "fractions", fracs)
-        # Schemes key several caches and Fraction hashing is not cheap, so
-        # the hash is computed once up front.
+        # Derived once, not fields: the hash (schemes key caches; Fraction hashing is slow) and the lattice (L, each L*a_j).
         object.__setattr__(self, "_hash", hash((categories, fracs)))
+        object.__setattr__(self, "_lattice", scaled(fracs))
 
     def __hash__(self) -> int:
         return self._hash
@@ -376,50 +376,45 @@ def build_fair_share_table(problem: ReservationProblem, t: int) -> FairShareTabl
     return problem._fair[t]
 
 
-def _admissible(reserved: int, fair: Fraction) -> bool:
-    return fair - 1 < reserved < fair + 1  # floor or ceil of fair; fair itself when that is an integer
-
-
 def _check_alignment(reserved: ReservationTable, fair: FairShareTable) -> None:
     if reserved.departments != fair.departments or reserved.categories != fair.categories:
         raise ValueError("reservation and fair share tables label different grids")
+
+
+def _deviations(reserved: ReservationTable, fair: FairShareTable) -> tuple[int, list[list[int]]]:
+    """S, the scale of ``fair._scaled``, and every bias times S in :func:`_grid`'s layout, as ints: cells z*S - x,
+    row totals (q - p)*S, then the column sums of those rows (both tables' margins are the sums of their entries).
+    An entry meets its quota exactly when its |bias*S| < S."""
+    _check_alignment(reserved, fair)
+    (scale, flows), n = fair._scaled, len(fair.categories)
+    rows = [[*(z * scale - x for z, x in zip(row, flows[i * n:i * n + n])), (q - p) * scale] for i, (row, q, p)
+            in enumerate(zip(reserved.entries, reserved.row_totals, fair.row_totals))]
+    return scale, [*rows, [*map(sum, zip(*rows))] or [0] * (n + 1)]
 
 
 def within_department_quota(
     reserved: ReservationTable, fair: FairShareTable
 ) -> list[QuotaViolation]:
     """Internal entries outside {floor, ceil} of their fair share (empty = ok)."""
-    _check_alignment(reserved, fair)
-    out = []
-    for i, dept in enumerate(fair.departments):
-        for j, cat in enumerate(fair.categories):
-            z, x = reserved.entries[i][j], fair.entries[i][j]
-            if not _admissible(z, x):
-                out.append(QuotaViolation(dept, cat, i, j, z, x))
-    return out
+    scale, rows = _deviations(reserved, fair)
+    return [QuotaViolation(dept, cat, i, j, reserved.entries[i][j], fair.entries[i][j])
+            for i, (dept, row) in enumerate(zip(fair.departments, rows))
+            for j, (cat, d) in enumerate(zip(fair.categories, row)) if abs(d) >= scale]
 
 
 def within_university_quota(
     reserved: ReservationTable, fair: FairShareTable
 ) -> list[QuotaViolation]:
     """Column totals outside {floor, ceil} of their fair share (empty = ok)."""
-    _check_alignment(reserved, fair)
-    out = []
-    for j, cat in enumerate(fair.categories):
-        z, x = reserved.column_totals[j], fair.column_totals[j]
-        if not _admissible(z, x):
-            out.append(QuotaViolation(None, cat, None, j, z, x))
-    return out
+    scale, rows = _deviations(reserved, fair)
+    return [QuotaViolation(None, cat, None, j, reserved.column_totals[j], fair.column_totals[j])
+            for j, (cat, d) in enumerate(zip(fair.categories, rows[-1])) if abs(d) >= scale]
 
 
 def bias_of(reserved: ReservationTable, fair: FairShareTable) -> BiasTable:
     """Reservation minus fair share, entrywise with margins."""
-    _check_alignment(reserved, fair)
-    rows = tuple(
-        tuple(Fraction(z) - x for z, x in zip(z_row, x_row))
-        for z_row, x_row in zip(_grid(reserved), _grid(fair))
-    )
-    return BiasTable(fair.departments, fair.categories, rows)
+    scale, rows = _deviations(reserved, fair)
+    return BiasTable(fair.departments, fair.categories, tuple(tuple(Fraction(d, scale) for d in row) for row in rows))
 
 
 def _check_counts(problem: ReservationProblem, counts: Sequence[int]) -> Sequence[int]:

@@ -149,6 +149,8 @@ class SplitStream:
     __slots__ = ("key", "_n")
 
     def __init__(self, seed: int):
+        if not isinstance(seed, int):
+            raise TypeError(f"seed must be an int, got {seed!r}")
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.key = seed
@@ -156,6 +158,8 @@ class SplitStream:
 
     def child(self, index: int) -> "SplitStream":
         """Derive the ``index``-th child stream without consuming draws."""
+        if not isinstance(index, int):
+            raise TypeError(f"child index must be an int, got {index!r}")
         if index < 0:
             raise ValueError(f"child index must be nonnegative, got {index}")
         child = object.__new__(SplitStream)  # _mix64 keeps the key below 2**64
@@ -172,6 +176,8 @@ class SplitStream:
         Each attempt reads max(1, ceil(log2(n) / 64)) u64s, most significant
         first, so a bound up to 2**64 reads one.
         """
+        if not isinstance(n, int):
+            raise TypeError(f"randrange bound must be an int, got {n!r}")
         if n <= 0:
             raise ValueError(f"randrange bound must be positive, got {n}")
         words = ((n - 1).bit_length() + 63) // 64 or 1
@@ -185,7 +191,9 @@ class SplitStream:
                 return u % n
 
     def bernoulli(self, p: Fraction) -> bool:
-        """True with probability exactly ``p`` (a rational in [0, 1])."""
+        """True with probability exactly ``p`` (a rational in [0, 1]; a float is not exact, so it is refused)."""
+        if isinstance(p, float):
+            raise TypeError(f"floats are not accepted for exact probabilities (got {p!r}); pass a Fraction or an int")
         if p < 0 or p > 1:
             raise ValueError(f"Bernoulli probability must lie in [0, 1], got {p}")
         if p.denominator == 1:

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, compress
-from math import lcm
 from numbers import Integral
 from operator import add, not_
 from typing import Callable, Optional, Sequence
@@ -90,8 +89,8 @@ def sink_vertex() -> Vertex:
 
 
 def minimal_height(scheme: ReservationScheme) -> int:
-    """Smallest block height that makes every column total integral."""
-    return lcm(*(f.denominator for f in scheme.fractions))
+    """Smallest block height that makes every column total integral: L, the lcm of the denominators."""
+    return scheme._lattice[0]
 
 
 # Most cells (height x categories) a scheme table may have.  The flow network
@@ -112,12 +111,13 @@ class SchemeTable:
             raise TypeError(f"scheme table height must be an integer, got {self.height!r}")
         if self.height < 2:
             raise ValueError(f"scheme table height must be at least 2, got {self.height}")
-        for cat, f in zip(self.scheme.categories, self.scheme.fractions):
-            if (self.height * f).denominator != 1:
+        scale, shares = self.scheme._lattice
+        for cat, f, s in zip(self.scheme.categories, self.scheme.fractions, shares):
+            if self.height * s % scale:  # height*a_j is not an integer
                 raise ValueError(
                     f"height {self.height} leaves column {cat!r} with the "
                     f"non-integral total {self.height * f}; the smallest valid "
-                    f"height is {minimal_height(self.scheme)} (any multiple of it works)"
+                    f"height is {scale} (any multiple of it works)"
                 )
         if self.height * self.scheme.size > _CELL_LIMIT:
             raise ValueError(
@@ -131,7 +131,7 @@ class SchemeTable:
 
     @property
     def column_totals(self) -> tuple[int, ...]:
-        return tuple(int(self.height * f) for f in self.scheme.fractions)
+        return tuple(self.height * s // self.scheme._lattice[0] for s in self.scheme._lattice[1])
 
 
 @lru_cache(maxsize=64, typed=True)  # typed: a float height is refused, not served an int height's table
@@ -162,9 +162,7 @@ def _scheme_network(table: SchemeTable) -> tuple[int, list[tuple[int, int]], int
     number.  That order fixes the walk's cycle rule, hence every draw.  L is the lcm of the scheme
     denominators.
     """
-    k, n = table.height, table.scheme.size
-    scale = minimal_height(table.scheme)
-    shares = [int(scale * a) for a in table.scheme.fractions]
+    k, n, (scale, shares) = table.height, table.scheme.size, table.scheme._lattice
     row, cells = 1 + n * (k - 1), [0] * (k * n)
     edges = [(0, 1 + j * (k - 1)) for j in range(n)]
     flows = [k * s for s in shares]  # the first l cells of column j carry l*a_j
@@ -291,7 +289,9 @@ def _coerce_cycle(
             else:
                 raise ValueError(f"no edge joins {a} and {b}")
         cycle = out
-    cycle = tuple((int(e), int(d)) for e, d in cycle)
+    if not all(isinstance(p, (tuple, list)) and len(p) == 2 and all(isinstance(v, int) for v in p) for p in cycle):
+        raise ValueError(f"a cycle lists (edge, direction) pairs of ints or a closed vertex path, got {cycle!r}")
+    cycle = tuple(map(tuple, cycle))
     if not all(0 <= e < len(edges) for e, _ in cycle):
         raise ValueError(f"cycle {cycle} leaves the network's edges 0..{len(edges) - 1}")
     if len(cycle) < 2 or len(set(e for e, _ in cycle)) != len(cycle):
@@ -384,13 +384,13 @@ class IntegralBlock:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows, n, shares = self.entries, self.scheme.size, self.scheme.fractions
+        rows, n, (scale, lattice) = self.entries, self.scheme.size, self.scheme._lattice
         if len(rows) != self.height:
             raise ValueError(f"expected {self.height} rows, got {len(rows)}")
         build_scheme_table(self.scheme, self.height)  # refuses a height no scheme table has
         # Whole-list passes find the first bad depth: its row is no 0/1 row of width n (an entry is the int 0 or 1,
         # not a float, bool or Fraction equal to one), or does not sum to 1, or a column's count c of the first l
-        # positions is 1 or more from l*a_j (checked as c*den - l*num).
+        # positions is 1 or more from l*a_j (checked as c*L - l*L*a_j).
         try:
             binary = ({*map(len, rows)} == {n} and {*chain.from_iterable(rows)} <= {0, 1}
                       and {*map(type, chain.from_iterable(rows))} <= {int})
@@ -402,12 +402,12 @@ class IntegralBlock:
         error = f"row {cut + 1} is not a 0/1 row of width {n}"
         if (sums := [*map(sum, rows[:cut])]).count(1) < cut:
             cut, error = next((l, f"row {l + 1} must contain exactly one 1") for l, s in enumerate(sums) if s != 1)
-        for j, (column, (num, den)) in enumerate(zip(zip(*rows[:cut]), map(Fraction.as_integer_ratio, shares))):
-            gaps = [*accumulate(map({0: -num, 1: den - num}.__getitem__, column[:cut]))]  # above the bad depths found
-            if min(gaps) <= -den or max(gaps) >= den:
-                l = next(l for l, gap in enumerate(gaps) if not -den < gap < den)
-                cut, error = l, (f"column {self.scheme.categories[j]!r} has {(gaps[l] + (l + 1) * num) // den} of the "
-                                 f"first {l + 1} positions; fair share is {(l + 1) * shares[j]}")
+        for j, (column, s) in enumerate(zip(zip(*rows[:cut]), lattice)):
+            gaps = [*accumulate(map({0: -s, 1: scale - s}.__getitem__, column[:cut]))]  # above the bad depths found
+            if min(gaps) <= -scale or max(gaps) >= scale:
+                l = next(l for l, gap in enumerate(gaps) if not -scale < gap < scale)
+                cut, error = l, (f"column {self.scheme.categories[j]!r} has {(gaps[l] + (l + 1) * s) // scale} of the "
+                                 f"first {l + 1} positions; fair share is {(l + 1) * self.scheme.fractions[j]}")
         if cut < len(rows):
             raise ValueError(error)
 

@@ -103,6 +103,8 @@ class FractionCycle:
 
     def __post_init__(self):
         cells = self.cells
+        if not all(type(c) is tuple and len(c) == 2 and all(isinstance(v, int) for v in c) for c in cells):
+            raise ValueError(f"cycle cells must be (row, column) pairs of ints, got {cells!r}")
         if len(cells) < 4 or len(cells) % 2:
             raise ValueError(f"a cycle needs an even number (>= 4) of cells, got {len(cells)}")
         if len(set(cells)) != len(cells):

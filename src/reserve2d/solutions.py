@@ -210,8 +210,8 @@ class SolutionConfig:
 
 
 def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable[[Iterable[int]], Iterator[list]]:
-    """The counts of the runs of ``config``, one per seed, as a function of the seeds, with what
-    no seed changes worked out once; :func:`_reader` reads the runs' blocks a chunk at a time."""
+    """The counts of the runs of ``config``, one per seed (a fixed roster's one run, whatever the seeds), as a function
+    of the seeds, with what no seed changes worked out once; :func:`_reader` reads the runs' blocks a chunk at a time."""
     if config.kind == "proposed":  # department i reads blocks drawn from child stream i
         read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), list(zip(*problem._cumulative)))
         children = _children(len(problem.departments))
@@ -224,7 +224,7 @@ def _runner(problem: ReservationProblem, config: SolutionConfig) -> Callable[[It
         ends, arrange = list(problem._row_totals), lambda counts: counts
     if config.roster is not None:
         fixed = arrange(_tally(config.roster.assignment, ends, problem.scheme.categories))
-        return lambda seeds: (fixed for _ in seeds)
+        return lambda seeds: [fixed]
     read = _reader(_sampler(build_scheme_table(problem.scheme, config.height)), [ends])
     return lambda seeds: map(arrange, read([SplitStream(seed).key] for seed in seeds))
 
@@ -247,14 +247,14 @@ def _replicate(
     """The counts of ``replications`` runs of ``config``, run r seeded by
     ``stream.child(r)``, each checked as a trace of it would be.
 
-    The runner is built, and a roster too short refused, at the call; the
-    runs are made a chunk at a time as they are read (:func:`_reader`).  A
-    government or court run with a fixed roster is deterministic, so it runs once.
+    Fewer than one replication is refused, and the runner built (a roster too short
+    refused), at the call; the runs are made a chunk at a time as they are read
+    (:func:`_reader`).  A fixed-roster run is deterministic: its runner runs it once.
     """
+    if replications < 1:
+        raise ValueError(f"need at least one replication, got {replications}")
     run = _runner(problem, config)
-    fixed = config.kind != "proposed" and config.roster is not None
-    seeds = (stream.child(r).key for r in range(1 if fixed else replications))
-    return (_check_counts(problem, counts) for counts in run(seeds))
+    return (_check_counts(problem, counts) for counts in run(stream.child(r).key for r in range(replications)))
 
 
 @dataclass(frozen=True)
@@ -295,8 +295,6 @@ def estimate_expected_table(
     computed once and reported with zero standard errors.
     """
     problem.check_period(t)
-    if replications < 1:
-        raise ValueError(f"need at least one replication, got {replications}")
     m, n = len(problem.departments), len(problem.scheme.categories)
     sums = squares = [0] * (m * n + n)  # over period t's entries, then over its column totals
     for runs, counts in enumerate(_replicate(problem, config, replications, SplitStream(seed)), 1):

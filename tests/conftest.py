@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: small and golden schemes and problems, scripted and counting streams, the
 block walk of a scheme table's network in the paper's form (a vertex per cell), ``expand`` (the observed-step
-oracle of both walks' exact laws) and ``REFUSALS``, the table of every refusal of the roster and rounding objects.
+oracle of both walks' exact laws), the ``Fraction`` forms of the bias table and the quota checks (the oracle of
+``core``'s integer grid) and ``REFUSALS``, the table of every refusal of the roster and rounding objects.
 
 Test modules import helpers from here, never from one another."""
 
@@ -16,14 +17,15 @@ from types import SimpleNamespace
 import pytest
 
 from reserve2d import (
-    ExtendedTable, FairShareTable, FlowNetwork, FractionCycle, IntegralBlock, ReservationProblem,
+    BiasTable, ExtendedTable, FairShareTable, FlowNetwork, FractionCycle, IntegralBlock, ReservationProblem,
     ReservationScheme, Roster, SplitStream, build_fair_share_table, build_flow_network, build_scheme_table,
     controlled_round, decompose_flow_once, decompose_once, draw_block, draw_roster, extend_table, find_flow_cycle,
-    minimal_height,
+    minimal_height, QuotaViolation,
 )
 from reserve2d import roster, rounding
 from reserve2d.roster import FlowEdge, prefix_vertex, row_vertex, sink_vertex, source_vertex
 from reserve2d._walk import Graph, Walk
+from reserve2d.core import _check_alignment, _grid
 from reserve2d.fileio import parse_scheme_file
 from reserve2d.rng import _GAMMA, _MASK64, _index_of, _u64s, _unmix64
 
@@ -246,6 +248,32 @@ def stepwise_draw(table, rng) -> tuple:
     return IntegralBlock.from_network(network), steps
 
 
+def _admissible(reserved: int, fair: Fraction) -> bool:
+    return fair - 1 < reserved < fair + 1  # floor or ceil of fair; fair itself when that is an integer
+
+
+def reference_within_department_quota(reserved, fair) -> list:
+    """``core.within_department_quota`` in ``Fraction`` comparisons, as it was before the integer grid."""
+    _check_alignment(reserved, fair)
+    return [QuotaViolation(dept, cat, i, j, reserved.entries[i][j], fair.entries[i][j])
+            for i, dept in enumerate(fair.departments) for j, cat in enumerate(fair.categories)
+            if not _admissible(reserved.entries[i][j], fair.entries[i][j])]
+
+
+def reference_within_university_quota(reserved, fair) -> list:
+    """``core.within_university_quota`` in ``Fraction`` comparisons, as it was before the integer grid."""
+    _check_alignment(reserved, fair)
+    return [QuotaViolation(None, cat, None, j, z, x) for j, (cat, z, x)
+            in enumerate(zip(fair.categories, reserved.column_totals, fair.column_totals)) if not _admissible(z, x)]
+
+
+def reference_bias_of(reserved, fair) -> BiasTable:
+    """``core.bias_of`` by ``Fraction`` subtraction, entry by entry, as it was before the integer grid."""
+    _check_alignment(reserved, fair)
+    rows = tuple(tuple(Fraction(z) - x for z, x in zip(z_row, x_row)) for z_row, x_row in zip(_grid(reserved), _grid(fair)))
+    return BiasTable(fair.departments, fair.categories, rows)
+
+
 @contextmanager
 def time_limit(seconds: int):
     """Fail with TimeoutError instead of hanging past ``seconds``."""
@@ -409,6 +437,7 @@ _ORDER = "branches must list the pre-step network's edges in order, differing on
 _POLICY = "unknown extension policy 'tile'; expected 'independent-blocks' or 'repeat-block'"
 _SHAPE = "extended table must be 3 x 2 (source rows plus one synthetic row)"
 _NEGATIVE = "fair share table entries must be nonnegative, got -1"
+_PAIRS = "a cycle lists (edge, direction) pairs of ints or a closed vertex path, got "
 _ZERO = FairShareTable(("d1", "d2"), (), ((), ()), (0, 0), (), 0)  # no categories
 
 # Every refusal of the roster and rounding objects: an id, a call on ``observed()`` and ``rng`` (a fresh
@@ -482,6 +511,13 @@ REFUSALS = [
     ("edge-cycle-in-direction-2", _network_cycle([(3, 2), (12, 1)]), ValueError, "direction must be +1 or -1, got 2"),
     ("edge-cycle-that-breaks", _network_cycle([(2, 1), (7, 1)]), ValueError,
      "cycle breaks between edges (('prefix', 3, 0), ('prefix', 2, 0)) and (('prefix', 3, 1), ('row', 2))"),
+    # cycles that are not (edge, direction) pairs of ints: refused, not truncated by int() or failed on while unpacking
+    ("edge-cycle-with-a-fractional-direction", _network_cycle([(2, 1.5), (4, 1), (8, -1), (6, -1), (7, 1), (3, -1)]),
+     ValueError, f"{_PAIRS}[(2, 1.5), (4, 1), (8, -1), (6, -1), (7, 1), (3, -1)]"),  # int() made it the walk's own cycle
+    ("edge-cycle-with-a-fractional-edge", _network_cycle([(2.7, 1), (4, 1), (8, -1), (6, -1), (7, 1), (3, -1)]),
+     ValueError, f"{_PAIRS}[(2.7, 1), (4, 1), (8, -1), (6, -1), (7, 1), (3, -1)]"),
+    ("cycle-of-a-string", _network_cycle("ab"), ValueError, f"{_PAIRS}'ab'"),
+    ("cycle-of-bare-ints", _network_cycle([0, 1]), ValueError, f"{_PAIRS}[0, 1]"),
     ("integral-network", lambda s: decompose_flow_once(s.integral, s.rng), ValueError,
      "network is already integral; nothing to decompose"),
     # flow steps: branches on another scheme table or with other edges are refused before the mixture check
@@ -576,6 +612,8 @@ REFUSALS = [
      "cycle cells must be distinct"),
     ("cell-cycle-starting-on-a-column-step", lambda s: FractionCycle(((0, 0), (1, 0), (1, 1), (0, 1))), ValueError,
      "cells (0, 0) and (1, 0) must share a row (step 0 is a row step)"),
+    ("cell-cycle-with-a-float-cell", _table_cycle((0, 0), (0, 1.0), (1, 1.0), (1, 0)), ValueError,  # indexed the table with 1.0
+     "cycle cells must be (row, column) pairs of ints, got ((0, 0), (0, 1.0), (1, 1.0), (1, 0))"),
     ("cell-cycle-past-the-columns", _table_cycle((0, 0), (0, 5), (1, 5), (1, 0)), ValueError,  # 5 would be edge 5
      "cycle ((0, 0), (0, 5), (1, 5), (1, 0)) leaves the 4 x 3 extended table"),
     ("cell-cycle-at-a-negative-column", _table_cycle((0, 0), (0, -2), (1, -2), (1, 0)), ValueError,  # -2 would alias 1

@@ -364,13 +364,13 @@ def test_tail_diagnostic_counts_what_the_sliced_lottery_holds(quarters_scheme, s
 
 
 def test_tail_diagnostic_bounds_formula(four_dept_problem):
-    grid = (1, 2)
+    grid = (1, 2, 10**154, 10**200)  # b*b/(3x) overflows a float at 10**200; both bounds are 0.0 there
     diag = tail_diagnostic(four_dept_problem, 1, 3, 10, grid, seed=5)
     x = float(build_fair_share_table(four_dept_problem, 3).column_totals[1])
     assert diag.category == "c2", "an integer category is an index into the scheme"
     assert diag.period == 3
-    assert diag.upper_bound == tuple(exp(-(b * b) / (3 * x)) for b in (1, 2))
-    assert diag.lower_bound == tuple(exp(-(b * b) / (2 * x)) for b in (1, 2))
+    assert diag.upper_bound == (*(exp(-(b * b) / (3 * x)) for b in (1, 2)), 0.0, 0.0)
+    assert diag.lower_bound == (*(exp(-(b * b) / (2 * x)) for b in (1, 2)), 0.0, 0.0)
 
 
 def test_tail_diagnostic_refuses_float_thresholds(four_dept_problem):

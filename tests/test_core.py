@@ -25,7 +25,9 @@ from reserve2d import (
     within_university_quota,
 )
 
-from conftest import mod3_roster
+from conftest import (
+    mod3_roster, reference_bias_of, reference_within_department_quota, reference_within_university_quota,
+)
 
 F = Fraction
 
@@ -302,6 +304,38 @@ def test_no_violations_iff_all_biases_below_one(parts, qs, data):
     z = _table(problem, tuple(entries))
     clean = not within_department_quota(z, x) and not within_university_quota(z, x)
     assert clean == (bias_of(z, x).max_magnitude < 1)
+
+
+@st.composite
+def _fair_and_reserved(draw):
+    """A fair table built directly, with nonnegative shares (integral or not) and whole row totals, over 0 to 4
+    departments, and a reservation table of the same labels whose every entry is floor - 1, floor, ceil or
+    ceil + 1 of its share (clamped at 0), so its row totals may differ from the fair ones."""
+    m, n, den = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.sampled_from((1, 2, 3, 4, 6, 10, 12)))
+    entries = []
+    for _ in range(m):
+        row = [F(draw(st.integers(0, 3 * den)), den) for _ in range(n)]
+        row[-1] += -sum(row) % 1  # the row sums to a whole number
+        entries.append(tuple(row))
+    departments, categories = tuple(f"d{i}" for i in range(m)), tuple(f"c{j}" for j in range(n))
+    rows = tuple(int(sum(row)) for row in entries)
+    columns = tuple(sum(column, F(0)) for column in zip(*entries)) or (F(0),) * n
+    fair = FairShareTable(departments, categories, tuple(entries), rows, columns, sum(rows))
+    reserved = [[max(0, x.numerator // x.denominator + draw(st.integers(-1, 2)))
+                 for x in row] for row in entries]
+    return fair, ReservationTable.from_entries(departments, categories, reserved)
+
+
+@given(_fair_and_reserved())
+@settings(max_examples=300, deadline=None)
+def test_integer_grid_quota_checks_and_biases_equal_the_fraction_reference(tables):
+    """``bias_of`` and both ``within_*`` read one integer grid; each equals its ``Fraction`` form (in ``conftest``)
+    to the repr, so every entry is the same ``Fraction`` and every violation the same int and fair share."""
+    fair, reserved = tables
+    for function, reference in ((bias_of, reference_bias_of),
+                                (within_department_quota, reference_within_department_quota),
+                                (within_university_quota, reference_within_university_quota)):
+        assert repr(function(reserved, fair)) == repr(reference(reserved, fair))
 
 
 # ---------------------------------------------------------------- traces

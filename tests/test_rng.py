@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reserve2d import ALGORITHM, SplitStream
+from reserve2d import (
+    ALGORITHM, ReservationProblem, SolutionConfig, SplitStream, estimate_expected_table, run_proposed, tail_diagnostic,
+)
 from reserve2d.rng import (
     _GAMMA,
     _MASK64,
@@ -26,7 +28,7 @@ from reserve2d.rng import (
     _unmix64,
 )
 
-from conftest import CountedU64s, CountingRandom, key_with_u64, time_limit
+from conftest import THIRD, CountedU64s, CountingRandom, key_with_u64, time_limit
 
 
 def test_same_seed_same_sequence():
@@ -74,6 +76,33 @@ def test_seed_validation():
 def test_child_index_validation():
     with pytest.raises(ValueError):
         SplitStream(0).child(-1)
+
+
+_TWO = ReservationProblem(("d1", "d2"), THIRD, ((2, 1),))
+_NOT_INTS = {  # a call on a fresh SplitStream(1), and its one-line message
+    "stream-of-a-float-seed": (lambda s: SplitStream(1.5), "seed must be an int, got 1.5"),
+    "stream-of-a-str-seed": (lambda s: SplitStream("1"), "seed must be an int, got '1'"),
+    "run-proposed-of-a-float-seed": (lambda s: run_proposed(_TWO, 1.5), "seed must be an int, got 1.5"),
+    "estimate-of-a-float-seed": (lambda s: estimate_expected_table(_TWO, 1, SolutionConfig("proposed"), 5, seed=1.5),
+                                 "seed must be an int, got 1.5"),
+    "tail-diagnostic-of-a-float-seed": (lambda s: tail_diagnostic(_TWO, "c1", 1, 5, (1,), 1.5),
+                                        "seed must be an int, got 1.5"),
+    "child-of-a-float-index": (lambda s: s.child(1.5), "child index must be an int, got 1.5"),
+    "randrange-of-a-float-bound": (lambda s: s.randrange(2.5), "randrange bound must be an int, got 2.5"),
+    "bernoulli-of-a-float": (lambda s: s.bernoulli(0.5),
+                             "floats are not accepted for exact probabilities (got 0.5); pass a Fraction or an int"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_INTS))
+def test_a_seed_index_or_bound_that_is_no_int_is_refused_before_any_draw(case):
+    """A float or str seed, child index or bound (or a float probability) is refused where it enters, with
+    one line, not deep inside the lane arithmetic; the stream at hand has drawn nothing."""
+    call, message = _NOT_INTS[case]
+    s = SplitStream(1)
+    with pytest.raises(TypeError) as refused:
+        call(s)
+    assert str(refused.value) == message and s._n == 0
 
 
 @pytest.mark.parametrize("index", [0, 1, 2**32, 2**64])
